@@ -1,6 +1,6 @@
 # Standard entry points; `make verify` is the gate a change must pass.
 
-.PHONY: build test race cover bench bench-parallel bench-telemetry bench-failover bench-scale bench-consolidation bench-provenance bench-monitor bench-daemon benchgate bench-baseline fuzz-smoke fault-smoke failover-smoke consolidation-smoke scale-smoke telemetry-smoke analyze-smoke explain-smoke watch-smoke chaos-smoke daemon-smoke verify
+.PHONY: build test race cover bench bench-parallel bench-telemetry bench-failover bench-scale bench-consolidation bench-provenance bench-monitor bench-daemon benchgate bench-baseline fuzz-smoke fault-smoke failover-smoke consolidation-smoke scale-smoke telemetry-smoke analyze-smoke explain-smoke watch-smoke chaos-smoke daemon-smoke perfbench-check verify
 
 build:
 	go build ./...
@@ -131,6 +131,11 @@ watch-smoke:
 	go run ./cmd/ctgsched explain -kind alert_firing /tmp/ctgdvfs_mon-mpeg.jsonl
 	go run ./cmd/ctgsched watch -dump /tmp/ctgdvfs_series-mpeg.json
 	go run ./scripts/promlint /tmp/ctgdvfs_metrics.prom
+
+# The benchmark harness is a Go module of its own (perfbench/go.mod), so the
+# root `go build ./...` never compiles it: vet and test it separately.
+perfbench-check:
+	cd perfbench && GOWORK=off go vet ./... && GOWORK=off go test ./...
 
 verify:
 	sh scripts/verify.sh

@@ -100,7 +100,7 @@ type (
 type (
 	// Adaptive is the window-based adaptive scheduling/DVFS runtime.
 	Adaptive = core.Manager
-	// AdaptiveOptions configures window, threshold, DVFS and scheduler.
+	// AdaptiveOptions configures window, threshold, DVFS and the runtime layers.
 	AdaptiveOptions = core.Options
 	// StepResult reports one processed CTG instance.
 	StepResult = core.StepResult
@@ -442,13 +442,13 @@ func ScheduleHEFT(a *Analysis, p *Platform) (*PlanResult, error) {
 // Stretch runs the paper's online task-stretching heuristic on a schedule,
 // assigning one DVFS speed per task in scheduling order.
 func Stretch(s *PlanResult, d DVFS) (*StretchResult, error) {
-	return stretch.Heuristic(s, d, 0)
+	return stretchHeuristic(s, d, stretch.Options{})
 }
 
 // StretchWorstCase runs the probability-blind critical-path stretcher
 // (reference algorithm 1's DVFS stage).
 func StretchWorstCase(s *PlanResult, d DVFS) (*StretchResult, error) {
-	return stretch.WorstCase(s, d, 0)
+	return stretch.WorstCase(s, d)
 }
 
 // StretchNLP runs the convex-programming stretcher (reference algorithm 2's
@@ -462,20 +462,30 @@ func StretchNLP(s *PlanResult, d DVFS, opts NLPOptions) (*StretchResult, error) 
 // branch forks that precede it (see stretch.PerScenario). Replay with
 // SimConfig.ScenarioSpeeds.
 func StretchPerScenario(s *PlanResult, d DVFS) (*ScenarioSpeeds, error) {
-	return stretch.PerScenario(s, d)
+	return stretch.PerScenario(s, d, 0, nil)
 }
 
 // StretchGuarded is Stretch with a guard band: the fraction guard ∈ [0,1] of
 // every task's slack is reserved as execution-time overrun margin instead of
 // being spent on DVFS. Guard 0 reproduces Stretch bit-for-bit.
 func StretchGuarded(s *PlanResult, d DVFS, guard float64) (*StretchResult, error) {
-	return stretch.HeuristicGuarded(s, d, 0, guard)
+	return stretchHeuristic(s, d, stretch.Options{Guard: guard})
+}
+
+// stretchHeuristic adapts stretch.Heuristic's by-value result to the
+// facade's pointer-returning signatures.
+func stretchHeuristic(s *PlanResult, d DVFS, o stretch.Options) (*StretchResult, error) {
+	r, err := stretch.Heuristic(s, d, o)
+	if err != nil {
+		return nil, err
+	}
+	return &r, nil
 }
 
 // StretchPerScenarioGuarded is StretchPerScenario with a guard band (see
 // StretchGuarded).
 func StretchPerScenarioGuarded(s *PlanResult, d DVFS, guard float64) (*ScenarioSpeeds, error) {
-	return stretch.PerScenarioGuarded(s, d, guard)
+	return stretch.PerScenario(s, d, guard, nil)
 }
 
 // Plan is the one-call online algorithm: modified DLS followed by the

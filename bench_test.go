@@ -728,7 +728,7 @@ func BenchmarkScaleRescheduleFull1k(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := stretch.HeuristicGuarded(s, ctgdvfs.ContinuousDVFS(), 0, 0); err != nil {
+		if _, err := stretch.Heuristic(s, ctgdvfs.ContinuousDVFS(), stretch.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -745,7 +745,7 @@ func BenchmarkScaleRescheduleWarm1k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := stretch.HeuristicGuarded(s, ctgdvfs.ContinuousDVFS(), 0, 0); err != nil {
+	if _, err := stretch.Heuristic(s, ctgdvfs.ContinuousDVFS(), stretch.Options{}); err != nil {
 		b.Fatal(err)
 	}
 	affected := core.AffectedByDrift(a, []int{0})
@@ -755,14 +755,14 @@ func BenchmarkScaleRescheduleWarm1k(b *testing.B) {
 	for i := 0; i < 2; i++ {
 		target := warm.Start(s)
 		ws.Rebind(target)
-		if _, err := stretch.HeuristicPartial(target, ctgdvfs.ContinuousDVFS(), 0, affected, ws); err != nil {
+		if _, err := stretch.Heuristic(target, ctgdvfs.ContinuousDVFS(), stretch.Options{Affected: affected, Workspace: ws}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		target := warm.Start(s)
-		if _, err := stretch.HeuristicPartial(target, ctgdvfs.ContinuousDVFS(), 0, affected, ws); err != nil {
+		if _, err := stretch.Heuristic(target, ctgdvfs.ContinuousDVFS(), stretch.Options{Affected: affected, Workspace: ws}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -441,15 +441,11 @@ func (f *Fleet) predictTenant(t *fleetTenant, heldPEs []int, guardScale float64)
 	if err != nil {
 		return 0, err
 	}
-	so := t.Opts.Sched
-	if so == (sched.Options{}) {
-		so = sched.Modified()
-	}
-	s, err := sched.DLS(a, rp, so)
+	s, err := sched.DLS(a, rp, sched.Modified())
 	if err != nil {
 		return 0, err
 	}
-	r, err := stretch.HeuristicGuarded(s, t.Opts.DVFS, t.Opts.MaxPaths, t.baseGuard*guardScale)
+	r, err := stretch.Heuristic(s, t.Opts.DVFS, stretch.Options{Guard: t.baseGuard * guardScale})
 	if err != nil {
 		return 0, err
 	}

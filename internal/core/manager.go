@@ -41,12 +41,6 @@ type Options struct {
 	Threshold float64
 	// DVFS is the speed-scaling model (default continuous).
 	DVFS platform.DVFS
-	// Sched selects the mapping/ordering algorithm (default the paper's
-	// modified DLS).
-	Sched sched.Options
-	// MaxPaths caps the stretching path model (default
-	// ctg.DefaultMaxPaths).
-	MaxPaths int
 	// PerScenario replaces the paper's single-speed stretching with the
 	// scenario-conditioned extension (stretch.PerScenario): every
 	// re-schedule computes a speed table indexed by leaf scenario, and
@@ -64,23 +58,20 @@ type Options struct {
 	// WarmStart enables incremental rescheduling: when a drift-triggered
 	// reschedule changes only a few forks' probabilities, the incumbent
 	// task→PE mapping and ordering are kept and only the affected sub-DAG's
-	// speeds are recomputed (stretch.HeuristicPartial), falling back to the
-	// full DLS + stretch pipeline when the diff is too large or the warm
-	// result fails validation. Warm results stay within the incumbent's
-	// deadline guarantee unconditionally; their speeds approximate (to first
-	// order) what a full recompute would assign. See internal/core
-	// warmstart.go and DESIGN.md.
+	// speeds are recomputed (stretch.Heuristic over an affected mask),
+	// falling back to the full DLS + stretch pipeline when the diff is too
+	// large (more than DefaultWarmMaxForks forks, or more than
+	// DefaultWarmMaxAffected of the tasks) or the warm result fails
+	// validation. Warm results stay within the incumbent's deadline
+	// guarantee unconditionally; their speeds approximate (to first order)
+	// what a full recompute would assign. See internal/core warmstart.go and
+	// DESIGN.md.
 	WarmStart bool
-	// WarmMaxForks bounds how many forks may drift in one reschedule for the
-	// warm path to engage; zero selects DefaultWarmMaxForks.
-	WarmMaxForks int
-	// WarmMaxAffected bounds the affected fraction of the task set; zero
-	// selects DefaultWarmMaxAffected.
-	WarmMaxAffected float64
 
 	// GuardBand ∈ [0,1] reserves that fraction of every task's slack as
-	// overrun margin during stretching (stretch.HeuristicGuarded /
-	// PerScenarioGuarded). Zero reproduces the paper's stretching exactly.
+	// overrun margin during stretching (stretch.Options.Guard and the guard
+	// argument of stretch.PerScenario). Zero reproduces the paper's
+	// stretching exactly.
 	GuardBand float64
 	// Faults, when non-nil, perturbs the replay of every Step with the
 	// plan's execution-time factors; the fault-instance cursor advances
@@ -177,9 +168,6 @@ func (o *Options) applyDefaults() {
 	if o.Threshold == 0 && !o.thresholdSet {
 		o.Threshold = DefaultThreshold
 	}
-	if o.Sched == (sched.Options{}) {
-		o.Sched = sched.Modified()
-	}
 	if o.CacheSize == 0 {
 		o.CacheSize = DefaultCacheSize
 	}
@@ -188,12 +176,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.MissRateBound == 0 {
 		o.MissRateBound = DefaultMissRateBound
-	}
-	if o.WarmMaxForks == 0 {
-		o.WarmMaxForks = DefaultWarmMaxForks
-	}
-	if o.WarmMaxAffected == 0 {
-		o.WarmMaxAffected = DefaultWarmMaxAffected
 	}
 }
 
@@ -555,7 +537,7 @@ func New(g *ctg.Graph, p *platform.Platform, opts Options) (*Manager, error) {
 		// is probability-independent by construction — every task runs at
 		// speed 1 — so caching it under a probability key would be both
 		// wrong and polluting).
-		fb, err := sched.DLS(m.a, m.p, m.opts.Sched)
+		fb, err := sched.DLS(m.a, m.p, sched.Modified())
 		if err != nil {
 			return nil, err
 		}
@@ -714,7 +696,7 @@ func (m *Manager) applyTopology(cur platform.Mask, instance int) error {
 		// Only the recovery machinery keeps a fallback; rebuilding one for a
 		// manager that never had it would silently enable fallback replays.
 		if m.degraded || m.healthyFallback == nil {
-			fb, err := sched.DLS(m.a, m.p, m.opts.Sched)
+			fb, err := sched.DLS(m.a, m.p, sched.Modified())
 			if err != nil {
 				return err
 			}
@@ -845,42 +827,27 @@ func (m *Manager) reschedule(reason string) error {
 	}
 	dlsStart := time.Now()
 	m.dlsWS.Cancel = m.cancel
-	s, err := sched.DLSInto(m.a, m.p, m.opts.Sched, m.dlsWS)
+	s, err := sched.DLSInto(m.a, m.p, sched.Modified(), m.dlsWS)
 	if err != nil {
 		return err
 	}
 	m.span("dls", m.mm.pipeDLS, dlsStart)
 	stretchStart := time.Now()
 	if m.opts.PerScenario {
-		sp, err := stretch.PerScenarioGuardedCancel(s, m.opts.DVFS, guard, stretch.CancelFunc(m.cancel))
+		sp, err := stretch.PerScenario(s, m.opts.DVFS, guard, m.cancel)
 		if err != nil {
 			return err
 		}
 		m.speeds = sp
 		m.span("stretch", m.mm.pipeStretch, stretchStart)
 	} else {
-		sr, err := stretch.HeuristicGuardedCancel(s, m.opts.DVFS, m.opts.MaxPaths, guard, stretch.CancelFunc(m.cancel))
+		sr, err := stretch.Heuristic(s, m.opts.DVFS, stretch.Options{Guard: guard, Cancel: m.cancel})
 		if err != nil {
 			return err
 		}
 		m.speeds = nil
 		m.span("stretch", m.mm.pipeStretch, stretchStart)
-		if m.rec != nil {
-			// Stretch-pass summary: how much slack Figure 2 distributed and
-			// how much of it the (guarded, possibly discrete) DVFS model
-			// actually converted. The per-scenario path has no single
-			// summary — its detail is a scenarios × tasks table.
-			m.emit(telemetry.Event{
-				Kind:       telemetry.KindStretch,
-				Instance:   m.instances,
-				Tasks:      sr.Stretched,
-				SlackFound: sr.SlackFound,
-				SlackUsed:  sr.SlackUsed,
-				Energy:     sr.ExpectedEnergy,
-				Makespan:   sr.WorstDelay,
-				Cause:      m.causeSeq,
-			})
-		}
+		m.emitStretch(sr, s)
 	}
 	m.schedule = s
 	if m.cache != nil {
@@ -892,6 +859,31 @@ func (m *Manager) reschedule(reason string) error {
 	m.noteScheduleState(guard)
 	m.emitReschedule(reason, key, false, false)
 	return nil
+}
+
+// emitStretch records the single-speed stretch-pass summary: how much slack
+// Figure 2 distributed and how much of it the (guarded, possibly discrete)
+// DVFS model actually converted. The per-scenario path has no single
+// summary — its detail is a scenarios × tasks table. A masked (warm) pass
+// leaves Result.ExpectedEnergy zero, so the energy is then evaluated on the
+// stretched schedule s.
+func (m *Manager) emitStretch(sr stretch.Result, s *sched.Schedule) {
+	if m.rec == nil {
+		return
+	}
+	if sr.ExpectedEnergy == 0 {
+		sr.ExpectedEnergy = s.ExpectedEnergy()
+	}
+	m.emit(telemetry.Event{
+		Kind:       telemetry.KindStretch,
+		Instance:   m.instances,
+		Tasks:      sr.Stretched,
+		SlackFound: sr.SlackFound,
+		SlackUsed:  sr.SlackUsed,
+		Energy:     sr.ExpectedEnergy,
+		Makespan:   sr.WorstDelay,
+		Cause:      m.causeSeq,
+	})
 }
 
 // emitReschedule records the re-scheduling decision event and consumes the
@@ -1449,11 +1441,11 @@ func BuildOnline(g *ctg.Graph, p *platform.Platform, opts Options) (*sched.Sched
 	if err != nil {
 		return nil, err
 	}
-	s, err := sched.DLS(a, p, opts.Sched)
+	s, err := sched.DLS(a, p, sched.Modified())
 	if err != nil {
 		return nil, err
 	}
-	if _, err := stretch.Heuristic(s, opts.DVFS, opts.MaxPaths); err != nil {
+	if _, err := stretch.Heuristic(s, opts.DVFS, stretch.Options{}); err != nil {
 		return nil, err
 	}
 	return s, nil

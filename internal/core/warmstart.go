@@ -6,7 +6,6 @@ import (
 	"ctgdvfs/internal/ctg"
 	"ctgdvfs/internal/sched"
 	"ctgdvfs/internal/stretch"
-	"ctgdvfs/internal/telemetry"
 )
 
 // Incremental (warm-start) rescheduling. A drift-triggered reschedule
@@ -17,7 +16,7 @@ import (
 // built from, and when the change is confined to a few forks it keeps the
 // incumbent mapping/ordering skeleton (probability-independent, see
 // sched.WarmState) and re-runs only the speed assignment of the affected
-// sub-DAG via stretch.HeuristicPartial.
+// sub-DAG via a masked stretch.Heuristic pass.
 //
 // The affected set of a changed fork f is: f itself, plus every task whose
 // activation set is split across f's outcomes — tasks active under some but
@@ -32,11 +31,12 @@ import (
 // result whose worst-case delay exceeds the deadline.
 //
 // Fallback to a full recompute happens when: the incumbent state is unknown
-// (initial/topology reschedules), too many forks changed (> WarmMaxForks),
-// the affected set is too large a fraction of the graph (> WarmMaxAffected),
-// or the warm result fails validation. Warm results are never cached: the
-// cache's contract is that a hit is bit-for-bit what a fresh recompute would
-// produce, which warm results approximate but do not guarantee.
+// (initial/topology reschedules), too many forks changed
+// (> DefaultWarmMaxForks), the affected set is too large a fraction of the
+// graph (> DefaultWarmMaxAffected), or the warm result fails validation.
+// Warm results are never cached: the cache's contract is that a hit is
+// bit-for-bit what a fresh recompute would produce, which warm results
+// approximate but do not guarantee.
 
 // DefaultWarmMaxForks bounds how many forks may drift in one reschedule for
 // the warm path to engage.
@@ -211,14 +211,9 @@ func (m *Manager) tryWarmStart(reason string, guard float64) (bool, error) {
 		m.span("diff", m.mm.pipeDiff, diffStart)
 		if guardChanged {
 			stretchStart := time.Now()
-			sp, err := stretch.PerScenarioGuardedCancel(m.schedule, m.opts.DVFS, guard, stretch.CancelFunc(m.cancel))
+			sp, err := stretch.PerScenario(m.schedule, m.opts.DVFS, guard, m.cancel)
 			if err != nil {
-				if m.cancelled() {
-					return false, err
-				}
-				w.fallbacks++
-				m.mm.warmFallbacks.Inc()
-				return false, nil
+				return m.warmFailed(err)
 			}
 			m.speeds = sp
 			m.span("stretch", m.mm.pipeStretch, stretchStart)
@@ -233,16 +228,12 @@ func (m *Manager) tryWarmStart(reason string, guard float64) (bool, error) {
 			w.affected[t] = true
 		}
 	} else {
-		if len(changed) > m.opts.WarmMaxForks {
-			w.fallbacks++
-			m.mm.warmFallbacks.Inc()
-			return false, nil
+		if len(changed) > DefaultWarmMaxForks {
+			return m.warmFallback()
 		}
 		count := m.markAffected(changed)
-		if float64(count) > m.opts.WarmMaxAffected*float64(m.g.NumTasks()) {
-			w.fallbacks++
-			m.mm.warmFallbacks.Inc()
-			return false, nil
+		if float64(count) > DefaultWarmMaxAffected*float64(m.g.NumTasks()) {
+			return m.warmFallback()
 		}
 	}
 	m.span("diff", m.mm.pipeDiff, diffStart)
@@ -252,55 +243,48 @@ func (m *Manager) tryWarmStart(reason string, guard float64) (bool, error) {
 		w.wsGen = m.mapGen
 	}
 	stretchStart := time.Now()
-	w.ws.Cancel = stretch.CancelFunc(m.cancel)
-	sr, err := stretch.HeuristicPartial(target, m.opts.DVFS, guard, w.affected, w.ws)
+	sr, err := stretch.Heuristic(target, m.opts.DVFS, stretch.Options{
+		Guard: guard, Cancel: m.cancel, Affected: w.affected, Workspace: w.ws,
+	})
 	if err != nil {
-		// A cancelled partial pass must not fall through to the full
-		// pipeline (which would just re-detect the cancellation after
-		// paying for a DLS round) — propagate the context error directly.
-		if m.cancelled() {
-			return false, err
-		}
-		w.fallbacks++
-		m.mm.warmFallbacks.Inc()
-		return false, nil
+		return m.warmFailed(err)
 	}
 	m.span("stretch", m.mm.pipeStretch, stretchStart)
 	validateStart := time.Now()
 	if sr.WorstDelay > m.g.Deadline()*(1+warmEps) {
 		// The incumbent skeleton can no longer hold the deadline under the
 		// new weighting — let the full path find a new mapping.
-		w.fallbacks++
-		m.mm.warmFallbacks.Inc()
-		return false, nil
+		return m.warmFallback()
 	}
 	if err := target.QuickValidate(); err != nil {
-		w.fallbacks++
-		m.mm.warmFallbacks.Inc()
-		return false, nil
+		return m.warmFallback()
 	}
 	m.span("validate", m.mm.pipeValidate, validateStart)
 	m.schedule = target
 	m.speeds = nil
-	if m.rec != nil {
-		m.emit(telemetry.Event{
-			Kind:       telemetry.KindStretch,
-			Instance:   m.instances,
-			Tasks:      sr.Stretched,
-			SlackFound: sr.SlackFound,
-			SlackUsed:  sr.SlackUsed,
-			Energy:     target.ExpectedEnergy(),
-			Makespan:   sr.WorstDelay,
-			Cause:      m.causeSeq,
-		})
-	}
+	m.emitStretch(sr, target)
 	m.adoptWarm(reason, guard)
 	return true, nil
 }
 
-// cancelled reports whether the in-flight StepCtx's context has expired
-// (always false outside StepCtx).
-func (m *Manager) cancelled() bool { return m.cancel != nil && m.cancel() != nil }
+// warmFallback counts an eligible warm attempt that falls back to the full
+// recompute, and tells tryWarmStart's caller to run it.
+func (m *Manager) warmFallback() (bool, error) {
+	m.warm.fallbacks++
+	m.mm.warmFallbacks.Inc()
+	return false, nil
+}
+
+// warmFailed handles a stretch error on the warm path. A cancelled pass must
+// not fall through to the full pipeline (which would just re-detect the
+// cancellation after paying for a DLS round), so the in-flight StepCtx's
+// context error propagates directly; any other error is a fallback.
+func (m *Manager) warmFailed(err error) (bool, error) {
+	if m.cancel != nil && m.cancel() != nil {
+		return false, err
+	}
+	return m.warmFallback()
+}
 
 // adoptWarm finalizes a warm-started (or verbatim-reused) reschedule: the
 // call counts exactly like a full one, the snapshot moves to the new state,

@@ -46,7 +46,7 @@ func buildRef1(g *ctg.Graph, p *platform.Platform) (*sched.Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := stretch.WorstCase(s, platform.Continuous(), 0); err != nil {
+	if _, err := stretch.WorstCase(s, platform.Continuous()); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -254,7 +254,7 @@ func AblationRatio() (*AblationResult, error) {
 			if err != nil {
 				return 0, err
 			}
-			r, err := stretch.HeuristicVariant(s, platform.Continuous(), 0, literal)
+			r, err := stretch.Heuristic(s, platform.Continuous(), stretch.Options{LiteralRatio: literal})
 			if err != nil {
 				return 0, err
 			}

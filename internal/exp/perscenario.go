@@ -50,7 +50,7 @@ func PerScenarioDVFS() (*PerScenarioResult, error) {
 		if err != nil {
 			return PerScenarioRow{}, err
 		}
-		rH, err := stretch.Heuristic(sSingle, platform.Continuous(), 0)
+		rH, err := stretch.Heuristic(sSingle, platform.Continuous(), stretch.Options{})
 		if err != nil {
 			return PerScenarioRow{}, err
 		}
@@ -58,7 +58,7 @@ func PerScenarioDVFS() (*PerScenarioResult, error) {
 		if err != nil {
 			return PerScenarioRow{}, err
 		}
-		sp, err := stretch.PerScenario(sMulti, platform.Continuous())
+		sp, err := stretch.PerScenario(sMulti, platform.Continuous(), 0, nil)
 		if err != nil {
 			return PerScenarioRow{}, err
 		}

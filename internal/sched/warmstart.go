@@ -16,7 +16,7 @@ import (
 // therefore reuses the incumbent schedule skeleton wholesale — copied into a
 // reusable buffer so the incumbent (possibly shared with the schedule cache)
 // is never mutated — and leaves only the speed assignment to be recomputed
-// by stretch.HeuristicPartial.
+// by a masked stretch.Heuristic pass (stretch.Options.Affected).
 
 // CopyInto deep-copies s into dst, reusing dst's backing storage where the
 // capacity allows. dst may be nil (a fresh Schedule is allocated). When dst

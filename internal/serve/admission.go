@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -189,6 +190,9 @@ func writeError(w http.ResponseWriter, err error) {
 		case err == ErrClosed:
 			status = http.StatusServiceUnavailable
 			env.Code = "closed"
+		case errors.Is(err, ErrDuplicateTenant):
+			status = http.StatusConflict
+			env.Code = "duplicate_tenant"
 		case isCtxErr(err):
 			status = http.StatusGatewayTimeout
 			env.Code = "deadline"

@@ -186,6 +186,10 @@ type Server struct {
 
 	mu      sync.RWMutex
 	tenants map[string]*tenant
+	// createMu serializes CreateTenant, so the duplicate-name check and the
+	// new tenant's side effects (truncating its event stream) cannot
+	// interleave with another submit of the same name.
+	createMu sync.Mutex
 
 	closed atomic.Bool
 }
@@ -336,16 +340,21 @@ func (s *Server) CreateTenant(spec TenantSpec) (TenantStatus, error) {
 	if s.closed.Load() {
 		return TenantStatus{}, ErrClosed
 	}
+	s.createMu.Lock()
+	defer s.createMu.Unlock()
+	// Reject a duplicate before newTenant opens (and truncates) the live
+	// tenant's event stream.
+	s.mu.RLock()
+	_, dup := s.tenants[spec.Name]
+	s.mu.RUnlock()
+	if dup {
+		return TenantStatus{}, fmt.Errorf("%w: %s", ErrDuplicateTenant, spec.Name)
+	}
 	t, err := newTenant(s, spec)
 	if err != nil {
 		return TenantStatus{}, err
 	}
 	s.mu.Lock()
-	if _, dup := s.tenants[spec.Name]; dup {
-		s.mu.Unlock()
-		t.closeSinks()
-		return TenantStatus{}, fmt.Errorf("%w: %s", ErrDuplicateTenant, spec.Name)
-	}
 	s.tenants[spec.Name] = t
 	s.metrics.tenantsGauge.Set(float64(len(s.tenants)))
 	s.mu.Unlock()

@@ -567,6 +567,8 @@ func TestSpecValidation(t *testing.T) {
 		{Name: "a"},                             // neither workload nor ctg
 		{Name: "a", Workload: "nope"},           // unknown workload
 		{Name: "a", Workload: "mpeg", CTG: "x"}, // both
+		{Name: "a", Workload: "mpeg", GuardBand: 1.5}, // core.New: guard band out of range
+		{Name: "a", Workload: "mpeg", Threshold: 2},   // core.New: threshold out of range
 	}
 	for i, spec := range bad {
 		if _, err := s.CreateTenant(spec); err == nil {
@@ -578,6 +580,87 @@ func TestSpecValidation(t *testing.T) {
 	mustCreate(t, s, mpegSpec("dup"))
 	if _, err := s.CreateTenant(mpegSpec("dup")); !errors.Is(err, ErrDuplicateTenant) {
 		t.Fatalf("want ErrDuplicateTenant, got %v", err)
+	}
+}
+
+// TestDuplicateSubmitKeepsLiveStream submits a tenant name that is already
+// live over HTTP: the reply is 409 duplicate_tenant and the live tenant's
+// event stream is byte-identical afterwards (the duplicate must be rejected
+// before its event file is opened). An out-of-range knob is a 400.
+func TestDuplicateSubmitKeepsLiveStream(t *testing.T) {
+	dir := t.TempDir()
+	s := mustServer(t, Options{EventsDir: dir})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	cl := &Client{BaseURL: hs.URL}
+	ctx := context.Background()
+
+	if _, err := cl.Submit(ctx, mpegSpec("live")); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	for i, v := range testVectors(t, 10) {
+		if _, err := cl.Step(ctx, "live", v, ChaosSpec{}); err != nil {
+			t.Fatalf("Step %d: %v", i, err)
+		}
+	}
+	path := filepath.Join(dir, "live.events.jsonl")
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(before) == 0 {
+		t.Fatal("live tenant wrote no events")
+	}
+
+	_, err = cl.Submit(ctx, mpegSpec("live"))
+	if ae, ok := err.(*APIError); !ok || ae.Status != 409 || ae.Code != "duplicate_tenant" {
+		t.Fatalf("duplicate submit: want 409 duplicate_tenant, got %v", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("duplicate submit changed the live stream: %d bytes -> %d bytes", len(before), len(after))
+	}
+
+	for _, spec := range []TenantSpec{
+		{Name: "g", Workload: "mpeg", GuardBand: 1.5},
+		{Name: "th", Workload: "mpeg", Threshold: 2},
+	} {
+		_, err := cl.Submit(ctx, spec)
+		if ae, ok := err.(*APIError); !ok || ae.Status != 400 || ae.Code != "bad_request" {
+			t.Fatalf("spec %+v: want 400 bad_request, got %v", spec, err)
+		}
+	}
+}
+
+// TestConcurrentDuplicateSubmits races several submits of one name: exactly
+// one is admitted and every other gets ErrDuplicateTenant.
+func TestConcurrentDuplicateSubmits(t *testing.T) {
+	s := mustServer(t, Options{EventsDir: t.TempDir()})
+	const n = 4
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = s.CreateTenant(mpegSpec("race"))
+		}(i)
+	}
+	wg.Wait()
+	admitted := 0
+	for i, err := range errs {
+		switch {
+		case err == nil:
+			admitted++
+		case !errors.Is(err, ErrDuplicateTenant):
+			t.Fatalf("submit %d: want nil or ErrDuplicateTenant, got %v", i, err)
+		}
+	}
+	if admitted != 1 {
+		t.Fatalf("%d of %d concurrent submits admitted, want 1", admitted, n)
 	}
 }
 

@@ -199,7 +199,13 @@ func (t *tenant) buildManager() (*core.Manager, error) {
 	opts := t.spec.coreOptions()
 	opts.Recorder = t.gate
 	opts.Sequencer = t.seq
-	return core.New(g, p, opts)
+	m, err := core.New(g, p, opts)
+	if err != nil {
+		// The manager's options come from the spec alone, so a rejection
+		// is malformed input (e.g. an out-of-range guard band).
+		return nil, clientErrorf("%v", err)
+	}
+	return m, nil
 }
 
 // start launches the worker goroutine.

@@ -28,7 +28,7 @@ func TestBreakdownMatchesExpectedEnergy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := stretch.Heuristic(s, platform.Continuous(), 0); err != nil {
+		if _, err := stretch.Heuristic(s, platform.Continuous(), stretch.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		b := AnalyzeBreakdown(s)

@@ -160,7 +160,7 @@ func TestStrictOrDepsStillMeetDeadlines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := stretch.Heuristic(s, platform.Continuous(), 0); err != nil {
+		if _, err := stretch.Heuristic(s, platform.Continuous(), stretch.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		sum, err := ExhaustiveCfg(s, Config{StrictOrDeps: true})

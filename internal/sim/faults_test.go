@@ -42,7 +42,7 @@ func faultWorkload(t *testing.T, seed int64) *sched.Schedule {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stretch.Heuristic(s, platform.Continuous(), 0); err != nil {
+	if _, err := stretch.Heuristic(s, platform.Continuous(), stretch.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	return s

@@ -33,7 +33,7 @@ func TestExhaustiveParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := stretch.Heuristic(s, platform.Continuous(), 0); err != nil {
+		if _, err := stretch.Heuristic(s, platform.Continuous(), stretch.Options{}); err != nil {
 			t.Fatal(err)
 		}
 

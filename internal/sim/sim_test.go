@@ -180,7 +180,7 @@ func TestExhaustiveMatchesExpectedEnergy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := stretch.Heuristic(s, platform.Continuous(), 0); err != nil {
+		if _, err := stretch.Heuristic(s, platform.Continuous(), stretch.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		sum, err := Exhaustive(s)
@@ -233,9 +233,9 @@ func TestStretchedSchedulesMeetDeadlineInEveryScenario(t *testing.T) {
 			}
 			switch name {
 			case "heuristic":
-				_, err = stretch.Heuristic(s, platform.Continuous(), 0)
+				_, err = stretch.Heuristic(s, platform.Continuous(), stretch.Options{})
 			case "worstcase":
-				_, err = stretch.WorstCase(s, platform.Continuous(), 0)
+				_, err = stretch.WorstCase(s, platform.Continuous())
 			case "nlp":
 				_, err = stretch.NLP(s, platform.Continuous(), stretch.NLPOptions{MaxIters: 250})
 			}
@@ -295,7 +295,7 @@ func TestSampleConvergesToExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stretch.Heuristic(s, platform.Continuous(), 0); err != nil {
+	if _, err := stretch.Heuristic(s, platform.Continuous(), stretch.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	exact, err := Exhaustive(s)

@@ -1,10 +1,5 @@
 package stretch
 
-import (
-	"ctgdvfs/internal/platform"
-	"ctgdvfs/internal/sched"
-)
-
 // CancelFunc is the cooperative-cancellation hook of the stretching passes: a
 // non-nil return aborts the pass with that error at the next checkpoint. The
 // intended value is a context's Err method. Cancellation must be monotone —
@@ -20,24 +15,5 @@ import (
 //     one scenario batch — in-flight scenarios finish, queued ones are
 //     skipped — and the error surfaces before the folding stage.
 //
-// A nil CancelFunc is bit-for-bit the uncancellable entry point.
+// A nil CancelFunc is bit-for-bit an uncancellable pass.
 type CancelFunc func() error
-
-// HeuristicGuardedCancel is HeuristicGuarded with a cooperative-cancellation
-// hook polled once per task. A nil cancel is exactly HeuristicGuarded.
-func HeuristicGuardedCancel(s *sched.Schedule, d platform.DVFS, maxPaths int, guard float64, cancel CancelFunc) (*Result, error) {
-	if err := validGuard(guard); err != nil {
-		return nil, err
-	}
-	return heuristicOpts(s, d, maxPaths, false, guard, nil, cancel)
-}
-
-// PerScenarioGuardedCancel is PerScenarioGuarded with a
-// cooperative-cancellation hook polled per scenario. A nil cancel is exactly
-// PerScenarioGuarded.
-func PerScenarioGuardedCancel(s *sched.Schedule, d platform.DVFS, guard float64, cancel CancelFunc) (*ScenarioSpeeds, error) {
-	if err := validGuard(guard); err != nil {
-		return nil, err
-	}
-	return perScenarioOpts(s, d, guard, cancel)
-}

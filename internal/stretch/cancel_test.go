@@ -29,11 +29,11 @@ func (c *countingCancel) fn() CancelFunc {
 func TestHeuristicCancelAbortsWithinOneTask(t *testing.T) {
 	s := prepare(t, 42, 1.6)
 	cc := &countingCancel{fuse: 2}
-	res, err := HeuristicGuardedCancel(s, platform.Continuous(), 0, 0, cc.fn())
+	res, err := Heuristic(s, platform.Continuous(), Options{Cancel: cc.fn()})
 	if !errors.Is(err, errCancelled) {
 		t.Fatalf("want errCancelled, got %v (res %v)", err, res)
 	}
-	if res != nil {
+	if res != (Result{}) {
 		t.Fatal("cancelled stretch returned a result")
 	}
 	// Polled once per stretched task: the abort lands on poll fuse+1.
@@ -44,13 +44,13 @@ func TestHeuristicCancelAbortsWithinOneTask(t *testing.T) {
 
 func TestHeuristicCancelCompletedRunIdentical(t *testing.T) {
 	want := prepare(t, 43, 1.6)
-	wres, err := HeuristicGuarded(want, platform.Continuous(), 0, 0.1)
+	wres, err := Heuristic(want, platform.Continuous(), Options{Guard: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := prepare(t, 43, 1.6)
 	cc := &countingCancel{fuse: 1 << 30}
-	gres, err := HeuristicGuardedCancel(got, platform.Continuous(), 0, 0.1, cc.fn())
+	gres, err := Heuristic(got, platform.Continuous(), Options{Guard: 0.1, Cancel: cc.fn()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestPerScenarioCancelAbortsBeforeFold(t *testing.T) {
 	s := prepare(t, 44, 1.6)
 	nsc := s.A.NumScenarios()
 	cc := &countingCancel{fuse: 0}
-	sp, err := PerScenarioGuardedCancel(s, platform.Continuous(), 0, cc.fn())
+	sp, err := PerScenario(s, platform.Continuous(), 0, cc.fn())
 	if !errors.Is(err, errCancelled) {
 		t.Fatalf("want errCancelled, got %v (speeds %v)", err, sp)
 	}
@@ -87,13 +87,13 @@ func TestPerScenarioCancelAbortsBeforeFold(t *testing.T) {
 
 func TestPerScenarioCancelCompletedRunIdentical(t *testing.T) {
 	want := prepare(t, 45, 1.6)
-	wsp, err := PerScenarioGuarded(want, platform.Continuous(), 0.1)
+	wsp, err := PerScenario(want, platform.Continuous(), 0.1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := prepare(t, 45, 1.6)
 	cc := &countingCancel{fuse: 1 << 30}
-	gsp, err := PerScenarioGuardedCancel(got, platform.Continuous(), 0.1, cc.fn())
+	gsp, err := PerScenario(got, platform.Continuous(), 0.1, cc.fn())
 	if err != nil {
 		t.Fatal(err)
 	}

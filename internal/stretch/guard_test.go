@@ -77,35 +77,12 @@ func TestGuardedSpeedForTime(t *testing.T) {
 func TestHeuristicGuardedValidatesAndBounds(t *testing.T) {
 	_, s := guardWorkload(t, 21)
 	for _, bad := range []float64{-0.1, 1.5, math.NaN()} {
-		if _, err := HeuristicGuarded(s.Clone(), platform.Continuous(), 0, bad); err == nil {
+		if _, err := Heuristic(s.Clone(), platform.Continuous(), Options{Guard: bad}); err == nil {
 			t.Fatalf("guard %v: want error", bad)
 		}
 	}
-	if _, err := PerScenarioGuarded(s.Clone(), platform.Continuous(), math.Inf(1)); err == nil {
+	if _, err := PerScenario(s.Clone(), platform.Continuous(), math.Inf(1), nil); err == nil {
 		t.Fatal("infinite guard: want error")
-	}
-}
-
-func TestGuardZeroMatchesHeuristicBitForBit(t *testing.T) {
-	for seed := int64(30); seed < 36; seed++ {
-		_, s1 := guardWorkload(t, seed)
-		_, s2 := guardWorkload(t, seed)
-		r1, err := Heuristic(s1, platform.Continuous(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := HeuristicGuarded(s2, platform.Continuous(), 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r1.ExpectedEnergy != r2.ExpectedEnergy || r1.Stretched != r2.Stretched {
-			t.Fatalf("seed %d: guard 0 diverged from Heuristic: %+v vs %+v", seed, r1, r2)
-		}
-		for i := range s1.Speed {
-			if s1.Speed[i] != s2.Speed[i] {
-				t.Fatalf("seed %d task %d: speed %v vs %v", seed, i, s1.Speed[i], s2.Speed[i])
-			}
-		}
 	}
 }
 
@@ -116,7 +93,7 @@ func TestGuardTradesEnergyForMargin(t *testing.T) {
 	prevEnergy := -1.0
 	for _, guard := range []float64{0, 0.2, 0.5, 1} {
 		s := base.Clone()
-		r, err := HeuristicGuarded(s, platform.Continuous(), 0, guard)
+		r, err := Heuristic(s, platform.Continuous(), Options{Guard: guard})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,11 +114,11 @@ func TestGuardTradesEnergyForMargin(t *testing.T) {
 
 func TestPerScenarioGuardedMatchesAndTightens(t *testing.T) {
 	_, s := guardWorkload(t, 50)
-	plain, err := PerScenario(s, platform.Continuous())
+	plain, err := PerScenario(s, platform.Continuous(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := PerScenarioGuarded(s, platform.Continuous(), 0)
+	zero, err := PerScenario(s, platform.Continuous(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +129,7 @@ func TestPerScenarioGuardedMatchesAndTightens(t *testing.T) {
 			}
 		}
 	}
-	guarded, err := PerScenarioGuarded(s, platform.Continuous(), 0.4)
+	guarded, err := PerScenario(s, platform.Continuous(), 0.4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +142,7 @@ func TestPerScenarioGuardedMatchesAndTightens(t *testing.T) {
 	if ge <= pe {
 		t.Fatalf("guarded expected energy %v not above plain %v", ge, pe)
 	}
-	full, err := PerScenarioGuarded(s, platform.Continuous(), 1)
+	full, err := PerScenario(s, platform.Continuous(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,11 +28,38 @@ type Result struct {
 	SlackFound, SlackUsed float64
 }
 
-// Observer receives one callback per task processed by the stretching
-// heuristic (in DLS task order): the slack CalculateSlack distributed to the
-// task and the speed the task ended at. It is the telemetry hook of the
-// stretching stage; a nil Observer costs one branch per task.
-type Observer func(t ctg.TaskID, slack, speed float64)
+// Options configures one Heuristic pass. The zero value is the paper's
+// Figure 2 heuristic over the whole task set.
+type Options struct {
+	// Guard ∈ [0, 1] reserves that fraction of every task's distributed
+	// slack as overrun margin instead of converting it into speed reduction
+	// (platform.GuardedSpeedForTime), so the stretched schedule tolerates
+	// bounded execution-time overruns by construction at the cost of higher
+	// energy. Zero is the paper's heuristic; 1 leaves every task at full
+	// speed.
+	Guard float64
+	// Cancel, when non-nil, is polled once per stretched task; a non-nil
+	// return aborts the pass with that error. See CancelFunc.
+	Cancel CancelFunc
+	// LiteralRatio selects the literal slk(p)/delay(p) reading of Figure 2's
+	// ratio denominator (shares shrink geometrically along a path, leaving
+	// slack unused) instead of the default released-tasks reading (locked
+	// tasks leave the distributable delay, reaching uniform scaling on
+	// chains). It is the ablation knob; see the ablation experiment.
+	LiteralRatio bool
+	// Affected, when non-nil, restricts the pass to a warm-started
+	// schedule's affected tasks (one flag per task): those are reset to full
+	// speed and re-stretched in DLS order, every other task keeps its
+	// incumbent speed and counts as locked from the outset. Nil stretches
+	// every task from its current speed. See warm.go.
+	Affected []bool
+	// Workspace, when non-nil, supplies the pass's reusable buffers. An
+	// unbound workspace is bound to the schedule being stretched; a bound
+	// one must have been Rebind-ed to a schedule with the same mapping. A
+	// bound workspace makes a masked pass allocation-free. Nil allocates a
+	// fresh one.
+	Workspace *Workspace
+}
 
 // Heuristic runs the paper's online task-stretching heuristic (Figure 2) on
 // the schedule, assigning one DVFS speed per task in the DLS task order. The
@@ -64,27 +91,76 @@ type Observer func(t ctg.TaskID, slack, speed float64)
 // only on conditional arms (e.g. τ4 of the paper's own Figure 1) would never
 // receive slack, contradicting the stated goal of giving more slack to
 // likely tasks; under this reading the worked examples of §III.A hold.
-func Heuristic(s *sched.Schedule, d platform.DVFS, maxPaths int) (*Result, error) {
-	return heuristicOpts(s, d, maxPaths, false, 0, nil, nil)
-}
-
-// HeuristicGuarded is Heuristic with a guard band: a fraction guard ∈ [0, 1]
-// of every task's distributed slack is reserved as margin instead of being
-// converted into speed reduction (platform.GuardedSpeedForTime), so the
-// stretched schedule tolerates bounded execution-time overruns by
-// construction at the cost of higher energy. guard = 0 is exactly Heuristic;
-// guard = 1 leaves every task at full speed.
-func HeuristicGuarded(s *sched.Schedule, d platform.DVFS, maxPaths int, guard float64) (*Result, error) {
-	return HeuristicObserved(s, d, maxPaths, guard, nil)
-}
-
-// HeuristicObserved is HeuristicGuarded with a per-task telemetry Observer.
-// The observer only watches — passing nil is bit-for-bit HeuristicGuarded.
-func HeuristicObserved(s *sched.Schedule, d platform.DVFS, maxPaths int, guard float64, obs Observer) (*Result, error) {
-	if err := validGuard(guard); err != nil {
-		return nil, err
+//
+// A masked pass (Options.Affected non-nil) leaves Result.ExpectedEnergy
+// zero: the expected-energy evaluation allocates per cross-PE edge and the
+// warm path is the allocation-free hot path. Callers that want it call
+// s.ExpectedEnergy() themselves.
+func Heuristic(s *sched.Schedule, d platform.DVFS, o Options) (Result, error) {
+	if err := d.Validate(); err != nil {
+		return Result{}, err
 	}
-	return heuristicOpts(s, d, maxPaths, false, guard, obs, nil)
+	if err := validGuard(o.Guard); err != nil {
+		return Result{}, err
+	}
+	n := s.G.NumTasks()
+	if o.Affected != nil && len(o.Affected) != n {
+		return Result{}, fmt.Errorf("stretch: affected mask sized %d, want %d", len(o.Affected), n)
+	}
+	w := o.Workspace
+	if w == nil {
+		w = NewWorkspace()
+	}
+	if w.dag == nil {
+		w.Rebind(s)
+	}
+	w.retarget(s)
+	dag := w.dag
+	for t := 0; t < n; t++ {
+		switch {
+		case o.Affected == nil:
+			w.locked[t] = false
+		case o.Affected[t]:
+			if s.Speed[t] != 1 {
+				s.Speed[t] = 1
+				dag.refreshExec(ctg.TaskID(t))
+			}
+			w.locked[t] = false
+		default:
+			w.locked[t] = true
+		}
+	}
+	var res Result
+	for _, t := range s.Order {
+		if o.Affected != nil && !o.Affected[t] {
+			continue
+		}
+		if o.Cancel != nil {
+			if err := o.Cancel(); err != nil {
+				return Result{}, err
+			}
+		}
+		slk := calculateSlack(dag, t, w.locked, o.LiteralRatio, w.scratch)
+		if slk > 0 {
+			wcet := s.WCET(t)
+			res.SlackFound += slk
+			speed := d.GuardedSpeedForTime(wcet, wcet+slk, o.Guard)
+			if speed < 1 {
+				s.Speed[t] = speed
+				dag.refreshExec(t)
+				res.Stretched++
+				res.SlackUsed += wcet/speed - wcet
+			}
+		}
+		// "Stretch τi, lock its schedule and speed": processed tasks leave
+		// the distributable portion of every path they span.
+		w.locked[t] = true
+	}
+	if o.Affected == nil {
+		res.ExpectedEnergy = s.ExpectedEnergy()
+	}
+	res.WorstDelay = dag.longest(dag.runInto(w.scratch.full, nil))
+	return res, nil
 }
 
 // validGuard checks a guard-band fraction.
@@ -95,59 +171,9 @@ func validGuard(guard float64) error {
 	return nil
 }
 
-// HeuristicVariant exposes the ablation knob between the two readings of
-// Figure 2's ratio denominator: released-tasks (literalRatio=false, the
-// default — locked tasks leave the distributable delay, reaching uniform
-// scaling on chains) and the literal slk(p)/delay(p) (literalRatio=true —
-// shares shrink geometrically along a path, leaving slack unused). See the
-// ablation benchmarks for the measured difference.
-func HeuristicVariant(s *sched.Schedule, d platform.DVFS, maxPaths int, literalRatio bool) (*Result, error) {
-	return heuristicOpts(s, d, maxPaths, literalRatio, 0, nil, nil)
-}
-
-func heuristicOpts(s *sched.Schedule, d platform.DVFS, maxPaths int, literalRatio bool, guard float64, obs Observer, cancel CancelFunc) (*Result, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	_ = maxPaths // retained for API stability; the DP model needs no cap
-	dag := newDAG(s)
-	locked := make([]bool, s.G.NumTasks())
-	scratch := newSlackScratch(s.G.NumTasks())
-	res := &Result{}
-	for _, t := range s.Order {
-		if cancel != nil {
-			if err := cancel(); err != nil {
-				return nil, err
-			}
-		}
-		slk := calculateSlack(dag, t, locked, literalRatio, scratch)
-		if slk > 0 {
-			wcet := s.WCET(t)
-			res.SlackFound += slk
-			speed := d.GuardedSpeedForTime(wcet, wcet+slk, guard)
-			if speed < 1 {
-				s.Speed[t] = speed
-				dag.refreshExec(t)
-				res.Stretched++
-				res.SlackUsed += wcet/speed - wcet
-			}
-		}
-		if obs != nil {
-			obs(t, slk, s.Speed[t])
-		}
-		// "Stretch τi, lock its schedule and speed": processed tasks leave
-		// the distributable portion of every path they span.
-		locked[t] = true
-	}
-	res.ExpectedEnergy = s.ExpectedEnergy()
-	res.WorstDelay = dag.longest(dag.run(nil))
-	return res, nil
-}
-
 // slackScratch holds the buffers calculateSlack reuses across the O(tasks ×
 // minterms) inner loop: the full-graph and per-minterm DP decompositions and
-// the critical-path dedup set. One per Heuristic call (or per worker when
-// minterm loops run in parallel).
+// the critical-path dedup set. One per Workspace.
 type slackScratch struct {
 	full, minterm *dpResult
 	seen          pathSet

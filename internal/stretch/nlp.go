@@ -19,9 +19,6 @@ type NLPOptions struct {
 	// PenaltyInit and PenaltyGrowth control the quadratic penalty weight
 	// (defaults 10 and 1.8, grown when progress stalls).
 	PenaltyInit, PenaltyGrowth float64
-	// MaxPaths is retained for API stability and ignored (the constraint
-	// set is per-node, not per-path).
-	MaxPaths int
 }
 
 func (o *NLPOptions) applyDefaults() {

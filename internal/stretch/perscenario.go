@@ -37,25 +37,19 @@ type ScenarioSpeeds struct {
 //     agree on its ancestor-fork outcomes, take the fastest assigned speed
 //     (running faster than a scenario's ideal is always deadline-safe).
 //
+// guard ∈ [0, 1] reserves that fraction of every task's per-scenario slack
+// as overrun margin (platform.GuardedSpeedForTime); zero is the plain
+// construction. cancel, when non-nil, is polled once per scenario (see
+// CancelFunc).
+//
 // The input schedule must be unstretched (all speeds 1); the schedule is
 // not modified. Expected energy strictly improves over the single-speed
 // heuristic whenever minterm workloads differ, at the cost of a speed
 // table of size scenarios × tasks.
-func PerScenario(s *sched.Schedule, d platform.DVFS) (*ScenarioSpeeds, error) {
-	return perScenarioOpts(s, d, 0, nil)
-}
-
-// PerScenarioGuarded is PerScenario with a guard band: a fraction guard of
-// every task's per-scenario slack is reserved as overrun margin
-// (platform.GuardedSpeedForTime). guard = 0 is exactly PerScenario.
-func PerScenarioGuarded(s *sched.Schedule, d platform.DVFS, guard float64) (*ScenarioSpeeds, error) {
+func PerScenario(s *sched.Schedule, d platform.DVFS, guard float64, cancel CancelFunc) (*ScenarioSpeeds, error) {
 	if err := validGuard(guard); err != nil {
 		return nil, err
 	}
-	return perScenarioOpts(s, d, guard, nil)
-}
-
-func perScenarioOpts(s *sched.Schedule, d platform.DVFS, guard float64, cancel CancelFunc) (*ScenarioSpeeds, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}

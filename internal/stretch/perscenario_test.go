@@ -12,10 +12,10 @@ import (
 
 func TestPerScenarioNeedsUnstretchedSchedule(t *testing.T) {
 	s := prepare(t, 50, 1.5)
-	if _, err := Heuristic(s, platform.Continuous(), 0); err != nil {
+	if _, err := Heuristic(s, platform.Continuous(), Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PerScenario(s, platform.Continuous()); err == nil {
+	if _, err := PerScenario(s, platform.Continuous(), 0, nil); err == nil {
 		t.Fatal("want error on an already-stretched schedule")
 	}
 }
@@ -25,7 +25,7 @@ func TestPerScenarioCausality(t *testing.T) {
 	// same speed.
 	for seed := int64(0); seed < 10; seed++ {
 		s := prepare(t, 600+seed, 1.6)
-		sp, err := PerScenario(s, platform.Continuous())
+		sp, err := PerScenario(s, platform.Continuous(), 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,12 +55,12 @@ func TestPerScenarioBeatsSingleSpeed(t *testing.T) {
 	var single, multi float64
 	for seed := int64(0); seed < 12; seed++ {
 		sSingle := prepare(t, 700+seed, 1.6)
-		resH, err := Heuristic(sSingle, platform.Continuous(), 0)
+		resH, err := Heuristic(sSingle, platform.Continuous(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sMulti := prepare(t, 700+seed, 1.6)
-		sp, err := PerScenario(sMulti, platform.Continuous())
+		sp, err := PerScenario(sMulti, platform.Continuous(), 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestPerScenarioMeetsDeadlinesInReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, err := PerScenario(s, platform.Continuous())
+		sp, err := PerScenario(s, platform.Continuous(), 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestPerScenarioMeetsDeadlinesInReplay(t *testing.T) {
 
 func TestPerScenarioSpeedsInRange(t *testing.T) {
 	s := prepare(t, 55, 1.8)
-	sp, err := PerScenario(s, platform.Continuous())
+	sp, err := PerScenario(s, platform.Continuous(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,10 +50,10 @@ func TestEnergyMonotoneInDeadline(t *testing.T) {
 		type runFn func(*sched.Schedule) (*Result, error)
 		runs := map[string]runFn{
 			"heuristic": func(s *sched.Schedule) (*Result, error) {
-				return Heuristic(s, platform.Continuous(), 0)
+				return heuristicPtr(s)
 			},
 			"worstcase": func(s *sched.Schedule) (*Result, error) {
-				return WorstCase(s, platform.Continuous(), 0)
+				return WorstCase(s, platform.Continuous())
 			},
 		}
 		for name, run := range runs {
@@ -82,7 +82,7 @@ func TestEnergyMonotoneInDeadline(t *testing.T) {
 func TestStretchedEnergyWithinBounds(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		s := prepare(t, 200+seed, 2.0)
-		res, err := Heuristic(s, platform.Continuous(), 0)
+		res, err := Heuristic(s, platform.Continuous(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,10 +102,10 @@ func TestStretchedEnergyWithinBounds(t *testing.T) {
 func TestHeuristicDeterministic(t *testing.T) {
 	s1 := prepare(t, 33, 1.5)
 	s2 := prepare(t, 33, 1.5)
-	if _, err := Heuristic(s1, platform.Continuous(), 0); err != nil {
+	if _, err := Heuristic(s1, platform.Continuous(), Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Heuristic(s2, platform.Continuous(), 0); err != nil {
+	if _, err := Heuristic(s2, platform.Continuous(), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	for task := range s1.Speed {
@@ -122,12 +122,12 @@ func TestDiscreteNeverBeatsContinuous(t *testing.T) {
 	levels := platform.Discrete(0.2, 0.4, 0.6, 0.8, 1)
 	for seed := int64(0); seed < 12; seed++ {
 		sc := prepare(t, 400+seed, 1.7)
-		resC, err := Heuristic(sc, platform.Continuous(), 0)
+		resC, err := Heuristic(sc, platform.Continuous(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sd := prepare(t, 400+seed, 1.7)
-		resD, err := Heuristic(sd, levels, 0)
+		resD, err := Heuristic(sd, levels, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,13 @@ import (
 	"ctgdvfs/internal/tgff"
 )
 
+// heuristicPtr runs the plain Heuristic in the pointer-returning shape of
+// the baseline stretchers (WorstCase, NLP), so tests can table all three.
+func heuristicPtr(s *sched.Schedule) (*Result, error) {
+	r, err := Heuristic(s, platform.Continuous(), Options{})
+	return &r, err
+}
+
 func uniformPlatform(t *testing.T, tasks, pes int, wcet, energy float64) *platform.Platform {
 	t.Helper()
 	b := platform.NewBuilder(tasks, pes)
@@ -51,7 +58,7 @@ func scheduleChain(t *testing.T) *sched.Schedule {
 
 func TestHeuristicChainHandComputed(t *testing.T) {
 	s := scheduleChain(t)
-	res, err := Heuristic(s, platform.Continuous(), 0)
+	res, err := Heuristic(s, platform.Continuous(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +87,7 @@ func TestHeuristicChainHandComputed(t *testing.T) {
 
 func TestNLPBeatsHeuristicOnChain(t *testing.T) {
 	sH := scheduleChain(t)
-	if _, err := Heuristic(sH, platform.Continuous(), 0); err != nil {
+	if _, err := Heuristic(sH, platform.Continuous(), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	sN := scheduleChain(t)
@@ -137,7 +144,7 @@ func forkSchedule(t *testing.T, pA float64) *sched.Schedule {
 
 func TestHeuristicFavorsLikelyBranch(t *testing.T) {
 	s := forkSchedule(t, 0.9)
-	if _, err := Heuristic(s, platform.Continuous(), 0); err != nil {
+	if _, err := Heuristic(s, platform.Continuous(), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Task 1 (prob 0.9) must be stretched more (lower speed) than task 2
@@ -155,7 +162,7 @@ func TestHeuristicFavorsLikelyBranch(t *testing.T) {
 
 func TestWorstCaseIgnoresProbabilities(t *testing.T) {
 	s := forkSchedule(t, 0.9)
-	if _, err := WorstCase(s, platform.Continuous(), 0); err != nil {
+	if _, err := WorstCase(s, platform.Continuous()); err != nil {
 		t.Fatal(err)
 	}
 	// Same wcet, same path structure → same slack share regardless of
@@ -206,10 +213,10 @@ func TestDeadlinePreservedOnRandomGraphs(t *testing.T) {
 		}
 		stretchers := []stretcher{
 			{"heuristic", func(s *sched.Schedule) (*Result, error) {
-				return Heuristic(s, platform.Continuous(), 0)
+				return heuristicPtr(s)
 			}},
 			{"worstcase", func(s *sched.Schedule) (*Result, error) {
-				return WorstCase(s, platform.Continuous(), 0)
+				return WorstCase(s, platform.Continuous())
 			}},
 			{"nlp", func(s *sched.Schedule) (*Result, error) {
 				return NLP(s, platform.Continuous(), NLPOptions{MaxIters: 300})
@@ -300,7 +307,7 @@ func TestAccurateProbsBeatWrongProbsOnAverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Heuristic(sAcc, platform.Continuous(), 0); err != nil {
+		if _, err := Heuristic(sAcc, platform.Continuous(), Options{}); err != nil {
 			t.Fatal(err)
 		}
 		accSum += expectedEnergyUnder(sAcc, truth)
@@ -319,7 +326,7 @@ func TestAccurateProbsBeatWrongProbsOnAverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Heuristic(sWrong, platform.Continuous(), 0); err != nil {
+		if _, err := Heuristic(sWrong, platform.Continuous(), Options{}); err != nil {
 			t.Fatal(err)
 		}
 		wrongSum += expectedEnergyUnder(sWrong, truth)
@@ -360,7 +367,7 @@ func TestNLPAtLeastAsGoodOnAverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resH, err := Heuristic(sH, platform.Continuous(), 0)
+		resH, err := Heuristic(sH, platform.Continuous(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,8 +407,8 @@ func TestNLPInfeasibleDeadlineKeepsFullSpeed(t *testing.T) {
 	}
 	for _, run := range []func() (*Result, error){
 		func() (*Result, error) { return NLP(s, platform.Continuous(), NLPOptions{MaxIters: 200}) },
-		func() (*Result, error) { return Heuristic(s, platform.Continuous(), 0) },
-		func() (*Result, error) { return WorstCase(s, platform.Continuous(), 0) },
+		func() (*Result, error) { return heuristicPtr(s) },
+		func() (*Result, error) { return WorstCase(s, platform.Continuous()) },
 	} {
 		if _, err := run(); err != nil {
 			t.Fatal(err)
@@ -414,7 +421,7 @@ func TestNLPInfeasibleDeadlineKeepsFullSpeed(t *testing.T) {
 
 func TestHeuristicWithDiscreteLevels(t *testing.T) {
 	s := scheduleChain(t)
-	res, err := Heuristic(s, platform.Discrete(0.25, 0.5, 0.75, 1), 0)
+	res, err := Heuristic(s, platform.Discrete(0.25, 0.5, 0.75, 1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +434,7 @@ func TestHeuristicWithDiscreteLevels(t *testing.T) {
 	// With a coarser level set, every assigned speed is an exact level and
 	// the deadline still holds (rounding is always upward).
 	s2 := scheduleChain(t)
-	res2, err := Heuristic(s2, platform.Discrete(0.4, 0.7, 1), 0)
+	res2, err := Heuristic(s2, platform.Discrete(0.4, 0.7, 1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,10 +454,10 @@ func TestHeuristicWithDiscreteLevels(t *testing.T) {
 func TestHeuristicInvalidDVFS(t *testing.T) {
 	s := scheduleChain(t)
 	bad := platform.DVFS{MinSpeed: -2}
-	if _, err := Heuristic(s, bad, 0); err == nil {
+	if _, err := Heuristic(s, bad, Options{}); err == nil {
 		t.Fatal("want error for invalid DVFS model")
 	}
-	if _, err := WorstCase(s, bad, 0); err == nil {
+	if _, err := WorstCase(s, bad); err == nil {
 		t.Fatal("want error for invalid DVFS model")
 	}
 	if _, err := NLP(s, bad, NLPOptions{}); err == nil {

@@ -1,21 +1,21 @@
 package stretch
 
 import (
-	"fmt"
-
 	"ctgdvfs/internal/ctg"
-	"ctgdvfs/internal/platform"
 	"ctgdvfs/internal/sched"
 )
 
 // This file is the partial-recompute half of incremental (warm-start)
 // rescheduling. When a probability drift is confined to a few forks, the
 // mapping stage reuses the incumbent schedule skeleton (sched.WarmState) and
-// only the speed assignment of the *affected* tasks is recomputed here. The
-// unaffected tasks keep their incumbent speeds and are treated as locked
-// from the outset — exactly the state the full heuristic reaches after
-// processing them — so the partial pass costs O(|affected| × minterms × DP)
-// instead of O(tasks × minterms × DP).
+// only the speed assignment of the *affected* tasks is recomputed, by a
+// Heuristic pass with Options.Affected set. The unaffected tasks keep their
+// incumbent speeds and are treated as locked from the outset — exactly the
+// state the full heuristic reaches after processing them — so the partial
+// pass costs O(|affected| × minterms × DP) instead of
+// O(tasks × minterms × DP). An all-true mask reproduces the full pass bit
+// for bit, which is how the breaker's guard-level changes re-stretch without
+// paying for a new mapping.
 //
 // Deadline safety is unconditional: the incumbent kept every chain within
 // the deadline, resetting the affected tasks to full speed only shortens
@@ -29,21 +29,16 @@ import (
 // Workspace holds the reusable buffers of repeated stretching passes over
 // one mapping: the combined-DAG model, the lock vector and the slack DP
 // scratch. Rebind it after every full reschedule (new mapping), then each
-// HeuristicPartial call on that mapping allocates nothing. Not safe for
+// masked Heuristic pass on that mapping allocates nothing. Not safe for
 // concurrent use.
 type Workspace struct {
-	// Cancel, when non-nil, is polled once per affected task inside
-	// HeuristicPartial (the same granularity as the full heuristic); a
-	// non-nil return aborts the pass with that error. See CancelFunc.
-	Cancel CancelFunc
-
 	dag     *dagModel
 	locked  []bool
 	scratch *slackScratch
 }
 
-// NewWorkspace returns an empty stretch workspace; Rebind must be called
-// before the first HeuristicPartial.
+// NewWorkspace returns an empty stretch workspace; the first Heuristic pass
+// that uses it binds it to that pass's schedule.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
 // Rebind rebuilds the workspace's DAG topology from a schedule — required
@@ -69,78 +64,4 @@ func (w *Workspace) retarget(s *sched.Schedule) {
 	for t := range w.dag.exec {
 		w.dag.exec[t] = s.ExecTime(ctg.TaskID(t))
 	}
-}
-
-// HeuristicPartial re-runs the Figure 2 stretching pass over only the
-// affected tasks of a warm-started schedule: affected tasks are reset to
-// full speed and re-stretched in DLS order under the current (drifted)
-// probabilities, while every other task keeps its incumbent speed and
-// counts as locked. The schedule's Speed vector is updated in place.
-//
-// The workspace must have been Rebind-ed to a schedule with the same
-// mapping (s itself, or the incumbent s was copied from). Passing affected
-// all-true reproduces HeuristicGuarded bit for bit — at workspace-reuse
-// cost — which is how the breaker's guard-level changes re-stretch without
-// paying for a new mapping.
-//
-// Unlike the full heuristic, the partial pass leaves Result.ExpectedEnergy
-// zero: the expected-energy evaluation allocates per cross-PE edge and the
-// warm path is the allocation-free hot path. Callers that want it (e.g. for
-// telemetry) call s.ExpectedEnergy() themselves.
-func HeuristicPartial(s *sched.Schedule, d platform.DVFS, guard float64, affected []bool, w *Workspace) (Result, error) {
-	if err := d.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := validGuard(guard); err != nil {
-		return Result{}, err
-	}
-	n := s.G.NumTasks()
-	if len(affected) != n {
-		return Result{}, fmt.Errorf("stretch: affected mask sized %d, want %d", len(affected), n)
-	}
-	if w == nil {
-		w = NewWorkspace()
-		w.Rebind(s)
-	} else if w.dag == nil {
-		w.Rebind(s)
-	}
-	w.retarget(s)
-	dag := w.dag
-	for t := 0; t < n; t++ {
-		if affected[t] {
-			if s.Speed[t] != 1 {
-				s.Speed[t] = 1
-				dag.refreshExec(ctg.TaskID(t))
-			}
-			w.locked[t] = false
-		} else {
-			w.locked[t] = true
-		}
-	}
-	var res Result
-	for _, t := range s.Order {
-		if !affected[t] {
-			continue
-		}
-		if w.Cancel != nil {
-			if err := w.Cancel(); err != nil {
-				return Result{}, err
-			}
-		}
-		slk := calculateSlack(dag, t, w.locked, false, w.scratch)
-		if slk > 0 {
-			wcet := s.WCET(t)
-			res.SlackFound += slk
-			speed := d.GuardedSpeedForTime(wcet, wcet+slk, guard)
-			if speed < 1 {
-				s.Speed[t] = speed
-				dag.refreshExec(t)
-				res.Stretched++
-				res.SlackUsed += wcet/speed - wcet
-			}
-		}
-		w.locked[t] = true
-	}
-	res.WorstDelay = dag.longest(dag.runInto(w.scratch.full, nil))
-	return res, nil
 }

@@ -16,11 +16,10 @@ import (
 // (refs [9]/[10] style). Tasks on rarely-taken branches therefore receive as
 // much slack as always-active ones, which is exactly the weakness the
 // paper's heuristic fixes.
-func WorstCase(s *sched.Schedule, d platform.DVFS, maxPaths int) (*Result, error) {
+func WorstCase(s *sched.Schedule, d platform.DVFS) (*Result, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	_ = maxPaths // retained for API stability; the DP model needs no cap
 	dag := newDAG(s)
 	deadline := s.G.Deadline()
 	res := &Result{}

@@ -21,6 +21,8 @@
 #   resumes bit-for-bit from its latest checkpoint. A best-effort
 #   govulncheck pass runs early when the tool is installed (advisory only —
 #   the container may be offline).
+# The benchmark module under perfbench/ is vetted and tested right after the
+# root test suite.
 # Run from anywhere; operates on the repo root.
 set -eu
 
@@ -43,6 +45,11 @@ go build ./...
 
 echo "== go test =="
 go test ./...
+
+# perfbench/ is its own module (replace ctgdvfs => ../), so the root build
+# and tests above never compile it.
+echo "== benchmark module (perfbench: vet + test) =="
+(cd perfbench && GOWORK=off go vet ./... && GOWORK=off go test ./...)
 
 # The full exp suite under the race detector takes ~30 minutes on a small
 # machine; -short keeps the race pass focused on concurrency coverage while
