@@ -1,6 +1,6 @@
 # Standard entry points; `make verify` is the gate a change must pass.
 
-.PHONY: build test race cover bench bench-parallel bench-telemetry bench-failover bench-scale bench-consolidation bench-provenance bench-monitor bench-daemon benchgate bench-baseline fuzz-smoke fault-smoke failover-smoke consolidation-smoke scale-smoke telemetry-smoke analyze-smoke explain-smoke watch-smoke chaos-smoke daemon-smoke perfbench-check verify
+.PHONY: build test race cover bench fuzz-smoke fault-smoke failover-smoke consolidation-smoke scale-smoke telemetry-smoke analyze-smoke explain-smoke watch-smoke chaos-smoke daemon-smoke perfbench-check verify
 
 build:
 	go build ./...
@@ -19,11 +19,6 @@ cover:
 # Full benchmark sweep (regenerates every table/figure as a side effect).
 bench:
 	go test -run '^$$' -bench . -benchmem .
-
-# Serial-vs-parallel scenario-engine comparison; see BENCH_parallel.json
-# for a recorded baseline.
-bench-parallel:
-	go test -run '^$$' -bench 'PerScenario(Serial|Parallel)|Exhaustive(Serial|Parallel)' -benchmem .
 
 # Short fuzzing session for the workload parser (the seed corpus alone runs
 # as part of `make test`; this explores beyond it).
@@ -44,37 +39,6 @@ failover-smoke:
 consolidation-smoke:
 	go run ./cmd/experiments -exp consolidation -consolidation-rounds 80
 
-# Telemetry-disabled vs enabled adaptive-step cost; see BENCH_telemetry.json
-# for a recorded baseline (including the pre-telemetry runtime).
-bench-telemetry:
-	go test -run '^$$' -bench 'AdaptiveStep(MPEG|Telemetry)' -benchmem .
-
-# Timeline-off vs outage-timeline adaptive-step cost; see BENCH_failover.json
-# for a recorded baseline.
-bench-failover:
-	go test -run '^$$' -bench 'AdaptiveStepFailover' -benchmem .
-
-# Large-scale tier: full vs warm-started reschedule on a 10^3-task CTG; see
-# BENCH_scale.json for a recorded baseline (the warm entry is alloc-gated).
-bench-scale:
-	go test -run '^$$' -bench 'BenchmarkScale' -benchmem .
-
-# Ungoverned-metering vs governed consolidated-round cost; see
-# BENCH_consolidation.json for a recorded baseline.
-bench-consolidation:
-	go test -run '^$$' -bench 'FleetStep(Ungoverned|Governed)' -benchmem .
-
-# Flight-recorder steady state / disabled path (both alloc-gated at zero) and
-# the adaptive step with the black box on; see BENCH_provenance.json.
-bench-provenance:
-	go test -run '^$$' -bench 'FlightRecorder(Record|Disabled)|AdaptiveStepFlight' -benchmem .
-
-# Time-series sampler sweep with and without alert rules armed (both
-# alloc-gated at zero) and the adaptive step sampling its own registry; see
-# BENCH_monitor.json for a recorded baseline.
-bench-monitor:
-	go test -run '^$$' -bench 'SeriesTick|AdaptiveStepSeries' -benchmem .
-
 # Bounded run of the scaling campaign (one 10^3-task cell, warm vs full).
 scale-smoke:
 	go run ./cmd/experiments -exp scale -scale-tasks 1000 -scale-pes 16 -scale-instances 24
@@ -83,11 +47,6 @@ scale-smoke:
 telemetry-smoke:
 	go run ./cmd/experiments -exp faults -trace-out /tmp/ctgdvfs_trace.json
 	go run ./scripts/checktrace /tmp/ctgdvfs_trace.json
-
-# Daemon request overhead: steady-state serve loop (alloc-gated) and the
-# full-reschedule worst case; see BENCH_daemon.json for a recorded baseline.
-bench-daemon:
-	go test -run '^$$' -bench 'DaemonStep(Serve|Resched)' -benchmem .
 
 # Daemon chaos campaign: panic isolation, request floods and a kill-restart
 # cycle against an in-process baseline/chaos daemon pair.
@@ -99,15 +58,6 @@ chaos-smoke:
 # directory and verify the resume is bit-for-bit.
 daemon-smoke:
 	go run ./scripts/daemonsmoke
-
-# Bench-regression gate: re-run the baselined benchmarks and fail on >10%
-# ns/op regressions against the committed BENCH_*.json files.
-benchgate:
-	go run ./scripts/benchgate BENCH_parallel.json BENCH_telemetry.json BENCH_failover.json BENCH_scale.json BENCH_consolidation.json BENCH_provenance.json BENCH_monitor.json BENCH_daemon.json
-
-# Re-bless the benchmark baselines on this host (after a deliberate change).
-bench-baseline:
-	go run ./scripts/benchgate -update BENCH_parallel.json BENCH_telemetry.json BENCH_failover.json BENCH_scale.json BENCH_consolidation.json BENCH_provenance.json BENCH_monitor.json BENCH_daemon.json
 
 # End-to-end health pipeline: capture a JSONL event stream from the telemetry
 # example, then run the offline analyzer over it.

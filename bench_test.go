@@ -267,9 +267,11 @@ func BenchmarkReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkAdaptiveStepMPEG measures the adaptive runtime's per-instance
-// cost on the MPEG decoder, rescheduling included.
-func BenchmarkAdaptiveStepMPEG(b *testing.B) {
+// benchMPEGStep times the adaptive step on the MPEG decoder (deadline factor
+// 1.6, W=20, T=0.1) over clip 0's decision vectors. opts attaches what the
+// caller measures on top: a recorder, a failure timeline, a series store.
+// It returns the number of steps that re-mapped.
+func benchMPEGStep(b *testing.B, opts ctgdvfs.AdaptiveOptions) (remapped int) {
 	g, p, err := ctgdvfs.BuildMPEG()
 	if err != nil {
 		b.Fatal(err)
@@ -279,16 +281,29 @@ func BenchmarkAdaptiveStepMPEG(b *testing.B) {
 		b.Fatal(err)
 	}
 	vec := ctgdvfs.MovieClips()[0].Generate(g, 4096)
-	mgr, err := ctgdvfs.NewAdaptive(g, p, ctgdvfs.AdaptiveOptions{Window: 20, Threshold: 0.1})
+	opts.Window, opts.Threshold = 20, 0.1
+	mgr, err := ctgdvfs.NewAdaptive(g, p, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mgr.Step(vec[i%len(vec)]); err != nil {
+		res, err := mgr.Step(vec[i%len(vec)])
+		if err != nil {
 			b.Fatal(err)
 		}
+		if res.Remapped {
+			remapped++
+		}
 	}
+	return remapped
+}
+
+// BenchmarkAdaptiveStepMPEG measures the adaptive runtime's per-instance
+// cost on the MPEG decoder, rescheduling included, with no recorder,
+// registry, failure timeline or series store attached.
+func BenchmarkAdaptiveStepMPEG(b *testing.B) {
+	benchMPEGStep(b, ctgdvfs.AdaptiveOptions{})
 }
 
 // --- Ablation benchmarks (design choices DESIGN.md §6 calls out) ---
@@ -459,13 +474,13 @@ func BenchmarkAblationDLSvsHEFT(b *testing.B) {
 	b.ReportMetric(heft, "energy-HEFT")
 }
 
-// --- Parallel scenario engine: serial vs parallel baselines ---
+// --- Parallel scenario engine: serial vs parallel ---
 //
 // These four benchmarks measure the same two hot stages with the worker
 // pool forced serial (SetParallelism(1)) and at the default bound; their
-// ratio is the speedup recorded in BENCH_parallel.json. Results are
-// bit-for-bit identical at every setting, so the comparison is pure
-// engine overhead/speedup.
+// ratio is the engine's speedup (not measurable on a single-core host).
+// Results are bit-for-bit identical at every setting, so the comparison is
+// pure engine overhead/speedup.
 
 func benchMPEGSchedule(b *testing.B) *ctgdvfs.PlanResult {
 	b.Helper()
@@ -531,52 +546,22 @@ func BenchmarkExhaustiveSerial(b *testing.B) { benchExhaustive(b, 1) }
 // bound.
 func BenchmarkExhaustiveParallel(b *testing.B) { benchExhaustive(b, 0) }
 
-// --- Telemetry overhead benchmarks (BENCH_telemetry.json) ---
-
-// benchAdaptiveTelemetry measures the adaptive runtime's per-instance cost
-// on the MPEG decoder under a given telemetry configuration. With a nil
-// recorder this is the telemetry-disabled path — compare against
-// BenchmarkAdaptiveStepMPEG (the uninstrumented call pattern) to read the
-// overhead of the always-on instrumentation hooks.
-func benchAdaptiveTelemetry(b *testing.B, rec ctgdvfs.TelemetryRecorder, reg *ctgdvfs.MetricsRegistry) {
-	g, p, err := ctgdvfs.BuildMPEG()
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err = ctgdvfs.TightenDeadline(g, p, 1.6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	vec := ctgdvfs.MovieClips()[0].Generate(g, 4096)
-	mgr, err := ctgdvfs.NewAdaptive(g, p, ctgdvfs.AdaptiveOptions{
-		Window: 20, Threshold: 0.1, Recorder: rec, Metrics: reg,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mgr.Step(vec[i%len(vec)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAdaptiveStepTelemetryOff is the telemetry-disabled adaptive step:
-// every emission site nil-checks and skips, only the metrics mirror runs.
-func BenchmarkAdaptiveStepTelemetryOff(b *testing.B) {
-	benchAdaptiveTelemetry(b, nil, nil)
-}
+// --- Telemetry, provenance and failover ---
+//
+// Each BenchmarkAdaptiveStep* below (Series included) is
+// BenchmarkAdaptiveStepMPEG with one mechanism attached; the difference is
+// that mechanism's cost. The zero-allocation contracts of the flight
+// recorder and the series tick are held by tests:
+// TestFlightRecorderZeroAllocSteadyState (internal/telemetry) and
+// TestStoreTickAllocsZero (internal/series).
 
 // BenchmarkAdaptiveStepTelemetryMemory records the full event stream into a
-// memory recorder (reset periodically so the buffer doesn't dominate).
+// memory recorder plus a registry: the cost of unbounded capture.
 func BenchmarkAdaptiveStepTelemetryMemory(b *testing.B) {
 	rec := ctgdvfs.NewMemoryRecorder()
-	benchAdaptiveTelemetry(b, rec, ctgdvfs.NewMetricsRegistry())
+	benchMPEGStep(b, ctgdvfs.AdaptiveOptions{Recorder: rec, Metrics: ctgdvfs.NewMetricsRegistry()})
 	b.ReportMetric(float64(rec.Len())/float64(b.N), "events/op")
 }
-
-// --- Provenance benchmarks (BENCH_provenance.json) ---
 
 // flightBenchEvent is a representative non-trigger event: the ring stores it
 // without firing a dump, which is the recorder's steady state.
@@ -587,7 +572,7 @@ var flightBenchEvent = ctgdvfs.TelemetryEvent{
 
 // BenchmarkFlightRecorderRecord measures the flight recorder's steady-state
 // ring write. Zero allocs/op is the design invariant that makes the black
-// box safe to leave always on (gated by benchgate).
+// box safe to leave always on.
 func BenchmarkFlightRecorderRecord(b *testing.B) {
 	fr := ctgdvfs.NewFlightRecorder(ctgdvfs.FlightRecorderOptions{})
 	b.ReportAllocs()
@@ -609,82 +594,38 @@ func BenchmarkFlightRecorderDisabled(b *testing.B) {
 }
 
 // BenchmarkAdaptiveStepFlight is the adaptive step with an always-on flight
-// recorder in pure black-box mode (no dump sink). Compare against
-// BenchmarkAdaptiveStepTelemetryOff (nil recorder) for the cost of keeping
-// the black box running, and BenchmarkAdaptiveStepTelemetryMemory for the
-// cost of unbounded capture; sequencing (Seq/Cause stamping) is active in
-// both recorded configurations.
+// recorder in pure black-box mode (no dump sink): the cost of keeping the
+// black box running, with Seq/Cause stamping active.
 func BenchmarkAdaptiveStepFlight(b *testing.B) {
 	fr := ctgdvfs.NewFlightRecorder(ctgdvfs.FlightRecorderOptions{})
-	benchAdaptiveTelemetry(b, fr, nil)
+	benchMPEGStep(b, ctgdvfs.AdaptiveOptions{Recorder: fr})
 	b.ReportMetric(float64(fr.Total())/float64(b.N), "events/op")
-}
-
-// --- Failover benchmarks (BENCH_failover.json) ---
-
-// benchAdaptiveFailover measures the adaptive runtime's per-instance cost
-// on the MPEG decoder under an availability timeline. With a nil spec this
-// is the no-timeline path — compare against BenchmarkAdaptiveStepMPEG to
-// read the overhead of the per-boundary mask check; with outages enabled
-// the cost of degraded-mode re-mapping and recovery amortizes in.
-func benchAdaptiveFailover(b *testing.B, spec *ctgdvfs.FailureSpec) {
-	g, p, err := ctgdvfs.BuildMPEG()
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err = ctgdvfs.TightenDeadline(g, p, 1.6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	vec := ctgdvfs.MovieClips()[0].Generate(g, 4096)
-	opts := ctgdvfs.AdaptiveOptions{Window: 20, Threshold: 0.1}
-	if spec != nil {
-		tl, err := ctgdvfs.NewFailureTimeline(*spec, p.NumPEs())
-		if err != nil {
-			b.Fatal(err)
-		}
-		opts.Failures = tl
-	}
-	mgr, err := ctgdvfs.NewAdaptive(g, p, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	remapped := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := mgr.Step(vec[i%len(vec)])
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Remapped {
-			remapped++
-		}
-	}
-	b.ReportMetric(float64(remapped)/float64(b.N), "remaps/op")
-}
-
-// BenchmarkAdaptiveStepFailoverOff is the adaptive step with the failover
-// machinery compiled in but no timeline attached (the bit-for-bit path).
-func BenchmarkAdaptiveStepFailoverOff(b *testing.B) {
-	benchAdaptiveFailover(b, nil)
 }
 
 // BenchmarkAdaptiveStepFailover steps through a 2%-outage timeline with
 // 10-instance repairs: most boundaries only compare masks, a few percent
 // pay a degraded re-map or a cached restore.
 func BenchmarkAdaptiveStepFailover(b *testing.B) {
-	benchAdaptiveFailover(b, &ctgdvfs.FailureSpec{Seed: 42, PEFailProb: 0.02, PERepair: 10})
+	_, p, err := ctgdvfs.BuildMPEG()
+	if err != nil {
+		b.Fatal(err)
+	}
+	tl, err := ctgdvfs.NewFailureTimeline(ctgdvfs.FailureSpec{Seed: 42, PEFailProb: 0.02, PERepair: 10}, p.NumPEs())
+	if err != nil {
+		b.Fatal(err)
+	}
+	remapped := benchMPEGStep(b, ctgdvfs.AdaptiveOptions{Failures: tl})
+	b.ReportMetric(float64(remapped)/float64(b.N), "remaps/op")
 }
 
-// --- Large-scale tier benchmarks (BENCH_scale.json) ---
+// --- Large-scale tier ---
 //
 // The scale tier measures the rescheduling pipeline on a 10³-task CTG over
-// 16 PEs — the regime where the warm-start path earns its keep. The
-// Full/Warm pair is the committed speedup claim: a small-drift update (one
-// fork's probabilities changed) served by the incremental path versus a full
-// DLS + stretch recompute. The warm benchmark is alloc-gated: its steady
-// state reuses every buffer, and a new per-call allocation on this path is a
-// regression by design.
+// 16 PEs — the regime where the warm-start path earns its keep: a
+// small-drift update (one fork's probabilities changed) served by the
+// incremental path versus a full DLS + stretch recompute. The warm path's
+// zero-allocation contract is TestPartialBoundWorkspaceAllocatesNothing
+// (internal/stretch).
 
 func benchScale1k(b *testing.B) (*ctgdvfs.Graph, *ctgdvfs.Platform, *ctgdvfs.Analysis) {
 	b.Helper()
@@ -768,13 +709,13 @@ func BenchmarkScaleRescheduleWarm1k(b *testing.B) {
 	}
 }
 
-// --- Consolidation-fleet benchmarks (BENCH_consolidation.json) ---
+// --- Consolidation fleet ---
 //
 // The fleet tier measures one consolidated round — every tenant's adaptive
 // step plus the chip-power accounting — on the two-tenant mpeg>cruise mix
 // over the shared 8-PE fabric, with the cap at 85% of the mix's measured
-// ungoverned peak. The Ungoverned/Governed pair is the committed cost of
-// budget governance: the ungoverned arm only meters the cap, the governed
+// ungoverned peak. The Ungoverned/Governed pair is the cost of budget
+// governance: the ungoverned arm only meters the cap, the governed
 // arm runs the full degradation ladder (its setup predicts every rung's
 // power, and the tight cap keeps the governor escalating and restoring in
 // steady state).
@@ -814,7 +755,7 @@ func BenchmarkFleetStepUngoverned(b *testing.B) { benchFleetStep(b, true) }
 // undegraded mix cannot hold.
 func BenchmarkFleetStepGoverned(b *testing.B) { benchFleetStep(b, false) }
 
-// --- Monitoring benchmarks (BENCH_monitor.json) ---
+// --- Monitoring ---
 
 // benchSeriesRegistry builds a registry shaped like a manager's: a handful of
 // counters and gauges plus two histograms, all with live values.
@@ -840,7 +781,7 @@ func benchSeriesRegistry() *ctgdvfs.MetricsRegistry {
 // BenchmarkSeriesTick measures the sampler's steady-state cost: one Tick over
 // the representative registry with every handle already discovered. Zero
 // allocs/op is the design invariant that makes the store safe to leave always
-// on (gated by benchgate).
+// on.
 func BenchmarkSeriesTick(b *testing.B) {
 	reg := benchSeriesRegistry()
 	st := ctgdvfs.NewSeriesStore(ctgdvfs.SeriesStoreOptions{Registry: reg})
@@ -854,7 +795,7 @@ func BenchmarkSeriesTick(b *testing.B) {
 
 // BenchmarkSeriesTickRules adds four armed-but-quiet alert rules (threshold,
 // rate and absence) to the sampled tick — the always-on alerting engine's
-// steady state, which must stay allocation-free too (gated).
+// steady state, which must stay allocation-free too.
 func BenchmarkSeriesTickRules(b *testing.B) {
 	reg := benchSeriesRegistry()
 	st := ctgdvfs.NewSeriesStore(ctgdvfs.SeriesStoreOptions{Registry: reg, Rules: []ctgdvfs.SeriesRule{
@@ -874,32 +815,11 @@ func BenchmarkSeriesTickRules(b *testing.B) {
 }
 
 // BenchmarkAdaptiveStepSeries is the MPEG adaptive step with a series store
-// sampling the manager's own registry on every instance boundary — compare
-// against BenchmarkAdaptiveStepTelemetryOff for the cost of always-on
-// sampling.
+// sampling the manager's own registry on every instance boundary: the cost
+// of always-on sampling.
 func BenchmarkAdaptiveStepSeries(b *testing.B) {
-	g, p, err := ctgdvfs.BuildMPEG()
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err = ctgdvfs.TightenDeadline(g, p, 1.6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	vec := ctgdvfs.MovieClips()[0].Generate(g, 4096)
 	st := ctgdvfs.NewSeriesStore(ctgdvfs.SeriesStoreOptions{Registry: ctgdvfs.NewMetricsRegistry()})
-	mgr, err := ctgdvfs.NewAdaptive(g, p, ctgdvfs.AdaptiveOptions{
-		Window: 20, Threshold: 0.1, Metrics: st.Registry(), Series: st,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mgr.Step(vec[i%len(vec)]); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchMPEGStep(b, ctgdvfs.AdaptiveOptions{Metrics: st.Registry(), Series: st})
 }
 
 // benchDaemon builds an in-process serving daemon with one mpeg tenant and
@@ -930,10 +850,10 @@ func benchDaemon(b *testing.B, threshold float64) (*serve.Server, [][]int) {
 // in-process Step round trip (admission check, bounded-queue hand-off,
 // worker step, reply) with the drift threshold at its maximum so the pipeline
 // (almost) never recomputes — the cost of hosting a tenant behind the daemon rather
-// than calling the manager directly. Alloc-gated: the serve loop's overhead
-// per request is a fixed small number of allocations (request/reply
-// envelopes and the committed decision-log entry), independent of tenant
-// state size.
+// than calling the manager directly. The serve loop's overhead per request is
+// a fixed small number of allocations (request/reply envelopes and the
+// committed decision-log entry), independent of tenant state size; its bound
+// is TestServeStepAllocsBounded (internal/serve).
 func BenchmarkDaemonStepServe(b *testing.B) {
 	srv, vecs := benchDaemon(b, 1)
 	ctx := context.Background()

@@ -182,6 +182,9 @@ func writeError(w http.ResponseWriter, err error) {
 	case *PanicError:
 		status = http.StatusInternalServerError
 		env.Code = "panic"
+	case *http.MaxBytesError:
+		status = http.StatusRequestEntityTooLarge
+		env.Code = "body_too_large"
 	default:
 		switch {
 		case err == ErrUnknownTenant:

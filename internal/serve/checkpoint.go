@@ -24,8 +24,9 @@ import (
 // the same directory, fsync, atomic rename, directory fsync), so a crash
 // mid-write never leaves a torn file under the snapshot name. The previous
 // generation is rotated to <name>.ckpt.prev before the rename lands, and
-// restore falls back to it when the primary is torn or corrupt — the same
-// tolerate-the-tail-report-the-middle posture as health.TruncatedTailError.
+// restore falls back to it when the primary is torn, corrupt or missing —
+// the same tolerate-the-tail-report-the-middle posture as
+// health.TruncatedTailError.
 //
 // The payload deliberately snapshots *inputs*, not engine internals: the
 // tenant spec (CTG, platform, manager knobs) plus the full decision-vector
@@ -101,7 +102,10 @@ func writeSnapshot(path string, pay *snapshotPayload) error {
 	// Keep the previous generation around: a crash between these two renames
 	// leaves at worst only the .prev file, which restore falls back to.
 	if _, serr := os.Stat(path); serr == nil {
-		os.Rename(path, path+".prev")
+		if err := os.Rename(path, path+".prev"); err != nil {
+			f.Abort()
+			return err
+		}
 	}
 	return f.Close()
 }

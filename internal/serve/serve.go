@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -223,23 +222,30 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// restoreAll resumes every tenant snapshotted in CheckpointDir.
+// restoreAll resumes every tenant snapshotted in CheckpointDir. A tenant is
+// found by either generation: a kill between rotating <name>.ckpt to
+// <name>.ckpt.prev and renaming the new snapshot into place leaves only the
+// .prev file.
 func (s *Server) restoreAll() error {
 	entries, err := os.ReadDir(s.opts.CheckpointDir)
 	if err != nil {
 		return err
 	}
+	seen := make(map[string]bool)
 	var names []string
 	for _, e := range entries {
-		n := e.Name()
-		if strings.HasSuffix(n, snapshotExt) && !strings.HasSuffix(n, snapshotPrevExt) {
+		n, ok := strings.CutSuffix(e.Name(), snapshotPrevExt)
+		if !ok {
+			n, ok = strings.CutSuffix(e.Name(), snapshotExt)
+		}
+		if ok && !seen[n] {
+			seen[n] = true
 			names = append(names, n)
 		}
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		path := filepath.Join(s.opts.CheckpointDir, n)
-		t, _, err := s.restoreTenant(path)
+		t, _, err := s.restoreTenant(snapshotPath(s.opts.CheckpointDir, n))
 		if err != nil {
 			return err
 		}
@@ -640,8 +646,8 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/tenants", func(w http.ResponseWriter, r *http.Request) {
 		var spec TenantSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			writeError(w, clientErrorf("decode spec: %v", err))
+		if err := decodeBody(w, r, maxSubmitBody, "spec", &spec); err != nil {
+			writeError(w, err)
 			return
 		}
 		st, err := s.CreateTenant(spec)
@@ -678,8 +684,8 @@ func (s *Server) Handler() http.Handler {
 			Decisions []int     `json:"decisions"`
 			Chaos     ChaosSpec `json:"chaos"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeError(w, clientErrorf("decode step: %v", err))
+		if err := decodeBody(w, r, maxStepBody, "step", &body); err != nil {
+			writeError(w, err)
 			return
 		}
 		rep, err := s.Step(r.Context(), r.PathValue("name"), body.Decisions, body.Chaos)
@@ -720,6 +726,26 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.Handle("GET /v1/metrics", s.reg)
 	return mux
+}
+
+// Request body caps. A step body is one decision vector; a submit body may
+// carry an inline CTG, and the largest one the repository generates (the
+// 10^4-task, 64-PE scale workload) renders to about 25 MB of ctgio text.
+const (
+	maxStepBody   = 1 << 20
+	maxSubmitBody = 64 << 20
+)
+
+// decodeBody decodes a JSON request body of at most limit bytes. A body over
+// the limit returns the *http.MaxBytesError itself (413 body_too_large); any
+// other decode failure is a client error (400).
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) error {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	if err == nil || errors.As(err, &tooLarge) {
+		return err
+	}
+	return clientErrorf("decode %s: %v", what, err)
 }
 
 // NewHTTPServer wraps a handler in an http.Server with hardened limits: a

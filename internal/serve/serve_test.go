@@ -3,10 +3,13 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -691,4 +694,117 @@ func TestCloseRejectsAndCheckpoints(t *testing.T) {
 	if pay.Instances != 5 {
 		t.Fatalf("final snapshot has %d instances, want 5", pay.Instances)
 	}
+}
+
+// TestRestoreFromPrevOnly covers a kill between the rotation of <name>.ckpt
+// to <name>.ckpt.prev and the rename of the new snapshot into place: only
+// the previous generation is on disk, and restore must still find the tenant.
+func TestRestoreFromPrevOnly(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	s1 := mustServer(t, Options{CheckpointDir: dir, CheckpointEvery: 8})
+	mustCreate(t, s1, mpegSpec("a"))
+	for i, v := range testVectors(t, 10) {
+		if _, err := s1.Step(ctx, "a", v, ChaosSpec{}); err != nil {
+			t.Fatalf("s1 step %d: %v", i, err)
+		}
+	}
+	s1.Abandon()
+
+	p := snapshotPath(dir, "a")
+	if err := os.Rename(p, p+".prev"); err != nil {
+		t.Fatal(err)
+	}
+	pay, err := loadSnapshot(p + ".prev")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := mustServer(t, Options{CheckpointDir: dir})
+	sts := s2.Tenants()
+	if len(sts) != 1 {
+		t.Fatalf("restored %d tenants from a .prev-only directory, want 1", len(sts))
+	}
+	if st := sts[0]; !st.Restored || st.RestoredFrom != "fallback" || st.Instances != pay.Instances {
+		t.Fatalf("want fallback restore at instance %d, got %+v", pay.Instances, st)
+	}
+}
+
+// TestStepBodyTooLarge posts a step body over the 1 MiB cap: the reply is
+// 413 body_too_large, the tenant does not advance, and its breaker (which
+// one counted failure would open here) stays closed.
+func TestStepBodyTooLarge(t *testing.T) {
+	s := mustServer(t, Options{MaxFailures: 1})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	cl := &Client{BaseURL: hs.URL}
+	ctx := context.Background()
+	if _, err := cl.Submit(ctx, mpegSpec("a")); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	for i, v := range testVectors(t, 3) {
+		if _, err := cl.Step(ctx, "a", v, ChaosSpec{}); err != nil {
+			t.Fatalf("Step %d: %v", i, err)
+		}
+	}
+
+	body := `{"decisions":[` + strings.Repeat("0,", 1<<20) + `0]}`
+	resp, err := http.Post(hs.URL+"/v1/tenants/a/step", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env struct {
+		Code string `json:"code"`
+	}
+	json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || env.Code != "body_too_large" {
+		t.Fatalf("2 MiB step body: got %d %q, want 413 body_too_large", resp.StatusCode, env.Code)
+	}
+
+	st, err := cl.Status(ctx, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Instances != 3 || st.Breaker != "closed" {
+		t.Fatalf("oversized body changed the tenant: %+v", st)
+	}
+}
+
+// TestServeStepAllocsBounded pins the serve loop's per-request overhead: one
+// in-process Step round trip (admission, queue hand-off, worker step, reply)
+// on a tenant that does not reschedule makes at most 20 allocations.
+func TestServeStepAllocsBounded(t *testing.T) {
+	s := mustServer(t, Options{})
+	mustCreate(t, s, TenantSpec{Name: "a", Workload: "mpeg", DeadlineFactor: 1.6, Threshold: 1})
+	vecs := testVectors(t, 256)
+	ctx := context.Background()
+	i := 0
+	step := func() {
+		if _, err := s.Step(ctx, "a", vecs[i%len(vecs)], ChaosSpec{}); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		i++
+	}
+	for i < 300 {
+		step()
+	}
+	if allocs := meanAllocs(200, step); allocs > 20 {
+		t.Fatalf("serve loop: %.2f allocs per Step, want <= 20", allocs)
+	}
+}
+
+// meanAllocs is testing.AllocsPerRun without its rounding down. The serve
+// loop's count is fractional (about 19.5), so a rounded 19 would let one
+// more allocation per step still pass a bound of 20.
+func meanAllocs(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
