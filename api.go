@@ -440,9 +440,15 @@ func ScheduleHEFT(a *Analysis, p *Platform) (*PlanResult, error) {
 }
 
 // Stretch runs the paper's online task-stretching heuristic on a schedule,
-// assigning one DVFS speed per task in scheduling order.
-func Stretch(s *PlanResult, d DVFS) (*StretchResult, error) {
-	return stretchHeuristic(s, d, stretch.Options{})
+// assigning one DVFS speed per task in scheduling order. The fraction
+// guard ∈ [0,1] of every task's slack is reserved as execution-time overrun
+// margin instead of being spent on DVFS; guard 0 is the paper's stretching.
+func Stretch(s *PlanResult, d DVFS, guard float64) (*StretchResult, error) {
+	r, err := stretch.Heuristic(s, d, stretch.Options{Guard: guard})
+	if err != nil {
+		return nil, err
+	}
+	return &r, nil
 }
 
 // StretchWorstCase runs the probability-blind critical-path stretcher
@@ -460,31 +466,8 @@ func StretchNLP(s *PlanResult, d DVFS, opts NLPOptions) (*StretchResult, error) 
 // StretchPerScenario computes scenario-conditioned speeds for an
 // unstretched schedule: each task's speed may depend on the outcomes of the
 // branch forks that precede it (see stretch.PerScenario). Replay with
-// SimConfig.ScenarioSpeeds.
-func StretchPerScenario(s *PlanResult, d DVFS) (*ScenarioSpeeds, error) {
-	return stretch.PerScenario(s, d, 0, nil)
-}
-
-// StretchGuarded is Stretch with a guard band: the fraction guard ∈ [0,1] of
-// every task's slack is reserved as execution-time overrun margin instead of
-// being spent on DVFS. Guard 0 reproduces Stretch bit-for-bit.
-func StretchGuarded(s *PlanResult, d DVFS, guard float64) (*StretchResult, error) {
-	return stretchHeuristic(s, d, stretch.Options{Guard: guard})
-}
-
-// stretchHeuristic adapts stretch.Heuristic's by-value result to the
-// facade's pointer-returning signatures.
-func stretchHeuristic(s *PlanResult, d DVFS, o stretch.Options) (*StretchResult, error) {
-	r, err := stretch.Heuristic(s, d, o)
-	if err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// StretchPerScenarioGuarded is StretchPerScenario with a guard band (see
-// StretchGuarded).
-func StretchPerScenarioGuarded(s *PlanResult, d DVFS, guard float64) (*ScenarioSpeeds, error) {
+// SimConfig.ScenarioSpeeds. guard reserves slack as in Stretch.
+func StretchPerScenario(s *PlanResult, d DVFS, guard float64) (*ScenarioSpeeds, error) {
 	return stretch.PerScenario(s, d, guard, nil)
 }
 
@@ -501,8 +484,12 @@ func TightenDeadline(g *Graph, p *Platform, factor float64) (*Graph, error) {
 }
 
 // Replay executes a schedule under one leaf scenario and reports energy,
-// makespan and deadline compliance.
-func Replay(s *PlanResult, scenario int) (Instance, error) { return sim.Replay(s, scenario) }
+// makespan and deadline compliance. The zero SimConfig is the paper's
+// runtime model; its fields enable the runtime-fidelity options (strict
+// or-node dependencies, DVFS switching overhead, faults, telemetry).
+func Replay(s *PlanResult, scenario int, cfg SimConfig) (Instance, error) {
+	return sim.Replay(s, scenario, cfg)
+}
 
 // ReplayDecisions resolves a full branch decision vector and replays the
 // matching scenario.
@@ -510,19 +497,9 @@ func ReplayDecisions(s *PlanResult, decisions []int) (Instance, error) {
 	return sim.ReplayDecisions(s, decisions)
 }
 
-// Exhaustive replays every leaf scenario and aggregates by probability.
-func Exhaustive(s *PlanResult) (SimSummary, error) { return sim.Exhaustive(s) }
-
-// ReplayCfg is Replay with runtime-fidelity options (strict or-node
-// dependencies, DVFS switching overhead).
-func ReplayCfg(s *PlanResult, scenario int, cfg SimConfig) (Instance, error) {
-	return sim.ReplayCfg(s, scenario, cfg)
-}
-
-// ExhaustiveCfg is Exhaustive with runtime-fidelity options.
-func ExhaustiveCfg(s *PlanResult, cfg SimConfig) (SimSummary, error) {
-	return sim.ExhaustiveCfg(s, cfg)
-}
+// Exhaustive replays every leaf scenario under cfg and aggregates by
+// probability.
+func Exhaustive(s *PlanResult, cfg SimConfig) (SimSummary, error) { return sim.Exhaustive(s, cfg) }
 
 // AnalyzeBreakdown attributes a schedule's expected energy and load to its
 // PEs and the interconnect.
@@ -543,25 +520,14 @@ func NewAdaptive(g *Graph, p *Platform, opts AdaptiveOptions) (*Adaptive, error)
 }
 
 // RunStatic replays a decision sequence against a fixed schedule (the
-// paper's non-adaptive online algorithm).
-func RunStatic(s *PlanResult, vectors Vectors) (RunStats, error) {
-	return core.RunStatic(s, vectors)
-}
-
-// RunStaticCfg is RunStatic with simulator options — in particular a fault
-// plan, whose instance cursor advances once per vector so static and
-// adaptive runtimes face the identical perturbation sequence.
-func RunStaticCfg(s *PlanResult, vectors Vectors, cfg SimConfig) (RunStats, error) {
-	return core.RunStaticCfg(s, vectors, cfg)
-}
-
-// RunStaticFailover replays a fixed schedule under an availability
-// timeline: instances whose active tasks or comms land on dead hardware
-// deadlock and are charged a miss with one full deadline of lateness. It is
-// the static baseline the adaptive runtime's degraded-mode re-mapping is
-// measured against (-exp failover). A nil timeline is exactly RunStaticCfg.
-func RunStaticFailover(s *PlanResult, vectors Vectors, tl *FailureTimeline, cfg SimConfig) (RunStats, error) {
-	return core.RunStaticFailover(s, vectors, tl, cfg)
+// paper's non-adaptive online algorithm) under the simulator options cfg —
+// a fault plan's instance cursor advances once per vector, so static and
+// adaptive runtimes face the identical perturbation sequence. A non-nil
+// failure timeline degrades the hardware: instances whose active tasks or
+// comms land on dead hardware deadlock and are charged a miss with one full
+// deadline of lateness (the static baseline of -exp failover).
+func RunStatic(s *PlanResult, vectors Vectors, cfg SimConfig, tl *FailureTimeline) (RunStats, error) {
+	return core.RunStatic(s, vectors, cfg, tl)
 }
 
 // NewFailureTimeline validates a failure spec and derives the deterministic

@@ -66,11 +66,11 @@ func TestFacadeSimConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := ctgdvfs.ExhaustiveCfg(s, ctgdvfs.SimConfig{})
+	base, err := ctgdvfs.Exhaustive(s, ctgdvfs.SimConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := ctgdvfs.ExhaustiveCfg(s, ctgdvfs.SimConfig{StrictOrDeps: true})
+	strict, err := ctgdvfs.Exhaustive(s, ctgdvfs.SimConfig{StrictOrDeps: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +80,11 @@ func TestFacadeSimConfig(t *testing.T) {
 	if strict.Misses != 0 {
 		t.Fatalf("strict mode missed %d deadlines", strict.Misses)
 	}
-	over, err := ctgdvfs.ReplayCfg(s, 0, ctgdvfs.SimConfig{SwitchTime: 1, SwitchEnergy: 1})
+	over, err := ctgdvfs.Replay(s, 0, ctgdvfs.SimConfig{SwitchTime: 1, SwitchEnergy: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := ctgdvfs.Replay(s, 0)
+	plain, err := ctgdvfs.Replay(s, 0, ctgdvfs.SimConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestThreeWayForkPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := ctgdvfs.Exhaustive(s)
+	sum, err := ctgdvfs.Exhaustive(s, ctgdvfs.SimConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if s.ExpectedEnergy() <= 0 {
 		t.Fatal("expected energy must be positive")
 	}
-	sum, err := ctgdvfs.Exhaustive(s)
+	sum, err := ctgdvfs.Exhaustive(s, ctgdvfs.SimConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -218,7 +218,7 @@ func BenchmarkHeuristicStretch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := base.Clone()
-		if _, err := ctgdvfs.Stretch(s, ctgdvfs.ContinuousDVFS()); err != nil {
+		if _, err := ctgdvfs.Stretch(s, ctgdvfs.ContinuousDVFS(), 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -261,7 +261,7 @@ func BenchmarkReplay(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ctgdvfs.Replay(s, i%a.NumScenarios()); err != nil {
+		if _, err := ctgdvfs.Replay(s, i%a.NumScenarios(), ctgdvfs.SimConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -318,7 +318,7 @@ func BenchmarkAblationDiscreteDVFS(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r1, err := ctgdvfs.Stretch(s1, ctgdvfs.ContinuousDVFS())
+		r1, err := ctgdvfs.Stretch(s1, ctgdvfs.ContinuousDVFS(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -326,7 +326,7 @@ func BenchmarkAblationDiscreteDVFS(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r2, err := ctgdvfs.Stretch(s2, ctgdvfs.DiscreteDVFS(0.25, 0.5, 0.75, 1))
+		r2, err := ctgdvfs.Stretch(s2, ctgdvfs.DiscreteDVFS(0.25, 0.5, 0.75, 1), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -347,7 +347,7 @@ func BenchmarkAblationProbSL(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ctgdvfs.Stretch(s1, ctgdvfs.ContinuousDVFS()); err != nil {
+		if _, err := ctgdvfs.Stretch(s1, ctgdvfs.ContinuousDVFS(), 0); err != nil {
 			b.Fatal(err)
 		}
 		opts := ctgdvfs.ModifiedDLS()
@@ -356,7 +356,7 @@ func BenchmarkAblationProbSL(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ctgdvfs.Stretch(s2, ctgdvfs.ContinuousDVFS()); err != nil {
+		if _, err := ctgdvfs.Stretch(s2, ctgdvfs.ContinuousDVFS(), 0); err != nil {
 			b.Fatal(err)
 		}
 		prob, plain = s1.ExpectedEnergy(), s2.ExpectedEnergy()
@@ -376,7 +376,7 @@ func BenchmarkAblationEnergyWeight(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ctgdvfs.Stretch(s1, ctgdvfs.ContinuousDVFS()); err != nil {
+		if _, err := ctgdvfs.Stretch(s1, ctgdvfs.ContinuousDVFS(), 0); err != nil {
 			b.Fatal(err)
 		}
 		opts := ctgdvfs.ModifiedDLS()
@@ -385,7 +385,7 @@ func BenchmarkAblationEnergyWeight(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ctgdvfs.Stretch(s2, ctgdvfs.ContinuousDVFS()); err != nil {
+		if _, err := ctgdvfs.Stretch(s2, ctgdvfs.ContinuousDVFS(), 0); err != nil {
 			b.Fatal(err)
 		}
 		plain, green = s1.ExpectedEnergy(), s2.ExpectedEnergy()
@@ -404,7 +404,7 @@ func BenchmarkAblationMEOverlap(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ctgdvfs.Stretch(s1, ctgdvfs.ContinuousDVFS()); err != nil {
+		if _, err := ctgdvfs.Stretch(s1, ctgdvfs.ContinuousDVFS(), 0); err != nil {
 			b.Fatal(err)
 		}
 		opts := ctgdvfs.ModifiedDLS()
@@ -413,7 +413,7 @@ func BenchmarkAblationMEOverlap(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ctgdvfs.Stretch(s2, ctgdvfs.ContinuousDVFS()); err != nil {
+		if _, err := ctgdvfs.Stretch(s2, ctgdvfs.ContinuousDVFS(), 0); err != nil {
 			b.Fatal(err)
 		}
 		with, without = s1.ExpectedEnergy(), s2.ExpectedEnergy()
@@ -458,14 +458,14 @@ func BenchmarkAblationDLSvsHEFT(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ctgdvfs.Stretch(s1, ctgdvfs.ContinuousDVFS()); err != nil {
+		if _, err := ctgdvfs.Stretch(s1, ctgdvfs.ContinuousDVFS(), 0); err != nil {
 			b.Fatal(err)
 		}
 		s2, err := ctgdvfs.ScheduleHEFT(a, p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ctgdvfs.Stretch(s2, ctgdvfs.ContinuousDVFS()); err != nil {
+		if _, err := ctgdvfs.Stretch(s2, ctgdvfs.ContinuousDVFS(), 0); err != nil {
 			b.Fatal(err)
 		}
 		dls, heft = s1.ExpectedEnergy(), s2.ExpectedEnergy()
@@ -509,7 +509,7 @@ func benchPerScenario(b *testing.B, workers int) {
 	defer ctgdvfs.SetParallelism(prev)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ctgdvfs.StretchPerScenario(s, ctgdvfs.ContinuousDVFS()); err != nil {
+		if _, err := ctgdvfs.StretchPerScenario(s, ctgdvfs.ContinuousDVFS(), 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -525,14 +525,14 @@ func BenchmarkPerScenarioParallel(b *testing.B) { benchPerScenario(b, 0) }
 
 func benchExhaustive(b *testing.B, workers int) {
 	s := benchMPEGSchedule(b)
-	if _, err := ctgdvfs.Stretch(s, ctgdvfs.ContinuousDVFS()); err != nil {
+	if _, err := ctgdvfs.Stretch(s, ctgdvfs.ContinuousDVFS(), 0); err != nil {
 		b.Fatal(err)
 	}
 	prev := ctgdvfs.SetParallelism(workers)
 	defer ctgdvfs.SetParallelism(prev)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ctgdvfs.Exhaustive(s); err != nil {
+		if _, err := ctgdvfs.Exhaustive(s, ctgdvfs.SimConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -614,7 +614,7 @@ func BenchmarkAdaptiveStepFailover(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	remapped := benchMPEGStep(b, ctgdvfs.AdaptiveOptions{Failures: tl})
+	remapped := benchMPEGStep(b, ctgdvfs.AdaptiveOptions{Recovery: true, Failures: tl})
 	b.ReportMetric(float64(remapped)/float64(b.N), "remaps/op")
 }
 

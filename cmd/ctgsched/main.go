@@ -154,7 +154,7 @@ func main() {
 			g.Task(id).Name, s.PE[task], s.Start[task], s.WCET(id), s.Speed[task],
 			a.ActivationProb(id))
 	}
-	sum, err := ctgdvfs.Exhaustive(s)
+	sum, err := ctgdvfs.Exhaustive(s, ctgdvfs.SimConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func main() {
 func writeScenarioTrace(path string, s *ctgdvfs.PlanResult, scenarios int) error {
 	rec := ctgdvfs.NewMemoryRecorder()
 	for si := 0; si < scenarios; si++ {
-		inst, err := ctgdvfs.ReplayCfg(s, si, ctgdvfs.SimConfig{Recorder: rec, InstanceID: si})
+		inst, err := ctgdvfs.Replay(s, si, ctgdvfs.SimConfig{Recorder: rec, InstanceID: si})
 		if err != nil {
 			return err
 		}

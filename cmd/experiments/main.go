@@ -40,8 +40,10 @@
 // on the same server, and -serve keeps the server running after the
 // experiments finish (until interrupted) so the final /health snapshots and
 // profiles can be scraped. -health attaches the streaming health monitor to
-// the fault campaign and prints one diagnosis report per workload after the
-// tables.
+// the traced campaigns and prints one diagnosis report per stream after the
+// tables. Under -exp all every telemetry flag covers both traced campaigns:
+// they share one registry, and each one's streams join the output set when
+// it finishes.
 package main
 
 import (
@@ -65,13 +67,14 @@ import (
 
 	"ctgdvfs/internal/exp"
 	"ctgdvfs/internal/par"
+	"ctgdvfs/internal/series"
 	"ctgdvfs/internal/serve"
 	"ctgdvfs/internal/telemetry"
 )
 
-// tracedExperiments names every experiment that populates campaignTel when
-// the telemetry flags are set — the list the -trace-out and -health error
-// hints print. Keep it in sync with the runners that call campaignTel.Store.
+// tracedExperiments names every experiment that publishes telemetry when the
+// telemetry flags are set — the list the telemetry flags' error hints print.
+// Keep it in sync with the runners that call renderedTraced.
 const tracedExperiments = "-exp faults, -exp consolidation"
 
 // Fault-campaign knobs, shared with the runner table.
@@ -128,11 +131,15 @@ var (
 	promOut = flag.String("prom-out", "",
 		"write the final metrics registry in Prometheus text format to this file after the experiments finish")
 
-	// metricsReg is the registry served at -metrics-addr and fed by the
-	// observed fault campaign; campaignTel keeps the recorded event streams
-	// and health analyzers. It is stored atomically because the -metrics-addr
-	// server goroutine reads it (/health) while the runner goroutine sets it.
+	// metricsReg is the registry served at -metrics-addr. observe is nil
+	// unless a telemetry flag asks for observed mode; then it hands every
+	// traced campaign one registry (metricsReg when set) and the -rules
+	// alert rules. campaignTel is the telemetry every traced runner has
+	// published so far: each one merges its streams into a fresh copy and
+	// swaps it in atomically, so the -metrics-addr server goroutine (/health)
+	// only ever reads a set no running campaign still writes.
 	metricsReg  *telemetry.Registry
+	observe     *exp.Observe
 	campaignTel atomic.Pointer[exp.CampaignTelemetry]
 )
 
@@ -143,12 +150,40 @@ func observedMode() bool {
 		*metricsAddr != "" || *healthFlag || *seriesOut != "" || *rulesFile != ""
 }
 
-// serveHealth renders the observed campaign's per-workload health snapshots
-// as one JSON object keyed by workload name (503 until a campaign has run).
+// newObserve builds the observed-mode configuration every traced campaign
+// shares: metricsReg (or a private registry) plus the -rules alert rules.
+func newObserve() (*exp.Observe, error) {
+	obs := &exp.Observe{Metrics: metricsReg}
+	if obs.Metrics == nil {
+		obs.Metrics = telemetry.NewRegistry()
+	}
+	if *rulesFile != "" {
+		rs, err := series.LoadRules(*rulesFile)
+		if err != nil {
+			return nil, fmt.Errorf("-rules: %w", err)
+		}
+		obs.Rules = rs.Rules
+	}
+	return obs, nil
+}
+
+// publishTelemetry merges a finished campaign's streams into the published
+// set; a stream name two campaigns share is an error.
+func publishTelemetry(tel *exp.CampaignTelemetry) error {
+	merged, err := campaignTel.Load().Merge(tel)
+	if err != nil {
+		return err
+	}
+	campaignTel.Store(merged)
+	return nil
+}
+
+// serveHealth renders the traced campaigns' per-stream health snapshots as
+// one JSON object keyed by stream name (503 until a campaign has run).
 func serveHealth(w http.ResponseWriter, _ *http.Request) {
 	tel := campaignTel.Load()
 	if tel == nil || len(tel.Health) == 0 {
-		http.Error(w, "no observed fault campaign has run yet", http.StatusServiceUnavailable)
+		http.Error(w, "no traced campaign has run yet", http.StatusServiceUnavailable)
 		return
 	}
 	snaps := make(map[string]any, len(tel.Health))
@@ -163,10 +198,10 @@ func serveHealth(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// campaignStreamNames returns the observed campaign's stream names in order.
-func campaignStreamNames(tel *exp.CampaignTelemetry) []string {
-	names := make([]string, 0, len(tel.Recorders))
-	for name := range tel.Recorders {
+// sortedNames returns a stream map's names in order.
+func sortedNames[V any](streams map[string]V) []string {
+	names := make([]string, 0, len(streams))
+	for name := range streams {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -185,7 +220,7 @@ func streamFileName(name string) string {
 // is written atomically (temp file + fsync + rename), so a crash mid-dump
 // never leaves a torn stream where a previous good one stood.
 func writeCampaignEvents(prefix string, tel *exp.CampaignTelemetry) error {
-	for _, name := range campaignStreamNames(tel) {
+	for _, name := range sortedNames(tel.Recorders) {
 		path := fmt.Sprintf("%s-%s.jsonl", prefix, streamFileName(name))
 		events := tel.Recorders[name].Events()
 		err := telemetry.WriteFileAtomic(path, func(w io.Writer) error {
@@ -210,7 +245,7 @@ func writeCampaignEvents(prefix string, tel *exp.CampaignTelemetry) error {
 // written to PREFIX-<name>-final.jsonl. Each dump is a self-contained JSONL
 // stream `ctgsched explain` ingests directly.
 func writeCampaignFlight(prefix string, tel *exp.CampaignTelemetry) error {
-	for _, name := range campaignStreamNames(tel) {
+	for _, name := range sortedNames(tel.Recorders) {
 		stream := streamFileName(name)
 		// Atomic trigger dumps: each ring window lands complete or not at
 		// all (a crash mid-dump leaves no half-written evidence file).
@@ -242,12 +277,7 @@ func writeCampaignSeries(prefix string, tel *exp.CampaignTelemetry) error {
 	if len(tel.Series) == 0 {
 		return fmt.Errorf("campaign recorded no series stores")
 	}
-	names := make([]string, 0, len(tel.Series))
-	for name := range tel.Series {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedNames(tel.Series) {
 		st := tel.Series[name]
 		path := fmt.Sprintf("%s-%s.json", prefix, streamFileName(name))
 		if err := telemetry.WriteFileAtomic(path, st.WriteJSON); err != nil {
@@ -264,16 +294,11 @@ func writePromFile(path string, reg *telemetry.Registry) error {
 	return telemetry.WriteFileAtomic(path, reg.WriteProm)
 }
 
-// writeCampaignTrace renders the observed campaign's event streams as one
-// Chrome trace file, one process per workload in name order.
+// writeCampaignTrace renders the traced campaigns' event streams as one
+// Chrome trace file, one process per stream in name order.
 func writeCampaignTrace(path string, tel *exp.CampaignTelemetry) error {
-	names := make([]string, 0, len(tel.Recorders))
-	for name := range tel.Recorders {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	ct := telemetry.NewChromeTrace()
-	for i, name := range names {
+	for i, name := range sortedNames(tel.Recorders) {
 		ct.AddRun(name, i+1, tel.Recorders[name].Events())
 	}
 	return telemetry.WriteFileAtomic(path, ct.Write)
@@ -359,6 +384,13 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
+	if observedMode() {
+		var err error
+		if observe, err = newObserve(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
 
 	runners := orderedRunners()
 	ran := 0
@@ -381,85 +413,48 @@ func main() {
 		os.Exit(2)
 	}
 
+	// fail reports a post-run writer's error and exits.
+	fail := func(what string, err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", what, err)
+			os.Exit(1)
+		}
+	}
+	tel := campaignTel.Load()
+	if tel == nil && (*traceOut != "" || *eventsOut != "" || *flightOut != "" || *seriesOut != "" || *healthFlag) {
+		fmt.Fprintf(os.Stderr, "telemetry output requested, but no traced experiment ran (traced: %s)\n", tracedExperiments)
+		os.Exit(1)
+	}
+
 	if *traceOut != "" {
-		tel := campaignTel.Load()
-		if tel == nil {
-			fmt.Fprintf(os.Stderr, "-trace-out: no traced experiment ran (traced: %s)\n", tracedExperiments)
-			os.Exit(1)
-		}
-		if err := writeCampaignTrace(*traceOut, tel); err != nil {
-			fmt.Fprintf(os.Stderr, "trace-out: %v\n", err)
-			os.Exit(1)
-		}
+		fail("trace-out", writeCampaignTrace(*traceOut, tel))
 		fmt.Printf("wrote Chrome trace to %s (open in chrome://tracing or https://ui.perfetto.dev)\n", *traceOut)
 	}
-
 	if *eventsOut != "" {
-		tel := campaignTel.Load()
-		if tel == nil {
-			fmt.Fprintf(os.Stderr, "-events-out: no traced experiment ran (traced: %s)\n", tracedExperiments)
-			os.Exit(1)
-		}
-		if err := writeCampaignEvents(*eventsOut, tel); err != nil {
-			fmt.Fprintf(os.Stderr, "events-out: %v\n", err)
-			os.Exit(1)
-		}
+		fail("events-out", writeCampaignEvents(*eventsOut, tel))
 	}
-
 	if *flightOut != "" {
-		tel := campaignTel.Load()
-		if tel == nil {
-			fmt.Fprintf(os.Stderr, "-flight-out: no traced experiment ran (traced: %s)\n", tracedExperiments)
-			os.Exit(1)
-		}
-		if err := writeCampaignFlight(*flightOut, tel); err != nil {
-			fmt.Fprintf(os.Stderr, "flight-out: %v\n", err)
-			os.Exit(1)
-		}
+		fail("flight-out", writeCampaignFlight(*flightOut, tel))
 	}
-
 	if *seriesOut != "" {
-		tel := campaignTel.Load()
-		if tel == nil {
-			fmt.Fprintf(os.Stderr, "-series-out: no traced experiment ran (traced: %s)\n", tracedExperiments)
-			os.Exit(1)
-		}
-		if err := writeCampaignSeries(*seriesOut, tel); err != nil {
-			fmt.Fprintf(os.Stderr, "series-out: %v\n", err)
-			os.Exit(1)
-		}
+		fail("series-out", writeCampaignSeries(*seriesOut, tel))
 	}
 
 	if *promOut != "" {
 		reg := metricsReg
-		if reg == nil {
-			if tel := campaignTel.Load(); tel != nil {
-				reg = tel.Metrics
-			}
+		if reg == nil && tel != nil {
+			reg = tel.Metrics
 		}
 		if reg == nil {
 			fmt.Fprintf(os.Stderr, "-prom-out: no metrics registry (needs -metrics-addr or a traced experiment: %s)\n", tracedExperiments)
 			os.Exit(1)
 		}
-		if err := writePromFile(*promOut, reg); err != nil {
-			fmt.Fprintf(os.Stderr, "prom-out: %v\n", err)
-			os.Exit(1)
-		}
+		fail("prom-out", writePromFile(*promOut, reg))
 		fmt.Printf("wrote Prometheus exposition to %s\n", *promOut)
 	}
 
 	if *healthFlag {
-		tel := campaignTel.Load()
-		if tel == nil {
-			fmt.Fprintf(os.Stderr, "-health: no monitored experiment ran (traced: %s)\n", tracedExperiments)
-			os.Exit(1)
-		}
-		names := make([]string, 0, len(tel.Health))
-		for name := range tel.Health {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
+		for _, name := range sortedNames(tel.Health) {
 			fmt.Printf("=== health: %s ===\n%s\n", name, tel.Health[name].Health().Report())
 		}
 	}

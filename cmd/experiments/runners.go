@@ -8,21 +8,7 @@ import (
 	"ctgdvfs/internal/exp"
 	"ctgdvfs/internal/faults"
 	"ctgdvfs/internal/power"
-	"ctgdvfs/internal/series"
 )
-
-// monitorConfig builds the Monitored campaigns' sampling config from the
-// -rules flag (empty config when unset — sampling still runs, no alerts).
-func monitorConfig() (exp.MonitorConfig, error) {
-	if *rulesFile == "" {
-		return exp.MonitorConfig{}, nil
-	}
-	rs, err := series.LoadRules(*rulesFile)
-	if err != nil {
-		return exp.MonitorConfig{}, fmt.Errorf("-rules: %w", err)
-	}
-	return exp.MonitorConfig{Rules: rs.Rules}, nil
-}
 
 // loadSpecFile loads -faults-spec once per runner that consumes it (nil when
 // the flag is unset).
@@ -88,58 +74,34 @@ func (r runner) matches(s string) bool {
 	return false
 }
 
+// rendered is the tail every runner shares: an experiment's result rendered
+// as the table it prints, or its error.
+func rendered[R interface{ Render() string }](r R, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return r.Render(), nil
+}
+
+// renderedTraced is rendered for the traced campaigns: their telemetry (nil
+// when unobserved) is merged into the published set first.
+func renderedTraced[R interface{ Render() string }](r R, tel *exp.CampaignTelemetry, err error) (string, error) {
+	if err == nil && tel != nil {
+		err = publishTelemetry(tel)
+	}
+	return rendered(r, err)
+}
+
 func orderedRunners() []runner {
 	return []runner{
-		{name: "table1", run: func() (string, error) {
-			r, err := exp.Table1()
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{name: "figure4", run: func() (string, error) {
-			r, err := exp.Figure4()
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
+		{name: "table1", run: func() (string, error) { return rendered(exp.Table1()) }},
+		{name: "figure4", run: func() (string, error) { return rendered(exp.Figure4()) }},
 		// Figure 5 and Table 2 come from the same runs.
-		{name: "figure5", aliases: []string{"table2", "mpeg"}, run: func() (string, error) {
-			r, err := exp.MPEG()
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{name: "table3", aliases: []string{"cruise"}, run: func() (string, error) {
-			r, err := exp.Cruise()
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{name: "table4", run: func() (string, error) {
-			r, err := exp.Table4()
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{name: "table5", run: func() (string, error) {
-			r, err := exp.Table5()
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{name: "figure6", run: func() (string, error) {
-			r, err := exp.Figure6()
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
+		{name: "figure5", aliases: []string{"table2", "mpeg"}, run: func() (string, error) { return rendered(exp.MPEG()) }},
+		{name: "table3", aliases: []string{"cruise"}, run: func() (string, error) { return rendered(exp.Cruise()) }},
+		{name: "table4", run: func() (string, error) { return rendered(exp.Table4()) }},
+		{name: "table5", run: func() (string, error) { return rendered(exp.Table5()) }},
+		{name: "figure6", run: func() (string, error) { return rendered(exp.Figure6()) }},
 		// Extensions beyond the paper (DESIGN.md §6).
 		{name: "daemon", aliases: []string{"chaos"}, run: func() (string, error) {
 			r, err := exp.Daemon()
@@ -151,41 +113,11 @@ func orderedRunners() []runner {
 			}
 			return r.Render(), nil
 		}},
-		{name: "sweep", run: func() (string, error) {
-			r, err := exp.Sweep(nil, nil)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{name: "overhead", run: func() (string, error) {
-			r, err := exp.Overhead()
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{name: "ablation", run: func() (string, error) {
-			r, err := exp.AblationRatio()
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{name: "perscenario", run: func() (string, error) {
-			r, err := exp.PerScenarioDVFS()
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{name: "robustness", run: func() (string, error) {
-			r, err := exp.Robustness(5)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
+		{name: "sweep", run: func() (string, error) { return rendered(exp.Sweep(nil, nil)) }},
+		{name: "overhead", run: func() (string, error) { return rendered(exp.Overhead()) }},
+		{name: "ablation", run: func() (string, error) { return rendered(exp.AblationRatio()) }},
+		{name: "perscenario", run: func() (string, error) { return rendered(exp.PerScenarioDVFS()) }},
+		{name: "robustness", run: func() (string, error) { return rendered(exp.Robustness(5)) }},
 		{name: "faults", aliases: []string{"faultcampaign"}, run: func() (string, error) {
 			spec := exp.DefaultCampaignSpec()
 			spec.Seed = *faultSeed
@@ -196,50 +128,17 @@ func orderedRunners() []runner {
 			} else if sf != nil && sf.Perturb != nil {
 				spec = *sf.Perturb
 			}
-			// Telemetry flags switch the campaign to observed mode: the
-			// guarded runtimes record their event streams (-trace-out,
-			// -events-out, -flight-out), publish metrics into the served
-			// registry (-metrics-addr), and run the streaming health
-			// analyzers (-health, /health).
-			if observedMode() {
-				mc, err := monitorConfig()
-				if err != nil {
-					return "", err
-				}
-				r, tel, err := exp.FaultCampaignMonitored(spec, *faultGuard, metricsReg, mc)
-				if err != nil {
-					return "", err
-				}
-				campaignTel.Store(tel)
-				return r.Render(), nil
-			}
-			r, err := exp.FaultCampaign(spec, *faultGuard)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
+			return renderedTraced(exp.FaultCampaign(spec, *faultGuard, observe))
 		}},
 		{name: "scale", aliases: []string{"scaling"}, run: func() (string, error) {
 			if *scaleFull {
-				r, err := exp.ScaleCampaignFull()
-				if err != nil {
-					return "", err
-				}
-				return r.Render(), nil
+				return rendered(exp.ScaleCampaignFull())
 			}
 			if *scaleTasks != 0 || *scalePEs != 0 {
 				cfg := exp.ScaleConfig{Tasks: *scaleTasks, PEs: *scalePEs}
-				r, err := exp.ScaleCampaign([]exp.ScaleConfig{cfg}, *scaleInstances)
-				if err != nil {
-					return "", err
-				}
-				return r.Render(), nil
+				return rendered(exp.ScaleCampaign([]exp.ScaleConfig{cfg}, *scaleInstances))
 			}
-			r, err := exp.ScaleCampaignQuick()
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
+			return rendered(exp.ScaleCampaignQuick())
 		}},
 		{name: "consolidation", aliases: []string{"fleet"}, run: func() (string, error) {
 			// The budget spec comes from -faults-spec's power section and/or
@@ -266,30 +165,7 @@ func orderedRunners() []runner {
 					return "", fmt.Errorf("-power-cap/-power-window: %w", err)
 				}
 			}
-			if observedMode() {
-				mc, err := monitorConfig()
-				if err != nil {
-					return "", err
-				}
-				r, tel, err := exp.ConsolidationCampaignMonitored(*consolidationRounds, override, metricsReg, mc)
-				if err != nil {
-					return "", err
-				}
-				campaignTel.Store(tel)
-				return r.Render(), nil
-			}
-			if override != nil {
-				r, err := exp.ConsolidationCampaignBudget(*consolidationRounds, *override)
-				if err != nil {
-					return "", err
-				}
-				return r.Render(), nil
-			}
-			r, err := exp.ConsolidationCampaign(*consolidationRounds)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
+			return renderedTraced(exp.ConsolidationCampaign(*consolidationRounds, override, observe))
 		}},
 		{name: "failover", aliases: []string{"failovercampaign"}, run: func() (string, error) {
 			// A spec file's failures section replays that scripted timeline
@@ -297,11 +173,7 @@ func orderedRunners() []runner {
 			if sf, err := loadSpecFile(); err != nil {
 				return "", err
 			} else if sf != nil && sf.Failures != nil {
-				r, err := exp.FailoverCampaignSpec(*sf.Failures)
-				if err != nil {
-					return "", err
-				}
-				return r.Render(), nil
+				return rendered(exp.FailoverCampaignSpec(*sf.Failures))
 			}
 			probs, err := parseFloats("fail-rates", *failRates)
 			if err != nil {
@@ -311,11 +183,7 @@ func orderedRunners() []runner {
 			if err != nil {
 				return "", err
 			}
-			r, err := exp.FailoverCampaign(*faultSeed, probs, repairs)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
+			return rendered(exp.FailoverCampaign(*faultSeed, probs, repairs))
 		}},
 	}
 }

@@ -31,7 +31,7 @@ func Example() {
 		Build()
 
 	s, _ := ctgdvfs.Plan(g, p)
-	sum, _ := ctgdvfs.Exhaustive(s)
+	sum, _ := ctgdvfs.Exhaustive(s, ctgdvfs.SimConfig{})
 	fmt.Printf("scenarios: %d\n", s.A.NumScenarios())
 	fmt.Printf("deadline misses: %d\n", sum.Misses)
 	fmt.Printf("energy saved vs full speed: %v\n",

@@ -43,7 +43,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stStatic, err := ctgdvfs.RunStatic(static, road)
+	stStatic, err := ctgdvfs.RunStatic(static, road, ctgdvfs.SimConfig{}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func main() {
 
 	// Runtime 3: the always-full-speed baseline — the guarded runtime's own
 	// fallback schedule replayed statically under the same plan.
-	stF, err := ctgdvfs.RunStaticCfg(guarded.Fallback(), test, ctgdvfs.SimConfig{Faults: plan})
+	stF, err := ctgdvfs.RunStatic(guarded.Fallback(), test, ctgdvfs.SimConfig{Faults: plan}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stStatic, err := ctgdvfs.RunStatic(static, test)
+	stStatic, err := ctgdvfs.RunStatic(static, test, ctgdvfs.SimConfig{}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func main() {
 		s.ExpectedEnergy(), fullSpeedEnergy(s, a))
 
 	// Ground truth: replay every scenario.
-	sum, err := ctgdvfs.Exhaustive(s)
+	sum, err := ctgdvfs.Exhaustive(s, ctgdvfs.SimConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func main() {
 			log.Fatal(err)
 		}
 		elapsed := time.Since(start)
-		sum, err := ctgdvfs.Exhaustive(s)
+		sum, err := ctgdvfs.Exhaustive(s, ctgdvfs.SimConfig{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -38,7 +38,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stStatic, err := ctgdvfs.RunStatic(static, vec)
+	stStatic, err := ctgdvfs.RunStatic(static, vec, ctgdvfs.SimConfig{}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

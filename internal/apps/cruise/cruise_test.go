@@ -89,7 +89,7 @@ func TestEndToEndWithPaperDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := sim.Exhaustive(s)
+	sum, err := sim.Exhaustive(s, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

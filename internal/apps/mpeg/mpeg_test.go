@@ -99,7 +99,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := sim.Exhaustive(s)
+	sum, err := sim.Exhaustive(s, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

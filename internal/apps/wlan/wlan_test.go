@@ -94,7 +94,7 @@ func TestEndToEndAdaptive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := sim.Exhaustive(s)
+	sum, err := sim.Exhaustive(s, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ctgdvfs/internal/ctg"
+	"ctgdvfs/internal/sim"
 	"ctgdvfs/internal/tgff"
 	"ctgdvfs/internal/trace"
 )
@@ -176,7 +177,7 @@ func TestManagerAdaptsAndBeatsMisprofiledStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stStatic, err := RunStatic(static, vec)
+	stStatic, err := RunStatic(static, vec, sim.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestManagerThresholdOneNeverAdapts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stStatic, err := RunStatic(static, vec)
+	stStatic, err := RunStatic(static, vec, sim.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,8 @@ import (
 // TestNilFailureTimelineBitForBit pins the availability layer's passivity: a
 // manager driven by a timeline that never fails anything produces the exact
 // same RunStats AND the exact same telemetry stream as a manager with no
-// timeline at all. (Failures implies Recovery, so the baseline enables
-// Recovery explicitly.)
+// timeline at all. (Failures requires Recovery, so the baseline enables
+// Recovery too.)
 func TestNilFailureTimelineBitForBit(t *testing.T) {
 	run := func(tl *faults.Timeline) (RunStats, []telemetry.Event) {
 		g, p := telemetryWorkload(t, 12)
@@ -86,7 +86,7 @@ func TestPermanentPEFailureRemapsAndCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := telemetry.NewMemoryRecorder()
-	m, err := New(g, p, Options{Window: 20, Threshold: 0.1, Failures: tl, Recorder: rec})
+	m, err := New(g, p, Options{Window: 20, Threshold: 0.1, Recovery: true, Failures: tl, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestTransientOutageRestoresFromCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := telemetry.NewMemoryRecorder()
-	m, err := New(g, p, Options{Window: 10, Threshold: 0.9, Failures: tl, Recorder: rec})
+	m, err := New(g, p, Options{Window: 10, Threshold: 0.9, Recovery: true, Failures: tl, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestRunStaticFailoverDeadlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := RunStaticFailover(s, vectors, tl, sim.Config{})
+	st, err := RunStatic(s, vectors, sim.Config{}, tl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,16 +222,20 @@ func TestRunStaticFailoverDeadlocks(t *testing.T) {
 		t.Fatalf("TotalLateness %v below the one-deadline-per-deadlock floor %v",
 			st.TotalLateness, float64(st.TopologyMisses)*g.Deadline())
 	}
-	// A nil timeline is exactly RunStaticCfg.
-	plain, err := RunStaticCfg(s, vectors, sim.Config{})
+	// A timeline that never fails anything is exactly the nil-timeline run.
+	never, err := faults.NewTimeline(faults.FailureSpec{Seed: 9}, p.NumPEs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaNil, err := RunStaticFailover(s, vectors, nil, sim.Config{})
+	plain, err := RunStatic(s, vectors, sim.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain != viaNil {
-		t.Fatalf("nil-timeline RunStaticFailover diverged from RunStaticCfg")
+	viaNever, err := RunStatic(s, vectors, sim.Config{}, never)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain != viaNever {
+		t.Fatalf("never-failing timeline diverged from the nil-timeline run")
 	}
 }

@@ -17,7 +17,7 @@ import (
 	"ctgdvfs/internal/telemetry"
 )
 
-// Circuit-breaker defaults: the miss-rate window and the windowed miss-rate
+// Circuit-breaker constants: the miss-rate window and the windowed miss-rate
 // bound above which the guard band escalates.
 const (
 	DefaultMissWindow    = 50
@@ -85,24 +85,18 @@ type Options struct {
 	// the platform, rebuilding the full-speed fallback, and re-running the
 	// online algorithm under a mask-qualified cache key). When a transient
 	// outage heals, the healthy mask keys back to the pre-failure cache
-	// entries, so restoration is a cache hit. Setting Failures implies
-	// Recovery: a degraded schedule that cannot meet the deadline escalates
-	// to the full-speed fallback built for the same survivor set.
+	// entries, so restoration is a cache hit. Failures requires Recovery: a
+	// degraded schedule that cannot meet the deadline escalates to the
+	// full-speed fallback built for the same survivor set.
 	Failures *faults.Timeline
 	// Recovery enables the fault-tolerance layer: a precomputed full-speed
 	// worst-case fallback schedule (an instance whose primary replay
 	// misses the deadline is re-run on it), plus a miss-rate circuit
-	// breaker — when more than MissRateBound of the last MissWindow
-	// instances missed on the primary schedule, the guard band escalates
-	// (halving the remaining unguarded slack per level); when the windowed
-	// rate falls to MissRateBound/2 it relaxes one level.
+	// breaker — when more than DefaultMissRateBound of the last
+	// DefaultMissWindow instances missed on the primary schedule, the guard
+	// band escalates (halving the remaining unguarded slack per level); when
+	// the windowed rate falls to DefaultMissRateBound/2 it relaxes one level.
 	Recovery bool
-	// MissWindow is the circuit breaker's sliding-window length; zero
-	// selects DefaultMissWindow.
-	MissWindow int
-	// MissRateBound is the windowed primary miss rate that trips the
-	// breaker; zero selects DefaultMissRateBound.
-	MissRateBound float64
 
 	// Recorder, when non-nil, receives the runtime's structured telemetry
 	// stream: instance start/finish, per-task and per-transfer slices (via
@@ -170,12 +164,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.CacheSize == 0 {
 		o.CacheSize = DefaultCacheSize
-	}
-	if o.MissWindow == 0 {
-		o.MissWindow = DefaultMissWindow
-	}
-	if o.MissRateBound == 0 {
-		o.MissRateBound = DefaultMissRateBound
 	}
 }
 
@@ -258,7 +246,7 @@ type Manager struct {
 	faultInstance int             // fault-plan cursor, advanced once per Step
 	guardLevel    int             // circuit-breaker escalation level
 	maxLevelSeen  int
-	missRing      []bool // last MissWindow primary-schedule outcomes
+	missRing      []bool // last DefaultMissWindow primary-schedule outcomes
 	missCursor    int
 	missFill      int
 	missCount     int
@@ -412,7 +400,7 @@ type RunStats struct {
 }
 
 // runAgg accumulates RunStats over a replayed instance sequence. Run and
-// RunStaticCfg share it so the adaptive and static runtimes aggregate — and
+// RunStatic share it so the adaptive and static runtimes aggregate — and
 // round — identically. The plain-sum fields are updated in the same order the
 // pre-telemetry runtime used, keeping accumulated floats bit-for-bit.
 type runAgg struct {
@@ -459,13 +447,12 @@ func New(g *ctg.Graph, p *platform.Platform, opts Options) (*Manager, error) {
 	if math.IsNaN(opts.GuardBand) || opts.GuardBand < 0 || opts.GuardBand > 1 {
 		return nil, fmt.Errorf("core: guard band must be in [0,1], got %v", opts.GuardBand)
 	}
-	if opts.MissWindow < 1 {
-		return nil, fmt.Errorf("core: miss window must be ≥ 1, got %d", opts.MissWindow)
-	}
-	if math.IsNaN(opts.MissRateBound) || opts.MissRateBound <= 0 || opts.MissRateBound > 1 {
-		return nil, fmt.Errorf("core: miss-rate bound must be in (0,1], got %v", opts.MissRateBound)
-	}
 	if opts.Failures != nil {
+		if !opts.Recovery {
+			// A degraded schedule needs somewhere to escalate: availability
+			// faults run on the recovery machinery.
+			return nil, fmt.Errorf("core: a failure timeline requires Recovery")
+		}
 		if opts.Failures.NumPEs() != p.NumPEs() {
 			return nil, fmt.Errorf("core: failure timeline sized for %d PEs, platform has %d",
 				opts.Failures.NumPEs(), p.NumPEs())
@@ -476,9 +463,6 @@ func New(g *ctg.Graph, p *platform.Platform, opts Options) (*Manager, error) {
 			// of a pre-restricted base (e.g. a consolidation partition).
 			return nil, fmt.Errorf("core: a failure timeline requires an unrestricted base platform")
 		}
-		// A degraded schedule needs somewhere to escalate: availability
-		// faults imply the recovery machinery.
-		opts.Recovery = true
 	}
 	m := &Manager{opts: opts, g: g.Clone(), p: p, base: p}
 	if p.Restricted() {
@@ -545,7 +529,7 @@ func New(g *ctg.Graph, p *platform.Platform, opts Options) (*Manager, error) {
 		if !m.degraded {
 			m.healthyFallback = fb
 		}
-		m.missRing = make([]bool, opts.MissWindow)
+		m.missRing = make([]bool, DefaultMissWindow)
 	}
 	if m.degraded {
 		// The initial schedule's shape is explained by the already-degraded
@@ -1026,7 +1010,7 @@ func (m *Manager) Step(decisions []int) (StepResult, error) {
 	cfg.InstanceID = idx
 	cfg.Seq = m.seq
 	cfg.Cause = m.startSeq
-	inst, err := sim.ReplayCfg(m.schedule, si, cfg)
+	inst, err := sim.Replay(m.schedule, si, cfg)
 	if err != nil {
 		return StepResult{}, err
 	}
@@ -1041,7 +1025,7 @@ func (m *Manager) Step(decisions []int) (StepResult, error) {
 		fcfg := cfg
 		fcfg.ScenarioSpeeds = nil
 		fcfg.Phase = telemetry.PhaseFallback
-		fb, err := sim.ReplayCfg(m.fallback, si, fcfg)
+		fb, err := sim.Replay(m.fallback, si, fcfg)
 		if err != nil {
 			return StepResult{}, err
 		}
@@ -1121,7 +1105,7 @@ func (m *Manager) Step(decisions []int) (StepResult, error) {
 				Instance:  idx,
 				Level:     m.guardLevel,
 				Level2:    prevLevel,
-				Threshold: m.opts.MissRateBound,
+				Threshold: DefaultMissRateBound,
 				Cause:     cause,
 			})
 		}
@@ -1249,9 +1233,9 @@ func (m *Manager) recordPrimaryOutcome(miss bool) bool {
 	rate := float64(m.missCount) / float64(len(m.missRing))
 	m.mm.missRateWindow.Set(rate)
 	switch {
-	case rate > m.opts.MissRateBound && m.guardLevel < maxGuardLevel:
+	case rate > DefaultMissRateBound && m.guardLevel < maxGuardLevel:
 		m.guardLevel++
-	case rate <= m.opts.MissRateBound/2 && m.guardLevel > 0:
+	case rate <= DefaultMissRateBound/2 && m.guardLevel > 0:
 		m.guardLevel--
 	default:
 		return false
@@ -1292,16 +1276,28 @@ func (m *Manager) Run(vectors [][]int) (RunStats, error) {
 
 // RunStatic replays a decision-vector sequence against a fixed schedule —
 // the paper's non-adaptive "online algorithm", which profiles once (the
-// probabilities baked into the schedule) and never adapts.
-func RunStatic(s *sched.Schedule, vectors [][]int) (RunStats, error) {
-	return RunStaticCfg(s, vectors, sim.Config{})
-}
-
-// RunStaticCfg is RunStatic with simulator options — in particular a fault
-// plan, whose instance cursor advances once per vector (vector i is plan
-// instance i, matching the adaptive manager's cursor so the two runtimes
-// face the identical perturbation sequence).
-func RunStaticCfg(s *sched.Schedule, vectors [][]int, cfg sim.Config) (RunStats, error) {
+// probabilities baked into the schedule) and never adapts. cfg carries the
+// simulator options; under a fault plan the instance cursor advances once
+// per vector (vector i is plan instance i, matching the adaptive manager's
+// cursor so the two runtimes face the identical perturbation sequence), and
+// a cfg.Recorder receives each instance's start/finish events around its
+// slices.
+//
+// A non-nil tl degrades the hardware per the failure timeline — the static
+// baseline of the failover campaign. The static runtime cannot re-map: when
+// the mask at an instance hides a PE hosting one of the scenario's active
+// tasks, or a link carrying one of its transfers, the instance deadlocks.
+// By convention a deadlocked instance counts as a deadline miss with
+// lateness equal to one full deadline (the work never completes; charging
+// exactly one period keeps the lateness totals finite and comparable) and
+// the nominal replay's energy (the dispatch is attempted, then stalls); it
+// also increments TopologyMisses. Instances whose active set happens to
+// avoid the masked hardware execute normally.
+func RunStatic(s *sched.Schedule, vectors [][]int, cfg sim.Config, tl *faults.Timeline) (RunStats, error) {
+	if tl != nil && tl.NumPEs() != s.P.NumPEs() {
+		return RunStats{}, fmt.Errorf("core: failure timeline sized for %d PEs, platform has %d",
+			tl.NumPEs(), s.P.NumPEs())
+	}
 	var agg runAgg
 	for i, v := range vectors {
 		si, err := s.A.ScenarioForDecisions(v)
@@ -1316,9 +1312,20 @@ func RunStaticCfg(s *sched.Schedule, vectors [][]int, cfg sim.Config) (RunStats,
 		if ci.Recorder != nil {
 			ci.Recorder.Record(telemetry.Event{Kind: telemetry.KindInstanceStart, Instance: i, Scenario: si})
 		}
-		inst, err := sim.ReplayCfg(s, si, ci)
+		inst, err := sim.Replay(s, si, ci)
 		if err != nil {
 			return agg.st, err
+		}
+		if tl != nil {
+			if mask := tl.MaskAt(i); !mask.IsFull() {
+				agg.st.DegradedInstances++
+				if staticDeadlocked(s, si, mask) {
+					inst.DeadlineMet = false
+					inst.Lateness = s.G.Deadline()
+					inst.Makespan = s.G.Deadline()
+					agg.st.TopologyMisses++
+				}
+			}
 		}
 		if ci.Recorder != nil {
 			ci.Recorder.Record(telemetry.Event{
@@ -1335,60 +1342,6 @@ func RunStaticCfg(s *sched.Schedule, vectors [][]int, cfg sim.Config) (RunStats,
 		agg.add(inst)
 	}
 	return agg.finish(), nil
-}
-
-// RunStaticFailover replays a decision-vector sequence against a fixed
-// schedule while the hardware degrades per the failure timeline — the static
-// baseline of the failover campaign. The static runtime cannot re-map: when
-// the mask at an instance hides a PE hosting one of the scenario's active
-// tasks, or a link carrying one of its transfers, the instance deadlocks.
-// By convention a deadlocked instance counts as a deadline miss with
-// lateness equal to one full deadline (the work never completes; charging
-// exactly one period keeps the lateness totals finite and comparable) and
-// the nominal replay's energy (the dispatch is attempted, then stalls); it
-// also increments TopologyMisses. Instances whose active set happens to
-// avoid the masked hardware execute normally.
-func RunStaticFailover(s *sched.Schedule, vectors [][]int, tl *faults.Timeline, cfg sim.Config) (RunStats, error) {
-	if tl == nil {
-		return RunStaticCfg(s, vectors, cfg)
-	}
-	if tl.NumPEs() != s.P.NumPEs() {
-		return RunStats{}, fmt.Errorf("core: failure timeline sized for %d PEs, platform has %d",
-			tl.NumPEs(), s.P.NumPEs())
-	}
-	deadline := s.G.Deadline()
-	var agg runAgg
-	var degraded, topoMisses int
-	for i, v := range vectors {
-		si, err := s.A.ScenarioForDecisions(v)
-		if err != nil {
-			return agg.st, err
-		}
-		ci := cfg
-		if ci.Faults != nil {
-			ci.FaultInstance = i
-		}
-		ci.InstanceID = i
-		inst, err := sim.ReplayCfg(s, si, ci)
-		if err != nil {
-			return agg.st, err
-		}
-		mask := tl.MaskAt(i)
-		if !mask.IsFull() {
-			degraded++
-			if staticDeadlocked(s, si, mask) {
-				inst.DeadlineMet = false
-				inst.Lateness = deadline
-				inst.Makespan = deadline
-				topoMisses++
-			}
-		}
-		agg.add(inst)
-	}
-	st := agg.finish()
-	st.DegradedInstances = degraded
-	st.TopologyMisses = topoMisses
-	return st, nil
 }
 
 // staticDeadlocked reports whether the scenario's execution under the fixed

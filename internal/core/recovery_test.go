@@ -111,14 +111,16 @@ func TestNewValidatesRecoveryOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	never, err := faults.NewTimeline(faults.FailureSpec{Seed: 9}, p.NumPEs())
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad := []Options{
 		{GuardBand: -0.1},
 		{GuardBand: 1.5},
 		{GuardBand: math.NaN()},
-		{MissRateBound: 2},
-		{MissRateBound: -1},
-		{MissRateBound: math.NaN()},
-		{MissWindow: -5},
+		// A failure timeline needs the recovery machinery to escalate to.
+		{Failures: never},
 	}
 	for i, o := range bad {
 		if _, err := New(g, p, o); err == nil {
@@ -149,7 +151,7 @@ func TestFallbackNeverPollutesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := recoveryPlan(t, g, cfg, faults.Spec{Seed: 9, OverrunProb: 0.6, OverrunFactor: 1.3})
-	m, err := New(g, p, Options{Faults: plan, Recovery: true, MissWindow: 10})
+	m, err := New(g, p, Options{Faults: plan, Recovery: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +213,7 @@ func TestRecoveryReducesMissesAtLowerEnergyThanFullSpeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Full-speed baseline: the precomputed fallback replayed statically.
-	stF, err := RunStaticCfg(guarded.Fallback(), vec, sim.Config{Faults: plan})
+	stF, err := RunStatic(guarded.Fallback(), vec, sim.Config{Faults: plan}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +241,7 @@ func TestCircuitBreakerEscalatesUnderSustainedMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := recoveryPlan(t, g, cfg, faults.Spec{Seed: 3, OverrunProb: 0.8, OverrunFactor: 1.25})
-	m, err := New(g, p, Options{Faults: plan, Recovery: true, MissWindow: 20, MissRateBound: 0.2})
+	m, err := New(g, p, Options{Faults: plan, Recovery: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"ctgdvfs/internal/ctg"
 	"ctgdvfs/internal/platform"
+	"ctgdvfs/internal/sim"
 	"ctgdvfs/internal/telemetry"
 	"ctgdvfs/internal/tgff"
 	"ctgdvfs/internal/trace"
@@ -156,7 +157,7 @@ func TestRunStatsPercentiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sst, err := RunStatic(s, trace.Fluctuating(g, 9, 80, 0.45))
+	sst, err := RunStatic(s, trace.Fluctuating(g, 9, 80, 0.45), sim.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,42 +177,6 @@ type ConsolidationResult struct {
 	Cells  []ConsolidationCell
 }
 
-// ConsolidationCampaign runs the full sweep. rounds ≤ 0 selects
-// DefaultConsolidationRounds.
-func ConsolidationCampaign(rounds int) (*ConsolidationResult, error) {
-	res, _, err := consolidationN(rounds, false, nil, nil, MonitorConfig{})
-	return res, err
-}
-
-// ConsolidationCampaignBudget replays every mix under one absolute budget
-// instead of the P0-relative sweep: the cap and window come from the spec
-// (CLI flags or a -faults-spec power section, already validated), the idle
-// model from the spec when set, otherwise derived from the mix's measured
-// peak as in the default sweep.
-func ConsolidationCampaignBudget(rounds int, b power.Budget) (*ConsolidationResult, error) {
-	res, _, err := consolidationN(rounds, false, &b, nil, MonitorConfig{})
-	return res, err
-}
-
-// ConsolidationCampaignObserved is ConsolidationCampaign with full
-// observability: each cell's governed arm streams its fleet and tenant
-// events into a per-cell recorder and health analyzer (keyed
-// "mix@capfrac"), and every arm publishes into reg (a fresh registry when
-// nil). A non-nil override replaces the sweep as in
-// ConsolidationCampaignBudget.
-func ConsolidationCampaignObserved(rounds int, override *power.Budget, reg *telemetry.Registry) (*ConsolidationResult, *CampaignTelemetry, error) {
-	return consolidationN(rounds, true, override, reg, MonitorConfig{})
-}
-
-// ConsolidationCampaignMonitored is ConsolidationCampaignObserved plus
-// time-series sampling: each cell's governed fleet samples a per-cell series
-// store (keyed like the recorders) on every round boundary and evaluates
-// mc.Rules against the samples. The stores arrive in
-// CampaignTelemetry.Series.
-func ConsolidationCampaignMonitored(rounds int, override *power.Budget, reg *telemetry.Registry, mc MonitorConfig) (*ConsolidationResult, *CampaignTelemetry, error) {
-	return consolidationN(rounds, true, override, reg, mc)
-}
-
 // consolidationCellKey names a cell's telemetry stream. Under an absolute
 // budget override there is one cell per mix and the mix label alone is the
 // key (the cap fraction depends on the measured P0, which is not known when
@@ -224,7 +188,21 @@ func consolidationCellKey(mix string, frac float64, override bool) string {
 	return fmt.Sprintf("%s@%.2f", mix, frac)
 }
 
-func consolidationN(rounds int, observed bool, override *power.Budget, reg *telemetry.Registry, mc MonitorConfig) (*ConsolidationResult, *CampaignTelemetry, error) {
+// ConsolidationCampaign runs the full sweep. rounds ≤ 0 selects
+// DefaultConsolidationRounds.
+//
+// A non-nil override replays every mix under that one absolute budget
+// instead of the P0-relative sweep: the cap and window come from the
+// override (CLI flags or a -faults-spec power section, already validated),
+// the idle model from the override when set, otherwise derived from the
+// mix's measured peak as in the default sweep.
+//
+// A non-nil obs observes the campaign: each cell's governed arm streams its
+// fleet and tenant events into a per-cell recorder, health analyzer and
+// series store (keyed "mix@capfrac", or the mix label under an override),
+// and every arm publishes into the observed registry. The returned
+// telemetry is nil when obs is nil.
+func ConsolidationCampaign(rounds int, override *power.Budget, obs *Observe) (*ConsolidationResult, *CampaignTelemetry, error) {
 	if rounds <= 0 {
 		rounds = DefaultConsolidationRounds
 	}
@@ -238,38 +216,21 @@ func consolidationN(rounds int, observed bool, override *power.Budget, reg *tele
 		fracs = []float64{0} // placeholder: the real fraction is cap/P0 per mix
 	}
 
-	var tel *CampaignTelemetry
-	if observed {
-		if reg == nil {
-			reg = telemetry.NewRegistry()
-		}
-		tel = &CampaignTelemetry{
-			Metrics:   reg,
-			Recorders: make(map[string]*telemetry.MemoryRecorder),
-			Health:    make(map[string]*health.AnalyzerRecorder),
-			Series:    make(map[string]*series.Store),
-		}
-		// Pre-allocate every cell's streams so the parallel sweep only reads
-		// the maps. Each cell gets one recorder for the fleet's budget events
-		// plus one per tenant (two tenants replaying the same rounds into one
-		// stream would collide in the Chrome trace), and one health analyzer
-		// fed by all of them.
+	// Pre-allocate every cell's streams so the parallel sweep only reads the
+	// maps. Each cell gets one stream for the fleet's budget events plus one
+	// recorder per tenant (two tenants replaying the same rounds into one
+	// stream would collide in the Chrome trace), and one health analyzer fed
+	// by all of them.
+	tel := obs.newTelemetry()
+	if tel != nil {
 		for _, m := range mixes {
 			for _, frac := range fracs {
 				key := consolidationCellKey(m.label, frac, override != nil)
-				tel.Recorders[key] = telemetry.NewMemoryRecorder()
+				tel.addStream(key, obs.Rules)
 				tel.Health[key] = health.New(health.Options{})
 				for _, wi := range m.tenants {
 					tel.Recorders[key+"/"+ws[wi].name] = telemetry.NewMemoryRecorder()
 				}
-				// The governed arm samples a per-cell mirror of the shared
-				// registry, keeping the rings deterministic under the
-				// parallel sweep (see CampaignTelemetry.Series).
-				tel.Series[key] = series.NewStore(series.StoreOptions{
-					Registry: telemetry.NewMirrorRegistry(reg),
-					Capacity: mc.SeriesCapacity,
-					Rules:    mc.Rules,
-				})
 			}
 		}
 	}
@@ -283,7 +244,7 @@ func consolidationN(rounds int, observed bool, override *power.Budget, reg *tele
 	}
 	bases, err := par.MapErr(len(mixes), func(i int) (baseline, error) {
 		probe := power.Budget{Cap: 1, Window: ConsolidationWindow}
-		res, err := runConsolidationFleet(ws, mixes[i], rounds, probe, true, nil, nil, nil)
+		res, err := runConsolidationFleet(ws, mixes[i], rounds, probe, true, nil, nil, nil, nil)
 		if err != nil {
 			return baseline{}, fmt.Errorf("exp: %s baseline: %w", mixes[i].label, err)
 		}
@@ -343,13 +304,11 @@ func consolidationN(rounds int, observed bool, override *power.Budget, reg *tele
 			tenantRec = func(name string) telemetry.Recorder {
 				return telemetry.MultiRecorder{tel.Recorders[key+"/"+name], h}
 			}
-			cellReg = tel.Metrics
-			if cellSeries = tel.Series[key]; cellSeries != nil {
-				// The governed arm publishes into the cell's mirror registry
-				// (which forwards to the shared one) so its store samples
-				// only this cell's fleet.
-				cellReg = cellSeries.Registry()
-			}
+			// The governed arm publishes into the cell's mirror registry
+			// (which forwards to the shared one) so its store samples only
+			// this cell's fleet.
+			cellSeries = tel.Series[key]
+			cellReg = cellSeries.Registry()
 		}
 		gov, err := runConsolidationFleet(ws, m, rounds, budget, false, fleetRec, tenantRec, cellReg, cellSeries)
 		if err != nil {
@@ -359,7 +318,7 @@ func consolidationN(rounds int, observed bool, override *power.Budget, reg *tele
 		if tel != nil {
 			ungovReg = tel.Metrics
 		}
-		ungov, err := runConsolidationFleet(ws, m, rounds, budget, true, nil, nil, ungovReg)
+		ungov, err := runConsolidationFleet(ws, m, rounds, budget, true, nil, nil, ungovReg, nil)
 		if err != nil {
 			return cell, fmt.Errorf("exp: %s ungoverned cap %.2f: %w", m.label, budget.Cap, err)
 		}
@@ -375,17 +334,13 @@ func consolidationN(rounds int, observed bool, override *power.Budget, reg *tele
 
 // runConsolidationFleet builds and runs one fleet arm for a mix. tenantRec,
 // when non-nil, yields each tenant's own event recorder (tenant streams must
-// stay separate; they replay the same round numbering). An optional series
-// store (at most one) attaches round-boundary sampling to the fleet; pass
+// stay separate; they replay the same round numbering). A non-nil series
+// store attaches round-boundary sampling to the fleet; pass
 // reg = st.Registry() alongside so the sampled rings see the fleet's writes.
 func runConsolidationFleet(ws []campaignWorkload, m consolidationMix, rounds int,
 	budget power.Budget, ungoverned bool, fleetRec telemetry.Recorder,
 	tenantRec func(name string) telemetry.Recorder, reg *telemetry.Registry,
-	st ...*series.Store) (*core.FleetResult, error) {
-	var fleetSeries *series.Store
-	if len(st) > 0 {
-		fleetSeries = st[0]
-	}
+	st *series.Store) (*core.FleetResult, error) {
 	tenants := make([]core.Tenant, len(m.tenants))
 	vectors := make([][][]int, len(m.tenants))
 	for i, wi := range m.tenants {
@@ -413,7 +368,7 @@ func runConsolidationFleet(ws []campaignWorkload, m consolidationMix, rounds int
 		DeadlineFactor: DeadlineFactor,
 		Recorder:       fleetRec,
 		Metrics:        reg,
-		Series:         fleetSeries,
+		Series:         st,
 	})
 	if err != nil {
 		return nil, err
@@ -461,7 +416,7 @@ func NewConsolidationBenchFleet(ungoverned bool) (*core.Fleet, [][][]int, error)
 	}
 	m := consolidationMixes()[0] // mpeg>cruise
 	probe := power.Budget{Cap: 1, Window: ConsolidationWindow}
-	res, err := runConsolidationFleet(ws, m, 64, probe, true, nil, nil, nil)
+	res, err := runConsolidationFleet(ws, m, 64, probe, true, nil, nil, nil, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -15,7 +15,7 @@ func TestConsolidationCampaignShort(t *testing.T) {
 		t.Skip("full fleet sweep")
 	}
 	rounds := 80
-	res, err := ConsolidationCampaign(rounds)
+	res, _, err := ConsolidationCampaign(rounds, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,14 +70,14 @@ func TestConsolidationCampaignShort(t *testing.T) {
 	}
 }
 
-// TestConsolidationObservedTelemetry checks the observed variant wires one
+// TestConsolidationObservedTelemetry checks the observed campaign wires one
 // recorder and health analyzer per cell and that governed degradation shows
 // up in the power section of the cell's health snapshot.
 func TestConsolidationObservedTelemetry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full fleet sweep")
 	}
-	res, tel, err := ConsolidationCampaignObserved(60, nil, nil)
+	res, tel, err := ConsolidationCampaign(60, nil, &Observe{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"ctgdvfs/internal/apps/cruise"
 	"ctgdvfs/internal/core"
 	"ctgdvfs/internal/par"
+	"ctgdvfs/internal/sim"
 	"ctgdvfs/internal/trace"
 )
 
@@ -68,7 +69,7 @@ func Cruise() (*CruiseResult, error) {
 	// order, matching the serial run exactly.
 	rows, err := par.MapErr(len(seqs), func(i int) (CruiseRow, error) {
 		vec := seqs[i]
-		stStatic, err := core.RunStatic(static, vec)
+		stStatic, err := core.RunStatic(static, vec, sim.Config{}, nil)
 		if err != nil {
 			return CruiseRow{}, err
 		}

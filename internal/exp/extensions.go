@@ -73,7 +73,7 @@ func Sweep(windows []int, thresholds []float64) (*SweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	stStatic, err := core.RunStatic(static, test)
+	stStatic, err := core.RunStatic(static, test, sim.Config{}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -179,11 +179,11 @@ func Overhead() (*OverheadResult, error) {
 	res := &OverheadResult{}
 	for _, ov := range []float64{0, 0.5, 1, 2, 4, 8} {
 		cfg := sim.Config{SwitchTime: ov, SwitchEnergy: ov * 0.2}
-		sum, err := sim.ExhaustiveCfg(s, cfg)
+		sum, err := sim.Exhaustive(s, cfg)
 		if err != nil {
 			return nil, err
 		}
-		fsum, err := sim.ExhaustiveCfg(full, cfg)
+		fsum, err := sim.Exhaustive(full, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -31,7 +31,7 @@ type FailoverCell struct {
 
 	// Static baseline: the same DVFS schedule replayed unchanged; instances
 	// that dispatch onto dead hardware deadlock and are charged one full
-	// deadline of lateness (core.RunStaticFailover).
+	// deadline of lateness (core.RunStatic with the failure timeline).
 	StaticMisses   int
 	StaticEnergy   float64
 	StaticTopoMiss int
@@ -149,7 +149,7 @@ func failoverCampaignN(specs []faults.FailureSpec, maxVec int, scripted bool) (*
 		}
 
 		m, err := core.New(w.g, w.p, core.Options{
-			Window: 20, Threshold: 0.1, Failures: tl,
+			Window: 20, Threshold: 0.1, Recovery: true, Failures: tl,
 		})
 		if err != nil {
 			return FailoverCell{}, err
@@ -161,7 +161,7 @@ func failoverCampaignN(specs []faults.FailureSpec, maxVec int, scripted bool) (*
 		if err != nil {
 			return FailoverCell{}, err
 		}
-		stS, err := core.RunStaticFailover(static, w.vec, tl, sim.Config{})
+		stS, err := core.RunStatic(static, w.vec, sim.Config{}, tl)
 		if err != nil {
 			return FailoverCell{}, err
 		}

@@ -11,7 +11,6 @@ import (
 	"ctgdvfs/internal/health"
 	"ctgdvfs/internal/par"
 	"ctgdvfs/internal/platform"
-	"ctgdvfs/internal/series"
 	"ctgdvfs/internal/sim"
 	"ctgdvfs/internal/telemetry"
 	"ctgdvfs/internal/trace"
@@ -127,71 +126,14 @@ func campaignWorkloads() ([]campaignWorkload, error) {
 // its whole slack on DVFS and pays in misses, and the guarded runtime splits
 // the slack — most of the DVFS saving, a bounded miss rate, and a full-speed
 // fallback for the instances the guard band cannot absorb.
-func FaultCampaign(spec faults.Spec, guard float64) (*FaultCampaignResult, error) {
-	return faultCampaignN(spec, guard, 0, nil, MonitorConfig{})
-}
-
-// CampaignTelemetry carries the observability side of an observed campaign:
-// one event stream per workload (separate recorders, so the parallel
-// workloads never interleave their streams) and one registry every guarded
-// manager publishes into (counters aggregate campaign-wide). Only the
-// guarded+fallback runtime is instrumented — it is the runtime whose behavior
-// (fallback re-runs, breaker trips, guard levels) the trace is for; the
-// baselines would only double every slice.
-type CampaignTelemetry struct {
-	Metrics   *telemetry.Registry
-	Recorders map[string]*telemetry.MemoryRecorder // keyed by workload name
-	// Health holds one streaming analyzer per workload, fanned into the same
-	// event stream as the workload's recorder: drift detection, SLO tracking
-	// and hotspot attribution run live alongside the campaign, and the
-	// per-workload snapshots feed the harness's health summary.
-	Health map[string]*health.AnalyzerRecorder
-	// Series holds one time-series store per workload (or per consolidation
-	// cell), populated only by the Monitored campaign variants. Each store
-	// samples a private mirror of Metrics (telemetry.NewMirrorRegistry), so
-	// sampling is deterministic even though the workloads run in parallel:
-	// every write still forwards into the shared registry for the live
-	// /metrics view, but the per-workload rings see only their own producer.
-	Series map[string]*series.Store
-}
-
-// MonitorConfig configures the Monitored campaign variants: alert rules
-// evaluated per sample and the per-series ring capacity (0 selects
-// series.DefaultCapacity).
-type MonitorConfig struct {
-	Rules          []series.Rule
-	SeriesCapacity int
-}
-
-// FaultCampaignObserved is FaultCampaign with telemetry attached to the
-// guarded runtime of every workload. The returned streams replay into
-// telemetry.ChromeTrace (one AddRun per workload) and the registry snapshot
-// summarizes the whole campaign. Pass a registry to watch the campaign live
-// (e.g. one already served over HTTP); nil allocates a private one.
-func FaultCampaignObserved(spec faults.Spec, guard float64, reg *telemetry.Registry) (*FaultCampaignResult, *CampaignTelemetry, error) {
-	return FaultCampaignMonitored(spec, guard, reg, MonitorConfig{})
-}
-
-// FaultCampaignMonitored is FaultCampaignObserved plus time-series sampling:
-// every workload's guarded runtime samples a per-workload series store on
-// each instance boundary and evaluates mc.Rules against the samples (alert
-// firings land in the workload's event stream with full Seq/Cause
-// provenance). The stores arrive in CampaignTelemetry.Series.
-func FaultCampaignMonitored(spec faults.Spec, guard float64, reg *telemetry.Registry, mc MonitorConfig) (*FaultCampaignResult, *CampaignTelemetry, error) {
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	tel := &CampaignTelemetry{
-		Metrics:   reg,
-		Recorders: make(map[string]*telemetry.MemoryRecorder),
-		Health:    make(map[string]*health.AnalyzerRecorder),
-		Series:    make(map[string]*series.Store),
-	}
-	res, err := faultCampaignN(spec, guard, 0, tel, mc)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, tel, nil
+//
+// A non-nil obs instruments the guarded runtime of every workload — the
+// runtime whose behavior (fallback re-runs, breaker trips, guard levels) the
+// trace is for; the baselines would only double every slice. Each workload
+// gets its own stream (recorder, health analyzer and series store, keyed by
+// workload name) in the returned telemetry, which is nil when obs is nil.
+func FaultCampaign(spec faults.Spec, guard float64, obs *Observe) (*FaultCampaignResult, *CampaignTelemetry, error) {
+	return faultCampaignN(spec, guard, 0, obs)
 }
 
 // faultCampaignN is FaultCampaign with the measured sequences truncated to
@@ -199,10 +141,10 @@ func FaultCampaignMonitored(spec faults.Spec, guard float64, reg *telemetry.Regi
 // prefix so the campaign stays affordable under the race detector; the
 // truncation changes nothing but the sample size (instance i keeps fault
 // instance i).
-func faultCampaignN(spec faults.Spec, guard float64, maxVec int, tel *CampaignTelemetry, mc MonitorConfig) (*FaultCampaignResult, error) {
+func faultCampaignN(spec faults.Spec, guard float64, maxVec int, obs *Observe) (*FaultCampaignResult, *CampaignTelemetry, error) {
 	workloads, err := campaignWorkloads()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if maxVec > 0 {
 		for i := range workloads {
@@ -211,32 +153,19 @@ func faultCampaignN(spec faults.Spec, guard float64, maxVec int, tel *CampaignTe
 			}
 		}
 	}
-	// Recorders and analyzers are allocated before the fan-out so the maps
-	// are read-only inside the workers.
+	// Streams are allocated before the fan-out so the maps are read-only
+	// inside the workers.
+	tel := obs.newTelemetry()
 	if tel != nil {
 		for _, w := range workloads {
-			rec := telemetry.NewMemoryRecorder()
-			tel.Recorders[w.name] = rec
-			if tel.Health != nil {
-				// Alerts interleave into the workload's own stream; metrics
-				// share the campaign registry (adaptive.health.* aggregates
-				// across workloads, like the adaptive.* counters do).
-				tel.Health[w.name] = health.New(health.Options{
-					Alerts:  rec,
-					Metrics: tel.Metrics,
-				})
-			}
-			if tel.Series != nil {
-				// Each workload samples its own mirror of the campaign
-				// registry — the mirror forwards every write to the shared
-				// parent, so the aggregate /metrics view is unchanged while
-				// the sampled rings stay deterministic under the fan-out.
-				tel.Series[w.name] = series.NewStore(series.StoreOptions{
-					Registry: telemetry.NewMirrorRegistry(tel.Metrics),
-					Capacity: mc.SeriesCapacity,
-					Rules:    mc.Rules,
-				})
-			}
+			rec := tel.addStream(w.name, obs.Rules)
+			// Alerts interleave into the workload's own stream; metrics
+			// share the campaign registry (adaptive.health.* aggregates
+			// across workloads, like the adaptive.* counters do).
+			tel.Health[w.name] = health.New(health.Options{
+				Alerts:  rec,
+				Metrics: tel.Metrics,
+			})
 		}
 	}
 	// The workloads are independent end-to-end runs, so they fan out over
@@ -264,17 +193,12 @@ func faultCampaignN(spec faults.Spec, guard float64, maxVec int, tel *CampaignTe
 			GuardBand: guard, Recovery: true,
 		}
 		if tel != nil {
-			gopts.Recorder = tel.Recorders[w.name]
-			if h := tel.Health[w.name]; h != nil {
-				gopts.Recorder = telemetry.MultiRecorder{tel.Recorders[w.name], h}
-			}
-			gopts.Metrics = tel.Metrics
-			if st := tel.Series[w.name]; st != nil {
-				// The manager publishes into the workload's mirror registry
-				// (which forwards to the shared one) and ticks its store.
-				gopts.Metrics = st.Registry()
-				gopts.Series = st
-			}
+			// The manager publishes into the workload's mirror registry
+			// (which forwards to the shared one) and ticks its store.
+			st := tel.Series[w.name]
+			gopts.Recorder = telemetry.MultiRecorder{tel.Recorders[w.name], tel.Health[w.name]}
+			gopts.Metrics = st.Registry()
+			gopts.Series = st
 		}
 		guarded, err := core.New(w.g, w.p, gopts)
 		if err != nil {
@@ -288,7 +212,7 @@ func faultCampaignN(spec faults.Spec, guard float64, maxVec int, tel *CampaignTe
 		// Always-full-speed baseline: the guarded manager's precomputed
 		// worst-case fallback schedule, replayed statically under the same
 		// plan (vector i is fault instance i in every runtime).
-		stF, err := core.RunStaticCfg(guarded.Fallback(), w.vec, sim.Config{Faults: plan})
+		stF, err := core.RunStatic(guarded.Fallback(), w.vec, sim.Config{Faults: plan}, nil)
 		if err != nil {
 			return CampaignRow{}, err
 		}
@@ -310,9 +234,9 @@ func faultCampaignN(spec faults.Spec, guard float64, maxVec int, tel *CampaignTe
 		}, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &FaultCampaignResult{Spec: spec, Guard: guard, Rows: rows}, nil
+	return &FaultCampaignResult{Spec: spec, Guard: guard, Rows: rows}, tel, nil
 }
 
 // Render formats the miss-rate-vs-energy tradeoff, energies normalized to

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"ctgdvfs/internal/health"
 	"ctgdvfs/internal/par"
 	"ctgdvfs/internal/telemetry"
 )
@@ -24,7 +23,7 @@ func TestFaultCampaignAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault campaign replays hundreds of faulty instances per runtime")
 	}
-	r, err := faultCampaignN(DefaultCampaignSpec(), DefaultCampaignGuard, campaignTestVectors, nil, MonitorConfig{})
+	r, _, err := faultCampaignN(DefaultCampaignSpec(), DefaultCampaignGuard, campaignTestVectors, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,17 +71,12 @@ func TestFaultCampaignObservedHealth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault campaign replays hundreds of faulty instances per runtime")
 	}
-	plain, err := faultCampaignN(DefaultCampaignSpec(), DefaultCampaignGuard, campaignTestVectors, nil, MonitorConfig{})
+	plain, _, err := faultCampaignN(DefaultCampaignSpec(), DefaultCampaignGuard, campaignTestVectors, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	tel := &CampaignTelemetry{
-		Metrics:   reg,
-		Recorders: make(map[string]*telemetry.MemoryRecorder),
-		Health:    make(map[string]*health.AnalyzerRecorder),
-	}
-	observed, err := faultCampaignN(DefaultCampaignSpec(), DefaultCampaignGuard, campaignTestVectors, tel, MonitorConfig{})
+	observed, tel, err := faultCampaignN(DefaultCampaignSpec(), DefaultCampaignGuard, campaignTestVectors, &Observe{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +128,7 @@ func TestFaultCampaignDeterministicAcrossWorkerBounds(t *testing.T) {
 	var base *FaultCampaignResult
 	for _, workers := range []int{1, 4} {
 		prev := par.SetLimit(workers)
-		r, err := faultCampaignN(DefaultCampaignSpec(), DefaultCampaignGuard, campaignTestVectors, nil, MonitorConfig{})
+		r, _, err := faultCampaignN(DefaultCampaignSpec(), DefaultCampaignGuard, campaignTestVectors, nil)
 		par.SetLimit(prev)
 		if err != nil {
 			t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"ctgdvfs/internal/core"
 	"ctgdvfs/internal/par"
 	"ctgdvfs/internal/platform"
+	"ctgdvfs/internal/sim"
 	"ctgdvfs/internal/trace"
 )
 
@@ -130,7 +131,7 @@ func MPEG() (*MPEGResult, error) {
 		if err != nil {
 			return MovieRow{}, err
 		}
-		stOnline, err := core.RunStatic(static, test)
+		stOnline, err := core.RunStatic(static, test, sim.Config{}, nil)
 		if err != nil {
 			return MovieRow{}, err
 		}

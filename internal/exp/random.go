@@ -6,6 +6,7 @@ import (
 	"ctgdvfs/internal/core"
 	"ctgdvfs/internal/ctg"
 	"ctgdvfs/internal/par"
+	"ctgdvfs/internal/sim"
 	"ctgdvfs/internal/tgff"
 	"ctgdvfs/internal/trace"
 )
@@ -120,7 +121,7 @@ func RandomCTGs(bias Bias) (*RandomResult, error) {
 		if err != nil {
 			return RandomRow{}, err
 		}
-		stOnline, err := core.RunStatic(static, vec)
+		stOnline, err := core.RunStatic(static, vec, sim.Config{}, nil)
 		if err != nil {
 			return RandomRow{}, err
 		}

@@ -5,6 +5,7 @@ import (
 
 	"ctgdvfs/internal/core"
 	"ctgdvfs/internal/ctg"
+	"ctgdvfs/internal/sim"
 	"ctgdvfs/internal/stats"
 	"ctgdvfs/internal/tgff"
 	"ctgdvfs/internal/trace"
@@ -98,7 +99,7 @@ func runRandomTrial(bias Bias, seedShift int64) (trialOutcome, error) {
 		if err != nil {
 			return out, err
 		}
-		stOnline, err := core.RunStatic(static, vec)
+		stOnline, err := core.RunStatic(static, vec, sim.Config{}, nil)
 		if err != nil {
 			return out, err
 		}

@@ -17,22 +17,16 @@ func TestFaultCampaignMonitoredAlerts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault campaign replays hundreds of faulty instances per runtime")
 	}
-	plain, err := faultCampaignN(DefaultCampaignSpec(), DefaultCampaignGuard, campaignTestVectors, nil, MonitorConfig{})
+	plain, _, err := faultCampaignN(DefaultCampaignSpec(), DefaultCampaignGuard, campaignTestVectors, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clear := 0.08
-	mc := MonitorConfig{Rules: []series.Rule{
+	reg := telemetry.NewRegistry()
+	obs := &Observe{Metrics: reg, Rules: []series.Rule{
 		{Name: "miss-rate-high", Metric: "adaptive.miss_rate_window", Value: 0.11, Clear: &clear},
 	}}
-	reg := telemetry.NewRegistry()
-	tel := &CampaignTelemetry{
-		Metrics:   reg,
-		Recorders: make(map[string]*telemetry.MemoryRecorder),
-		Health:    make(map[string]*health.AnalyzerRecorder),
-		Series:    make(map[string]*series.Store),
-	}
-	observed, err := faultCampaignN(DefaultCampaignSpec(), DefaultCampaignGuard, campaignTestVectors, tel, mc)
+	observed, tel, err := faultCampaignN(DefaultCampaignSpec(), DefaultCampaignGuard, campaignTestVectors, obs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,11 +91,11 @@ func TestStrictOrDepsWaitForDecidingFork(t *testing.T) {
 	if scenario < 0 {
 		t.Fatal("no scenario with inactive tau4")
 	}
-	loose, err := ReplayCfg(s, scenario, Config{})
+	loose, err := Replay(s, scenario, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := ReplayCfg(s, scenario, Config{StrictOrDeps: true})
+	strict, err := Replay(s, scenario, Config{StrictOrDeps: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +116,11 @@ func TestStrictOrDepsWaitForDecidingFork(t *testing.T) {
 			break
 		}
 	}
-	l1, err := ReplayCfg(s, a1, Config{})
+	l1, err := Replay(s, a1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := ReplayCfg(s, a1, Config{StrictOrDeps: true})
+	s1, err := Replay(s, a1, Config{StrictOrDeps: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestStrictOrDepsStillMeetDeadlines(t *testing.T) {
 		if _, err := stretch.Heuristic(s, platform.Continuous(), stretch.Options{}); err != nil {
 			t.Fatal(err)
 		}
-		sum, err := ExhaustiveCfg(s, Config{StrictOrDeps: true})
+		sum, err := Exhaustive(s, Config{StrictOrDeps: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestSwitchOverheadAccounting(t *testing.T) {
 	s.Speed[0], s.Speed[1], s.Speed[2] = 1, 0.5, 1
 
 	cfg := Config{SwitchTime: 2, SwitchEnergy: 0.5}
-	inst, err := ReplayCfg(s, 0, cfg)
+	inst, err := Replay(s, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestSwitchOverheadAccounting(t *testing.T) {
 
 	// Uniform speeds: no switch cost.
 	s.Speed[1] = 1
-	inst, err = ReplayCfg(s, 0, cfg)
+	inst, err = Replay(s, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

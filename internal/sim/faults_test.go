@@ -63,11 +63,11 @@ func TestNilFaultsIsBitForBitNominal(t *testing.T) {
 	s := faultWorkload(t, 11)
 	zero := faultPlan(t, s, faults.Spec{Seed: 1})
 	for si := 0; si < s.A.NumScenarios(); si++ {
-		base, err := Replay(s, si)
+		base, err := Replay(s, si, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		withZero, err := ReplayCfg(s, si, Config{Faults: zero, FaultInstance: 3})
+		withZero, err := Replay(s, si, Config{Faults: zero, FaultInstance: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestFaultyReplayReportsPerturbation(t *testing.T) {
 	plan := faultPlan(t, s, faults.Spec{Seed: 42, OverrunProb: 0.5, OverrunFactor: 1.5})
 	sawOverrun := false
 	for si := 0; si < s.A.NumScenarios(); si++ {
-		inst, err := ReplayCfg(s, si, Config{Faults: plan, FaultInstance: si})
+		inst, err := Replay(s, si, Config{Faults: plan, FaultInstance: si})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestExhaustiveFaultsDeterministicAcrossWorkerBounds(t *testing.T) {
 	var ref Summary
 	for i, workers := range []int{1, 2, 4, 16} {
 		prev := par.SetLimit(workers)
-		sum, err := ExhaustiveCfg(s, cfg)
+		sum, err := Exhaustive(s, cfg)
 		par.SetLimit(prev)
 		if err != nil {
 			t.Fatal(err)
@@ -161,7 +161,7 @@ func TestMaxFactorBoundsSlip(t *testing.T) {
 	bound := plan.MaxFactor()
 	for si := 0; si < s.A.NumScenarios(); si++ {
 		for instIdx := 0; instIdx < 10; instIdx++ {
-			inst, err := ReplayCfg(s, si, Config{Faults: plan, FaultInstance: instIdx})
+			inst, err := Replay(s, si, Config{Faults: plan, FaultInstance: instIdx})
 			if err != nil {
 				t.Fatal(err)
 			}

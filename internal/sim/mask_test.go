@@ -36,7 +36,7 @@ func TestReplayRefusesMaskedHardware(t *testing.T) {
 	s.CommStart[0] = s.Start[0] + p.WCET(0, 0)
 	s.LinkOrder = map[[2]int][]int{{0, 1}: {0}}
 	s.Order = []ctg.TaskID{0, 1}
-	if _, err := Replay(s, 0); err != nil {
+	if _, err := Replay(s, 0, Config{}); err != nil {
 		t.Fatalf("healthy replay failed: %v", err)
 	}
 
@@ -48,7 +48,7 @@ func TestReplayRefusesMaskedHardware(t *testing.T) {
 	}
 	masked := *s
 	masked.P = rp
-	if _, err := Replay(&masked, 0); err == nil || !strings.Contains(err.Error(), "dead PE") {
+	if _, err := Replay(&masked, 0, Config{}); err == nil || !strings.Contains(err.Error(), "dead PE") {
 		t.Fatalf("replay on dead PE: err = %v, want dead-PE refusal", err)
 	}
 
@@ -60,7 +60,7 @@ func TestReplayRefusesMaskedHardware(t *testing.T) {
 	}
 	linkMasked := *s
 	linkMasked.P = rl
-	if _, err := Replay(&linkMasked, 0); err == nil || !strings.Contains(err.Error(), "down link") {
+	if _, err := Replay(&linkMasked, 0, Config{}); err == nil || !strings.Contains(err.Error(), "down link") {
 		t.Fatalf("replay over down link: err = %v, want down-link refusal", err)
 	}
 }

@@ -38,7 +38,7 @@ func TestExhaustiveParallelMatchesSerial(t *testing.T) {
 		}
 
 		prev := par.SetLimit(1)
-		serial, err := Exhaustive(s)
+		serial, err := Exhaustive(s, Config{})
 		if err != nil {
 			par.SetLimit(prev)
 			t.Fatal(err)
@@ -46,7 +46,7 @@ func TestExhaustiveParallelMatchesSerial(t *testing.T) {
 		// More workers than the container may have cores, so the concurrent
 		// path runs even on a single-CPU host.
 		par.SetLimit(4)
-		parallel, err := Exhaustive(s)
+		parallel, err := Exhaustive(s, Config{})
 		par.SetLimit(prev)
 		if err != nil {
 			t.Fatal(err)

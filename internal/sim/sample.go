@@ -44,7 +44,7 @@ func Sample(s *sched.Schedule, rng *rand.Rand, n int, cfg Config) (Summary, erro
 			// Each sample is one CTG iteration of the fault sequence.
 			ci.FaultInstance = i
 		}
-		inst, err := ReplayCfg(s, si, ci)
+		inst, err := Replay(s, si, ci)
 		if err != nil {
 			return Summary{}, err
 		}

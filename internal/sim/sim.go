@@ -67,15 +67,10 @@ type Instance struct {
 	MaxTaskLateness float64
 }
 
-// Replay executes the schedule under the given leaf scenario with the
-// paper's default runtime model (see Config).
-func Replay(s *sched.Schedule, scenario int) (Instance, error) {
-	return ReplayCfg(s, scenario, Config{})
-}
-
-// ReplayCfg executes the schedule under the given leaf scenario with
-// optional runtime-fidelity features enabled.
-func ReplayCfg(s *sched.Schedule, scenario int, cfg Config) (Instance, error) {
+// Replay executes the schedule under the given leaf scenario. The zero
+// Config is the paper's runtime model; its fields enable the optional
+// runtime-fidelity features (see Config).
+func Replay(s *sched.Schedule, scenario int, cfg Config) (Instance, error) {
 	if scenario < 0 || scenario >= s.A.NumScenarios() {
 		return Instance{}, fmt.Errorf("sim: scenario %d out of range", scenario)
 	}
@@ -312,7 +307,7 @@ func ReplayDecisions(s *sched.Schedule, decisions []int) (Instance, error) {
 	if err != nil {
 		return Instance{}, err
 	}
-	return Replay(s, si)
+	return Replay(s, si, Config{})
 }
 
 // Summary aggregates replays over all scenarios of a schedule.
@@ -339,16 +334,11 @@ type Summary struct {
 	Overruns int
 }
 
-// Exhaustive replays every leaf scenario and aggregates by probability.
-func Exhaustive(s *sched.Schedule) (Summary, error) {
-	return ExhaustiveCfg(s, Config{})
-}
-
-// ExhaustiveCfg is Exhaustive with runtime-fidelity options. Scenario
-// replays are independent, so they fan out over the worker pool; the
-// aggregation then runs serially in scenario order, which makes the sums
-// bit-for-bit identical to a serial loop.
-func ExhaustiveCfg(s *sched.Schedule, cfg Config) (Summary, error) {
+// Exhaustive replays every leaf scenario under cfg and aggregates by
+// probability. Scenario replays are independent, so they fan out over the
+// worker pool; the aggregation then runs serially in scenario order, which
+// makes the sums bit-for-bit identical to a serial loop.
+func Exhaustive(s *sched.Schedule, cfg Config) (Summary, error) {
 	insts, err := par.MapErr(s.A.NumScenarios(), func(si int) (Instance, error) {
 		ci := cfg
 		if ci.Faults != nil {
@@ -356,7 +346,7 @@ func ExhaustiveCfg(s *sched.Schedule, cfg Config) (Summary, error) {
 			// the exhaustive sweep exercises the plan's variation.
 			ci.FaultInstance = si
 		}
-		return ReplayCfg(s, si, ci)
+		return Replay(s, si, ci)
 	})
 	if err != nil {
 		return Summary{}, err

@@ -58,7 +58,7 @@ func forkSchedule(t *testing.T) *sched.Schedule {
 func TestReplaySkipsInactiveArm(t *testing.T) {
 	s := forkSchedule(t)
 	for si := 0; si < s.A.NumScenarios(); si++ {
-		inst, err := Replay(s, si)
+		inst, err := Replay(s, si, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestReplayDecisions(t *testing.T) {
 	if _, err := ReplayDecisions(s, []int{0, 0}); err == nil {
 		t.Fatal("want error for wrong decision vector length")
 	}
-	if _, err := Replay(s, 99); err == nil {
+	if _, err := Replay(s, 99, Config{}); err == nil {
 		t.Fatal("want error for out-of-range scenario")
 	}
 }
@@ -129,7 +129,7 @@ func TestReplayCommunicationTiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := Replay(s, 0)
+	inst, err := Replay(s, 0, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestReplayRespectsSpeeds(t *testing.T) {
 	s := forkSchedule(t)
 	// Slow down the join task only.
 	s.Speed[3] = 0.5
-	inst, err := Replay(s, 0)
+	inst, err := Replay(s, 0, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestExhaustiveMatchesExpectedEnergy(t *testing.T) {
 		if _, err := stretch.Heuristic(s, platform.Continuous(), stretch.Options{}); err != nil {
 			t.Fatal(err)
 		}
-		sum, err := Exhaustive(s)
+		sum, err := Exhaustive(s, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func TestStretchedSchedulesMeetDeadlineInEveryScenario(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, name, err)
 			}
-			sum, err := Exhaustive(s)
+			sum, err := Exhaustive(s, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -298,7 +298,7 @@ func TestSampleConvergesToExhaustive(t *testing.T) {
 	if _, err := stretch.Heuristic(s, platform.Continuous(), stretch.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	exact, err := Exhaustive(s)
+	exact, err := Exhaustive(s, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func TestPerScenarioMeetsDeadlinesInReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := sim.ExhaustiveCfg(s, sim.Config{ScenarioSpeeds: sp.Speeds})
+		sum, err := sim.Exhaustive(s, sim.Config{ScenarioSpeeds: sp.Speeds})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,12 @@
 #!/bin/sh
 # verify.sh — the repo's full verification pipeline:
-#   vet, build, the full test suite, tests again under the race detector in
-#   short mode (the heavy exp replays honor -short; the race pass is about
-#   concurrency bugs, not numerics), per-package coverage floors for the
-#   adaptive manager and the fault layer, a one-iteration smoke run of every
-#   benchmark (catches bit-rot in the bench harness without paying for real
-#   measurement), a short parser fuzzing session, a fault-campaign and a
+#   a gofmt check (fails when any file needs formatting), vet, build, the
+#   full test suite, tests again under the race detector in short mode (the
+#   heavy exp replays honor -short; the race pass is about concurrency bugs,
+#   not numerics), per-package coverage floors (the adaptive manager, the
+#   fault, power, telemetry and health layers, and the scheduling daemon), a
+#   one-iteration smoke run of every benchmark (catches bit-rot in the bench
+#   harness without paying for real measurement), a short parser fuzzing session, a fault-campaign and a
 #   failover-campaign run of the fault-tolerance layer, a bounded run of the
 #   consolidation campaign (power-budget governor vs ungoverned baseline), a
 #   bounded run of the large-scale warm-start tier (one 10^3-task cell), an
@@ -30,6 +31,14 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "== gofmt =="
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "== go vet =="
 go vet ./...
@@ -60,7 +69,7 @@ echo "== benchmark module (perfbench: vet + test) =="
 echo "== go test -race -short =="
 go test -race -short -timeout 30m ./...
 
-echo "== coverage floors (core, faults, power, telemetry, health) =="
+echo "== coverage floors (core, faults, power, telemetry, health, serve) =="
 sh scripts/cover.sh
 
 echo "== bench smoke (1 iteration each) =="
