@@ -1,13 +1,22 @@
 package exp
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"ctgdvfs/internal/par"
 	"ctgdvfs/internal/telemetry"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // campaignTestVectors truncates the measured sequences so the acceptance
 // tests stay affordable under the race detector; the qualitative contrast is
@@ -66,7 +75,10 @@ func TestFaultCampaignAcceptance(t *testing.T) {
 
 // TestFaultCampaignObservedHealth checks the observed campaign carries one
 // live health analyzer per workload, fanned into the same stream as the
-// recorder, and that attaching it changes no campaign number.
+// recorder, and that attaching it changes no campaign number. It also pins
+// the campaign's behaviour contract: the rendered table and one SHA-256 per
+// event stream must match testdata/faultcampaign.golden (go test -update
+// rewrites it).
 func TestFaultCampaignObservedHealth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault campaign replays hundreds of faulty instances per runtime")
@@ -116,6 +128,55 @@ func TestFaultCampaignObservedHealth(t *testing.T) {
 	if reg.Snapshot().Counters["adaptive.instances"] == 0 {
 		t.Error("campaign registry saw no instances")
 	}
+	checkGolden(t, "faultcampaign.golden", observed.Render()+streamDigests(t, tel))
+}
+
+// streamDigests lists one SHA-256 per event stream, in stream-name order,
+// over the stream's JSONL encoding with pipeline_span values masked (they
+// are wall-clock durations).
+func streamDigests(t *testing.T, tel *CampaignTelemetry) string {
+	t.Helper()
+	names := make([]string, 0, len(tel.Recorders))
+	for name := range tel.Recorders {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, name := range names {
+		evs := tel.Recorders[name].Events()
+		zeroSpans(evs)
+		h := sha256.New()
+		enc := json.NewEncoder(h)
+		for _, e := range evs {
+			if err := enc.Encode(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fmt.Fprintf(&b, "stream %s: %d events, sha256 %x\n", name, len(evs), h.Sum(nil))
+	}
+	return b.String()
+}
+
+// checkGolden compares got against testdata/name, rewriting it under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run go test -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s changed (go test -update rewrites it):\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
 }
 
 // TestFaultCampaignDeterministicAcrossWorkerBounds re-runs the campaign at
@@ -139,6 +200,16 @@ func TestFaultCampaignDeterministicAcrossWorkerBounds(t *testing.T) {
 		}
 		if !reflect.DeepEqual(base.Rows, r.Rows) {
 			t.Fatalf("workers=%d diverged:\n%+v\n%+v", workers, base.Rows, r.Rows)
+		}
+	}
+}
+
+// zeroSpans clears pipeline_span values: they are wall-clock durations,
+// nondeterministic even between two identical runs.
+func zeroSpans(evs []telemetry.Event) {
+	for i := range evs {
+		if evs[i].Kind == telemetry.KindSpan {
+			evs[i].Value = 0
 		}
 	}
 }

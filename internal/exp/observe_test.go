@@ -86,13 +86,3 @@ func TestMergedCampaignTelemetry(t *testing.T) {
 		t.Error("merging sets with different registries was accepted")
 	}
 }
-
-// zeroSpans clears pipeline_span values: they are wall-clock durations,
-// nondeterministic even between two identical runs.
-func zeroSpans(evs []telemetry.Event) {
-	for i := range evs {
-		if evs[i].Kind == telemetry.KindSpan {
-			evs[i].Value = 0
-		}
-	}
-}
