@@ -1,6 +1,6 @@
 # Standard entry points; `make verify` is the gate a change must pass.
 
-.PHONY: build test race cover bench fuzz-smoke fault-smoke failover-smoke consolidation-smoke scale-smoke telemetry-smoke analyze-smoke explain-smoke watch-smoke chaos-smoke daemon-smoke perfbench-check verify
+.PHONY: build test race cover bench fuzz-smoke fault-smoke failover-smoke scale-smoke telemetry-smoke analyze-smoke explain-smoke watch-smoke chaos-smoke daemon-smoke perfbench-check verify
 
 build:
 	go build ./...
@@ -33,11 +33,6 @@ fault-smoke:
 # outages, on the mpeg/wlan/cruise workloads.
 failover-smoke:
 	go run ./cmd/experiments -exp failover
-
-# Consolidation campaign: multiple applications on one shared fabric under a
-# chip power cap — budget governor vs ungoverned baseline (bounded rounds).
-consolidation-smoke:
-	go run ./cmd/experiments -exp consolidation -consolidation-rounds 80
 
 # Bounded run of the scaling campaign (one 10^3-task cell, warm vs full).
 scale-smoke:

@@ -176,10 +176,6 @@ const (
 	KindLinkDown       = telemetry.KindLinkDown
 	KindLinkUp         = telemetry.KindLinkUp
 	KindRemap          = telemetry.KindRemap
-	KindBudgetExceeded = telemetry.KindBudgetExceeded
-	KindPERevoked      = telemetry.KindPERevoked
-	KindTenantDegraded = telemetry.KindTenantDegraded
-	KindTenantRestored = telemetry.KindTenantRestored
 	KindSpan           = telemetry.KindSpan
 	KindAlertFiring    = telemetry.KindAlertFiring
 	KindAlertResolved  = telemetry.KindAlertResolved
@@ -209,7 +205,7 @@ func NewFlightRecorder(opts FlightRecorderOptions) *FlightRecorder {
 
 // NewSequencer returns a sequencer whose first id is 1. Install it via
 // AdaptiveOptions.Sequencer to stamp Seq/Cause provenance ids on the event
-// stream; FleetOptions-built runtimes share one automatically.
+// stream.
 func NewSequencer() *Sequencer { return telemetry.NewSequencer() }
 
 // NewMirrorRegistry returns a registry whose handles forward every write to
@@ -221,8 +217,8 @@ func NewMirrorRegistry(parent *MetricsRegistry) *MetricsRegistry {
 }
 
 // Time-series monitoring (package internal/series): a ring-buffer store that
-// samples a metrics registry on deterministic sim-time boundaries (instance
-// or fleet-round index, never wall clock), evaluates threshold/rate/absence
+// samples a metrics registry on deterministic sim-time boundaries (the
+// instance index, never wall clock), evaluates threshold/rate/absence
 // alerting rules against the sampled rings, and renders sparkline watch
 // views. Attach a store via AdaptiveOptions.Series (the runtime ticks it once
 // per instance); a nil store keeps the run bit-for-bit identical.
@@ -430,13 +426,6 @@ func PlainDLS() SchedOptions { return sched.Plain() }
 // assign DVFS speeds.
 func Schedule(a *Analysis, p *Platform, opts SchedOptions) (*PlanResult, error) {
 	return sched.DLS(a, p, opts)
-}
-
-// ScheduleHEFT maps and orders with the Heterogeneous Earliest Finish Time
-// heuristic (mutual-exclusion aware) — the literature's standard baseline,
-// not part of the paper.
-func ScheduleHEFT(a *Analysis, p *Platform) (*PlanResult, error) {
-	return sched.HEFT(a, p)
 }
 
 // Stretch runs the paper's online task-stretching heuristic on a schedule,

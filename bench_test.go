@@ -436,44 +436,6 @@ func BenchmarkPerScenarioDVFS(b *testing.B) {
 	b.ReportMetric(100*r.AvgSaving, "savings-over-single-speed-pct")
 }
 
-// BenchmarkHEFT measures the HEFT baseline scheduler on the standard
-// 25-task workload, for comparison with BenchmarkDLS.
-func BenchmarkHEFT(b *testing.B) {
-	_, p, a := benchWorkload(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ctgdvfs.ScheduleHEFT(a, p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationDLSvsHEFT compares the two mappers' stretched expected
-// energy on the standard workload.
-func BenchmarkAblationDLSvsHEFT(b *testing.B) {
-	_, p, a := benchWorkload(b)
-	var dls, heft float64
-	for i := 0; i < b.N; i++ {
-		s1, err := ctgdvfs.Schedule(a, p, ctgdvfs.ModifiedDLS())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ctgdvfs.Stretch(s1, ctgdvfs.ContinuousDVFS(), 0); err != nil {
-			b.Fatal(err)
-		}
-		s2, err := ctgdvfs.ScheduleHEFT(a, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ctgdvfs.Stretch(s2, ctgdvfs.ContinuousDVFS(), 0); err != nil {
-			b.Fatal(err)
-		}
-		dls, heft = s1.ExpectedEnergy(), s2.ExpectedEnergy()
-	}
-	b.ReportMetric(dls, "energy-DLS")
-	b.ReportMetric(heft, "energy-HEFT")
-}
-
 // --- Parallel scenario engine: serial vs parallel ---
 //
 // These four benchmarks measure the same two hot stages with the worker
@@ -708,52 +670,6 @@ func BenchmarkScaleRescheduleWarm1k(b *testing.B) {
 		}
 	}
 }
-
-// --- Consolidation fleet ---
-//
-// The fleet tier measures one consolidated round — every tenant's adaptive
-// step plus the chip-power accounting — on the two-tenant mpeg>cruise mix
-// over the shared 8-PE fabric, with the cap at 85% of the mix's measured
-// ungoverned peak. The Ungoverned/Governed pair is the cost of budget
-// governance: the ungoverned arm only meters the cap, the governed
-// arm runs the full degradation ladder (its setup predicts every rung's
-// power, and the tight cap keeps the governor escalating and restoring in
-// steady state).
-
-func benchFleetStep(b *testing.B, ungoverned bool) {
-	f, vectors, err := exp.NewConsolidationBenchFleet(ungoverned)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := len(vectors[0])
-	for _, vs := range vectors {
-		if len(vs) < n {
-			n = len(vs)
-		}
-	}
-	step := make([][]int, len(vectors))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for t := range vectors {
-			step[t] = vectors[t][i%n]
-		}
-		if err := f.Step(step); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if p := f.Result().Power; p != nil {
-		b.ReportMetric(float64(p.MaxLevel), "max-level")
-		b.ReportMetric(float64(p.WindowsOverCap)/float64(b.N), "over-windows/op")
-	}
-}
-
-// BenchmarkFleetStepUngoverned is the consolidated round with metering only.
-func BenchmarkFleetStepUngoverned(b *testing.B) { benchFleetStep(b, true) }
-
-// BenchmarkFleetStepGoverned runs the full budget governor under a cap the
-// undegraded mix cannot hold.
-func BenchmarkFleetStepGoverned(b *testing.B) { benchFleetStep(b, false) }
 
 // --- Monitoring ---
 

@@ -21,16 +21,17 @@ import (
 //	ctgsched explain -list events.jsonl           # menu of decisions
 //	ctgsched explain -seq 1845 events.jsonl       # one decision by id
 //	ctgsched explain -kind reschedule -instance 412 events.jsonl
-//	ctgsched explain -kind tenant_degraded -tenant video flight-dump.jsonl
+//	ctgsched explain -kind alert_firing events.jsonl
+//	ctgsched explain -kind tenant_restart -tenant video video.events.jsonl
 //
 // Without -seq, the kind/instance/tenant filters select the LAST matching
 // decision — "why did the most recent fallback fire" is the common question.
 func runExplain(args []string) {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
 	seq := fs.Uint64("seq", 0, "explain the decision with this exact seq id")
-	instance := fs.Int("instance", -1, "filter decisions to this instance / fleet round")
-	kind := fs.String("kind", "", "filter decisions to this event kind (e.g. reschedule, fallback, tenant_degraded)")
-	tenant := fs.String("tenant", "", "fleet streams: filter decisions to this tenant name")
+	instance := fs.Int("instance", -1, "filter decisions to this instance")
+	kind := fs.String("kind", "", "filter decisions to this event kind (e.g. reschedule, fallback, alert_firing)")
+	tenant := fs.String("tenant", "", "serve tenant streams: filter decisions to events naming this tenant (tenant_panic, tenant_restart, checkpoint, restore)")
 	list := fs.Bool("list", false, "list the stream's explainable decisions and exit")
 	run := fs.String("run", "", "Chrome traces: process (run name) to load; note traces carry no seq ids")
 	fs.Usage = func() {

@@ -20,10 +20,10 @@
 //	ctgsched explain -list events.jsonl
 //	ctgsched explain -kind reschedule -instance 412 events.jsonl
 //
-// The watch subcommand renders live (or replayed) fleet telemetry as
-// per-tenant sparkline rows — miss rate, guard level, fleet rung, chip power
-// vs cap — either polling a -metrics-addr server or reading a -series-out
-// dump:
+// The watch subcommand renders live (or replayed) manager telemetry as
+// sparkline rows — windowed and run miss rate, guard level, drift — plus the
+// alert-rule states, either polling a -metrics-addr server or reading a
+// -series-out dump:
 //
 //	ctgsched watch -addr localhost:8080
 //	ctgsched watch -dump series-mpeg.json

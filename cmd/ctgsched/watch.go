@@ -14,7 +14,7 @@ import (
 	"ctgdvfs/internal/telemetry"
 )
 
-// runWatch implements `ctgsched watch`: a live terminal view of fleet/manager
+// runWatch implements `ctgsched watch`: a live terminal view of manager
 // telemetry as sparkline rows. Two modes:
 //
 //   - `-dump FILE` (or a positional file) renders a series dump written by

@@ -11,7 +11,7 @@
 //	ctgschedd -addr :8080 -checkpoint-dir /var/lib/ctgschedd
 //	ctgschedd -addr :8080 -rate 200 -burst 50 -timeout 2s -events-dir ./events
 //
-// The API (see DESIGN.md §15):
+// The API (see DESIGN.md §14):
 //
 //	POST   /v1/tenants                   submit a tenant spec
 //	GET    /v1/tenants                   list tenant statuses

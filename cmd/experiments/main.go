@@ -16,15 +16,7 @@
 // runtime against a static schedule that deadlocks on dead hardware.
 // -faults-spec FILE replays a JSON fault spec instead: its "perturb" section
 // replaces the -exp faults plan, its "failures" section replaces the
-// failover sweep with one scripted timeline, and its "power" section sets
-// the consolidation campaign's chip budget.
-//
-// The consolidation campaign (-exp consolidation) hosts multiple
-// applications on one shared fabric under a chip power cap and contrasts the
-// budget governor's criticality-ordered graceful degradation against an
-// ungoverned baseline. -consolidation-rounds bounds each fleet run;
-// -power-cap/-power-window (or a -faults-spec power section) replace the
-// default cap sweep with one absolute budget.
+// failover sweep with one scripted timeline.
 //
 // Telemetry: -trace-out FILE exports the fault campaign's guarded runtimes as
 // a Chrome trace-event file (open in chrome://tracing or
@@ -40,10 +32,8 @@
 // on the same server, and -serve keeps the server running after the
 // experiments finish (until interrupted) so the final /health snapshots and
 // profiles can be scraped. -health attaches the streaming health monitor to
-// the traced campaigns and prints one diagnosis report per stream after the
-// tables. Under -exp all every telemetry flag covers both traced campaigns:
-// they share one registry, and each one's streams join the output set when
-// it finishes.
+// the fault campaign and prints one diagnosis report per stream after the
+// tables.
 package main
 
 import (
@@ -61,7 +51,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -72,10 +61,9 @@ import (
 	"ctgdvfs/internal/telemetry"
 )
 
-// tracedExperiments names every experiment that publishes telemetry when the
-// telemetry flags are set — the list the telemetry flags' error hints print.
-// Keep it in sync with the runners that call renderedTraced.
-const tracedExperiments = "-exp faults, -exp consolidation"
+// tracedExperiments names the experiment that publishes telemetry when the
+// telemetry flags are set — the hint the telemetry flags' errors print.
+const tracedExperiments = "-exp faults"
 
 // Fault-campaign knobs, shared with the runner table.
 var (
@@ -99,17 +87,6 @@ var (
 	scalePEs       = flag.Int("scale-pes", 0, "custom scale-campaign cell: PE count (with -scale-tasks)")
 	scaleInstances = flag.Int("scale-instances", 45, "instances replayed per custom scale-campaign cell")
 
-	// Consolidation-campaign knobs (-exp consolidation): rounds per fleet
-	// run, and an absolute chip budget replacing the default P0-relative cap
-	// sweep. The flags are merged over a -faults-spec power section
-	// (field-by-field, flags win) and validated through power.Budget.
-	consolidationRounds = flag.Int("consolidation-rounds", 0,
-		"rounds replayed per consolidation fleet run (0 = default)")
-	powerCap = flag.Float64("power-cap", 0,
-		"absolute chip power cap for the consolidation campaign (0 = sweep fractions of each mix's measured peak)")
-	powerWindow = flag.Int("power-window", 0,
-		"power-measurement window in rounds for the consolidation campaign (0 = default)")
-
 	traceOut = flag.String("trace-out", "",
 		"write a Chrome trace-event file of a traced experiment's event streams (traced: "+tracedExperiments+")")
 	eventsOut = flag.String("events-out", "",
@@ -132,26 +109,25 @@ var (
 		"write the final metrics registry in Prometheus text format to this file after the experiments finish")
 
 	// metricsReg is the registry served at -metrics-addr. observe is nil
-	// unless a telemetry flag asks for observed mode; then it hands every
+	// unless a telemetry flag asks for observed mode; then it hands the
 	// traced campaign one registry (metricsReg when set) and the -rules
-	// alert rules. campaignTel is the telemetry every traced runner has
-	// published so far: each one merges its streams into a fresh copy and
-	// swaps it in atomically, so the -metrics-addr server goroutine (/health)
-	// only ever reads a set no running campaign still writes.
+	// alert rules. campaignTel is the telemetry the traced campaign
+	// published when it finished, swapped in atomically because the
+	// -metrics-addr server goroutine (/health) reads it.
 	metricsReg  *telemetry.Registry
 	observe     *exp.Observe
 	campaignTel atomic.Pointer[exp.CampaignTelemetry]
 )
 
-// observedMode reports whether any telemetry flag asks the traced campaigns
+// observedMode reports whether any telemetry flag asks the traced campaign
 // to run in observed mode (recorders + analyzers attached).
 func observedMode() bool {
 	return *traceOut != "" || *eventsOut != "" || *flightOut != "" ||
 		*metricsAddr != "" || *healthFlag || *seriesOut != "" || *rulesFile != ""
 }
 
-// newObserve builds the observed-mode configuration every traced campaign
-// shares: metricsReg (or a private registry) plus the -rules alert rules.
+// newObserve builds the traced campaign's observed-mode configuration:
+// metricsReg (or a private registry) plus the -rules alert rules.
 func newObserve() (*exp.Observe, error) {
 	obs := &exp.Observe{Metrics: metricsReg}
 	if obs.Metrics == nil {
@@ -167,19 +143,8 @@ func newObserve() (*exp.Observe, error) {
 	return obs, nil
 }
 
-// publishTelemetry merges a finished campaign's streams into the published
-// set; a stream name two campaigns share is an error.
-func publishTelemetry(tel *exp.CampaignTelemetry) error {
-	merged, err := campaignTel.Load().Merge(tel)
-	if err != nil {
-		return err
-	}
-	campaignTel.Store(merged)
-	return nil
-}
-
-// serveHealth renders the traced campaigns' per-stream health snapshots as
-// one JSON object keyed by stream name (503 until a campaign has run).
+// serveHealth renders the traced campaign's per-stream health snapshots as
+// one JSON object keyed by stream name (503 until the campaign has run).
 func serveHealth(w http.ResponseWriter, _ *http.Request) {
 	tel := campaignTel.Load()
 	if tel == nil || len(tel.Health) == 0 {
@@ -208,12 +173,6 @@ func sortedNames[V any](streams map[string]V) []string {
 	return names
 }
 
-// streamFileName flattens a stream name into a filename fragment — the
-// consolidation campaign keys tenant streams as "cell/tenant".
-func streamFileName(name string) string {
-	return strings.ReplaceAll(name, "/", "_")
-}
-
 // writeCampaignEvents writes each stream as its own JSONL file. The streams
 // are kept separate because each carries its own seq-id space — concatenating
 // them would corrupt the provenance graph `ctgsched explain` walks. Each file
@@ -221,7 +180,7 @@ func streamFileName(name string) string {
 // never leaves a torn stream where a previous good one stood.
 func writeCampaignEvents(prefix string, tel *exp.CampaignTelemetry) error {
 	for _, name := range sortedNames(tel.Recorders) {
-		path := fmt.Sprintf("%s-%s.jsonl", prefix, streamFileName(name))
+		path := fmt.Sprintf("%s-%s.jsonl", prefix, name)
 		events := tel.Recorders[name].Events()
 		err := telemetry.WriteFileAtomic(path, func(w io.Writer) error {
 			jr := telemetry.NewJSONLRecorder(w)
@@ -240,18 +199,17 @@ func writeCampaignEvents(prefix string, tel *exp.CampaignTelemetry) error {
 
 // writeCampaignFlight replays each stream through a flight recorder with a
 // file sink, exercising the black-box path offline: every armed trigger in
-// the stream (fallback, breaker trip, cap breach, health alert) dumps its
-// ring window to PREFIX-<name>-<n>.jsonl, and the final window is always
+// the stream (fallback, breaker trip, health alert, rule alert firing) dumps
+// its ring window to PREFIX-<name>-<n>.jsonl, and the final window is always
 // written to PREFIX-<name>-final.jsonl. Each dump is a self-contained JSONL
 // stream `ctgsched explain` ingests directly.
 func writeCampaignFlight(prefix string, tel *exp.CampaignTelemetry) error {
 	for _, name := range sortedNames(tel.Recorders) {
-		stream := streamFileName(name)
 		// Atomic trigger dumps: each ring window lands complete or not at
 		// all (a crash mid-dump leaves no half-written evidence file).
 		fr := telemetry.NewFlightRecorder(telemetry.FlightRecorderOptions{
 			Sink: telemetry.AtomicSink(func(dump int) string {
-				return fmt.Sprintf("%s-%s-%d.jsonl", prefix, stream, dump)
+				return fmt.Sprintf("%s-%s-%d.jsonl", prefix, name, dump)
 			}),
 		})
 		for _, e := range tel.Recorders[name].Events() {
@@ -260,7 +218,7 @@ func writeCampaignFlight(prefix string, tel *exp.CampaignTelemetry) error {
 		if err := fr.Err(); err != nil {
 			return fmt.Errorf("stream %s: %w", name, err)
 		}
-		finalPath := fmt.Sprintf("%s-%s-final.jsonl", prefix, stream)
+		finalPath := fmt.Sprintf("%s-%s-final.jsonl", prefix, name)
 		if err := telemetry.WriteFileAtomic(finalPath, fr.DumpTo); err != nil {
 			return err
 		}
@@ -279,7 +237,7 @@ func writeCampaignSeries(prefix string, tel *exp.CampaignTelemetry) error {
 	}
 	for _, name := range sortedNames(tel.Series) {
 		st := tel.Series[name]
-		path := fmt.Sprintf("%s-%s.json", prefix, streamFileName(name))
+		path := fmt.Sprintf("%s-%s.json", prefix, name)
 		if err := telemetry.WriteFileAtomic(path, st.WriteJSON); err != nil {
 			return err
 		}
@@ -294,7 +252,7 @@ func writePromFile(path string, reg *telemetry.Registry) error {
 	return telemetry.WriteFileAtomic(path, reg.WriteProm)
 }
 
-// writeCampaignTrace renders the traced campaigns' event streams as one
+// writeCampaignTrace renders the traced campaign's event streams as one
 // Chrome trace file, one process per stream in name order.
 func writeCampaignTrace(path string, tel *exp.CampaignTelemetry) error {
 	ct := telemetry.NewChromeTrace()
@@ -306,7 +264,7 @@ func writeCampaignTrace(path string, tel *exp.CampaignTelemetry) error {
 
 func main() {
 	exp := flag.String("exp", "all",
-		"experiment to run: all, table1, figure4, figure5, table2, table3, table4, table5, figure6, faults, failover, consolidation, scale, ...")
+		"experiment to run: all, table1, figure4, figure5, table2, table3, table4, table5, figure6, faults, failover, scale, ...")
 	workers := flag.Int("workers", 0,
 		"parallel worker bound for the scenario engine (0 = GOMAXPROCS, 1 = serial)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")

@@ -7,7 +7,6 @@ import (
 
 	"ctgdvfs/internal/exp"
 	"ctgdvfs/internal/faults"
-	"ctgdvfs/internal/power"
 )
 
 // loadSpecFile loads -faults-spec once per runner that consumes it (nil when
@@ -83,15 +82,6 @@ func rendered[R interface{ Render() string }](r R, err error) (string, error) {
 	return r.Render(), nil
 }
 
-// renderedTraced is rendered for the traced campaigns: their telemetry (nil
-// when unobserved) is merged into the published set first.
-func renderedTraced[R interface{ Render() string }](r R, tel *exp.CampaignTelemetry, err error) (string, error) {
-	if err == nil && tel != nil {
-		err = publishTelemetry(tel)
-	}
-	return rendered(r, err)
-}
-
 func orderedRunners() []runner {
 	return []runner{
 		{name: "table1", run: func() (string, error) { return rendered(exp.Table1()) }},
@@ -128,7 +118,11 @@ func orderedRunners() []runner {
 			} else if sf != nil && sf.Perturb != nil {
 				spec = *sf.Perturb
 			}
-			return renderedTraced(exp.FaultCampaign(spec, *faultGuard, observe))
+			r, tel, err := exp.FaultCampaign(spec, *faultGuard, observe)
+			if tel != nil {
+				campaignTel.Store(tel)
+			}
+			return rendered(r, err)
 		}},
 		{name: "scale", aliases: []string{"scaling"}, run: func() (string, error) {
 			if *scaleFull {
@@ -139,33 +133,6 @@ func orderedRunners() []runner {
 				return rendered(exp.ScaleCampaign([]exp.ScaleConfig{cfg}, *scaleInstances))
 			}
 			return rendered(exp.ScaleCampaignQuick())
-		}},
-		{name: "consolidation", aliases: []string{"fleet"}, run: func() (string, error) {
-			// The budget spec comes from -faults-spec's power section and/or
-			// the -power-cap/-power-window flags (flags win field-by-field);
-			// either way it is validated up front so a garbage cap fails with
-			// a typed *power.SpecError instead of a mid-campaign surprise.
-			var override *power.Budget
-			if sf, err := loadSpecFile(); err != nil {
-				return "", err
-			} else if sf != nil && sf.Power != nil {
-				override = sf.Power
-			}
-			if *powerCap > 0 || *powerWindow > 0 {
-				if override == nil {
-					override = &power.Budget{}
-				}
-				if *powerCap > 0 {
-					override.Cap = *powerCap
-				}
-				if *powerWindow > 0 {
-					override.Window = *powerWindow
-				}
-				if err := override.Validate(); err != nil {
-					return "", fmt.Errorf("-power-cap/-power-window: %w", err)
-				}
-			}
-			return renderedTraced(exp.ConsolidationCampaign(*consolidationRounds, override, observe))
 		}},
 		{name: "failover", aliases: []string{"failovercampaign"}, run: func() (string, error) {
 			// A spec file's failures section replays that scripted timeline

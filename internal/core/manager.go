@@ -118,9 +118,8 @@ type Options struct {
 	// Sequencer, when non-nil, is the id source stamped onto every emitted
 	// event (Event.Seq) so later events can reference earlier ones as their
 	// Cause. Nil gives the manager a private sequencer whenever a Recorder
-	// is attached. Share one across producers writing to one stream — a
-	// Fleet hands its tenants a common sequencer so ids stay unique in the
-	// merged stream.
+	// is attached. Share one across producers writing to one stream so ids
+	// stay unique in the merged stream.
 	Sequencer *telemetry.Sequencer
 	// Series, when non-nil, is ticked once per processed instance after the
 	// instance_finish event, sampling the manager's metrics registry into
@@ -231,14 +230,12 @@ type Manager struct {
 	// Provenance state (live only while rec != nil): the sequencer stamping
 	// event ids, the seq of the current instance's instance_start, the
 	// trigger seq the in-flight reschedule pipeline chains its decision
-	// events to, an externally imposed cause (a Fleet's ladder decision —
-	// set around SetGuardBand/ApplyAvailability calls), and the per-fork
-	// seqs of this step's window-estimate events (so a drift-triggered
-	// reschedule can name the estimate that crossed the threshold).
+	// events to, and the per-fork seqs of this step's window-estimate events
+	// (so a drift-triggered reschedule can name the estimate that crossed the
+	// threshold).
 	seq      *telemetry.Sequencer
 	startSeq uint64
 	causeSeq uint64
-	extCause uint64
 	estSeqs  []uint64
 
 	// Fault-tolerance state (inert unless Options.Recovery / Faults set).
@@ -460,18 +457,11 @@ func New(g *ctg.Graph, p *platform.Platform, opts Options) (*Manager, error) {
 		if p.Restricted() {
 			// A timeline's masks replace the platform's availability state
 			// wholesale, which would silently resurrect the masked-out part
-			// of a pre-restricted base (e.g. a consolidation partition).
+			// of a pre-restricted base.
 			return nil, fmt.Errorf("core: a failure timeline requires an unrestricted base platform")
 		}
 	}
 	m := &Manager{opts: opts, g: g.Clone(), p: p, base: p}
-	if p.Restricted() {
-		// A pre-restricted base platform (a consolidation partition) is this
-		// manager's healthy state: record it as the mask in force so the
-		// first external ApplyAvailability diffs against the partition, not
-		// against a full topology the manager never had.
-		m.mask = p.AvailabilityMask()
-	}
 	if opts.Failures != nil {
 		// The timeline may already be degraded at instance 0: the initial
 		// schedule must target the survivor set, not hardware that was never
@@ -596,13 +586,11 @@ func (m *Manager) AvailabilityMask() platform.Mask { return m.mask }
 
 // emitMaskDiff records the PE and link transitions between two availability
 // masks, returning the last emitted event's seq (0 when no recorder or no
-// transition) so the remap/reschedule that follows can chain to it. Each
-// event's Cause is the externally imposed cause when one is in force (a
-// fleet's revocation decision); timeline-driven outages have no in-stream
-// cause — the hardware failed on its own. PE deaths carry the timeline's
-// permanence verdict; link events are reported only for links whose endpoints
-// are alive under both masks, so a PE death is one pe_down event rather than
-// a storm of implied link losses.
+// transition) so the remap/reschedule that follows can chain to it. The
+// events have no in-stream cause — the hardware failed on its own. PE deaths
+// carry the timeline's permanence verdict; link events are reported only for
+// links whose endpoints are alive under both masks, so a PE death is one
+// pe_down event rather than a storm of implied link losses.
 func (m *Manager) emitMaskDiff(old, cur platform.Mask, instance int) uint64 {
 	if m.rec == nil {
 		return 0
@@ -620,12 +608,11 @@ func (m *Manager) emitMaskDiff(old, cur platform.Mask, instance int) uint64 {
 			}
 			last = m.emit(telemetry.Event{
 				Kind: telemetry.KindPEDown, Instance: instance,
-				PE: pe, Reason: reason, Alive: alive, Cause: m.extCause,
+				PE: pe, Reason: reason, Alive: alive,
 			})
 		case !was && is:
 			last = m.emit(telemetry.Event{
 				Kind: telemetry.KindPEUp, Instance: instance, PE: pe, Alive: alive,
-				Cause: m.extCause,
 			})
 		}
 	}
@@ -639,12 +626,10 @@ func (m *Manager) emitMaskDiff(old, cur platform.Mask, instance int) uint64 {
 			case was && !is:
 				last = m.emit(telemetry.Event{
 					Kind: telemetry.KindLinkDown, Instance: instance, PE: i, PE2: j,
-					Cause: m.extCause,
 				})
 			case !was && is:
 				last = m.emit(telemetry.Event{
 					Kind: telemetry.KindLinkUp, Instance: instance, PE: i, PE2: j,
-					Cause: m.extCause,
 				})
 			}
 		}
@@ -662,8 +647,7 @@ func (m *Manager) emitMaskDiff(old, cur platform.Mask, instance int) uint64 {
 func (m *Manager) applyTopology(cur platform.Mask, instance int) error {
 	old := m.mask
 	// The remap and the topology reschedule below both chain to the last
-	// hardware transition (which itself chains to an external decision when
-	// one drove the change).
+	// hardware transition.
 	topoSeq := m.emitMaskDiff(old, cur, instance)
 	rp, err := m.base.Restrict(cur)
 	if err != nil {
@@ -671,11 +655,7 @@ func (m *Manager) applyTopology(cur platform.Mask, instance int) error {
 	}
 	m.p = rp
 	m.mask = cur
-	// Degraded is measured against the base platform's own availability —
-	// identical to !cur.IsFull() for the unrestricted bases of the failover
-	// path, but a partition-restricted base (consolidation) is healthy at
-	// its partition mask, not at the full fabric it never owned.
-	m.degraded = !cur.Equal(m.base.AvailabilityMask(), m.base.NumPEs())
+	m.degraded = !cur.IsFull()
 	if m.opts.Recovery {
 		// Only the recovery machinery keeps a fallback; rebuilding one for a
 		// manager that never had it would silently enable fallback replays.
@@ -714,47 +694,6 @@ func (m *Manager) applyTopology(cur platform.Mask, instance int) error {
 // Recovery is enabled).
 func (m *Manager) Fallback() *sched.Schedule { return m.fallback }
 
-// ApplyAvailability re-maps the runtime onto an externally imposed
-// availability mask — the entry point of PE arbitration by a consolidation
-// layer (a budget-revoked PE is a masked PE), complementing the Failures
-// timeline that drives the same machinery from seeded outage plans. The mask
-// is expressed over the base platform's PE indices; callers layering
-// restrictions (a partition plus a revocation, say) compose them with
-// platform.Mask.Intersect first, because the mask replaces the availability
-// state wholesale. A mask equal to the one in force is a no-op. It returns
-// an error when the manager is driven by a Failures timeline (two mask
-// authorities would fight over the topology) or when the mask is infeasible.
-func (m *Manager) ApplyAvailability(mask platform.Mask) error {
-	if m.opts.Failures != nil {
-		return fmt.Errorf("core: ApplyAvailability conflicts with a Failures timeline")
-	}
-	if mask.Equal(m.mask, m.base.NumPEs()) {
-		return nil
-	}
-	return m.applyTopology(mask, m.instances)
-}
-
-// SetGuardBand replaces the base guard band and re-stretches the incumbent
-// schedule at the new effective guard. Releasing the guard (toward 0) lets
-// stretching spend the reserved slack on deeper slowdowns — lower speeds,
-// lower power, less overrun margin — which is the first rung of the power
-// governor's degradation ladder; raising it restores the margin. A value
-// equal to the current base guard is a no-op.
-func (m *Manager) SetGuardBand(g float64) error {
-	if math.IsNaN(g) || g < 0 || g > 1 {
-		return fmt.Errorf("core: guard band must be in [0,1], got %v", g)
-	}
-	if g == m.opts.GuardBand {
-		return nil
-	}
-	m.opts.GuardBand = g
-	return m.reschedule("guard")
-}
-
-// GuardBand returns the current base guard band (before circuit-breaker
-// escalation).
-func (m *Manager) GuardBand() float64 { return m.opts.GuardBand }
-
 // reschedule runs the online algorithm (DLS + stretching) with the graph's
 // current probability estimates, consulting the schedule cache first: if the
 // exact probability state was scheduled for before, the memoized (mapping,
@@ -762,12 +701,6 @@ func (m *Manager) GuardBand() float64 { return m.opts.GuardBand }
 // changes the cost of an invocation, never the invocation count or its
 // result.
 func (m *Manager) reschedule(reason string) error {
-	if m.causeSeq == 0 {
-		// No in-stream trigger of our own: adopt the externally imposed
-		// cause when a consolidation layer drove this call (guard-rung
-		// SetGuardBand, revocation ApplyAvailability).
-		m.causeSeq = m.extCause
-	}
 	guard := m.effectiveGuard()
 	var key string
 	if m.cache != nil {

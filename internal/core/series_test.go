@@ -1,10 +1,8 @@
 package core
 
 import (
-	"math"
 	"testing"
 
-	"ctgdvfs/internal/power"
 	"ctgdvfs/internal/series"
 	"ctgdvfs/internal/telemetry"
 	"ctgdvfs/internal/trace"
@@ -51,43 +49,5 @@ func TestManagerSeriesBitForBit(t *testing.T) {
 	// The instance counter must have been sampled too (registry-wide sweep).
 	if s := st.Series("adaptive.instances"); s == nil || s.Len() != sampled.Instances {
 		t.Fatal("counter metrics not sampled")
-	}
-}
-
-// TestFleetSeriesSamplesRounds checks the fleet ticks its store once per
-// round and publishes the fleet/tenant gauges the watch view renders.
-func TestFleetSeriesSamplesRounds(t *testing.T) {
-	tenants := fleetTenants(t, 6, "alpha", "beta")
-	const rounds = 40
-	vecs := fleetVectors(tenants, rounds)
-	st := series.NewStore(series.StoreOptions{Registry: telemetry.NewRegistry()})
-	f, err := NewFleet(tenants, FleetOptions{
-		DeadlineFactor: 1.6,
-		Budget:         &power.Budget{Cap: math.Inf(1), Model: testModel()},
-		Metrics:        st.Registry(),
-		Series:         st,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Run(vecs); err != nil {
-		t.Fatal(err)
-	}
-	if st.Ticks() != rounds {
-		t.Fatalf("store ticked %d times for %d rounds", st.Ticks(), rounds)
-	}
-	for _, name := range []string{
-		"adaptive.fleet_rung",
-		"adaptive.power_round",
-		"adaptive.tenant_miss_rate.alpha",
-		"adaptive.tenant_round_energy.beta",
-	} {
-		s := st.Series(name)
-		if s == nil || s.Len() != rounds {
-			t.Fatalf("series %s missing or short (%v)", name, s)
-		}
-	}
-	if _, v := st.Series("adaptive.power_round").Last(); v <= 0 {
-		t.Fatalf("round power sampled as %g, want > 0", v)
 	}
 }

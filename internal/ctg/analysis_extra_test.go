@@ -65,14 +65,6 @@ func TestScenarioWeightHelpers(t *testing.T) {
 			t.Fatalf("scenario %d weight %v != active count", i, got)
 		}
 	}
-	// ExpectedActiveWeight with unit weights is the expected task count.
-	want := 0.0
-	for i := 0; i < a.NumScenarios(); i++ {
-		want += a.Scenario(i).Prob * float64(a.Scenario(i).Active.Count())
-	}
-	if got := a.ExpectedActiveWeight(unit); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("ExpectedActiveWeight = %v, want %v", got, want)
-	}
 	// Min/max scenarios with a weight that loads τ7 (task 6): the max
 	// must be a scenario where τ7 is active.
 	heavy := func(id TaskID) float64 {

@@ -339,17 +339,6 @@ func (a *Analysis) TotalProb() float64 {
 	return sum
 }
 
-// ExpectedActiveWeight returns Σ_τ prob(τ)·w(τ) for an arbitrary per-task
-// weight, a convenience used to rank scenarios by energy and to weight
-// objectives.
-func (a *Analysis) ExpectedActiveWeight(w func(TaskID) float64) float64 {
-	sum := 0.0
-	for t := 0; t < a.g.NumTasks(); t++ {
-		sum += a.actProb[t] * w(TaskID(t))
-	}
-	return sum
-}
-
 // ScenarioWeight returns Σ_{τ active in scenario i} w(τ).
 func (a *Analysis) ScenarioWeight(i int, w func(TaskID) float64) float64 {
 	sum := 0.0

@@ -7,7 +7,7 @@ import (
 )
 
 // DaemonResult is the chaos campaign against the multi-tenant scheduling
-// daemon (DESIGN.md §15): the seeded fault-injection run of
+// daemon (DESIGN.md §14): the seeded fault-injection run of
 // internal/serve/chaos, exposed as an experiment so `-exp daemon` gates the
 // daemon's robustness invariants the same way the other campaigns gate
 // scheduling quality.

@@ -11,6 +11,7 @@ import (
 	"ctgdvfs/internal/health"
 	"ctgdvfs/internal/par"
 	"ctgdvfs/internal/platform"
+	"ctgdvfs/internal/series"
 	"ctgdvfs/internal/sim"
 	"ctgdvfs/internal/telemetry"
 	"ctgdvfs/internal/trace"
@@ -158,7 +159,14 @@ func faultCampaignN(spec faults.Spec, guard float64, maxVec int, obs *Observe) (
 	tel := obs.newTelemetry()
 	if tel != nil {
 		for _, w := range workloads {
-			rec := tel.addStream(w.name, obs.Rules)
+			// Each stream's series store samples a private mirror of the
+			// shared registry and evaluates the alert rules.
+			rec := telemetry.NewMemoryRecorder()
+			tel.Recorders[w.name] = rec
+			tel.Series[w.name] = series.NewStore(series.StoreOptions{
+				Registry: telemetry.NewMirrorRegistry(tel.Metrics),
+				Rules:    obs.Rules,
+			})
 			// Alerts interleave into the workload's own stream; metrics
 			// share the campaign registry (adaptive.health.* aggregates
 			// across workloads, like the adaptive.* counters do).

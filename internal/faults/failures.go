@@ -340,9 +340,3 @@ func (t *Timeline) MaskAt(instance int) platform.Mask {
 	}
 	return m
 }
-
-// DegradedAt reports whether anything is masked out at the instance — a
-// cheaper probe than comparing full masks when callers only need a boolean.
-func (t *Timeline) DegradedAt(instance int) bool {
-	return !t.MaskAt(instance).IsFull()
-}

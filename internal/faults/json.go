@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-
-	"ctgdvfs/internal/power"
 )
 
 // SpecFile is the on-disk form of a complete fault configuration: the
@@ -21,11 +19,6 @@ type SpecFile struct {
 	// Failures parameterizes hardware-availability faults (PE death and
 	// outage, link outage); nil means the topology never degrades.
 	Failures *FailureSpec `json:"failures,omitempty"`
-	// Power parameterizes the chip power budget of a consolidation fleet
-	// (cap, measurement window, thermal limit, idle model); nil means no
-	// budget. Strictly validated: non-finite, zero or negative caps and
-	// windows are rejected with a typed *power.SpecError.
-	Power *power.Budget `json:"power,omitempty"`
 }
 
 // Validate checks both halves of the file.
@@ -37,11 +30,6 @@ func (f *SpecFile) Validate() error {
 	}
 	if f.Failures != nil {
 		if err := f.Failures.Validate(); err != nil {
-			return err
-		}
-	}
-	if f.Power != nil {
-		if err := f.Power.Validate(); err != nil {
 			return err
 		}
 	}

@@ -15,13 +15,13 @@ import (
 type ExplainQuery struct {
 	// Seq selects the event with this exact seq id (0 = unset).
 	Seq uint64
-	// Instance restricts to decisions of one instance / fleet round
-	// (negative = any).
+	// Instance restricts to decisions of one instance (negative = any).
 	Instance int
 	// Kind restricts to one event kind (e.g. "reschedule", "fallback",
-	// "tenant_degraded"); empty matches any decision kind.
+	// "alert_firing"); empty matches any decision kind.
 	Kind string
-	// Tenant restricts to fleet events naming this tenant.
+	// Tenant restricts to events naming this serve tenant (tenant_panic,
+	// tenant_restart, checkpoint and restore carry it in Name).
 	Tenant string
 }
 
@@ -52,24 +52,20 @@ type ExplainEffect struct {
 
 // decisionKinds are the event kinds `ctgsched explain -list` enumerates and
 // an unconstrained query may select: the runtime's actual decisions and the
-// external triggers (hardware loss, budget breach) that force them.
+// external triggers (hardware loss) that force them.
 var decisionKinds = map[telemetry.Kind]bool{
-	telemetry.KindReschedule:     true,
-	telemetry.KindFallback:       true,
-	telemetry.KindGuardLevel:     true,
-	telemetry.KindRemap:          true,
-	telemetry.KindPEDown:         true,
-	telemetry.KindPEUp:           true,
-	telemetry.KindBudgetExceeded: true,
-	telemetry.KindPERevoked:      true,
-	telemetry.KindTenantDegraded: true,
-	telemetry.KindTenantRestored: true,
-	telemetry.KindAlertFiring:    true,
-	telemetry.KindAlertResolved:  true,
-	telemetry.KindTenantPanic:    true,
-	telemetry.KindTenantRestart:  true,
-	telemetry.KindCheckpoint:     true,
-	telemetry.KindRestore:        true,
+	telemetry.KindReschedule:    true,
+	telemetry.KindFallback:      true,
+	telemetry.KindGuardLevel:    true,
+	telemetry.KindRemap:         true,
+	telemetry.KindPEDown:        true,
+	telemetry.KindPEUp:          true,
+	telemetry.KindAlertFiring:   true,
+	telemetry.KindAlertResolved: true,
+	telemetry.KindTenantPanic:   true,
+	telemetry.KindTenantRestart: true,
+	telemetry.KindCheckpoint:    true,
+	telemetry.KindRestore:       true,
 }
 
 // Describe renders one event as the one-line description Explain's output
@@ -289,33 +285,6 @@ func describeEvent(e telemetry.Event) string {
 		return fmt.Sprintf("link %d→%d repaired", e.PE, e.PE2)
 	case telemetry.KindRemap:
 		return fmt.Sprintf("re-mapped (%s) onto %d PEs", e.Reason, e.Alive)
-	case telemetry.KindBudgetExceeded:
-		return fmt.Sprintf("chip power window mean %.4g exceeded cap %.4g (ladder level %d)",
-			e.Value, e.Threshold, e.Level)
-	case telemetry.KindPERevoked:
-		return fmt.Sprintf("PE %d revoked from tenant %q (ladder level %d, %d PEs held)",
-			e.PE, e.Name, e.Level, e.Alive)
-	case telemetry.KindTenantDegraded:
-		switch e.Reason {
-		case "guard":
-			return fmt.Sprintf("guard bands scaled ×%.2g fleet-wide (ladder level %d)", e.Value, e.Level)
-		case "shed":
-			return fmt.Sprintf("tenant %q shed (ladder level %d)", e.Name, e.Level)
-		default:
-			return fmt.Sprintf("tenant %q degraded: %s (ladder level %d)", e.Name, e.Reason, e.Level)
-		}
-	case telemetry.KindTenantRestored:
-		switch e.Reason {
-		case "guard":
-			return fmt.Sprintf("guard bands restored to ×%.2g fleet-wide (ladder level %d)", e.Value, e.Level)
-		case "shed":
-			return fmt.Sprintf("tenant %q restored to service (ladder level %d)", e.Name, e.Level)
-		case "revoke":
-			return fmt.Sprintf("PE %d returned to tenant %q (ladder level %d, %d PEs held)",
-				e.PE, e.Name, e.Level, e.Alive)
-		default:
-			return fmt.Sprintf("tenant %q restored: %s (ladder level %d)", e.Name, e.Reason, e.Level)
-		}
 	case telemetry.KindTenantPanic:
 		return fmt.Sprintf("tenant %q worker panicked at instance %d (contained): %s (consecutive panic %d)",
 			e.Name, e.Instance, e.Reason, e.Level)

@@ -11,7 +11,7 @@ import (
 	"ctgdvfs/internal/core"
 	"ctgdvfs/internal/faults"
 	"ctgdvfs/internal/health"
-	"ctgdvfs/internal/power"
+	"ctgdvfs/internal/series"
 	"ctgdvfs/internal/telemetry"
 	"ctgdvfs/internal/tgff"
 	"ctgdvfs/internal/trace"
@@ -53,8 +53,10 @@ func loadFixture(t *testing.T, name string) []telemetry.Event {
 
 // adaptiveProvenanceEvents captures a recovery-enabled adaptive run under an
 // overrun fault plan: the stream carries drift reschedules, fallback replays
-// and circuit-breaker moves, all seq/cause-linked.
-func adaptiveProvenanceEvents(t *testing.T) []telemetry.Event {
+// and circuit-breaker moves, all seq/cause-linked. Non-nil rules attach a
+// series store that evaluates them once per instance, so rule firings join
+// the stream too.
+func adaptiveProvenanceEvents(t *testing.T, rules []series.Rule) []telemetry.Event {
 	t.Helper()
 	cfg := tgff.Config{Seed: 65, Nodes: 18, PEs: 3, Branches: 2, Category: tgff.ForkJoin}
 	g0, p, err := tgff.Generate(cfg)
@@ -71,11 +73,16 @@ func adaptiveProvenanceEvents(t *testing.T) []telemetry.Event {
 		t.Fatal(err)
 	}
 	rec := telemetry.NewMemoryRecorder()
-	m, err := core.New(g, p, core.Options{
+	opts := core.Options{
 		Window: 10, Threshold: 0.1,
 		Faults: plan, Recovery: true, GuardBand: 0.2,
 		Recorder: rec,
-	})
+	}
+	if rules != nil {
+		opts.Series = series.NewStore(series.StoreOptions{Registry: telemetry.NewRegistry(), Rules: rules})
+		opts.Metrics = opts.Series.Registry()
+	}
+	m, err := core.New(g, p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,87 +92,24 @@ func adaptiveProvenanceEvents(t *testing.T) []telemetry.Event {
 	return rec.Events()
 }
 
-// fleetProvenanceEvents captures a power-governed two-tenant consolidation
-// run whose cap binds: budget breaches, ladder rungs and the tenant
-// reschedules they force, interleaved on one seq id space.
-func fleetProvenanceEvents(t *testing.T) []telemetry.Event {
-	t.Helper()
-	tenants := func() []core.Tenant {
-		names := []string{"hi", "lo"}
-		ts := make([]core.Tenant, len(names))
-		for i, name := range names {
-			cfg := tgff.Config{Seed: int64(100 + i), Nodes: 14, PEs: 6, Branches: 2, Category: tgff.ForkJoin}
-			g, p, err := tgff.Generate(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts[i] = core.Tenant{
-				Name: name, Criticality: len(names) - i, G: g, P: p,
-				Opts: core.Options{GuardBand: 0.3},
-			}
-		}
-		return ts
-	}
-	vectors := func(ts []core.Tenant, n int) [][][]int {
-		vecs := make([][][]int, len(ts))
-		for i, tn := range ts {
-			vecs[i] = trace.Fluctuating(tn.G, int64(5+i), n, 0.45)
-		}
-		return vecs
-	}
-	model := power.Model{IdlePEPower: 0.05, IdleLinkPower: 0.002}
-
-	// Ungoverned pass measures what the cap would have seen; the governed
-	// capture then runs just under the observed peak, so the governor primes
-	// shallow (predictions are expectation-based) and the ladder engages at
-	// runtime — a breach-caused escalation, not a priming one.
-	base, err := core.NewFleet(tenants(), core.FleetOptions{
-		DeadlineFactor: 1.6,
-		Budget:         &power.Budget{Cap: 1, Model: model},
-		Ungoverned:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := base.Run(vectors(tenants(), 40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p0 := rb.Power.MaxWindowPower
-
-	rec := telemetry.NewMemoryRecorder()
-	ts := tenants()
-	for i := range ts {
-		ts[i].Opts.Recorder = rec
-	}
-	f, err := core.NewFleet(ts, core.FleetOptions{
-		DeadlineFactor: 1.6,
-		Budget:         &power.Budget{Cap: 0.97 * p0, Window: 8, PrimeMargin: 0.001, Model: model},
-		Recorder:       rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Run(vectors(ts, 40)); err != nil {
-		t.Fatal(err)
-	}
-	return rec.Events()
-}
-
 // TestExplainGoldens is the acceptance test of `ctgsched explain`: from
 // committed captured streams, the engine must reconstruct the complete
 // trigger → decision → effects chain for a drift reschedule, a fallback
-// activation, and a fleet degradation rung. -update regenerates the fixtures
-// and goldens together (span latencies are wall-clock, so they are only
-// stable inside one captured fixture).
+// activation, and a series-rule alert firing. -update regenerates the
+// fixtures and goldens together (span latencies are wall-clock, so they are
+// only stable inside one captured fixture).
 func TestExplainGoldens(t *testing.T) {
 	if *update {
-		writeFixture(t, "provenance_adaptive.jsonl", adaptiveProvenanceEvents(t))
-		writeFixture(t, "provenance_fleet.jsonl", fleetProvenanceEvents(t))
+		writeFixture(t, "provenance_adaptive.jsonl", adaptiveProvenanceEvents(t, nil))
+		rs, err := series.LoadRules(filepath.Join("..", "..", "examples", "watch", "rules.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeFixture(t, "provenance_alert.jsonl", adaptiveProvenanceEvents(t, rs.Rules))
 	}
 
 	adaptive := loadFixture(t, "provenance_adaptive.jsonl")
-	fleet := loadFixture(t, "provenance_fleet.jsonl")
+	alert := loadFixture(t, "provenance_alert.jsonl")
 
 	t.Run("reschedule", func(t *testing.T) {
 		// Pin a drift-triggered reschedule: the chain must run
@@ -196,16 +140,15 @@ func TestExplainGoldens(t *testing.T) {
 		checkGolden(t, "explain_fallback.golden", x.Render())
 	})
 
-	t.Run("fleet-degradation", func(t *testing.T) {
-		x, err := health.Explain(fleet, health.ExplainQuery{Kind: "tenant_degraded", Instance: -1})
+	t.Run("alert", func(t *testing.T) {
+		// A series-rule firing chains to the instance_finish its triggering
+		// sample was taken at, which chains to that instance's start.
+		x, err := health.Explain(alert, health.ExplainQuery{Kind: "alert_firing", Instance: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertChainKinds(t, x, telemetry.KindBudgetExceeded, telemetry.KindTenantDegraded)
-		if len(x.Effects) == 0 {
-			t.Fatal("ladder rung recorded no tenant effects")
-		}
-		checkGolden(t, "explain_fleet.golden", x.Render())
+		assertChainKinds(t, x, telemetry.KindInstanceStart, telemetry.KindInstanceFinish, telemetry.KindAlertFiring)
+		checkGolden(t, "explain_alert.golden", x.Render())
 	})
 
 	t.Run("list", func(t *testing.T) {

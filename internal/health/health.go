@@ -181,7 +181,6 @@ type AnalyzerRecorder struct {
 	slo     sloState
 	hot     hotState
 	avail   availState
-	power   powerState
 	pipe    pipeState
 	salerts seriesAlertState
 
@@ -258,9 +257,6 @@ func (a *AnalyzerRecorder) Record(e telemetry.Event) {
 	case telemetry.KindPEDown, telemetry.KindPEUp,
 		telemetry.KindLinkDown, telemetry.KindLinkUp, telemetry.KindRemap:
 		a.avail.observe(a, e)
-	case telemetry.KindBudgetExceeded, telemetry.KindPERevoked,
-		telemetry.KindTenantDegraded, telemetry.KindTenantRestored:
-		a.power.observe(a, e)
 	case telemetry.KindTenantPanic:
 		a.note(e.Instance, "tenant_panic", "contained worker panic: "+e.Reason)
 	case telemetry.KindTenantRestart:
@@ -326,7 +322,6 @@ func (a *AnalyzerRecorder) Health() Snapshot {
 		SLO:             a.slo.snapshot(&a.opts),
 		Hotspots:        a.hot.snapshot(a.opts.Hotspots),
 		Availability:    a.avail.snapshot(),
-		Power:           a.power.snapshot(),
 		Pipeline:        a.pipe.snapshot(),
 		SeriesAlerts:    a.salerts.snapshot(),
 		Timeline:        append([]TimelineEntry(nil), a.timeline...),

@@ -17,9 +17,6 @@ type Snapshot struct {
 	// Availability is nil when the stream carried no pe_down/pe_up/remap
 	// events, so healthy-run snapshots and reports are unchanged.
 	Availability *AvailabilityStatus `json:"availability,omitempty"`
-	// Power is nil when the stream carried no power-budget events, so
-	// unbudgeted-run snapshots and reports are unchanged.
-	Power *PowerStatus `json:"power,omitempty"`
 	// Pipeline is nil when the stream carried no pipeline_span events, so
 	// pre-provenance captures render unchanged.
 	Pipeline *PipelineStatus `json:"pipeline,omitempty"`
@@ -116,18 +113,6 @@ func (s Snapshot) Report() string {
 				state = "DEAD (permanent)"
 			}
 			fmt.Fprintf(&b, "  PE %-2d outages %d  [%s]\n", pe.PE, pe.Outages, state)
-		}
-	}
-
-	if s.Power != nil {
-		b.WriteString("\npower budget\n")
-		fmt.Fprintf(&b, "  cap %.3f  over-cap windows %d (worst mean %.3f)\n",
-			s.Power.Cap, s.Power.OverWindows, s.Power.MaxWindowMean)
-		fmt.Fprintf(&b, "  ladder level %d (max %d)  revocations %d  degrades %d  restores %d  sheds %d\n",
-			s.Power.Level, s.Power.MaxLevel, s.Power.Revocations,
-			s.Power.Degrades, s.Power.Restores, s.Power.Sheds)
-		for _, name := range s.Power.ShedTenants {
-			fmt.Fprintf(&b, "  tenant %-12s [SHED]\n", name)
 		}
 	}
 

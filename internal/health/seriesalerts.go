@@ -9,7 +9,7 @@ import (
 
 // seriesAlertState tracks the rule-based alerting engine's alert_firing /
 // alert_resolved events (internal/series rules evaluated on the sampled
-// time-series rings). Unlike the analyzer's own drift/SLO/power alerts these
+// time-series rings). Unlike the analyzer's own drift/SLO alerts these
 // originate outside the health layer, so the state only mirrors them: which
 // rules exist, which are firing now, and how often each fired.
 type seriesAlertState struct {

@@ -17,7 +17,7 @@ func TestSeriesAlertsSection(t *testing.T) {
 		{Kind: telemetry.KindAlertResolved, Instance: 9, Seq: 3, Cause: 2,
 			Name: "miss-rate-high", Reason: "adaptive.miss_rate_window", Value: 0.05},
 		{Kind: telemetry.KindAlertFiring, Instance: 12, Seq: 4,
-			Name: "fleet-degraded", Reason: "adaptive.fleet_rung", Value: 2, Threshold: 1},
+			Name: "guard-escalated", Reason: "adaptive.guard_level", Value: 2, Threshold: 2},
 	}
 	s := Analyze(events, Options{})
 	sa := s.SeriesAlerts
@@ -27,7 +27,7 @@ func TestSeriesAlertsSection(t *testing.T) {
 	if sa.Firings != 2 || sa.Resolved != 1 {
 		t.Fatalf("firings/resolved = %d/%d, want 2/1", sa.Firings, sa.Resolved)
 	}
-	if len(sa.Rules) != 2 || sa.Rules[0].Rule != "fleet-degraded" || sa.Rules[1].Rule != "miss-rate-high" {
+	if len(sa.Rules) != 2 || sa.Rules[0].Rule != "guard-escalated" || sa.Rules[1].Rule != "miss-rate-high" {
 		t.Fatalf("rules not sorted by name: %+v", sa.Rules)
 	}
 	if !sa.Rules[0].Firing || sa.Rules[1].Firing {

@@ -93,27 +93,6 @@ func (m Mask) LinkUp(i, j int) bool {
 	return m.Links[i][j]
 }
 
-// Intersect returns the mask under which a PE is alive (and a link up) only
-// when both m and o agree, for a platform with numPEs processing elements.
-// It is the composition law for independent restrictions — a consolidation
-// partition and a power-budget revocation, say — which Platform.Restrict
-// alone cannot express: Restrict replaces the availability state wholesale,
-// so callers layering masks must intersect them first.
-func (m Mask) Intersect(o Mask, numPEs int) Mask {
-	out := FullMask(numPEs)
-	for pe := range out.PEs {
-		out.PEs[pe] = m.PEAlive(pe) && o.PEAlive(pe)
-	}
-	for i := range out.Links {
-		for j := range out.Links[i] {
-			if i != j {
-				out.Links[i][j] = m.LinkUp(i, j) && o.LinkUp(i, j)
-			}
-		}
-	}
-	return out
-}
-
 // Equal reports whether two masks describe the same availability state for a
 // platform with numPEs processing elements (nil and explicit all-true
 // representations compare equal).
@@ -288,20 +267,3 @@ func (p *Platform) NumAlivePEs() int {
 
 // Restricted reports whether the platform carries an availability mask.
 func (p *Platform) Restricted() bool { return p.alive != nil || p.linkUp != nil }
-
-// AvailabilityMask returns the platform's availability state as a Mask
-// (a full mask on unrestricted platforms).
-func (p *Platform) AvailabilityMask() Mask {
-	m := FullMask(p.numPEs)
-	for pe := range m.PEs {
-		m.PEs[pe] = p.PEAlive(pe)
-	}
-	for i := range m.Links {
-		for j := range m.Links[i] {
-			if i != j {
-				m.Links[i][j] = p.LinkUp(i, j)
-			}
-		}
-	}
-	return m
-}

@@ -71,14 +71,6 @@ func TestRestrictDeadPE(t *testing.T) {
 	if !p.PEAlive(1) || p.AvgWCET(0) != 2 {
 		t.Fatal("Restrict mutated the receiver")
 	}
-	// BestPE skips the dead PE: task 1 is fastest on dead PE 1, so the
-	// restricted best is a survivor.
-	if got := r.BestPE(1); got == 1 {
-		t.Fatal("BestPE returned a dead PE")
-	}
-	if got := p.BestPE(1); got != 1 {
-		t.Fatalf("healthy BestPE = %d, want 1", got)
-	}
 }
 
 func TestRestrictLinkOutage(t *testing.T) {
@@ -205,47 +197,3 @@ func TestBuilderRejectsNonFiniteInputs(t *testing.T) {
 		}
 	}
 }
-
-func TestMaskIntersect(t *testing.T) {
-	const n = 4
-	a := FullMask(n)
-	a.PEs[1] = false
-	a.Links[0][2] = false
-	b := FullMask(n)
-	b.PEs[3] = false
-	b.Links[2][0] = false
-
-	got := a.Intersect(b, n)
-	for pe := 0; pe < n; pe++ {
-		want := pe != 1 && pe != 3
-		if got.PEAlive(pe) != want {
-			t.Fatalf("PE %d alive = %v, want %v", pe, got.PEAlive(pe), want)
-		}
-	}
-	if got.LinkUp(0, 2) || got.LinkUp(2, 0) {
-		t.Fatal("down links from either operand must stay down")
-	}
-	if got.LinkUp(0, 3) {
-		t.Fatal("a link touching a dead PE must be down")
-	}
-
-	// Zero masks (nil slices = everything available) are the identity.
-	id := platformZeroMask().Intersect(a, n)
-	if !id.Equal(a, n) {
-		t.Fatalf("zero ∩ a = %v, want %v", id, a)
-	}
-	if !a.Intersect(platformZeroMask(), n).Equal(a, n) {
-		t.Fatal("a ∩ zero must equal a")
-	}
-	// Intersection is commutative.
-	if !a.Intersect(b, n).Equal(b.Intersect(a, n), n) {
-		t.Fatal("Intersect must be commutative")
-	}
-	// The result never aliases the operands.
-	got.PEs[0] = false
-	if !a.PEAlive(0) || !b.PEAlive(0) {
-		t.Fatal("Intersect result aliases an operand")
-	}
-}
-
-func platformZeroMask() Mask { return Mask{} }

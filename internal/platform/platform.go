@@ -207,25 +207,6 @@ func (p *Platform) Energy(task, pe int) float64 { return p.energy[task][pe] }
 // the *WCET(τ) of the paper's static-level formula.
 func (p *Platform) AvgWCET(task int) float64 { return p.avgWCET[task] }
 
-// BestPE returns the available PE with the smallest WCET for the task (on a
-// restricted platform dead PEs are skipped; Restrict guarantees at least one
-// survivor).
-func (p *Platform) BestPE(task int) int {
-	best := -1
-	for pe := 0; pe < p.numPEs; pe++ {
-		if !p.PEAlive(pe) {
-			continue
-		}
-		if best < 0 || p.wcet[task][pe] < p.wcet[task][best] {
-			best = pe
-		}
-	}
-	return best
-}
-
-// MinWCET returns the smallest WCET of the task over all PEs.
-func (p *Platform) MinWCET(task int) float64 { return p.wcet[task][p.BestPE(task)] }
-
 // CommTime returns the time to move kb kilobytes from PE i to PE j; zero
 // when i == j (local buffers are free, per the paper's model).
 func (p *Platform) CommTime(kb float64, i, j int) float64 {

@@ -30,9 +30,6 @@ func TestBuilderBasics(t *testing.T) {
 	if p.AvgWCET(0) != 20 {
 		t.Fatalf("AvgWCET = %v, want 20", p.AvgWCET(0))
 	}
-	if p.BestPE(0) != 0 || p.MinWCET(0) != 10 {
-		t.Fatal("BestPE/MinWCET wrong")
-	}
 	if p.Bandwidth(0, 1) != 2 {
 		t.Fatal("Bandwidth wrong")
 	}

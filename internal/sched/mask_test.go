@@ -53,8 +53,7 @@ func TestSchedulersAvoidDeadPE(t *testing.T) {
 	rp := restrict(t, gp, m)
 
 	for name, build := range map[string]func() (*Schedule, error){
-		"dls":  func() (*Schedule, error) { return DLS(a, rp, Modified()) },
-		"heft": func() (*Schedule, error) { return HEFT(a, rp) },
+		"dls": func() (*Schedule, error) { return DLS(a, rp, Modified()) },
 	} {
 		s, err := build()
 		if err != nil {
@@ -86,8 +85,7 @@ func TestSchedulersAvoidDownLinks(t *testing.T) {
 	rp := restrict(t, gp, m)
 
 	for name, build := range map[string]func() (*Schedule, error){
-		"dls":  func() (*Schedule, error) { return DLS(a, rp, Modified()) },
-		"heft": func() (*Schedule, error) { return HEFT(a, rp) },
+		"dls": func() (*Schedule, error) { return DLS(a, rp, Modified()) },
 	} {
 		s, err := build()
 		if err != nil {
@@ -114,8 +112,7 @@ func TestValidateRejectsPlacementsOnMaskedHardware(t *testing.T) {
 	p := uniformPlatform(t, 3, 2, 5, 1)
 
 	for name, build := range map[string]func() (*Schedule, error){
-		"dls":  func() (*Schedule, error) { return DLS(a, p, Modified()) },
-		"heft": func() (*Schedule, error) { return HEFT(a, p) },
+		"dls": func() (*Schedule, error) { return DLS(a, p, Modified()) },
 	} {
 		s, err := build()
 		if err != nil {
@@ -166,8 +163,7 @@ func TestSchedulersReportInfeasibleTopology(t *testing.T) {
 	rp := restrict(t, p, m)
 
 	for name, build := range map[string]func() (*Schedule, error){
-		"dls":  func() (*Schedule, error) { return DLS(a, rp, Modified()) },
-		"heft": func() (*Schedule, error) { return HEFT(a, rp) },
+		"dls": func() (*Schedule, error) { return DLS(a, rp, Modified()) },
 	} {
 		_, err := build()
 		var ie *InfeasibleError

@@ -100,12 +100,19 @@ type RuleSet struct {
 	Rules []Rule `json:"rules"`
 }
 
-// Validate validates every rule.
+// Validate validates every rule and rejects duplicate names: alert state
+// (the store's rules, the health report's rule table) is keyed by name, so
+// two rules sharing one would overwrite each other's firing state.
 func (rs RuleSet) Validate() error {
+	seen := make(map[string]bool, len(rs.Rules))
 	for _, r := range rs.Rules {
 		if err := r.Validate(); err != nil {
 			return err
 		}
+		if seen[r.Name] {
+			return fmt.Errorf("duplicate rule name %q", r.Name)
+		}
+		seen[r.Name] = true
 	}
 	return nil
 }

@@ -121,22 +121,26 @@ func TestAbsenceRule(t *testing.T) {
 }
 
 func TestRuleValidate(t *testing.T) {
-	bad := []Rule{
-		{Metric: "m", Value: 1},                 // no name
-		{Name: "x", Value: 1},                   // no metric
-		{Name: "x", Metric: "m", Kind: "bogus"}, // unknown kind
-		{Name: "x", Metric: "m", Op: "=="},      // unknown op
-		{Name: "x", Metric: "m", For: -1},       // negative for
-		{Name: "x", Metric: "m", Value: 0.1, Clear: func() *float64 { v := 0.2; return &v }()}, // clear above a ">" bound
+	bad := [][]Rule{
+		{{Metric: "m", Value: 1}},                 // no name
+		{{Name: "x", Value: 1}},                   // no metric
+		{{Name: "x", Metric: "m", Kind: "bogus"}}, // unknown kind
+		{{Name: "x", Metric: "m", Op: "=="}},      // unknown op
+		{{Name: "x", Metric: "m", For: -1}},       // negative for
+		{{Name: "x", Metric: "m", Value: 0.1, Clear: func() *float64 { v := 0.2; return &v }()}}, // clear above a ">" bound
+		{{Name: "x", Metric: "m", Value: 1}, {Name: "x", Metric: "n", Value: 2}},                 // duplicate name
 	}
-	for i, r := range bad {
-		if err := r.Validate(); err == nil {
-			t.Errorf("rule %d (%+v) validated, want error", i, r)
+	for i, rules := range bad {
+		if err := (RuleSet{Rules: rules}).Validate(); err == nil {
+			t.Errorf("rule set %d (%+v) validated, want error", i, rules)
 		}
 	}
-	good := Rule{Name: "x", Metric: "m", Op: "<", Value: 0.5}
+	good := RuleSet{Rules: []Rule{
+		{Name: "x", Metric: "m", Op: "<", Value: 0.5},
+		{Name: "y", Metric: "m", Value: 0.9},
+	}}
 	if err := good.Validate(); err != nil {
-		t.Fatalf("valid rule rejected: %v", err)
+		t.Fatalf("valid rule set rejected: %v", err)
 	}
 }
 
@@ -166,5 +170,9 @@ func TestNewStorePanicsOnBadInput(t *testing.T) {
 	expectPanic("nil registry", func() { NewStore(StoreOptions{}) })
 	expectPanic("invalid rule", func() {
 		NewStore(StoreOptions{Registry: telemetry.NewRegistry(), Rules: []Rule{{Name: "x"}}})
+	})
+	expectPanic("duplicate rule name", func() {
+		r := Rule{Name: "x", Metric: "m", Value: 1}
+		NewStore(StoreOptions{Registry: telemetry.NewRegistry(), Rules: []Rule{r, r}})
 	})
 }

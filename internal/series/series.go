@@ -1,7 +1,7 @@
 // Package series is the deterministic time-series layer over the telemetry
 // metrics registry: a fixed-capacity ring-buffer store that samples every
-// registered metric on sim-time boundaries (instance index for managers,
-// round index for fleets — never wall clock, so replays are bit-for-bit), a
+// registered metric on sim-time boundaries (the manager's instance index —
+// never wall clock, so replays are bit-for-bit), a
 // rule-based alerting engine evaluated per sample (rules.go), a replayable
 // JSON dump format (dump.go), and a terminal sparkline renderer (watch.go).
 //
@@ -35,7 +35,7 @@ const (
 var histSuffixes = [5]string{SuffixCount, SuffixMean, SuffixP50, SuffixP95, SuffixP99}
 
 // Series is one named ring of (tick, value) samples, oldest overwritten
-// first. Ticks are the producer's sim-time index (instance or round), not
+// first. Ticks are the producer's sim-time index (the instance), not
 // timestamps.
 type Series struct {
 	name string
@@ -183,7 +183,7 @@ type histHandle struct {
 // Store samples a metrics registry into fixed-capacity per-metric rings on
 // demand (Tick) and evaluates alert rules against each sample. It is not
 // internally locked: one producer owns one store and ticks it from its own
-// step loop (the manager's instance boundary, the fleet's round boundary).
+// step loop (the manager's instance boundary).
 // Give concurrent producers their own stores over mirror registries
 // (telemetry.NewMirrorRegistry) — that is what keeps sampling deterministic
 // under parallel campaigns.
@@ -206,7 +206,7 @@ type Store struct {
 }
 
 // NewStore builds a store over opts.Registry. Panics on a nil registry or an
-// invalid rule (campaign setup is fail-fast; validate user-supplied rule
+// invalid rule set (campaign setup is fail-fast; validate user-supplied rule
 // files with RuleSet.Validate first).
 func NewStore(opts StoreOptions) *Store {
 	if opts.Registry == nil {
@@ -221,11 +221,10 @@ func NewStore(opts StoreOptions) *Store {
 		capacity: capacity,
 		byName:   make(map[string]*Series),
 	}
-	for i := range opts.Rules {
-		r := opts.Rules[i]
-		if err := r.Validate(); err != nil {
-			panic("series: " + err.Error())
-		}
+	if err := (RuleSet{Rules: opts.Rules}).Validate(); err != nil {
+		panic("series: " + err.Error())
+	}
+	for _, r := range opts.Rules {
 		st.rules = append(st.rules, newRuleState(r))
 	}
 	return st
@@ -282,8 +281,7 @@ func (st *Store) Names() []string {
 // Tick samples every registered metric at sim-time t and evaluates the alert
 // rules against the fresh values. rec/seq stamp rule firings as telemetry
 // events; cause is the Seq of the event the sample was taken at (the
-// instance_finish for managers, the round's budget breach for fleets, 0 for
-// none) and becomes the Cause of any alert fired on this tick. A nil store
+// instance_finish for managers, 0 for none) and becomes the Cause of any alert fired on this tick. A nil store
 // ignores the call.
 //
 // Steady state (no new metrics registered since the previous tick) allocates

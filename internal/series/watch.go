@@ -3,7 +3,6 @@ package series
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -59,13 +58,6 @@ type WatchOptions struct {
 	Width int
 }
 
-// Metric-name prefixes the watch view groups tenant rows by.
-const (
-	tenantMissPrefix   = "adaptive.tenant_miss_rate."
-	tenantGuardPrefix  = "adaptive.tenant_guard_level."
-	tenantEnergyPrefix = "adaptive.tenant_round_energy."
-)
-
 // watchRow renders one labeled sparkline line: label, sparkline, last value,
 // and window min/max.
 func watchRow(b *strings.Builder, label string, sd *SeriesDump, width int) {
@@ -88,12 +80,10 @@ func watchRow(b *strings.Builder, label string, sd *SeriesDump, width int) {
 	fmt.Fprintf(b, "  %-22s %s  %.4g  [%.4g..%.4g]\n", label, Sparkline(sd.V, width), last, lo, hi)
 }
 
-// RenderWatch renders a dump as the `ctgsched watch` terminal view: a fleet
-// section (rung, chip power vs cap, tenants live) when fleet series are
-// present, per-tenant sparkline rows (miss rate, guard level, round energy),
-// single-manager rows otherwise (windowed miss rate, guard level, drift),
-// and a firing-alerts section. Output is deterministic (series and tenants
-// sorted by name), so the view goldens cleanly.
+// RenderWatch renders a dump as the `ctgsched watch` terminal view: the
+// manager's sparkline rows (windowed miss rate, run miss rate, guard level,
+// drift) and an alerts section. Output is deterministic, so the view goldens
+// cleanly.
 func RenderWatch(d Dump, opts WatchOptions) string {
 	width := opts.Width
 	if width <= 0 {
@@ -102,47 +92,12 @@ func RenderWatch(d Dump, opts WatchOptions) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ctgsched watch — %d ticks, %d series\n", d.Ticks, len(d.Series))
 
-	if rung := d.Get("adaptive.fleet_rung"); rung != nil {
-		b.WriteString("\nfleet\n")
-		watchRow(&b, "rung", rung, width)
-		if p := d.Get("adaptive.power_round"); p != nil && len(p.V) > 0 {
-			capV := math.NaN()
-			if c := d.Get("adaptive.power_cap"); c != nil && len(c.V) > 0 {
-				capV = c.V[len(c.V)-1]
-			}
-			last := p.V[len(p.V)-1]
-			fmt.Fprintf(&b, "  %-22s %s  %.4g / cap %.4g\n", "chip power", Sparkline(p.V, width), last, capV)
-		}
-		watchRow(&b, "power window", d.Get("adaptive.power_window"), width)
-		watchRow(&b, "tenants live", d.Get("adaptive.fleet_tenants_live"), width)
-	}
-
-	tenants := map[string]bool{}
-	for i := range d.Series {
-		if name, ok := strings.CutPrefix(d.Series[i].Name, tenantMissPrefix); ok {
-			tenants[name] = true
-		}
-	}
-	names := make([]string, 0, len(tenants))
-	for n := range tenants {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(&b, "\ntenant %s\n", name)
-		watchRow(&b, "miss rate", d.Get(tenantMissPrefix+name), width)
-		watchRow(&b, "guard level", d.Get(tenantGuardPrefix+name), width)
-		watchRow(&b, "round energy", d.Get(tenantEnergyPrefix+name), width)
-	}
-
-	if len(names) == 0 {
-		if mr := d.Get("adaptive.miss_rate_window"); mr != nil || d.Get("adaptive.miss_rate") != nil {
-			b.WriteString("\nmanager\n")
-			watchRow(&b, "miss rate (window)", mr, width)
-			watchRow(&b, "miss rate (run)", d.Get("adaptive.miss_rate"), width)
-			watchRow(&b, "guard level", d.Get("adaptive.guard_level"), width)
-			watchRow(&b, "drift", d.Get("adaptive.drift"), width)
-		}
+	if mr := d.Get("adaptive.miss_rate_window"); mr != nil || d.Get("adaptive.miss_rate") != nil {
+		b.WriteString("\nmanager\n")
+		watchRow(&b, "miss rate (window)", mr, width)
+		watchRow(&b, "miss rate (run)", d.Get("adaptive.miss_rate"), width)
+		watchRow(&b, "guard level", d.Get("adaptive.guard_level"), width)
+		watchRow(&b, "drift", d.Get("adaptive.drift"), width)
 	}
 
 	firing := 0

@@ -30,8 +30,8 @@ func TestSparkline(t *testing.T) {
 	}
 }
 
-// TestRenderWatchManager checks the single-manager layout and the alerts
-// section without needing a fleet dump.
+// TestRenderWatchManager checks the manager layout and the alerts section
+// on a hand-built dump.
 func TestRenderWatchManager(t *testing.T) {
 	d := Dump{
 		Ticks: 3,
@@ -58,11 +58,12 @@ func TestRenderWatchManager(t *testing.T) {
 	}
 }
 
-// TestRenderWatchGolden renders the committed governed-fleet consolidation
-// dump (generated by `experiments -series-out` over the examples/watch rules)
-// and pins the full view.
+// TestRenderWatchGolden renders a committed fault-campaign dump and pins the
+// full view. The dump is the mpeg store written by `experiments -exp faults
+// -rules examples/watch/rules.json -series-out P` (make watch-smoke), cut
+// down to the series the view renders.
 func TestRenderWatchGolden(t *testing.T) {
-	d, err := LoadDump(filepath.Join("testdata", "consolidation_series.json"))
+	d, err := LoadDump(filepath.Join("testdata", "faults_mpeg_series.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

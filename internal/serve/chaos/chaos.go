@@ -1,5 +1,5 @@
 // Package chaos is the seeded fault-injection harness for the scheduling
-// daemon (DESIGN.md §15). A campaign runs the same tenants with the same
+// daemon (DESIGN.md §14). A campaign runs the same tenants with the same
 // seeded decision vectors against two in-process daemons driven over real
 // HTTP: a quiet baseline and a chaos daemon whose "gremlin" tenant is
 // subjected to injected panics, slow steps and request floods, and which is

@@ -369,33 +369,3 @@ func Exhaustive(s *sched.Schedule, cfg Config) (Summary, error) {
 	}
 	return sum, nil
 }
-
-// ExpectedEnergyUnder evaluates a stretched schedule's expected energy
-// against an independent ("true") probability model. This is how the paper
-// scores the non-adaptive algorithm when its profiled probabilities are
-// wrong (Tables 4 and 5): the schedule was built for one distribution but
-// the workload follows another.
-func ExpectedEnergyUnder(s *sched.Schedule, truth *ctg.Analysis) float64 {
-	sum := 0.0
-	for task := 0; task < s.G.NumTasks(); task++ {
-		sum += truth.ActivationProb(ctg.TaskID(task)) * s.TaskEnergy(ctg.TaskID(task))
-	}
-	// Each edge's joint activation probability scans the scenario set, so
-	// the edge loop fans out; the edge-order reduction below keeps the sum
-	// bit-for-bit identical to the serial loop.
-	edges := s.G.Edges()
-	contrib := par.Map(len(edges), func(ei int) float64 {
-		ce := s.CommEnergy(ei)
-		if ce <= 0 {
-			return 0
-		}
-		e := edges[ei]
-		both := truth.ActivationSet(e.From).Clone()
-		both.IntersectWith(truth.ActivationSet(e.To))
-		return truth.ProbOfSet(both) * ce
-	})
-	for _, c := range contrib {
-		sum += c
-	}
-	return sum
-}

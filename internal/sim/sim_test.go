@@ -254,34 +254,6 @@ func TestStretchedSchedulesMeetDeadlineInEveryScenario(t *testing.T) {
 	}
 }
 
-func TestExpectedEnergyUnderMatchesSelfAnalysis(t *testing.T) {
-	s := forkSchedule(t)
-	// Evaluating under the schedule's own analysis must reproduce
-	// ExpectedEnergy exactly.
-	got := ExpectedEnergyUnder(s, s.A)
-	want := s.ExpectedEnergy()
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("ExpectedEnergyUnder(self) = %v, want %v", got, want)
-	}
-	// Under a different truth, the value shifts toward the likelier arm.
-	g2 := s.G.Clone()
-	if err := g2.SetBranchProbs(0, []float64{1, 0}); err != nil {
-		t.Fatal(err)
-	}
-	truth, err := ctg.Analyze(g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2 := ExpectedEnergyUnder(s, truth)
-	// All tasks have equal energy at speed 1, so the value equals
-	// 3 tasks × 2 energy regardless; instead slow one arm and re-check.
-	s.Speed[1] = 0.5 // arm0 (outcome 0), energy 2·0.25
-	got3 := ExpectedEnergyUnder(s, truth)
-	if !(got3 < got2) {
-		t.Fatalf("slowing the certain arm did not reduce truth-energy: %v vs %v", got3, got2)
-	}
-}
-
 func TestSampleConvergesToExhaustive(t *testing.T) {
 	g, p, err := tgff.Generate(tgff.Config{Seed: 31, Nodes: 18, PEs: 3, Branches: 3})
 	if err != nil {

@@ -77,23 +77,6 @@ const (
 	// Reason ("degraded" when hardware was lost, "restored" when the full
 	// topology returned), Alive (survivor count the new schedule targets).
 	KindRemap Kind = "remap"
-	// KindBudgetExceeded marks one full measurement window whose mean chip
-	// power exceeded the configured cap: Instance (fleet round), Value
-	// (window mean), Threshold (cap), Level (degradation-ladder level in
-	// force when it was measured).
-	KindBudgetExceeded Kind = "budget_exceeded"
-	// KindPERevoked marks a PE revoked from a tenant by the power governor
-	// (a budget-revoked PE is a masked PE): Instance (fleet round), PE, Name
-	// (tenant), Level (ladder level), Alive (PEs the tenant keeps).
-	KindPERevoked Kind = "pe_revoked"
-	// KindTenantDegraded is one degradation-ladder rung applied to a tenant:
-	// Instance (fleet round), Name (tenant, "" for fleet-wide guard rungs),
-	// Reason ("guard", "revoke", "shed"), Level (ladder level now in force),
-	// Value (the new guard band on guard rungs).
-	KindTenantDegraded Kind = "tenant_degraded"
-	// KindTenantRestored is one degradation-ladder rung released: the same
-	// fields as KindTenantDegraded, with Level the level restored *to*.
-	KindTenantRestored Kind = "tenant_restored"
 	// KindSpan is one timed phase of the reschedule pipeline: Instance,
 	// Name (phase: "diff", "dls", "stretch", "validate"), Value (wall time
 	// in microseconds), Cause (the trigger the pipeline ran for).
@@ -101,8 +84,8 @@ const (
 	// KindAlertFiring is one series-rule alert starting to fire
 	// (internal/series): Instance (sample tick), Name (rule name), Reason
 	// (watched metric), Value (observed), Threshold (rule bound), Level
-	// (consecutive breaching samples), Cause (the instance_finish — or the
-	// fleet round's budget breach — the triggering sample was taken at).
+	// (consecutive breaching samples), Cause (the instance_finish the
+	// triggering sample was taken at).
 	KindAlertFiring Kind = "alert_firing"
 	// KindAlertResolved closes a firing series-rule alert: the same fields
 	// as KindAlertFiring, with Cause the alert_firing being resolved.
@@ -152,10 +135,9 @@ type Event struct {
 	// that later events can name it as their Cause.
 	Seq uint64 `json:"seq,omitempty"`
 	// Cause is the Seq of the event that triggered this one — the drifted
-	// estimate behind a reschedule, the budget breach behind a ladder rung,
-	// the pe_down behind a remap. 0 means no recorded cause (spontaneous or
-	// unsequenced). Chains of Cause links reconstruct full decision
-	// provenance; `ctgsched explain` walks them.
+	// estimate behind a reschedule, the pe_down behind a remap. 0 means no
+	// recorded cause (spontaneous or unsequenced). Chains of Cause links
+	// reconstruct full decision provenance; `ctgsched explain` walks them.
 	Cause uint64 `json:"cause,omitempty"`
 
 	Scenario int     `json:"scenario,omitempty"`

@@ -10,11 +10,10 @@ import (
 // DefaultFlightTriggers are the event kinds that arm a flight-recorder dump
 // when no explicit trigger set is configured: a circuit-breaker level change,
 // a worst-case fallback activation, a health-monitor alert (SLO breach,
-// drift, miss streak), a chip-power cap breach, and a series-rule alert
-// firing — the moments an operator wants the black box for.
+// drift, miss streak) and a series-rule alert firing — the moments an
+// operator wants the black box for.
 var DefaultFlightTriggers = []Kind{
-	KindGuardLevel, KindFallback, KindHealthAlert, KindBudgetExceeded,
-	KindAlertFiring,
+	KindGuardLevel, KindFallback, KindHealthAlert, KindAlertFiring,
 }
 
 // FlightRecorderOptions configures a FlightRecorder.

@@ -180,27 +180,3 @@ func (m MultiRecorder) Record(e Event) {
 		r.Record(e)
 	}
 }
-
-// FilterRecorder forwards only events of the listed kinds — e.g. keep the
-// per-decision control events while dropping the (much denser) per-task
-// slices when only a JSONL decision log is wanted.
-type FilterRecorder struct {
-	next  Recorder
-	kinds map[Kind]bool
-}
-
-// NewFilterRecorder wraps next, passing through only the given kinds.
-func NewFilterRecorder(next Recorder, kinds ...Kind) *FilterRecorder {
-	m := make(map[Kind]bool, len(kinds))
-	for _, k := range kinds {
-		m[k] = true
-	}
-	return &FilterRecorder{next: next, kinds: m}
-}
-
-// Record forwards the event when its kind is selected.
-func (f *FilterRecorder) Record(e Event) {
-	if f.kinds[e.Kind] {
-		f.next.Record(e)
-	}
-}

@@ -6,10 +6,10 @@ import "sync/atomic"
 // events an identity (Event.Seq) for causal back-references (Event.Cause).
 // Ids are 1-based so that 0 stays the "unsequenced / no cause" sentinel.
 //
-// One Sequencer per event stream: a standalone Manager owns its own, a Fleet
-// shares one across all tenants and its own governor so ids are unique in the
-// merged stream. Next is a single atomic add — safe for concurrent producers
-// and allocation-free.
+// One Sequencer per event stream: a standalone Manager owns its own, and
+// runtimes that share a recorder share one so ids stay unique in the merged
+// stream. Next is a single atomic add — safe for concurrent producers and
+// allocation-free.
 type Sequencer struct {
 	n atomic.Uint64
 }

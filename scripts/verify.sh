@@ -4,12 +4,12 @@
 #   full test suite, tests again under the race detector in short mode (the
 #   heavy exp replays honor -short; the race pass is about concurrency bugs,
 #   not numerics), per-package coverage floors (the adaptive manager, the
-#   fault, power, telemetry and health layers, and the scheduling daemon), a
+#   fault, telemetry and health layers, and the scheduling daemon), a
 #   one-iteration smoke run of every benchmark (catches bit-rot in the bench
-#   harness without paying for real measurement), a short parser fuzzing session, a fault-campaign and a
-#   failover-campaign run of the fault-tolerance layer, a bounded run of the
-#   consolidation campaign (power-budget governor vs ungoverned baseline), a
-#   bounded run of the large-scale warm-start tier (one 10^3-task cell), an
+#   harness without paying for real measurement), a short parser fuzzing
+#   session, a fault-campaign and a failover-campaign run of the
+#   fault-tolerance layer, a bounded run of the large-scale warm-start tier
+#   (one 10^3-task cell), an
 #   end-to-end health-analyzer pass over a captured event stream, an
 #   end-to-end provenance pass (captured campaign streams + flight-recorder
 #   dumps replayed through `ctgsched explain`), an end-to-end monitoring
@@ -69,7 +69,7 @@ echo "== benchmark module (perfbench: vet + test) =="
 echo "== go test -race -short =="
 go test -race -short -timeout 30m ./...
 
-echo "== coverage floors (core, faults, power, telemetry, health, serve) =="
+echo "== coverage floors (core, faults, telemetry, health, serve) =="
 sh scripts/cover.sh
 
 echo "== bench smoke (1 iteration each) =="
@@ -86,9 +86,6 @@ rm -f "$trace_tmp"
 
 echo "== failover-campaign smoke =="
 go run ./cmd/experiments -exp failover >/dev/null
-
-echo "== consolidation-campaign smoke (80 rounds, health attached) =="
-go run ./cmd/experiments -exp consolidation -consolidation-rounds 80 -health >/dev/null
 
 echo "== scale-tier smoke (10^3-task cell, warm vs full) =="
 go run ./cmd/experiments -exp scale -scale-tasks 1000 -scale-pes 16 -scale-instances 24 >/dev/null
