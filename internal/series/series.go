@@ -1,9 +1,9 @@
 // Package series is the deterministic time-series layer over the telemetry
 // metrics registry: a fixed-capacity ring-buffer store that samples every
 // registered metric on sim-time boundaries (the manager's instance index —
-// never wall clock, so replays are bit-for-bit), a
-// rule-based alerting engine evaluated per sample (rules.go), a replayable
-// JSON dump format (dump.go), and a terminal sparkline renderer (watch.go).
+// never wall clock, so replays are bit-for-bit), a rule-based alerting engine
+// evaluated per sample (rules.go), a replayable JSON dump format (dump.go),
+// and a terminal sparkline renderer (watch.go).
 //
 // Like the flight recorder, the store is cheap enough to leave always on:
 // steady-state sampling reuses preallocated rings and allocates nothing
@@ -183,10 +183,9 @@ type histHandle struct {
 // Store samples a metrics registry into fixed-capacity per-metric rings on
 // demand (Tick) and evaluates alert rules against each sample. It is not
 // internally locked: one producer owns one store and ticks it from its own
-// step loop (the manager's instance boundary).
-// Give concurrent producers their own stores over mirror registries
-// (telemetry.NewMirrorRegistry) — that is what keeps sampling deterministic
-// under parallel campaigns.
+// step loop (the manager's instance boundary). Give concurrent producers
+// their own stores over mirror registries (telemetry.NewMirrorRegistry) —
+// that is what keeps sampling deterministic under parallel campaigns.
 type Store struct {
 	reg      *telemetry.Registry
 	capacity int
