@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"ctgdvfs/internal/par"
+	"ctgdvfs/internal/series"
 	"ctgdvfs/internal/telemetry"
 )
 
@@ -75,66 +76,84 @@ func TestFaultCampaignAcceptance(t *testing.T) {
 
 // TestFaultCampaignObservedHealth checks the observed campaign carries one
 // live health analyzer per workload, fanned into the same stream as the
-// recorder, and that attaching it changes no campaign number. It also pins
-// the campaign's behaviour contract: the rendered table and one SHA-256 per
-// event stream must match testdata/faultcampaign.golden (go test -update
-// rewrites it).
+// recorder, and that attaching it changes no campaign number. It runs once
+// without alert rules and once with examples/watch/rules.json armed, and
+// pins the campaign's behaviour contract: the rendered table and one SHA-256
+// per event stream of each case must match testdata/faultcampaign.golden (go
+// test -update rewrites it).
 func TestFaultCampaignObservedHealth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault campaign replays hundreds of faulty instances per runtime")
+	}
+	rules, err := series.LoadRules(filepath.Join("..", "..", "examples", "watch", "rules.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
 	plain, _, err := faultCampaignN(DefaultCampaignSpec(), DefaultCampaignGuard, campaignTestVectors, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry()
-	observed, tel, err := faultCampaignN(DefaultCampaignSpec(), DefaultCampaignGuard, campaignTestVectors, &Observe{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
+	golden := plain.Render()
+	for _, c := range []struct {
+		label string // prefixes the case's digest lines; "" keeps the rule-less lines unlabelled
+		rules []series.Rule
+	}{
+		{"", nil},
+		{"rules.json ", rules.Rules},
+	} {
+		reg := telemetry.NewRegistry()
+		observed, tel, err := faultCampaignN(DefaultCampaignSpec(), DefaultCampaignGuard, campaignTestVectors,
+			&Observe{Metrics: reg, Rules: c.rules})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plain.Rows, observed.Rows) {
+			t.Fatalf("%sobservation changed campaign rows:\n%+v\n%+v", c.label, plain.Rows, observed.Rows)
+		}
+		for _, row := range observed.Rows {
+			h := tel.Health[row.Workload]
+			if h == nil {
+				t.Fatalf("%s: no health analyzer", row.Workload)
+			}
+			s := h.Health()
+			if s.Instances != row.Vectors {
+				t.Errorf("%s: analyzer saw %d instances, want %d", row.Workload, s.Instances, row.Vectors)
+			}
+			if s.SLO.Misses != row.GuardedMisses {
+				t.Errorf("%s: analyzer counted %d misses, want %d", row.Workload, s.SLO.Misses, row.GuardedMisses)
+			}
+			if s.SLO.Fallbacks != row.FallbackActivations {
+				t.Errorf("%s: analyzer counted %d fallbacks, want %d",
+					row.Workload, s.SLO.Fallbacks, row.FallbackActivations)
+			}
+			if s.SLO.MaxGuardLevel != row.MaxGuardLevel {
+				t.Errorf("%s: analyzer max guard level %d, want %d",
+					row.Workload, s.SLO.MaxGuardLevel, row.MaxGuardLevel)
+			}
+			if len(s.Hotspots.Tasks) == 0 || len(s.Drift) == 0 {
+				t.Errorf("%s: analyzer missing hotspot/drift data", row.Workload)
+			}
+			// Every rule firing in the stream is reported exactly once.
+			firings := 0
+			if s.SeriesAlerts != nil {
+				firings = s.SeriesAlerts.Firings
+			}
+			if n := tel.Recorders[row.Workload].CountByKind()[telemetry.KindAlertFiring]; n != firings {
+				t.Errorf("%s%s: %d alert_firing events vs %d reported firings", c.label, row.Workload, n, firings)
+			}
+		}
+		if reg.Snapshot().Counters["adaptive.instances"] == 0 {
+			t.Error("campaign registry saw no instances")
+		}
+		golden += streamDigests(t, tel, c.label)
 	}
-	if !reflect.DeepEqual(plain.Rows, observed.Rows) {
-		t.Fatalf("health monitoring changed campaign rows:\n%+v\n%+v", plain.Rows, observed.Rows)
-	}
-	for _, row := range observed.Rows {
-		h := tel.Health[row.Workload]
-		if h == nil {
-			t.Fatalf("%s: no health analyzer", row.Workload)
-		}
-		s := h.Health()
-		if s.Instances != row.Vectors {
-			t.Errorf("%s: analyzer saw %d instances, want %d", row.Workload, s.Instances, row.Vectors)
-		}
-		if s.SLO.Misses != row.GuardedMisses {
-			t.Errorf("%s: analyzer counted %d misses, want %d", row.Workload, s.SLO.Misses, row.GuardedMisses)
-		}
-		if s.SLO.Fallbacks != row.FallbackActivations {
-			t.Errorf("%s: analyzer counted %d fallbacks, want %d",
-				row.Workload, s.SLO.Fallbacks, row.FallbackActivations)
-		}
-		if s.SLO.MaxGuardLevel != row.MaxGuardLevel {
-			t.Errorf("%s: analyzer max guard level %d, want %d",
-				row.Workload, s.SLO.MaxGuardLevel, row.MaxGuardLevel)
-		}
-		if len(s.Hotspots.Tasks) == 0 || len(s.Drift) == 0 {
-			t.Errorf("%s: analyzer missing hotspot/drift data", row.Workload)
-		}
-		// Raised alerts interleave into the workload's trace stream as typed
-		// events, exactly as many as the analyzer counted.
-		typed := tel.Recorders[row.Workload].CountByKind()[telemetry.KindHealthAlert]
-		if typed != s.AlertsTotal {
-			t.Errorf("%s: %d typed alert events vs %d alerts raised", row.Workload, typed, s.AlertsTotal)
-		}
-	}
-	if reg.Snapshot().Counters["adaptive.instances"] == 0 {
-		t.Error("campaign registry saw no instances")
-	}
-	checkGolden(t, "faultcampaign.golden", observed.Render()+streamDigests(t, tel))
+	checkGolden(t, "faultcampaign.golden", golden)
 }
 
 // streamDigests lists one SHA-256 per event stream, in stream-name order,
 // over the stream's JSONL encoding with pipeline_span values masked (they
 // are wall-clock durations).
-func streamDigests(t *testing.T, tel *CampaignTelemetry) string {
+func streamDigests(t *testing.T, tel *CampaignTelemetry, label string) string {
 	t.Helper()
 	names := make([]string, 0, len(tel.Recorders))
 	for name := range tel.Recorders {
@@ -152,7 +171,7 @@ func streamDigests(t *testing.T, tel *CampaignTelemetry) string {
 				t.Fatal(err)
 			}
 		}
-		fmt.Fprintf(&b, "stream %s: %d events, sha256 %x\n", name, len(evs), h.Sum(nil))
+		fmt.Fprintf(&b, "%sstream %s: %d events, sha256 %x\n", label, name, len(evs), h.Sum(nil))
 	}
 	return b.String()
 }
