@@ -170,7 +170,6 @@ const (
 	KindOverrun        = telemetry.KindOverrun
 	KindFallback       = telemetry.KindFallback
 	KindGuardLevel     = telemetry.KindGuardLevel
-	KindHealthAlert    = telemetry.KindHealthAlert
 	KindPEDown         = telemetry.KindPEDown
 	KindPEUp           = telemetry.KindPEUp
 	KindLinkDown       = telemetry.KindLinkDown
@@ -259,10 +258,12 @@ func RenderSeriesWatch(d SeriesDump, opts SeriesWatchOptions) string {
 }
 
 // Health monitoring (package internal/health): streaming analyzers over the
-// telemetry event stream — estimator drift detection, SLO tracking, hotspot
-// attribution. Fan a HealthAnalyzer into AdaptiveOptions.Recorder (alone or
-// via MultiRecorder) and read Health() at any time; the analyzer observes
-// only, the run's outputs stay bit-for-bit identical.
+// telemetry event stream — estimator drift, SLO tracking, hotspot
+// attribution. The analyzers publish adaptive.health.* gauges that series
+// rules alert on (examples/watch/health.json). Fan a HealthAnalyzer into
+// AdaptiveOptions.Recorder (alone or via MultiRecorder) and read Health() at
+// any time; the analyzer observes only, the run's outputs stay bit-for-bit
+// identical.
 type (
 	// HealthAnalyzer is the fan-in recorder hosting the drift, SLO and
 	// hotspot analyzers.
@@ -274,8 +275,6 @@ type (
 	// HealthSnapshot is the full analyzer state (Report renders it as the
 	// diagnosis text `ctgsched analyze` prints).
 	HealthSnapshot = health.Snapshot
-	// HealthAlert is one raised drift/miss-streak/SLO alert.
-	HealthAlert = health.Alert
 	// ExplainQuery selects the decision `ctgsched explain` reconstructs: an
 	// exact seq id, or kind/instance/tenant filters (last match wins).
 	ExplainQuery = health.ExplainQuery

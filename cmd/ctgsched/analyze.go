@@ -14,8 +14,10 @@ import (
 // runAnalyze is the `ctgsched analyze` subcommand: replay a recorded
 // telemetry capture (JSONL event stream or Chrome trace-event file) through
 // the health analyzers offline and print the diagnosis report — top
-// hotspots, estimator drift per fork, SLO verdicts, and the
-// reschedule/fallback/guard decision timeline.
+// hotspots, estimator drift per fork, SLO verdicts, the alerts the live
+// series rules fired, and the reschedule/fallback/guard decision timeline.
+// Rules are not evaluated again offline: the report lists what the capture
+// recorded.
 //
 // Usage:
 //
@@ -25,12 +27,10 @@ import (
 func runAnalyze(args []string) {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
 	top := fs.Int("top", ctgdvfs.HealthOptions{}.Hotspots, "hotspot rankings: top N entries (0 = default)")
-	driftThreshold := fs.Float64("drift-threshold", 0, "drift alert threshold on the per-fork error EWMA (0 = default)")
 	missRate := fs.Float64("slo-miss-rate", 0, "SLO: allowed deadline-miss rate (0 = default, negative disables)")
 	latenessP95 := fs.Float64("slo-lateness-p95", 0, "SLO: bound on rolling P95 lateness (0 disables)")
 	makespanP95 := fs.Float64("slo-makespan-p95", 0, "SLO: bound on rolling P95 makespan (0 disables)")
 	avgEnergy := fs.Float64("slo-avg-energy", 0, "SLO: bound on average per-instance energy (0 disables)")
-	streak := fs.Int("streak", 0, "alert after this many consecutive deadline misses (0 = default)")
 	run := fs.String("run", "", "Chrome traces: process (run name) to analyze; required when the trace holds several runs")
 	asJSON := fs.Bool("json", false, "print the snapshot as JSON instead of the text report")
 	fs.Usage = func() {
@@ -56,9 +56,7 @@ func runAnalyze(args []string) {
 		fmt.Fprintf(os.Stderr, "warning: %v\n", err)
 	}
 	snap := ctgdvfs.AnalyzeTelemetry(events, ctgdvfs.HealthOptions{
-		DriftThreshold: *driftThreshold,
-		MissStreak:     *streak,
-		Hotspots:       *top,
+		Hotspots: *top,
 		SLO: ctgdvfs.HealthSLO{
 			MaxMissRate:    *missRate,
 			MaxLatenessP95: *latenessP95,

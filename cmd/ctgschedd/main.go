@@ -10,6 +10,7 @@
 //
 //	ctgschedd -addr :8080 -checkpoint-dir /var/lib/ctgschedd
 //	ctgschedd -addr :8080 -rate 200 -burst 50 -timeout 2s -events-dir ./events
+//	ctgschedd -addr :8080 -rules shed.json   # shed a tenant while a rule fires
 //
 // The API (see DESIGN.md §14):
 //
@@ -39,7 +40,7 @@ import (
 	"syscall"
 	"time"
 
-	"ctgdvfs/internal/health"
+	"ctgdvfs/internal/series"
 	"ctgdvfs/internal/serve"
 )
 
@@ -57,8 +58,7 @@ func main() {
 	baseBackoff := flag.Duration("base-backoff", 0, "initial breaker backoff (0 = default)")
 	maxBackoff := flag.Duration("max-backoff", 0, "breaker backoff cap (0 = default)")
 	flightWindow := flag.Int("flight-window", 0, "per-tenant flight-recorder capacity (0 = default)")
-	missBudget := flag.Float64("slo-miss-rate", 0, "deadline-miss-rate SLO budget (0 disables SLO shedding)")
-	sloShed := flag.Bool("slo-shed", false, "shed load while a tenant's SLO budget is blown")
+	rulesFile := flag.String("rules", "", "JSON alert-rule file (series.RuleSet) each tenant evaluates; a tenant sheds load (503 slo_shed) while one fires")
 	chaos := flag.Bool("chaos", false, "honor fault-injection fields in step requests (testing only)")
 	seed := flag.Int64("seed", 1, "seed for per-tenant backoff jitter")
 	flag.Parse()
@@ -79,12 +79,15 @@ func main() {
 		BaseBackoff:     *baseBackoff,
 		MaxBackoff:      *maxBackoff,
 		FlightWindow:    *flightWindow,
-		SLOShed:         *sloShed,
 		Chaos:           *chaos,
 		Seed:            *seed,
 	}
-	if *missBudget > 0 {
-		opts.SLO = health.SLO{MaxMissRate: *missBudget}
+	if *rulesFile != "" {
+		rs, err := series.LoadRules(*rulesFile)
+		if err != nil {
+			log.Fatalf("ctgschedd: -rules: %v", err)
+		}
+		opts.ShedRules = rs.Rules
 	}
 	if *eventsDir != "" {
 		if err := os.MkdirAll(*eventsDir, 0o755); err != nil {

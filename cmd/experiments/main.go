@@ -199,7 +199,7 @@ func writeCampaignEvents(prefix string, tel *exp.CampaignTelemetry) error {
 
 // writeCampaignFlight replays each stream through a flight recorder with a
 // file sink, exercising the black-box path offline: every armed trigger in
-// the stream (fallback, breaker trip, health alert, rule alert firing) dumps
+// the stream (fallback, breaker trip, rule alert firing) dumps
 // its ring window to PREFIX-<name>-<n>.jsonl, and the final window is always
 // written to PREFIX-<name>-final.jsonl. Each dump is a self-contained JSONL
 // stream `ctgsched explain` ingests directly.

@@ -160,20 +160,17 @@ func faultCampaignN(spec faults.Spec, guard float64, maxVec int, obs *Observe) (
 	if tel != nil {
 		for _, w := range workloads {
 			// Each stream's series store samples a private mirror of the
-			// shared registry and evaluates the alert rules.
-			rec := telemetry.NewMemoryRecorder()
-			tel.Recorders[w.name] = rec
-			tel.Series[w.name] = series.NewStore(series.StoreOptions{
+			// shared registry and evaluates the alert rules. The analyzer
+			// publishes into the same mirror, so rules see its
+			// adaptive.health.* gauges and the shared registry still
+			// aggregates them.
+			tel.Recorders[w.name] = telemetry.NewMemoryRecorder()
+			st := series.NewStore(series.StoreOptions{
 				Registry: telemetry.NewMirrorRegistry(tel.Metrics),
 				Rules:    obs.Rules,
 			})
-			// Alerts interleave into the workload's own stream; metrics
-			// share the campaign registry (adaptive.health.* aggregates
-			// across workloads, like the adaptive.* counters do).
-			tel.Health[w.name] = health.New(health.Options{
-				Alerts:  rec,
-				Metrics: tel.Metrics,
-			})
+			tel.Series[w.name] = st
+			tel.Health[w.name] = health.New(health.Options{Metrics: st.Registry()})
 		}
 	}
 	// The workloads are independent end-to-end runs, so they fan out over

@@ -9,12 +9,13 @@ import (
 
 // availState tracks hardware availability from the pe_down/pe_up/link_down/
 // link_up/remap event kinds the adaptive manager emits at instance
-// boundaries. Each PE gets a latched alert: the first down transition raises
-// it, and it re-arms only when the PE comes back up — a PE that stays down
-// for a thousand instances is one alert, not a thousand.
+// boundaries, and publishes the number of PEs currently down as the
+// adaptive.health.pes_down gauge (the PE-loss rule of
+// examples/watch/health.json alerts on it).
 type availState struct {
 	seen      bool
-	peDown    map[int]bool // currently-down PEs (latched alert armed)
+	peDown    map[int]bool // currently-down PEs
+	down      int          // PEs currently down
 	peOutages map[int]int  // total down transitions per PE
 	permanent map[int]bool // PE ever reported permanently dead
 	linkDowns int
@@ -62,19 +63,13 @@ func (av *availState) observe(a *AnalyzerRecorder, e telemetry.Event) {
 		a.note(e.Instance, "pe_down", fmt.Sprintf("PE %d (%s), %d alive", e.PE, e.Reason, e.Alive))
 		if !av.peDown[e.PE] {
 			av.peDown[e.PE] = true
-			a.raise(Alert{
-				Type:     "availability",
-				Instance: e.Instance,
-				Fork:     -1,
-				Name:     fmt.Sprintf("pe_%d", e.PE),
-				Value:    float64(e.Alive),
-				Message: fmt.Sprintf("PE %d lost (%s), %d PEs remain in service",
-					e.PE, e.Reason, e.Alive),
-			})
+			av.down++
 		}
 	case telemetry.KindPEUp:
-		// Re-arm the latch: a later outage of the same PE alerts again.
-		av.peDown[e.PE] = false
+		if av.peDown[e.PE] {
+			av.peDown[e.PE] = false
+			av.down--
+		}
 		a.note(e.Instance, "pe_up", fmt.Sprintf("PE %d restored, %d alive", e.PE, e.Alive))
 	case telemetry.KindLinkDown:
 		av.linkDowns++
@@ -89,6 +84,7 @@ func (av *availState) observe(a *AnalyzerRecorder, e telemetry.Event) {
 		}
 		a.note(e.Instance, "remap", fmt.Sprintf("%s, scheduling onto %d PEs", e.Reason, e.Alive))
 	}
+	a.hm.pesDown.Set(float64(av.down))
 }
 
 func (av *availState) snapshot() *AvailabilityStatus {

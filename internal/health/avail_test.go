@@ -7,52 +7,9 @@ import (
 	"ctgdvfs/internal/telemetry"
 )
 
-func TestAvailabilityAlertsLatchPerPE(t *testing.T) {
-	a := New(Options{})
-	down := func(inst, pe, alive int, reason string) {
-		a.Record(telemetry.Event{Kind: telemetry.KindPEDown, Instance: inst, PE: pe, Alive: alive, Reason: reason})
-	}
-	up := func(inst, pe, alive int) {
-		a.Record(telemetry.Event{Kind: telemetry.KindPEUp, Instance: inst, PE: pe, Alive: alive})
-	}
-
-	down(3, 1, 2, "transient")
-	down(4, 1, 2, "transient") // still down: latched, no second alert
-	up(6, 1, 3)
-	down(9, 1, 2, "transient") // re-armed: alerts again
-	down(12, 0, 1, "permanent")
-
-	s := a.Health()
-	if s.AlertsTotal != 3 {
-		t.Fatalf("AlertsTotal = %d, want 3 (latched per PE)", s.AlertsTotal)
-	}
-	if s.Availability == nil {
-		t.Fatal("Availability missing from snapshot")
-	}
-	if len(s.Availability.PEs) != 2 {
-		t.Fatalf("PE records = %d, want 2", len(s.Availability.PEs))
-	}
-	pe0, pe1 := s.Availability.PEs[0], s.Availability.PEs[1]
-	if pe0.PE != 0 || !pe0.Permanent || !pe0.Down || pe0.Outages != 1 {
-		t.Fatalf("PE 0 record = %+v", pe0)
-	}
-	if pe1.PE != 1 || pe1.Permanent || !pe1.Down || pe1.Outages != 3 {
-		t.Fatalf("PE 1 record = %+v", pe1)
-	}
-	for _, al := range s.Alerts {
-		if al.Type != "availability" {
-			t.Fatalf("alert type %q, want availability", al.Type)
-		}
-	}
-	report := s.Report()
-	if !strings.Contains(report, "hardware availability") ||
-		!strings.Contains(report, "DEAD (permanent)") {
-		t.Fatalf("report missing availability section:\n%s", report)
-	}
-}
-
 func TestAvailabilityRemapAndLinkAccounting(t *testing.T) {
-	a := New(Options{})
+	reg := telemetry.NewRegistry()
+	a := New(Options{Metrics: reg})
 	a.Record(telemetry.Event{Kind: telemetry.KindLinkDown, Instance: 2, PE: 0, PE2: 1})
 	a.Record(telemetry.Event{Kind: telemetry.KindRemap, Instance: 2, Reason: "degraded", Alive: 2})
 	a.Record(telemetry.Event{Kind: telemetry.KindLinkUp, Instance: 5, PE: 0, PE2: 1})
@@ -63,9 +20,9 @@ func TestAvailabilityRemapAndLinkAccounting(t *testing.T) {
 	if av == nil || av.LinkDowns != 1 || av.Remaps != 1 || av.Restores != 1 {
 		t.Fatalf("availability = %+v", av)
 	}
-	// Link-only degradation raises no PE alert.
-	if s.AlertsTotal != 0 {
-		t.Fatalf("AlertsTotal = %d, want 0", s.AlertsTotal)
+	// Link-only degradation takes no PE down.
+	if got := reg.Snapshot().Gauges["adaptive.health.pes_down"]; got != 0 {
+		t.Fatalf("pes_down = %v, want 0", got)
 	}
 }
 

@@ -273,8 +273,6 @@ func describeEvent(e telemetry.Event) string {
 			s += fmt.Sprintf(" (miss-rate bound %.4g)", e.Threshold)
 		}
 		return s
-	case telemetry.KindHealthAlert:
-		return fmt.Sprintf("health alert %s/%s: %.4g vs bound %.4g", e.Reason, e.Name, e.Value, e.Threshold)
 	case telemetry.KindPEDown:
 		return fmt.Sprintf("PE %d went down (%s), %d PEs alive", e.PE, e.Reason, e.Alive)
 	case telemetry.KindPEUp:

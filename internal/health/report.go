@@ -27,8 +27,6 @@ type Snapshot struct {
 
 	Timeline        []TimelineEntry `json:"timeline,omitempty"`
 	TimelineDropped int             `json:"timeline_dropped,omitempty"`
-	Alerts          []Alert         `json:"alerts,omitempty"`
-	AlertsTotal     int             `json:"alerts_total"`
 }
 
 // levelMove renders a guard-level transition for the timeline.
@@ -44,25 +42,26 @@ func levelMove(from, to int) string {
 }
 
 // Report renders the snapshot as the deterministic plain-text diagnosis the
-// `ctgsched analyze` subcommand prints: header, per-fork drift, SLO
-// verdicts, hotspot rankings and the decision timeline. The format is fixed
-// (%.3f / %.1f) so the output is golden-file testable.
+// `ctgsched analyze` subcommand prints: header (with the number of rule
+// alert firings), per-fork drift, SLO verdicts, hotspot rankings and the
+// decision timeline. The format is fixed (%.3f / %.1f) so the output is
+// golden-file testable.
 func (s Snapshot) Report() string {
 	var b strings.Builder
+	firings := 0
+	if s.SeriesAlerts != nil {
+		firings = s.SeriesAlerts.Firings
+	}
 	fmt.Fprintf(&b, "health report: %d events, %d instances, %d alerts\n",
-		s.Events, s.Instances, s.AlertsTotal)
+		s.Events, s.Instances, firings)
 
 	b.WriteString("\nestimator drift\n")
 	if len(s.Drift) == 0 {
 		b.WriteString("  (no data)\n")
 	}
 	for _, f := range s.Drift {
-		state := "ok"
-		if f.Alerting {
-			state = "DRIFTING"
-		}
-		fmt.Fprintf(&b, "  fork %d: err ewma %.3f (last %.3f), %d estimates, %d alerts [%s]\n",
-			f.Fork, f.ErrEWMA, f.LastErr, f.Estimates, f.Alerts, state)
+		fmt.Fprintf(&b, "  fork %d: err ewma %.3f (last %.3f), %d estimates\n",
+			f.Fork, f.ErrEWMA, f.LastErr, f.Estimates)
 		fmt.Fprintf(&b, "    estimate %s  realized %s\n",
 			probsString(f.Estimate), probsString(f.Realized))
 	}

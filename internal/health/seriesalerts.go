@@ -7,11 +7,11 @@ import (
 	"ctgdvfs/internal/telemetry"
 )
 
-// seriesAlertState tracks the rule-based alerting engine's alert_firing /
-// alert_resolved events (internal/series rules evaluated on the sampled
-// time-series rings). Unlike the analyzer's own drift/SLO alerts these
-// originate outside the health layer, so the state only mirrors them: which
-// rules exist, which are firing now, and how often each fired.
+// seriesAlertState tracks the alert_firing / alert_resolved events of the one
+// alert engine, internal/series rules evaluated on the sampled time-series
+// rings. The analyzer only mirrors them, once each: which rules exist, which
+// are firing now, and how often each fired. Offline analysis reports what
+// the live rules fired; it never evaluates rules again.
 type seriesAlertState struct {
 	seen     bool
 	firings  int
@@ -75,16 +75,6 @@ func (ss *seriesAlertState) observe(a *AnalyzerRecorder, e telemetry.Event) {
 		rs.threshold = e.Threshold
 		a.note(e.Instance, "alert_firing", fmt.Sprintf("rule %s: %s = %.4g crossed %.4g",
 			e.Name, e.Reason, e.Value, e.Threshold))
-		a.raise(Alert{
-			Type:      "rule",
-			Instance:  e.Instance,
-			Fork:      -1,
-			Name:      e.Name,
-			Value:     e.Value,
-			Threshold: e.Threshold,
-			Message: fmt.Sprintf("rule %s firing: %s = %.4g crossed %.4g",
-				e.Name, e.Reason, e.Value, e.Threshold),
-		})
 	case telemetry.KindAlertResolved:
 		ss.resolved++
 		rs.firing = false

@@ -8,8 +8,8 @@ import (
 )
 
 // TestSeriesAlertsSection checks alert_firing/alert_resolved events from the
-// rule engine surface as their own snapshot section, raise analyzer alerts,
-// and render in the report — and that streams without them stay unchanged.
+// rule engine surface as their own snapshot section, counted once each, and
+// render in the report — and that streams without them stay unchanged.
 func TestSeriesAlertsSection(t *testing.T) {
 	events := []telemetry.Event{
 		{Kind: telemetry.KindAlertFiring, Instance: 5, Seq: 2, Cause: 1,
@@ -36,18 +36,9 @@ func TestSeriesAlertsSection(t *testing.T) {
 	if sa.Rules[1].Value != 0.05 || sa.Rules[1].Threshold != 0.11 {
 		t.Fatalf("resolved rule keeps last value/threshold: %+v", sa.Rules[1])
 	}
-	// Each firing raises one analyzer alert of type "rule".
-	if s.AlertsTotal != 2 {
-		t.Fatalf("AlertsTotal = %d, want 2", s.AlertsTotal)
-	}
-	for _, al := range s.Alerts {
-		if al.Type != "rule" {
-			t.Fatalf("alert type %q, want rule", al.Type)
-		}
-	}
-
 	report := s.Report()
 	for _, want := range []string{
+		"2 alerts\n",
 		"metric rule alerts",
 		"firings 2  resolved 1",
 		"[FIRING]",

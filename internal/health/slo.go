@@ -1,8 +1,6 @@
 package health
 
 import (
-	"fmt"
-
 	"ctgdvfs/internal/stats"
 	"ctgdvfs/internal/telemetry"
 )
@@ -10,8 +8,8 @@ import (
 // sloState is the SLO tracker: per KindInstanceFinish it folds lateness,
 // makespan and energy into rolling windows (quantiles are read back through
 // stats.SamplePercentiles, i.e. the same fixed-bucket stats.Histogram the
-// metrics registry uses), maintains the deadline-miss budget burn rate and
-// miss-streak detector, and mirrors the recovery layer's circuit-breaker
+// metrics registry uses), publishes the deadline-miss budget burn rate and
+// the current miss streak as gauges, and mirrors the recovery layer's circuit-breaker
 // and fallback activity from the decision events.
 type sloState struct {
 	instances int
@@ -29,18 +27,13 @@ type sloState struct {
 
 	lateness, makespan, energy rollWindow
 	driftTrace                 rollPairs // (instance, manager MaxDrift) trajectory
-
-	// failing latches per SLO verdict name: an "slo" alert fires on the
-	// pass→fail transition only.
-	failing map[string]bool
 }
 
-func (s *sloState) init(opts *Options) {
-	s.lateness.init(opts.WindowSize)
-	s.makespan.init(opts.WindowSize)
-	s.energy.init(opts.WindowSize)
-	s.driftTrace.init(opts.WindowSize)
-	s.failing = make(map[string]bool)
+func (s *sloState) init() {
+	s.lateness.init(windowSize)
+	s.makespan.init(windowSize)
+	s.energy.init(windowSize)
+	s.driftTrace.init(windowSize)
 }
 
 // rollWindow is a fixed-capacity ring of the most recent observations.
@@ -108,43 +101,10 @@ func (s *sloState) observeFinish(a *AnalyzerRecorder, e telemetry.Event) {
 		if s.curStreak > s.maxStreak {
 			s.maxStreak = s.curStreak
 		}
-		if s.curStreak == a.opts.MissStreak {
-			a.raise(Alert{
-				Type:      "miss_streak",
-				Instance:  e.Instance,
-				Fork:      -1,
-				Value:     float64(s.curStreak),
-				Threshold: float64(a.opts.MissStreak),
-				Message: fmt.Sprintf("deadline miss streak: %d consecutive instances missed",
-					s.curStreak),
-			})
-		}
 	}
 	a.hm.missStreak.Set(float64(s.curStreak))
 	a.hm.maxMissStreak.SetMax(float64(s.maxStreak))
 	a.hm.budgetBurn.Set(s.budgetBurn(&a.opts))
-
-	// Online verdict evaluation: alert on every pass→fail transition past
-	// the warm-up.
-	if s.instances >= a.opts.SLOWarmup {
-		for _, v := range s.verdicts(&a.opts) {
-			was := s.failing[v.Name]
-			s.failing[v.Name] = !v.Pass
-			if !v.Pass && !was {
-				a.hm.sloBreaches.Inc()
-				a.raise(Alert{
-					Type:      "slo",
-					Instance:  e.Instance,
-					Fork:      -1,
-					Name:      v.Name,
-					Value:     v.Actual,
-					Threshold: v.Bound,
-					Message: fmt.Sprintf("SLO %s breached: %.4g > %.4g",
-						v.Name, v.Actual, v.Bound),
-				})
-			}
-		}
-	}
 }
 
 func (s *sloState) observeReschedule(e telemetry.Event) {
@@ -231,7 +191,7 @@ type Verdict struct {
 // Quantiles is a rolling-window distribution summary (quantiles through
 // stats.SamplePercentiles over the window).
 type Quantiles struct {
-	Count int     `json:"count"` // total observations (window keeps the last WindowSize)
+	Count int     `json:"count"` // total observations (window keeps the last windowSize)
 	P50   float64 `json:"p50"`
 	P95   float64 `json:"p95"`
 	P99   float64 `json:"p99"`
@@ -321,7 +281,7 @@ func (s *sloState) snapshot(opts *Options) SLOStatus {
 		st.AvgEnergy = s.totalEnergy / float64(s.instances)
 	}
 	st.Verdicts = s.verdicts(opts)
-	if s.instances < opts.SLOWarmup {
+	if s.instances < sloWarmup {
 		for i := range st.Verdicts {
 			st.Verdicts[i].Pending = true
 		}

@@ -27,7 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ctgdvfs/internal/health"
+	"ctgdvfs/internal/series"
 	"ctgdvfs/internal/telemetry"
 )
 
@@ -82,11 +82,13 @@ type Options struct {
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
 
-	// SLO, when non-zero, attaches a health analyzer to every tenant and
-	// exposes its verdicts; with SLOShed set, a tenant whose SLO budget is
-	// blown sheds new work (503 slo_shed) instead of digging deeper.
-	SLO     health.SLO
-	SLOShed bool
+	// ShedRules, when non-empty, gives every tenant's manager its own
+	// series store (over a private registry) that evaluates these rules
+	// after each step. While any rule fires, the tenant sheds new work
+	// (503 slo_shed) but admits one probe step per BaseBackoff, so the
+	// rules see fresh samples and can resolve. Firings land in the
+	// tenant's event stream.
+	ShedRules []series.Rule
 
 	// FlightWindow is each tenant's flight-recorder capacity (0 selects 256).
 	FlightWindow int
@@ -199,6 +201,9 @@ type Server struct {
 // before any request can be admitted.
 func New(opts Options) (*Server, error) {
 	opts.applyDefaults()
+	if err := (series.RuleSet{Rules: opts.ShedRules}).Validate(); err != nil {
+		return nil, fmt.Errorf("serve: shed rules: %w", err)
+	}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -306,6 +311,7 @@ func (s *Server) buildFromPayload(pay *snapshotPayload, from string) (*tenant, e
 	}
 	t.gate.off = false
 	t.log = append(t.log, pay.Vectors...)
+	t.publishShedLocked()
 	if got := t.mgr.Instances(); got != pay.Instances {
 		t.closeSinks()
 		return nil, &SnapshotError{Path: pay.Name,
@@ -435,7 +441,7 @@ func (s *Server) wrapCtx(ctx context.Context) (context.Context, context.CancelFu
 
 // Step submits one decision vector to a tenant and waits for the outcome (or
 // the context). The full resilience chain runs in order: closed check, tenant
-// lookup, breaker, rate limit, SLO shed, bounded enqueue — every rejection is
+// lookup, breaker, rate limit, rule shed, bounded enqueue — every rejection is
 // typed and happens before any engine state is touched.
 func (s *Server) Step(ctx context.Context, name string, decisions []int, chaos ChaosSpec) (StepReply, error) {
 	if s.closed.Load() {

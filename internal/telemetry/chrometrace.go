@@ -238,12 +238,6 @@ func (ct *ChromeTrace) AddRun(name string, pid int, evs []Event) {
 						Args: &chromeArgs{Level: iptr(e.Level)},
 					},
 				)
-			case KindHealthAlert:
-				ct.events = append(ct.events, chromeEvent{
-					Name: "health alert (" + e.Reason + ")", Cat: "health",
-					Ph: "i", Scope: "p", Ts: instEnd, Pid: pid, Tid: 0,
-					Args: &chromeArgs{Reason: e.Reason, Value: fptr(e.Value)},
-				})
 			case KindInstanceFinish:
 				ct.events = append(ct.events,
 					chromeEvent{

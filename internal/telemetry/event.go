@@ -55,11 +55,6 @@ const (
 	// KindGuardLevel is one circuit-breaker level change: Instance,
 	// Level (new), Level2 (previous).
 	KindGuardLevel Kind = "guard_level"
-	// KindHealthAlert is one health-monitor alert (internal/health):
-	// Instance, Reason (alert type: "drift", "miss_streak", "slo"), Fork
-	// (drift alerts), Name (SLO verdict name), Value (observed), Threshold
-	// (configured bound).
-	KindHealthAlert Kind = "health_alert"
 	// KindPEDown marks a processing element leaving the survivor set at an
 	// instance boundary: Instance, PE, Reason ("permanent" or "transient"),
 	// Alive (survivor count after the loss).
@@ -167,7 +162,7 @@ type Event struct {
 	// layer's drift detector compares it against the estimate stream.
 	Outcome int `json:"outcome,omitempty"`
 
-	// Value and Threshold carry a KindHealthAlert's observed value and the
+	// Value and Threshold carry an alert's observed value and the
 	// configured bound it crossed.
 	Value     float64 `json:"value,omitempty"`
 	Threshold float64 `json:"threshold,omitempty"`

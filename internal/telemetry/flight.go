@@ -9,11 +9,10 @@ import (
 
 // DefaultFlightTriggers are the event kinds that arm a flight-recorder dump
 // when no explicit trigger set is configured: a circuit-breaker level change,
-// a worst-case fallback activation, a health-monitor alert (SLO breach,
-// drift, miss streak) and a series-rule alert firing — the moments an
-// operator wants the black box for.
+// a worst-case fallback activation and a series-rule alert firing — the
+// moments an operator wants the black box for.
 var DefaultFlightTriggers = []Kind{
-	KindGuardLevel, KindFallback, KindHealthAlert, KindAlertFiring,
+	KindGuardLevel, KindFallback, KindAlertFiring,
 }
 
 // FlightRecorderOptions configures a FlightRecorder.
