@@ -132,23 +132,3 @@ func TestSinksAndSources(t *testing.T) {
 		t.Fatalf("sortedTaskIDs = %v", got)
 	}
 }
-
-func TestActivationExpr(t *testing.T) {
-	g := paperFigure1(t, []float64{0.4, 0.6}, []float64{0.5, 0.5})
-	a, err := Analyze(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// τ1 is always active.
-	if got := a.ActivationExpr(0); got != "1" {
-		t.Fatalf("ActivationExpr(tau1) = %q, want 1", got)
-	}
-	// τ4 is the a1 leaf only.
-	if got := a.ActivationExpr(3); got != "b2=0" {
-		t.Fatalf("ActivationExpr(tau4) = %q", got)
-	}
-	// τ5 covers both a2 leaves.
-	if got := a.ActivationExpr(4); got != "b2=1·b4=0 + b2=1·b4=1" {
-		t.Fatalf("ActivationExpr(tau5) = %q", got)
-	}
-}

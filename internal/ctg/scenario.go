@@ -247,27 +247,6 @@ func (a *Analysis) Scenarios() []Scenario { return a.scenarios }
 // ScenarioLabel renders scenario i as a condition product like "b3=0·b5=1".
 func (a *Analysis) ScenarioLabel(i int) string { return a.scenarios[i].label(a.g) }
 
-// ActivationExpr renders X(τ) as a sum of the leaf minterms that activate
-// the task, e.g. "b2=0 + b2=1·b4=0", or "1" for an always-active task and
-// "0" for a dead one. Intended for diagnostics and documentation.
-func (a *Analysis) ActivationExpr(t TaskID) string {
-	set := a.gamma[t]
-	if set.Count() == len(a.scenarios) {
-		return "1"
-	}
-	if set.Empty() {
-		return "0"
-	}
-	out := ""
-	set.ForEach(func(si int) {
-		if out != "" {
-			out += " + "
-		}
-		out += a.ScenarioLabel(si)
-	})
-	return out
-}
-
 // ActivationSet returns X(τ) as a bitset over scenario indices. The caller
 // must not modify it.
 func (a *Analysis) ActivationSet(t TaskID) Bitset { return a.gamma[t] }

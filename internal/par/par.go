@@ -124,16 +124,10 @@ func ForEach(n int, fn func(i int)) {
 	run(n, workersFor(n), func(_, i int) { fn(i) })
 }
 
-// Map computes out[i] = fn(i) for every i in [0, n) on the pool.
-func Map[T any](n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	run(n, workersFor(n), func(_, i int) { out[i] = fn(i) })
-	return out
-}
-
-// MapErr is Map for fallible work. All indices run (no short-circuit, so the
-// result slice is fully populated); if any invocation fails, the error with
-// the lowest index is returned, making the reported failure deterministic.
+// MapErr computes out[i], errs[i] = fn(i) for every i in [0, n) on the pool.
+// All indices run (no short-circuit, so the result slice is fully
+// populated); if any invocation fails, the error with the lowest index is
+// returned, making the reported failure deterministic.
 func MapErr[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
@@ -146,7 +140,8 @@ func MapErr[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// MapScratch is Map with per-worker scratch state: each worker calls mk once
+// MapScratch computes out[i] = fn(scratch, i) for every i in [0, n) on the
+// pool, with per-worker scratch state: each worker calls mk once
 // and passes its scratch to every fn it executes. Use it to reuse large
 // buffers (DP tables, graph views) across loop iterations without
 // synchronization.
@@ -159,23 +154,4 @@ func MapScratch[T, S any](n int, mk func() S, fn func(scratch S, i int) T) []T {
 	}
 	run(n, workers, func(w, i int) { out[i] = fn(scratches[w], i) })
 	return out
-}
-
-// MapScratchErr is MapScratch for fallible work, with MapErr's deterministic
-// lowest-index error.
-func MapScratchErr[T, S any](n int, mk func() S, fn func(scratch S, i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	errs := make([]error, n)
-	workers := workersFor(n)
-	scratches := make([]S, workers)
-	for i := range scratches {
-		scratches[i] = mk()
-	}
-	run(n, workers, func(w, i int) { out[i], errs[i] = fn(scratches[w], i) })
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
 }

@@ -9,7 +9,10 @@ import (
 
 func TestMapOrdersResultsByIndex(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 100, 1000} {
-		out := Map(n, func(i int) int { return i * i })
+		out, err := MapErr(n, func(i int) (int, error) { return i * i, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(out) != n {
 			t.Fatalf("n=%d: got %d results", n, len(out))
 		}
@@ -123,18 +126,6 @@ func TestMapScratchReusesPerWorkerState(t *testing.T) {
 	}
 }
 
-func TestMapScratchErr(t *testing.T) {
-	_, err := MapScratchErr(16, func() int { return 0 }, func(_ int, i int) (int, error) {
-		if i >= 10 {
-			return 0, fmt.Errorf("fail@%d", i)
-		}
-		return i, nil
-	})
-	if err == nil || err.Error() != "fail@10" {
-		t.Fatalf("want fail@10, got %v", err)
-	}
-}
-
 func TestPanicInWorkerPropagatesAtEveryBound(t *testing.T) {
 	const n = 64
 	for _, workers := range []int{1, 2, 3, 4, 8, 16, 64} {
@@ -152,11 +143,10 @@ func TestPanicInWorkerPropagatesAtEveryBound(t *testing.T) {
 			}()
 			// Two panicking indices: the lower one must win at every bound,
 			// matching what a serial loop would raise first.
-			Map(n, func(i int) int {
+			ForEach(n, func(i int) {
 				if i == 7 || i == 40 {
 					panic(fmt.Sprintf("boom %d", i))
 				}
-				return i
 			})
 		}()
 	}

@@ -48,7 +48,8 @@ type Rule struct {
 	// hysteresis); set it inside the breach bound to add a dead band, e.g.
 	// Op ">" Value 0.12 Clear 0.10 fires above 0.12 and resolves below 0.10.
 	Clear *float64 `json:"clear,omitempty"`
-	// Window is the trailing sample window of a rate rule (default 8).
+	// Window is the trailing sample window of a rate rule (default 8; a
+	// rate needs at least 2 samples).
 	Window int `json:"window,omitempty"`
 	// Stale is the silent-tick count that fires an absence rule (default 8).
 	Stale int `json:"stale,omitempty"`
@@ -77,6 +78,11 @@ func (r Rule) Validate() error {
 	}
 	if r.Window < 0 {
 		return fmt.Errorf("rule %q: negative window %d", r.Name, r.Window)
+	}
+	if r.Kind == RuleRate && r.Window == 1 {
+		// Series.Rate needs two samples in the window: such a rule could
+		// never fire.
+		return fmt.Errorf("rule %q: rate window 1 holds one sample, need at least 2", r.Name)
 	}
 	if r.Stale < 0 {
 		return fmt.Errorf("rule %q: negative stale %d", r.Name, r.Stale)

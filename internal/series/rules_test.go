@@ -122,11 +122,12 @@ func TestAbsenceRule(t *testing.T) {
 
 func TestRuleValidate(t *testing.T) {
 	bad := [][]Rule{
-		{{Metric: "m", Value: 1}},                 // no name
-		{{Name: "x", Value: 1}},                   // no metric
-		{{Name: "x", Metric: "m", Kind: "bogus"}}, // unknown kind
-		{{Name: "x", Metric: "m", Op: "=="}},      // unknown op
-		{{Name: "x", Metric: "m", For: -1}},       // negative for
+		{{Metric: "m", Value: 1}},                             // no name
+		{{Name: "x", Value: 1}},                               // no metric
+		{{Name: "x", Metric: "m", Kind: "bogus"}},             // unknown kind
+		{{Name: "x", Metric: "m", Op: "=="}},                  // unknown op
+		{{Name: "x", Metric: "m", For: -1}},                   // negative for
+		{{Name: "x", Metric: "m", Kind: RuleRate, Window: 1}}, // rate over one sample never fires
 		{{Name: "x", Metric: "m", Value: 0.1, Clear: func() *float64 { v := 0.2; return &v }()}}, // clear above a ">" bound
 		{{Name: "x", Metric: "m", Value: 1}, {Name: "x", Metric: "n", Value: 2}},                 // duplicate name
 	}

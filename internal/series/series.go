@@ -85,22 +85,10 @@ func (s *Series) Last() (tick int, value float64) {
 	return s.At(s.n - 1)
 }
 
-// Delta returns last − first over the trailing window of at most `window`
-// samples (whole ring when window ≤ 0), or 0 with ok=false when fewer than
-// two samples exist.
-func (s *Series) Delta(window int) (delta float64, ok bool) {
-	w := s.window(window)
-	if w < 2 {
-		return 0, false
-	}
-	_, first := s.At(s.n - w)
-	_, last := s.At(s.n - 1)
-	return last - first, true
-}
-
-// Rate returns Delta divided by the tick span of the same window — the
-// per-tick rate of change. ok=false when fewer than two samples exist or the
-// window spans zero ticks.
+// Rate returns last − first over the trailing window of at most `window`
+// samples (whole ring when window ≤ 0), divided by the window's tick span —
+// the per-tick rate of change. ok=false when fewer than two samples exist or
+// the window spans zero ticks.
 func (s *Series) Rate(window int) (rate float64, ok bool) {
 	w := s.window(window)
 	if w < 2 {
@@ -112,37 +100,6 @@ func (s *Series) Rate(window int) (rate float64, ok bool) {
 		return 0, false
 	}
 	return (last - first) / float64(t1-t0), true
-}
-
-// WindowStats summarizes the trailing window of a series.
-type WindowStats struct {
-	Count int
-	Min   float64
-	Max   float64
-	Mean  float64
-}
-
-// Stats aggregates the trailing window of at most `window` samples (whole
-// ring when window ≤ 0). An empty series yields Count 0 and NaN bounds.
-func (s *Series) Stats(window int) WindowStats {
-	w := s.window(window)
-	if w == 0 {
-		return WindowStats{Min: math.NaN(), Max: math.NaN(), Mean: math.NaN()}
-	}
-	st := WindowStats{Count: w, Min: math.Inf(1), Max: math.Inf(-1)}
-	sum := 0.0
-	for i := s.n - w; i < s.n; i++ {
-		_, v := s.At(i)
-		if v < st.Min {
-			st.Min = v
-		}
-		if v > st.Max {
-			st.Max = v
-		}
-		sum += v
-	}
-	st.Mean = sum / float64(w)
-	return st
 }
 
 func (s *Series) window(window int) int {
@@ -262,19 +219,6 @@ func (st *Store) Series(name string) *Series {
 		return nil
 	}
 	return st.byName[name]
-}
-
-// Names returns every series name in sorted order.
-func (st *Store) Names() []string {
-	if st == nil {
-		return nil
-	}
-	names := make([]string, 0, len(st.byName))
-	for n := range st.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Tick samples every registered metric at sim-time t and evaluates the alert

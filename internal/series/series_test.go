@@ -32,24 +32,15 @@ func TestSeriesAggregates(t *testing.T) {
 	if _, v := s.Last(); !math.IsNaN(v) {
 		t.Fatalf("empty Last value = %g, want NaN", v)
 	}
-	if _, ok := s.Delta(0); ok {
-		t.Fatal("Delta on empty series reported ok")
-	}
-	if st := s.Stats(0); st.Count != 0 || !math.IsNaN(st.Mean) {
-		t.Fatalf("empty Stats = %+v", st)
+	if _, ok := s.Rate(0); ok {
+		t.Fatal("Rate on empty series reported ok")
 	}
 	s.push(0, 1)
 	s.push(1, 3)
 	s.push(3, 2)
-	if d, ok := s.Delta(0); !ok || d != 1 {
-		t.Fatalf("Delta = (%g, %v), want (1, true)", d, ok)
-	}
 	// (2-1) over ticks 0..3.
 	if r, ok := s.Rate(0); !ok || r != 1.0/3 {
 		t.Fatalf("Rate = (%g, %v), want (1/3, true)", r, ok)
-	}
-	if st := s.Stats(2); st.Count != 2 || st.Min != 2 || st.Max != 3 || st.Mean != 2.5 {
-		t.Fatalf("Stats(2) = %+v", st)
 	}
 }
 
@@ -74,9 +65,13 @@ func TestStoreSamplesAndDiscovers(t *testing.T) {
 	if st.Ticks() != 2 {
 		t.Fatalf("Ticks = %d, want 2", st.Ticks())
 	}
-	wantNames := []string{"c", "g", "h.count", "h.mean", "h.p50", "h.p95", "h.p99"}
-	if got := st.Names(); !reflect.DeepEqual(got, wantNames) {
-		t.Fatalf("Names = %v, want %v", got, wantNames)
+	if st.Len() != 7 {
+		t.Fatalf("Len = %d, want 7", st.Len())
+	}
+	for _, name := range []string{"c", "g", "h.count", "h.mean", "h.p50", "h.p95", "h.p99"} {
+		if st.Series(name) == nil {
+			t.Fatalf("series %q missing", name)
+		}
 	}
 	cs := st.Series("c")
 	if cs.Len() != 2 {
@@ -134,7 +129,7 @@ func TestStoreDeterministicAcrossRegistrationOrder(t *testing.T) {
 func TestNilStoreIsNoop(t *testing.T) {
 	var st *Store
 	st.Tick(0, nil, nil, 0) // must not panic
-	if st.Ticks() != 0 || st.Len() != 0 || st.Series("x") != nil || st.Names() != nil {
+	if st.Ticks() != 0 || st.Len() != 0 || st.Series("x") != nil {
 		t.Fatal("nil store accessors must return zero values")
 	}
 	if d := st.Dump(); len(d.Series) != 0 {

@@ -150,29 +150,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.max
 }
 
-// Merge folds other into h. The two histograms must share range and bucket
-// count.
-func (h *Histogram) Merge(other *Histogram) error {
-	if other.lo != h.lo || other.hi != h.hi || len(other.counts) != len(h.counts) {
-		return fmt.Errorf("stats: cannot merge histogram [%v,%v]×%d into [%v,%v]×%d",
-			other.lo, other.hi, len(other.counts), h.lo, h.hi, len(h.counts))
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.n += other.n
-	h.sum += other.sum
-	if other.n > 0 {
-		if other.min < h.min {
-			h.min = other.min
-		}
-		if other.max > h.max {
-			h.max = other.max
-		}
-	}
-	return nil
-}
-
 // Reset clears all observations, keeping the bucket layout.
 func (h *Histogram) Reset() {
 	for i := range h.counts {
@@ -183,12 +160,6 @@ func (h *Histogram) Reset() {
 	h.min = math.Inf(1)
 	h.max = math.Inf(-1)
 }
-
-// Bounds returns the configured [lo, hi] range.
-func (h *Histogram) Bounds() (lo, hi float64) { return h.lo, h.hi }
-
-// Buckets returns a copy of the per-bucket counts.
-func (h *Histogram) Buckets() []uint64 { return append([]uint64(nil), h.counts...) }
 
 // Percentiles is the fixed P50/P95/P99 summary the runtime statistics report.
 type Percentiles struct {

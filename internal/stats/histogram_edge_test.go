@@ -46,23 +46,11 @@ func TestHistogramQuantileDegenerateInputs(t *testing.T) {
 	}
 }
 
-// TestHistogramLayoutAccessors pins Bounds/Buckets and the Percentiles
-// convenience summary.
-func TestHistogramLayoutAccessors(t *testing.T) {
+// TestHistogramSingleZeroPercentiles pins the Percentiles summary of a
+// histogram holding one zero observation.
+func TestHistogramSingleZeroPercentiles(t *testing.T) {
 	h := MustHistogram(-5, 5, 8)
-	lo, hi := h.Bounds()
-	if lo != -5 || hi != 5 {
-		t.Fatalf("Bounds = %v,%v", lo, hi)
-	}
-	if got := len(h.Buckets()); got != 8 {
-		t.Fatalf("Buckets len = %d, want 8", got)
-	}
-	// Buckets returns a copy: mutating it must not corrupt the histogram.
 	h.Observe(0)
-	h.Buckets()[0] = 999
-	if h.Count() != 1 {
-		t.Fatal("Buckets() exposed internal state")
-	}
 	if p := (Percentiles{P50: h.Quantile(0.5), P95: h.Quantile(0.95), P99: h.Quantile(0.99)}); p != (Percentiles{}) {
 		t.Fatalf("single-zero percentiles: %+v", p)
 	}

@@ -67,22 +67,10 @@ func TestHistogramClampsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeAndReset(t *testing.T) {
+func TestHistogramReset(t *testing.T) {
 	a := MustHistogram(0, 10, 10)
-	b := MustHistogram(0, 10, 10)
 	for i := 0; i < 5; i++ {
 		a.Observe(float64(i))
-		b.Observe(float64(i + 5))
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count() != 10 || a.Min() != 0 || a.Max() != 9 {
-		t.Fatalf("merged count/min/max = %d/%v/%v", a.Count(), a.Min(), a.Max())
-	}
-	c := MustHistogram(0, 20, 10)
-	if err := a.Merge(c); err == nil {
-		t.Fatal("merge across layouts must fail")
 	}
 	a.Reset()
 	if a.Count() != 0 || a.Quantile(0.5) != 0 {
