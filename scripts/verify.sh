@@ -6,15 +6,16 @@
 #   not numerics), per-package coverage floors (the adaptive manager, the
 #   fault, telemetry and health layers, and the scheduling daemon), a
 #   one-iteration smoke run of every benchmark (catches bit-rot in the bench
-#   harness without paying for real measurement), a short parser fuzzing
-#   session, a fault-campaign and a failover-campaign run of the
+#   harness without paying for real measurement), short fuzzing sessions of
+#   the workload parser and the alert-rules parser, a fault-campaign and a failover-campaign run of the
 #   fault-tolerance layer, a bounded run of the large-scale warm-start tier
 #   (one 10^3-task cell), an
 #   end-to-end health-analyzer pass over a captured event stream, an
 #   end-to-end provenance pass (captured campaign streams + flight-recorder
 #   dumps replayed through `ctgsched explain`), an end-to-end monitoring
 #   pass (alert rules + series capture replayed through `ctgsched explain`
-#   and `ctgsched watch`, with the Prometheus exposition linted), the daemon
+#   and `ctgsched watch`, with the Prometheus exposition linted, and the
+#   default health rules' stream through `ctgsched analyze`), the daemon
 #   chaos campaign (panic isolation, request floods, kill-restart recovery
 #   on an in-process daemon pair), and a daemon smoke run that builds the
 #   real ctgschedd binary, SIGKILLs it mid-run, and verifies the restart
@@ -75,8 +76,9 @@ sh scripts/cover.sh
 echo "== bench smoke (1 iteration each) =="
 go test -run '^$' -bench . -benchtime 1x ./... >/dev/null
 
-echo "== fuzz smoke (parser, 5s) =="
+echo "== fuzz smoke (workload parser, rules parser, 5s each) =="
 go test -run '^$' -fuzz FuzzRead -fuzztime 5s ./internal/ctgio >/dev/null
+go test -run '^$' -fuzz FuzzParseRules -fuzztime 5s ./internal/series >/dev/null
 
 echo "== fault-campaign + telemetry smoke =="
 trace_tmp="$(mktemp)"
@@ -126,6 +128,11 @@ go run ./cmd/experiments -exp faults -rules examples/watch/rules.json \
 go run ./cmd/ctgsched explain -kind alert_firing "$mon_dir/ev-mpeg.jsonl" >/dev/null
 go run ./cmd/ctgsched watch -dump "$mon_dir/se-mpeg.json" >/dev/null
 go run ./scripts/promlint "$mon_dir/metrics.prom" >/dev/null
+# The default health rules alert on the analyzer's gauges; analyze reports
+# the firings the live rules recorded.
+go run ./cmd/experiments -exp faults -rules examples/watch/health.json \
+	-events-out "$mon_dir/hl" >/dev/null
+go run ./cmd/ctgsched analyze "$mon_dir/hl-mpeg.jsonl" >/dev/null
 rm -rf "$mon_dir"
 
 echo "verify: OK"
