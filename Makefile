@@ -60,22 +60,20 @@ analyze-smoke:
 	go run ./examples/telemetry -events-out /tmp/ctgdvfs_events.jsonl -trace-out /tmp/ctgdvfs_example_trace.json >/dev/null
 	go run ./cmd/ctgsched analyze /tmp/ctgdvfs_events.jsonl
 
-# End-to-end provenance pipeline: capture the fault campaign's event streams
-# and flight-recorder dumps, then reconstruct causal chains from both.
+# End-to-end provenance pipeline: capture the fault campaign's event streams,
+# then reconstruct causal chains from them.
 explain-smoke:
-	go run ./cmd/experiments -exp faults -events-out /tmp/ctgdvfs_prov -flight-out /tmp/ctgdvfs_flight >/dev/null
+	go run ./cmd/experiments -exp faults -events-out /tmp/ctgdvfs_prov >/dev/null
 	go run ./cmd/ctgsched explain -list /tmp/ctgdvfs_prov-mpeg.jsonl
 	go run ./cmd/ctgsched explain -kind reschedule /tmp/ctgdvfs_prov-mpeg.jsonl
-	go run ./cmd/ctgsched explain /tmp/ctgdvfs_flight-mpeg-1.jsonl
 
 # End-to-end monitoring pipeline: run the fault campaign with alert rules and
-# series capture, walk an alert's cause chain, render the stores in the watch
-# view, and lint the Prometheus exposition.
+# series capture, walk an alert's cause chain, and render the stores in the
+# watch view.
 watch-smoke:
-	go run ./cmd/experiments -exp faults -rules examples/watch/rules.json -series-out /tmp/ctgdvfs_series -events-out /tmp/ctgdvfs_mon -prom-out /tmp/ctgdvfs_metrics.prom >/dev/null
+	go run ./cmd/experiments -exp faults -rules examples/watch/rules.json -series-out /tmp/ctgdvfs_series -events-out /tmp/ctgdvfs_mon >/dev/null
 	go run ./cmd/ctgsched explain -kind alert_firing /tmp/ctgdvfs_mon-mpeg.jsonl
 	go run ./cmd/ctgsched watch -dump /tmp/ctgdvfs_series-mpeg.json
-	go run ./scripts/promlint /tmp/ctgdvfs_metrics.prom
 
 # The benchmark harness is a Go module of its own (perfbench/go.mod), so the
 # root `go build ./...` never compiles it: vet and test it separately.

@@ -133,7 +133,7 @@ type (
 	// MultiRecorder fans one event stream out to several sinks.
 	MultiRecorder = telemetry.MultiRecorder
 	// MetricsRegistry is the named counter/gauge/histogram registry with
-	// JSON, HTTP and expvar exposition.
+	// JSON and HTTP exposition.
 	MetricsRegistry = telemetry.Registry
 	// MetricsSnapshot is a point-in-time copy of a registry.
 	MetricsSnapshot = telemetry.Snapshot
@@ -141,12 +141,13 @@ type (
 	// (chrome://tracing, Perfetto).
 	ChromeTrace = telemetry.ChromeTrace
 	// FlightRecorder is the fixed-capacity ring-buffer recorder — the
-	// runtime's black box. Steady-state recording allocates nothing; armed
-	// trigger kinds dump the current window as JSONL through the sink.
+	// runtime's black box. Steady-state recording allocates nothing; DumpTo
+	// writes the current window as JSONL.
 	FlightRecorder = telemetry.FlightRecorder
-	// FlightRecorderOptions configures a FlightRecorder (capacity, trigger
-	// kinds, dump sink, cooldown).
-	FlightRecorderOptions = telemetry.FlightRecorderOptions
+	// TruncatedTailError reports a JSONL capture whose final line is torn (a
+	// recorder killed mid-write); ReadTelemetryJSONL returns it alongside
+	// the intact prefix — treat it as a warning, not a failure.
+	TruncatedTailError = telemetry.TruncatedTailError
 	// Sequencer hands out the monotonic per-stream sequence ids behind event
 	// provenance (Event.Seq / Event.Cause). Standalone runtimes make their
 	// own; share one across runtimes only when they share a recorder.
@@ -187,7 +188,9 @@ func NewMemoryRecorder() *MemoryRecorder { return telemetry.NewMemoryRecorder() 
 // (buffered; call Close — or Flush — before reading the output).
 func NewJSONLRecorder(w io.Writer) *JSONLRecorder { return telemetry.NewJSONLRecorder(w) }
 
-// ReadTelemetryJSONL parses a JSONL event stream back into events.
+// ReadTelemetryJSONL parses a JSONL event stream back into events — the one
+// reader of a capture, a flight-recorder window or a daemon event stream. A
+// torn final line yields the intact prefix and a *TruncatedTailError.
 func ReadTelemetryJSONL(r io.Reader) ([]TelemetryEvent, error) { return telemetry.ReadJSONL(r) }
 
 // NewMetricsRegistry returns an empty metrics registry.
@@ -196,10 +199,10 @@ func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
 // NewChromeTrace returns an empty Chrome trace-event exporter.
 func NewChromeTrace() *ChromeTrace { return telemetry.NewChromeTrace() }
 
-// NewFlightRecorder builds a flight recorder (zero-value opts = 256-slot
-// black box with default triggers and no automatic dumps).
-func NewFlightRecorder(opts FlightRecorderOptions) *FlightRecorder {
-	return telemetry.NewFlightRecorder(opts)
+// NewFlightRecorder builds a flight recorder keeping the most recent
+// capacity events (capacity ≤ 0 selects 256).
+func NewFlightRecorder(capacity int) *FlightRecorder {
+	return telemetry.NewFlightRecorder(capacity)
 }
 
 // NewSequencer returns a sequencer whose first id is 1. Install it via
@@ -284,10 +287,6 @@ type (
 	// ExplainEffect is one downstream event of an explained decision, with
 	// its depth in the cause tree.
 	ExplainEffect = health.ExplainEffect
-	// TruncatedTailError reports a JSONL capture whose final line is torn (a
-	// recorder killed mid-write); LoadTelemetry returns it alongside the
-	// intact prefix — treat it as a warning, not a failure.
-	TruncatedTailError = health.TruncatedTailError
 )
 
 // NewHealthAnalyzer builds a streaming health monitor.
@@ -297,13 +296,6 @@ func NewHealthAnalyzer(opts HealthOptions) *HealthAnalyzer { return health.New(o
 // and returns the snapshot — the offline path behind `ctgsched analyze`.
 func AnalyzeTelemetry(events []TelemetryEvent, opts HealthOptions) HealthSnapshot {
 	return health.Analyze(events, opts)
-}
-
-// LoadTelemetry parses a recorded capture — JSONL or Chrome trace (format
-// auto-detected; run selects the process of a multi-run trace) — into the
-// event stream AnalyzeTelemetry consumes. Returns the detected format name.
-func LoadTelemetry(data []byte, run string) ([]TelemetryEvent, string, error) {
-	return health.LoadEvents(data, run)
 }
 
 // ExplainTelemetry reconstructs the causal provenance of one decision in a

@@ -525,8 +525,8 @@ func BenchmarkAdaptiveStepTelemetryMemory(b *testing.B) {
 	b.ReportMetric(float64(rec.Len())/float64(b.N), "events/op")
 }
 
-// flightBenchEvent is a representative non-trigger event: the ring stores it
-// without firing a dump, which is the recorder's steady state.
+// flightBenchEvent is a representative event: the ring stores it in a
+// preallocated slot, which is the recorder's steady state.
 var flightBenchEvent = ctgdvfs.TelemetryEvent{
 	Kind: ctgdvfs.KindTaskSlice, Instance: 7, Seq: 42, Cause: 41,
 	Task: 3, PE: 1, Start: 10, End: 12, Speed: 0.8, Energy: 1.6,
@@ -536,7 +536,7 @@ var flightBenchEvent = ctgdvfs.TelemetryEvent{
 // ring write. Zero allocs/op is the design invariant that makes the black
 // box safe to leave always on.
 func BenchmarkFlightRecorderRecord(b *testing.B) {
-	fr := ctgdvfs.NewFlightRecorder(ctgdvfs.FlightRecorderOptions{})
+	fr := ctgdvfs.NewFlightRecorder(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -556,10 +556,10 @@ func BenchmarkFlightRecorderDisabled(b *testing.B) {
 }
 
 // BenchmarkAdaptiveStepFlight is the adaptive step with an always-on flight
-// recorder in pure black-box mode (no dump sink): the cost of keeping the
-// black box running, with Seq/Cause stamping active.
+// recorder: the cost of keeping the black box running, with Seq/Cause
+// stamping active.
 func BenchmarkAdaptiveStepFlight(b *testing.B) {
-	fr := ctgdvfs.NewFlightRecorder(ctgdvfs.FlightRecorderOptions{})
+	fr := ctgdvfs.NewFlightRecorder(0)
 	benchMPEGStep(b, ctgdvfs.AdaptiveOptions{Recorder: fr})
 	b.ReportMetric(float64(fr.Total())/float64(b.N), "events/op")
 }

@@ -11,11 +11,12 @@ import (
 	"ctgdvfs"
 )
 
-// runAnalyze is the `ctgsched analyze` subcommand: replay a recorded
-// telemetry capture (JSONL event stream or Chrome trace-event file) through
-// the health analyzers offline and print the diagnosis report — top
-// hotspots, estimator drift per fork, SLO verdicts, the alerts the live
-// series rules fired, and the reschedule/fallback/guard decision timeline.
+// runAnalyze is the `ctgsched analyze` subcommand: replay a recorded JSONL
+// event stream (a capture, a flight-recorder window or a daemon tenant's
+// stream) through the health analyzers offline and print the diagnosis
+// report — top hotspots, estimator drift per fork, SLO verdicts, the alerts
+// the live series rules fired, and the reschedule/fallback/guard decision
+// timeline.
 // Rules are not evaluated again offline: the report lists what the capture
 // recorded.
 //
@@ -23,7 +24,7 @@ import (
 //
 //	ctgsched analyze events.jsonl
 //	ctgsched analyze -slo-miss-rate 0.01 -top 10 events.jsonl
-//	ctgsched analyze -run "mpeg adaptive" -json trace.json
+//	ctgsched analyze -json events.jsonl
 func runAnalyze(args []string) {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
 	top := fs.Int("top", ctgdvfs.HealthOptions{}.Hotspots, "hotspot rankings: top N entries (0 = default)")
@@ -31,10 +32,9 @@ func runAnalyze(args []string) {
 	latenessP95 := fs.Float64("slo-lateness-p95", 0, "SLO: bound on rolling P95 lateness (0 disables)")
 	makespanP95 := fs.Float64("slo-makespan-p95", 0, "SLO: bound on rolling P95 makespan (0 disables)")
 	avgEnergy := fs.Float64("slo-avg-energy", 0, "SLO: bound on average per-instance energy (0 disables)")
-	run := fs.String("run", "", "Chrome traces: process (run name) to analyze; required when the trace holds several runs")
 	asJSON := fs.Bool("json", false, "print the snapshot as JSON instead of the text report")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: ctgsched analyze [flags] <events.jsonl | trace.json>")
+		fmt.Fprintln(os.Stderr, "usage: ctgsched analyze [flags] <events.jsonl>")
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
@@ -43,18 +43,7 @@ func runAnalyze(args []string) {
 		os.Exit(2)
 	}
 
-	data, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		log.Fatal(err)
-	}
-	events, format, err := ctgdvfs.LoadTelemetry(data, *run)
-	if err != nil {
-		var tail *ctgdvfs.TruncatedTailError
-		if !errors.As(err, &tail) {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "warning: %v\n", err)
-	}
+	events := readCapture(fs.Arg(0))
 	snap := ctgdvfs.AnalyzeTelemetry(events, ctgdvfs.HealthOptions{
 		Hotspots: *top,
 		SLO: ctgdvfs.HealthSLO{
@@ -72,10 +61,29 @@ func runAnalyze(args []string) {
 		}
 		return
 	}
-	fmt.Printf("%s: %s trace, %d events\n\n", fs.Arg(0), format, len(events))
+	fmt.Printf("%s: jsonl trace, %d events\n\n", fs.Arg(0), len(events))
 	fmt.Print(snap.Report())
-	if format == "chrome" {
-		fmt.Println("\nnote: Chrome traces carry no estimator or instance-summary events;")
-		fmt.Println("analyze the JSONL event stream for drift and SLO verdicts.")
+}
+
+// readCapture reads a JSONL event stream through ReadTelemetryJSONL, the one
+// event reader. A torn final line is a warning (the intact prefix is
+// analyzed); any other read error, or a stream with no events, is fatal.
+func readCapture(path string) []ctgdvfs.TelemetryEvent {
+	f, err := os.Open(path)
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer f.Close()
+	events, err := ctgdvfs.ReadTelemetryJSONL(f)
+	var tail *ctgdvfs.TruncatedTailError
+	switch {
+	case errors.As(err, &tail):
+		fmt.Fprintf(os.Stderr, "warning: %v\n", err)
+	case err != nil:
+		log.Fatalf("%s: %v", path, err)
+	}
+	if len(events) == 0 {
+		log.Fatalf("%s: no events in stream", path)
+	}
+	return events
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -11,8 +10,9 @@ import (
 )
 
 // runExplain is the `ctgsched explain` subcommand: reconstruct the causal
-// provenance of one runtime decision from a recorded telemetry capture — a
-// JSONL event stream or a flight-recorder dump (which is the same format).
+// provenance of one runtime decision from a recorded JSONL event stream — a
+// capture, a flight-recorder window (GET /v1/tenants/{name}/events) or a
+// daemon tenant's stream, all the same format.
 // It prints why the decision fired (the trigger chain back to its root,
 // estimates and thresholds included) and what it caused downstream.
 //
@@ -33,9 +33,8 @@ func runExplain(args []string) {
 	kind := fs.String("kind", "", "filter decisions to this event kind (e.g. reschedule, fallback, alert_firing)")
 	tenant := fs.String("tenant", "", "serve tenant streams: filter decisions to events naming this tenant (tenant_panic, tenant_restart, checkpoint, restore)")
 	list := fs.Bool("list", false, "list the stream's explainable decisions and exit")
-	run := fs.String("run", "", "Chrome traces: process (run name) to load; note traces carry no seq ids")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: ctgsched explain [flags] <events.jsonl | flight-dump.jsonl>")
+		fmt.Fprintln(os.Stderr, "usage: ctgsched explain [flags] <events.jsonl>")
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
@@ -44,19 +43,8 @@ func runExplain(args []string) {
 		os.Exit(2)
 	}
 
-	data, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		log.Fatal(err)
-	}
-	events, format, err := ctgdvfs.LoadTelemetry(data, *run)
-	if err != nil {
-		var tail *ctgdvfs.TruncatedTailError
-		if !errors.As(err, &tail) {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "warning: %v\n", err)
-	}
-	fmt.Printf("%s: %s stream, %d events\n\n", fs.Arg(0), format, len(events))
+	events := readCapture(fs.Arg(0))
+	fmt.Printf("%s: jsonl stream, %d events\n\n", fs.Arg(0), len(events))
 
 	if *list {
 		decisions := ctgdvfs.TelemetryDecisions(events)

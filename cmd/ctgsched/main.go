@@ -8,22 +8,22 @@
 //	ctgsched -workload mpeg -algo nlp -deadline 1.5
 //	ctgsched -workload cruise -dot
 //
-// The analyze subcommand replays a recorded telemetry capture through the
+// The analyze subcommand replays a recorded JSONL event stream through the
 // health analyzers offline and prints a diagnosis report:
 //
 //	ctgsched analyze events.jsonl
-//	ctgsched analyze -run "mpeg adaptive" trace.json
 //
 // The explain subcommand reconstructs the causal provenance of one runtime
-// decision from the same captures (or a flight-recorder dump):
+// decision from the same streams (or a daemon tenant's flight-recorder
+// window, GET /v1/tenants/{name}/events):
 //
 //	ctgsched explain -list events.jsonl
 //	ctgsched explain -kind reschedule -instance 412 events.jsonl
 //
 // The watch subcommand renders live (or replayed) manager telemetry as
 // sparkline rows — windowed and run miss rate, guard level, drift — plus the
-// alert-rule states, either polling a -metrics-addr server or reading a
-// -series-out dump:
+// alert-rule states, either polling a ctgschedd's GET /v1/metrics or reading
+// an `experiments -series-out` dump:
 //
 //	ctgsched watch -addr localhost:8080
 //	ctgsched watch -dump series-mpeg.json

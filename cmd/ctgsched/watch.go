@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -20,13 +21,13 @@ import (
 //   - `-dump FILE` (or a positional file) renders a series dump written by
 //     `experiments -series-out` once and exits — the replayable mode the
 //     goldens pin.
-//   - `-addr HOST:PORT` polls the JSON /metrics endpoint of a running
-//     `experiments -metrics-addr` server every -interval, ingesting each
-//     snapshot into a client-side collector and re-rendering until
-//     interrupted (or for -frames renders, for scripted smoke runs).
+//   - `-addr HOST:PORT` polls the JSON GET /v1/metrics endpoint of a
+//     running `ctgschedd` every -interval, ingesting each snapshot into a
+//     client-side collector and re-rendering until interrupted (or for
+//     -frames renders, for scripted smoke runs).
 func runWatch(args []string) {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
-	addr := fs.String("addr", "", "poll the live /metrics endpoint at this host:port")
+	addr := fs.String("addr", "", "poll a ctgschedd's live /v1/metrics endpoint at this host:port")
 	dump := fs.String("dump", "", "render a series dump file (from `experiments -series-out`) instead of polling")
 	interval := fs.Duration("interval", time.Second, "poll interval in live mode")
 	frames := fs.Int("frames", 0, "stop after this many live renders (0 = until interrupted)")
@@ -52,7 +53,7 @@ func runWatch(args []string) {
 		}
 		fmt.Print(series.RenderWatch(d, opts))
 	case *addr != "":
-		if err := watchLive(*addr, *interval, *frames, opts); err != nil {
+		if err := watchLive(os.Stdout, *addr, *interval, *frames, opts); err != nil {
 			fmt.Fprintf(os.Stderr, "watch: %v\n", err)
 			os.Exit(1)
 		}
@@ -62,12 +63,12 @@ func runWatch(args []string) {
 	}
 }
 
-// watchLive polls the /metrics JSON endpoint, folds each snapshot into a
-// collector (tick = poll number), and redraws the terminal after every poll.
-func watchLive(addr string, interval time.Duration, frames int, opts series.WatchOptions) error {
+// watchLive polls the daemon's /v1/metrics JSON endpoint, folds each snapshot into a
+// collector (tick = poll number), and redraws w after every poll.
+func watchLive(w io.Writer, addr string, interval time.Duration, frames int, opts series.WatchOptions) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	url := "http://" + addr + "/metrics"
+	url := "http://" + addr + "/v1/metrics"
 	col := series.NewCollector(0)
 	client := &http.Client{Timeout: 10 * time.Second}
 	for tick := 0; frames <= 0 || tick < frames; tick++ {
@@ -80,9 +81,9 @@ func watchLive(addr string, interval time.Duration, frames int, opts series.Watc
 		}
 		col.IngestSnapshot(tick, snap)
 		// ANSI clear + home redraws in place, like top(1).
-		fmt.Print("\033[H\033[2J")
-		fmt.Printf("watching %s every %v (interrupt to stop)\n", url, interval)
-		fmt.Print(series.RenderWatch(col.Dump(), opts))
+		fmt.Fprint(w, "\033[H\033[2J")
+		fmt.Fprintf(w, "watching %s every %v (interrupt to stop)\n", url, interval)
+		fmt.Fprint(w, series.RenderWatch(col.Dump(), opts))
 		select {
 		case <-ctx.Done():
 			return nil

@@ -119,9 +119,7 @@ func orderedRunners() []runner {
 				spec = *sf.Perturb
 			}
 			r, tel, err := exp.FaultCampaign(spec, *faultGuard, observe)
-			if tel != nil {
-				campaignTel.Store(tel)
-			}
+			campaignTel = tel
 			return rendered(r, err)
 		}},
 		{name: "scale", aliases: []string{"scaling"}, run: func() (string, error) {

@@ -72,8 +72,8 @@ func main() {
 		fmt.Printf("  %-16s %6d\n", k, byKind[k])
 	}
 
-	// The registry snapshot — the same JSON the -metrics-addr HTTP endpoint
-	// of cmd/experiments serves.
+	// The registry snapshot — the same JSON ctgschedd serves at
+	// GET /v1/metrics.
 	fmt.Println("\nmetrics snapshot:")
 	if err := reg.WriteJSON(os.Stdout); err != nil {
 		log.Fatal(err)

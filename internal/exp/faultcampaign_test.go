@@ -101,9 +101,8 @@ func TestFaultCampaignObservedHealth(t *testing.T) {
 		{"", nil},
 		{"rules.json ", rules.Rules},
 	} {
-		reg := telemetry.NewRegistry()
 		observed, tel, err := faultCampaignN(DefaultCampaignSpec(), DefaultCampaignGuard, campaignTestVectors,
-			&Observe{Metrics: reg, Rules: c.rules})
+			&Observe{Rules: c.rules})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +141,7 @@ func TestFaultCampaignObservedHealth(t *testing.T) {
 				t.Errorf("%s%s: %d alert_firing events vs %d reported firings", c.label, row.Workload, n, firings)
 			}
 		}
-		if reg.Snapshot().Counters["adaptive.instances"] == 0 {
+		if tel.Metrics.Snapshot().Counters["adaptive.instances"] == 0 {
 			t.Error("campaign registry saw no instances")
 		}
 		golden += streamDigests(t, tel, c.label)

@@ -9,10 +9,6 @@ import (
 // Observe switches the traced campaign (FaultCampaign) to observed mode; a
 // nil *Observe runs it unobserved.
 type Observe struct {
-	// Metrics is the registry every observed runtime publishes into — pass
-	// one already served over HTTP to watch the campaign live; nil allocates
-	// a private one.
-	Metrics *telemetry.Registry
 	// Rules are the alert rules every stream's series store evaluates per
 	// sample; firings land in the stream with full Seq/Cause provenance.
 	Rules []series.Rule
@@ -33,23 +29,19 @@ type CampaignTelemetry struct {
 	// Series holds one time-series store per workload. Each store samples a
 	// private mirror of Metrics (telemetry.NewMirrorRegistry), so sampling is
 	// deterministic even though the runs are parallel: every write still
-	// forwards into the shared registry for the live /metrics view, but each
-	// ring sees only its own producer.
+	// forwards into the shared campaign-wide registry, but each ring sees
+	// only its own producer.
 	Series map[string]*series.Store
 }
 
-// newTelemetry returns an empty telemetry set publishing into o's registry,
-// or nil when o is nil.
+// newTelemetry returns an empty telemetry set publishing into a fresh
+// registry, or nil when o is nil.
 func (o *Observe) newTelemetry() *CampaignTelemetry {
 	if o == nil {
 		return nil
 	}
-	reg := o.Metrics
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
 	return &CampaignTelemetry{
-		Metrics:   reg,
+		Metrics:   telemetry.NewRegistry(),
 		Recorders: make(map[string]*telemetry.MemoryRecorder),
 		Health:    make(map[string]*health.AnalyzerRecorder),
 		Series:    make(map[string]*series.Store),

@@ -22,8 +22,7 @@ func TestFaultCampaignMonitoredAlerts(t *testing.T) {
 		t.Fatal(err)
 	}
 	clear := 0.08
-	reg := telemetry.NewRegistry()
-	obs := &Observe{Metrics: reg, Rules: []series.Rule{
+	obs := &Observe{Rules: []series.Rule{
 		{Name: "miss-rate-high", Metric: "adaptive.miss_rate_window", Value: 0.11, Clear: &clear},
 	}}
 	observed, tel, err := faultCampaignN(DefaultCampaignSpec(), DefaultCampaignGuard, campaignTestVectors, obs)
@@ -89,7 +88,7 @@ func TestFaultCampaignMonitoredAlerts(t *testing.T) {
 
 	// Mirror forwarding: the shared parent registry aggregated the same
 	// instance count the private stores sampled.
-	snap := reg.Snapshot()
+	snap := tel.Metrics.Snapshot()
 	if got := snap.Counters["adaptive.instances"]; got == 0 {
 		t.Fatal("shared registry saw no forwarded writes")
 	}

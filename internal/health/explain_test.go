@@ -2,7 +2,6 @@ package health_test
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,7 +32,7 @@ func writeFixture(t *testing.T, name string, events []telemetry.Event) {
 	}
 }
 
-// loadFixture reads a committed JSONL fixture through the same LoadEvents
+// loadFixture reads a committed JSONL fixture through the same ReadJSONL
 // path `ctgsched explain` uses.
 func loadFixture(t *testing.T, name string) []telemetry.Event {
 	t.Helper()
@@ -41,12 +40,9 @@ func loadFixture(t *testing.T, name string) []telemetry.Event {
 	if err != nil {
 		t.Fatalf("missing fixture (run with -update): %v", err)
 	}
-	events, format, err := health.LoadEvents(data, "")
+	events, err := telemetry.ReadJSONL(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if format != "jsonl" {
-		t.Fatalf("fixture format %q, want jsonl", format)
 	}
 	return events
 }
@@ -202,38 +198,6 @@ func TestExplainErrors(t *testing.T) {
 	if _, err := health.Explain(sequenced, health.ExplainQuery{Kind: "fallback", Instance: -1}); err == nil ||
 		!strings.Contains(err.Error(), "no decision matches") {
 		t.Fatalf("unmatched query accepted: %v", err)
-	}
-}
-
-// TestLoadEventsTruncatedTail pins the tolerant reader: a capture whose
-// final line was torn mid-write parses to its intact prefix with a typed
-// warning, while mid-stream corruption stays fatal.
-func TestLoadEventsTruncatedTail(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "truncated.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	events, format, err := health.LoadEvents(data, "")
-	var tail *health.TruncatedTailError
-	if !errors.As(err, &tail) {
-		t.Fatalf("want TruncatedTailError, got %v", err)
-	}
-	if format != "jsonl" || len(events) != 4 {
-		t.Fatalf("prefix not recovered: format %q, %d events", format, len(events))
-	}
-	if events[3].Kind != telemetry.KindReschedule {
-		t.Fatalf("prefix corrupted: %+v", events[3])
-	}
-	if tail.Line != 5 {
-		t.Fatalf("torn line reported as %d, want 5", tail.Line)
-	}
-
-	// The same torn line mid-stream (events after it) is corruption, not
-	// truncation: hard error, no events returned.
-	lines := bytes.Split(bytes.TrimRight(data, "\n"), []byte("\n"))
-	midStream := bytes.Join([][]byte{lines[0], lines[4], lines[1]}, []byte("\n"))
-	if evs, _, err := health.LoadEvents(midStream, ""); err == nil || errors.As(err, &tail) || evs != nil {
-		t.Fatalf("mid-stream corruption tolerated: %d events, %v", len(evs), err)
 	}
 }
 

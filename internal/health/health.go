@@ -245,7 +245,7 @@ func (a *AnalyzerRecorder) Health() Snapshot {
 		TimelineDropped: a.timelineDropped,
 	}
 	if s.Instances == 0 {
-		// Streams without instance summaries (e.g. converted Chrome traces)
+		// Streams without instance summaries (e.g. a bare sim replay)
 		// still carry per-instance slices; fall back to the hotspot
 		// attributor's instance count.
 		s.Instances = a.hot.instanceCount()

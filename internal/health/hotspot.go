@@ -135,8 +135,8 @@ func (h *hotState) commit(instance int) {
 }
 
 // instanceCount is the number of instances seen: committed ones plus those
-// still pending a finish event (converted Chrome traces carry no instance
-// summaries, so their instances never commit).
+// still pending a finish event (a stream without instance summaries never
+// commits its instances).
 func (h *hotState) instanceCount() int { return h.instances + len(h.pending) }
 
 // TaskHotspot is one ranked task.

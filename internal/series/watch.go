@@ -82,8 +82,9 @@ func watchRow(b *strings.Builder, label string, sd *SeriesDump, width int) {
 
 // RenderWatch renders a dump as the `ctgsched watch` terminal view: the
 // manager's sparkline rows (windowed miss rate, run miss rate, guard level,
-// drift) and an alerts section. Output is deterministic, so the view goldens
-// cleanly.
+// drift), the daemon's rows when the dump polled ctgschedd (steps, step
+// p95, rule sheds, panics) and an alerts section. Output is deterministic,
+// so the view goldens cleanly.
 func RenderWatch(d Dump, opts WatchOptions) string {
 	width := opts.Width
 	if width <= 0 {
@@ -98,6 +99,13 @@ func RenderWatch(d Dump, opts WatchOptions) string {
 		watchRow(&b, "miss rate (run)", d.Get("adaptive.miss_rate"), width)
 		watchRow(&b, "guard level", d.Get("adaptive.guard_level"), width)
 		watchRow(&b, "drift", d.Get("adaptive.drift"), width)
+	}
+	if steps := d.Get("serve.steps"); steps != nil {
+		b.WriteString("\ndaemon\n")
+		watchRow(&b, "steps", steps, width)
+		watchRow(&b, "step p95 (µs)", d.Get("serve.step_us"+SuffixP95), width)
+		watchRow(&b, "rejected (slo)", d.Get("serve.rejected_slo"), width)
+		watchRow(&b, "panics", d.Get("serve.panics"), width)
 	}
 
 	firing := 0

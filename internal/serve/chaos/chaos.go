@@ -26,6 +26,7 @@ package chaos
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -504,7 +505,7 @@ func flood(baseURL, name string, n int) (sent int, byStatus map[int]int) {
 func countPanicEvents(rep *Report, dir string) {
 	paths, _ := filepath.Glob(filepath.Join(dir, "*.events.jsonl"))
 	for _, p := range paths {
-		evs, err := readEventsTorn(p)
+		evs, err := readEvents(p)
 		if err != nil {
 			rep.violatef("event stream %s unreadable: %v", filepath.Base(p), err)
 			continue
@@ -524,31 +525,21 @@ func countPanicEvents(rep *Report, dir string) {
 	}
 }
 
-// readEventsTorn reads a JSONL event stream that may end in a torn line (a
-// daemon killed without warning loses its write buffer mid-record): every
-// complete line is decoded, a single undecodable tail line is discarded, and
-// corruption anywhere before the tail is still an error.
-func readEventsTorn(path string) ([]telemetry.Event, error) {
-	raw, err := os.ReadFile(path)
+// readEvents reads a daemon event stream that may end in a torn line (a
+// daemon killed without warning loses its write buffer mid-record): the torn
+// tail is dropped, corruption anywhere before it is still an error.
+func readEvents(path string) ([]telemetry.Event, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	lines := strings.Split(string(raw), "\n")
-	var evs []telemetry.Event
-	for i, ln := range lines {
-		if strings.TrimSpace(ln) == "" {
-			continue
-		}
-		got, err := telemetry.ReadJSONL(strings.NewReader(ln + "\n"))
-		if err != nil {
-			if i == len(lines)-1 {
-				break // torn tail: the record after the last newline
-			}
-			return nil, fmt.Errorf("line %d: %w", i+1, err)
-		}
-		evs = append(evs, got...)
+	defer f.Close()
+	evs, err := telemetry.ReadJSONL(f)
+	var tail *telemetry.TruncatedTailError
+	if errors.As(err, &tail) {
+		err = nil
 	}
-	return evs, nil
+	return evs, err
 }
 
 // finalize folds phase stats, status counters and digests into per-tenant

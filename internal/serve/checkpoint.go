@@ -26,7 +26,7 @@ import (
 // generation is rotated to <name>.ckpt.prev before the rename lands, and
 // restore falls back to it when the primary is torn, corrupt or missing —
 // the same tolerate-the-tail-report-the-middle posture as
-// health.TruncatedTailError.
+// telemetry.TruncatedTailError.
 //
 // The payload deliberately snapshots *inputs*, not engine internals: the
 // tenant spec (CTG, platform, manager knobs) plus the full decision-vector
@@ -43,7 +43,7 @@ const (
 )
 
 // SnapshotError reports a torn, corrupt or divergent snapshot file. Like
-// health.TruncatedTailError it is a diagnosis, not just a failure: Reason
+// telemetry.TruncatedTailError it is a diagnosis, not just a failure: Reason
 // says what was wrong (bad header, checksum mismatch, replay divergence), so
 // the operator can tell a half-written file from real corruption.
 type SnapshotError struct {

@@ -90,7 +90,8 @@ type Options struct {
 	// tenant's event stream.
 	ShedRules []series.Rule
 
-	// FlightWindow is each tenant's flight-recorder capacity (0 selects 256).
+	// FlightWindow is each tenant's flight-recorder capacity (≤ 0 selects
+	// the recorder's default, 256).
 	FlightWindow int
 	// EventsDir, when non-empty, streams each tenant's telemetry to
 	// <dir>/<name>.events.jsonl (truncated at creation/restore so a prior
@@ -130,9 +131,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = 5 * time.Second
-	}
-	if o.FlightWindow <= 0 {
-		o.FlightWindow = 256
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -300,16 +298,10 @@ func (s *Server) buildFromPayload(pay *snapshotPayload, from string) (*tenant, e
 	if err != nil {
 		return nil, err
 	}
-	t.gate.off = true
-	for i, v := range pay.Vectors {
-		if _, serr := t.mgr.Step(v); serr != nil {
-			t.gate.off = false
-			t.closeSinks()
-			return nil, &SnapshotError{Path: pay.Name,
-				Reason: fmt.Sprintf("replay failed at instance %d", i), Err: serr}
-		}
+	if err := t.rebuildLocked(pay.Vectors); err != nil {
+		t.closeSinks()
+		return nil, &SnapshotError{Path: pay.Name, Reason: "rebuild failed", Err: err}
 	}
-	t.gate.off = false
 	t.log = append(t.log, pay.Vectors...)
 	t.publishShedLocked()
 	if got := t.mgr.Instances(); got != pay.Instances {
@@ -364,6 +356,10 @@ func (s *Server) CreateTenant(spec TenantSpec) (TenantStatus, error) {
 	}
 	t, err := newTenant(s, spec)
 	if err != nil {
+		return TenantStatus{}, err
+	}
+	if t.mgr, t.store, err = t.buildManager(); err != nil {
+		t.closeSinks()
 		return TenantStatus{}, err
 	}
 	s.mu.Lock()

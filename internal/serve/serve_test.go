@@ -19,6 +19,7 @@ import (
 
 	"ctgdvfs/internal/apps/mpeg"
 	"ctgdvfs/internal/ctgio"
+	"ctgdvfs/internal/health"
 	"ctgdvfs/internal/series"
 	"ctgdvfs/internal/telemetry"
 	"ctgdvfs/internal/trace"
@@ -957,5 +958,152 @@ func TestShedRulesSurviveRestore(t *testing.T) {
 		if got := s2.tenants["a"].shedding.Load(); got != c.firing {
 			t.Fatalf("restored at %d: shedding %v, want %v", c.steps, got, c.firing)
 		}
+	}
+}
+
+// readStream reads a tenant's events file through the one event reader.
+func readStream(t *testing.T, path string) []telemetry.Event {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	evs, err := telemetry.ReadJSONL(f)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return evs
+}
+
+// initialReschedules counts the stream's reschedule{reason: initial} events.
+func initialReschedules(evs []telemetry.Event) int {
+	n := 0
+	for _, e := range evs {
+		if e.Kind == telemetry.KindReschedule && e.Reason == "initial" {
+			n++
+		}
+	}
+	return n
+}
+
+// TestReplayGateCoversRebuiltManager pins the replay gate: a cancel rebuild,
+// a panic rebuild and a restore each build a fresh manager whose initial
+// schedule is not news, so the gate is off from the build on. The live
+// stream holds exactly one initial reschedule, a restored stream none (its
+// restore event comes first), and the digests match an undisturbed run.
+func TestReplayGateCoversRebuiltManager(t *testing.T) {
+	evDir, ckDir := t.TempDir(), t.TempDir()
+	now := time.Unix(1000, 0)
+	s := mustServer(t, Options{Chaos: true, EventsDir: evDir, CheckpointDir: ckDir,
+		Now: func() time.Time { return now }})
+	base := mustServer(t, Options{})
+	mustCreate(t, s, mpegSpec("a"))
+	mustCreate(t, base, mpegSpec("a"))
+	vecs := testVectors(t, 12)
+	ctx := context.Background()
+	stepBoth := func(srv *Server, vs [][]int) {
+		t.Helper()
+		for i, v := range vs {
+			for _, d := range []*Server{srv, base} {
+				if _, err := d.Step(ctx, "a", v, ChaosSpec{}); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+			}
+		}
+	}
+	sameDigest := func(srv *Server) {
+		t.Helper()
+		gs, _ := srv.Schedule("a")
+		ws, _ := base.Schedule("a")
+		if gs.Digest != ws.Digest {
+			t.Fatalf("digest %s != undisturbed %s", gs.Digest, ws.Digest)
+		}
+	}
+
+	stepBoth(s, vecs[:5])
+	if _, err := s.Step(&fakeCtx{fuse: 4}, "a", vecs[5], ChaosSpec{}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want DeadlineExceeded, got %v", err)
+	}
+	if _, err := s.Step(ctx, "a", vecs[5], ChaosSpec{Panic: "gate"}); !isPanicErr(err) {
+		t.Fatalf("want PanicError, got %v", err)
+	}
+	now = now.Add(10 * time.Second) // let the backoff expire
+	stepBoth(s, vecs[5:8])
+	sameDigest(s)
+
+	path := filepath.Join(evDir, "a.events.jsonl")
+	evs := readStream(t, path)
+	if n := initialReschedules(evs); n != 1 {
+		t.Fatalf("live stream holds %d initial reschedules, want 1", n)
+	}
+	restarts := map[string]bool{}
+	for _, e := range evs {
+		if e.Kind == telemetry.KindTenantRestart {
+			restarts[e.Reason] = true
+		}
+	}
+	if !restarts["cancel_rebuild"] || !restarts["panic_backoff"] {
+		t.Fatalf("rebuilds not on the stream: %v", restarts)
+	}
+
+	s.Close() // final checkpoint at instance 8
+	s2 := mustServer(t, Options{EventsDir: evDir, CheckpointDir: ckDir})
+	stepBoth(s2, vecs[8:])
+	sameDigest(s2)
+	evs = readStream(t, path)
+	if len(evs) == 0 || evs[0].Kind != telemetry.KindRestore || evs[0].Instance != 8 {
+		t.Fatalf("restored stream does not open with its restore event: %+v", evs[:min(len(evs), 3)])
+	}
+	if n := initialReschedules(evs); n != 0 {
+		t.Fatalf("restored stream holds %d initial reschedules, want 0", n)
+	}
+}
+
+// TestExplainFlightWindow explains a drift reschedule from the daemon's own
+// output: the flight-recorder window served at GET /v1/tenants/{name}/events,
+// read with telemetry.ReadJSONL. After a contained panic rebuilt the tenant,
+// the last reschedule in the window is still the last drift decision, and
+// its chain resolves through its window_estimate to its instance_start.
+func TestExplainFlightWindow(t *testing.T) {
+	now := time.Unix(1000, 0)
+	s := mustServer(t, Options{Chaos: true, Now: func() time.Time { return now }})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	mustCreate(t, s, mpegSpec("a"))
+	ctx := context.Background()
+	vecs := testVectors(t, 7)
+	for i, v := range vecs[:6] {
+		if _, err := s.Step(ctx, "a", v, ChaosSpec{}); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	if _, err := s.Step(ctx, "a", vecs[6], ChaosSpec{Panic: "window"}); !isPanicErr(err) {
+		t.Fatalf("want PanicError, got %v", err)
+	}
+
+	resp, err := http.Get(hs.URL + "/v1/tenants/a/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	evs, err := telemetry.ReadJSONL(resp.Body)
+	if err != nil {
+		t.Fatalf("ReadJSONL(window): %v", err)
+	}
+	x, err := health.Explain(evs, health.ExplainQuery{Kind: string(telemetry.KindReschedule), Instance: -1})
+	if err != nil {
+		t.Fatalf("Explain: %v", err)
+	}
+	if x.Decision.Reason != "drift" || x.Decision.Instance != 5 {
+		t.Fatalf("last reschedule is %q at instance %d, want drift at 5", x.Decision.Reason, x.Decision.Instance)
+	}
+	var kinds []telemetry.Kind
+	for _, e := range x.Chain {
+		kinds = append(kinds, e.Kind)
+	}
+	want := []telemetry.Kind{telemetry.KindInstanceStart, telemetry.KindEstimate, telemetry.KindReschedule}
+	if !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("chain %v, want %v", kinds, want)
 	}
 }

@@ -141,9 +141,10 @@ type tenant struct {
 	restoredFrom string // "", "ok", "fallback"
 }
 
-// newTenant builds a tenant (manager, telemetry chain, admission state) but
-// does not start its worker; the caller starts it once any restore replay is
-// done.
+// newTenant builds a tenant's telemetry chain and admission state but
+// neither its manager nor its worker: a new tenant builds its manager with
+// the gate on (its initial schedule belongs on the live stream), a restored
+// one through rebuildLocked, and the caller starts the worker after that.
 func newTenant(srv *Server, spec TenantSpec) (*tenant, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
@@ -164,9 +165,7 @@ func newTenant(srv *Server, spec TenantSpec) (*tenant, error) {
 	// the tenant name so chaos runs are reproducible.
 	t.rng = rand.New(rand.NewSource(srv.opts.Seed ^ int64(fnvString(spec.Name))))
 
-	t.flight = telemetry.NewFlightRecorder(telemetry.FlightRecorderOptions{
-		Capacity: srv.opts.FlightWindow,
-	})
+	t.flight = telemetry.NewFlightRecorder(srv.opts.FlightWindow)
 	t.sinks = telemetry.MultiRecorder{t.tail, t.flight}
 	if dir := srv.opts.EventsDir; dir != "" {
 		// O_TRUNC: a prior run's stream may end in a torn tail (the daemon
@@ -181,13 +180,6 @@ func newTenant(srv *Server, spec TenantSpec) (*tenant, error) {
 		t.sinks = append(t.sinks, t.events)
 	}
 	t.gate = &gateRecorder{next: t.sinks}
-
-	m, st, err := t.buildManager()
-	if err != nil {
-		t.closeSinks()
-		return nil, err
-	}
-	t.mgr, t.store = m, st
 	return t, nil
 }
 
@@ -395,7 +387,7 @@ func (t *tenant) containPanic(r any) error {
 // rebuild failure (it should be impossible: the log replayed fine once)
 // permanently fails the tenant rather than serving undefined state.
 func (t *tenant) recoverLocked(reason string, cause uint64, backoff time.Duration) {
-	if err := t.rebuildLocked(); err != nil {
+	if err := t.rebuildLocked(t.log); err != nil {
 		t.status = "failed"
 		return
 	}
@@ -413,19 +405,20 @@ func (t *tenant) recoverLocked(reason string, cause uint64, backoff time.Duratio
 }
 
 // rebuildLocked replaces the manager with a fresh one fast-forwarded through
-// the decision log. The gate stays off for the whole replay so already-
-// recorded events are not re-delivered; the shared sequencer keeps advancing,
-// so post-replay events never collide with pre-rebuild seqs.
-func (t *tenant) rebuildLocked() error {
+// log. The gate stays off from the fresh manager's initial schedule to the
+// end of the replay, so already-recorded events are not re-delivered; the
+// shared sequencer keeps advancing, so post-replay events never collide with
+// pre-rebuild seqs.
+func (t *tenant) rebuildLocked(log [][]int) error {
+	t.gate.off = true
+	defer func() { t.gate.off = false }()
 	m, st, err := t.buildManager()
 	if err != nil {
 		return err
 	}
-	t.gate.off = true
-	defer func() { t.gate.off = false }()
-	for i, v := range t.log {
+	for i, v := range log {
 		if _, err := m.Step(v); err != nil {
-			return fmt.Errorf("serve: tenant %s replay instance %d: %w", t.name, i, err)
+			return fmt.Errorf("replay instance %d: %w", i, err)
 		}
 	}
 	// The replayed store reaches the rule state of the last committed step,

@@ -120,14 +120,3 @@ func WriteFileAtomic(path string, fn func(io.Writer) error) error {
 	}
 	return nil
 }
-
-// AtomicSink adapts CreateAtomic to the FlightRecorder's Sink signature: each
-// dump goes to pathFor(dump index) via a temp file + atomic rename, so a kill
-// mid-dump never leaves a torn flight capture.
-func AtomicSink(pathFor func(dump int) string) func() (io.WriteCloser, error) {
-	n := 0
-	return func() (io.WriteCloser, error) {
-		n++
-		return CreateAtomic(pathFor(n))
-	}
-}

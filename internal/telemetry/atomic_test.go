@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -138,28 +137,5 @@ func TestAtomicFileStickyWriteError(t *testing.T) {
 	}
 	if names := dirNames(t, dir); len(names) != 0 {
 		t.Fatalf("failed write left %v behind", names)
-	}
-}
-
-// TestAtomicSinkNumbersDumps checks that each flight-recorder dump through
-// AtomicSink lands in its own numbered file.
-func TestAtomicSinkNumbersDumps(t *testing.T) {
-	dir := t.TempDir()
-	sink := AtomicSink(func(n int) string { return filepath.Join(dir, fmt.Sprintf("dump-%d.jsonl", n)) })
-	for i := 1; i <= 2; i++ {
-		w, err := sink()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(w, "dump %d\n", i)
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 1; i <= 2; i++ {
-		path := filepath.Join(dir, fmt.Sprintf("dump-%d.jsonl", i))
-		if got, want := readString(t, path), fmt.Sprintf("dump %d\n", i); got != want {
-			t.Fatalf("%s = %q, want %q", path, got, want)
-		}
 	}
 }

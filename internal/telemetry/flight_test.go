@@ -2,18 +2,8 @@ package telemetry
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"testing"
 )
-
-// closableBuffer is a bytes.Buffer with a Close, counting closes.
-type closableBuffer struct {
-	bytes.Buffer
-	closed int
-}
-
-func (b *closableBuffer) Close() error { b.closed++; return nil }
 
 func TestSequencerMonotonic(t *testing.T) {
 	s := NewSequencer()
@@ -31,7 +21,7 @@ func TestSequencerMonotonic(t *testing.T) {
 }
 
 func TestFlightRecorderWindow(t *testing.T) {
-	r := NewFlightRecorder(FlightRecorderOptions{Capacity: 4})
+	r := NewFlightRecorder(4)
 	for i := 1; i <= 6; i++ {
 		r.Record(Event{Kind: KindTaskSlice, Instance: i})
 	}
@@ -60,105 +50,16 @@ func TestFlightRecorderWindow(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderTriggerDump(t *testing.T) {
-	var sinks []*closableBuffer
-	r := NewFlightRecorder(FlightRecorderOptions{
-		Capacity: 8,
-		Cooldown: -1, // every trigger dumps
-		Sink: func() (io.WriteCloser, error) {
-			b := &closableBuffer{}
-			sinks = append(sinks, b)
-			return b, nil
-		},
-	})
-	for i := 0; i < 3; i++ {
-		r.Record(Event{Kind: KindTaskSlice, Instance: i, Seq: uint64(i + 1)})
-	}
-	if r.Dumps() != 0 {
-		t.Fatalf("dump before any trigger: %d", r.Dumps())
-	}
-	r.Record(Event{Kind: KindFallback, Instance: 3, Seq: 4, Cause: 1})
-	if r.Dumps() != 1 || len(sinks) != 1 {
-		t.Fatalf("Dumps = %d, sinks = %d, want 1/1", r.Dumps(), len(sinks))
-	}
-	if sinks[0].closed != 1 {
-		t.Fatalf("sink closed %d times, want 1", sinks[0].closed)
-	}
-	evs, err := ReadJSONL(&sinks[0].Buffer)
-	if err != nil {
-		t.Fatalf("ReadJSONL: %v", err)
-	}
-	if len(evs) != 4 {
-		t.Fatalf("dump has %d events, want 4 (window incl. trigger)", len(evs))
-	}
-	last := evs[len(evs)-1]
-	if last.Kind != KindFallback || last.Seq != 4 || last.Cause != 1 {
-		t.Fatalf("trigger event not last / fields lost: %+v", last)
-	}
-	// Second trigger (no cooldown): a fresh window through a fresh sink.
-	r.Record(Event{Kind: KindGuardLevel, Instance: 4, Seq: 5})
-	if r.Dumps() != 2 || len(sinks) != 2 {
-		t.Fatalf("after 2nd trigger: Dumps = %d, sinks = %d", r.Dumps(), len(sinks))
-	}
-	if r.Err() != nil {
-		t.Fatalf("Err = %v", r.Err())
-	}
-}
-
-func TestFlightRecorderCooldown(t *testing.T) {
-	dumps := 0
-	r := NewFlightRecorder(FlightRecorderOptions{
-		Capacity: 4, // default cooldown = capacity
-		Sink: func() (io.WriteCloser, error) {
-			dumps++
-			return &closableBuffer{}, nil
-		},
-	})
-	r.Record(Event{Kind: KindFallback})
-	r.Record(Event{Kind: KindFallback}) // within cooldown: suppressed
-	if dumps != 1 {
-		t.Fatalf("dumps = %d, want 1 (cooldown suppresses back-to-back)", dumps)
-	}
-	for i := 0; i < 4; i++ {
-		r.Record(Event{Kind: KindTaskSlice})
-	}
-	r.Record(Event{Kind: KindFallback}) // cooldown elapsed
-	if dumps != 2 {
-		t.Fatalf("dumps = %d, want 2 after cooldown elapsed", dumps)
-	}
-}
-
-func TestFlightRecorderSinkErrorSticky(t *testing.T) {
-	boom := errors.New("sink boom")
-	calls := 0
-	r := NewFlightRecorder(FlightRecorderOptions{
-		Capacity: 4,
-		Cooldown: -1,
-		Sink:     func() (io.WriteCloser, error) { calls++; return nil, boom },
-	})
-	r.Record(Event{Kind: KindFallback})
-	r.Record(Event{Kind: KindFallback})
-	if !errors.Is(r.Err(), boom) {
-		t.Fatalf("Err = %v, want %v", r.Err(), boom)
-	}
-	if calls != 2 {
-		t.Fatalf("sink calls = %d, want 2 (dump still attempted; error sticky)", calls)
-	}
-	if r.Dumps() != 2 {
-		t.Fatalf("Dumps = %d, want 2 (failed dumps counted)", r.Dumps())
-	}
-}
-
 func TestFlightRecorderNilDisabled(t *testing.T) {
 	var r *FlightRecorder
 	r.Record(Event{Kind: KindFallback}) // must not panic
-	if r.Len() != 0 || r.Total() != 0 || r.Dumps() != 0 || r.Err() != nil {
+	if r.Len() != 0 || r.Total() != 0 {
 		t.Fatal("nil recorder reported state")
 	}
 }
 
 func TestFlightRecorderZeroAllocSteadyState(t *testing.T) {
-	r := NewFlightRecorder(FlightRecorderOptions{Capacity: 64})
+	r := NewFlightRecorder(64)
 	ev := Event{Kind: KindTaskSlice, Instance: 1, Task: 2, PE: 1, Start: 0.5, End: 1.5, Seq: 9}
 	allocs := testing.AllocsPerRun(1000, func() { r.Record(ev) })
 	if allocs != 0 {

@@ -2,8 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"expvar"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -126,8 +124,7 @@ type HistogramSnapshot struct {
 }
 
 // Registry is a process-local metrics registry: named counters, gauges and
-// fixed-bucket histograms with a JSON snapshot and optional expvar/HTTP
-// exposition. Metric handles are created on first use and cached; producers
+// fixed-bucket histograms with a JSON snapshot and HTTP exposition. Metric handles are created on first use and cached; producers
 // resolve their handles once (outside the hot path) and then operate
 // lock-free (counters/gauges) or under a short mutex (histograms).
 type Registry struct {
@@ -293,8 +290,7 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // sortedKeys returns m's keys in lexicographic order — the explicit ordering
-// contract of every exposition surface (WriteJSON, WriteProm, the series
-// dump): two registries holding the same metrics render byte-identically no
+// contract of every exposition surface (WriteJSON and the series dump): two registries holding the same metrics render byte-identically no
 // matter the creation order.
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
@@ -365,26 +361,10 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 }
 
 // ServeHTTP exposes the snapshot as JSON — mount the registry on a mux
-// (e.g. at /metrics) next to expvar's /debug/vars.
+// (the daemon serves it at GET /v1/metrics).
 func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := r.WriteJSON(w); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-// PublishExpvar publishes the registry under the given expvar name, so it
-// also appears in the standard /debug/vars page. Returns an error instead of
-// panicking when the name is already taken.
-func (r *Registry) PublishExpvar(name string) (err error) {
-	if expvar.Get(name) != nil {
-		return fmt.Errorf("telemetry: expvar %q already published", name)
-	}
-	defer func() {
-		if recover() != nil {
-			err = fmt.Errorf("telemetry: expvar %q already published", name)
-		}
-	}()
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
-	return nil
 }

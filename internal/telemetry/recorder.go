@@ -2,8 +2,10 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 )
@@ -157,16 +159,57 @@ func (r *JSONLRecorder) Close() error {
 	return err
 }
 
-// ReadJSONL decodes a JSONL event stream (the inverse of JSONLRecorder).
+// TruncatedTailError reports a JSONL capture whose final line failed to
+// parse — the signature of a recorder killed mid-write (crash, full disk,
+// SIGKILL). ReadJSONL returns it alongside the successfully parsed prefix:
+// callers should treat it as a warning, not a failure, because everything
+// before the torn line is intact.
+type TruncatedTailError struct {
+	// Line is the 1-based line number of the unparseable trailing line.
+	Line int
+	// Err is the underlying JSON decode error.
+	Err error
+}
+
+func (e *TruncatedTailError) Error() string {
+	return fmt.Sprintf("truncated JSONL tail: line %d unparseable (%v); keeping the %d-line prefix",
+		e.Line, e.Err, e.Line-1)
+}
+
+func (e *TruncatedTailError) Unwrap() error { return e.Err }
+
+// ReadJSONL decodes a JSONL event stream (the inverse of JSONLRecorder) line
+// by line; blank lines are skipped and empty input is no events and no
+// error. A final line that fails to parse is a torn tail: the intact prefix
+// comes back with a *TruncatedTailError. A line that fails to parse with
+// events after it is corruption mid-stream: no events and a plain error.
 func ReadJSONL(r io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(r)
+	br := bufio.NewReader(r)
 	var out []Event
-	for dec.More() {
-		var e Event
-		if err := dec.Decode(&e); err != nil {
-			return out, err
+	var bad error
+	badLine := 0
+	for line := 1; ; line++ {
+		raw, rerr := br.ReadBytes('\n')
+		if raw = bytes.TrimSpace(raw); len(raw) > 0 {
+			if bad != nil {
+				return nil, fmt.Errorf("line %d: %w", badLine, bad)
+			}
+			var e Event
+			if err := json.Unmarshal(raw, &e); err != nil {
+				bad, badLine = err, line
+			} else {
+				out = append(out, e)
+			}
 		}
-		out = append(out, e)
+		if rerr == io.EOF {
+			break
+		}
+		if rerr != nil {
+			return nil, rerr
+		}
+	}
+	if bad != nil {
+		return out, &TruncatedTailError{Line: badLine, Err: bad}
 	}
 	return out, nil
 }

@@ -2,7 +2,10 @@ package telemetry
 
 import (
 	"bytes"
+	"errors"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -78,6 +81,54 @@ func TestJSONLRoundTrip(t *testing.T) {
 	for i := range in {
 		if !reflect.DeepEqual(out[i], in[i]) {
 			t.Errorf("event %d: got %+v, want %+v", i, out[i], in[i])
+		}
+	}
+}
+
+// TestReadJSONLTruncatedTail pins the one event reader's tolerance rules: a
+// capture whose final line was torn mid-write parses to its intact prefix
+// with a typed warning, a bad line with events after it is fatal, blank
+// lines are skipped and empty input is no events and no error.
+func TestReadJSONLTruncatedTail(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "truncated.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := ReadJSONL(bytes.NewReader(data))
+	var tail *TruncatedTailError
+	if !errors.As(err, &tail) {
+		t.Fatalf("want TruncatedTailError, got %v", err)
+	}
+	if len(events) != 4 || events[3].Kind != KindReschedule {
+		t.Fatalf("prefix not recovered: %+v", events)
+	}
+	if tail.Line != 5 {
+		t.Fatalf("torn line reported as %d, want 5", tail.Line)
+	}
+
+	// The same torn line mid-stream (events after it) is corruption, not
+	// truncation: hard error, no events returned.
+	lines := bytes.Split(bytes.TrimRight(data, "\n"), []byte("\n"))
+	midStream := bytes.Join([][]byte{lines[0], lines[4], lines[1]}, []byte("\n"))
+	if evs, err := ReadJSONL(bytes.NewReader(midStream)); err == nil || errors.As(err, &tail) || evs != nil {
+		t.Fatalf("mid-stream corruption tolerated: %d events, %v", len(evs), err)
+	}
+	garbage := []byte("not json at all\n" + string(lines[0]) + "\n")
+	if _, err := ReadJSONL(bytes.NewReader(garbage)); err == nil || errors.As(err, &tail) {
+		t.Fatalf("garbage first line tolerated: %v", err)
+	}
+
+	// Blank lines (any whitespace) are skipped; the line count still
+	// includes them.
+	spaced := bytes.Join([][]byte{lines[0], nil, []byte("  \t"), lines[1], lines[4]}, []byte("\n"))
+	events, err = ReadJSONL(bytes.NewReader(spaced))
+	if !errors.As(err, &tail) || tail.Line != 5 || len(events) != 2 {
+		t.Fatalf("blank lines: %d events, %v", len(events), err)
+	}
+
+	for _, empty := range []string{"", "\n\n", "  \n"} {
+		if evs, err := ReadJSONL(strings.NewReader(empty)); err != nil || len(evs) != 0 {
+			t.Fatalf("empty input %q: %d events, %v", empty, len(evs), err)
 		}
 	}
 }
@@ -187,12 +238,30 @@ func TestRegistryHTTPAndJSON(t *testing.T) {
 	}
 }
 
-func TestPublishExpvar(t *testing.T) {
-	reg := NewRegistry()
-	if err := reg.PublishExpvar("ctgdvfs-test-metrics"); err != nil {
+// TestExpositionDeterministic pins the sorted-output contract of the JSON
+// exposition: two registries holding the same metrics, registered in
+// different orders, serialize byte-identically.
+func TestExpositionDeterministic(t *testing.T) {
+	build := func(order []string) *Registry {
+		reg := NewRegistry()
+		for _, n := range order {
+			reg.Counter("c." + n).Add(int64(len(n)))
+			reg.Gauge("g." + n).Set(0.5)
+			reg.Histogram("h."+n, 0, 10, 4).Observe(3)
+		}
+		return reg
+	}
+	a := build([]string{"beta", "alpha", "gamma"})
+	b := build([]string{"gamma", "beta", "alpha"})
+
+	var aJSON, bJSON bytes.Buffer
+	if err := a.WriteJSON(&aJSON); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.PublishExpvar("ctgdvfs-test-metrics"); err == nil {
-		t.Fatal("duplicate publish must fail, not panic")
+	if err := b.WriteJSON(&bJSON); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(aJSON.Bytes(), bJSON.Bytes()) {
+		t.Fatalf("WriteJSON depends on registration order:\n%s\nvs\n%s", aJSON.String(), bJSON.String())
 	}
 }

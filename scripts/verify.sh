@@ -11,11 +11,10 @@
 #   fault-tolerance layer, a bounded run of the large-scale warm-start tier
 #   (one 10^3-task cell), an
 #   end-to-end health-analyzer pass over a captured event stream, an
-#   end-to-end provenance pass (captured campaign streams + flight-recorder
-#   dumps replayed through `ctgsched explain`), an end-to-end monitoring
-#   pass (alert rules + series capture replayed through `ctgsched explain`
-#   and `ctgsched watch`, with the Prometheus exposition linted, and the
-#   default health rules' stream through `ctgsched analyze`), the daemon
+#   end-to-end provenance pass (captured campaign streams replayed through
+#   `ctgsched explain`), an end-to-end monitoring pass (alert rules + series
+#   capture replayed through `ctgsched explain` and `ctgsched watch`, and
+#   the default health rules' stream through `ctgsched analyze`), the daemon
 #   chaos campaign (panic isolation, request floods, kill-restart recovery
 #   on an in-process daemon pair), and a daemon smoke run that builds the
 #   real ctgschedd binary, SIGKILLs it mid-run, and verifies the restart
@@ -97,19 +96,14 @@ events_tmp="$(mktemp)"
 example_trace_tmp="$(mktemp)"
 go run ./examples/telemetry -events-out "$events_tmp" -trace-out "$example_trace_tmp" >/dev/null
 go run ./cmd/ctgsched analyze "$events_tmp" >/dev/null
-go run ./cmd/ctgsched analyze -run "mpeg adaptive" "$example_trace_tmp" >/dev/null
 rm -f "$events_tmp" "$example_trace_tmp"
 
-echo "== provenance smoke (capture + flight dumps + explain) =="
+echo "== provenance smoke (capture + explain) =="
 prov_dir="$(mktemp -d)"
-go run ./cmd/experiments -exp faults -events-out "$prov_dir/ev" -flight-out "$prov_dir/fl" >/dev/null
+go run ./cmd/experiments -exp faults -events-out "$prov_dir/ev" >/dev/null
 go run ./cmd/ctgsched explain -list "$prov_dir/ev-mpeg.jsonl" >/dev/null
 go run ./cmd/ctgsched explain -kind reschedule "$prov_dir/ev-mpeg.jsonl" >/dev/null
 go run ./cmd/ctgsched explain -kind fallback "$prov_dir/ev-cruise.jsonl" >/dev/null
-# The first trigger dump ends on the event that armed it, so it always holds
-# an explainable decision; the final window holds whatever the run ended on.
-go run ./cmd/ctgsched explain "$prov_dir/fl-mpeg-1.jsonl" >/dev/null
-go run ./cmd/ctgsched explain "$prov_dir/fl-mpeg-final.jsonl" >/dev/null
 rm -rf "$prov_dir"
 
 echo "== daemon chaos campaign (panic isolation, floods, kill-restart) =="
@@ -118,16 +112,14 @@ go run ./cmd/experiments -exp daemon >/dev/null
 echo "== daemon smoke (build ctgschedd, submit over HTTP, SIGKILL, resume) =="
 go run ./scripts/daemonsmoke
 
-echo "== monitoring smoke (rules + series + watch + promlint) =="
+echo "== monitoring smoke (rules + series + watch) =="
 mon_dir="$(mktemp -d)"
 go run ./cmd/experiments -exp faults -rules examples/watch/rules.json \
-	-series-out "$mon_dir/se" -events-out "$mon_dir/ev" \
-	-prom-out "$mon_dir/metrics.prom" >/dev/null
+	-series-out "$mon_dir/se" -events-out "$mon_dir/ev" >/dev/null
 # The miss-rate rule fires during the campaign; its cause chain must resolve
 # back through the triggering instance_finish.
 go run ./cmd/ctgsched explain -kind alert_firing "$mon_dir/ev-mpeg.jsonl" >/dev/null
 go run ./cmd/ctgsched watch -dump "$mon_dir/se-mpeg.json" >/dev/null
-go run ./scripts/promlint "$mon_dir/metrics.prom" >/dev/null
 # The default health rules alert on the analyzer's gauges; analyze reports
 # the firings the live rules recorded.
 go run ./cmd/experiments -exp faults -rules examples/watch/health.json \
