@@ -24,7 +24,9 @@
 package stretch
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"ctgdvfs/internal/ctg"
 	"ctgdvfs/internal/sched"
@@ -64,21 +66,18 @@ func newDAG(s *sched.Schedule) *dagModel {
 	// The combined graph is acyclic: both real and pseudo edges point from
 	// earlier to strictly later nominal start times, except between
 	// mutually exclusive tasks, which carry no edges at all. Sorting by
-	// (start, id) therefore yields a topological order.
+	// (start, id) therefore yields a topological order. The key is a total
+	// order, so the result does not depend on the sort algorithm.
 	d.order = make([]ctg.TaskID, n)
 	for i := range d.order {
 		d.order[i] = ctg.TaskID(i)
 	}
-	for i := 1; i < n; i++ {
-		for j := i; j > 0; j-- {
-			a, b := d.order[j-1], d.order[j]
-			if s.Start[a] > s.Start[b] || (s.Start[a] == s.Start[b] && a > b) {
-				d.order[j-1], d.order[j] = b, a
-			} else {
-				break
-			}
+	slices.SortFunc(d.order, func(a, b ctg.TaskID) int {
+		if c := cmp.Compare(s.Start[a], s.Start[b]); c != 0 {
+			return c
 		}
-	}
+		return cmp.Compare(a, b)
+	})
 	for t := 0; t < n; t++ {
 		d.exec[t] = s.ExecTime(ctg.TaskID(t))
 	}
@@ -146,28 +145,37 @@ func (d *dagModel) run(assign []int) *dpResult {
 	return d.runInto(newDPResult(len(d.exec)), assign)
 }
 
-// runInto is run reusing a previously allocated decomposition — the
-// stretchers call the DP once per (task, minterm) pair, so buffer reuse is
-// what keeps the inner loop allocation-free. Every slot of r is overwritten.
+// runInto is run reusing a previously allocated decomposition. Every slot of
+// r is overwritten.
 func (d *dagModel) runInto(r *dpResult, assign []int) *dpResult {
-	n := len(d.exec)
-	g := d.s.G
-	ok := func(ei int) bool {
-		if assign == nil {
-			return true
-		}
-		c := d.edges[ei].Cond
-		if !c.IsConditional() {
-			return true
-		}
-		return assign[g.ForkIndex(c.Branch())] == c.Outcome()
-	}
+	d.runUp(r, d.order, assign)
+	d.runDown(r, d.order, assign)
+	return r
+}
 
-	// Upward pass in topological order.
-	for _, v := range d.order {
+// ok reports whether edge ei is consistent with the scenario assignment (nil
+// admits every edge). A conditional edge always leaves the fork that guards
+// it, so the filter on a task's in-edges depends only on the outcomes of its
+// predecessor forks, and on its out-edges only on its own outcome.
+func (d *dagModel) ok(ei int, assign []int) bool {
+	if assign == nil {
+		return true
+	}
+	c := d.edges[ei].Cond
+	if !c.IsConditional() {
+		return true
+	}
+	return assign[d.s.G.ForkIndex(c.Branch())] == c.Outcome()
+}
+
+// runUp fills up and ubp for the given tasks, which must be listed in
+// topological order and be closed under predecessors (the whole order, or a
+// task's up cone). Slots of other tasks are left untouched.
+func (d *dagModel) runUp(r *dpResult, nodes []ctg.TaskID, assign []int) {
+	for _, v := range nodes {
 		r.up[v], r.ubp[v] = 0, -1
 		for _, ei := range d.inE[v] {
-			if !ok(ei) {
+			if !d.ok(ei, assign) {
 				continue
 			}
 			u := d.edges[ei].From
@@ -176,31 +184,25 @@ func (d *dagModel) runInto(r *dpResult, assign []int) *dpResult {
 			}
 		}
 	}
+}
 
-	// Downward pass in reverse topological order.
-	for i := n - 1; i >= 0; i-- {
-		v := d.order[i]
-		hasOut := false
-		for _, ei := range d.outE[v] {
-			if ok(ei) {
-				hasOut = true
-				break
-			}
-		}
-		if !hasOut {
-			r.downU[v], r.dbpU[v] = 0, -1
-			r.downC[v], r.dbpC[v] = negInf, -1
-			r.probC[v] = 0
-			r.classA[v] = 'U'
-			continue
-		}
+// runDown fills the down-class slots for the given tasks in reverse order;
+// nodes must be listed in topological order and be closed under successors
+// (the whole order, or a task's down cone). Slots of other tasks are left
+// untouched.
+func (d *dagModel) runDown(r *dpResult, nodes []ctg.TaskID, assign []int) {
+	g := d.s.G
+	for i := len(nodes) - 1; i >= 0; i-- {
+		v := nodes[i]
 		r.downU[v], r.dbpU[v] = negInf, -1
 		r.downC[v], r.dbpC[v] = negInf, -1
 		r.probC[v] = 0
+		hasOut := false
 		for _, ei := range d.outE[v] {
-			if !ok(ei) {
+			if !d.ok(ei, assign) {
 				continue
 			}
+			hasOut = true
 			e := d.edges[ei]
 			w := e.To
 			step := d.comm[ei] + d.exec[w]
@@ -232,13 +234,94 @@ func (d *dagModel) runInto(r *dpResult, assign []int) *dpResult {
 				}
 			}
 		}
+		if !hasOut {
+			// A chain end: the empty suffix is the U class.
+			r.downU[v] = 0
+		}
 		if r.downU[v] >= r.downC[v] {
 			r.classA[v] = 'U'
 		} else {
 			r.classA[v] = 'C'
 		}
 	}
-	return r
+}
+
+// cone is one task's slice of the combined graph: everything the DP values
+// at τ, and the critical chains through τ, are made of.
+//
+//   - up lists τ's ancestors and then τ in topological order: up[τ] and
+//     every ubp link of a chain ending at τ are computed from these alone.
+//   - down lists τ and its descendants in topological order: the down
+//     classes, probC, classA and every dbp link below τ come from these.
+//
+// upForks and downForks are the fork indices among τ's strict ancestors and
+// among τ and its descendants, ascending. They are the only forks whose
+// outcomes reach the up and the down half of the DP.
+type cone struct {
+	up, down           []ctg.TaskID
+	upForks, downForks []int
+	mark               []byte // per task: coneUp | coneDown; zero between fills
+	stack              []ctg.TaskID
+}
+
+const (
+	coneUp   byte = 1
+	coneDown byte = 2
+)
+
+// fillCone computes τ's cone into c, reusing its buffers.
+func (d *dagModel) fillCone(c *cone, t ctg.TaskID) {
+	n := len(d.exec)
+	if len(c.mark) != n {
+		c.mark = make([]byte, n)
+	}
+	c.mark[t] = coneUp | coneDown
+	c.stack = append(c.stack[:0], t)
+	for len(c.stack) > 0 {
+		v := c.stack[len(c.stack)-1]
+		c.stack = c.stack[:len(c.stack)-1]
+		for _, ei := range d.inE[v] {
+			if u := d.edges[ei].From; c.mark[u]&coneUp == 0 {
+				c.mark[u] |= coneUp
+				c.stack = append(c.stack, u)
+			}
+		}
+	}
+	c.stack = append(c.stack, t)
+	for len(c.stack) > 0 {
+		v := c.stack[len(c.stack)-1]
+		c.stack = c.stack[:len(c.stack)-1]
+		for _, ei := range d.outE[v] {
+			if w := d.edges[ei].To; c.mark[w]&coneDown == 0 {
+				c.mark[w] |= coneDown
+				c.stack = append(c.stack, w)
+			}
+		}
+	}
+	g := d.s.G
+	c.upForks, c.downForks = c.upForks[:0], c.downForks[:0]
+	for fi, f := range g.Forks() {
+		switch m := c.mark[f]; {
+		case f == t:
+			c.downForks = append(c.downForks, fi)
+		case m&coneUp != 0:
+			c.upForks = append(c.upForks, fi)
+		case m&coneDown != 0:
+			c.downForks = append(c.downForks, fi)
+		}
+	}
+	c.up, c.down = c.up[:0], c.down[:0]
+	for _, v := range d.order {
+		if m := c.mark[v]; m != 0 {
+			if m&coneUp != 0 {
+				c.up = append(c.up, v)
+			}
+			if m&coneDown != 0 {
+				c.down = append(c.down, v)
+			}
+			c.mark[v] = 0
+		}
+	}
 }
 
 // throughAny returns the largest delay of any chain through v (the paper's
@@ -264,8 +347,9 @@ func (d *dagModel) longest(r *dpResult) float64 {
 }
 
 // walkCritical traverses the argmax chain through v whose suffix has the
-// given class ('U' or 'C'), invoking node for every task on the chain and
-// edge for every edge.
+// given class ('U', 'C' or 'A' for either), invoking node for every task on
+// the chain and edge for every edge: v, then the prefix from v back to the
+// chain start, then the suffix.
 func (r *dpResult) walkCritical(d *dagModel, v ctg.TaskID, class byte,
 	node func(ctg.TaskID), edge func(ei int)) {
 	// Upward walk (prefix, visited from v back to the chain start).
@@ -280,26 +364,52 @@ func (r *dpResult) walkCritical(d *dagModel, v ctg.TaskID, class byte,
 	}
 	// Downward walk in the requested class.
 	for u := v; ; {
-		var ei int
-		switch class {
-		case 'U':
-			ei = r.dbpU[u]
-		case 'C':
-			ei = r.dbpC[u]
-		case 'A':
-			class = r.classA[u]
-			continue
-		}
+		ei, next := r.downStep(d, u, class)
 		if ei < 0 {
 			break
 		}
-		e := d.edges[ei]
-		if class == 'C' && e.Cond.IsConditional() {
-			class = 'A'
-		}
 		edge(ei)
-		u = e.To
+		u, class = d.edges[ei].To, next
 		node(u)
+	}
+}
+
+// downStep returns the argmax out-edge of u for a suffix of the given class
+// (-1 at the chain's end) and the class the suffix continues in: after its
+// first conditional edge a 'C' suffix may continue in either class.
+func (r *dpResult) downStep(d *dagModel, u ctg.TaskID, class byte) (int, byte) {
+	if class == 'A' {
+		class = r.classA[u]
+	}
+	if class == 'U' {
+		return r.dbpU[u], class
+	}
+	ei := r.dbpC[u]
+	if ei >= 0 && d.edges[ei].Cond.IsConditional() {
+		class = 'A'
+	}
+	return ei, class
+}
+
+// appendUpChain appends the edges of the argmax prefix ending at v, from v
+// back to the chain start — walkCritical's upward walk.
+func (r *dpResult) appendUpChain(d *dagModel, dst []int32, v ctg.TaskID) []int32 {
+	for ei := r.ubp[v]; ei >= 0; ei = r.ubp[d.edges[ei].From] {
+		dst = append(dst, int32(ei))
+	}
+	return dst
+}
+
+// appendDownChain appends the edges of the argmax suffix of the given class
+// below v — walkCritical's downward walk.
+func (r *dpResult) appendDownChain(d *dagModel, dst []int32, v ctg.TaskID, class byte) []int32 {
+	for u := v; ; {
+		ei, next := r.downStep(d, u, class)
+		if ei < 0 {
+			return dst
+		}
+		dst = append(dst, int32(ei))
+		u, class = d.edges[ei].To, next
 	}
 }
 
@@ -319,7 +429,6 @@ type pathSet struct {
 	// re-populating an already-sized map and slice allocates nothing.
 	entries []pathSpan
 	heads   map[uint64]int32 // hash -> 1-based index into entries (0 = none)
-	buf     []int32          // scratch for the sequence being tested
 }
 
 // pathSpan is one interned sequence: [start, end) in the arena plus the
@@ -354,33 +463,18 @@ func fnv1a(seq []int32) uint64 {
 	return h
 }
 
-// addCritical reconstructs the argmax chain through v with the given suffix
-// class and adds its node sequence to the set, reporting whether it was new.
-func (p *pathSet) addCritical(r *dpResult, d *dagModel, v ctg.TaskID, class byte) bool {
-	p.buf = p.buf[:0]
-	r.walkCritical(d, v, class, func(u ctg.TaskID) {
-		p.buf = append(p.buf, int32(u))
-	}, func(int) {})
-	h := fnv1a(p.buf)
+// add adds a node sequence to the set, reporting whether it was new.
+func (p *pathSet) add(seq []int32) bool {
+	h := fnv1a(seq)
 	for idx := p.heads[h]; idx != 0; {
 		span := p.entries[idx-1]
 		idx = span.prev
-		if int(span.end-span.start) != len(p.buf) {
-			continue
-		}
-		match := true
-		for i, u := range p.arena[span.start:span.end] {
-			if u != p.buf[i] {
-				match = false
-				break
-			}
-		}
-		if match {
+		if slices.Equal(p.arena[span.start:span.end], seq) {
 			return false
 		}
 	}
 	start := int32(len(p.arena))
-	p.arena = append(p.arena, p.buf...)
+	p.arena = append(p.arena, seq...)
 	p.entries = append(p.entries, pathSpan{start: start, end: int32(len(p.arena)), prev: p.heads[h]})
 	p.heads[h] = int32(len(p.entries))
 	return true

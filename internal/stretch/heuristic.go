@@ -171,16 +171,154 @@ func validGuard(guard float64) error {
 	return nil
 }
 
-// slackScratch holds the buffers calculateSlack reuses across the O(tasks ×
-// minterms) inner loop: the full-graph and per-minterm DP decompositions and
-// the critical-path dedup set. One per Workspace.
+// slackScratch holds the buffers calculateSlack reuses across the per-task
+// loop: τ's cone, the unrestricted and the per-class half decompositions,
+// the scenario classes with their chain arenas and the critical-path dedup
+// set. Every buffer is O(n) or O(|Γ(τ)|); one per Workspace.
 type slackScratch struct {
-	full, minterm *dpResult
-	seen          pathSet
+	cone       cone
+	full, half *dpResult
+	radix      []uint64 // per fork: its outcomes plus unassigned
+	terms      []int    // Γ(τ), ascending
+	up, down   classSet
+	chain      []int32 // node sequence of the chain being deduplicated
+	seen       pathSet
 }
 
 func newSlackScratch(n int) *slackScratch {
-	return &slackScratch{full: newDPResult(n), minterm: newDPResult(n)}
+	return &slackScratch{full: newDPResult(n), half: newDPResult(n)}
+}
+
+// classSet groups the minterms of Γ(τ) by their outcomes on one fork set —
+// τ's strict ancestor forks for the up half of the DP, τ and its descendant
+// forks for the down half — and keeps, per class, what calculateSlack reads
+// of that half at τ.
+type classSet struct {
+	ids   map[uint64]int32
+	of    []int32 // per term of Γ(τ): its class
+	cls   []chainClass
+	edges []int32 // the classes' chain edges, concatenated
+}
+
+// chainClass is one class of minterms that agree on a half's forks, so the
+// half-DP of any member gives every member's values.
+type chainClass struct {
+	scenario int  // the first member, whose assignment the half-DP runs
+	needed   bool // up half: some member has a C-class suffix below τ
+	// val is up[τ] (up half) or downC[τ] (down half); prob is probC[τ]
+	// (down half); denom is the ratio denominator's τ-and-prefix part
+	// (up half).
+	val, prob, denom float64
+	start, end       int32 // the argmax chain's edges in classSet.edges
+}
+
+// group assigns every term its class, keyed by an exact mixed-radix
+// encoding of the term's outcomes on forks. If the radix product overflows
+// uint64, every term becomes its own class: exact, merely without sharing.
+func (c *classSet) group(a *ctg.Analysis, terms, forks []int, radix []uint64) {
+	prod, overflow := uint64(1), false
+	for _, fi := range forks {
+		if prod > math.MaxUint64/radix[fi] {
+			overflow = true
+			break
+		}
+		prod *= radix[fi]
+	}
+	if c.ids == nil {
+		c.ids = make(map[uint64]int32)
+	} else {
+		clear(c.ids)
+	}
+	c.of, c.cls, c.edges = c.of[:0], c.cls[:0], c.edges[:0]
+	for i, si := range terms {
+		key := uint64(i)
+		if !overflow {
+			assign := a.Scenario(si).Assign
+			key = 0
+			for _, fi := range forks {
+				key = key*radix[fi] + uint64(assign[fi]+1)
+			}
+		}
+		id, ok := c.ids[key]
+		if !ok {
+			id = int32(len(c.cls))
+			c.ids[key] = id
+			c.cls = append(c.cls, chainClass{scenario: si})
+		}
+		c.of = append(c.of, id)
+	}
+}
+
+// forkRadix returns, per fork, the number of values a scenario assignment
+// can hold there: its outcomes plus ctg.OutcomeUnassigned, shifted to
+// [0, outcomes].
+func forkRadix(g *ctg.Graph, dst []uint64) []uint64 {
+	dst = dst[:0]
+	for _, f := range g.Forks() {
+		dst = append(dst, uint64(g.Outcomes(f))+1)
+	}
+	return dst
+}
+
+// runDownClasses runs the down half-DP once per down class and records,
+// per class, downC[τ], probC[τ] and the C-class suffix below τ.
+func (sc *slackScratch) runDownClasses(dag *dagModel, t ctg.TaskID) {
+	c := &sc.cone
+	for i := range sc.down.cls {
+		k := &sc.down.cls[i]
+		r := sc.full
+		if len(c.downForks) > 0 {
+			r = sc.half
+			dag.runDown(r, c.down, dag.s.A.Scenario(k.scenario).Assign)
+		}
+		k.val, k.prob = r.downC[t], r.probC[t]
+		k.start = int32(len(sc.down.edges))
+		if k.val > negInf {
+			sc.down.edges = r.appendDownChain(dag, sc.down.edges, t, 'C')
+		}
+		k.end = int32(len(sc.down.edges))
+	}
+}
+
+// runUpClasses runs the up half-DP once per up class that some minterm with
+// a C-class suffix needs, and records, per class, up[τ], the prefix ending
+// at τ and the part of the ratio denominator that τ and the prefix add.
+func (sc *slackScratch) runUpClasses(dag *dagModel, t ctg.TaskID, locked []bool, literalRatio bool) {
+	c := &sc.cone
+	for i, id := range sc.down.of {
+		if sc.down.cls[id].val > negInf {
+			sc.up.cls[sc.up.of[i]].needed = true
+		}
+	}
+	for i := range sc.up.cls {
+		k := &sc.up.cls[i]
+		if !k.needed {
+			continue
+		}
+		r := sc.full
+		if len(c.upForks) > 0 {
+			r = sc.half
+			dag.runUp(r, c.up, dag.s.A.Scenario(k.scenario).Assign)
+		}
+		k.val = r.up[t]
+		k.start = int32(len(sc.up.edges))
+		sc.up.edges = r.appendUpChain(dag, sc.up.edges, t)
+		k.end = int32(len(sc.up.edges))
+		if !literalRatio {
+			// τ, then the prefix's edges and nodes, in walkCritical's order.
+			denom := 0.0
+			if !locked[t] {
+				denom += dag.exec[t]
+			}
+			for _, ei := range sc.up.edges[k.start:k.end] {
+				denom += dag.comm[ei]
+				if u := dag.edges[ei].From; !locked[u] {
+					denom += dag.exec[u]
+				}
+			}
+			k.denom = denom
+		}
+	}
 }
 
 // calculateSlack implements the CalculateSlack(τ) routine of Figure 2 on the
@@ -189,40 +327,76 @@ func newSlackScratch(n int) *slackScratch {
 // — already-stretched tasks are "released from consideration" (§III.A), so
 // on a simple chain with a loose deadline the heuristic converges to the
 // energy-optimal uniform scaling instead of geometrically shrinking shares.
-func calculateSlack(dag *dagModel, t ctg.TaskID, locked []bool, literalRatio bool, scratch *slackScratch) float64 {
+//
+// Every value read about a chain through τ lies in τ's cone, so each DP
+// runs over one half of the cone only: the up pass over τ's ancestors, the
+// down pass over its descendants. A minterm reaches the up half only through
+// its outcomes at τ's ancestor forks and the down half only through those at
+// τ and its descendant forks, so each half runs once per class of minterms
+// that agree there, and not at all when that half holds no fork (the
+// unrestricted half is then the same). The per-minterm loop then reads the
+// classes in Γ(τ) order with the same float operations in the same order as
+// a whole-graph DP per minterm would, so speeds are bit-for-bit unchanged.
+func calculateSlack(dag *dagModel, t ctg.TaskID, locked []bool, literalRatio bool, sc *slackScratch) float64 {
 	s := dag.s
 	a := s.A
 	deadline := s.G.Deadline()
 	wcet := s.WCET(t)
 	probT := a.ActivationProb(t)
 
-	// Full-graph decomposition: slk2 and the step-9 clamp.
-	full := dag.runInto(scratch.full, nil)
+	c := &sc.cone
+	dag.fillCone(c, t)
+
+	// Unrestricted decomposition: slk2 and the step-9 clamp.
+	full := sc.full
+	dag.runUp(full, c.up, nil)
+	dag.runDown(full, c.down, nil)
 
 	// slk1: probability-weighted sum of per-minterm critical chain shares.
+	sc.terms = sc.terms[:0]
+	a.ActivationSet(t).ForEach(func(si int) { sc.terms = append(sc.terms, si) })
+	sc.down.group(a, sc.terms, c.downForks, sc.radix)
+	sc.up.group(a, sc.terms, c.upForks, sc.radix)
+	sc.runDownClasses(dag, t)
+	sc.runUpClasses(dag, t, locked, literalRatio)
+
 	slk1 := 0.0
 	slk1Valid := false
-	scratch.seen.reset()
-	gamma := a.ActivationSet(t)
-	gamma.ForEach(func(si int) {
-		sc := a.Scenario(si)
-		r := dag.runInto(scratch.minterm, sc.Assign)
-		if r.downC[t] == negInf {
-			return // no chain with downstream uncertainty in this minterm
+	sc.seen.reset()
+	for i := range sc.terms {
+		dk := &sc.down.cls[sc.down.of[i]]
+		if dk.val == negInf {
+			continue // no chain with downstream uncertainty in this minterm
 		}
 		slk1Valid = true
-		if !scratch.seen.addCritical(r, dag, t, 'C') {
-			return // shared critical path: count once
+		uk := &sc.up.cls[sc.up.of[i]]
+		upE, downE := sc.up.edges[uk.start:uk.end], sc.down.edges[dk.start:dk.end]
+		seq := append(sc.chain[:0], int32(t))
+		for _, ei := range upE {
+			seq = append(seq, int32(dag.edges[ei].From))
 		}
-		delay := r.up[t] + dag.exec[t] + r.downC[t]
+		for _, ei := range downE {
+			seq = append(seq, int32(dag.edges[ei].To))
+		}
+		sc.chain = seq
+		if !sc.seen.add(seq) {
+			continue // shared critical path: count once
+		}
+		delay := uk.val + dag.exec[t] + dk.val
 		denom := delay
 		if !literalRatio {
-			denom = r.criticalDenominator(dag, t, 'C', locked)
+			denom = uk.denom
+			for _, ei := range downE {
+				denom += dag.comm[ei]
+				if w := dag.edges[ei].To; !locked[w] {
+					denom += dag.exec[w]
+				}
+			}
 		}
 		if ratio := (deadline - delay) / denom; ratio > 0 {
-			slk1 += r.probC[t] * wcet * ratio * probT
+			slk1 += dk.prob * wcet * ratio * probT
 		}
-	})
+	}
 
 	// slk2: critical (largest-delay) chain with prob(p, τ) = 1.
 	slk2 := math.Inf(1)

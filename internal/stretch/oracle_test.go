@@ -1,0 +1,368 @@
+package stretch
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"ctgdvfs/internal/ctg"
+	"ctgdvfs/internal/platform"
+	"ctgdvfs/internal/sched"
+	"ctgdvfs/internal/tgff"
+)
+
+// oracleSlack is calculateSlack computed the direct way: one whole-graph DP,
+// plus one more per minterm of Γ(τ). calculateSlack must match it bit for
+// bit.
+func oracleSlack(dag *dagModel, t ctg.TaskID, locked []bool, literalRatio bool, full, minterm *dpResult, seen *pathSet) float64 {
+	s := dag.s
+	a := s.A
+	deadline := s.G.Deadline()
+	wcet := s.WCET(t)
+	probT := a.ActivationProb(t)
+
+	dag.runInto(full, nil)
+
+	slk1 := 0.0
+	slk1Valid := false
+	seen.reset()
+	var seq []int32
+	a.ActivationSet(t).ForEach(func(si int) {
+		r := dag.runInto(minterm, a.Scenario(si).Assign)
+		if r.downC[t] == negInf {
+			return
+		}
+		slk1Valid = true
+		seq = seq[:0]
+		r.walkCritical(dag, t, 'C', func(u ctg.TaskID) { seq = append(seq, int32(u)) }, func(int) {})
+		if !seen.add(seq) {
+			return
+		}
+		delay := r.up[t] + dag.exec[t] + r.downC[t]
+		denom := delay
+		if !literalRatio {
+			denom = r.criticalDenominator(dag, t, 'C', locked)
+		}
+		if ratio := (deadline - delay) / denom; ratio > 0 {
+			slk1 += r.probC[t] * wcet * ratio * probT
+		}
+	})
+
+	slk2 := math.Inf(1)
+	slk2Valid := false
+	if full.downU[t] > negInf {
+		slk2Valid = true
+		delay := full.up[t] + dag.exec[t] + full.downU[t]
+		denom := delay
+		if !literalRatio {
+			denom = full.criticalDenominator(dag, t, 'U', locked)
+		}
+		slk2 = wcet * (deadline - delay) / denom * probT
+	}
+
+	var slk float64
+	switch {
+	case slk1Valid && slk2Valid:
+		slk = math.Min(slk1, slk2)
+	case slk1Valid:
+		slk = slk1
+	case slk2Valid:
+		slk = slk2
+	default:
+		return 0
+	}
+	if m := deadline - dag.throughAny(full, t); slk > m {
+		slk = m
+	}
+	if slk < 0 || math.IsInf(slk, 1) {
+		return 0
+	}
+	return slk
+}
+
+// oracleHeuristic is Heuristic over oracleSlack.
+func oracleHeuristic(s *sched.Schedule, d platform.DVFS, o Options) Result {
+	n := s.G.NumTasks()
+	dag := newDAG(s)
+	locked := make([]bool, n)
+	for t := 0; t < n; t++ {
+		switch {
+		case o.Affected == nil:
+		case o.Affected[t]:
+			if s.Speed[t] != 1 {
+				s.Speed[t] = 1
+				dag.refreshExec(ctg.TaskID(t))
+			}
+		default:
+			locked[t] = true
+		}
+	}
+	full, minterm := newDPResult(n), newDPResult(n)
+	var seen pathSet
+	var res Result
+	for _, t := range s.Order {
+		if o.Affected != nil && !o.Affected[t] {
+			continue
+		}
+		if slk := oracleSlack(dag, t, locked, o.LiteralRatio, full, minterm, &seen); slk > 0 {
+			wcet := s.WCET(t)
+			res.SlackFound += slk
+			speed := d.GuardedSpeedForTime(wcet, wcet+slk, o.Guard)
+			if speed < 1 {
+				s.Speed[t] = speed
+				dag.refreshExec(t)
+				res.Stretched++
+				res.SlackUsed += wcet/speed - wcet
+			}
+		}
+		locked[t] = true
+	}
+	if o.Affected == nil {
+		res.ExpectedEnergy = s.ExpectedEnergy()
+	}
+	res.WorstDelay = dag.longest(dag.run(nil))
+	return res
+}
+
+// oracleWorkload schedules a random CTG of the given tgff category.
+func oracleWorkload(t *testing.T, seed int64, cat tgff.Category, factor float64) *sched.Schedule {
+	t.Helper()
+	branches := int(seed % 6)
+	g, p, err := tgff.Generate(tgff.Config{
+		Seed: seed, Nodes: 2 + 3*branches + int(seed%53), PEs: 2 + int(seed%4),
+		Branches: branches, Category: cat,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := ctg.Analyze(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s0, err := sched.DLS(a, p, sched.Modified())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := g.WithDeadline(factor * s0.Makespan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2, err := ctg.Analyze(g2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.DLS(a2, p, sched.Modified())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// orderCrossesPseudoEdge reports whether the DLS order lists some pseudo
+// edge's head before its tail.
+func orderCrossesPseudoEdge(s *sched.Schedule) bool {
+	pos := make([]int, s.G.NumTasks())
+	for i, t := range s.Order {
+		pos[t] = i
+	}
+	for _, e := range s.Pseudo {
+		if pos[e.To] < pos[e.From] {
+			return true
+		}
+	}
+	return false
+}
+
+// sharesClasses reports whether some task's minterms share a scenario class
+// in one half of its cone, so the grouping is exercised.
+func sharesClasses(s *sched.Schedule) bool {
+	dag := newDAG(s)
+	radix := forkRadix(s.G, nil)
+	var c cone
+	var up, down classSet
+	for t := range dag.exec {
+		dag.fillCone(&c, ctg.TaskID(t))
+		var terms []int
+		s.A.ActivationSet(ctg.TaskID(t)).ForEach(func(si int) { terms = append(terms, si) })
+		up.group(s.A, terms, c.upForks, radix)
+		down.group(s.A, terms, c.downForks, radix)
+		if len(up.cls) < len(terms) || len(down.cls) < len(terms) {
+			return true
+		}
+	}
+	return false
+}
+
+func sameResult(a, b Result) bool {
+	eq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return a.Stretched == b.Stretched && eq(a.ExpectedEnergy, b.ExpectedEnergy) &&
+		eq(a.WorstDelay, b.WorstDelay) && eq(a.SlackFound, b.SlackFound) && eq(a.SlackUsed, b.SlackUsed)
+}
+
+func sameSpeeds(t *testing.T, what string, want, got []float64) {
+	t.Helper()
+	for task := range want {
+		if math.Float64bits(want[task]) != math.Float64bits(got[task]) {
+			t.Fatalf("%s: task %d speed %v (oracle) != %v", what, task, want[task], got[task])
+		}
+	}
+}
+
+// TestHeuristicMatchesWholeGraphOracle pins the cone and scenario-class DP
+// to the direct computation: Heuristic's speeds and Result equal the
+// whole-graph oracle's bit for bit over ForkJoin and Flat graphs (Flat's DLS
+// orders cross pseudo edges), both ratio readings, guard 0 and 0.3, and
+// masked passes over a bound workspace. PerScenario's per-scenario stretch
+// is checked the same way.
+func TestHeuristicMatchesWholeGraphOracle(t *testing.T) {
+	seeds := int64(40)
+	if testing.Short() {
+		seeds = 8
+	}
+	crossed, shared := false, false
+	for _, cat := range []tgff.Category{tgff.ForkJoin, tgff.Flat} {
+		for seed := int64(0); seed < seeds; seed++ {
+			factor := []float64{1.2, 1.6, 2.5}[seed%3]
+			base := oracleWorkload(t, seed, cat, factor)
+			crossed = crossed || orderCrossesPseudoEdge(base)
+			shared = shared || sharesClasses(base)
+			rng := rand.New(rand.NewSource(seed))
+			for _, literal := range []bool{false, true} {
+				for _, guard := range []float64{0, 0.3} {
+					o := Options{Guard: guard, LiteralRatio: literal}
+					want, got := base.Clone(), base.Clone()
+					wantRes := oracleHeuristic(want, platform.Continuous(), o)
+					gotRes, err := Heuristic(got, platform.Continuous(), o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					what := func(pass string) string {
+						return fmt.Sprintf("%s pass, category %d seed %d literal %v guard %v", pass, cat, seed, literal, guard)
+					}
+					sameSpeeds(t, what("full"), want.Speed, got.Speed)
+					if !sameResult(wantRes, gotRes) {
+						t.Fatalf("%s: result %+v (oracle) != %+v", what("full"), wantRes, gotRes)
+					}
+
+					// A masked pass over the stretched schedule.
+					affected := make([]bool, base.G.NumTasks())
+					for i := range affected {
+						affected[i] = rng.Intn(2) == 0
+					}
+					o.Affected = affected
+					ws := NewWorkspace()
+					ws.Rebind(got)
+					o.Workspace = ws
+					wantRes = oracleHeuristic(want, platform.Continuous(), o)
+					if gotRes, err = Heuristic(got, platform.Continuous(), o); err != nil {
+						t.Fatal(err)
+					}
+					sameSpeeds(t, what("masked"), want.Speed, got.Speed)
+					if !sameResult(wantRes, gotRes) {
+						t.Fatalf("%s: result %+v (oracle) != %+v", what("masked"), wantRes, gotRes)
+					}
+				}
+			}
+			for _, guard := range []float64{0, 0.3} {
+				scr := newScenarioScratch(newDAG(base))
+				for si := 0; si < base.A.NumScenarios(); si++ {
+					want := oracleScenarioStretch(base, platform.Continuous(), si, guard)
+					sameSpeeds(t, "per-scenario", want, scenarioStretch(base, platform.Continuous(), si, scr, guard))
+				}
+			}
+		}
+	}
+	if !crossed {
+		t.Error("no workload's DLS order crosses a pseudo edge; the Flat cases lost their point")
+	}
+	if !shared {
+		t.Error("no task's minterms share a scenario class; the grouping went unexercised")
+	}
+}
+
+// oracleScenarioStretch is scenarioStretch with a whole-graph DP per task.
+func oracleScenarioStretch(s *sched.Schedule, d platform.DVFS, si int, guard float64) []float64 {
+	sc := s.A.Scenario(si)
+	scr := newScenarioScratch(newDAG(s))
+	scr.load(sc.Active)
+	dag := &scr.view
+	deadline := s.G.Deadline()
+	speeds := make([]float64, len(dag.exec))
+	for t := range speeds {
+		speeds[t] = 1
+	}
+	for _, t := range s.Order {
+		if sc.Active.Get(int(t)) {
+			r := dag.runInto(scr.dp, sc.Assign)
+			if slack := deadline - dag.throughAny(r, t); slack > 0 {
+				wcet := s.WCET(t)
+				slk := wcet * slack / r.criticalDenominator(dag, t, 'A', scr.locked)
+				if slk > slack {
+					slk = slack
+				}
+				if slk > 0 {
+					if speed := d.GuardedSpeedForTime(wcet, wcet+slk, guard); speed < 1 {
+						speeds[t] = speed
+						dag.exec[t] = wcet / speed
+					}
+				}
+			}
+		}
+		scr.locked[t] = true
+	}
+	return speeds
+}
+
+// TestClassSetOverflowFallback checks the class key's fallback: when the
+// radix product of a fork set overflows uint64, every minterm becomes its
+// own class, even minterms that agree on every fork of the set.
+func TestClassSetOverflowFallback(t *testing.T) {
+	b := ctg.NewBuilder()
+	last := b.AddTask("entry", ctg.AndNode)
+	for k := 0; k < 3; k++ {
+		fork := b.AddTask("", ctg.AndNode)
+		b.AddEdge(last, fork, 0)
+		join := b.AddTask("", ctg.OrNode)
+		for outcome := 0; outcome < 2; outcome++ {
+			arm := b.AddTask("", ctg.AndNode)
+			b.AddCondEdge(fork, arm, 0, outcome)
+			b.AddEdge(arm, join, 0)
+		}
+		b.SetBranchProbs(fork, []float64{0.5, 0.5})
+		last = join
+	}
+	g, err := b.Build(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := ctg.Analyze(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.NumScenarios() != 8 {
+		t.Fatalf("%d scenarios, want 8", a.NumScenarios())
+	}
+	terms := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	forks := []int{0, 1}
+	var c classSet
+	c.group(a, terms, forks, forkRadix(g, nil))
+	if len(c.cls) != 4 {
+		t.Fatalf("exact keys: %d classes over two binary forks, want 4", len(c.cls))
+	}
+	for i, si := range terms {
+		if rep := c.cls[c.of[i]].scenario; a.Scenario(rep).Assign[0] != a.Scenario(si).Assign[0] ||
+			a.Scenario(rep).Assign[1] != a.Scenario(si).Assign[1] {
+			t.Fatalf("scenario %d grouped with %d, which differs on the fork set", si, rep)
+		}
+	}
+	c.group(a, terms, forks, []uint64{math.MaxUint64, 2, 3})
+	if len(c.cls) != len(terms) {
+		t.Fatalf("overflowing keys: %d classes, want one per minterm (%d)", len(c.cls), len(terms))
+	}
+	for i, si := range terms {
+		if c.of[i] != int32(i) || c.cls[i].scenario != si {
+			t.Fatalf("overflowing keys: term %d in class %d led by scenario %d", i, c.of[i], c.cls[c.of[i]].scenario)
+		}
+	}
+}

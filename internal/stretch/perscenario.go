@@ -88,16 +88,12 @@ func PerScenario(s *sched.Schedule, d platform.DVFS, guard float64, cancel Cance
 	// Step 2: causality folding by ancestor-fork signature. Tasks are
 	// independent (each writes one speed-table column), so this fans out
 	// per task.
-	anc := ancestorForkSets(s)
+	anc := ancestorForkSets(base)
 	out := &ScenarioSpeeds{Speeds: make([][]float64, a.NumScenarios())}
 	for si := range out.Speeds {
 		out.Speeds[si] = append([]float64(nil), ideal[si]...)
 	}
-	radix := make([]uint64, s.G.NumForks())
-	for fi, fork := range s.G.Forks() {
-		// Outcomes in [0, k) plus OutcomeUnassigned, shifted to [0, k].
-		radix[fi] = uint64(s.G.Outcomes(fork)) + 1
-	}
+	radix := forkRadix(s.G, nil)
 	par.ForEach(n, func(t int) {
 		foldTaskSpeeds(a, anc[t], radix, ideal, out.Speeds, t)
 	})
@@ -159,11 +155,13 @@ func foldTaskSpeeds(a *ctg.Analysis, forks ctg.Bitset, radix []uint64, ideal, sp
 
 // scenarioScratch is the per-worker reusable state of the PerScenario
 // stretching loop: a mutable view of the base DAG (cost vectors only; the
-// topology is shared read-only), a DP decomposition, and the lock vector.
+// topology is shared read-only), a DP decomposition, the current task's
+// cone and the lock vector.
 type scenarioScratch struct {
 	base   *dagModel
 	view   dagModel
 	dp     *dpResult
+	cone   cone
 	locked []bool
 }
 
@@ -214,7 +212,12 @@ func scenarioStretch(s *sched.Schedule, d platform.DVFS, si int, scr *scenarioSc
 	locked := scr.locked
 	for _, t := range s.Order {
 		if sc.Active.Get(int(t)) {
-			r := dag.runInto(scr.dp, sc.Assign)
+			// Everything read below lies in t's cone.
+			c := &scr.cone
+			dag.fillCone(c, t)
+			r := scr.dp
+			dag.runUp(r, c.up, sc.Assign)
+			dag.runDown(r, c.down, sc.Assign)
 			delay := dag.throughAny(r, t)
 			if slack := deadline - delay; slack > 0 {
 				denom := r.criticalDenominator(dag, t, 'A', locked)
@@ -240,35 +243,13 @@ func scenarioStretch(s *sched.Schedule, d platform.DVFS, si int, scr *scenarioSc
 // ancestorForkSets computes, per task, the set of fork indices that precede
 // it through real or schedule-induced pseudo edges — the forks whose
 // outcomes are known when the task dispatches.
-func ancestorForkSets(s *sched.Schedule) []ctg.Bitset {
-	g := s.G
-	n := g.NumTasks()
-	pred := make([][]ctg.TaskID, n)
-	for _, e := range g.Edges() {
-		pred[e.To] = append(pred[e.To], e.From)
-	}
-	for _, e := range s.Pseudo {
-		pred[e.To] = append(pred[e.To], e.From)
-	}
-	// Topological order by nominal start (the same argument as newDAG).
-	order := make([]ctg.TaskID, n)
-	for i := range order {
-		order[i] = ctg.TaskID(i)
-	}
-	for i := 1; i < n; i++ {
-		for j := i; j > 0; j-- {
-			a, b := order[j-1], order[j]
-			if s.Start[a] > s.Start[b] || (s.Start[a] == s.Start[b] && a > b) {
-				order[j-1], order[j] = b, a
-			} else {
-				break
-			}
-		}
-	}
-	anc := make([]ctg.Bitset, n)
-	for _, t := range order {
+func ancestorForkSets(d *dagModel) []ctg.Bitset {
+	g := d.s.G
+	anc := make([]ctg.Bitset, len(d.exec))
+	for _, t := range d.order {
 		anc[t] = ctg.NewBitset(g.NumForks())
-		for _, u := range pred[t] {
+		for _, ei := range d.inE[t] {
+			u := d.edges[ei].From
 			anc[t].UnionWith(anc[u])
 			if fi := g.ForkIndex(u); fi >= 0 {
 				anc[t].Set(fi)

@@ -30,7 +30,7 @@ func TestPerScenarioCausality(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := s.A
-		anc := ancestorForkSets(s)
+		anc := ancestorForkSets(newDAG(s))
 		for task := 0; task < s.G.NumTasks(); task++ {
 			byKey := map[string]float64{}
 			for si := 0; si < a.NumScenarios(); si++ {

@@ -28,9 +28,10 @@ import (
 
 // Workspace holds the reusable buffers of repeated stretching passes over
 // one mapping: the combined-DAG model, the lock vector and the slack DP
-// scratch. Rebind it after every full reschedule (new mapping), then each
-// masked Heuristic pass on that mapping allocates nothing. Not safe for
-// concurrent use.
+// scratch (one task's cone, two decompositions, and per-class chain arenas
+// sized by Γ(τ); nothing per scenario). Rebind it after every full
+// reschedule (new mapping), then each masked Heuristic pass on that mapping
+// allocates nothing. Not safe for concurrent use.
 type Workspace struct {
 	dag     *dagModel
 	locked  []bool
@@ -54,6 +55,7 @@ func (w *Workspace) Rebind(s *sched.Schedule) {
 	if w.scratch == nil || len(w.scratch.full.up) != n {
 		w.scratch = newSlackScratch(n)
 	}
+	w.scratch.radix = forkRadix(s.G, w.scratch.radix)
 }
 
 // retarget points the bound DAG at another schedule sharing the same mapping
