@@ -16,14 +16,19 @@ race:
 cover:
 	sh scripts/cover.sh
 
-# Full benchmark sweep (regenerates every table/figure as a side effect).
+# The root micro-benchmarks (adaptive step, flight recorder, series tick,
+# all-scenario replay, daemon serve loop). Paper results come from
+# cmd/experiments, pinned by internal/exp's golden files; end-to-end timing
+# comes from perfbench/.
 bench:
 	go test -run '^$$' -bench . -benchmem .
 
-# Short fuzzing session for the workload parser (the seed corpus alone runs
-# as part of `make test`; this explores beyond it).
+# Short fuzzing sessions for the workload parser and the alert-rules parser
+# (the seed corpora alone run as part of `make test`; this explores beyond
+# them).
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzRead -fuzztime 5s ./internal/ctgio
+	go test -run '^$$' -fuzz FuzzParseRules -fuzztime 5s ./internal/series
 
 # Fault-injection campaign on the MPEG + cruise workloads.
 fault-smoke:
@@ -36,7 +41,7 @@ failover-smoke:
 
 # Bounded run of the scaling campaign (one 10^3-task cell, warm vs full).
 scale-smoke:
-	go run ./cmd/experiments -exp scale -scale-tasks 1000 -scale-pes 16 -scale-instances 24
+	go run ./cmd/experiments -exp scale -scale-instances 24
 
 # Fault campaign with the Chrome trace export, validated by checktrace.
 telemetry-smoke:

@@ -3,6 +3,9 @@
 // selects one (table1, figure4, figure5, table2, table3, table4, table5,
 // figure6). -cpuprofile and -memprofile write pprof profiles of the run
 // (the usual way to inspect where the scenario engine spends its time).
+// Each experiment prints its deterministic table first (the text its golden
+// file under internal/exp/testdata pins) and then, where it measures wall
+// clock, the timing lines, which vary run to run.
 //
 // The fault campaign (-exp faults) replays both application workloads under
 // a deterministic execution-time overrun plan and prints the
@@ -64,13 +67,14 @@ var (
 	failRepairs = flag.String("repairs", "",
 		"comma-separated outage repair times in instances for the failover campaign (default sweep when empty)")
 
-	// Scale-campaign knobs (-exp scale): the quick tier is one 10³-task cell;
-	// -scale-full sweeps the committed curve up to 10⁴ tasks on 64 PEs;
-	// -scale-tasks/-scale-pes measure one custom cell instead.
-	scaleFull      = flag.Bool("scale-full", false, "run the full scaling curve (10³–10⁴ tasks, minutes) instead of the quick tier")
-	scaleTasks     = flag.Int("scale-tasks", 0, "custom scale-campaign cell: task count (with -scale-pes)")
-	scalePEs       = flag.Int("scale-pes", 0, "custom scale-campaign cell: PE count (with -scale-tasks)")
-	scaleInstances = flag.Int("scale-instances", 45, "instances replayed per custom scale-campaign cell")
+	// Scale-campaign knobs (-exp scale): one cell of -scale-tasks tasks on
+	// -scale-pes PEs (10³ tasks on 16 PEs by default), replaying
+	// -scale-instances drift vectors; -scale-full sweeps the committed curve
+	// up to 10⁴ tasks on 64 PEs instead.
+	scaleFull      = flag.Bool("scale-full", false, "run the full scaling curve (10³–10⁴ tasks, minutes) instead of one cell")
+	scaleTasks     = flag.Int("scale-tasks", 0, "scale-campaign cell: task count (0 = 1000)")
+	scalePEs       = flag.Int("scale-pes", 0, "scale-campaign cell: PE count (0 = 16)")
+	scaleInstances = flag.Int("scale-instances", 45, "instances replayed in the scale-campaign cell")
 
 	traceOut = flag.String("trace-out", "",
 		"write a Chrome trace-event file of a traced experiment's event streams (traced: "+tracedExperiments+")")

@@ -74,12 +74,17 @@ func (r runner) matches(s string) bool {
 }
 
 // rendered is the tail every runner shares: an experiment's result rendered
-// as the table it prints, or its error.
+// as the table it prints, followed by its wall-clock part when it has one,
+// or its error.
 func rendered[R interface{ Render() string }](r R, err error) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return r.Render(), nil
+	out := r.Render()
+	if t, ok := any(r).(interface{ Timing() string }); ok {
+		out += t.Timing()
+	}
+	return out, nil
 }
 
 func orderedRunners() []runner {
@@ -98,14 +103,16 @@ func orderedRunners() []runner {
 			if err != nil {
 				return "", err
 			}
+			out, _ := rendered(r, nil)
 			if err := r.Err(); err != nil {
-				return "", fmt.Errorf("%w\n%s", err, r.Render())
+				return "", fmt.Errorf("%w\n%s", err, out)
 			}
-			return r.Render(), nil
+			return out, nil
 		}},
 		{name: "sweep", run: func() (string, error) { return rendered(exp.Sweep(nil, nil)) }},
 		{name: "overhead", run: func() (string, error) { return rendered(exp.Overhead()) }},
 		{name: "ablation", run: func() (string, error) { return rendered(exp.AblationRatio()) }},
+		{name: "ablation-design", run: func() (string, error) { return rendered(exp.AblationDesign()) }},
 		{name: "perscenario", run: func() (string, error) { return rendered(exp.PerScenarioDVFS()) }},
 		{name: "robustness", run: func() (string, error) { return rendered(exp.Robustness(5)) }},
 		{name: "faults", aliases: []string{"faultcampaign"}, run: func() (string, error) {
@@ -126,11 +133,9 @@ func orderedRunners() []runner {
 			if *scaleFull {
 				return rendered(exp.ScaleCampaignFull())
 			}
-			if *scaleTasks != 0 || *scalePEs != 0 {
-				cfg := exp.ScaleConfig{Tasks: *scaleTasks, PEs: *scalePEs}
-				return rendered(exp.ScaleCampaign([]exp.ScaleConfig{cfg}, *scaleInstances))
-			}
-			return rendered(exp.ScaleCampaignQuick())
+			// Zero task and PE counts take the 10³-task, 16-PE defaults.
+			cfg := exp.ScaleConfig{Tasks: *scaleTasks, PEs: *scalePEs}
+			return rendered(exp.ScaleCampaign([]exp.ScaleConfig{cfg}, *scaleInstances))
 		}},
 		{name: "failover", aliases: []string{"failovercampaign"}, run: func() (string, error) {
 			// A spec file's failures section replays that scripted timeline

@@ -326,7 +326,7 @@ func TestSmoothedEstimateNeverDegenerate(t *testing.T) {
 		}
 	}
 	raw := p.Estimate(0)
-	smooth := p.SmoothedEstimate(0)
+	smooth := p.SmoothedEstimateInto(0, nil)
 	if raw[1] != 0 {
 		t.Fatalf("raw estimate %v should be degenerate after flooding", raw)
 	}

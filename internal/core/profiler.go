@@ -134,19 +134,13 @@ func (p *Profiler) EstimateInto(forkIdx int, out []float64) []float64 {
 	return out
 }
 
-// SmoothedEstimate returns the Laplace-smoothed (add-one) windowed
-// estimate: (count+1)/(window+outcomes). A raw window easily reports an
-// outcome probability of exactly 0 or 1, and a scheduler fed certainty
-// allocates *no* slack to the "impossible" branch — which then runs at full
-// speed whenever it does occur. Smoothing keeps every outcome minimally
-// provisioned.
-func (p *Profiler) SmoothedEstimate(forkIdx int) []float64 {
-	return p.SmoothedEstimateInto(forkIdx, make([]float64, 0, len(p.counts[forkIdx])))
-}
-
-// SmoothedEstimateInto appends the Laplace-smoothed estimate of the fork to
-// out and returns the extended slice; pass out[:0] of a retained buffer to
-// avoid allocations.
+// SmoothedEstimateInto appends the Laplace-smoothed (add-one) windowed
+// estimate of the fork, (count+1)/(window+outcomes), to out and returns the
+// extended slice; pass out[:0] of a retained buffer to avoid allocations. A
+// raw window easily reports an outcome probability of exactly 0 or 1, and a
+// scheduler fed certainty allocates *no* slack to the "impossible" branch —
+// which then runs at full speed whenever it does occur. Smoothing keeps every
+// outcome minimally provisioned.
 func (p *Profiler) SmoothedEstimateInto(forkIdx int, out []float64) []float64 {
 	k := len(p.counts[forkIdx])
 	for _, c := range p.counts[forkIdx] {

@@ -217,12 +217,5 @@ func TestProfilerEstimateIntoEquivalence(t *testing.T) {
 				t.Fatalf("fork %d outcome %d: EstimateAt %v != Estimate %v", fi, k, got, est[k])
 			}
 		}
-		sm := p.SmoothedEstimate(fi)
-		buf = p.SmoothedEstimateInto(fi, buf[:0])
-		for k := range sm {
-			if buf[k] != sm[k] {
-				t.Fatalf("fork %d outcome %d: SmoothedEstimateInto %v != SmoothedEstimate %v", fi, k, buf[k], sm[k])
-			}
-		}
 	}
 }

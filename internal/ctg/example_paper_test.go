@@ -214,8 +214,9 @@ func TestPaperExamplePaths(t *testing.T) {
 			if got := p.ProbAfter(g, pos); math.Abs(got-0.5) > 1e-12 {
 				t.Fatalf("prob(p, tau5) = %v, want 0.5", got)
 			}
-			if got := p.CondProduct(g); math.Abs(got-0.6*0.5) > 1e-12 {
-				t.Fatalf("CondProduct = %v, want 0.3", got)
+			// From the first node, prob covers every condition on the path.
+			if got := p.ProbAfter(g, 0); math.Abs(got-0.6*0.5) > 1e-12 {
+				t.Fatalf("prob(p, tau1) = %v, want 0.3", got)
 			}
 			if p.Unconditional() {
 				t.Fatal("path is conditional")

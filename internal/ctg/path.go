@@ -22,17 +22,6 @@ func (p *Path) Spans(t TaskID) (int, bool) {
 	return 0, false
 }
 
-// CondProduct returns the product of the probabilities of all conditional
-// edges on the path, under the graph's current branch probabilities. This is
-// the probability that the whole chain of conditions on the path holds.
-func (p *Path) CondProduct(g *Graph) float64 {
-	prob := 1.0
-	for _, e := range p.Edges {
-		prob *= g.CondProb(e.Cond)
-	}
-	return prob
-}
-
 // ProbAfter returns prob(p, τ) as defined in the paper: the joint
 // probability of the conditional branches lying on the path strictly after
 // node position pos (i.e. on edges Edges[pos:]). For the example of the

@@ -27,6 +27,9 @@ func Daemon() (*DaemonResult, error) {
 // Render formats the campaign report.
 func (r *DaemonResult) Render() string { return r.Report.Render() }
 
+// Timing formats the report's timing-dependent counts and elapsed time.
+func (r *DaemonResult) Timing() string { return r.Report.Timing() }
+
 // Err returns a non-nil error when the campaign broke an invariant, so the
 // experiment driver exits non-zero on a red run.
 func (r *DaemonResult) Err() error {

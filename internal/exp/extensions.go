@@ -306,3 +306,115 @@ func (r *AblationResult) Render() string {
 	s += table([]string{"CTG", "a/b/c", "NLP", "released (default)", "literal slk/delay"}, rows)
 	return s
 }
+
+// DesignAblationRow is one CTG's expected energy under the default online
+// pipeline (modified DLS + the stretching heuristic with continuous DVFS)
+// and with one design choice changed at a time.
+type DesignAblationRow struct {
+	Name    string
+	Default float64
+	// Discrete quantizes speeds to four levels (0.25, 0.5, 0.75, 1).
+	Discrete float64
+	// WorstCaseSL uses worst-case static levels (Probabilistic off).
+	WorstCaseSL float64
+	// EnergyDL adds an energy preference (EnergyWeight 0.5) to the dynamic
+	// level.
+	EnergyDL float64
+	// Serialized forbids mutually exclusive tasks from sharing PE time
+	// (MEOverlap off).
+	Serialized float64
+}
+
+// DesignAblationResult is the design ablation over the seed-99 random CTG
+// and the Table 1 graphs.
+type DesignAblationResult struct {
+	Rows []DesignAblationRow
+}
+
+// AblationDesign measures four design choices of the online pipeline, one at
+// a time, everything else at its default: discrete versus continuous DVFS,
+// probability-weighted versus worst-case static levels, the energy-weighted
+// dynamic level, and ME overlap. The workloads are a 25-task, 3-PE,
+// 3-branch fork-join CTG (seed 99) and the five Table 1 CTGs, each with the
+// deadline at 1.6× the nominal makespan.
+func AblationDesign() (*DesignAblationResult, error) {
+	type workload struct {
+		name string
+		cfg  tgff.Config
+	}
+	loads := []workload{{"seed 99 (25/3/3)", tgff.Config{Seed: 99, Nodes: 25, PEs: 3, Branches: 3, Category: tgff.ForkJoin}}}
+	for i, c := range tgff.Table1Cases() {
+		loads = append(loads, workload{
+			fmt.Sprintf("Table 1 CTG %d (%d/%d/%d)", i+1, c.Config.Nodes, c.Config.PEs, c.Config.Branches), c.Config,
+		})
+	}
+	res := &DesignAblationResult{}
+	for _, w := range loads {
+		g0, p, err := tgff.Generate(w.cfg)
+		if err != nil {
+			return nil, err
+		}
+		g, err := core.TightenDeadline(g0, p, DeadlineFactor)
+		if err != nil {
+			return nil, err
+		}
+		a, err := ctg.Analyze(g)
+		if err != nil {
+			return nil, err
+		}
+		run := func(opts sched.Options, d platform.DVFS) (float64, error) {
+			s, err := sched.DLS(a, p, opts)
+			if err != nil {
+				return 0, err
+			}
+			r, err := stretch.Heuristic(s, d, stretch.Options{})
+			return r.ExpectedEnergy, err
+		}
+		plainSL, energyDL, serialized := sched.Modified(), sched.Modified(), sched.Modified()
+		plainSL.Probabilistic = false
+		energyDL.EnergyWeight = 0.5
+		serialized.MEOverlap = false
+		row := DesignAblationRow{Name: w.name}
+		for _, v := range []struct {
+			out  *float64
+			opts sched.Options
+			dvfs platform.DVFS
+		}{
+			{&row.Default, sched.Modified(), platform.Continuous()},
+			{&row.Discrete, sched.Modified(), platform.Discrete(0.25, 0.5, 0.75, 1)},
+			{&row.WorstCaseSL, plainSL, platform.Continuous()},
+			{&row.EnergyDL, energyDL, platform.Continuous()},
+			{&row.Serialized, serialized, platform.Continuous()},
+		} {
+			if *v.out, err = run(v.opts, v.dvfs); err != nil {
+				return nil, fmt.Errorf("design ablation, %s: %w", w.name, err)
+			}
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	return res, nil
+}
+
+// Render formats the design ablation: absolute expected energies, then each
+// variant's mean change against the default.
+func (r *DesignAblationResult) Render() string {
+	rows := make([][]string, 0, len(r.Rows)+1)
+	var sum [4]float64
+	for _, row := range r.Rows {
+		variants := [4]float64{row.Discrete, row.WorstCaseSL, row.EnergyDL, row.Serialized}
+		cells := []string{row.Name, f2(row.Default)}
+		for i, e := range variants {
+			cells = append(cells, f2(e))
+			sum[i] += (e - row.Default) / row.Default
+		}
+		rows = append(rows, cells)
+	}
+	avg := []string{"mean change", ""}
+	for _, s := range sum {
+		avg = append(avg, fmt.Sprintf("%+.1f%%", 100*s/float64(len(r.Rows))))
+	}
+	rows = append(rows, avg)
+	s := "Extension: design ablations (expected energy; each column changes one choice of the default)\n"
+	s += table([]string{"CTG", "default", "4-level DVFS", "worst-case SL", "energy-weighted DL", "serialized ME"}, rows)
+	return s
+}

@@ -1,9 +1,6 @@
 package exp
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestAblationRatioShape(t *testing.T) {
 	r, err := AblationRatio()
@@ -30,9 +27,25 @@ func TestAblationRatioShape(t *testing.T) {
 			t.Errorf("CTG %d: literal %.1f beats released %.1f", row.CTG, row.Literal, row.Released)
 		}
 	}
-	if !strings.Contains(r.Render(), "ablation") {
-		t.Error("render missing title")
+	checkGolden(t, "ablation.golden", r.Render())
+}
+
+func TestAblationDesignShape(t *testing.T) {
+	r, err := AblationDesign()
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(r.Rows) != 6 {
+		t.Fatalf("got %d rows, want 6 (seed 99 + the five Table 1 CTGs)", len(r.Rows))
+	}
+	for _, row := range r.Rows {
+		// Four speed levels can only round a continuous speed up, so
+		// quantization never saves energy.
+		if row.Discrete < row.Default {
+			t.Errorf("%s: 4-level DVFS %.2f beats continuous %.2f", row.Name, row.Discrete, row.Default)
+		}
+	}
+	checkGolden(t, "ablation-design.golden", r.Render())
 }
 
 func TestOverheadShape(t *testing.T) {
@@ -67,9 +80,7 @@ func TestOverheadShape(t *testing.T) {
 	if r.Points[0].Energy >= r.Points[0].FullSpeedEnergy {
 		t.Error("DVFS must beat full speed at zero overhead")
 	}
-	if !strings.Contains(r.Render(), "overhead") {
-		t.Error("render missing title")
-	}
+	checkGolden(t, "overhead.golden", r.Render())
 }
 
 func TestSweepShape(t *testing.T) {
@@ -105,9 +116,7 @@ func TestSweepShape(t *testing.T) {
 	if get(20, 0.1).Calls >= get(10, 0.1).Calls {
 		t.Error("window 20 should trigger fewer calls than window 10")
 	}
-	if !strings.Contains(r.Render(), "sweep") {
-		t.Error("render missing title")
-	}
+	checkGolden(t, "sweep.golden", r.Render())
 }
 
 func TestPerScenarioDVFSShape(t *testing.T) {
@@ -131,7 +140,25 @@ func TestPerScenarioDVFSShape(t *testing.T) {
 	if r.AvgSaving <= 0.05 {
 		t.Errorf("avg saving %.3f, want a clear advantage", r.AvgSaving)
 	}
-	if !strings.Contains(r.Render(), "single speed") {
-		t.Error("render missing title")
+	checkGolden(t, "perscenario.golden", r.Render())
+}
+
+func TestRobustnessShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("robustness replays the Table 4/5 experiment per seed")
 	}
+	r, err := Robustness(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The Table 4/5 contrast is no seed artifact: a profile biased to the
+	// lowest-energy minterm leaves more to adapt than one biased to the
+	// highest, on every replication.
+	if r.Gap.Min <= 0 {
+		t.Errorf("Table4−Table5 gap %v, want positive on every seed", r.Gap)
+	}
+	if r.SavingT01.Min <= 0 {
+		t.Errorf("T=0.1 saving %v, want positive on every seed", r.SavingT01)
+	}
+	checkGolden(t, "robustness.golden", r.Render())
 }

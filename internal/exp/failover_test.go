@@ -50,6 +50,7 @@ func TestFailoverCampaignAcceptance(t *testing.T) {
 			t.Fatalf("workload %s missing from campaign", w)
 		}
 	}
+	checkGolden(t, "failover.golden", r.Render())
 }
 
 // TestFailoverCampaignSpecScripted replays a scripted permanent death from a
@@ -78,6 +79,7 @@ func TestFailoverCampaignSpecScripted(t *testing.T) {
 	if !strings.Contains(out, "scripted") {
 		t.Fatalf("scripted campaign not labeled as such:\n%s", out)
 	}
+	checkGolden(t, "failover-scripted.golden", out)
 	// The invalid spec is rejected before any workload is built.
 	if _, err := FailoverCampaignSpec(faults.FailureSpec{PEFailProb: 2}); err == nil {
 		t.Fatal("FailoverCampaignSpec accepted an out-of-range probability")

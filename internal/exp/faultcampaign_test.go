@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"ctgdvfs/internal/par"
@@ -24,6 +25,13 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // already unambiguous at this length.
 const campaignTestVectors = 250
 
+// plainCampaign is the unobserved campaign at the test length, run once and
+// shared by the tests that only read its result.
+var plainCampaign = sync.OnceValues(func() (*FaultCampaignResult, error) {
+	r, _, err := faultCampaignN(DefaultCampaignSpec(), DefaultCampaignGuard, campaignTestVectors, nil)
+	return r, err
+})
+
 // TestFaultCampaignAcceptance pins the PR's headline claim on both
 // application workloads: under the seeded 20%-overrun plan the guarded
 // runtime with fallback recovery misses strictly less than the unguarded
@@ -33,7 +41,7 @@ func TestFaultCampaignAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault campaign replays hundreds of faulty instances per runtime")
 	}
-	r, _, err := faultCampaignN(DefaultCampaignSpec(), DefaultCampaignGuard, campaignTestVectors, nil)
+	r, err := plainCampaign()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +97,7 @@ func TestFaultCampaignObservedHealth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, _, err := faultCampaignN(DefaultCampaignSpec(), DefaultCampaignGuard, campaignTestVectors, nil)
+	plain, err := plainCampaign()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,14 +72,20 @@ type RandomResult struct {
 // vectors with equal long-run branch averages but 0.4–0.5 fluctuation, the
 // online algorithm profiled per the bias, and the adaptive algorithm
 // starting from the same profile with thresholds 0.5 and 0.1.
-func RandomCTGs(bias Bias) (*RandomResult, error) {
+func RandomCTGs(bias Bias) (*RandomResult, error) { return randomCTGs(bias, 0, 4000) }
+
+// randomCTGs runs the experiment with every CTG's generator seed shifted by
+// seedShift and case i's test vectors seeded traceSeed+i.
+func randomCTGs(bias Bias, seedShift, traceSeed int64) (*RandomResult, error) {
 	// The ten CTGs are independent (per-case generator seeds, per-case trace
 	// seeds), so each runs on the worker pool; the savings aggregation walks
 	// rows in case order afterwards, reproducing the serial tables exactly.
 	cases := tgff.Table4Cases()
 	rows, err := par.MapErr(len(cases), func(i int) (RandomRow, error) {
 		c := cases[i]
-		g0, p, err := tgff.Generate(c.Config)
+		cfg := c.Config
+		cfg.Seed += seedShift
+		g0, p, err := tgff.Generate(cfg)
 		if err != nil {
 			return RandomRow{}, fmt.Errorf("random case %d: %w", i+1, err)
 		}
@@ -87,7 +93,7 @@ func RandomCTGs(bias Bias) (*RandomResult, error) {
 		if err != nil {
 			return RandomRow{}, err
 		}
-		vec := trace.Fluctuating(g, int64(4000+i), 1000, 0.45)
+		vec := trace.Fluctuating(g, traceSeed+int64(i), 1000, 0.45)
 
 		var profile [][]float64
 		switch bias {

@@ -217,13 +217,6 @@ type ScaleResult struct {
 	Cells []ScaleCell
 }
 
-// ScaleCampaignQuick runs the single-cell quick tier (one 10³-task graph on
-// 16 PEs) — the configuration the verify pipeline smokes and the committed
-// benchmarks gate.
-func ScaleCampaignQuick() (*ScaleResult, error) {
-	return ScaleCampaign([]ScaleConfig{{Tasks: 1000, PEs: 16, Forks: 5}}, 45)
-}
-
 // ScaleCampaignFull runs the full scaling curve up to 10⁴ tasks on 64 PEs.
 // Budget minutes, not seconds: the largest cell's full reschedules are the
 // very cost the curve exists to demonstrate.
@@ -307,23 +300,40 @@ func ScaleCampaign(cfgs []ScaleConfig, instances int) (*ScaleResult, error) {
 	return res, nil
 }
 
-// Render formats the scaling curve.
+// Render formats the scaling curve's deterministic columns: warm starts,
+// misses and the energy difference of the two runs.
 func (r *ScaleResult) Render() string {
 	rows := make([][]string, 0, len(r.Cells))
 	for _, c := range r.Cells {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", c.Tasks), fmt.Sprintf("%d", c.PEs), fmt.Sprintf("%d", c.Forks),
-			fmt.Sprintf("%.1f", c.FullMs),
-			fmt.Sprintf("%.2f", c.StepFullMs), fmt.Sprintf("%.2f", c.StepWarmMs),
-			fmt.Sprintf("%.1fx", c.Speedup),
+		rows = append(rows, append(c.shape(),
 			fmt.Sprintf("%d/%d", c.WarmStarts, c.WarmFallbacks),
 			fmt.Sprintf("%d/%d", c.MissesFull, c.MissesWarm),
 			fmt.Sprintf("%+.1f%%", c.EnergyDeltaPct),
-		})
+		))
 	}
 	s := "Scaling tier: full vs warm-started rescheduling under fork-0 drift\n"
-	s += table([]string{"tasks", "PEs", "forks", "full-resched ms", "step-full ms", "step-warm ms", "speedup", "warm/fb", "miss f/w", "Δenergy"}, rows)
+	s += table([]string{"tasks", "PEs", "forks", "warm/fb", "miss f/w", "Δenergy"}, rows)
+	return s
+}
+
+// Timing formats the scaling curve's wall-clock columns, which vary run to
+// run and so stay out of Render.
+func (r *ScaleResult) Timing() string {
+	rows := make([][]string, 0, len(r.Cells))
+	for _, c := range r.Cells {
+		rows = append(rows, append(c.shape(),
+			fmt.Sprintf("%.1f", c.FullMs),
+			fmt.Sprintf("%.2f", c.StepFullMs), fmt.Sprintf("%.2f", c.StepWarmMs),
+			fmt.Sprintf("%.1fx", c.Speedup),
+		))
+	}
+	s := "\n" + table([]string{"tasks", "PEs", "forks", "full-resched ms", "step-full ms", "step-warm ms", "speedup"}, rows)
 	s += "\nstep-full: mean adaptive step, every drift paying a full DLS+stretch (T=0, cache off)\n"
 	s += "step-warm: same workload with incremental warm-start rescheduling enabled\n"
 	return s
+}
+
+// shape is the cell's leading tasks/PEs/forks columns.
+func (c ScaleCell) shape() []string {
+	return []string{fmt.Sprintf("%d", c.Tasks), fmt.Sprintf("%d", c.PEs), fmt.Sprintf("%d", c.Forks)}
 }

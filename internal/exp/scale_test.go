@@ -21,8 +21,9 @@ func TestScaleWorkloadShape(t *testing.T) {
 	}
 }
 
-// TestScaleCampaignSmoke runs a miniature campaign cell end to end and
-// checks the warm run's behavioral envelope against the full run.
+// TestScaleCampaignSmoke runs a miniature campaign cell end to end, checks
+// the warm run's behavioral envelope against the full run, and pins the
+// cell's deterministic columns against testdata/scale.golden.
 func TestScaleCampaignSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign smoke is seconds-scale")
@@ -38,7 +39,5 @@ func TestScaleCampaignSmoke(t *testing.T) {
 	if c.MissesWarm > c.MissesFull {
 		t.Fatalf("warm run misses %d > full run misses %d", c.MissesWarm, c.MissesFull)
 	}
-	if r.Render() == "" {
-		t.Fatal("empty render")
-	}
+	checkGolden(t, "scale.golden", r.Render())
 }

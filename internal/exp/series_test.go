@@ -17,7 +17,7 @@ func TestFaultCampaignMonitoredAlerts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault campaign replays hundreds of faulty instances per runtime")
 	}
-	plain, _, err := faultCampaignN(DefaultCampaignSpec(), DefaultCampaignGuard, campaignTestVectors, nil)
+	plain, err := plainCampaign()
 	if err != nil {
 		t.Fatal(err)
 	}

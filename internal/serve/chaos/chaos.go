@@ -627,21 +627,22 @@ func finalize(rep *Report, tenants []campaignTenant, p1, p2 map[string]*phaseSta
 	}
 }
 
-// Render formats the campaign report.
+// Render formats the campaign report. The rejection counts, the daemon's
+// request count and the elapsed time depend on how long a rebuild takes
+// (the gremlin retries rejections), so they are left to Timing.
 func (r *Report) Render() string {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "Chaos campaign (seed %d): %d tenants x %d steps, kill at %d, checkpoint every %d\n",
 		r.Cfg.Seed, len(r.Tenants), r.Cfg.Steps, r.Cfg.KillAt, r.Cfg.CheckpointEvery)
-	fmt.Fprintf(&b, "%-12s %-8s %6s %5s %5s %5s %7s %7s  %s\n",
-		"tenant", "workload", "steps", "div", "panic", "rst", "rej", "resume", "digest")
+	fmt.Fprintf(&b, "%-12s %-8s %6s %5s %5s %5s %7s  %s\n",
+		"tenant", "workload", "steps", "div", "panic", "rst", "resume", "digest")
 	for _, t := range r.Tenants {
-		rej := t.RejectedRate + t.RejectedBreaker + t.RejectedQueue + t.RejectedShed
 		match := "MATCH"
 		if !t.DigestMatch {
 			match = "DIVERGED"
 		}
-		fmt.Fprintf(&b, "%-12s %-8s %6d %5d %5d %5d %7d %7d  %s %s\n",
-			t.Name, t.Workload, t.Steps, t.Divergences, t.Panics, t.Restarts, rej, t.ResumedAt, t.Digest, match)
+		fmt.Fprintf(&b, "%-12s %-8s %6d %5d %5d %5d %7d  %s %s\n",
+			t.Name, t.Workload, t.Steps, t.Divergences, t.Panics, t.Restarts, t.ResumedAt, t.Digest, match)
 	}
 	fmt.Fprintf(&b, "panics: %d injected, %d tenant_panic events (%d causal)\n",
 		r.PanicsInjected, r.PanicEvents, r.PanicEventsCaused)
@@ -654,9 +655,8 @@ func (r *Report) Render() string {
 	for _, c := range codes {
 		fmt.Fprintf(&b, ", %d x HTTP %d", r.FloodByStatus[c], c)
 	}
-	fmt.Fprintf(&b, "\nrestart: %d tenants restored from snapshots; daemon health %s (%d requests, %d steps, %d restores)\n",
-		r.RestoredTenants, r.Health.Status, r.Health.Requests, r.Health.Steps, r.Health.Restores)
-	fmt.Fprintf(&b, "elapsed: %s\n", r.Elapsed.Round(time.Millisecond))
+	fmt.Fprintf(&b, "\nrestart: %d tenants restored from snapshots; daemon health %s (%d steps, %d restores)\n",
+		r.RestoredTenants, r.Health.Status, r.Health.Steps, r.Health.Restores)
 	if r.Green() {
 		b.WriteString("verdict: GREEN — zero cross-tenant interference, every panic accounted, recovery bounded\n")
 	} else {
@@ -665,5 +665,21 @@ func (r *Report) Render() string {
 			fmt.Fprintf(&b, "  - %s\n", v)
 		}
 	}
+	return b.String()
+}
+
+// Timing formats the timing-dependent part of the report: each tenant's
+// rejections, the daemon's request count and the campaign's elapsed time.
+func (r *Report) Timing() string {
+	var b bytes.Buffer
+	b.WriteString("rejections:")
+	for i, t := range r.Tenants {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, " %s %d", t.Name, t.RejectedRate+t.RejectedBreaker+t.RejectedQueue+t.RejectedShed)
+	}
+	fmt.Fprintf(&b, "\ndaemon requests: %d\n", r.Health.Requests)
+	fmt.Fprintf(&b, "elapsed: %s\n", r.Elapsed.Round(time.Millisecond))
 	return b.String()
 }
