@@ -22,7 +22,7 @@ import (
 //	ctgsched explain -seq 1845 events.jsonl       # one decision by id
 //	ctgsched explain -kind reschedule -instance 412 events.jsonl
 //	ctgsched explain -kind alert_firing events.jsonl
-//	ctgsched explain -kind tenant_restart -tenant video video.events.jsonl
+//	ctgsched explain -kind tenant_panic -tenant video video.events.jsonl
 //
 // Without -seq, the kind/instance/tenant filters select the LAST matching
 // decision — "why did the most recent fallback fire" is the common question.
@@ -31,7 +31,7 @@ func runExplain(args []string) {
 	seq := fs.Uint64("seq", 0, "explain the decision with this exact seq id")
 	instance := fs.Int("instance", -1, "filter decisions to this instance")
 	kind := fs.String("kind", "", "filter decisions to this event kind (e.g. reschedule, fallback, alert_firing)")
-	tenant := fs.String("tenant", "", "serve tenant streams: filter decisions to events naming this tenant (tenant_panic, tenant_restart, checkpoint, restore)")
+	tenant := fs.String("tenant", "", "serve tenant streams: filter decisions to events naming this tenant (tenant_panic, checkpoint, restore)")
 	list := fs.Bool("list", false, "list the stream's explainable decisions and exit")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: ctgsched explain [flags] <events.jsonl>")

@@ -70,8 +70,9 @@ var (
 	// Scale-campaign knobs (-exp scale): one cell of -scale-tasks tasks on
 	// -scale-pes PEs (10³ tasks on 16 PEs by default), replaying
 	// -scale-instances drift vectors; -scale-full sweeps the committed curve
-	// up to 10⁴ tasks on 64 PEs instead.
-	scaleFull      = flag.Bool("scale-full", false, "run the full scaling curve (10³–10⁴ tasks, minutes) instead of one cell")
+	// up to 10⁴ tasks on 64 PEs instead (with -scale-instances, but refusing
+	// -scale-tasks and -scale-pes, which the curve fixes per cell).
+	scaleFull      = flag.Bool("scale-full", false, "run the full scaling curve (10³–10⁴ tasks, minutes) instead of one cell; excludes -scale-tasks and -scale-pes")
 	scaleTasks     = flag.Int("scale-tasks", 0, "scale-campaign cell: task count (0 = 1000)")
 	scalePEs       = flag.Int("scale-pes", 0, "scale-campaign cell: PE count (0 = 16)")
 	scaleInstances = flag.Int("scale-instances", 45, "instances replayed in the scale-campaign cell")
@@ -185,6 +186,10 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
+	if *scaleFull && (*scaleTasks != 0 || *scalePEs != 0) {
+		fmt.Fprintln(os.Stderr, "-scale-full runs the committed curve: it takes no -scale-tasks or -scale-pes")
+		os.Exit(2)
+	}
 	if *workers > 0 {
 		par.SetLimit(*workers)
 	}

@@ -130,12 +130,12 @@ func orderedRunners() []runner {
 			return rendered(r, err)
 		}},
 		{name: "scale", aliases: []string{"scaling"}, run: func() (string, error) {
-			if *scaleFull {
-				return rendered(exp.ScaleCampaignFull())
-			}
 			// Zero task and PE counts take the 10³-task, 16-PE defaults.
-			cfg := exp.ScaleConfig{Tasks: *scaleTasks, PEs: *scalePEs}
-			return rendered(exp.ScaleCampaign([]exp.ScaleConfig{cfg}, *scaleInstances))
+			cfgs := []exp.ScaleConfig{{Tasks: *scaleTasks, PEs: *scalePEs}}
+			if *scaleFull {
+				cfgs = scaleCurve
+			}
+			return rendered(exp.ScaleCampaign(cfgs, *scaleInstances))
 		}},
 		{name: "failover", aliases: []string{"failovercampaign"}, run: func() (string, error) {
 			// A spec file's failures section replays that scripted timeline
@@ -156,4 +156,14 @@ func orderedRunners() []runner {
 			return rendered(exp.FailoverCampaign(*faultSeed, probs, repairs))
 		}},
 	}
+}
+
+// scaleCurve is the committed scaling curve -scale-full runs, up to 10⁴
+// tasks on 64 PEs. Budget minutes, not seconds: the largest cell's full
+// reschedules are the very cost the curve exists to demonstrate.
+var scaleCurve = []exp.ScaleConfig{
+	{Tasks: 1000, PEs: 16, Forks: 5},
+	{Tasks: 2000, PEs: 32, Forks: 4},
+	{Tasks: 5000, PEs: 64, Forks: 3},
+	{Tasks: 10000, PEs: 64, Forks: 3},
 }

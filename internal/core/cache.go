@@ -3,6 +3,7 @@ package core
 import (
 	"container/list"
 	"math"
+	"slices"
 
 	"ctgdvfs/internal/sched"
 	"ctgdvfs/internal/stretch"
@@ -54,33 +55,95 @@ func newScheduleCache(capacity int) *scheduleCache {
 	}
 }
 
-// get looks up a key, counting a hit or miss and refreshing recency.
-func (c *scheduleCache) get(key string) (*cacheEntry, bool) {
-	if el, ok := c.byKey[key]; ok {
-		c.stats.Hits++
-		c.ll.MoveToFront(el)
+// cacheOp is one cache access a step stages: a lookup of key (hit or miss)
+// or, when put is set, the insertion of a freshly computed schedule. Only
+// commit applies them, in order.
+type cacheOp struct {
+	key string
+	hit bool
+	put *cacheEntry
+}
+
+// lookup answers a lookup of key as the cache would answer it after the
+// staged accesses, touching nothing: the step's own hits and puts are the
+// most recent entries, and each staged put past the bound evicts the entry
+// apply would evict. A step reschedules at most twice (a topology remap,
+// then drift or the breaker), so staged holds a handful of accesses at most.
+func (c *scheduleCache) lookup(key string, staged []cacheOp) (*cacheEntry, bool) {
+	var recent []*cacheEntry // touched by staged accesses, least recent first
+	var gone []string        // committed entries staged puts evicted
+	size := c.ll.Len()
+	for _, op := range staged {
+		switch {
+		case op.put != nil:
+			recent = append(recent, op.put)
+			if size++; size > c.cap {
+				size--
+				if k, ok := c.lruUntouched(recent, gone); ok {
+					gone = append(gone, k)
+				} else {
+					gone = append(gone, recent[0].key)
+					recent = recent[1:]
+				}
+			}
+		case op.hit:
+			e := findEntry(recent, op.key)
+			if e == nil {
+				e = c.byKey[op.key].Value.(*cacheEntry)
+			} else {
+				recent = slices.DeleteFunc(recent, func(r *cacheEntry) bool { return r == e })
+			}
+			recent = append(recent, e)
+		}
+	}
+	if e := findEntry(recent, key); e != nil {
+		return e, true
+	}
+	if el, ok := c.byKey[key]; ok && !slices.Contains(gone, key) {
 		return el.Value.(*cacheEntry), true
 	}
-	c.stats.Misses++
 	return nil, false
 }
 
-// put inserts a freshly computed schedule, evicting the LRU entry past the
-// bound.
-func (c *scheduleCache) put(key string, s *sched.Schedule, sp *stretch.ScenarioSpeeds) {
-	if el, ok := c.byKey[key]; ok {
-		// get is always called first, so this only happens if a caller
-		// recomputed despite a hit; refresh the entry.
-		el.Value = &cacheEntry{key: key, schedule: s, speeds: sp}
-		c.ll.MoveToFront(el)
-		return
+// lruUntouched returns the least recently used committed key that no staged
+// access touched or evicted.
+func (c *scheduleCache) lruUntouched(recent []*cacheEntry, gone []string) (string, bool) {
+	for el := c.ll.Back(); el != nil; el = el.Prev() {
+		k := el.Value.(*cacheEntry).key
+		if findEntry(recent, k) == nil && !slices.Contains(gone, k) {
+			return k, true
+		}
 	}
-	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, schedule: s, speeds: sp})
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*cacheEntry).key)
-		c.stats.Evictions++
+	return "", false
+}
+
+func findEntry(es []*cacheEntry, key string) *cacheEntry {
+	for _, e := range es {
+		if e.key == key {
+			return e
+		}
+	}
+	return nil
+}
+
+// apply performs one staged access: a lookup counts its hit or miss and a
+// hit refreshes recency; a put inserts, evicting the LRU entry past the
+// bound.
+func (c *scheduleCache) apply(op cacheOp) {
+	switch {
+	case op.put != nil:
+		c.byKey[op.key] = c.ll.PushFront(op.put)
+		for c.ll.Len() > c.cap {
+			oldest := c.ll.Back()
+			c.ll.Remove(oldest)
+			delete(c.byKey, oldest.Value.(*cacheEntry).key)
+			c.stats.Evictions++
+		}
+	case op.hit:
+		c.stats.Hits++
+		c.ll.MoveToFront(c.byKey[op.key])
+	default:
+		c.stats.Misses++
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"ctgdvfs/internal/tgff"
@@ -197,5 +198,47 @@ func TestWindowZeroExplicitRejected(t *testing.T) {
 	opts.SetWindow(0)
 	if _, err := New(g, p, opts); err == nil {
 		t.Fatal("explicit window 0 must be rejected, not defaulted")
+	}
+}
+
+// TestCacheLookupMatchesApply pins the staged lookup against the cache it
+// simulates: over random bounds, histories and access sequences, lookup of
+// a key after staged accesses answers exactly what the cache answers once
+// those accesses are applied.
+func TestCacheLookupMatchesApply(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	keys := []string{"a", "b", "c", "d", "e", "f"}
+	for trial := 0; trial < 2000; trial++ {
+		bound := 1 + rng.Intn(4)
+		committed, applied := newScheduleCache(bound), newScheduleCache(bound)
+		for i := rng.Intn(8); i > 0; i-- {
+			k := keys[rng.Intn(len(keys))]
+			for _, c := range []*scheduleCache{committed, applied} {
+				if _, hit := c.lookup(k, nil); hit {
+					c.apply(cacheOp{key: k, hit: true})
+				} else {
+					c.apply(cacheOp{key: k})
+					c.apply(cacheOp{key: k, put: &cacheEntry{key: k}})
+				}
+			}
+		}
+		var staged []cacheOp
+		for i := rng.Intn(6); i > 0; i-- {
+			k := keys[rng.Intn(len(keys))]
+			e, hit := committed.lookup(k, staged)
+			want, wantHit := applied.lookup(k, nil)
+			if hit != wantHit || (hit && e.key != want.key) {
+				t.Fatalf("trial %d: lookup %q after %d staged ops = (%v, %v), applied cache says (%v, %v)",
+					trial, k, len(staged), e, hit, want, wantHit)
+			}
+			ops := []cacheOp{{key: k, hit: hit}}
+			if !hit && rng.Intn(2) == 0 {
+				ops = append(ops, cacheOp{key: k, put: &cacheEntry{key: k}})
+			}
+			for _, op := range ops {
+				staged = append(staged, op)
+				applied.apply(op)
+			}
+		}
 	}
 }

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"ctgdvfs/internal/ctg"
 	"ctgdvfs/internal/faults"
@@ -170,88 +168,85 @@ func (o *Options) applyDefaults() {
 // schedule, replays incoming CTG instances against it, feeds the observed
 // branch decisions to the profiler, and re-runs the online algorithm
 // whenever the probability estimates drift past the threshold.
+//
+// Every step is a transaction (step.go): it stages its effects and only
+// commit applies them, so a step that fails, is cancelled or panics leaves
+// the manager exactly as the last committed step left it.
 type Manager struct {
 	opts Options
 
 	g *ctg.Graph // current probability estimates live here
 	a *ctg.Analysis
-	p *platform.Platform
+	// base is the full, unrestricted platform; st.p is the survivor set in
+	// force.
+	base *platform.Platform
 
 	profiler *Profiler
-	schedule *sched.Schedule
-	// speeds is the scenario-conditioned table when opts.PerScenario is
-	// set; nil otherwise.
-	speeds *stretch.ScenarioSpeeds
 	// cache memoizes (mapping, order, speeds) by exact probability state;
 	// nil when disabled.
 	cache *scheduleCache
 
-	calls     int // re-scheduling invocations (the paper's "# of calls")
-	instances int // processed instances; doubles as the telemetry instance id
-
-	// Warm-start state (see warmstart.go) plus the reusable hot-path
-	// buffers of the reschedule pipeline: the DLS workspace, a mapping
-	// generation counter (bumped whenever the adopted schedule may carry a
-	// different mapping — full recomputes and cache hits — so the stretch
-	// workspace knows when to rebind), and a probability scratch slice for
-	// the drift-update loop.
+	// st is the committed state. missRing (the breaker's last
+	// DefaultMissWindow primary-schedule outcomes) and warm.schedProbs are
+	// committed too; a step stages copies of them.
+	st       state
+	missRing []bool
 	warm     warmState
-	mapGen   int
-	dlsWS    *sched.Workspace
-	probsBuf []float64
 
-	// cancel is the cooperative-cancellation hook of the in-flight StepCtx
-	// call (nil outside one): the reschedule pipeline threads it into the
-	// DLS placement loop and the stretching passes, so a request whose
-	// context expires aborts mid-pipeline instead of running to completion.
-	// The incumbent schedule is only replaced at pipeline end, so a
-	// cancelled reschedule never leaves a partial schedule behind — but the
-	// estimator state observed this step's decisions before the pipeline
-	// ran, so a cancelled Step leaves the manager mid-instance (instances is
-	// not advanced). Callers that need replay determinism after a
-	// cancellation rebuild the manager from their decision log (the serve
-	// layer does exactly that).
-	cancel func() error
+	// tx is the reusable staging area of the step in flight.
+	tx *txn
 
 	// Telemetry (inert unless Options.Recorder / Metrics set — rec nil
 	// means no events; metrics always points at a registry, private by
-	// default). The manager's logic state lives in the plain fields above
-	// and is mirrored into the registry handles, never read back from
-	// them: a registry shared across managers aggregates, and must not be
-	// able to corrupt any single manager's RunStats.
+	// default). The manager's logic state lives in st and is mirrored into
+	// the registry handles, never read back from them: a registry shared
+	// across managers aggregates, and must not be able to corrupt any single
+	// manager's RunStats. seq stamps event ids (live only while rec != nil).
 	rec     telemetry.Recorder
 	metrics *telemetry.Registry
 	mm      managerMetrics
+	seq     *telemetry.Sequencer
+}
+
+// state is the part of the manager a step changes besides the estimator
+// windows, the schedule cache and the two committed slices: a step works on
+// a copy, and commit adopts it whole.
+type state struct {
+	schedule *sched.Schedule
+	// speeds is the scenario-conditioned table when opts.PerScenario is
+	// set; nil otherwise.
+	speeds *stretch.ScenarioSpeeds
+	// mapGen identifies the schedule's mapping: a fresh value whenever the
+	// adopted schedule may carry a different mapping (full recomputes and
+	// cache hits), so the warm path knows when to rebind its workspace.
+	mapGen int
+
+	calls     int // re-scheduling invocations (the paper's "# of calls")
+	instances int // processed instances; doubles as the telemetry instance id
 	// missesTotal is this manager's own deadline-miss count, backing the
 	// adaptive.miss_rate gauge (the registry's miss counter may aggregate
-	// several managers and cannot be read back — see the comment above).
+	// several managers and cannot be read back).
 	missesTotal int
 
-	// Provenance state (live only while rec != nil): the sequencer stamping
-	// event ids, the seq of the current instance's instance_start, the
-	// trigger seq the in-flight reschedule pipeline chains its decision
-	// events to, and the per-fork seqs of this step's window-estimate events
-	// (so a drift-triggered reschedule can name the estimate that crossed the
-	// threshold).
-	seq      *telemetry.Sequencer
-	startSeq uint64
-	causeSeq uint64
-	estSeqs  []uint64
+	// Warm-start bookkeeping (see warmstart.go): whether warm.schedProbs
+	// and schedGuard describe the schedule, and the path's counters.
+	warmValid                 bool
+	schedGuard                float64
+	warmStarts, warmFallbacks int
 
 	// Fault-tolerance state (inert unless Options.Recovery / Faults set).
 	fallback      *sched.Schedule // precomputed full-speed worst-case schedule
 	faultInstance int             // fault-plan cursor, advanced once per Step
 	guardLevel    int             // circuit-breaker escalation level
 	maxLevelSeen  int
-	missRing      []bool // last DefaultMissWindow primary-schedule outcomes
-	missCursor    int
+	missCursor    int // the breaker window's write position, fill and misses
 	missFill      int
 	missCount     int
 	activations   int // fallback replays
 	missesAvoided int // fallback replays that met the deadline
 
 	// Availability state (inert unless Options.Failures set).
-	base *platform.Platform // the full, unrestricted platform
+	p *platform.Platform // the platform in force (base restricted to mask)
 	// healthyFallback preserves the full-topology fallback so recovering
 	// from a transient outage never recomputes it.
 	healthyFallback *sched.Schedule
@@ -461,7 +456,8 @@ func New(g *ctg.Graph, p *platform.Platform, opts Options) (*Manager, error) {
 			return nil, fmt.Errorf("core: a failure timeline requires an unrestricted base platform")
 		}
 	}
-	m := &Manager{opts: opts, g: g.Clone(), p: p, base: p}
+	m := &Manager{opts: opts, g: g.Clone(), base: p}
+	m.st.p = p
 	if opts.Failures != nil {
 		// The timeline may already be degraded at instance 0: the initial
 		// schedule must target the survivor set, not hardware that was never
@@ -474,9 +470,9 @@ func New(g *ctg.Graph, p *platform.Platform, opts Options) (*Manager, error) {
 			if err != nil {
 				return nil, fmt.Errorf("core: initial availability mask: %w", err)
 			}
-			m.p = rp
-			m.mask = mask0
-			m.degraded = true
+			m.st.p = rp
+			m.st.mask = mask0
+			m.st.degraded = true
 		}
 	}
 	if opts.CacheSize > 0 {
@@ -504,350 +500,70 @@ func New(g *ctg.Graph, p *platform.Platform, opts Options) (*Manager, error) {
 		return nil, err
 	}
 	m.initWarm()
-	m.dlsWS = sched.NewWorkspace()
 	if opts.Recovery {
 		// The worst-case fallback: plain full-speed DLS, never stretched,
 		// built once and bypassing the probability-keyed cache entirely (it
 		// is probability-independent by construction — every task runs at
 		// speed 1 — so caching it under a probability key would be both
 		// wrong and polluting).
-		fb, err := sched.DLS(m.a, m.p, sched.Modified())
+		fb, err := sched.DLS(m.a, m.st.p, sched.Modified())
 		if err != nil {
 			return nil, err
 		}
-		m.fallback = fb
-		if !m.degraded {
-			m.healthyFallback = fb
+		m.st.fallback = fb
+		if !m.st.degraded {
+			m.st.healthyFallback = fb
 		}
 		m.missRing = make([]bool, DefaultMissWindow)
 	}
-	if m.degraded {
+	m.tx = newTxn(m)
+	// The initial schedule goes through the step machinery too: staged,
+	// then committed.
+	t := m.begin(nil)
+	if m.st.degraded {
 		// The initial schedule's shape is explained by the already-degraded
 		// topology: chain it to the last loss event.
-		m.causeSeq = m.emitMaskDiff(platform.Mask{}, m.mask, 0)
+		t.causeSeq = t.emitMaskDiff(platform.Mask{}, m.st.mask, 0)
 	}
-	if err := m.reschedule("initial"); err != nil {
+	if err := t.reschedule("initial"); err != nil {
 		return nil, err
 	}
-	m.calls = 0 // the initial schedule does not count as an adaptive call
-	m.mm.calls.Add(-1)
+	t.s.calls = 0 // the initial schedule does not count as an adaptive call
+	m.adopt(t)
 	return m, nil
 }
 
-// effectiveGuard is the guard band after circuit-breaker escalation: level k
-// halves the unguarded slack fraction k times, 1 − (1 − base)/2^k.
-func (m *Manager) effectiveGuard() float64 {
-	g := m.opts.GuardBand
-	if m.guardLevel > 0 {
-		g = 1 - (1-g)/float64(uint64(1)<<uint(m.guardLevel))
-	}
-	if g > 1 {
-		g = 1
-	}
-	return g
-}
-
-// emit stamps the event with the next sequence id and records it, returning
-// the id so the event can be named as the Cause of its effects. Callers must
-// have checked m.rec != nil (the provenance state only exists then).
-func (m *Manager) emit(ev telemetry.Event) uint64 {
-	ev.Seq = m.seq.Next()
-	m.rec.Record(ev)
-	return ev.Seq
-}
-
-// span closes one timed reschedule phase: the wall time since start goes into
-// the phase's histogram and, when a recorder is listening, out as a
-// pipeline_span event chained to the pipeline's trigger. Phases: "diff" (the
-// warm path's fork diff + affected-set marking), "dls" (the full path's
-// mapping/ordering run), "stretch" (slack distribution, full or partial),
-// "validate" (the warm result's deadline + consistency checks).
-func (m *Manager) span(phase string, h *telemetry.HistogramMetric, start time.Time) {
-	us := float64(time.Since(start)) / float64(time.Microsecond)
-	h.Observe(us)
-	if m.rec != nil {
-		m.emit(telemetry.Event{
-			Kind: telemetry.KindSpan, Instance: m.instances,
-			Name: phase, Value: us, Cause: m.causeSeq,
-		})
-	}
-}
-
 // GuardLevel returns the circuit breaker's current escalation level.
-func (m *Manager) GuardLevel() int { return m.guardLevel }
+func (m *Manager) GuardLevel() int { return m.st.guardLevel }
 
 // Degraded reports whether part of the topology is currently masked out.
-func (m *Manager) Degraded() bool { return m.degraded }
+func (m *Manager) Degraded() bool { return m.st.degraded }
 
 // AvailabilityMask returns the availability mask currently in force (the
 // zero mask — everything available — unless Failures is configured and the
 // timeline has degraded the topology).
-func (m *Manager) AvailabilityMask() platform.Mask { return m.mask }
-
-// emitMaskDiff records the PE and link transitions between two availability
-// masks, returning the last emitted event's seq (0 when no recorder or no
-// transition) so the remap/reschedule that follows can chain to it. The
-// events have no in-stream cause — the hardware failed on its own. PE deaths
-// carry the timeline's permanence verdict; link events are reported only for
-// links whose endpoints are alive under both masks, so a PE death is one
-// pe_down event rather than a storm of implied link losses.
-func (m *Manager) emitMaskDiff(old, cur platform.Mask, instance int) uint64 {
-	if m.rec == nil {
-		return 0
-	}
-	var last uint64
-	n := m.base.NumPEs()
-	alive := cur.NumAlive(n)
-	for pe := 0; pe < n; pe++ {
-		was, is := old.PEAlive(pe), cur.PEAlive(pe)
-		switch {
-		case was && !is:
-			reason := "transient"
-			if m.opts.Failures != nil && m.opts.Failures.PermanentlyDead(instance, pe) {
-				reason = "permanent"
-			}
-			last = m.emit(telemetry.Event{
-				Kind: telemetry.KindPEDown, Instance: instance,
-				PE: pe, Reason: reason, Alive: alive,
-			})
-		case !was && is:
-			last = m.emit(telemetry.Event{
-				Kind: telemetry.KindPEUp, Instance: instance, PE: pe, Alive: alive,
-			})
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j || !old.PEAlive(i) || !old.PEAlive(j) || !cur.PEAlive(i) || !cur.PEAlive(j) {
-				continue
-			}
-			was, is := old.LinkUp(i, j), cur.LinkUp(i, j)
-			switch {
-			case was && !is:
-				last = m.emit(telemetry.Event{
-					Kind: telemetry.KindLinkDown, Instance: instance, PE: i, PE2: j,
-				})
-			case !was && is:
-				last = m.emit(telemetry.Event{
-					Kind: telemetry.KindLinkUp, Instance: instance, PE: i, PE2: j,
-				})
-			}
-		}
-	}
-	return last
-}
-
-// applyTopology re-maps the runtime onto a changed survivor set: restrict
-// the platform to the new mask, rebuild the full-speed fallback for the same
-// survivors (reusing the preserved healthy fallback when the full topology
-// returns), and re-run the online algorithm under the mask-qualified cache
-// key. An infeasible mask (or an unroutable degraded topology, surfaced as
-// sched.InfeasibleError) propagates as an error: the workload cannot run on
-// what remains.
-func (m *Manager) applyTopology(cur platform.Mask, instance int) error {
-	old := m.mask
-	// The remap and the topology reschedule below both chain to the last
-	// hardware transition.
-	topoSeq := m.emitMaskDiff(old, cur, instance)
-	rp, err := m.base.Restrict(cur)
-	if err != nil {
-		return fmt.Errorf("core: instance %d availability mask: %w", instance, err)
-	}
-	m.p = rp
-	m.mask = cur
-	m.degraded = !cur.IsFull()
-	if m.opts.Recovery {
-		// Only the recovery machinery keeps a fallback; rebuilding one for a
-		// manager that never had it would silently enable fallback replays.
-		if m.degraded || m.healthyFallback == nil {
-			fb, err := sched.DLS(m.a, m.p, sched.Modified())
-			if err != nil {
-				return err
-			}
-			m.fallback = fb
-			if !m.degraded {
-				m.healthyFallback = fb
-			}
-		} else {
-			m.fallback = m.healthyFallback
-		}
-	}
-	reason := "restored"
-	if m.degraded {
-		reason = "degraded"
-	}
-	m.causeSeq = topoSeq
-	if err := m.reschedule("topology"); err != nil {
-		return err
-	}
-	m.remaps++
-	if m.rec != nil {
-		m.emit(telemetry.Event{
-			Kind: telemetry.KindRemap, Instance: instance,
-			Reason: reason, Alive: m.p.NumAlivePEs(), Cause: topoSeq,
-		})
-	}
-	return nil
-}
+func (m *Manager) AvailabilityMask() platform.Mask { return m.st.mask }
 
 // Fallback returns the precomputed worst-case fallback schedule (nil unless
 // Recovery is enabled).
-func (m *Manager) Fallback() *sched.Schedule { return m.fallback }
-
-// reschedule runs the online algorithm (DLS + stretching) with the graph's
-// current probability estimates, consulting the schedule cache first: if the
-// exact probability state was scheduled for before, the memoized (mapping,
-// order, speeds) is reused. Hits and misses both count as a call — the cache
-// changes the cost of an invocation, never the invocation count or its
-// result.
-func (m *Manager) reschedule(reason string) error {
-	guard := m.effectiveGuard()
-	var key string
-	if m.cache != nil {
-		key = m.probKey()
-		if guard > 0 {
-			// Guarded schedules live under distinct keys: the same
-			// probability state stretched at different guard levels
-			// produces different speeds, and a guard-0 entry must stay
-			// bit-for-bit what the paper's runtime would reuse.
-			key += guardKey(guard)
-		}
-		if m.degraded {
-			// Degraded schedules are keyed by the availability mask too:
-			// the same probabilities on fewer PEs are a different schedule.
-			// A healthy mask keys to "" (Mask.Key's contract), so once a
-			// transient outage heals, lookups return to the pre-failure
-			// cache entries verbatim.
-			key += m.mask.Key(m.base.NumPEs())
-		}
-		if e, ok := m.cache.get(key); ok {
-			m.schedule, m.speeds = e.schedule, e.speeds
-			// The cached mapping may differ from the incumbent's: bump the
-			// generation so the warm path rebinds its DAG model before the
-			// next partial stretch.
-			m.mapGen++
-			m.calls++
-			m.mm.calls.Inc()
-			m.mm.cacheHits.Inc()
-			m.noteScheduleState(guard)
-			m.emitReschedule(reason, key, true, false)
-			return nil
-		}
-		m.mm.cacheMisses.Inc()
-	}
-	// Cache miss (or caching off): try the incremental path before paying
-	// for a full DLS + stretch pipeline.
-	if ok, err := m.tryWarmStart(reason, guard); err != nil {
-		return err
-	} else if ok {
-		return nil
-	}
-	dlsStart := time.Now()
-	m.dlsWS.Cancel = m.cancel
-	s, err := sched.DLSInto(m.a, m.p, sched.Modified(), m.dlsWS)
-	if err != nil {
-		return err
-	}
-	m.span("dls", m.mm.pipeDLS, dlsStart)
-	stretchStart := time.Now()
-	if m.opts.PerScenario {
-		sp, err := stretch.PerScenario(s, m.opts.DVFS, guard, m.cancel)
-		if err != nil {
-			return err
-		}
-		m.speeds = sp
-		m.span("stretch", m.mm.pipeStretch, stretchStart)
-	} else {
-		sr, err := stretch.Heuristic(s, m.opts.DVFS, stretch.Options{Guard: guard, Cancel: m.cancel})
-		if err != nil {
-			return err
-		}
-		m.speeds = nil
-		m.span("stretch", m.mm.pipeStretch, stretchStart)
-		m.emitStretch(sr, s)
-	}
-	m.schedule = s
-	if m.cache != nil {
-		m.cache.put(key, s, m.speeds)
-	}
-	m.mapGen++
-	m.calls++
-	m.mm.calls.Inc()
-	m.noteScheduleState(guard)
-	m.emitReschedule(reason, key, false, false)
-	return nil
-}
-
-// emitStretch records the single-speed stretch-pass summary: how much slack
-// Figure 2 distributed and how much of it the (guarded, possibly discrete)
-// DVFS model actually converted. The per-scenario path has no single
-// summary — its detail is a scenarios × tasks table. A masked (warm) pass
-// leaves Result.ExpectedEnergy zero, so the energy is then evaluated on the
-// stretched schedule s.
-func (m *Manager) emitStretch(sr stretch.Result, s *sched.Schedule) {
-	if m.rec == nil {
-		return
-	}
-	if sr.ExpectedEnergy == 0 {
-		sr.ExpectedEnergy = s.ExpectedEnergy()
-	}
-	m.emit(telemetry.Event{
-		Kind:       telemetry.KindStretch,
-		Instance:   m.instances,
-		Tasks:      sr.Stretched,
-		SlackFound: sr.SlackFound,
-		SlackUsed:  sr.SlackUsed,
-		Energy:     sr.ExpectedEnergy,
-		Makespan:   sr.WorstDelay,
-		Cause:      m.causeSeq,
-	})
-}
-
-// emitReschedule records the re-scheduling decision event and consumes the
-// pipeline's trigger seq (every reschedule path ends here, so the cause never
-// leaks into an unrelated later decision). Drift-triggered decisions carry
-// the threshold that tripped them. The hex rendering of the cache key (raw
-// probability bits) is only materialized when a recorder is listening.
-func (m *Manager) emitReschedule(reason, key string, hit, warm bool) {
-	cause := m.causeSeq
-	m.causeSeq = 0
-	if m.rec == nil {
-		return
-	}
-	ev := telemetry.Event{
-		Kind:     telemetry.KindReschedule,
-		Instance: m.instances,
-		Reason:   reason,
-		CacheHit: hit,
-		Warm:     warm,
-		Calls:    m.calls,
-		Cause:    cause,
-	}
-	if reason == "drift" || reason == "drift+breaker" {
-		ev.Threshold = m.opts.Threshold
-	}
-	if key != "" {
-		ev.Key = fmt.Sprintf("%x", key)
-	}
-	m.emit(ev)
-}
+func (m *Manager) Fallback() *sched.Schedule { return m.st.fallback }
 
 // Schedule returns the current schedule (read-only use).
-func (m *Manager) Schedule() *sched.Schedule { return m.schedule }
+func (m *Manager) Schedule() *sched.Schedule { return m.st.schedule }
 
 // Metrics returns the registry the manager publishes to — the one passed via
 // Options.Metrics, or the manager's private registry otherwise. Never nil.
 func (m *Manager) Metrics() *telemetry.Registry { return m.metrics }
 
 // Instances returns the number of instances processed so far.
-func (m *Manager) Instances() int { return m.instances }
+func (m *Manager) Instances() int { return m.st.instances }
 
 // ScenarioSpeeds returns the scenario-conditioned speed table of the current
 // schedule, or nil outside PerScenario mode (read-only use).
-func (m *Manager) ScenarioSpeeds() *stretch.ScenarioSpeeds { return m.speeds }
+func (m *Manager) ScenarioSpeeds() *stretch.ScenarioSpeeds { return m.st.speeds }
 
 // Calls returns the number of adaptive re-scheduling invocations so far.
-func (m *Manager) Calls() int { return m.calls }
+func (m *Manager) Calls() int { return m.st.calls }
 
 // CacheStats returns the schedule cache counters (zero-valued when caching
 // is disabled). The initial schedule counts as the first miss.
@@ -869,320 +585,6 @@ func (m *Manager) Probs(forkIdx int) []float64 {
 	return m.g.BranchProbs(forks[forkIdx])
 }
 
-// StepCtx is Step under a context: the context's cancellation/deadline is
-// polled at cooperative checkpoints inside the reschedule pipeline — once per
-// DLS placement round, once per stretched task (single-speed heuristic and
-// warm partial pass), and once per scenario in the per-scenario fan-out — so
-// an expired request aborts within one unit of pipeline work rather than
-// running to completion. The returned error is the context's own
-// (context.DeadlineExceeded / context.Canceled), unwrapped, so callers can
-// errors.Is it directly.
-//
-// Guarantees on cancellation: the incumbent schedule is untouched (a new
-// schedule is only adopted when the pipeline completes), and a call that
-// completed before the context expired is bit-for-bit identical to an
-// uncancelled one. The estimator, however, observed this step's decisions
-// before the pipeline ran, so a cancelled step leaves the manager
-// mid-instance — Instances() is not advanced, and re-Stepping the same
-// vector would double-observe it. Callers that need deterministic state
-// after a cancellation rebuild the manager by replaying their decision log
-// (see internal/serve).
-func (m *Manager) StepCtx(ctx context.Context, decisions []int) (StepResult, error) {
-	if err := ctx.Err(); err != nil {
-		return StepResult{}, err
-	}
-	m.cancel = ctx.Err
-	defer func() { m.cancel = nil }()
-	return m.Step(decisions)
-}
-
-// Step processes one CTG instance: replay it under the current schedule,
-// shift the decisions of the branch forks that actually executed into their
-// windows, and re-run the online algorithm if the estimate drifted past the
-// threshold.
-func (m *Manager) Step(decisions []int) (StepResult, error) {
-	si, err := m.a.ScenarioForDecisions(decisions)
-	if err != nil {
-		return StepResult{}, err
-	}
-	idx := m.instances
-	remapped := false
-	if m.opts.Failures != nil {
-		// Availability changes are detected at instance boundaries: compare
-		// the timeline's mask for this instance against the one in force and
-		// re-map onto the survivor set on any difference.
-		cur := m.opts.Failures.MaskAt(idx)
-		if !cur.Equal(m.mask, m.base.NumPEs()) {
-			if err := m.applyTopology(cur, idx); err != nil {
-				return StepResult{}, err
-			}
-			remapped = true
-		}
-	}
-	if m.rec != nil {
-		m.startSeq = m.emit(telemetry.Event{Kind: telemetry.KindInstanceStart, Instance: idx, Scenario: si})
-		// Estimate seqs are per-step: forks inactive this instance must not
-		// leave a stale id for the drift trigger to pick up.
-		if m.estSeqs == nil {
-			m.estSeqs = make([]uint64, len(m.g.Forks()))
-		}
-		for i := range m.estSeqs {
-			m.estSeqs[i] = 0
-		}
-	}
-	var cfg sim.Config
-	if m.speeds != nil {
-		cfg.ScenarioSpeeds = m.speeds.Speeds
-	}
-	if m.opts.Faults != nil {
-		cfg.Faults = m.opts.Faults
-		cfg.FaultInstance = m.faultInstance
-		m.faultInstance++
-	}
-	cfg.Recorder = m.rec
-	cfg.InstanceID = idx
-	cfg.Seq = m.seq
-	cfg.Cause = m.startSeq
-	inst, err := sim.Replay(m.schedule, si, cfg)
-	if err != nil {
-		return StepResult{}, err
-	}
-	res := StepResult{Instance: inst, Degraded: m.degraded, Remapped: remapped, Rescheduled: remapped}
-	primaryMiss := !inst.DeadlineMet
-	var fbSeq uint64 // the fallback decision, when one fired this step
-	if primaryMiss && m.fallback != nil {
-		// Recovery: re-run the instance at full speed on the worst-case
-		// fallback schedule. The same fault instance applies — the overruns
-		// that sank the primary run hit the fallback too, but without
-		// stretching the timeline has the full static slack to absorb them.
-		fcfg := cfg
-		fcfg.ScenarioSpeeds = nil
-		fcfg.Phase = telemetry.PhaseFallback
-		fb, err := sim.Replay(m.fallback, si, fcfg)
-		if err != nil {
-			return StepResult{}, err
-		}
-		res.FallbackUsed = true
-		res.Primary = inst
-		res.Instance = fb
-		m.activations++
-		m.mm.fallbacks.Inc()
-		if fb.DeadlineMet {
-			m.missesAvoided++
-			m.mm.missesAvoided.Inc()
-		}
-		if m.rec != nil {
-			// Makespan is the fallback re-run's; Makespan2 keeps the failed
-			// primary timeline for comparison. The cause is the primary
-			// replay that missed (its overruns are the instance's
-			// fault_overrun events).
-			fbSeq = m.emit(telemetry.Event{
-				Kind:      telemetry.KindFallback,
-				Instance:  idx,
-				Met:       fb.DeadlineMet,
-				Makespan:  fb.Makespan,
-				Makespan2: inst.Makespan,
-				Phase:     telemetry.PhaseFallback,
-				Cause:     m.startSeq,
-			})
-		}
-	}
-	// Only executed branch forks produce observable decisions.
-	active := m.a.Scenario(inst.Scenario).Active
-	for fi, fork := range m.g.Forks() {
-		if !active.Get(int(fork)) {
-			continue
-		}
-		if err := m.profiler.Observe(fi, decisions[fi]); err != nil {
-			return StepResult{}, err
-		}
-	}
-	res.Drift = m.profiler.MaxDrift()
-	if m.rec != nil {
-		// One window-estimate update per fork that actually executed (the
-		// others observed nothing this instance).
-		for fi, fork := range m.g.Forks() {
-			if !active.Get(int(fork)) {
-				continue
-			}
-			m.estSeqs[fi] = m.emit(telemetry.Event{
-				Kind:     telemetry.KindEstimate,
-				Instance: idx,
-				Fork:     fi,
-				Probs:    m.profiler.Estimate(fi),
-				Drift:    res.Drift,
-				Outcome:  decisions[fi],
-				Cause:    m.startSeq,
-			})
-		}
-	}
-	prevLevel := m.guardLevel
-	breakerMoved := false
-	if m.fallback != nil {
-		breakerMoved = m.recordPrimaryOutcome(primaryMiss)
-	}
-	var glSeq uint64 // the breaker move, when one fired this step
-	if breakerMoved {
-		m.mm.guardLevel.Set(float64(m.guardLevel))
-		m.mm.maxGuardLevel.SetMax(float64(m.guardLevel))
-		if m.rec != nil {
-			// The breaker moved on this step's windowed outcome: chain to
-			// the fallback when one fired (the miss that tipped the window),
-			// to the instance otherwise (e.g. a relaxation on a clean run).
-			cause := m.startSeq
-			if fbSeq != 0 {
-				cause = fbSeq
-			}
-			glSeq = m.emit(telemetry.Event{
-				Kind:      telemetry.KindGuardLevel,
-				Instance:  idx,
-				Level:     m.guardLevel,
-				Level2:    prevLevel,
-				Threshold: DefaultMissRateBound,
-				Cause:     cause,
-			})
-		}
-	}
-	// Update only the branches whose estimate crossed the threshold (the
-	// paper's "the branch probability is updated with this new value");
-	// any update triggers one re-scheduling. The comparison is inclusive:
-	// see FilteredSeries for why "crosses" must admit equality.
-	updated := false
-	var trigSeq uint64 // the first threshold-crossing fork's estimate event
-	for fi, fork := range m.g.Forks() {
-		crossed := false
-		for k := 0; k < m.profiler.NumOutcomes(fi); k++ {
-			d := m.profiler.EstimateAt(fi, k) - m.g.BranchProb(fork, k)
-			if d < 0 {
-				d = -d
-			}
-			if d >= m.opts.Threshold-1e-12 {
-				crossed = true
-				break
-			}
-		}
-		if crossed {
-			if trigSeq == 0 && m.rec != nil {
-				trigSeq = m.estSeqs[fi]
-			}
-			m.probsBuf = m.profiler.SmoothedEstimateInto(fi, m.probsBuf[:0])
-			if err := m.g.SetBranchProbs(fork, m.probsBuf); err != nil {
-				return StepResult{}, err
-			}
-			updated = true
-		}
-	}
-	if updated {
-		m.a.Reweight()
-	}
-	if updated || breakerMoved {
-		reason := "drift"
-		switch {
-		case updated && breakerMoved:
-			reason = "drift+breaker"
-		case breakerMoved:
-			reason = "breaker"
-		}
-		// The decision's provenance: the estimate that crossed the
-		// threshold when drift triggered (or contributed), else the breaker
-		// move that forced the re-stretch.
-		if updated && trigSeq != 0 {
-			m.causeSeq = trigSeq
-		} else if breakerMoved {
-			m.causeSeq = glSeq
-		}
-		if err := m.reschedule(reason); err != nil {
-			return StepResult{}, err
-		}
-		res.Rescheduled = true
-	}
-	res.GuardLevel = m.guardLevel
-	m.instances++
-	m.mm.instances.Inc()
-	if m.degraded {
-		m.degradedInsts++
-		if !res.Instance.DeadlineMet {
-			m.topoMisses++
-		}
-	}
-	if !res.Instance.DeadlineMet {
-		m.mm.misses.Inc()
-		m.missesTotal++
-	}
-	if res.Instance.Overruns > 0 {
-		m.mm.overruns.Add(int64(res.Instance.Overruns))
-	}
-	m.mm.lateness.Observe(res.Instance.Lateness)
-	m.mm.makespan.Observe(res.Instance.Makespan)
-	m.mm.drift.Set(res.Drift)
-	m.mm.missRate.Set(float64(m.missesTotal) / float64(m.instances))
-	var finSeq uint64
-	if m.rec != nil {
-		finSeq = m.emit(telemetry.Event{
-			Kind:        telemetry.KindInstanceFinish,
-			Instance:    idx,
-			Scenario:    res.Instance.Scenario,
-			Energy:      res.Instance.Energy,
-			Makespan:    res.Instance.Makespan,
-			Lateness:    res.Instance.Lateness,
-			Met:         res.Instance.DeadlineMet,
-			Overruns:    res.Instance.Overruns,
-			Rescheduled: res.Rescheduled,
-			Drift:       res.Drift,
-			Level:       m.guardLevel,
-			Cause:       m.startSeq,
-		})
-	}
-	// Sample the time-series store at this instance boundary (the sim-time
-	// axis), chaining any alert firing to the instance_finish above.
-	if m.opts.Series != nil {
-		m.opts.Series.Tick(idx, m.rec, m.seq, finSeq)
-	}
-	return res, nil
-}
-
-// recordPrimaryOutcome shifts one primary-schedule outcome into the circuit
-// breaker's sliding window and moves the escalation level when the windowed
-// miss rate crosses the configured bounds. It reports whether the level
-// changed (which requires a re-stretch at the new effective guard). The
-// window is cleared on every transition, giving the breaker hysteresis: a
-// fresh window must fill before the next move.
-func (m *Manager) recordPrimaryOutcome(miss bool) bool {
-	if m.missFill == len(m.missRing) {
-		if m.missRing[m.missCursor] {
-			m.missCount--
-		}
-	} else {
-		m.missFill++
-	}
-	m.missRing[m.missCursor] = miss
-	if miss {
-		m.missCount++
-	}
-	m.missCursor = (m.missCursor + 1) % len(m.missRing)
-	if m.missFill < len(m.missRing) {
-		return false
-	}
-	rate := float64(m.missCount) / float64(len(m.missRing))
-	m.mm.missRateWindow.Set(rate)
-	switch {
-	case rate > DefaultMissRateBound && m.guardLevel < maxGuardLevel:
-		m.guardLevel++
-	case rate <= DefaultMissRateBound/2 && m.guardLevel > 0:
-		m.guardLevel--
-	default:
-		return false
-	}
-	if m.guardLevel > m.maxLevelSeen {
-		m.maxLevelSeen = m.guardLevel
-	}
-	m.missFill, m.missCursor, m.missCount = 0, 0, 0
-	for i := range m.missRing {
-		m.missRing[i] = false
-	}
-	return true
-}
-
 // Run processes a whole decision-vector sequence and aggregates statistics.
 func (m *Manager) Run(vectors [][]int) (RunStats, error) {
 	var agg runAgg
@@ -1194,16 +596,16 @@ func (m *Manager) Run(vectors [][]int) (RunStats, error) {
 		agg.add(r.Instance)
 	}
 	st := agg.finish()
-	st.Calls = m.calls
+	st.Calls = m.st.calls
 	cs := m.CacheStats()
 	st.CacheHits, st.CacheMisses = cs.Hits, cs.Misses
-	st.WarmStarts, st.WarmFallbacks = m.warm.starts, m.warm.fallbacks
-	st.FallbackActivations = m.activations
-	st.MissesAvoided = m.missesAvoided
-	st.MaxGuardLevel = m.maxLevelSeen
-	st.DegradedInstances = m.degradedInsts
-	st.Remaps = m.remaps
-	st.TopologyMisses = m.topoMisses
+	st.WarmStarts, st.WarmFallbacks = m.st.warmStarts, m.st.warmFallbacks
+	st.FallbackActivations = m.st.activations
+	st.MissesAvoided = m.st.missesAvoided
+	st.MaxGuardLevel = m.st.maxLevelSeen
+	st.DegradedInstances = m.st.degradedInsts
+	st.Remaps = m.st.remaps
+	st.TopologyMisses = m.st.topoMisses
 	return st, nil
 }
 

@@ -95,20 +95,44 @@ func (p *Profiler) Observe(forkIdx, outcome int) error {
 	if outcome < 0 || outcome >= len(p.counts[forkIdx]) {
 		return fmt.Errorf("core: outcome %d out of range for fork index %d", outcome, forkIdx)
 	}
-	old := p.buf[forkIdx][p.pos[forkIdx]]
-	p.counts[forkIdx][old]--
-	p.buf[forkIdx][p.pos[forkIdx]] = outcome
-	p.counts[forkIdx][outcome]++
-	p.pos[forkIdx] = (p.pos[forkIdx] + 1) % p.window
+	p.shift(forkIdx, outcome)
 	return nil
+}
+
+// shift is Observe without the range checks.
+func (p *Profiler) shift(fi, outcome int) {
+	old := p.buf[fi][p.pos[fi]]
+	p.counts[fi][old]--
+	p.buf[fi][p.pos[fi]] = outcome
+	p.counts[fi][outcome]++
+	p.pos[fi] = (p.pos[fi] + 1) % p.window
+}
+
+// count is the window count of outcome k of fork fi once the staged
+// outcome o has been shifted in (o < 0: nothing staged). A step reads its
+// estimates through it before commit shifts the decisions in for real.
+func (p *Profiler) count(fi, k, o int) int {
+	c := p.counts[fi][k]
+	if o >= 0 {
+		if p.buf[fi][p.pos[fi]] == k {
+			c--
+		}
+		if o == k {
+			c++
+		}
+	}
+	return c
 }
 
 // Estimate returns the windowed probability estimate of the fork (dense
 // fork index): the raw outcome frequencies within the window.
-func (p *Profiler) Estimate(forkIdx int) []float64 {
-	out := make([]float64, len(p.counts[forkIdx]))
-	for k, c := range p.counts[forkIdx] {
-		out[k] = float64(c) / float64(p.window)
+func (p *Profiler) Estimate(forkIdx int) []float64 { return p.estimate(forkIdx, -1) }
+
+// estimate is Estimate with outcome o staged (see count).
+func (p *Profiler) estimate(fi, o int) []float64 {
+	out := make([]float64, len(p.counts[fi]))
+	for k := range out {
+		out[k] = p.estimateAt(fi, k, o)
 	}
 	return out
 }
@@ -121,7 +145,12 @@ func (p *Profiler) NumOutcomes(forkIdx int) int { return len(p.counts[forkIdx]) 
 // materialising the whole vector — the allocation-free counterpart of
 // Estimate for hot-path drift checks.
 func (p *Profiler) EstimateAt(forkIdx, outcome int) float64 {
-	return float64(p.counts[forkIdx][outcome]) / float64(p.window)
+	return p.estimateAt(forkIdx, outcome, -1)
+}
+
+// estimateAt is EstimateAt with outcome o staged (see count).
+func (p *Profiler) estimateAt(fi, k, o int) float64 {
+	return float64(p.count(fi, k, o)) / float64(p.window)
 }
 
 // EstimateInto appends the windowed estimate of the fork to out and returns
@@ -142,9 +171,14 @@ func (p *Profiler) EstimateInto(forkIdx int, out []float64) []float64 {
 // which then runs at full speed whenever it does occur. Smoothing keeps every
 // outcome minimally provisioned.
 func (p *Profiler) SmoothedEstimateInto(forkIdx int, out []float64) []float64 {
-	k := len(p.counts[forkIdx])
-	for _, c := range p.counts[forkIdx] {
-		out = append(out, (float64(c)+1)/(float64(p.window)+float64(k)))
+	return p.smoothedInto(forkIdx, -1, out)
+}
+
+// smoothedInto is SmoothedEstimateInto with outcome o staged (see count).
+func (p *Profiler) smoothedInto(fi, o int, out []float64) []float64 {
+	k := len(p.counts[fi])
+	for j := 0; j < k; j++ {
+		out = append(out, (float64(p.count(fi, j, o))+1)/(float64(p.window)+float64(k)))
 	}
 	return out
 }
@@ -152,11 +186,19 @@ func (p *Profiler) SmoothedEstimateInto(forkIdx int, out []float64) []float64 {
 // MaxDrift returns the largest absolute difference between the windowed
 // estimates and the graph's current (schedule-time) branch probabilities,
 // over all forks and outcomes.
-func (p *Profiler) MaxDrift() float64 {
+func (p *Profiler) MaxDrift() float64 { return p.maxDrift(nil) }
+
+// maxDrift is MaxDrift with staged[fi] staged for every fork (nil: nothing
+// staged; see count).
+func (p *Profiler) maxDrift(staged []int) float64 {
 	maxD := 0.0
 	for fi, fork := range p.g.Forks() {
+		o := -1
+		if staged != nil {
+			o = staged[fi]
+		}
 		for k := range p.counts[fi] {
-			d := p.EstimateAt(fi, k) - p.g.BranchProb(fork, k)
+			d := p.estimateAt(fi, k, o) - p.g.BranchProb(fork, k)
 			if d < 0 {
 				d = -d
 			}

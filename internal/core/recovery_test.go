@@ -163,12 +163,12 @@ func TestFallbackNeverPollutesCache(t *testing.T) {
 	if st.FallbackActivations == 0 {
 		t.Fatal("test needs fallback activations to be meaningful")
 	}
-	if m.fallback == nil {
+	if m.st.fallback == nil {
 		t.Fatal("recovery manager has no fallback schedule")
 	}
 	for _, el := range m.cache.byKey {
 		e := el.Value.(*cacheEntry)
-		if e.schedule == m.fallback {
+		if e.schedule == m.st.fallback {
 			t.Fatal("fallback schedule found in the probability-keyed cache")
 		}
 		for _, sp := range e.schedule.Speed {
@@ -176,7 +176,7 @@ func TestFallbackNeverPollutesCache(t *testing.T) {
 		}
 	}
 	// The fallback is full speed by construction.
-	for tk, sp := range m.fallback.Speed {
+	for tk, sp := range m.st.fallback.Speed {
 		if sp != 1 {
 			t.Fatalf("fallback task %d at speed %v, want 1", tk, sp)
 		}

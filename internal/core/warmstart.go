@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"ctgdvfs/internal/ctg"
-	"ctgdvfs/internal/sched"
 	"ctgdvfs/internal/stretch"
 )
 
@@ -49,36 +48,25 @@ const DefaultWarmMaxAffected = 0.5
 // warmEps is the deadline-validation tolerance of the warm path.
 const warmEps = 1e-9
 
-// warmState carries the incumbent-schedule bookkeeping of the warm path.
+// warmState carries the manager's probability-independent warm-path
+// tables and the committed probability snapshot; the rest of the path's
+// bookkeeping is in state, its scratch in txn.
 type warmState struct {
-	valid bool // schedProbs/schedGuard describe the current schedule
-
 	// schedProbs is the flat probability snapshot the incumbent schedule was
 	// built from: outcomes of fork 0, then fork 1, ... (offsets indexed by
 	// dense fork index). Stored post-normalization, so exact float comparison
 	// against the graph's current values detects any change.
 	schedProbs []float64
 	offsets    []int
-	schedGuard float64
 
 	// forkScen[fi][o] is the set of leaf scenarios in which fork fi executes
 	// and selects outcome o — the activation-split probe of the affected-set
 	// rule. Scenario assignments are topology- and probability-independent,
 	// so this is built once per analysis.
 	forkScen [][]ctg.Bitset
-
-	bufs  *sched.WarmState   // double-buffered schedule copies
-	ws    *stretch.Workspace // partial-stretch scratch
-	wsGen int                // mapGen the workspace was last rebound at
-
-	changed  []int  // scratch: dense indices of drifted forks
-	affected []bool // scratch: per-task affected mask
-
-	starts    int // warm-started reschedules
-	fallbacks int // eligible attempts that fell back to a full recompute
 }
 
-// initWarm sizes the warm-state buffers for the manager's graph/analysis.
+// initWarm sizes the warm-state tables for the manager's graph/analysis.
 func (m *Manager) initWarm() {
 	w := &m.warm
 	forks := m.g.Forks()
@@ -101,75 +89,70 @@ func (m *Manager) initWarm() {
 		}
 		w.forkScen[fi] = sets
 	}
-	w.bufs = sched.NewWarmState()
-	w.ws = stretch.NewWorkspace()
-	w.wsGen = -1
-	w.changed = make([]int, 0, len(forks))
-	w.affected = make([]bool, m.g.NumTasks())
 }
 
-// noteScheduleState snapshots the probability/guard state the schedule now
-// in force was built (or warm-patched) under. Every reschedule path ends
-// here.
-func (m *Manager) noteScheduleState(guard float64) {
-	w := &m.warm
+// noteScheduleState stages the probability/guard state the schedule now in
+// force was built (or warm-patched) under. Every reschedule path ends here.
+func (t *txn) noteScheduleState(guard float64) {
+	m := t.m
+	offsets := m.warm.offsets
 	for fi, fork := range m.g.Forks() {
-		base := w.offsets[fi]
-		for k := 0; k < w.offsets[fi+1]-base; k++ {
-			w.schedProbs[base+k] = m.g.BranchProb(fork, k)
+		base := offsets[fi]
+		for k := 0; k < offsets[fi+1]-base; k++ {
+			t.schedProbs[base+k] = m.g.BranchProb(fork, k)
 		}
 	}
-	w.schedGuard = guard
-	w.valid = true
+	t.s.schedGuard = guard
+	t.s.warmValid = true
 }
 
 // changedForks collects (into the reused scratch slice) the dense indices of
-// forks whose current probabilities differ from the schedule snapshot.
-func (m *Manager) changedForks() []int {
-	w := &m.warm
-	w.changed = w.changed[:0]
+// forks whose current probabilities differ from the (staged) schedule
+// snapshot.
+func (t *txn) changedForks() []int {
+	m := t.m
+	offsets := m.warm.offsets
+	t.changed = t.changed[:0]
 	for fi, fork := range m.g.Forks() {
-		base := w.offsets[fi]
-		for k := 0; k < w.offsets[fi+1]-base; k++ {
-			if m.g.BranchProb(fork, k) != w.schedProbs[base+k] {
-				w.changed = append(w.changed, fi)
+		base := offsets[fi]
+		for k := 0; k < offsets[fi+1]-base; k++ {
+			if m.g.BranchProb(fork, k) != t.schedProbs[base+k] {
+				t.changed = append(t.changed, fi)
 				break
 			}
 		}
 	}
-	return w.changed
+	return t.changed
 }
 
 // markAffected fills the per-task affected mask for the changed forks and
 // returns the affected count. A task is affected when it is a changed fork
 // itself, or when its activation set intersects some but not all of a
 // changed fork's outcome scenario sets (it lives inside a conditional arm).
-func (m *Manager) markAffected(changed []int) int {
-	w := &m.warm
-	for t := range w.affected {
-		w.affected[t] = false
-	}
+func (t *txn) markAffected(changed []int) int {
+	m := t.m
+	clear(t.affected)
 	forks := m.g.Forks()
 	count := 0
-	for t := 0; t < m.g.NumTasks(); t++ {
-		gamma := m.a.ActivationSet(ctg.TaskID(t))
+	for tk := 0; tk < m.g.NumTasks(); tk++ {
+		gamma := m.a.ActivationSet(ctg.TaskID(tk))
 		for _, fi := range changed {
-			if ctg.TaskID(t) == forks[fi] {
-				w.affected[t] = true
+			if ctg.TaskID(tk) == forks[fi] {
+				t.affected[tk] = true
 				break
 			}
 			hits := 0
-			for _, so := range w.forkScen[fi] {
+			for _, so := range m.warm.forkScen[fi] {
 				if gamma.Intersects(so) {
 					hits++
 				}
 			}
-			if hits >= 1 && hits < len(w.forkScen[fi]) {
-				w.affected[t] = true
+			if hits >= 1 && hits < len(m.warm.forkScen[fi]) {
+				t.affected[tk] = true
 				break
 			}
 		}
-		if w.affected[t] {
+		if t.affected[tk] {
 			count++
 		}
 	}
@@ -179,11 +162,11 @@ func (m *Manager) markAffected(changed []int) int {
 // tryWarmStart attempts an incremental reschedule against the incumbent
 // schedule. It returns true when the warm result was adopted (the caller's
 // full-recompute path must be skipped); on false the caller proceeds with
-// the full path — w.fallbacks distinguishes an eligible-but-failed attempt
-// from a plainly ineligible call.
-func (m *Manager) tryWarmStart(reason string, guard float64) (bool, error) {
-	w := &m.warm
-	if !m.opts.WarmStart || !w.valid || m.schedule == nil {
+// the full path — state.warmFallbacks distinguishes an eligible-but-failed
+// attempt from a plainly ineligible call.
+func (t *txn) tryWarmStart(reason string, guard float64) (bool, error) {
+	m := t.m
+	if !m.opts.WarmStart || !t.s.warmValid || t.s.schedule == nil {
 		return false, nil
 	}
 	if reason == "initial" || reason == "topology" {
@@ -192,14 +175,14 @@ func (m *Manager) tryWarmStart(reason string, guard float64) (bool, error) {
 		return false, nil
 	}
 	diffStart := time.Now()
-	changed := m.changedForks()
-	guardChanged := guard != w.schedGuard
+	changed := t.changedForks()
+	guardChanged := guard != t.s.schedGuard
 	if len(changed) == 0 && !guardChanged {
 		// The triggering update left the schedule-time state bit-for-bit
 		// intact (e.g. the smoothed estimate reproduced the old values): the
 		// incumbent is exactly what a recompute would rebuild.
-		m.span("diff", m.mm.pipeDiff, diffStart)
-		m.adoptWarm(reason, guard)
+		t.span("diff", m.mm.pipeDiff, diffStart)
+		t.adoptWarm(reason, guard)
 		return true, nil
 	}
 	if m.opts.PerScenario {
@@ -208,70 +191,71 @@ func (m *Manager) tryWarmStart(reason string, guard float64) (bool, error) {
 		// platform, deadline and guard. Pure probability drift keeps both the
 		// (unstretched) schedule and the table valid verbatim; only a guard
 		// change forces a re-stretch, on the same mapping.
-		m.span("diff", m.mm.pipeDiff, diffStart)
+		t.span("diff", m.mm.pipeDiff, diffStart)
 		if guardChanged {
 			stretchStart := time.Now()
-			sp, err := stretch.PerScenario(m.schedule, m.opts.DVFS, guard, m.cancel)
+			sp, err := stretch.PerScenario(t.s.schedule, m.opts.DVFS, guard, t.cancel)
 			if err != nil {
-				return m.warmFailed(err)
+				return t.warmFailed(err)
 			}
-			m.speeds = sp
-			m.span("stretch", m.mm.pipeStretch, stretchStart)
+			t.s.speeds = sp
+			t.span("stretch", m.mm.pipeStretch, stretchStart)
 		}
-		m.adoptWarm(reason, guard)
+		t.adoptWarm(reason, guard)
 		return true, nil
 	}
 	if guardChanged {
 		// A breaker move re-stretches every task at the new guard — still on
 		// the incumbent mapping, so the DLS run is saved.
-		for t := range w.affected {
-			w.affected[t] = true
+		for tk := range t.affected {
+			t.affected[tk] = true
 		}
 	} else {
 		if len(changed) > DefaultWarmMaxForks {
-			return m.warmFallback()
+			return t.warmFallback()
 		}
-		count := m.markAffected(changed)
+		count := t.markAffected(changed)
 		if float64(count) > DefaultWarmMaxAffected*float64(m.g.NumTasks()) {
-			return m.warmFallback()
+			return t.warmFallback()
 		}
 	}
-	m.span("diff", m.mm.pipeDiff, diffStart)
-	target := w.bufs.Start(m.schedule)
-	if w.wsGen != m.mapGen {
-		w.ws.Rebind(target)
-		w.wsGen = m.mapGen
+	t.span("diff", m.mm.pipeDiff, diffStart)
+	// The committed schedule stays published until commit, even when this
+	// step already staged another.
+	target := t.bufs.Start(t.s.schedule, m.st.schedule)
+	if t.wsGen != t.s.mapGen {
+		t.ws.Rebind(target)
+		t.wsGen = t.s.mapGen
 	}
 	stretchStart := time.Now()
 	sr, err := stretch.Heuristic(target, m.opts.DVFS, stretch.Options{
-		Guard: guard, Cancel: m.cancel, Affected: w.affected, Workspace: w.ws,
+		Guard: guard, Cancel: t.cancel, Affected: t.affected, Workspace: t.ws,
 	})
 	if err != nil {
-		return m.warmFailed(err)
+		return t.warmFailed(err)
 	}
-	m.span("stretch", m.mm.pipeStretch, stretchStart)
+	t.span("stretch", m.mm.pipeStretch, stretchStart)
 	validateStart := time.Now()
 	if sr.WorstDelay > m.g.Deadline()*(1+warmEps) {
 		// The incumbent skeleton can no longer hold the deadline under the
 		// new weighting — let the full path find a new mapping.
-		return m.warmFallback()
+		return t.warmFallback()
 	}
 	if err := target.QuickValidate(); err != nil {
-		return m.warmFallback()
+		return t.warmFallback()
 	}
-	m.span("validate", m.mm.pipeValidate, validateStart)
-	m.schedule = target
-	m.speeds = nil
-	m.emitStretch(sr, target)
-	m.adoptWarm(reason, guard)
+	t.span("validate", m.mm.pipeValidate, validateStart)
+	t.s.schedule = target
+	t.s.speeds = nil
+	t.emitStretch(sr, target)
+	t.adoptWarm(reason, guard)
 	return true, nil
 }
 
 // warmFallback counts an eligible warm attempt that falls back to the full
 // recompute, and tells tryWarmStart's caller to run it.
-func (m *Manager) warmFallback() (bool, error) {
-	m.warm.fallbacks++
-	m.mm.warmFallbacks.Inc()
+func (t *txn) warmFallback() (bool, error) {
+	t.s.warmFallbacks++
 	return false, nil
 }
 
@@ -279,30 +263,27 @@ func (m *Manager) warmFallback() (bool, error) {
 // not fall through to the full pipeline (which would just re-detect the
 // cancellation after paying for a DLS round), so the in-flight StepCtx's
 // context error propagates directly; any other error is a fallback.
-func (m *Manager) warmFailed(err error) (bool, error) {
-	if m.cancel != nil && m.cancel() != nil {
+func (t *txn) warmFailed(err error) (bool, error) {
+	if t.cancel != nil && t.cancel() != nil {
 		return false, err
 	}
-	return m.warmFallback()
+	return t.warmFallback()
 }
 
 // adoptWarm finalizes a warm-started (or verbatim-reused) reschedule: the
 // call counts exactly like a full one, the snapshot moves to the new state,
 // and the decision event is tagged warm. Warm results are never cached.
-func (m *Manager) adoptWarm(reason string, guard float64) {
-	w := &m.warm
-	w.starts++
-	m.mm.warmStarts.Inc()
-	m.calls++
-	m.mm.calls.Inc()
-	m.noteScheduleState(guard)
-	m.emitReschedule(reason, "", false, true)
+func (t *txn) adoptWarm(reason string, guard float64) {
+	t.s.warmStarts++
+	t.s.calls++
+	t.noteScheduleState(guard)
+	t.emitReschedule(reason, "", false, true)
 }
 
 // WarmStats returns the warm-start counters: incremental reschedules
 // adopted, and eligible attempts that fell back to a full recompute.
 func (m *Manager) WarmStats() (starts, fallbacks int) {
-	return m.warm.starts, m.warm.fallbacks
+	return m.st.warmStarts, m.st.warmFallbacks
 }
 
 // AffectedByDrift computes, from first principles, the warm-start affected

@@ -137,9 +137,9 @@ func TestMarkAffectedMatchesReference(t *testing.T) {
 		}
 	}
 	for _, changed := range cases {
-		count := m.markAffected(changed)
+		count := m.tx.markAffected(changed)
 		want := AffectedByDrift(m.a, changed)
-		got := m.warm.affected
+		got := m.tx.affected
 		wantCount := 0
 		for t2 := range want {
 			if want[t2] {
@@ -172,13 +172,15 @@ func TestWarmPureReuseWhenStateUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := m.Schedule()
-	ok, err := m.tryWarmStart("drift", m.effectiveGuard())
+	tx := m.begin(nil)
+	ok, err := tx.tryWarmStart("drift", tx.effectiveGuard())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
 		t.Fatal("unchanged state not served by pure reuse")
 	}
+	m.adopt(tx)
 	if m.Schedule() != before {
 		t.Fatal("pure reuse replaced the schedule pointer")
 	}

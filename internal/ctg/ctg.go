@@ -444,15 +444,29 @@ func (g *Graph) BranchProbs(t TaskID) []float64 {
 // runtime-mutable aspect of a Graph; the adaptive framework calls it when
 // the sliding-window estimate drifts past the threshold.
 func (g *Graph) SetBranchProbs(t TaskID, probs []float64) error {
+	_, err := g.ReplaceBranchProbs(t, probs)
+	return err
+}
+
+// ReplaceBranchProbs is SetBranchProbs returning the vector it replaced,
+// exactly as stored, so that RestoreBranchProbs can put it back.
+func (g *Graph) ReplaceBranchProbs(t TaskID, probs []float64) ([]float64, error) {
 	fi := g.forkIndex[t]
 	if fi < 0 {
-		return fmt.Errorf("ctg: task %d is not a fork", t)
+		return nil, fmt.Errorf("ctg: task %d is not a fork", t)
 	}
 	if err := checkProbs(probs, g.outcomes[fi]); err != nil {
-		return fmt.Errorf("ctg: fork %d: %w", t, err)
+		return nil, fmt.Errorf("ctg: fork %d: %w", t, err)
 	}
+	old := g.probs[fi]
 	g.probs[fi] = normalize(probs)
-	return nil
+	return old, nil
+}
+
+// RestoreBranchProbs reinstates a vector ReplaceBranchProbs returned for
+// fork t, verbatim: normalising it again could change its last bits.
+func (g *Graph) RestoreBranchProbs(t TaskID, old []float64) {
+	g.probs[g.forkIndex[t]] = old
 }
 
 // CondProb returns the probability that condition c holds: 1 for

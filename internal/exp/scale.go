@@ -217,18 +217,6 @@ type ScaleResult struct {
 	Cells []ScaleCell
 }
 
-// ScaleCampaignFull runs the full scaling curve up to 10⁴ tasks on 64 PEs.
-// Budget minutes, not seconds: the largest cell's full reschedules are the
-// very cost the curve exists to demonstrate.
-func ScaleCampaignFull() (*ScaleResult, error) {
-	return ScaleCampaign([]ScaleConfig{
-		{Tasks: 1000, PEs: 16, Forks: 5},
-		{Tasks: 2000, PEs: 32, Forks: 4},
-		{Tasks: 5000, PEs: 64, Forks: 3},
-		{Tasks: 10000, PEs: 64, Forks: 3},
-	}, 45)
-}
-
 // ScaleCampaign measures, for each configuration, the cost of full
 // rescheduling versus warm-started rescheduling under a small-drift
 // workload: two adaptive managers (warm off / warm on, threshold 0 so every

@@ -21,7 +21,7 @@ type ExplainQuery struct {
 	// "alert_firing"); empty matches any decision kind.
 	Kind string
 	// Tenant restricts to events naming this serve tenant (tenant_panic,
-	// tenant_restart, checkpoint and restore carry it in Name).
+	// checkpoint and restore carry it in Name).
 	Tenant string
 }
 
@@ -63,7 +63,6 @@ var decisionKinds = map[telemetry.Kind]bool{
 	telemetry.KindAlertFiring:   true,
 	telemetry.KindAlertResolved: true,
 	telemetry.KindTenantPanic:   true,
-	telemetry.KindTenantRestart: true,
 	telemetry.KindCheckpoint:    true,
 	telemetry.KindRestore:       true,
 }
@@ -284,17 +283,8 @@ func describeEvent(e telemetry.Event) string {
 	case telemetry.KindRemap:
 		return fmt.Sprintf("re-mapped (%s) onto %d PEs", e.Reason, e.Alive)
 	case telemetry.KindTenantPanic:
-		return fmt.Sprintf("tenant %q worker panicked at instance %d (contained): %s (consecutive panic %d)",
-			e.Name, e.Instance, e.Reason, e.Level)
-	case telemetry.KindTenantRestart:
-		how := e.Reason
-		switch e.Reason {
-		case "panic_backoff":
-			how = fmt.Sprintf("after a contained panic, breaker backoff %.4gms", e.Value)
-		case "cancel_rebuild":
-			how = "after a deadline-cancelled step"
-		}
-		return fmt.Sprintf("tenant %q state rebuilt to instance %d %s", e.Name, e.Instance, how)
+		return fmt.Sprintf("tenant %q worker panicked at instance %d (contained): %s (consecutive panic %d, breaker backoff %.4gms)",
+			e.Name, e.Instance, e.Reason, e.Level, e.Value)
 	case telemetry.KindCheckpoint:
 		return fmt.Sprintf("tenant %q checkpointed at instance %d (call %d, digest %s)",
 			e.Name, e.Instance, e.Calls, e.Key)

@@ -201,8 +201,6 @@ func (a *AnalyzerRecorder) Record(e telemetry.Event) {
 		a.avail.observe(a, e)
 	case telemetry.KindTenantPanic:
 		a.note(e.Instance, "tenant_panic", "contained worker panic: "+e.Reason)
-	case telemetry.KindTenantRestart:
-		a.note(e.Instance, "tenant_restart", e.Reason)
 	case telemetry.KindRestore:
 		detail := "from latest snapshot"
 		if e.Reason == "fallback" {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"ctgdvfs/internal/ctg"
 )
@@ -59,31 +60,37 @@ func (s *Schedule) CopyInto(dst *Schedule) *Schedule {
 }
 
 // WarmState double-buffers the schedule copies of the warm-start path. Start
-// always copies the incumbent into the buffer the incumbent does *not*
+// always copies the incumbent into a buffer the incumbent does *not*
 // occupy, so a warm-started schedule handed to the runtime stays immutable
 // while the next warm start builds its successor — the same
 // never-mutate-a-published-schedule discipline the schedule cache relies on.
 type WarmState struct {
 	bufs [2]*Schedule
-	cur  int
 }
 
 // NewWarmState returns an empty warm-start buffer pair.
 func NewWarmState() *WarmState { return &WarmState{} }
 
-// Start copies the incumbent schedule into the alternate buffer and returns
+// Start copies the incumbent schedule into a buffer that holds neither the
+// incumbent nor any schedule in keep (one still published elsewhere, e.g.
+// the committed schedule while a step works on a staged one) and returns
 // it. The returned schedule shares the immutable graph/analysis/platform and
 // is safe to mutate (speeds) without touching the incumbent. After the first
-// two calls on one mapping, Start allocates nothing.
-func (w *WarmState) Start(incumbent *Schedule) *Schedule {
-	w.cur = 1 - w.cur
-	if w.bufs[w.cur] == incumbent {
-		// The caller handed us our own buffer out of order; take the other
-		// one rather than self-copying.
-		w.cur = 1 - w.cur
+// two calls on one mapping, Start allocates nothing. Two buffers suffice
+// while at most one published schedule besides the incumbent is a buffer;
+// Start panics otherwise.
+func (w *WarmState) Start(incumbent *Schedule, keep ...*Schedule) *Schedule {
+	i := 0
+	for ; i < len(w.bufs); i++ {
+		if b := w.bufs[i]; b == nil || (b != incumbent && !slices.Contains(keep, b)) {
+			break
+		}
 	}
-	w.bufs[w.cur] = incumbent.CopyInto(w.bufs[w.cur])
-	return w.bufs[w.cur]
+	if i == len(w.bufs) {
+		panic("sched: both warm-start buffers are published")
+	}
+	w.bufs[i] = incumbent.CopyInto(w.bufs[i])
+	return w.bufs[i]
 }
 
 // QuickValidate is the O(tasks + edges) consistency check of the warm-start

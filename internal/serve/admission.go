@@ -15,7 +15,7 @@ import (
 // the earliest moment a retry can possibly be admitted.
 type RejectionError struct {
 	Tenant     string
-	Code       string // "rate_limited", "queue_full", "breaker_open", "slo_shed", "tenant_failed"
+	Code       string // "rate_limited", "queue_full", "breaker_open", "slo_shed"
 	Status     int
 	RetryAfter time.Duration
 }
@@ -25,8 +25,9 @@ func (e *RejectionError) Error() string {
 }
 
 // PanicError reports a contained tenant-worker panic: the panicking request
-// failed, the tenant was marked degraded and restarted with backoff, and the
-// daemon (and every sibling tenant) kept running. Maps to HTTP 500.
+// failed and committed nothing, the tenant was marked degraded and its
+// breaker opened with a backoff, and the daemon (and every sibling tenant)
+// kept running. Maps to HTTP 500.
 type PanicError struct {
 	Tenant string
 	Value  string

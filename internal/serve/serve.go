@@ -5,13 +5,13 @@
 // Each tenant owns a single worker goroutine (core.Manager is single-caller
 // by contract), a bounded request queue, private admission state (token
 // bucket + circuit breaker), a private telemetry chain, and an append-only
-// decision log. The log is the tenant's source of truth: because the engine
-// is deterministic, replaying it rebuilds the exact manager state after a
-// contained panic, a deadline-cancelled step, or a daemon kill-restart
-// (checkpoint/restore). Admission control rejects with typed, retryable
-// errors before any engine state is touched, so an overloaded or failing
-// tenant degrades alone — the daemon and its siblings keep their schedules
-// and their latency.
+// decision log. A manager step is a transaction: a contained panic or a
+// deadline-cancelled step commits nothing, so the tenant simply goes on. The
+// log serves checkpoint/restore: because the engine is deterministic,
+// replaying it rebuilds the exact manager state after a daemon kill-restart.
+// Admission control rejects with typed, retryable errors before any engine
+// state is touched, so an overloaded or failing tenant degrades alone — the
+// daemon and its siblings keep their schedules and their latency.
 package serve
 
 import (
@@ -150,7 +150,6 @@ type serverMetrics struct {
 	rejShed         *telemetry.Counter
 	deadlineCancels *telemetry.Counter
 	panics          *telemetry.Counter
-	restarts        *telemetry.Counter
 	checkpoints     *telemetry.Counter
 	restores        *telemetry.Counter
 	tenantsGauge    *telemetry.Gauge
@@ -167,7 +166,6 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 		rejShed:         reg.Counter("serve.rejected_slo"),
 		deadlineCancels: reg.Counter("serve.deadline_cancels"),
 		panics:          reg.Counter("serve.panics"),
-		restarts:        reg.Counter("serve.restarts"),
 		checkpoints:     reg.Counter("serve.checkpoints"),
 		restores:        reg.Counter("serve.restores"),
 		tenantsGauge:    reg.Gauge("serve.tenants"),
@@ -472,9 +470,9 @@ func (s *Server) Step(ctx context.Context, name string, decisions []int, chaos C
 		return d.reply, d.err
 	case <-ctx.Done():
 		// The worker observes the same context: if it already started the
-		// step it cancels at the next pipeline checkpoint and rebuilds; if
-		// the request is still queued it refuses it on dequeue. Either way
-		// the buffered done channel never blocks it.
+		// step it cancels at the next pipeline checkpoint, committing
+		// nothing; if the request is still queued it refuses it on dequeue.
+		// Either way the buffered done channel never blocks it.
 		return StepReply{}, ctx.Err()
 	case <-t.stop:
 		// The tenant halted between enqueue and service (daemon shutdown or
@@ -559,7 +557,6 @@ type DaemonHealth struct {
 	Rejected        int64 `json:"rejected"`
 	DeadlineCancels int64 `json:"deadline_cancels"`
 	Panics          int64 `json:"panics"`
-	Restarts        int64 `json:"restarts"`
 	Checkpoints     int64 `json:"checkpoints"`
 	Restores        int64 `json:"restores"`
 }
@@ -573,7 +570,6 @@ func (s *Server) Health() DaemonHealth {
 		Steps:           s.metrics.steps.Value(),
 		DeadlineCancels: s.metrics.deadlineCancels.Value(),
 		Panics:          s.metrics.panics.Value(),
-		Restarts:        s.metrics.restarts.Value(),
 		Checkpoints:     s.metrics.checkpoints.Value(),
 		Restores:        s.metrics.restores.Value(),
 	}

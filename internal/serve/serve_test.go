@@ -229,12 +229,13 @@ func TestPanicIsContainedAndBreakerOpens(t *testing.T) {
 	}
 
 	st := s.Tenants()[0]
-	if st.Panics != 1 || st.Restarts != 1 {
-		t.Fatalf("want 1 panic + 1 restart, got %+v", st)
+	if st.Panics != 1 || st.Instances != 2 {
+		t.Fatalf("want 1 panic and 2 instances, got %+v", st)
 	}
 
 	// The panic is on the telemetry stream with provenance: a tenant_panic
-	// event carrying the panic value, and a tenant_restart caused by it.
+	// event carrying the panic value and the served backoff, caused by the
+	// last committed event (the initial reschedule: no step had run).
 	var buf bytes.Buffer
 	if err := s.DumpEvents("a", &buf); err != nil {
 		t.Fatalf("DumpEvents: %v", err)
@@ -243,24 +244,21 @@ func TestPanicIsContainedAndBreakerOpens(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadJSONL: %v", err)
 	}
-	var panicSeq uint64
-	var sawRestart bool
-	for _, e := range evs {
-		switch e.Kind {
-		case telemetry.KindTenantPanic:
-			if !strings.Contains(e.Reason, "boom") || e.Seq == 0 {
-				t.Fatalf("bad tenant_panic event: %+v", e)
-			}
-			panicSeq = e.Seq
-		case telemetry.KindTenantRestart:
-			if e.Cause != panicSeq || e.Reason != "panic_backoff" {
-				t.Fatalf("bad tenant_restart event: %+v", e)
-			}
-			sawRestart = true
+	var panics []telemetry.Event
+	for i, e := range evs {
+		if e.Kind != telemetry.KindTenantPanic {
+			continue
+		}
+		panics = append(panics, e)
+		if i == 0 || e.Cause != evs[i-1].Seq || evs[i-1].Kind != telemetry.KindReschedule {
+			t.Fatalf("tenant_panic does not name the last committed event: %+v", e)
 		}
 	}
-	if panicSeq == 0 || !sawRestart {
-		t.Fatalf("missing tenant_panic/tenant_restart events in %d events", len(evs))
+	if len(panics) != 1 {
+		t.Fatalf("%d tenant_panic events, want 1", len(panics))
+	}
+	if e := panics[0]; !strings.Contains(e.Reason, "boom") || e.Seq == 0 || e.Value <= 0 {
+		t.Fatalf("bad tenant_panic event: %+v", e)
 	}
 }
 
@@ -343,8 +341,13 @@ func (c *fakeCtx) Done() <-chan struct{}       { return nil }
 func (c *fakeCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
 func (c *fakeCtx) Value(any) any               { return nil }
 
-func TestDeadlineCancelMidStepRebuilds(t *testing.T) {
-	s := mustServer(t, Options{})
+// TestDeadlineCancelLeavesNoTrace cancels a step mid-pipeline and retries
+// it: the cancelled attempt commits nothing, so the live stream holds exactly
+// one instance_start and one instance_finish per instance, and the replies
+// and digest match an undisturbed daemon's.
+func TestDeadlineCancelLeavesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	s := mustServer(t, Options{EventsDir: dir})
 	base := mustServer(t, Options{})
 	mustCreate(t, s, mpegSpec("a"))
 	mustCreate(t, base, mpegSpec("a"))
@@ -369,24 +372,9 @@ func TestDeadlineCancelMidStepRebuilds(t *testing.T) {
 	if fc.polls <= fc.fuse {
 		t.Fatalf("context was never polled past the fuse (%d polls)", fc.polls)
 	}
-	// The rebuild left a provenance trail (checked now, before further steps
-	// rotate it out of the flight-recorder window).
-	var buf bytes.Buffer
-	s.DumpEvents("a", &buf)
-	evs, _ := telemetry.ReadJSONL(&buf)
-	sawRebuild := false
-	for _, e := range evs {
-		if e.Kind == telemetry.KindTenantRestart && e.Reason == "cancel_rebuild" {
-			sawRebuild = true
-		}
-	}
-	if !sawRebuild {
-		t.Fatal("no tenant_restart/cancel_rebuild event recorded")
-	}
 
-	// The cancelled step must not have committed, and the rebuild must leave
-	// the tenant exactly where it was: continuing with the same vectors
-	// yields bit-for-bit the baseline's replies and final digest.
+	// Retrying the same vector and continuing yields bit-for-bit the
+	// baseline's replies and final digest.
 	for i, v := range vecs[10:] {
 		got, err := s.Step(ctx, "a", v, ChaosSpec{})
 		if err != nil {
@@ -403,7 +391,27 @@ func TestDeadlineCancelMidStepRebuilds(t *testing.T) {
 	gs, _ := s.Schedule("a")
 	ws, _ := base.Schedule("a")
 	if gs.Digest != ws.Digest {
-		t.Fatalf("digest after cancel-rebuild %s != baseline %s", gs.Digest, ws.Digest)
+		t.Fatalf("digest after the cancelled step %s != baseline %s", gs.Digest, ws.Digest)
+	}
+
+	s.Close()
+	starts, finishes := map[int]int{}, map[int]int{}
+	for _, e := range readStream(t, filepath.Join(dir, "a.events.jsonl")) {
+		switch e.Kind {
+		case telemetry.KindInstanceStart:
+			starts[e.Instance]++
+		case telemetry.KindInstanceFinish:
+			finishes[e.Instance]++
+		}
+	}
+	for i := range vecs {
+		if starts[i] != 1 || finishes[i] != 1 {
+			t.Fatalf("instance %d: %d instance_start and %d instance_finish events, want 1 each",
+				i, starts[i], finishes[i])
+		}
+	}
+	if len(starts) != len(vecs) || len(finishes) != len(vecs) {
+		t.Fatalf("stream covers %d/%d instances, want %d", len(starts), len(finishes), len(vecs))
 	}
 }
 
@@ -416,7 +424,7 @@ func TestExpiredContextRefusedCleanly(t *testing.T) {
 	if _, err := s.Step(ctx, "a", vecs[0], ChaosSpec{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if st := s.Tenants()[0]; st.Instances != 0 || st.Restarts != 0 {
+	if st := s.Tenants()[0]; st.Instances != 0 || st.Steps != 0 {
 		t.Fatalf("clean refusal must not touch state: %+v", st)
 	}
 }
@@ -840,9 +848,9 @@ func meanAllocs(runs int, f func()) float64 {
 // controls: adaptive.instances < 5 fires from the first step until the
 // fifth. While it fires, steps get 503 slo_shed except one probe per
 // BaseBackoff; once the probes carry the rule to resolution, normal admission
-// resumes. A contained panic rebuilds the tenant without changing its digest
-// or its shedding state, and the rule's firing and resolution each land in
-// the tenant's event stream once.
+// resumes. A contained panic changes neither the tenant's digest nor its
+// shedding state, and the rule's firing and resolution each land in the
+// tenant's event stream once.
 func TestShedRulesProbeAndResume(t *testing.T) {
 	now := time.Unix(1000, 0)
 	const base = 100 * time.Millisecond
@@ -885,10 +893,10 @@ func TestShedRulesProbeAndResume(t *testing.T) {
 	}
 	after, _ := s.Schedule("a")
 	if after.Digest != before.Digest {
-		t.Fatalf("panic rebuild changed the digest: %s -> %s", before.Digest, after.Digest)
+		t.Fatalf("contained panic changed the digest: %s -> %s", before.Digest, after.Digest)
 	}
 	if !s.tenants["a"].shedding.Load() {
-		t.Fatal("panic rebuild cleared the shedding state")
+		t.Fatal("contained panic cleared the shedding state")
 	}
 	now = now.Add(2 * base) // past the breaker's backoff
 	admitted()              // instance 2: breaker and shed probe in one
@@ -987,16 +995,14 @@ func initialReschedules(evs []telemetry.Event) int {
 	return n
 }
 
-// TestReplayGateCoversRebuiltManager pins the replay gate: a cancel rebuild,
-// a panic rebuild and a restore each build a fresh manager whose initial
-// schedule is not news, so the gate is off from the build on. The live
-// stream holds exactly one initial reschedule, a restored stream none (its
-// restore event comes first), and the digests match an undisturbed run.
+// TestReplayGateCoversRebuiltManager pins the replay gate: a restore builds
+// a fresh manager whose initial schedule is not news, so the gate is off
+// from the build on. The live stream holds exactly one initial reschedule, a
+// restored stream none (its restore event comes first), and the digests
+// match an undisturbed run.
 func TestReplayGateCoversRebuiltManager(t *testing.T) {
 	evDir, ckDir := t.TempDir(), t.TempDir()
-	now := time.Unix(1000, 0)
-	s := mustServer(t, Options{Chaos: true, EventsDir: evDir, CheckpointDir: ckDir,
-		Now: func() time.Time { return now }})
+	s := mustServer(t, Options{EventsDir: evDir, CheckpointDir: ckDir})
 	base := mustServer(t, Options{})
 	mustCreate(t, s, mpegSpec("a"))
 	mustCreate(t, base, mpegSpec("a"))
@@ -1021,37 +1027,16 @@ func TestReplayGateCoversRebuiltManager(t *testing.T) {
 		}
 	}
 
-	stepBoth(s, vecs[:5])
-	if _, err := s.Step(&fakeCtx{fuse: 4}, "a", vecs[5], ChaosSpec{}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want DeadlineExceeded, got %v", err)
-	}
-	if _, err := s.Step(ctx, "a", vecs[5], ChaosSpec{Panic: "gate"}); !isPanicErr(err) {
-		t.Fatalf("want PanicError, got %v", err)
-	}
-	now = now.Add(10 * time.Second) // let the backoff expire
-	stepBoth(s, vecs[5:8])
-	sameDigest(s)
-
+	stepBoth(s, vecs[:8])
 	path := filepath.Join(evDir, "a.events.jsonl")
-	evs := readStream(t, path)
-	if n := initialReschedules(evs); n != 1 {
+	s.Close() // final checkpoint at instance 8
+	if n := initialReschedules(readStream(t, path)); n != 1 {
 		t.Fatalf("live stream holds %d initial reschedules, want 1", n)
 	}
-	restarts := map[string]bool{}
-	for _, e := range evs {
-		if e.Kind == telemetry.KindTenantRestart {
-			restarts[e.Reason] = true
-		}
-	}
-	if !restarts["cancel_rebuild"] || !restarts["panic_backoff"] {
-		t.Fatalf("rebuilds not on the stream: %v", restarts)
-	}
-
-	s.Close() // final checkpoint at instance 8
 	s2 := mustServer(t, Options{EventsDir: evDir, CheckpointDir: ckDir})
 	stepBoth(s2, vecs[8:])
 	sameDigest(s2)
-	evs = readStream(t, path)
+	evs := readStream(t, path)
 	if len(evs) == 0 || evs[0].Kind != telemetry.KindRestore || evs[0].Instance != 8 {
 		t.Fatalf("restored stream does not open with its restore event: %+v", evs[:min(len(evs), 3)])
 	}
@@ -1060,11 +1045,55 @@ func TestReplayGateCoversRebuiltManager(t *testing.T) {
 	}
 }
 
+// TestAlertProvenanceAcrossPanic arms a shed rule that fires from the first
+// step until the fifth and panics the tenant at step 3: the panic rebuilds
+// nothing, so the rule's state is the live one and every alert_resolved
+// names as its Cause an alert_firing that is on the live stream.
+func TestAlertProvenanceAcrossPanic(t *testing.T) {
+	dir := t.TempDir()
+	now := time.Unix(1000, 0)
+	// A 1ns backoff paces nothing: each step takes far longer.
+	s := mustServer(t, Options{Chaos: true, EventsDir: dir, BaseBackoff: time.Nanosecond,
+		Now:       func() time.Time { return now },
+		ShedRules: []series.Rule{{Name: "warming-up", Metric: "adaptive.instances", Op: "<", Value: 5}}})
+	mustCreate(t, s, mpegSpec("a"))
+	ctx := context.Background()
+	for i, v := range testVectors(t, 8) {
+		now = now.Add(time.Second) // past any breaker backoff
+		if i == 3 {
+			if _, err := s.Step(ctx, "a", v, ChaosSpec{Panic: "alert"}); !isPanicErr(err) {
+				t.Fatalf("want PanicError, got %v", err)
+			}
+			now = now.Add(time.Minute)
+		}
+		if _, err := s.Step(ctx, "a", v, ChaosSpec{}); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	s.Close()
+	evs := readStream(t, filepath.Join(dir, "a.events.jsonl"))
+	kinds := map[uint64]telemetry.Kind{}
+	resolved := 0
+	for _, e := range evs {
+		kinds[e.Seq] = e.Kind
+		if e.Kind != telemetry.KindAlertResolved {
+			continue
+		}
+		resolved++
+		if kinds[e.Cause] != telemetry.KindAlertFiring {
+			t.Fatalf("alert_resolved seq %d names cause %d, not an alert_firing on the live stream", e.Seq, e.Cause)
+		}
+	}
+	if resolved != 1 {
+		t.Fatalf("%d alert_resolved events, want 1", resolved)
+	}
+}
+
 // TestExplainFlightWindow explains a drift reschedule from the daemon's own
 // output: the flight-recorder window served at GET /v1/tenants/{name}/events,
-// read with telemetry.ReadJSONL. After a contained panic rebuilt the tenant,
-// the last reschedule in the window is still the last drift decision, and
-// its chain resolves through its window_estimate to its instance_start.
+// read with telemetry.ReadJSONL. After a contained panic, the last
+// reschedule in the window is still the last drift decision, and its chain
+// resolves through its window_estimate to its instance_start.
 func TestExplainFlightWindow(t *testing.T) {
 	now := time.Unix(1000, 0)
 	s := mustServer(t, Options{Chaos: true, Now: func() time.Time { return now }})

@@ -16,12 +16,11 @@ import (
 )
 
 // gateRecorder forwards events to its sink chain unless switched off. The
-// daemon gates a tenant's stream off while replaying its decision log (restore
-// after a crash, rebuild after a panic or a cancelled step): the replayed
-// steps re-emit thousands of events that were already recorded the first time
-// around, and delivering them again would corrupt every downstream consumer's
-// notion of what happened. Toggled and read only under the owning tenant's
-// state lock.
+// daemon gates a tenant's stream off while checkpoint restore replays its
+// decision log: the replayed steps re-emit thousands of events that were
+// already recorded the first time around, and delivering them again would
+// corrupt every downstream consumer's notion of what happened. Toggled and
+// read only under the owning tenant's state lock.
 type gateRecorder struct {
 	next telemetry.Recorder
 	off  bool
@@ -33,9 +32,8 @@ func (g *gateRecorder) Record(e telemetry.Event) {
 	}
 }
 
-// tailRecorder remembers the last event that passed the gate, so serve-layer
-// events (tenant_panic, tenant_restart) can name the step they interrupted as
-// their Cause.
+// tailRecorder remembers the last event that passed the gate, so a
+// tenant_panic can name the last committed event as its Cause.
 type tailRecorder struct {
 	last telemetry.Event
 	n    int
@@ -91,7 +89,9 @@ type stepReq struct {
 // tenant is one hosted manager plus everything that isolates it from its
 // siblings: a private worker goroutine and queue, private admission state
 // (token bucket + circuit breaker), a private telemetry chain, and a private
-// decision log that makes its state rebuildable at any moment.
+// decision log that checkpoints carry and restore replays. A failed,
+// cancelled or panicking step commits nothing in the manager, so the log
+// only ever grows by committed steps and nothing else is rebuilt.
 //
 // Lock order: stMu may be taken alone or before admMu; admMu is never held
 // while taking stMu.
@@ -131,11 +131,10 @@ type tenant struct {
 	sinks        telemetry.MultiRecorder // post-gate sinks; serve events bypass the gate
 	flight       *telemetry.FlightRecorder
 	events       *telemetry.JSONLRecorder // nil unless Options.EventsDir
-	status       string                   // "ok", "degraded", "failed"
+	status       string                   // "ok", "degraded"
 	consecPanics int
 	steps        int
 	panics       int
-	restarts     int
 	checkpoints  int
 	restored     bool
 	restoredFrom string // "", "ok", "fallback"
@@ -283,8 +282,8 @@ func (t *tenant) handle(req *stepReq) {
 	t.admMu.Unlock()
 	// Drain the event stream's write buffer after every request so a later
 	// kill -9 loses at most the in-flight step's events — in particular,
-	// tenant_panic and tenant_restart records are durable the moment the
-	// caller sees the outcome. JSONLRecorder.Flush is self-locking.
+	// tenant_panic records are durable the moment the caller sees the
+	// outcome. JSONLRecorder.Flush is self-locking.
 	if t.events != nil {
 		t.events.Flush()
 	}
@@ -293,8 +292,8 @@ func (t *tenant) handle(req *stepReq) {
 
 // step processes one instance on the worker goroutine.
 func (t *tenant) step(req *stepReq) (StepReply, error) {
-	// A request whose deadline expired while queued is refused cleanly: no
-	// engine state was touched, so no rebuild is needed.
+	// A request whose deadline expired while queued is refused before it
+	// reaches the manager.
 	if err := req.ctx.Err(); err != nil {
 		t.srv.metrics.deadlineCancels.Inc()
 		return StepReply{}, err
@@ -309,20 +308,13 @@ func (t *tenant) step(req *stepReq) (StepReply, error) {
 	}
 	t.stMu.Lock()
 	defer t.stMu.Unlock()
-	if t.status == "failed" {
-		return StepReply{}, &RejectionError{Tenant: t.name, Code: "tenant_failed",
-			Status: 503}
-	}
 	idx := len(t.log)
 	res, err := t.mgr.StepCtx(req.ctx, req.decisions)
 	if err != nil {
+		// The step committed nothing: the manager, its store and the
+		// event stream are as the last committed step left them.
 		if isCtxErr(err) {
-			// The estimator observed this step's decisions before the
-			// pipeline was cancelled, leaving the manager mid-instance.
-			// Rebuild deterministically from the decision log so the next
-			// admitted step sees exactly the pre-cancellation state.
 			t.srv.metrics.deadlineCancels.Inc()
-			t.recoverLocked("cancel_rebuild", t.tail.lastSeq(), 0)
 			return StepReply{}, err
 		}
 		return StepReply{}, clientErrorf("step: %v", err)
@@ -353,9 +345,12 @@ func (t *tenant) step(req *stepReq) (StepReply, error) {
 }
 
 // containPanic is the isolation boundary: the panicking request fails, the
-// tenant is marked degraded, its breaker opens with an escalating backoff,
-// and its engine state is rebuilt from the decision log — the daemon and
-// every sibling tenant never notice.
+// tenant is marked degraded and its breaker opens with an escalating backoff
+// — the daemon and every sibling tenant never notice. A panic inside the
+// manager unwound through its step's abort, so the engine state is the last
+// committed step's and nothing is rebuilt. The tenant_panic event carries
+// the backoff in Value (milliseconds) and names the last committed event as
+// its Cause.
 func (t *tenant) containPanic(r any) error {
 	val := fmt.Sprint(r)
 	t.srv.metrics.panics.Inc()
@@ -364,48 +359,24 @@ func (t *tenant) containPanic(r any) error {
 	t.consecPanics++
 	t.panics++
 	t.status = "degraded"
-	cause := t.tail.lastSeq()
-	panicSeq := t.seq.Next()
+	t.admMu.Lock()
+	backoff := t.brk.open(t.srv.now(), t.srv.opts.BaseBackoff, t.srv.opts.MaxBackoff, t.rng)
+	t.admMu.Unlock()
 	t.emitLocked(telemetry.Event{
 		Kind:     telemetry.KindTenantPanic,
-		Seq:      panicSeq,
-		Cause:    cause,
+		Seq:      t.seq.Next(),
+		Cause:    t.tail.lastSeq(),
 		Instance: len(t.log),
 		Name:     t.name,
 		Reason:   val,
 		Level:    t.consecPanics,
+		Value:    float64(backoff.Milliseconds()),
 	})
-	t.admMu.Lock()
-	backoff := t.brk.open(t.srv.now(), t.srv.opts.BaseBackoff, t.srv.opts.MaxBackoff, t.rng)
-	t.admMu.Unlock()
-	t.recoverLocked("panic_backoff", panicSeq, backoff)
 	return &PanicError{Tenant: t.name, Value: val}
 }
 
-// recoverLocked rebuilds the tenant's engine state by replaying the decision
-// log with the telemetry gate off, then emits the tenant_restart event. A
-// rebuild failure (it should be impossible: the log replayed fine once)
-// permanently fails the tenant rather than serving undefined state.
-func (t *tenant) recoverLocked(reason string, cause uint64, backoff time.Duration) {
-	if err := t.rebuildLocked(t.log); err != nil {
-		t.status = "failed"
-		return
-	}
-	t.restarts++
-	t.srv.metrics.restarts.Inc()
-	t.emitLocked(telemetry.Event{
-		Kind:     telemetry.KindTenantRestart,
-		Seq:      t.seq.Next(),
-		Cause:    cause,
-		Instance: len(t.log),
-		Name:     t.name,
-		Reason:   reason,
-		Value:    float64(backoff.Milliseconds()),
-	})
-}
-
 // rebuildLocked replaces the manager with a fresh one fast-forwarded through
-// log. The gate stays off from the fresh manager's initial schedule to the
+// log; checkpoint restore is its one caller. The gate stays off from the fresh manager's initial schedule to the
 // end of the replay, so already-recorded events are not re-delivered; the
 // shared sequencer keeps advancing, so post-replay events never collide with
 // pre-rebuild seqs.
@@ -517,14 +488,13 @@ func (t *tenant) probeFailed() {
 // TenantStatus is the externally visible state of one tenant.
 type TenantStatus struct {
 	Name         string `json:"name"`
-	Status       string `json:"status"` // "ok", "degraded", "failed"
+	Status       string `json:"status"` // "ok", "degraded"
 	Breaker      string `json:"breaker"`
 	Instances    int    `json:"instances"`
 	Calls        int    `json:"calls"`
 	GuardLevel   int    `json:"guard_level"`
 	Steps        int    `json:"steps"`
 	Panics       int    `json:"panics"`
-	Restarts     int    `json:"restarts"`
 	Checkpoints  int    `json:"checkpoints"`
 	Restored     bool   `json:"restored,omitempty"`
 	RestoredFrom string `json:"restored_from,omitempty"`
@@ -550,7 +520,6 @@ func (t *tenant) statusSnapshot() TenantStatus {
 		GuardLevel:   t.mgr.GuardLevel(),
 		Steps:        t.steps,
 		Panics:       t.panics,
-		Restarts:     t.restarts,
 		Checkpoints:  t.checkpoints,
 		Restored:     t.restored,
 		RestoredFrom: t.restoredFrom,

@@ -88,18 +88,10 @@ const (
 	// KindTenantPanic is one contained tenant-worker panic in the serving
 	// daemon (internal/serve): Instance (the tenant's instance count when it
 	// panicked), Name (tenant), Reason (the recovered panic value), Level
-	// (consecutive panic count), Cause (the last event the tenant's stream
-	// recorded before the panic — typically the instance_start of the
-	// panicking step).
+	// (consecutive panic count), Value (the breaker backoff served, in
+	// milliseconds), Cause (the last committed event on the tenant's stream:
+	// a panicking step records nothing).
 	KindTenantPanic Kind = "tenant_panic"
-	// KindTenantRestart is one tenant-worker restart after a contained
-	// failure: Instance (the instance count the rebuilt state replayed to),
-	// Name (tenant), Reason ("panic_backoff" after a panic, "cancel_rebuild"
-	// after a deadline-cancelled step left the estimator mid-instance),
-	// Value (the backoff that was served, in milliseconds), Cause (the
-	// tenant_panic — or the last pre-cancellation event — being recovered
-	// from).
-	KindTenantRestart Kind = "tenant_restart"
 	// KindCheckpoint is one atomic tenant-state snapshot written by the
 	// daemon: Instance (instances captured), Name (tenant), Calls
 	// (reschedule calls captured), Key (hex schedule digest the restore must
