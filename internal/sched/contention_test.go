@@ -55,9 +55,17 @@ func TestCommAwareSerializesLinkTransfers(t *testing.T) {
 	if cs[0] != 10 || cs[1] != 20 {
 		t.Fatalf("contention-aware transfer starts = %v, want [10 20]", cs)
 	}
-	order := s.LinkOrder[[2]int{0, 1}]
-	if len(order) != 2 {
-		t.Fatalf("link order has %d transfers, want 2", len(order))
+	onLink := 0
+	for _, d := range s.Plan {
+		if d.Comm {
+			e := s.G.Edge(int(d.ID))
+			if s.PE[e.From] == 0 && s.PE[e.To] == 1 {
+				onLink++
+			}
+		}
+	}
+	if onLink != 2 {
+		t.Fatalf("dispatch plan has %d transfers on link 0->1, want 2", onLink)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
@@ -128,40 +136,68 @@ func TestValidateSizesMismatch(t *testing.T) {
 	}
 }
 
-func TestLinkOrderMatchesCommStarts(t *testing.T) {
-	// The transfers recorded per link must be sorted by their scheduled
-	// start times on every random workload.
-	for seed := int64(0); seed < 15; seed++ {
-		g, p, err := tgff.Generate(tgff.Config{
-			Seed: 4100 + seed, Nodes: 18, PEs: 3, Branches: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := ctg.Analyze(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := DLS(a, p, Modified())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for link, edges := range s.LinkOrder {
-			prev := -1.0
-			for _, ei := range edges {
-				e := s.G.Edge(ei)
-				if s.PE[e.From] != link[0] || s.PE[e.To] != link[1] {
-					t.Fatalf("seed %d: edge %d on wrong link %v", seed, ei, link)
+// TestPlanCoversScheduleInKeyOrder pins the dispatch plan DLS publishes:
+// every task exactly once, every cross-PE transfer exactly once, no local
+// edge, each entry carrying its nominal start, and the entries sorted on the
+// dispatch key (start, transfers first, ID) on every random workload.
+func TestPlanCoversScheduleInKeyOrder(t *testing.T) {
+	for _, cat := range []tgff.Category{tgff.ForkJoin, tgff.Flat} {
+		for seed := int64(0); seed < 15; seed++ {
+			g, p, err := tgff.Generate(tgff.Config{
+				Seed: 4100 + seed, Nodes: 18, PEs: 3, Branches: 2, Category: cat,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := ctg.Analyze(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := DLS(a, p, Modified())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tasks := make([]int, g.NumTasks())
+			edges := make([]int, g.NumEdges())
+			for i, d := range s.Plan {
+				if i > 0 && dispatchLess(s.Plan[i-1], d) >= 0 {
+					t.Fatalf("cat %v seed %d: plan entries %d and %d out of key order: %+v, %+v",
+						cat, seed, i-1, i, s.Plan[i-1], d)
 				}
-				cs := s.CommStart[ei]
-				if cs == LocalComm {
-					t.Fatalf("seed %d: local edge %d in link order", seed, ei)
+				if !d.Comm {
+					tasks[d.ID]++
+					if d.Start != s.Start[d.ID] {
+						t.Fatalf("cat %v seed %d: task %d planned at %v, starts at %v",
+							cat, seed, d.ID, d.Start, s.Start[d.ID])
+					}
+					continue
 				}
-				if cs < prev {
-					t.Fatalf("seed %d link %v: transfer starts unordered (%v after %v)",
-						seed, link, cs, prev)
+				edges[d.ID]++
+				if d.Start != s.CommStart[d.ID] {
+					t.Fatalf("cat %v seed %d: edge %d planned at %v, transfers at %v",
+						cat, seed, d.ID, d.Start, s.CommStart[d.ID])
 				}
-				prev = cs
+			}
+			for task, n := range tasks {
+				if n != 1 {
+					t.Fatalf("cat %v seed %d: task %d appears %d times in the plan", cat, seed, task, n)
+				}
+			}
+			cross := 0
+			for ei, n := range edges {
+				want := 1
+				if s.CommStart[ei] == LocalComm {
+					want = 0
+				} else {
+					cross++
+				}
+				if n != want {
+					t.Fatalf("cat %v seed %d: edge %d (comm start %v) appears %d times, want %d",
+						cat, seed, ei, s.CommStart[ei], n, want)
+				}
+			}
+			if cross == 0 {
+				t.Fatalf("cat %v seed %d: no cross-PE transfer; the workload tests nothing", cat, seed)
 			}
 		}
 	}

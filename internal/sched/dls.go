@@ -177,7 +177,6 @@ func DLSInto(a *ctg.Analysis, p *platform.Platform, opts Options, ws *Workspace)
 		Start:     make([]float64, n),
 		Speed:     make([]float64, n),
 		CommStart: make([]float64, g.NumEdges()),
-		LinkOrder: make(map[[2]int][]int),
 	}
 	for t := range s.Speed {
 		s.Speed[t] = 1
@@ -322,7 +321,6 @@ func DLSInto(a *ctg.Analysis, p *platform.Platform, opts Options, ws *Workspace)
 		peTL[bestPE].add(bestAT, p.WCET(int(t), bestPE), scenOf(t))
 		for _, cp := range ws.bestPlans {
 			s.CommStart[cp.edge] = cp.start
-			s.LinkOrder[cp.link] = append(s.LinkOrder[cp.link], cp.edge)
 			tlFor(cp.link[0], cp.link[1]).add(cp.start, cp.dur, cp.scen)
 		}
 		s.Order = append(s.Order, t)
@@ -349,7 +347,7 @@ func DLSInto(a *ctg.Analysis, p *platform.Platform, opts Options, ws *Workspace)
 		}
 	}
 	s.sortPEOrder()
-	s.sortLinkOrder()
+	s.buildPlan()
 	s.InjectPseudoEdges()
 	return s, nil
 }

@@ -20,10 +20,11 @@ import (
 // by a masked stretch.Heuristic pass (stretch.Options.Affected).
 
 // CopyInto deep-copies s into dst, reusing dst's backing storage where the
-// capacity allows. dst may be nil (a fresh Schedule is allocated). When dst
-// was last used for a schedule of the same shape — the steady state of the
-// warm-start loop, which alternates between two buffers of one mapping — the
-// copy allocates nothing.
+// capacity allows; the immutable dispatch plan is shared, not copied. dst
+// may be nil (a fresh Schedule is allocated). When dst was last used for a
+// schedule of the same shape — the steady state of the warm-start loop,
+// which alternates between two buffers of one mapping — the copy allocates
+// nothing.
 func (s *Schedule) CopyInto(dst *Schedule) *Schedule {
 	if dst == nil {
 		dst = &Schedule{}
@@ -41,19 +42,7 @@ func (s *Schedule) CopyInto(dst *Schedule) *Schedule {
 		dst.PEOrder[pe] = append(dst.PEOrder[pe][:0], s.PEOrder[pe]...)
 	}
 	dst.CommStart = append(dst.CommStart[:0], s.CommStart...)
-	if dst.LinkOrder == nil {
-		dst.LinkOrder = make(map[[2]int][]int, len(s.LinkOrder))
-	}
-	for k, v := range dst.LinkOrder {
-		if _, ok := s.LinkOrder[k]; !ok {
-			delete(dst.LinkOrder, k)
-		} else {
-			dst.LinkOrder[k] = v[:0]
-		}
-	}
-	for k, v := range s.LinkOrder {
-		dst.LinkOrder[k] = append(dst.LinkOrder[k][:0], v...)
-	}
+	dst.Plan = s.Plan // immutable, shared (see Schedule.Plan)
 	dst.Pseudo = append(dst.Pseudo[:0], s.Pseudo...)
 	dst.Makespan = s.Makespan
 	return dst

@@ -262,6 +262,35 @@ func TestPanicIsContainedAndBreakerOpens(t *testing.T) {
 	}
 }
 
+// TestClientErrorProbeReleasesBreaker pins the half-open probe bookkeeping:
+// a probe that ends in a client error (a malformed step, 400) must hand its
+// slot back, so the next well-formed step is served instead of being
+// rejected breaker_open for good.
+func TestClientErrorProbeReleasesBreaker(t *testing.T) {
+	now := time.Unix(1000, 0)
+	s := mustServer(t, Options{Chaos: true, BaseBackoff: 100 * time.Millisecond,
+		Now: func() time.Time { return now }})
+	mustCreate(t, s, mpegSpec("a"))
+	vecs := testVectors(t, 2)
+	ctx := context.Background()
+
+	if _, err := s.Step(ctx, "a", vecs[0], ChaosSpec{Panic: "boom"}); !isPanicErr(err) {
+		t.Fatalf("want PanicError, got %v", err)
+	}
+	now = now.Add(time.Second) // the backoff expires: the next step is the probe
+	if _, err := s.Step(ctx, "a", []int{}, ChaosSpec{}); !isClientErr(err) {
+		t.Fatalf("probe with no decisions: want a client error, got %v", err)
+	}
+	for i, v := range vecs {
+		if _, err := s.Step(ctx, "a", v, ChaosSpec{}); err != nil {
+			t.Fatalf("well-formed step %d after the failed probe: %v", i, err)
+		}
+	}
+	if st := s.Tenants()[0]; st.Instances != 2 || st.Breaker != "closed" {
+		t.Fatalf("want 2 instances and a closed breaker, got %+v", st)
+	}
+}
+
 // TestPanicIsolationAcrossTenants drives a victim tenant to repeated panics
 // while a sibling processes the same workload as an undisturbed baseline; the
 // sibling's replies must be bit-for-bit identical and the victim's state must

@@ -272,7 +272,10 @@ func (t *tenant) handle(req *stepReq) {
 	case d.err == nil:
 		t.brk.onSuccess()
 	case isClientErr(d.err):
-		// Malformed input is the caller's fault, not tenant ill-health.
+		// Malformed input is the caller's fault, not tenant ill-health;
+		// a half-open probe it used up goes back, or no later step would
+		// ever be admitted.
+		t.releaseProbeLocked()
 	case isPanicErr(d.err):
 		// containPanic already opened the breaker with its own backoff.
 	default:

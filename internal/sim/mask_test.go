@@ -25,19 +25,35 @@ func TestReplayRefusesMaskedHardware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := uniformPlatform(t, 2, 2, 5, 1)
-	// Force a cross-PE placement so the schedule uses both a PE and a link.
+	// WCETs that make each task run 200x faster on its own PE force DLS
+	// into a cross-PE placement, so the schedule (and its dispatch plan)
+	// uses both a PE and a link.
+	pb := platform.NewBuilder(2, 2)
+	pb.SetTask(0, []float64{5, 1000}, []float64{1, 1})
+	pb.SetTask(1, []float64{1000, 5}, []float64{1, 1})
+	pb.SetAllLinks(1, 0.1)
+	p, err := pb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := sched.DLS(a, p, sched.Modified())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.PE[0], s.PE[1] = 0, 1
-	s.Start[1] = s.Start[0] + p.WCET(0, 0) + p.CommTime(10, 0, 1)
-	s.CommStart[0] = s.Start[0] + p.WCET(0, 0)
-	s.LinkOrder = map[[2]int][]int{{0, 1}: {0}}
-	s.Order = []ctg.TaskID{0, 1}
+	if s.PE[0] != 0 || s.PE[1] != 1 || s.CommStart[0] == sched.LocalComm {
+		t.Fatalf("fixture placed tasks on PEs %v with comm start %v; want 0->1 over the link",
+			s.PE, s.CommStart[0])
+	}
 	if _, err := Replay(s, 0, Config{}); err != nil {
 		t.Fatalf("healthy replay failed: %v", err)
+	}
+
+	// A schedule without a dispatch plan is refused, not replayed as an
+	// empty timeline that trivially meets the deadline.
+	bare := *s
+	bare.Plan = nil
+	if _, err := Replay(&bare, 0, Config{}); err == nil || !strings.Contains(err.Error(), "no dispatch plan") {
+		t.Fatalf("replay without a plan: err = %v, want no-plan refusal", err)
 	}
 
 	deadPE := platform.FullMask(2)

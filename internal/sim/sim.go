@@ -24,7 +24,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"ctgdvfs/internal/ctg"
 	"ctgdvfs/internal/par"
@@ -69,52 +68,79 @@ type Instance struct {
 
 // Replay executes the schedule under the given leaf scenario. The zero
 // Config is the paper's runtime model; its fields enable the optional
-// runtime-fidelity features (see Config).
+// runtime-fidelity features (see Config). A schedule without a dispatch
+// plan (one sched.DLS did not build) or one that uses masked-out hardware
+// is refused with an error.
 func Replay(s *sched.Schedule, scenario int, cfg Config) (Instance, error) {
 	if scenario < 0 || scenario >= s.A.NumScenarios() {
 		return Instance{}, fmt.Errorf("sim: scenario %d out of range", scenario)
 	}
+	acts, err := activeDispatches(s, scenario)
+	if err != nil {
+		return Instance{}, err
+	}
+	return replayOrder(s, scenario, cfg, acts), nil
+}
+
+// activeDispatches filters the schedule's dispatch plan down to the tasks
+// and transfers active in the scenario. The plan is sorted on a total order,
+// so the filtered list is the scenario's activities in that same order.
+func activeDispatches(s *sched.Schedule, scenario int) ([]sched.Dispatch, error) {
+	// Every plan holds every task; a shorter one was never built (or was
+	// lost), and walking it would "meet" the deadline with nothing run.
+	if len(s.Plan) < s.G.NumTasks() {
+		return nil, fmt.Errorf("sim: schedule has no dispatch plan (%d entries for %d tasks)",
+			len(s.Plan), s.G.NumTasks())
+	}
+	active := s.A.Scenario(scenario).Active
+	acts := make([]sched.Dispatch, 0, len(s.Plan))
+	// On a restricted platform the dispatcher refuses masked-out hardware: a
+	// schedule that places an active task on a dead PE, or routes an active
+	// transfer over a down link, is a scheduler bug, caught here at replay
+	// rather than silently "executing" on hardware that no longer exists.
+	// The lowest offending task, else the lowest offending edge, is named.
+	deadTask, downEdge := -1, -1
+	for _, d := range s.Plan {
+		id := int(d.ID)
+		if !d.Comm {
+			if !active.Get(id) {
+				continue
+			}
+			if !s.P.PEAlive(s.PE[id]) && (deadTask < 0 || id < deadTask) {
+				deadTask = id
+			}
+			acts = append(acts, d)
+			continue
+		}
+		e := s.G.Edge(id)
+		if !active.Get(int(e.From)) || !active.Get(int(e.To)) {
+			continue
+		}
+		if !s.P.LinkUp(s.PE[e.From], s.PE[e.To]) && (downEdge < 0 || id < downEdge) {
+			downEdge = id
+		}
+		acts = append(acts, d)
+	}
+	if deadTask >= 0 {
+		return nil, fmt.Errorf("sim: scenario %d dispatches task %d on dead PE %d",
+			scenario, deadTask, s.PE[deadTask])
+	}
+	if downEdge >= 0 {
+		e := s.G.Edge(downEdge)
+		return nil, fmt.Errorf("sim: scenario %d routes edge %d->%d over down link %d->%d",
+			scenario, e.From, e.To, s.PE[e.From], s.PE[e.To])
+	}
+	return acts, nil
+}
+
+// replayOrder walks the scenario's activities, in dispatch order, into an
+// Instance.
+func replayOrder(s *sched.Schedule, scenario int, cfg Config, acts []sched.Dispatch) Instance {
 	var guards orGuards
 	if cfg.StrictOrDeps {
 		guards = buildOrGuards(s)
 	}
 	active := s.A.Scenario(scenario).Active
-
-	var acts []activity
-	for t := 0; t < s.G.NumTasks(); t++ {
-		if active.Get(t) {
-			// On a restricted platform the dispatcher refuses masked-out
-			// hardware: a schedule that places an active task on a dead PE is
-			// a scheduler bug, caught here at replay rather than silently
-			// "executing" on hardware that no longer exists.
-			if !s.P.PEAlive(s.PE[t]) {
-				return Instance{}, fmt.Errorf("sim: scenario %d dispatches task %d on dead PE %d",
-					scenario, t, s.PE[t])
-			}
-			acts = append(acts, activity{nominal: s.Start[t], id: t})
-		}
-	}
-	for ei, e := range s.G.Edges() {
-		if s.CommStart[ei] == sched.LocalComm {
-			continue
-		}
-		if active.Get(int(e.From)) && active.Get(int(e.To)) {
-			if !s.P.LinkUp(s.PE[e.From], s.PE[e.To]) {
-				return Instance{}, fmt.Errorf("sim: scenario %d routes edge %d->%d over down link %d->%d",
-					scenario, e.From, e.To, s.PE[e.From], s.PE[e.To])
-			}
-			acts = append(acts, activity{nominal: s.CommStart[ei], isComm: true, id: ei})
-		}
-	}
-	sort.Slice(acts, func(i, j int) bool {
-		if acts[i].nominal != acts[j].nominal {
-			return acts[i].nominal < acts[j].nominal
-		}
-		if acts[i].isComm != acts[j].isComm {
-			return acts[i].isComm // transfers first on ties
-		}
-		return acts[i].id < acts[j].id
-	})
 
 	// Telemetry records the timeline that counts: the perturbed walk when a
 	// fault plan is active, the nominal walk otherwise.
@@ -148,15 +174,7 @@ func Replay(s *sched.Schedule, scenario int, cfg Config) (Instance, error) {
 	if !inst.DeadlineMet {
 		inst.Lateness = inst.Makespan - s.G.Deadline()
 	}
-	return inst, nil
-}
-
-// activity is one dispatchable unit of a replay: a task or a link transfer,
-// ordered by nominal start time.
-type activity struct {
-	nominal float64
-	isComm  bool
-	id      int // task ID or edge index
+	return inst
 }
 
 // timeline is the outcome of one dispatch-order walk.
@@ -175,19 +193,21 @@ type timeline struct {
 // factor for (Config.FaultInstance, task, PE). A non-nil rec receives one
 // slice event per dispatched activity (every emission is nil-guarded, so a
 // nil rec costs one branch and no allocations).
-func walkTimeline(s *sched.Schedule, acts []activity, active ctg.Bitset, scenario int, cfg Config, guards orGuards, perturb bool, rec telemetry.Recorder) timeline {
+func walkTimeline(s *sched.Schedule, acts []sched.Dispatch, active ctg.Bitset, scenario int, cfg Config, guards orGuards, perturb bool, rec telemetry.Recorder) timeline {
 	finish := make([]float64, s.G.NumTasks())
 	commFinish := make([]float64, s.G.NumEdges())
-	peAvail := make([]float64, s.P.NumPEs())
-	peSpeed := make([]float64, s.P.NumPEs()) // last dispatched speed; 0 = none
-	linkAvail := map[[2]int]float64{}
+	np := s.P.NumPEs()
+	peAvail := make([]float64, np)
+	peSpeed := make([]float64, np)      // last dispatched speed; 0 = none
+	linkAvail := make([]float64, np*np) // directed link from→to at from*np+to
 
 	tl := timeline{finish: finish}
 	for _, act := range acts {
-		if act.isComm {
-			ei := act.id
+		if act.Comm {
+			ei := int(act.ID)
 			e := s.G.Edge(ei)
-			link := [2]int{s.PE[e.From], s.PE[e.To]}
+			from, to := s.PE[e.From], s.PE[e.To]
+			link := from*np + to
 			start := math.Max(linkAvail[link], finish[e.From])
 			commFinish[ei] = start + s.CommTime(ei)
 			linkAvail[link] = commFinish[ei]
@@ -197,7 +217,7 @@ func walkTimeline(s *sched.Schedule, acts []activity, active ctg.Bitset, scenari
 					Kind: telemetry.KindCommSlice, Instance: cfg.InstanceID,
 					Scenario: scenario, Edge: ei,
 					Task: int(e.From), Task2: int(e.To),
-					PE: link[0], PE2: link[1],
+					PE: from, PE2: to,
 					Start: start, End: commFinish[ei],
 					Energy: s.CommEnergy(ei), Phase: cfg.Phase,
 					Cause: cfg.Cause,
@@ -209,7 +229,7 @@ func walkTimeline(s *sched.Schedule, acts []activity, active ctg.Bitset, scenari
 			}
 			continue
 		}
-		t := ctg.TaskID(act.id)
+		t := ctg.TaskID(act.ID)
 		pe := s.PE[t]
 		speed := s.Speed[t]
 		if cfg.ScenarioSpeeds != nil {
@@ -351,6 +371,12 @@ func Exhaustive(s *sched.Schedule, cfg Config) (Summary, error) {
 	if err != nil {
 		return Summary{}, err
 	}
+	return summarize(s, insts), nil
+}
+
+// summarize aggregates per-scenario replays (insts[si] for scenario si) by
+// probability, serially in scenario order.
+func summarize(s *sched.Schedule, insts []Instance) Summary {
 	var sum Summary
 	for si, inst := range insts {
 		p := s.A.Scenario(si).Prob
@@ -367,5 +393,5 @@ func Exhaustive(s *sched.Schedule, cfg Config) (Summary, error) {
 		sum.NominalExpectedMakespan += p * inst.NominalMakespan
 		sum.Overruns += inst.Overruns
 	}
-	return sum, nil
+	return sum
 }

@@ -170,7 +170,9 @@ func (d *dagModel) ok(ei int, assign []int) bool {
 
 // runUp fills up and ubp for the given tasks, which must be listed in
 // topological order and be closed under predecessors (the whole order, or a
-// task's up cone). Slots of other tasks are left untouched.
+// task's up cone), or be an up cone's forked tasks over a decomposition
+// that holds the cone's values for the others. Slots of other tasks are
+// left untouched.
 func (d *dagModel) runUp(r *dpResult, nodes []ctg.TaskID, assign []int) {
 	for _, v := range nodes {
 		r.up[v], r.ubp[v] = 0, -1
@@ -188,8 +190,9 @@ func (d *dagModel) runUp(r *dpResult, nodes []ctg.TaskID, assign []int) {
 
 // runDown fills the down-class slots for the given tasks in reverse order;
 // nodes must be listed in topological order and be closed under successors
-// (the whole order, or a task's down cone). Slots of other tasks are left
-// untouched.
+// (the whole order, or a task's down cone), or be a down cone's forked
+// tasks over a decomposition that holds the cone's values for the others.
+// Slots of other tasks are left untouched.
 func (d *dagModel) runDown(r *dpResult, nodes []ctg.TaskID, assign []int) {
 	g := d.s.G
 	for i := len(nodes) - 1; i >= 0; i-- {
@@ -256,17 +259,25 @@ func (d *dagModel) runDown(r *dpResult, nodes []ctg.TaskID, assign []int) {
 //
 // upForks and downForks are the fork indices among τ's strict ancestors and
 // among τ and its descendants, ascending. They are the only forks whose
-// outcomes reach the up and the down half of the DP.
+// outcomes reach the up and the down half of the DP. A conditional edge
+// leaves its fork, so within each half only some tasks depend on those
+// outcomes: upForked lists the tasks of up with a fork strictly above them,
+// downForked the tasks of down with a fork at or below them, both in
+// topological order. Every other task of the cone has the same DP values
+// under every scenario assignment.
 type cone struct {
-	up, down           []ctg.TaskID
-	upForks, downForks []int
-	mark               []byte // per task: coneUp | coneDown; zero between fills
-	stack              []ctg.TaskID
+	up, down             []ctg.TaskID
+	upForks, downForks   []int
+	upForked, downForked []ctg.TaskID
+	mark                 []byte // per task: cone* bits; zero between fills
+	stack                []ctg.TaskID
 }
 
 const (
-	coneUp   byte = 1
-	coneDown byte = 2
+	coneUp byte = 1 << iota
+	coneDown
+	coneUpForked
+	coneDownForked
 )
 
 // fillCone computes τ's cone into c, reusing its buffers.
@@ -310,7 +321,38 @@ func (d *dagModel) fillCone(c *cone, t ctg.TaskID) {
 			c.downForks = append(c.downForks, fi)
 		}
 	}
+	// The forked tasks: the strict descendants of up's forks within up, and
+	// down's forks with their ancestors within down.
+	for _, fi := range c.upForks {
+		c.stack = append(c.stack, g.Forks()[fi])
+	}
+	for len(c.stack) > 0 {
+		v := c.stack[len(c.stack)-1]
+		c.stack = c.stack[:len(c.stack)-1]
+		for _, ei := range d.outE[v] {
+			if w := d.edges[ei].To; c.mark[w]&(coneUp|coneUpForked) == coneUp {
+				c.mark[w] |= coneUpForked
+				c.stack = append(c.stack, w)
+			}
+		}
+	}
+	for _, fi := range c.downForks {
+		f := g.Forks()[fi]
+		c.mark[f] |= coneDownForked
+		c.stack = append(c.stack, f)
+	}
+	for len(c.stack) > 0 {
+		v := c.stack[len(c.stack)-1]
+		c.stack = c.stack[:len(c.stack)-1]
+		for _, ei := range d.inE[v] {
+			if u := d.edges[ei].From; c.mark[u]&(coneDown|coneDownForked) == coneDown {
+				c.mark[u] |= coneDownForked
+				c.stack = append(c.stack, u)
+			}
+		}
+	}
 	c.up, c.down = c.up[:0], c.down[:0]
+	c.upForked, c.downForked = c.upForked[:0], c.downForked[:0]
 	for _, v := range d.order {
 		if m := c.mark[v]; m != 0 {
 			if m&coneUp != 0 {
@@ -318,6 +360,12 @@ func (d *dagModel) fillCone(c *cone, t ctg.TaskID) {
 			}
 			if m&coneDown != 0 {
 				c.down = append(c.down, v)
+			}
+			if m&coneUpForked != 0 {
+				c.upForked = append(c.upForked, v)
+			}
+			if m&coneDownForked != 0 {
+				c.downForked = append(c.downForked, v)
 			}
 			c.mark[v] = 0
 		}

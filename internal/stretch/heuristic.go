@@ -159,7 +159,7 @@ func Heuristic(s *sched.Schedule, d platform.DVFS, o Options) (Result, error) {
 	if o.Affected == nil {
 		res.ExpectedEnergy = s.ExpectedEnergy()
 	}
-	res.WorstDelay = dag.longest(dag.runInto(w.scratch.full, nil))
+	res.WorstDelay = dag.longest(dag.runInto(w.scratch.dp, nil))
 	return res, nil
 }
 
@@ -172,21 +172,28 @@ func validGuard(guard float64) error {
 }
 
 // slackScratch holds the buffers calculateSlack reuses across the per-task
-// loop: τ's cone, the unrestricted and the per-class half decompositions,
-// the scenario classes with their chain arenas and the critical-path dedup
-// set. Every buffer is O(n) or O(|Γ(τ)|); one per Workspace.
+// loop: τ's cone, the decomposition it works in, the scenario classes with
+// their chain arenas and the critical-path dedup set. Every buffer is O(n)
+// or O(|Γ(τ)|); one per Workspace.
 type slackScratch struct {
-	cone       cone
-	full, half *dpResult
-	radix      []uint64 // per fork: its outcomes plus unassigned
-	terms      []int    // Γ(τ), ascending
-	up, down   classSet
-	chain      []int32 // node sequence of the chain being deduplicated
-	seen       pathSet
+	cone cone
+	// dp holds the unrestricted decomposition over τ's cone, then, class by
+	// class, that class's values on the cone's forked tasks; the cone's
+	// other tasks keep the unrestricted values, which every class shares.
+	dp       *dpResult
+	radix    []uint64 // per fork: its outcomes plus unassigned
+	terms    []int    // Γ(τ), ascending
+	up, down classSet
+	chain    []int32 // node sequence of the chain being deduplicated
+	seen     pathSet
+	// pairs holds the (up class, down class) pairs already counted: every
+	// minterm of a pair has the same chain, so only a pair's first minterm
+	// builds and looks the chain up.
+	pairs map[uint64]struct{}
 }
 
 func newSlackScratch(n int) *slackScratch {
-	return &slackScratch{full: newDPResult(n), half: newDPResult(n)}
+	return &slackScratch{dp: newDPResult(n)}
 }
 
 // classSet groups the minterms of Γ(τ) by their outcomes on one fork set —
@@ -260,17 +267,14 @@ func forkRadix(g *ctg.Graph, dst []uint64) []uint64 {
 	return dst
 }
 
-// runDownClasses runs the down half-DP once per down class and records,
-// per class, downC[τ], probC[τ] and the C-class suffix below τ.
+// runDownClasses runs the down half-DP once per down class, over the down
+// cone's forked tasks, and records, per class, downC[τ], probC[τ] and the
+// C-class suffix below τ.
 func (sc *slackScratch) runDownClasses(dag *dagModel, t ctg.TaskID) {
-	c := &sc.cone
+	c, r := &sc.cone, sc.dp
 	for i := range sc.down.cls {
 		k := &sc.down.cls[i]
-		r := sc.full
-		if len(c.downForks) > 0 {
-			r = sc.half
-			dag.runDown(r, c.down, dag.s.A.Scenario(k.scenario).Assign)
-		}
+		dag.runDown(r, c.downForked, dag.s.A.Scenario(k.scenario).Assign)
 		k.val, k.prob = r.downC[t], r.probC[t]
 		k.start = int32(len(sc.down.edges))
 		if k.val > negInf {
@@ -281,10 +285,11 @@ func (sc *slackScratch) runDownClasses(dag *dagModel, t ctg.TaskID) {
 }
 
 // runUpClasses runs the up half-DP once per up class that some minterm with
-// a C-class suffix needs, and records, per class, up[τ], the prefix ending
-// at τ and the part of the ratio denominator that τ and the prefix add.
+// a C-class suffix needs, over the up cone's forked tasks, and records, per
+// class, up[τ], the prefix ending at τ and the part of the ratio denominator
+// that τ and the prefix add.
 func (sc *slackScratch) runUpClasses(dag *dagModel, t ctg.TaskID, locked []bool, literalRatio bool) {
-	c := &sc.cone
+	c, r := &sc.cone, sc.dp
 	for i, id := range sc.down.of {
 		if sc.down.cls[id].val > negInf {
 			sc.up.cls[sc.up.of[i]].needed = true
@@ -295,11 +300,7 @@ func (sc *slackScratch) runUpClasses(dag *dagModel, t ctg.TaskID, locked []bool,
 		if !k.needed {
 			continue
 		}
-		r := sc.full
-		if len(c.upForks) > 0 {
-			r = sc.half
-			dag.runUp(r, c.up, dag.s.A.Scenario(k.scenario).Assign)
-		}
+		dag.runUp(r, c.upForked, dag.s.A.Scenario(k.scenario).Assign)
 		k.val = r.up[t]
 		k.start = int32(len(sc.up.edges))
 		sc.up.edges = r.appendUpChain(dag, sc.up.edges, t)
@@ -333,10 +334,11 @@ func (sc *slackScratch) runUpClasses(dag *dagModel, t ctg.TaskID, locked []bool,
 // down pass over its descendants. A minterm reaches the up half only through
 // its outcomes at τ's ancestor forks and the down half only through those at
 // τ and its descendant forks, so each half runs once per class of minterms
-// that agree there, and not at all when that half holds no fork (the
-// unrestricted half is then the same). The per-minterm loop then reads the
-// classes in Γ(τ) order with the same float operations in the same order as
-// a whole-graph DP per minterm would, so speeds are bit-for-bit unchanged.
+// that agree there, and only over the half's forked tasks (see cone): the
+// others keep the unrestricted values, which slk2 and the step-9 clamp read
+// first. The per-minterm loop then reads the classes in Γ(τ) order with the
+// same float operations in the same order as a whole-graph DP per minterm
+// would, so speeds are bit-for-bit unchanged.
 func calculateSlack(dag *dagModel, t ctg.TaskID, locked []bool, literalRatio bool, sc *slackScratch) float64 {
 	s := dag.s
 	a := s.A
@@ -347,10 +349,26 @@ func calculateSlack(dag *dagModel, t ctg.TaskID, locked []bool, literalRatio boo
 	c := &sc.cone
 	dag.fillCone(c, t)
 
-	// Unrestricted decomposition: slk2 and the step-9 clamp.
-	full := sc.full
+	// Unrestricted decomposition: slk2 and the step-9 clamp, read before
+	// the class passes below overwrite its forked tasks.
+	full := sc.dp
 	dag.runUp(full, c.up, nil)
 	dag.runDown(full, c.down, nil)
+
+	// slk2: critical (largest-delay) chain with prob(p, τ) = 1.
+	slk2 := math.Inf(1)
+	slk2Valid := false
+	if full.downU[t] > negInf {
+		slk2Valid = true
+		delay := full.up[t] + dag.exec[t] + full.downU[t]
+		denom := delay
+		if !literalRatio {
+			denom = full.criticalDenominator(dag, t, 'U', locked)
+		}
+		slk2 = wcet * (deadline - delay) / denom * probT
+	}
+	// Step 9's bound: the slack of the worst chain through τ.
+	margin := deadline - dag.throughAny(full, t)
 
 	// slk1: probability-weighted sum of per-minterm critical chain shares.
 	sc.terms = sc.terms[:0]
@@ -363,12 +381,22 @@ func calculateSlack(dag *dagModel, t ctg.TaskID, locked []bool, literalRatio boo
 	slk1 := 0.0
 	slk1Valid := false
 	sc.seen.reset()
+	if sc.pairs == nil {
+		sc.pairs = make(map[uint64]struct{})
+	} else {
+		clear(sc.pairs)
+	}
 	for i := range sc.terms {
 		dk := &sc.down.cls[sc.down.of[i]]
 		if dk.val == negInf {
 			continue // no chain with downstream uncertainty in this minterm
 		}
 		slk1Valid = true
+		pair := uint64(sc.up.of[i])<<32 | uint64(uint32(sc.down.of[i]))
+		if _, ok := sc.pairs[pair]; ok {
+			continue // same chain as an earlier minterm: counted once
+		}
+		sc.pairs[pair] = struct{}{}
 		uk := &sc.up.cls[sc.up.of[i]]
 		upE, downE := sc.up.edges[uk.start:uk.end], sc.down.edges[dk.start:dk.end]
 		seq := append(sc.chain[:0], int32(t))
@@ -398,19 +426,6 @@ func calculateSlack(dag *dagModel, t ctg.TaskID, locked []bool, literalRatio boo
 		}
 	}
 
-	// slk2: critical (largest-delay) chain with prob(p, τ) = 1.
-	slk2 := math.Inf(1)
-	slk2Valid := false
-	if full.downU[t] > negInf {
-		slk2Valid = true
-		delay := full.up[t] + dag.exec[t] + full.downU[t]
-		denom := delay
-		if !literalRatio {
-			denom = full.criticalDenominator(dag, t, 'U', locked)
-		}
-		slk2 = wcet * (deadline - delay) / denom * probT
-	}
-
 	var slk float64
 	switch {
 	case slk1Valid && slk2Valid:
@@ -425,8 +440,8 @@ func calculateSlack(dag *dagModel, t ctg.TaskID, locked []bool, literalRatio boo
 
 	// Step 9: never exceed the slack of the worst chain through τ, so the
 	// deadline holds on every chain.
-	if m := deadline - dag.throughAny(full, t); slk > m {
-		slk = m
+	if slk > margin {
+		slk = margin
 	}
 	if slk < 0 || math.IsInf(slk, 1) {
 		return 0

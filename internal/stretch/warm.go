@@ -52,7 +52,7 @@ func (w *Workspace) Rebind(s *sched.Schedule) {
 		w.locked = make([]bool, n)
 	}
 	w.locked = w.locked[:n]
-	if w.scratch == nil || len(w.scratch.full.up) != n {
+	if w.scratch == nil || len(w.scratch.dp.up) != n {
 		w.scratch = newSlackScratch(n)
 	}
 	w.scratch.radix = forkRadix(s.G, w.scratch.radix)

@@ -28,7 +28,7 @@
 # is the one performance ledger, and the allocation contracts are ordinary
 # tests in the suite (TestFlightRecorderZeroAllocSteadyState,
 # TestStoreTickAllocsZero, TestPartialBoundWorkspaceAllocatesNothing,
-# TestServeStepAllocsBounded).
+# TestReplayAllocsBounded, TestServeStepAllocsBounded).
 # Run from anywhere; operates on the repo root.
 set -eu
 
