@@ -26,6 +26,7 @@ package stretch
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 
 	"ctgdvfs/internal/ctg"
@@ -42,7 +43,14 @@ type dagModel struct {
 	outE  [][]int   // per task: combined-edge indices
 	inE   [][]int
 	order []ctg.TaskID // topological order of the combined graph
+	pos   []int32      // per task: its index in order
 	exec  []float64    // current execution times
+	// above and below hold two fork sets per task, fw words each: the forks
+	// strictly above the task (among its ancestors) and the forks at or
+	// below it (itself and its descendants). Both depend on the mapping
+	// only.
+	above, below []uint64
+	fw           int
 }
 
 func newDAG(s *sched.Schedule) *dagModel {
@@ -78,10 +86,76 @@ func newDAG(s *sched.Schedule) *dagModel {
 		}
 		return cmp.Compare(a, b)
 	})
+	d.pos = make([]int32, n)
+	for i, t := range d.order {
+		d.pos[t] = int32(i)
+	}
+	d.fw = (g.NumForks() + 63) / 64
+	sets := make([]uint64, 2*n*d.fw)
+	d.above, d.below = sets[:n*d.fw], sets[n*d.fw:]
+	for _, t := range d.order {
+		above := d.forksAbove(t)
+		for _, ei := range d.inE[t] {
+			u := d.edges[ei].From
+			for i, w := range d.forksAbove(u) {
+				above[i] |= w
+			}
+			if fi := g.ForkIndex(u); fi >= 0 {
+				above[fi/64] |= 1 << (fi % 64)
+			}
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		t := d.order[i]
+		below := d.forksBelow(t)
+		if fi := g.ForkIndex(t); fi >= 0 {
+			below[fi/64] |= 1 << (fi % 64)
+		}
+		for _, ei := range d.outE[t] {
+			for i, w := range d.forksBelow(d.edges[ei].To) {
+				below[i] |= w
+			}
+		}
+	}
 	for t := 0; t < n; t++ {
 		d.exec[t] = s.ExecTime(ctg.TaskID(t))
 	}
 	return d
+}
+
+// forkSet is one task's fork set: bit fi%64 of word fi/64 stands for fork
+// index fi.
+type forkSet []uint64
+
+// forksAbove returns the forks strictly above t: those whose outcomes are
+// known when t dispatches, and the only ones that reach up[t].
+func (d *dagModel) forksAbove(t ctg.TaskID) forkSet {
+	return d.above[int(t)*d.fw : (int(t)+1)*d.fw]
+}
+
+// forksBelow returns t, if it is a fork, and the forks below it: the only
+// ones that reach t's down classes.
+func (d *dagModel) forksBelow(t ctg.TaskID) forkSet {
+	return d.below[int(t)*d.fw : (int(t)+1)*d.fw]
+}
+
+// empty reports whether the set holds no fork.
+func (f forkSet) empty() bool {
+	for _, w := range f {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// forEach calls fn with every fork index of the set, ascending.
+func (f forkSet) forEach(fn func(fi int)) {
+	for wi, w := range f {
+		for ; w != 0; w &= w - 1 {
+			fn(wi*64 + bits.TrailingZeros64(w))
+		}
+	}
 }
 
 // refreshExec re-reads the execution time of one task after its speed
@@ -133,6 +207,33 @@ func newDPResult(n int) *dpResult {
 	}
 }
 
+// dpSlot is one task's slots of a decomposition.
+type dpSlot struct {
+	up, downU, downC, probC float64
+	ubp, dbpU, dbpC         int
+	classA                  byte
+}
+
+// save appends the slots of nodes to dst.
+func (r *dpResult) save(dst []dpSlot, nodes []ctg.TaskID) []dpSlot {
+	for _, v := range nodes {
+		dst = append(dst, dpSlot{
+			up: r.up[v], downU: r.downU[v], downC: r.downC[v], probC: r.probC[v],
+			ubp: r.ubp[v], dbpU: r.dbpU[v], dbpC: r.dbpC[v], classA: r.classA[v],
+		})
+	}
+	return dst
+}
+
+// restore writes back the slots save took of the same nodes.
+func (r *dpResult) restore(src []dpSlot, nodes []ctg.TaskID) {
+	for i, v := range nodes {
+		s := &src[i]
+		r.up[v], r.downU[v], r.downC[v], r.probC[v] = s.up, s.downU, s.downC, s.probC
+		r.ubp[v], r.dbpU[v], r.dbpC[v], r.classA[v] = s.ubp, s.dbpU, s.dbpC, s.classA
+	}
+}
+
 // run computes the decomposition. assign restricts edges to those whose
 // condition the scenario assignment satisfies; nil means the full graph.
 //
@@ -168,208 +269,239 @@ func (d *dagModel) ok(ei int, assign []int) bool {
 	return assign[d.s.G.ForkIndex(c.Branch())] == c.Outcome()
 }
 
-// runUp fills up and ubp for the given tasks, which must be listed in
-// topological order and be closed under predecessors (the whole order, or a
-// task's up cone), or be an up cone's forked tasks over a decomposition
-// that holds the cone's values for the others. Slots of other tasks are
-// left untouched.
+// runUp runs upAt over the given tasks, which must be listed in topological
+// order: the whole order, or a task's up-forked tasks (see cone) over a
+// decomposition that holds the unrestricted values for the others.
 func (d *dagModel) runUp(r *dpResult, nodes []ctg.TaskID, assign []int) {
 	for _, v := range nodes {
-		r.up[v], r.ubp[v] = 0, -1
-		for _, ei := range d.inE[v] {
-			if !d.ok(ei, assign) {
-				continue
-			}
-			u := d.edges[ei].From
-			if cand := r.up[u] + d.exec[u] + d.comm[ei]; cand > r.up[v] {
-				r.up[v], r.ubp[v] = cand, ei
-			}
+		d.upAt(r, v, assign)
+	}
+}
+
+// upAt recomputes up[v] and ubp[v] from v's predecessors' slots.
+func (d *dagModel) upAt(r *dpResult, v ctg.TaskID, assign []int) {
+	r.up[v], r.ubp[v] = 0, -1
+	for _, ei := range d.inE[v] {
+		if !d.ok(ei, assign) {
+			continue
+		}
+		u := d.edges[ei].From
+		if cand := r.up[u] + d.exec[u] + d.comm[ei]; cand > r.up[v] {
+			r.up[v], r.ubp[v] = cand, ei
 		}
 	}
 }
 
-// runDown fills the down-class slots for the given tasks in reverse order;
-// nodes must be listed in topological order and be closed under successors
-// (the whole order, or a task's down cone), or be a down cone's forked
-// tasks over a decomposition that holds the cone's values for the others.
-// Slots of other tasks are left untouched.
+// runDown runs downAt over the given tasks in reverse order; nodes must be
+// listed in topological order: the whole order, or a task's down-forked
+// tasks (see cone) over a decomposition that holds the unrestricted values
+// for the others.
 func (d *dagModel) runDown(r *dpResult, nodes []ctg.TaskID, assign []int) {
-	g := d.s.G
 	for i := len(nodes) - 1; i >= 0; i-- {
-		v := nodes[i]
-		r.downU[v], r.dbpU[v] = negInf, -1
-		r.downC[v], r.dbpC[v] = negInf, -1
-		r.probC[v] = 0
-		hasOut := false
-		for _, ei := range d.outE[v] {
-			if !d.ok(ei, assign) {
-				continue
+		d.downAt(r, nodes[i], assign)
+	}
+}
+
+// downAt recomputes v's down-class slots from its successors' slots.
+func (d *dagModel) downAt(r *dpResult, v ctg.TaskID, assign []int) {
+	g := d.s.G
+	r.downU[v], r.dbpU[v] = negInf, -1
+	r.downC[v], r.dbpC[v] = negInf, -1
+	r.probC[v] = 0
+	hasOut := false
+	for _, ei := range d.outE[v] {
+		if !d.ok(ei, assign) {
+			continue
+		}
+		hasOut = true
+		e := d.edges[ei]
+		w := e.To
+		step := d.comm[ei] + d.exec[w]
+		// U class: unconditional edge, continuation also U.
+		if !e.Cond.IsConditional() && r.downU[w] > negInf {
+			if cand := step + r.downU[w]; cand > r.downU[v] {
+				r.downU[v], r.dbpU[v] = cand, ei
 			}
-			hasOut = true
-			e := d.edges[ei]
-			w := e.To
-			step := d.comm[ei] + d.exec[w]
-			// U class: unconditional edge, continuation also U.
-			if !e.Cond.IsConditional() && r.downU[w] > negInf {
-				if cand := step + r.downU[w]; cand > r.downU[v] {
-					r.downU[v], r.dbpU[v] = cand, ei
-				}
-			}
-			// C class.
-			if e.Cond.IsConditional() {
-				// The conditional edge itself satisfies the class; the
-				// continuation may be anything.
-				cont := r.downAny(w)
-				if cont > negInf {
-					if cand := step + cont; cand > r.downC[v] {
-						contProb := 1.0
-						if r.classA[w] == 'C' {
-							contProb = r.probC[w]
-						}
-						r.downC[v], r.dbpC[v] = cand, ei
-						r.probC[v] = g.CondProb(e.Cond) * contProb
+		}
+		// C class.
+		if e.Cond.IsConditional() {
+			// The conditional edge itself satisfies the class; the
+			// continuation may be anything.
+			cont := r.downAny(w)
+			if cont > negInf {
+				if cand := step + cont; cand > r.downC[v] {
+					contProb := 1.0
+					if r.classA[w] == 'C' {
+						contProb = r.probC[w]
 					}
-				}
-			} else if r.downC[w] > negInf {
-				if cand := step + r.downC[w]; cand > r.downC[v] {
 					r.downC[v], r.dbpC[v] = cand, ei
-					r.probC[v] = r.probC[w]
+					r.probC[v] = g.CondProb(e.Cond) * contProb
 				}
 			}
+		} else if r.downC[w] > negInf {
+			if cand := step + r.downC[w]; cand > r.downC[v] {
+				r.downC[v], r.dbpC[v] = cand, ei
+				r.probC[v] = r.probC[w]
+			}
 		}
-		if !hasOut {
-			// A chain end: the empty suffix is the U class.
-			r.downU[v] = 0
+	}
+	if !hasOut {
+		// A chain end: the empty suffix is the U class.
+		r.downU[v] = 0
+	}
+	if r.downU[v] >= r.downC[v] {
+		r.classA[v] = 'U'
+	} else {
+		r.classA[v] = 'C'
+	}
+}
+
+// propagate repairs r, a decomposition under assign, after exec[t] changed:
+// Figure 2's "update the delay and slack of all paths spanning τi". Only the
+// up values below t and the down values above t read exec[t]. The up sweep
+// walks the order forward from t, re-running upAt on every queued task, and
+// queues a task's successors only when its up value changed; the down sweep
+// walks backward over t's predecessors the same way, comparing the down
+// values a predecessor reads (downU, downC and probC; classA follows from
+// the first two). A task whose inputs did not change would recompute the
+// same slots, so r ends bit for bit equal to a fresh runInto. dirty holds
+// one flag per task, all clear on entry and on return.
+func (d *dagModel) propagate(r *dpResult, t ctg.TaskID, assign []int, dirty []bool) {
+	pending := 0
+	for _, ei := range d.outE[t] {
+		if w := d.edges[ei].To; !dirty[w] {
+			dirty[w], pending = true, pending+1
 		}
-		if r.downU[v] >= r.downC[v] {
-			r.classA[v] = 'U'
-		} else {
-			r.classA[v] = 'C'
+	}
+	for p := int(d.pos[t]) + 1; pending > 0; p++ {
+		v := d.order[p]
+		if !dirty[v] {
+			continue
+		}
+		dirty[v], pending = false, pending-1
+		old := r.up[v]
+		d.upAt(r, v, assign)
+		if sameBits(r.up[v], old) {
+			continue
+		}
+		for _, ei := range d.outE[v] {
+			if w := d.edges[ei].To; !dirty[w] {
+				dirty[w], pending = true, pending+1
+			}
+		}
+	}
+	for _, ei := range d.inE[t] {
+		if u := d.edges[ei].From; !dirty[u] {
+			dirty[u], pending = true, pending+1
+		}
+	}
+	for p := int(d.pos[t]) - 1; pending > 0; p-- {
+		v := d.order[p]
+		if !dirty[v] {
+			continue
+		}
+		dirty[v], pending = false, pending-1
+		oldU, oldC, oldP := r.downU[v], r.downC[v], r.probC[v]
+		d.downAt(r, v, assign)
+		if sameBits(r.downU[v], oldU) && sameBits(r.downC[v], oldC) && sameBits(r.probC[v], oldP) {
+			continue
+		}
+		for _, ei := range d.inE[v] {
+			if u := d.edges[ei].From; !dirty[u] {
+				dirty[u], pending = true, pending+1
+			}
 		}
 	}
 }
 
-// cone is one task's slice of the combined graph: everything the DP values
-// at τ, and the critical chains through τ, are made of.
+// sameBits reports whether a and b are the same float64, bit for bit.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// cone is what the scenario classes of one task τ need of the graph; the
+// unrestricted values come from the carried whole-graph decomposition.
 //
-//   - up lists τ's ancestors and then τ in topological order: up[τ] and
-//     every ubp link of a chain ending at τ are computed from these alone.
-//   - down lists τ and its descendants in topological order: the down
-//     classes, probC, classA and every dbp link below τ come from these.
-//
-// upForks and downForks are the fork indices among τ's strict ancestors and
-// among τ and its descendants, ascending. They are the only forks whose
-// outcomes reach the up and the down half of the DP. A conditional edge
-// leaves its fork, so within each half only some tasks depend on those
-// outcomes: upForked lists the tasks of up with a fork strictly above them,
-// downForked the tasks of down with a fork at or below them, both in
-// topological order. Every other task of the cone has the same DP values
-// under every scenario assignment.
+// upForks and downForks are the fork indices strictly above τ and at or
+// below it, ascending: the only forks whose outcomes reach the up and the
+// down half of the DP at τ. A conditional edge leaves its fork, so within
+// each half only some tasks depend on those outcomes: upForked lists τ's
+// ancestors (and τ) with a fork strictly above them, downForked τ and its
+// descendants with a fork at or below them, both in topological order.
+// Every other task of either half has the same DP values under every
+// scenario assignment.
 type cone struct {
-	up, down             []ctg.TaskID
 	upForks, downForks   []int
 	upForked, downForked []ctg.TaskID
-	mark                 []byte // per task: cone* bits; zero between fills
-	stack                []ctg.TaskID
+	mark                 []bool // per task: visited; all clear between fills
+	stack                []walkFrame
 }
 
-const (
-	coneUp byte = 1 << iota
-	coneDown
-	coneUpForked
-	coneDownForked
-)
+// walkFrame is one task on the forked walks' DFS stack.
+type walkFrame struct {
+	v    ctg.TaskID
+	next int // the next of v's edges to follow
+}
 
 // fillCone computes τ's cone into c, reusing its buffers.
 func (d *dagModel) fillCone(c *cone, t ctg.TaskID) {
-	n := len(d.exec)
-	if len(c.mark) != n {
-		c.mark = make([]byte, n)
+	if len(c.mark) != len(d.exec) {
+		c.mark = make([]bool, len(d.exec))
 	}
-	c.mark[t] = coneUp | coneDown
-	c.stack = append(c.stack[:0], t)
-	for len(c.stack) > 0 {
-		v := c.stack[len(c.stack)-1]
-		c.stack = c.stack[:len(c.stack)-1]
-		for _, ei := range d.inE[v] {
-			if u := d.edges[ei].From; c.mark[u]&coneUp == 0 {
-				c.mark[u] |= coneUp
-				c.stack = append(c.stack, u)
-			}
-		}
-	}
-	c.stack = append(c.stack, t)
-	for len(c.stack) > 0 {
-		v := c.stack[len(c.stack)-1]
-		c.stack = c.stack[:len(c.stack)-1]
-		for _, ei := range d.outE[v] {
-			if w := d.edges[ei].To; c.mark[w]&coneDown == 0 {
-				c.mark[w] |= coneDown
-				c.stack = append(c.stack, w)
-			}
-		}
-	}
-	g := d.s.G
 	c.upForks, c.downForks = c.upForks[:0], c.downForks[:0]
-	for fi, f := range g.Forks() {
-		switch m := c.mark[f]; {
-		case f == t:
-			c.downForks = append(c.downForks, fi)
-		case m&coneUp != 0:
-			c.upForks = append(c.upForks, fi)
-		case m&coneDown != 0:
-			c.downForks = append(c.downForks, fi)
-		}
-	}
-	// The forked tasks: the strict descendants of up's forks within up, and
-	// down's forks with their ancestors within down.
-	for _, fi := range c.upForks {
-		c.stack = append(c.stack, g.Forks()[fi])
-	}
-	for len(c.stack) > 0 {
-		v := c.stack[len(c.stack)-1]
-		c.stack = c.stack[:len(c.stack)-1]
-		for _, ei := range d.outE[v] {
-			if w := d.edges[ei].To; c.mark[w]&(coneUp|coneUpForked) == coneUp {
-				c.mark[w] |= coneUpForked
-				c.stack = append(c.stack, w)
-			}
-		}
-	}
-	for _, fi := range c.downForks {
-		f := g.Forks()[fi]
-		c.mark[f] |= coneDownForked
-		c.stack = append(c.stack, f)
-	}
-	for len(c.stack) > 0 {
-		v := c.stack[len(c.stack)-1]
-		c.stack = c.stack[:len(c.stack)-1]
-		for _, ei := range d.inE[v] {
-			if u := d.edges[ei].From; c.mark[u]&(coneDown|coneDownForked) == coneDown {
-				c.mark[u] |= coneDownForked
-				c.stack = append(c.stack, u)
-			}
-		}
-	}
-	c.up, c.down = c.up[:0], c.down[:0]
+	d.forksAbove(t).forEach(func(fi int) { c.upForks = append(c.upForks, fi) })
+	d.forksBelow(t).forEach(func(fi int) { c.downForks = append(c.downForks, fi) })
 	c.upForked, c.downForked = c.upForked[:0], c.downForked[:0]
-	for _, v := range d.order {
-		if m := c.mark[v]; m != 0 {
-			if m&coneUp != 0 {
-				c.up = append(c.up, v)
-			}
-			if m&coneDown != 0 {
-				c.down = append(c.down, v)
-			}
-			if m&coneUpForked != 0 {
-				c.upForked = append(c.upForked, v)
-			}
-			if m&coneDownForked != 0 {
-				c.downForked = append(c.downForked, v)
-			}
-			c.mark[v] = 0
+	if len(c.upForks) > 0 {
+		c.upForked = d.forkedWalk(c, c.upForked, t, true)
+	}
+	if len(c.downForks) > 0 {
+		c.downForked = d.forkedWalk(c, c.downForked, t, false)
+		slices.Reverse(c.downForked)
+	}
+}
+
+// forkedWalk appends to dst, in DFS postorder, the tasks reached from t over
+// in-edges (up) without leaving the tasks that have a fork strictly above
+// them, or over out-edges (!up) without leaving those with a fork at or
+// below them. t must be such a task. The first set is closed under
+// successors, so every ancestor of t in it is reached through it; the
+// second is closed under predecessors, so every descendant of t in it is.
+// A postorder over in-edges lists every task after its predecessors, one
+// over out-edges after its successors: a topological order, reversed for
+// the down walk, without a sort.
+func (d *dagModel) forkedWalk(c *cone, dst []ctg.TaskID, t ctg.TaskID, up bool) []ctg.TaskID {
+	adj := d.outE
+	if up {
+		adj = d.inE
+	}
+	c.mark[t] = true
+	c.stack = append(c.stack[:0], walkFrame{v: t})
+	for len(c.stack) > 0 {
+		f := &c.stack[len(c.stack)-1]
+		if f.next == len(adj[f.v]) {
+			dst = append(dst, f.v)
+			c.stack = c.stack[:len(c.stack)-1]
+			continue
+		}
+		ei := adj[f.v][f.next]
+		f.next++
+		var u ctg.TaskID
+		var forked bool
+		if up {
+			u = d.edges[ei].From
+			forked = !d.forksAbove(u).empty()
+		} else {
+			u = d.edges[ei].To
+			forked = !d.forksBelow(u).empty()
+		}
+		if forked && !c.mark[u] {
+			c.mark[u] = true
+			c.stack = append(c.stack, walkFrame{v: u})
 		}
 	}
+	for _, v := range dst {
+		c.mark[v] = false
+	}
+	return dst
 }
 
 // throughAny returns the largest delay of any chain through v (the paper's

@@ -83,7 +83,8 @@ type Options struct {
 //
 // The task is stretched by its slack, its speed locked, and the delays every
 // later decision sees reflect it (the paper's "update the delay and slack of
-// all paths spanning τi").
+// all paths spanning τi": propagate repairs the pass's one decomposition
+// where the stretched task reaches).
 //
 // Interpretation note: the paper's Figure 2 step 5 reads "paths of m where
 // prob(m) = 1"; we read it as prob(p, τ) = 1 so that the two buckets
@@ -130,6 +131,10 @@ func Heuristic(s *sched.Schedule, d platform.DVFS, o Options) (Result, error) {
 			w.locked[t] = true
 		}
 	}
+	// One whole-graph decomposition, built here and repaired after every
+	// speed change, carries the unrestricted values through the pass.
+	r := dag.runInto(w.scratch.dp, nil)
+	clear(w.scratch.dirty)
 	var res Result
 	for _, t := range s.Order {
 		if o.Affected != nil && !o.Affected[t] {
@@ -148,6 +153,7 @@ func Heuristic(s *sched.Schedule, d platform.DVFS, o Options) (Result, error) {
 			if speed < 1 {
 				s.Speed[t] = speed
 				dag.refreshExec(t)
+				dag.propagate(r, t, nil, w.scratch.dirty)
 				res.Stretched++
 				res.SlackUsed += wcet/speed - wcet
 			}
@@ -159,7 +165,7 @@ func Heuristic(s *sched.Schedule, d platform.DVFS, o Options) (Result, error) {
 	if o.Affected == nil {
 		res.ExpectedEnergy = s.ExpectedEnergy()
 	}
-	res.WorstDelay = dag.longest(dag.runInto(w.scratch.dp, nil))
+	res.WorstDelay = dag.longest(r)
 	return res, nil
 }
 
@@ -171,16 +177,19 @@ func validGuard(guard float64) error {
 	return nil
 }
 
-// slackScratch holds the buffers calculateSlack reuses across the per-task
-// loop: τ's cone, the decomposition it works in, the scenario classes with
-// their chain arenas and the critical-path dedup set. Every buffer is O(n)
-// or O(|Γ(τ)|); one per Workspace.
+// slackScratch holds the buffers a Heuristic pass reuses across its
+// per-task loop: the carried decomposition with its repair flags, τ's cone,
+// the scenario classes with their chain arenas and the critical-path dedup
+// set. Every buffer is O(n) or O(|Γ(τ)|); one per Workspace.
 type slackScratch struct {
 	cone cone
-	// dp holds the unrestricted decomposition over τ's cone, then, class by
-	// class, that class's values on the cone's forked tasks; the cone's
-	// other tasks keep the unrestricted values, which every class shares.
+	// dp is the pass's whole-graph unrestricted decomposition. calculateSlack
+	// overwrites τ's forked tasks class by class, each class reading the
+	// unrestricted values every class shares on the others, and restores
+	// them from saved.
 	dp       *dpResult
+	dirty    []bool // propagate's per-task flags
+	saved    []dpSlot
 	radix    []uint64 // per fork: its outcomes plus unassigned
 	terms    []int    // Γ(τ), ascending
 	up, down classSet
@@ -193,7 +202,7 @@ type slackScratch struct {
 }
 
 func newSlackScratch(n int) *slackScratch {
-	return &slackScratch{dp: newDPResult(n)}
+	return &slackScratch{dp: newDPResult(n), dirty: make([]bool, n)}
 }
 
 // classSet groups the minterms of Γ(τ) by their outcomes on one fork set —
@@ -272,6 +281,7 @@ func forkRadix(g *ctg.Graph, dst []uint64) []uint64 {
 // C-class suffix below τ.
 func (sc *slackScratch) runDownClasses(dag *dagModel, t ctg.TaskID) {
 	c, r := &sc.cone, sc.dp
+	sc.saved = r.save(sc.saved[:0], c.downForked)
 	for i := range sc.down.cls {
 		k := &sc.down.cls[i]
 		dag.runDown(r, c.downForked, dag.s.A.Scenario(k.scenario).Assign)
@@ -282,6 +292,7 @@ func (sc *slackScratch) runDownClasses(dag *dagModel, t ctg.TaskID) {
 		}
 		k.end = int32(len(sc.down.edges))
 	}
+	r.restore(sc.saved, c.downForked)
 }
 
 // runUpClasses runs the up half-DP once per up class that some minterm with
@@ -295,6 +306,7 @@ func (sc *slackScratch) runUpClasses(dag *dagModel, t ctg.TaskID, locked []bool,
 			sc.up.cls[sc.up.of[i]].needed = true
 		}
 	}
+	sc.saved = r.save(sc.saved[:0], c.upForked)
 	for i := range sc.up.cls {
 		k := &sc.up.cls[i]
 		if !k.needed {
@@ -320,6 +332,7 @@ func (sc *slackScratch) runUpClasses(dag *dagModel, t ctg.TaskID, locked []bool,
 			k.denom = denom
 		}
 	}
+	r.restore(sc.saved, c.upForked)
 }
 
 // calculateSlack implements the CalculateSlack(τ) routine of Figure 2 on the
@@ -329,16 +342,14 @@ func (sc *slackScratch) runUpClasses(dag *dagModel, t ctg.TaskID, locked []bool,
 // on a simple chain with a loose deadline the heuristic converges to the
 // energy-optimal uniform scaling instead of geometrically shrinking shares.
 //
-// Every value read about a chain through τ lies in τ's cone, so each DP
-// runs over one half of the cone only: the up pass over τ's ancestors, the
-// down pass over its descendants. A minterm reaches the up half only through
-// its outcomes at τ's ancestor forks and the down half only through those at
-// τ and its descendant forks, so each half runs once per class of minterms
-// that agree there, and only over the half's forked tasks (see cone): the
-// others keep the unrestricted values, which slk2 and the step-9 clamp read
-// first. The per-minterm loop then reads the classes in Γ(τ) order with the
-// same float operations in the same order as a whole-graph DP per minterm
-// would, so speeds are bit-for-bit unchanged.
+// slk2 and the step-9 clamp read the carried unrestricted decomposition
+// sc.dp. A minterm reaches the up half of the DP at τ only through its
+// outcomes at the forks above τ and the down half only through those at τ
+// and below, so each half runs once per class of minterms that agree there,
+// and only over the half's forked tasks (see cone): the others keep the
+// unrestricted values. The per-minterm loop then reads the classes in Γ(τ)
+// order with the same float operations in the same order as a whole-graph
+// DP per minterm would, so speeds are bit-for-bit unchanged.
 func calculateSlack(dag *dagModel, t ctg.TaskID, locked []bool, literalRatio bool, sc *slackScratch) float64 {
 	s := dag.s
 	a := s.A
@@ -348,12 +359,7 @@ func calculateSlack(dag *dagModel, t ctg.TaskID, locked []bool, literalRatio boo
 
 	c := &sc.cone
 	dag.fillCone(c, t)
-
-	// Unrestricted decomposition: slk2 and the step-9 clamp, read before
-	// the class passes below overwrite its forked tasks.
 	full := sc.dp
-	dag.runUp(full, c.up, nil)
-	dag.runDown(full, c.down, nil)
 
 	// slk2: critical (largest-delay) chain with prob(p, τ) = 1.
 	slk2 := math.Inf(1)

@@ -366,3 +366,62 @@ func TestClassSetOverflowFallback(t *testing.T) {
 		}
 	}
 }
+
+// oracleWorstCase is WorstCase with a whole-graph DP per task.
+func oracleWorstCase(s *sched.Schedule, d platform.DVFS) Result {
+	dag := newDAG(s)
+	deadline := s.G.Deadline()
+	var res Result
+	for _, t := range s.Order {
+		r := dag.run(nil)
+		delay := dag.throughAny(r, t)
+		slack := deadline - delay
+		if slack <= 0 {
+			continue
+		}
+		wcet := s.WCET(t)
+		slk := wcet * slack / delay
+		if slk > slack {
+			slk = slack
+		}
+		if speed := d.SpeedForTime(wcet, wcet+slk); speed < 1 {
+			s.Speed[t] = speed
+			dag.refreshExec(t)
+			res.Stretched++
+		}
+	}
+	res.ExpectedEnergy = s.ExpectedEnergy()
+	res.WorstDelay = dag.longest(dag.run(nil))
+	return res
+}
+
+// TestWorstCaseMatchesWholeGraphOracle pins WorstCase's carried
+// decomposition to a whole-graph DP per task: speeds and Result equal bit
+// for bit over ForkJoin and Flat graphs, continuous and discrete DVFS.
+func TestWorstCaseMatchesWholeGraphOracle(t *testing.T) {
+	seeds := int64(40)
+	if testing.Short() {
+		seeds = 8
+	}
+	for _, cat := range []tgff.Category{tgff.ForkJoin, tgff.Flat} {
+		for seed := int64(0); seed < seeds; seed++ {
+			base := oracleWorkload(t, seed, cat, []float64{1.2, 1.6, 2.5}[seed%3])
+			for _, d := range []platform.DVFS{platform.Continuous(), platform.Discrete(0.3, 0.5, 0.7, 1)} {
+				if err := d.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				want, got := base.Clone(), base.Clone()
+				wantRes := oracleWorstCase(want, d)
+				gotRes, err := WorstCase(got, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				what := fmt.Sprintf("category %d seed %d %v", cat, seed, d)
+				sameSpeeds(t, what, want.Speed, got.Speed)
+				if !sameResult(wantRes, *gotRes) {
+					t.Fatalf("%s: result %+v (oracle) != %+v", what, wantRes, *gotRes)
+				}
+			}
+		}
+	}
+}

@@ -88,14 +88,13 @@ func PerScenario(s *sched.Schedule, d platform.DVFS, guard float64, cancel Cance
 	// Step 2: causality folding by ancestor-fork signature. Tasks are
 	// independent (each writes one speed-table column), so this fans out
 	// per task.
-	anc := ancestorForkSets(base)
 	out := &ScenarioSpeeds{Speeds: make([][]float64, a.NumScenarios())}
 	for si := range out.Speeds {
 		out.Speeds[si] = append([]float64(nil), ideal[si]...)
 	}
 	radix := forkRadix(s.G, nil)
 	par.ForEach(n, func(t int) {
-		foldTaskSpeeds(a, anc[t], radix, ideal, out.Speeds, t)
+		foldTaskSpeeds(a, base.forksAbove(ctg.TaskID(t)), radix, ideal, out.Speeds, t)
 	})
 	return out, nil
 }
@@ -106,10 +105,10 @@ func PerScenario(s *sched.Schedule, d platform.DVFS, guard float64, cancel Cance
 // the restricted assignment — no string building on the hot path — falling
 // back to the string key only if the radix product overflows uint64 (a graph
 // that degenerate cannot be enumerated anyway).
-func foldTaskSpeeds(a *ctg.Analysis, forks ctg.Bitset, radix []uint64, ideal, speeds [][]float64, t int) {
+func foldTaskSpeeds(a *ctg.Analysis, forks forkSet, radix []uint64, ideal, speeds [][]float64, t int) {
 	prod := uint64(1)
 	overflow := false
-	forks.ForEach(func(fi int) {
+	forks.forEach(func(fi int) {
 		if prod > math.MaxUint64/radix[fi] {
 			overflow = true
 			return
@@ -131,7 +130,7 @@ func foldTaskSpeeds(a *ctg.Analysis, forks ctg.Bitset, radix []uint64, ideal, sp
 		for si := 0; si < a.NumScenarios(); si++ {
 			assign := a.Scenario(si).Assign
 			var key uint64
-			forks.ForEach(func(fi int) {
+			forks.forEach(func(fi int) {
 				key = key*radix[fi] + uint64(assign[fi]+1)
 			})
 			byInt[key] = append(byInt[key], si)
@@ -155,19 +154,19 @@ func foldTaskSpeeds(a *ctg.Analysis, forks ctg.Bitset, radix []uint64, ideal, sp
 
 // scenarioScratch is the per-worker reusable state of the PerScenario
 // stretching loop: a mutable view of the base DAG (cost vectors only; the
-// topology is shared read-only), a DP decomposition, the current task's
-// cone and the lock vector.
+// topology is shared read-only), the carried DP decomposition with its
+// repair flags, and the lock vector.
 type scenarioScratch struct {
 	base   *dagModel
 	view   dagModel
 	dp     *dpResult
-	cone   cone
+	dirty  []bool
 	locked []bool
 }
 
 func newScenarioScratch(base *dagModel) *scenarioScratch {
 	n := len(base.exec)
-	scr := &scenarioScratch{base: base, view: *base, dp: newDPResult(n), locked: make([]bool, n)}
+	scr := &scenarioScratch{base: base, view: *base, dp: newDPResult(n), dirty: make([]bool, n), locked: make([]bool, n)}
 	scr.view.exec = make([]float64, n)
 	scr.view.comm = make([]float64, len(base.comm))
 	return scr
@@ -190,9 +189,8 @@ func (scr *scenarioScratch) load(active ctg.Bitset) {
 			scr.view.comm[ei] = 0
 		}
 	}
-	for t := range scr.locked {
-		scr.locked[t] = false
-	}
+	clear(scr.locked)
+	clear(scr.dirty)
 }
 
 // scenarioStretch stretches one scenario's subgraph: only active tasks carry
@@ -210,14 +208,11 @@ func scenarioStretch(s *sched.Schedule, d platform.DVFS, si int, scr *scenarioSc
 		speeds[t] = 1
 	}
 	locked := scr.locked
+	// One decomposition of the scenario's graph, repaired after every speed
+	// change.
+	r := dag.runInto(scr.dp, sc.Assign)
 	for _, t := range s.Order {
 		if sc.Active.Get(int(t)) {
-			// Everything read below lies in t's cone.
-			c := &scr.cone
-			dag.fillCone(c, t)
-			r := scr.dp
-			dag.runUp(r, c.up, sc.Assign)
-			dag.runDown(r, c.down, sc.Assign)
 			delay := dag.throughAny(r, t)
 			if slack := deadline - delay; slack > 0 {
 				denom := r.criticalDenominator(dag, t, 'A', locked)
@@ -231,6 +226,7 @@ func scenarioStretch(s *sched.Schedule, d platform.DVFS, si int, scr *scenarioSc
 					if speed < 1 {
 						speeds[t] = speed
 						dag.exec[t] = wcet / speed
+						dag.propagate(r, t, sc.Assign, scr.dirty)
 					}
 				}
 			}
@@ -240,30 +236,11 @@ func scenarioStretch(s *sched.Schedule, d platform.DVFS, si int, scr *scenarioSc
 	return speeds
 }
 
-// ancestorForkSets computes, per task, the set of fork indices that precede
-// it through real or schedule-induced pseudo edges — the forks whose
-// outcomes are known when the task dispatches.
-func ancestorForkSets(d *dagModel) []ctg.Bitset {
-	g := d.s.G
-	anc := make([]ctg.Bitset, len(d.exec))
-	for _, t := range d.order {
-		anc[t] = ctg.NewBitset(g.NumForks())
-		for _, ei := range d.inE[t] {
-			u := d.edges[ei].From
-			anc[t].UnionWith(anc[u])
-			if fi := g.ForkIndex(u); fi >= 0 {
-				anc[t].Set(fi)
-			}
-		}
-	}
-	return anc
-}
-
 // ancestorKey renders a scenario assignment restricted to the given fork
 // set.
-func ancestorKey(assign []int, forks ctg.Bitset) string {
+func ancestorKey(assign []int, forks forkSet) string {
 	var sb strings.Builder
-	forks.ForEach(func(fi int) {
+	forks.forEach(func(fi int) {
 		sb.WriteString(strconv.Itoa(fi))
 		sb.WriteByte('=')
 		sb.WriteString(strconv.Itoa(assign[fi]))

@@ -30,7 +30,7 @@ func TestPerScenarioCausality(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := s.A
-		anc := ancestorForkSets(newDAG(s))
+		anc := reachForks(s, true)
 		for task := 0; task < s.G.NumTasks(); task++ {
 			byKey := map[string]float64{}
 			for si := 0; si < a.NumScenarios(); si++ {

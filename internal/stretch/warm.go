@@ -12,10 +12,12 @@ import (
 // Heuristic pass with Options.Affected set. The unaffected tasks keep their
 // incumbent speeds and are treated as locked from the outset — exactly the
 // state the full heuristic reaches after processing them — so the partial
-// pass costs O(|affected| × minterms × DP) instead of
-// O(tasks × minterms × DP). An all-true mask reproduces the full pass bit
-// for bit, which is how the breaker's guard-level changes re-stretch without
-// paying for a new mapping.
+// pass builds the carried decomposition once and then pays, per affected
+// task, its scenario-class passes over its forked tasks and the repair
+// after its stretch, instead of the same per task of the whole order. An
+// all-true mask reproduces the full pass bit for bit, which is how the
+// breaker's guard-level changes re-stretch without paying for a new
+// mapping.
 //
 // Deadline safety is unconditional: the incumbent kept every chain within
 // the deadline, resetting the affected tasks to full speed only shortens
@@ -27,11 +29,12 @@ import (
 // the warm-equivalence property test.
 
 // Workspace holds the reusable buffers of repeated stretching passes over
-// one mapping: the combined-DAG model, the lock vector and the slack DP
-// scratch (one task's cone, two decompositions, and per-class chain arenas
-// sized by Γ(τ); nothing per scenario). Rebind it after every full
-// reschedule (new mapping), then each masked Heuristic pass on that mapping
-// allocates nothing. Not safe for concurrent use.
+// one mapping: the combined-DAG model with its per-task fork sets, the lock
+// vector and the slack DP scratch (the one carried decomposition with its
+// repair flags, one task's forked tasks with their saved slots, and
+// per-class chain arenas sized by Γ(τ); nothing per scenario). Rebind it
+// after every full reschedule (new mapping), then each masked Heuristic pass
+// on that mapping allocates nothing. Not safe for concurrent use.
 type Workspace struct {
 	dag     *dagModel
 	locked  []bool

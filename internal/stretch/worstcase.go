@@ -23,8 +23,10 @@ func WorstCase(s *sched.Schedule, d platform.DVFS) (*Result, error) {
 	dag := newDAG(s)
 	deadline := s.G.Deadline()
 	res := &Result{}
+	// One decomposition, repaired after every speed change.
+	r := dag.run(nil)
+	dirty := make([]bool, len(dag.exec))
 	for _, t := range s.Order {
-		r := dag.run(nil)
 		delay := dag.throughAny(r, t)
 		slack := deadline - delay
 		if slack <= 0 {
@@ -39,10 +41,11 @@ func WorstCase(s *sched.Schedule, d platform.DVFS) (*Result, error) {
 		if speed < 1 {
 			s.Speed[t] = speed
 			dag.refreshExec(t)
+			dag.propagate(r, t, nil, dirty)
 			res.Stretched++
 		}
 	}
 	res.ExpectedEnergy = s.ExpectedEnergy()
-	res.WorstDelay = dag.longest(dag.run(nil))
+	res.WorstDelay = dag.longest(r)
 	return res, nil
 }
