@@ -9,7 +9,7 @@ package stretch
 // Checkpoint granularity:
 //
 //   - the single-speed heuristic polls once per task processed (each task
-//     pays one O(minterms × DP) CalculateSlack, the natural unit of work);
+//     pays one CalculateSlack, the natural unit of work);
 //   - the per-scenario pass polls once per scenario inside the parallel
 //     fan-out and once after the barrier, so a cancelled run stops within
 //     one scenario batch — in-flight scenarios finish, queued ones are

@@ -51,6 +51,16 @@ type dagModel struct {
 	// only.
 	above, below []uint64
 	fw           int
+	// rank is each task's position in the schedule's processing order
+	// (s.Order), and late the largest rank among the task and its
+	// ancestors. A task whose late exceeds its rank has an ancestor that a
+	// pass processes after it, through an edge that points backward in
+	// s.Order; a stretch drops down values only on such ancestors (see
+	// pass.stretched).
+	rank, late []int32
+	// up and down are the scenario classes of the two halves of the DP,
+	// built by classes; nil rows until then.
+	up, down classRows
 }
 
 func newDAG(s *sched.Schedule) *dagModel {
@@ -117,6 +127,16 @@ func newDAG(s *sched.Schedule) *dagModel {
 			}
 		}
 	}
+	d.rank, d.late = make([]int32, n), make([]int32, n)
+	for i, t := range s.Order {
+		d.rank[t] = int32(i)
+	}
+	for _, t := range d.order {
+		d.late[t] = d.rank[t]
+		for _, ei := range d.inE[t] {
+			d.late[t] = max(d.late[t], d.late[d.edges[ei].From])
+		}
+	}
 	for t := 0; t < n; t++ {
 		d.exec[t] = s.ExecTime(ctg.TaskID(t))
 	}
@@ -165,8 +185,107 @@ func (d *dagModel) refreshExec(t ctg.TaskID) { d.exec[t] = d.s.ExecTime(t) }
 // negInf marks a path class that does not exist below a node.
 var negInf = math.Inf(-1)
 
-// dpResult holds, per task, the longest-path decomposition of the scheduled
-// graph (optionally restricted to the edges consistent with one scenario):
+// classRows partitions the scenarios, per task, by their outcomes on one of
+// the task's fork sets: the forks at or below it for the down half of the
+// DP, those strictly above it for the up half. A conditional edge leaves its
+// fork, so a half of the DP at a task reads no other outcome, and the
+// scenarios of one class share every value of that half there. A task whose
+// set is empty has no row: every scenario shares its unrestricted values.
+// The rows depend on the mapping and the graph's scenario structure only,
+// so they are built once per mapping and read by every pass over it. A row
+// depends on the fork set alone, so tasks with equal sets share one.
+type classRows struct {
+	row []int32  // per task: offset of its row in cls, or -1
+	n   []int32  // per task: its class count, 0 without a row
+	cls []uint16 // per distinct fork set: one class id per scenario
+}
+
+// of returns the class of scenario si at t, which must have a row.
+func (c *classRows) of(t ctg.TaskID, si int) int { return int(c.cls[int(c.row[t])+si]) }
+
+// at returns the class of scenario si at t: 0 for a task without a row,
+// whose one class is its unrestricted values.
+func (c *classRows) at(t ctg.TaskID, si int) int {
+	if c.row[t] < 0 {
+		return 0
+	}
+	return c.of(t, si)
+}
+
+// count returns the number of classes at t.
+func (c *classRows) count(t ctg.TaskID) int { return max(1, int(c.n[t])) }
+
+// classes builds the model's class rows.
+func (d *dagModel) classes() {
+	d.up.build(d.s.A, len(d.exec), d.forksAbove)
+	d.down.build(d.s.A, len(d.exec), d.forksBelow)
+}
+
+// build fills c for the fork sets set returns. The tasks with a fork are
+// sorted by their sets, and each run of equal sets gets one row: the
+// scenarios sorted by their outcomes on the set, each run of equal
+// outcomes one class. Ids stay below ctg.MaxScenarios, so they fit in 16
+// bits.
+func (c *classRows) build(a *ctg.Analysis, n int, set func(ctg.TaskID) forkSet) {
+	ns := a.NumScenarios()
+	assign := make([][]int, ns)
+	for si := range assign {
+		assign[si] = a.Scenario(si).Assign
+	}
+	c.row, c.n = make([]int32, n), make([]int32, n)
+	var tasks []ctg.TaskID
+	for t := range c.row {
+		c.row[t] = -1
+		if !set(ctg.TaskID(t)).empty() {
+			tasks = append(tasks, ctg.TaskID(t))
+		}
+	}
+	bySet := func(x, y ctg.TaskID) int { return slices.Compare(set(x), set(y)) }
+	slices.SortFunc(tasks, bySet)
+	rows := 0
+	for i, t := range tasks {
+		if i == 0 || bySet(tasks[i-1], t) != 0 {
+			rows++
+		}
+	}
+	c.cls = make([]uint16, 0, rows*ns)
+	var forks []int
+	idx := make([]int, ns)
+	byOutcomes := func(x, y int) int {
+		for _, fi := range forks {
+			if c := cmp.Compare(assign[x][fi], assign[y][fi]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
+	for i, t := range tasks {
+		if i > 0 && bySet(tasks[i-1], t) == 0 {
+			c.row[t], c.n[t] = c.row[tasks[i-1]], c.n[tasks[i-1]]
+			continue
+		}
+		forks = forks[:0]
+		set(t).forEach(func(fi int) { forks = append(forks, fi) })
+		for si := range idx {
+			idx[si] = si
+		}
+		slices.SortFunc(idx, byOutcomes)
+		off := len(c.cls)
+		c.cls = c.cls[:off+ns]
+		id := -1
+		for k, si := range idx {
+			if k == 0 || byOutcomes(idx[k-1], si) != 0 {
+				id++
+			}
+			c.cls[off+si] = uint16(id)
+		}
+		c.row[t], c.n[t] = int32(off), int32(id+1)
+	}
+}
+
+// dpResult holds, per slot, the longest-path decomposition of the scheduled
+// graph (optionally restricted to the edges consistent with one scenario).
+// Slot v < n is task v's; a pass appends class slots after them (see pass).
 //
 //	up[v]    — the largest delay of any chain ending just before v
 //	downU[v] — the largest remaining delay after v over suffixes containing
@@ -185,12 +304,12 @@ type dpResult struct {
 	classA                  []byte // which class wins downAny: 'U' or 'C'
 }
 
-// downAny returns max(downU, downC) for v.
-func (r *dpResult) downAny(v ctg.TaskID) float64 {
-	if r.downU[v] >= r.downC[v] {
-		return r.downU[v]
+// downAny returns max(downU, downC) of slot s.
+func (r *dpResult) downAny(s int) float64 {
+	if r.downU[s] >= r.downC[s] {
+		return r.downU[s]
 	}
-	return r.downC[v]
+	return r.downC[s]
 }
 
 // newDPResult allocates a decomposition for an n-task graph.
@@ -207,31 +326,21 @@ func newDPResult(n int) *dpResult {
 	}
 }
 
-// dpSlot is one task's slots of a decomposition.
-type dpSlot struct {
-	up, downU, downC, probC float64
-	ubp, dbpU, dbpC         int
-	classA                  byte
+// slotSel picks the slot a DP step reads for a task: the task's own (the
+// zero value), or, under scenario si, its class slot where it has a row in
+// rows, base holding each such task's first class slot.
+type slotSel struct {
+	rows *classRows
+	base []int32
+	si   int
 }
 
-// save appends the slots of nodes to dst.
-func (r *dpResult) save(dst []dpSlot, nodes []ctg.TaskID) []dpSlot {
-	for _, v := range nodes {
-		dst = append(dst, dpSlot{
-			up: r.up[v], downU: r.downU[v], downC: r.downC[v], probC: r.probC[v],
-			ubp: r.ubp[v], dbpU: r.dbpU[v], dbpC: r.dbpC[v], classA: r.classA[v],
-		})
+// of returns t's slot.
+func (s slotSel) of(t ctg.TaskID) int {
+	if s.rows == nil || s.rows.row[t] < 0 {
+		return int(t)
 	}
-	return dst
-}
-
-// restore writes back the slots save took of the same nodes.
-func (r *dpResult) restore(src []dpSlot, nodes []ctg.TaskID) {
-	for i, v := range nodes {
-		s := &src[i]
-		r.up[v], r.downU[v], r.downC[v], r.probC[v] = s.up, s.downU, s.downC, s.probC
-		r.ubp[v], r.dbpU[v], r.dbpC[v], r.classA[v] = s.ubp, s.dbpU, s.dbpC, s.classA
-	}
+	return int(s.base[t]) + s.rows.of(t, s.si)
 }
 
 // run computes the decomposition. assign restricts edges to those whose
@@ -246,11 +355,16 @@ func (d *dagModel) run(assign []int) *dpResult {
 	return d.runInto(newDPResult(len(d.exec)), assign)
 }
 
-// runInto is run reusing a previously allocated decomposition. Every slot of
-// r is overwritten.
+// runInto is run reusing a previously allocated decomposition. Every task
+// slot of r is overwritten.
 func (d *dagModel) runInto(r *dpResult, assign []int) *dpResult {
-	d.runUp(r, d.order, assign)
-	d.runDown(r, d.order, assign)
+	for _, v := range d.order {
+		d.upAt(r, v, int(v), assign, slotSel{})
+	}
+	for i := len(d.order) - 1; i >= 0; i-- {
+		v := d.order[i]
+		d.downAt(r, v, int(v), assign, slotSel{})
+	}
 	return r
 }
 
@@ -269,45 +383,28 @@ func (d *dagModel) ok(ei int, assign []int) bool {
 	return assign[d.s.G.ForkIndex(c.Branch())] == c.Outcome()
 }
 
-// runUp runs upAt over the given tasks, which must be listed in topological
-// order: the whole order, or a task's up-forked tasks (see cone) over a
-// decomposition that holds the unrestricted values for the others.
-func (d *dagModel) runUp(r *dpResult, nodes []ctg.TaskID, assign []int) {
-	for _, v := range nodes {
-		d.upAt(r, v, assign)
-	}
-}
-
-// upAt recomputes up[v] and ubp[v] from v's predecessors' slots.
-func (d *dagModel) upAt(r *dpResult, v ctg.TaskID, assign []int) {
-	r.up[v], r.ubp[v] = 0, -1
+// upAt computes slot sv, task v's, of the up half from the slots sel picks
+// for v's predecessors.
+func (d *dagModel) upAt(r *dpResult, v ctg.TaskID, sv int, assign []int, sel slotSel) {
+	r.up[sv], r.ubp[sv] = 0, -1
 	for _, ei := range d.inE[v] {
 		if !d.ok(ei, assign) {
 			continue
 		}
 		u := d.edges[ei].From
-		if cand := r.up[u] + d.exec[u] + d.comm[ei]; cand > r.up[v] {
-			r.up[v], r.ubp[v] = cand, ei
+		if cand := r.up[sel.of(u)] + d.exec[u] + d.comm[ei]; cand > r.up[sv] {
+			r.up[sv], r.ubp[sv] = cand, ei
 		}
 	}
 }
 
-// runDown runs downAt over the given tasks in reverse order; nodes must be
-// listed in topological order: the whole order, or a task's down-forked
-// tasks (see cone) over a decomposition that holds the unrestricted values
-// for the others.
-func (d *dagModel) runDown(r *dpResult, nodes []ctg.TaskID, assign []int) {
-	for i := len(nodes) - 1; i >= 0; i-- {
-		d.downAt(r, nodes[i], assign)
-	}
-}
-
-// downAt recomputes v's down-class slots from its successors' slots.
-func (d *dagModel) downAt(r *dpResult, v ctg.TaskID, assign []int) {
+// downAt computes slot sv, task v's, of the down half from the slots sel
+// picks for v's successors.
+func (d *dagModel) downAt(r *dpResult, v ctg.TaskID, sv int, assign []int, sel slotSel) {
 	g := d.s.G
-	r.downU[v], r.dbpU[v] = negInf, -1
-	r.downC[v], r.dbpC[v] = negInf, -1
-	r.probC[v] = 0
+	r.downU[sv], r.dbpU[sv] = negInf, -1
+	r.downC[sv], r.dbpC[sv] = negInf, -1
+	r.probC[sv] = 0
 	hasOut := false
 	for _, ei := range d.outE[v] {
 		if !d.ok(ei, assign) {
@@ -315,199 +412,51 @@ func (d *dagModel) downAt(r *dpResult, v ctg.TaskID, assign []int) {
 		}
 		hasOut = true
 		e := d.edges[ei]
-		w := e.To
-		step := d.comm[ei] + d.exec[w]
+		sw := sel.of(e.To)
+		step := d.comm[ei] + d.exec[e.To]
 		// U class: unconditional edge, continuation also U.
-		if !e.Cond.IsConditional() && r.downU[w] > negInf {
-			if cand := step + r.downU[w]; cand > r.downU[v] {
-				r.downU[v], r.dbpU[v] = cand, ei
+		if !e.Cond.IsConditional() && r.downU[sw] > negInf {
+			if cand := step + r.downU[sw]; cand > r.downU[sv] {
+				r.downU[sv], r.dbpU[sv] = cand, ei
 			}
 		}
 		// C class.
 		if e.Cond.IsConditional() {
 			// The conditional edge itself satisfies the class; the
 			// continuation may be anything.
-			cont := r.downAny(w)
+			cont := r.downAny(sw)
 			if cont > negInf {
-				if cand := step + cont; cand > r.downC[v] {
+				if cand := step + cont; cand > r.downC[sv] {
 					contProb := 1.0
-					if r.classA[w] == 'C' {
-						contProb = r.probC[w]
+					if r.classA[sw] == 'C' {
+						contProb = r.probC[sw]
 					}
-					r.downC[v], r.dbpC[v] = cand, ei
-					r.probC[v] = g.CondProb(e.Cond) * contProb
+					r.downC[sv], r.dbpC[sv] = cand, ei
+					r.probC[sv] = g.CondProb(e.Cond) * contProb
 				}
 			}
-		} else if r.downC[w] > negInf {
-			if cand := step + r.downC[w]; cand > r.downC[v] {
-				r.downC[v], r.dbpC[v] = cand, ei
-				r.probC[v] = r.probC[w]
+		} else if r.downC[sw] > negInf {
+			if cand := step + r.downC[sw]; cand > r.downC[sv] {
+				r.downC[sv], r.dbpC[sv] = cand, ei
+				r.probC[sv] = r.probC[sw]
 			}
 		}
 	}
 	if !hasOut {
 		// A chain end: the empty suffix is the U class.
-		r.downU[v] = 0
+		r.downU[sv] = 0
 	}
-	if r.downU[v] >= r.downC[v] {
-		r.classA[v] = 'U'
+	if r.downU[sv] >= r.downC[sv] {
+		r.classA[sv] = 'U'
 	} else {
-		r.classA[v] = 'C'
+		r.classA[sv] = 'C'
 	}
-}
-
-// propagate repairs r, a decomposition under assign, after exec[t] changed:
-// Figure 2's "update the delay and slack of all paths spanning τi". Only the
-// up values below t and the down values above t read exec[t]. The up sweep
-// walks the order forward from t, re-running upAt on every queued task, and
-// queues a task's successors only when its up value changed; the down sweep
-// walks backward over t's predecessors the same way, comparing the down
-// values a predecessor reads (downU, downC and probC; classA follows from
-// the first two). A task whose inputs did not change would recompute the
-// same slots, so r ends bit for bit equal to a fresh runInto. dirty holds
-// one flag per task, all clear on entry and on return.
-func (d *dagModel) propagate(r *dpResult, t ctg.TaskID, assign []int, dirty []bool) {
-	pending := 0
-	for _, ei := range d.outE[t] {
-		if w := d.edges[ei].To; !dirty[w] {
-			dirty[w], pending = true, pending+1
-		}
-	}
-	for p := int(d.pos[t]) + 1; pending > 0; p++ {
-		v := d.order[p]
-		if !dirty[v] {
-			continue
-		}
-		dirty[v], pending = false, pending-1
-		old := r.up[v]
-		d.upAt(r, v, assign)
-		if sameBits(r.up[v], old) {
-			continue
-		}
-		for _, ei := range d.outE[v] {
-			if w := d.edges[ei].To; !dirty[w] {
-				dirty[w], pending = true, pending+1
-			}
-		}
-	}
-	for _, ei := range d.inE[t] {
-		if u := d.edges[ei].From; !dirty[u] {
-			dirty[u], pending = true, pending+1
-		}
-	}
-	for p := int(d.pos[t]) - 1; pending > 0; p-- {
-		v := d.order[p]
-		if !dirty[v] {
-			continue
-		}
-		dirty[v], pending = false, pending-1
-		oldU, oldC, oldP := r.downU[v], r.downC[v], r.probC[v]
-		d.downAt(r, v, assign)
-		if sameBits(r.downU[v], oldU) && sameBits(r.downC[v], oldC) && sameBits(r.probC[v], oldP) {
-			continue
-		}
-		for _, ei := range d.inE[v] {
-			if u := d.edges[ei].From; !dirty[u] {
-				dirty[u], pending = true, pending+1
-			}
-		}
-	}
-}
-
-// sameBits reports whether a and b are the same float64, bit for bit.
-func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-
-// cone is what the scenario classes of one task τ need of the graph; the
-// unrestricted values come from the carried whole-graph decomposition.
-//
-// upForks and downForks are the fork indices strictly above τ and at or
-// below it, ascending: the only forks whose outcomes reach the up and the
-// down half of the DP at τ. A conditional edge leaves its fork, so within
-// each half only some tasks depend on those outcomes: upForked lists τ's
-// ancestors (and τ) with a fork strictly above them, downForked τ and its
-// descendants with a fork at or below them, both in topological order.
-// Every other task of either half has the same DP values under every
-// scenario assignment.
-type cone struct {
-	upForks, downForks   []int
-	upForked, downForked []ctg.TaskID
-	mark                 []bool // per task: visited; all clear between fills
-	stack                []walkFrame
-}
-
-// walkFrame is one task on the forked walks' DFS stack.
-type walkFrame struct {
-	v    ctg.TaskID
-	next int // the next of v's edges to follow
-}
-
-// fillCone computes τ's cone into c, reusing its buffers.
-func (d *dagModel) fillCone(c *cone, t ctg.TaskID) {
-	if len(c.mark) != len(d.exec) {
-		c.mark = make([]bool, len(d.exec))
-	}
-	c.upForks, c.downForks = c.upForks[:0], c.downForks[:0]
-	d.forksAbove(t).forEach(func(fi int) { c.upForks = append(c.upForks, fi) })
-	d.forksBelow(t).forEach(func(fi int) { c.downForks = append(c.downForks, fi) })
-	c.upForked, c.downForked = c.upForked[:0], c.downForked[:0]
-	if len(c.upForks) > 0 {
-		c.upForked = d.forkedWalk(c, c.upForked, t, true)
-	}
-	if len(c.downForks) > 0 {
-		c.downForked = d.forkedWalk(c, c.downForked, t, false)
-		slices.Reverse(c.downForked)
-	}
-}
-
-// forkedWalk appends to dst, in DFS postorder, the tasks reached from t over
-// in-edges (up) without leaving the tasks that have a fork strictly above
-// them, or over out-edges (!up) without leaving those with a fork at or
-// below them. t must be such a task. The first set is closed under
-// successors, so every ancestor of t in it is reached through it; the
-// second is closed under predecessors, so every descendant of t in it is.
-// A postorder over in-edges lists every task after its predecessors, one
-// over out-edges after its successors: a topological order, reversed for
-// the down walk, without a sort.
-func (d *dagModel) forkedWalk(c *cone, dst []ctg.TaskID, t ctg.TaskID, up bool) []ctg.TaskID {
-	adj := d.outE
-	if up {
-		adj = d.inE
-	}
-	c.mark[t] = true
-	c.stack = append(c.stack[:0], walkFrame{v: t})
-	for len(c.stack) > 0 {
-		f := &c.stack[len(c.stack)-1]
-		if f.next == len(adj[f.v]) {
-			dst = append(dst, f.v)
-			c.stack = c.stack[:len(c.stack)-1]
-			continue
-		}
-		ei := adj[f.v][f.next]
-		f.next++
-		var u ctg.TaskID
-		var forked bool
-		if up {
-			u = d.edges[ei].From
-			forked = !d.forksAbove(u).empty()
-		} else {
-			u = d.edges[ei].To
-			forked = !d.forksBelow(u).empty()
-		}
-		if forked && !c.mark[u] {
-			c.mark[u] = true
-			c.stack = append(c.stack, walkFrame{v: u})
-		}
-	}
-	for _, v := range dst {
-		c.mark[v] = false
-	}
-	return dst
 }
 
 // throughAny returns the largest delay of any chain through v (the paper's
 // critical spanning path of step 9): up + exec + max(downU, downC).
 func (d *dagModel) throughAny(r *dpResult, v ctg.TaskID) float64 {
-	down := r.downAny(v)
+	down := r.downAny(int(v))
 	if down == negInf {
 		down = 0
 	}
@@ -526,153 +475,68 @@ func (d *dagModel) longest(r *dpResult) float64 {
 	return best
 }
 
-// walkCritical traverses the argmax chain through v whose suffix has the
-// given class ('U', 'C' or 'A' for either), invoking node for every task on
-// the chain and edge for every edge: v, then the prefix from v back to the
-// chain start, then the suffix.
-func (r *dpResult) walkCritical(d *dagModel, v ctg.TaskID, class byte,
-	node func(ctg.TaskID), edge func(ei int)) {
-	// Upward walk (prefix, visited from v back to the chain start).
-	for u := v; ; {
-		node(u)
-		ei := r.ubp[u]
-		if ei < 0 {
-			break
-		}
-		edge(ei)
-		u = d.edges[ei].From
-	}
-	// Downward walk in the requested class.
-	for u := v; ; {
-		ei, next := r.downStep(d, u, class)
-		if ei < 0 {
-			break
-		}
-		edge(ei)
-		u, class = d.edges[ei].To, next
-		node(u)
-	}
-}
-
-// downStep returns the argmax out-edge of u for a suffix of the given class
-// (-1 at the chain's end) and the class the suffix continues in: after its
-// first conditional edge a 'C' suffix may continue in either class.
-func (r *dpResult) downStep(d *dagModel, u ctg.TaskID, class byte) (int, byte) {
+// downStep returns the argmax out-edge of slot s for a suffix of the given
+// class (-1 at the chain's end) and the class the suffix continues in: after
+// its first conditional edge a 'C' suffix may continue in either class.
+func (r *dpResult) downStep(d *dagModel, s int, class byte) (int, byte) {
 	if class == 'A' {
-		class = r.classA[u]
+		class = r.classA[s]
 	}
 	if class == 'U' {
-		return r.dbpU[u], class
+		return r.dbpU[s], class
 	}
-	ei := r.dbpC[u]
+	ei := r.dbpC[s]
 	if ei >= 0 && d.edges[ei].Cond.IsConditional() {
 		class = 'A'
 	}
 	return ei, class
 }
 
-// appendUpChain appends the edges of the argmax prefix ending at v, from v
-// back to the chain start — walkCritical's upward walk.
-func (r *dpResult) appendUpChain(d *dagModel, dst []int32, v ctg.TaskID) []int32 {
-	for ei := r.ubp[v]; ei >= 0; ei = r.ubp[d.edges[ei].From] {
-		dst = append(dst, int32(ei))
-	}
-	return dst
-}
-
-// appendDownChain appends the edges of the argmax suffix of the given class
-// below v — walkCritical's downward walk.
-func (r *dpResult) appendDownChain(d *dagModel, dst []int32, v ctg.TaskID, class byte) []int32 {
-	for u := v; ; {
-		ei, next := r.downStep(d, u, class)
-		if ei < 0 {
-			return dst
-		}
-		dst = append(dst, int32(ei))
-		u, class = d.edges[ei].To, next
-	}
-}
-
-// pathSet deduplicates critical-path node sequences so that a chain found
-// critical for several minterms is counted once by the heuristic. It
-// replaces the former string-signature keys: sequences are interned in a
-// reusable int32 arena and looked up by FNV-1a hash with exact sequence
-// verification on hash hits, so dedup semantics are identical to string
-// comparison with zero steady-state allocation.
-type pathSet struct {
-	arena []int32 // all interned sequences, concatenated
-	// entries hold the interned [start, end) spans as hash-chained nodes:
-	// heads maps a hash to the 1-based index of its newest entry and each
-	// entry links to the previous one with the same hash. Chaining through a
-	// flat slice (instead of map[hash][]span) keeps the steady state
-	// allocation-free: reset truncates the slice and clears the map, and
-	// re-populating an already-sized map and slice allocates nothing.
-	entries []pathSpan
-	heads   map[uint64]int32 // hash -> 1-based index into entries (0 = none)
-}
-
-// pathSpan is one interned sequence: [start, end) in the arena plus the
-// 1-based index of the previous entry with the same hash.
-type pathSpan struct {
-	start, end int32
-	prev       int32
-}
-
-// reset clears the set, retaining capacity.
-func (p *pathSet) reset() {
-	p.arena = p.arena[:0]
-	p.entries = p.entries[:0]
-	if p.heads == nil {
-		p.heads = make(map[uint64]int32)
-	} else {
-		clear(p.heads)
-	}
-}
-
-// fnv1a hashes an int32 sequence (FNV-1a over the little-endian bytes).
-func fnv1a(seq []int32) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, v := range seq {
-		u := uint32(v)
-		for shift := 0; shift < 32; shift += 8 {
-			h ^= uint64(byte(u >> shift))
-			h *= prime
-		}
-	}
-	return h
-}
-
-// add adds a node sequence to the set, reporting whether it was new.
-func (p *pathSet) add(seq []int32) bool {
-	h := fnv1a(seq)
-	for idx := p.heads[h]; idx != 0; {
-		span := p.entries[idx-1]
-		idx = span.prev
-		if slices.Equal(p.arena[span.start:span.end], seq) {
-			return false
-		}
-	}
-	start := int32(len(p.arena))
-	p.arena = append(p.arena, seq...)
-	p.entries = append(p.entries, pathSpan{start: start, end: int32(len(p.arena)), prev: p.heads[h]})
-	p.heads[h] = int32(len(p.entries))
-	return true
-}
-
 // criticalDenominator returns the distributable delay of the argmax chain
 // through v with the given suffix class: the execution time of the not yet
 // locked tasks plus the (unscalable) communication delay. Locked tasks are
 // "released from consideration" (paper §III.A), so the remaining slack is
-// shared among the tasks that can still absorb it.
+// shared among the tasks that can still absorb it. The sum runs along the
+// chain: v, the prefix from v back to the chain start, then the suffix.
 func (r *dpResult) criticalDenominator(d *dagModel, v ctg.TaskID, class byte, locked []bool) float64 {
+	return r.downDenominator(d, r.upDenominator(d, v, int(v), slotSel{}, locked), int(v), class, slotSel{}, locked)
+}
+
+// upDenominator returns the part of a ratio denominator that t and the
+// argmax prefix ending at its up slot sv add (sel picks the prefix's
+// slots): t's execution time if unlocked, then per prefix edge, from t
+// back to the chain start, its delay and its source's execution time if
+// unlocked.
+func (r *dpResult) upDenominator(d *dagModel, t ctg.TaskID, sv int, sel slotSel, locked []bool) float64 {
 	denom := 0.0
-	r.walkCritical(d, v, class, func(u ctg.TaskID) {
+	if !locked[t] {
+		denom += d.exec[t]
+	}
+	for ei := r.ubp[sv]; ei >= 0; {
+		u := d.edges[ei].From
+		denom += d.comm[ei]
 		if !locked[u] {
 			denom += d.exec[u]
 		}
-	}, func(ei int) {
-		denom += d.comm[ei]
-	})
+		ei = r.ubp[sel.of(u)]
+	}
 	return denom
+}
+
+// downDenominator adds to denom what the argmax suffix of the given class
+// below down slot sv adds (sel picks the suffix's slots): per edge its
+// delay and its target's execution time if unlocked.
+func (r *dpResult) downDenominator(d *dagModel, denom float64, sv int, class byte, sel slotSel, locked []bool) float64 {
+	for s := sv; ; {
+		ei, next := r.downStep(d, s, class)
+		if ei < 0 {
+			return denom
+		}
+		w := d.edges[ei].To
+		denom += d.comm[ei]
+		if !locked[w] {
+			denom += d.exec[w]
+		}
+		s, class = sel.of(w), next
+	}
 }

@@ -40,3 +40,10 @@ func ScenarioStretches(s *sched.Schedule, d platform.DVFS, guard float64) [][]fl
 	}
 	return out
 }
+
+// OracleWorstCase is the whole-graph WorstCase oracle.
+func OracleWorstCase(s *sched.Schedule, d platform.DVFS) Result { return oracleWorstCase(s, d) }
+
+// BackwardEdges counts the real and pseudo edges of s that point backward
+// in s.Order.
+func BackwardEdges(s *sched.Schedule) int { return backwardEdges(newDAG(s)) }

@@ -3,6 +3,7 @@ package stretch
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ctgdvfs/internal/ctg"
 	"ctgdvfs/internal/platform"
@@ -83,8 +84,8 @@ type Options struct {
 //
 // The task is stretched by its slack, its speed locked, and the delays every
 // later decision sees reflect it (the paper's "update the delay and slack of
-// all paths spanning τi": propagate repairs the pass's one decomposition
-// where the stretched task reaches).
+// all paths spanning τi": the pass computes each delay where a later
+// decision reads it, see pass).
 //
 // Interpretation note: the paper's Figure 2 step 5 reads "paths of m where
 // prob(m) = 1"; we read it as prob(p, τ) = 1 so that the two buckets
@@ -131,10 +132,8 @@ func Heuristic(s *sched.Schedule, d platform.DVFS, o Options) (Result, error) {
 			w.locked[t] = true
 		}
 	}
-	// One whole-graph decomposition, built here and repaired after every
-	// speed change, carries the unrestricted values through the pass.
-	r := dag.runInto(w.scratch.dp, nil)
-	clear(w.scratch.dirty)
+	sc := w.scratch
+	sc.p.reset(dag, sc.dp, nil)
 	var res Result
 	for _, t := range s.Order {
 		if o.Affected != nil && !o.Affected[t] {
@@ -145,7 +144,7 @@ func Heuristic(s *sched.Schedule, d platform.DVFS, o Options) (Result, error) {
 				return Result{}, err
 			}
 		}
-		slk := calculateSlack(dag, t, w.locked, o.LiteralRatio, w.scratch)
+		slk := calculateSlack(t, w.locked, o.LiteralRatio, sc)
 		if slk > 0 {
 			wcet := s.WCET(t)
 			res.SlackFound += slk
@@ -153,7 +152,7 @@ func Heuristic(s *sched.Schedule, d platform.DVFS, o Options) (Result, error) {
 			if speed < 1 {
 				s.Speed[t] = speed
 				dag.refreshExec(t)
-				dag.propagate(r, t, nil, w.scratch.dirty)
+				sc.p.stretched(t)
 				res.Stretched++
 				res.SlackUsed += wcet/speed - wcet
 			}
@@ -165,7 +164,7 @@ func Heuristic(s *sched.Schedule, d platform.DVFS, o Options) (Result, error) {
 	if o.Affected == nil {
 		res.ExpectedEnergy = s.ExpectedEnergy()
 	}
-	res.WorstDelay = dag.longest(r)
+	res.WorstDelay = dag.longest(sc.p.finish())
 	return res, nil
 }
 
@@ -177,162 +176,79 @@ func validGuard(guard float64) error {
 	return nil
 }
 
-// slackScratch holds the buffers a Heuristic pass reuses across its
-// per-task loop: the carried decomposition with its repair flags, τ's cone,
-// the scenario classes with their chain arenas and the critical-path dedup
-// set. Every buffer is O(n) or O(|Γ(τ)|); one per Workspace.
+// slackScratch holds what a Heuristic pass reuses across its per-task loop:
+// the pass with its decomposition and chain ids, and what calculateSlack
+// reads of τ's scenario classes. Every buffer is O(n), O(the slots the pass
+// reads) or O(minterms); one per Workspace.
 type slackScratch struct {
-	cone cone
-	// dp is the pass's whole-graph unrestricted decomposition. calculateSlack
-	// overwrites τ's forked tasks class by class, each class reading the
-	// unrestricted values every class shares on the others, and restores
-	// them from saved.
-	dp       *dpResult
-	dirty    []bool // propagate's per-task flags
-	saved    []dpSlot
-	radix    []uint64 // per fork: its outcomes plus unassigned
-	terms    []int    // Γ(τ), ascending
-	up, down classSet
-	chain    []int32 // node sequence of the chain being deduplicated
-	seen     pathSet
-	// pairs holds the (up class, down class) pairs already counted: every
-	// minterm of a pair has the same chain, so only a pair's first minterm
-	// builds and looks the chain up.
-	pairs map[uint64]struct{}
+	p  pass
+	dp *dpResult
+	// terms is Γ(τ), ascending; up and down hold τ's classes, by class id.
+	terms    []int
+	up, down []chainClass
+	// counted holds the chains through τ counted so far: every minterm
+	// whose critical chain was counted before adds nothing.
+	counted []chainPair
 }
 
-func newSlackScratch(n int) *slackScratch {
-	return &slackScratch{dp: newDPResult(n), dirty: make([]bool, n)}
-}
+func newSlackScratch(n int) *slackScratch { return &slackScratch{dp: newDPResult(n)} }
 
-// classSet groups the minterms of Γ(τ) by their outcomes on one fork set —
-// τ's strict ancestor forks for the up half of the DP, τ and its descendant
-// forks for the down half — and keeps, per class, what calculateSlack reads
-// of that half at τ.
-type classSet struct {
-	ids   map[uint64]int32
-	of    []int32 // per term of Γ(τ): its class
-	cls   []chainClass
-	edges []int32 // the classes' chain edges, concatenated
-}
-
-// chainClass is one class of minterms that agree on a half's forks, so the
-// half-DP of any member gives every member's values.
+// chainClass is what calculateSlack reads of one half of the DP at τ under
+// one class of minterms.
 type chainClass struct {
-	scenario int  // the first member, whose assignment the half-DP runs
-	needed   bool // up half: some member has a C-class suffix below τ
+	done bool  // computed for this τ
+	si   int   // the member whose slot was read
+	slot int   // τ's slot under si
+	id   int32 // the argmax chain's id: prefix ending at τ, or C-class suffix below it
 	// val is up[τ] (up half) or downC[τ] (down half); prob is probC[τ]
-	// (down half); denom is the ratio denominator's τ-and-prefix part
-	// (up half).
+	// (down half); denom is the ratio denominator's τ-and-prefix part (up
+	// half).
 	val, prob, denom float64
-	start, end       int32 // the argmax chain's edges in classSet.edges
 }
 
-// group assigns every term its class, keyed by an exact mixed-radix
-// encoding of the term's outcomes on forks. If the radix product overflows
-// uint64, every term becomes its own class: exact, merely without sharing.
-func (c *classSet) group(a *ctg.Analysis, terms, forks []int, radix []uint64) {
-	prod, overflow := uint64(1), false
-	for _, fi := range forks {
-		if prod > math.MaxUint64/radix[fi] {
-			overflow = true
-			break
-		}
-		prod *= radix[fi]
-	}
-	if c.ids == nil {
-		c.ids = make(map[uint64]int32)
-	} else {
-		clear(c.ids)
-	}
-	c.of, c.cls, c.edges = c.of[:0], c.cls[:0], c.edges[:0]
-	for i, si := range terms {
-		key := uint64(i)
-		if !overflow {
-			assign := a.Scenario(si).Assign
-			key = 0
-			for _, fi := range forks {
-				key = key*radix[fi] + uint64(assign[fi]+1)
-			}
-		}
-		id, ok := c.ids[key]
-		if !ok {
-			id = int32(len(c.cls))
-			c.ids[key] = id
-			c.cls = append(c.cls, chainClass{scenario: si})
-		}
-		c.of = append(c.of, id)
+// chainPair names a chain through τ by its prefix's and its suffix's ids.
+type chainPair struct{ up, down int32 }
+
+// classes sizes and clears the per-class buffers for a task with nu up and
+// nd down classes.
+func (sc *slackScratch) classes(nu, nd int) {
+	sc.up, sc.down = grow(sc.up[:0], nu), grow(sc.down[:0], nd)
+	clear(sc.up)
+	clear(sc.down)
+	sc.counted = sc.counted[:0]
+}
+
+// downClass records, for τ's down class of scenario si, downC[τ], probC[τ]
+// and the C-class suffix below τ.
+func (sc *slackScratch) downClass(k *chainClass, t ctg.TaskID, si int) {
+	p := &sc.p
+	k.done, k.si, k.slot = true, si, p.down(t, si)
+	k.val, k.prob = p.r.downC[k.slot], p.r.probC[k.slot]
+	if k.val > negInf {
+		k.id = p.downChainID(k.slot, 'C', si)
 	}
 }
 
-// forkRadix returns, per fork, the number of values a scenario assignment
-// can hold there: its outcomes plus ctg.OutcomeUnassigned, shifted to
-// [0, outcomes].
-func forkRadix(g *ctg.Graph, dst []uint64) []uint64 {
-	dst = dst[:0]
-	for _, f := range g.Forks() {
-		dst = append(dst, uint64(g.Outcomes(f))+1)
+// upClass records, for τ's up class of scenario si, up[τ], the prefix ending
+// at τ and the part of the ratio denominator that τ and the prefix add.
+func (sc *slackScratch) upClass(k *chainClass, t ctg.TaskID, si int, locked []bool, literalRatio bool) {
+	p := &sc.p
+	k.done, k.si, k.slot = true, si, p.up(t, si)
+	k.val = p.r.up[k.slot]
+	k.id = p.upChainID(k.slot, si)
+	if !literalRatio {
+		k.denom = p.r.upDenominator(p.d, t, k.slot, p.upSel(si), locked)
 	}
-	return dst
 }
 
-// runDownClasses runs the down half-DP once per down class, over the down
-// cone's forked tasks, and records, per class, downC[τ], probC[τ] and the
-// C-class suffix below τ.
-func (sc *slackScratch) runDownClasses(dag *dagModel, t ctg.TaskID) {
-	c, r := &sc.cone, sc.dp
-	sc.saved = r.save(sc.saved[:0], c.downForked)
-	for i := range sc.down.cls {
-		k := &sc.down.cls[i]
-		dag.runDown(r, c.downForked, dag.s.A.Scenario(k.scenario).Assign)
-		k.val, k.prob = r.downC[t], r.probC[t]
-		k.start = int32(len(sc.down.edges))
-		if k.val > negInf {
-			sc.down.edges = r.appendDownChain(dag, sc.down.edges, t, 'C')
-		}
-		k.end = int32(len(sc.down.edges))
+// count reports whether the chain through τ with the given prefix and
+// suffix is new, and records it.
+func (sc *slackScratch) count(up, down int32) bool {
+	if slices.Contains(sc.counted, chainPair{up, down}) {
+		return false
 	}
-	r.restore(sc.saved, c.downForked)
-}
-
-// runUpClasses runs the up half-DP once per up class that some minterm with
-// a C-class suffix needs, over the up cone's forked tasks, and records, per
-// class, up[τ], the prefix ending at τ and the part of the ratio denominator
-// that τ and the prefix add.
-func (sc *slackScratch) runUpClasses(dag *dagModel, t ctg.TaskID, locked []bool, literalRatio bool) {
-	c, r := &sc.cone, sc.dp
-	for i, id := range sc.down.of {
-		if sc.down.cls[id].val > negInf {
-			sc.up.cls[sc.up.of[i]].needed = true
-		}
-	}
-	sc.saved = r.save(sc.saved[:0], c.upForked)
-	for i := range sc.up.cls {
-		k := &sc.up.cls[i]
-		if !k.needed {
-			continue
-		}
-		dag.runUp(r, c.upForked, dag.s.A.Scenario(k.scenario).Assign)
-		k.val = r.up[t]
-		k.start = int32(len(sc.up.edges))
-		sc.up.edges = r.appendUpChain(dag, sc.up.edges, t)
-		k.end = int32(len(sc.up.edges))
-		if !literalRatio {
-			// τ, then the prefix's edges and nodes, in walkCritical's order.
-			denom := 0.0
-			if !locked[t] {
-				denom += dag.exec[t]
-			}
-			for _, ei := range sc.up.edges[k.start:k.end] {
-				denom += dag.comm[ei]
-				if u := dag.edges[ei].From; !locked[u] {
-					denom += dag.exec[u]
-				}
-			}
-			k.denom = denom
-		}
-	}
-	r.restore(sc.saved, c.upForked)
+	sc.counted = append(sc.counted, chainPair{up, down})
+	return true
 }
 
 // calculateSlack implements the CalculateSlack(τ) routine of Figure 2 on the
@@ -342,24 +258,28 @@ func (sc *slackScratch) runUpClasses(dag *dagModel, t ctg.TaskID, locked []bool,
 // on a simple chain with a loose deadline the heuristic converges to the
 // energy-optimal uniform scaling instead of geometrically shrinking shares.
 //
-// slk2 and the step-9 clamp read the carried unrestricted decomposition
-// sc.dp. A minterm reaches the up half of the DP at τ only through its
-// outcomes at the forks above τ and the down half only through those at τ
-// and below, so each half runs once per class of minterms that agree there,
-// and only over the half's forked tasks (see cone): the others keep the
-// unrestricted values. The per-minterm loop then reads the classes in Γ(τ)
-// order with the same float operations in the same order as a whole-graph
-// DP per minterm would, so speeds are bit-for-bit unchanged.
-func calculateSlack(dag *dagModel, t ctg.TaskID, locked []bool, literalRatio bool, sc *slackScratch) float64 {
+// slk2 and the step-9 clamp read τ's own slots of the pass, the
+// unrestricted DP. A minterm reaches the up half of the DP at τ only
+// through its outcomes at the forks above τ and the down half only through
+// those at τ and below, so each half is read once per class of minterms
+// that agree there (see classRows), from the pass's class slots. A chain
+// critical for several minterms is counted once; chains are compared by
+// their interned ids (see chainIDs), never walked for it. The per-minterm
+// loop then reads the classes in Γ(τ) order with the same float operations
+// in the same order as a whole-graph DP per minterm would, so speeds are
+// bit-for-bit unchanged.
+func calculateSlack(t ctg.TaskID, locked []bool, literalRatio bool, sc *slackScratch) float64 {
+	p := &sc.p
+	dag := p.d
 	s := dag.s
 	a := s.A
 	deadline := s.G.Deadline()
 	wcet := s.WCET(t)
 	probT := a.ActivationProb(t)
 
-	c := &sc.cone
-	dag.fillCone(c, t)
-	full := sc.dp
+	p.up(t, -1)
+	p.down(t, -1)
+	full := p.r
 
 	// slk2: critical (largest-delay) chain with prob(p, τ) = 1.
 	slk2 := math.Inf(1)
@@ -379,53 +299,30 @@ func calculateSlack(dag *dagModel, t ctg.TaskID, locked []bool, literalRatio boo
 	// slk1: probability-weighted sum of per-minterm critical chain shares.
 	sc.terms = sc.terms[:0]
 	a.ActivationSet(t).ForEach(func(si int) { sc.terms = append(sc.terms, si) })
-	sc.down.group(a, sc.terms, c.downForks, sc.radix)
-	sc.up.group(a, sc.terms, c.upForks, sc.radix)
-	sc.runDownClasses(dag, t)
-	sc.runUpClasses(dag, t, locked, literalRatio)
+	sc.classes(dag.up.count(t), dag.down.count(t))
 
 	slk1 := 0.0
 	slk1Valid := false
-	sc.seen.reset()
-	if sc.pairs == nil {
-		sc.pairs = make(map[uint64]struct{})
-	} else {
-		clear(sc.pairs)
-	}
-	for i := range sc.terms {
-		dk := &sc.down.cls[sc.down.of[i]]
+	for _, si := range sc.terms {
+		dk := &sc.down[dag.down.at(t, si)]
+		if !dk.done {
+			sc.downClass(dk, t, si)
+		}
 		if dk.val == negInf {
 			continue // no chain with downstream uncertainty in this minterm
 		}
 		slk1Valid = true
-		pair := uint64(sc.up.of[i])<<32 | uint64(uint32(sc.down.of[i]))
-		if _, ok := sc.pairs[pair]; ok {
-			continue // same chain as an earlier minterm: counted once
+		uk := &sc.up[dag.up.at(t, si)]
+		if !uk.done {
+			sc.upClass(uk, t, si, locked, literalRatio)
 		}
-		sc.pairs[pair] = struct{}{}
-		uk := &sc.up.cls[sc.up.of[i]]
-		upE, downE := sc.up.edges[uk.start:uk.end], sc.down.edges[dk.start:dk.end]
-		seq := append(sc.chain[:0], int32(t))
-		for _, ei := range upE {
-			seq = append(seq, int32(dag.edges[ei].From))
-		}
-		for _, ei := range downE {
-			seq = append(seq, int32(dag.edges[ei].To))
-		}
-		sc.chain = seq
-		if !sc.seen.add(seq) {
+		if !sc.count(uk.id, dk.id) {
 			continue // shared critical path: count once
 		}
 		delay := uk.val + dag.exec[t] + dk.val
 		denom := delay
 		if !literalRatio {
-			denom = uk.denom
-			for _, ei := range downE {
-				denom += dag.comm[ei]
-				if w := dag.edges[ei].To; !locked[w] {
-					denom += dag.exec[w]
-				}
-			}
+			denom = full.downDenominator(dag, uk.denom, dk.slot, 'C', p.downSel(dk.si), locked)
 		}
 		if ratio := (deadline - delay) / denom; ratio > 0 {
 			slk1 += dk.prob * wcet * ratio * probT

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ctgdvfs/internal/ctg"
@@ -79,6 +80,99 @@ func oracleSlack(dag *dagModel, t ctg.TaskID, locked []bool, literalRatio bool, 
 		return 0
 	}
 	return slk
+}
+
+// walkCritical traverses, for the oracle, the argmax chain through v whose suffix has the
+// given class ('U', 'C' or 'A' for either), invoking node for every task on
+// the chain and edge for every edge: v, then the prefix from v back to the
+// chain start, then the suffix.
+func (r *dpResult) walkCritical(d *dagModel, v ctg.TaskID, class byte,
+	node func(ctg.TaskID), edge func(ei int)) {
+	// Upward walk (prefix, visited from v back to the chain start).
+	for u := v; ; {
+		node(u)
+		ei := r.ubp[u]
+		if ei < 0 {
+			break
+		}
+		edge(ei)
+		u = d.edges[ei].From
+	}
+	// Downward walk in the requested class.
+	for u := v; ; {
+		ei, next := r.downStep(d, int(u), class)
+		if ei < 0 {
+			break
+		}
+		edge(ei)
+		u, class = d.edges[ei].To, next
+		node(u)
+	}
+}
+
+// pathSet deduplicates critical-path node sequences so that a chain found
+// critical for several minterms is counted once by the oracle: sequences
+// are kept in an int32 arena and looked up by FNV-1a hash with exact
+// sequence verification on hash hits.
+type pathSet struct {
+	arena []int32 // all interned sequences, concatenated
+	// entries hold the interned [start, end) spans as hash-chained nodes:
+	// heads maps a hash to the 1-based index of its newest entry and each
+	// entry links to the previous one with the same hash. Chaining through a
+	// flat slice (instead of map[hash][]span) keeps the steady state
+	// allocation-free: reset truncates the slice and clears the map, and
+	// re-populating an already-sized map and slice allocates nothing.
+	entries []pathSpan
+	heads   map[uint64]int32 // hash -> 1-based index into entries (0 = none)
+}
+
+// pathSpan is one interned sequence: [start, end) in the arena plus the
+// 1-based index of the previous entry with the same hash.
+type pathSpan struct {
+	start, end int32
+	prev       int32
+}
+
+// reset clears the set, retaining capacity.
+func (p *pathSet) reset() {
+	p.arena = p.arena[:0]
+	p.entries = p.entries[:0]
+	if p.heads == nil {
+		p.heads = make(map[uint64]int32)
+	} else {
+		clear(p.heads)
+	}
+}
+
+// fnv1a hashes an int32 sequence (FNV-1a over the little-endian bytes).
+func fnv1a(seq []int32) uint64 {
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	for _, v := range seq {
+		u := uint32(v)
+		for shift := 0; shift < 32; shift += 8 {
+			h ^= uint64(byte(u >> shift))
+			h *= prime
+		}
+	}
+	return h
+}
+
+// add adds a node sequence to the set, reporting whether it was new.
+func (p *pathSet) add(seq []int32) bool {
+	h := fnv1a(seq)
+	for idx := p.heads[h]; idx != 0; {
+		span := p.entries[idx-1]
+		idx = span.prev
+		if slices.Equal(p.arena[span.start:span.end], seq) {
+			return false
+		}
+	}
+	start := int32(len(p.arena))
+	p.arena = append(p.arena, seq...)
+	p.entries = append(p.entries, pathSpan{start: start, end: int32(len(p.arena)), prev: p.heads[h]})
+	p.heads[h] = int32(len(p.entries))
+	return true
 }
 
 // oracleHeuristic is Heuristic over oracleSlack.
@@ -175,20 +269,18 @@ func orderCrossesPseudoEdge(s *sched.Schedule) bool {
 }
 
 // sharesClasses reports whether some task's minterms share a scenario class
-// in one half of its cone, so the grouping is exercised.
+// in one half of the DP, so the grouping is exercised.
 func sharesClasses(s *sched.Schedule) bool {
 	dag := newDAG(s)
-	radix := forkRadix(s.G, nil)
-	var c cone
-	var up, down classSet
+	dag.classes()
 	for t := range dag.exec {
-		dag.fillCone(&c, ctg.TaskID(t))
-		var terms []int
-		s.A.ActivationSet(ctg.TaskID(t)).ForEach(func(si int) { terms = append(terms, si) })
-		up.group(s.A, terms, c.upForks, radix)
-		down.group(s.A, terms, c.downForks, radix)
-		if len(up.cls) < len(terms) || len(down.cls) < len(terms) {
-			return true
+		gamma := s.A.ActivationSet(ctg.TaskID(t))
+		for _, rows := range []*classRows{&dag.up, &dag.down} {
+			classes := map[int]bool{}
+			gamma.ForEach(func(si int) { classes[rows.at(ctg.TaskID(t), si)] = true })
+			if len(classes) < gamma.Count() {
+				return true
+			}
 		}
 	}
 	return false
@@ -314,12 +406,17 @@ func oracleScenarioStretch(s *sched.Schedule, d platform.DVFS, si int, guard flo
 	return speeds
 }
 
-// TestClassSetOverflowFallback checks the class key's fallback: when the
-// radix product of a fork set overflows uint64, every minterm becomes its
-// own class, even minterms that agree on every fork of the set.
-func TestClassSetOverflowFallback(t *testing.T) {
+// TestClassRowsMatchForkOutcomes pins the class rows to their definition:
+// at every task, in each half, two scenarios share a class exactly when
+// they agree on every fork of the task's set (found by a graph search), the
+// ids run densely from 0, and a task with an empty set has no row. It runs
+// on a chain of three binary diamonds, where the entry sees all eight
+// scenarios apart below it and the last join sees them apart above it, and
+// on the oracle workloads.
+func TestClassRowsMatchForkOutcomes(t *testing.T) {
 	b := ctg.NewBuilder()
-	last := b.AddTask("entry", ctg.AndNode)
+	entry := b.AddTask("entry", ctg.AndNode)
+	last := entry
 	for k := 0; k < 3; k++ {
 		fork := b.AddTask("", ctg.AndNode)
 		b.AddEdge(last, fork, 0)
@@ -340,29 +437,57 @@ func TestClassSetOverflowFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	diamonds, err := sched.DLS(a, uniformPlatform(t, g.NumTasks(), 2, 1, 1), sched.Modified())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.NumScenarios() != 8 {
 		t.Fatalf("%d scenarios, want 8", a.NumScenarios())
 	}
-	terms := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	forks := []int{0, 1}
-	var c classSet
-	c.group(a, terms, forks, forkRadix(g, nil))
-	if len(c.cls) != 4 {
-		t.Fatalf("exact keys: %d classes over two binary forks, want 4", len(c.cls))
+	dag := newDAG(diamonds)
+	dag.classes()
+	if got := dag.down.count(entry); got != 8 {
+		t.Fatalf("entry: %d down classes, want 8", got)
 	}
-	for i, si := range terms {
-		if rep := c.cls[c.of[i]].scenario; a.Scenario(rep).Assign[0] != a.Scenario(si).Assign[0] ||
-			a.Scenario(rep).Assign[1] != a.Scenario(si).Assign[1] {
-			t.Fatalf("scenario %d grouped with %d, which differs on the fork set", si, rep)
+	if got := dag.up.count(last); got != 8 {
+		t.Fatalf("last join: %d up classes, want 8", got)
+	}
+	if dag.up.row[entry] >= 0 {
+		t.Fatal("entry has no fork above it, yet an up row")
+	}
+
+	schedules := []*sched.Schedule{diamonds}
+	for _, cat := range []tgff.Category{tgff.ForkJoin, tgff.Flat} {
+		for seed := int64(0); seed < 20; seed++ {
+			schedules = append(schedules, oracleWorkload(t, seed, cat, 1.6))
 		}
 	}
-	c.group(a, terms, forks, []uint64{math.MaxUint64, 2, 3})
-	if len(c.cls) != len(terms) {
-		t.Fatalf("overflowing keys: %d classes, want one per minterm (%d)", len(c.cls), len(terms))
-	}
-	for i, si := range terms {
-		if c.of[i] != int32(i) || c.cls[i].scenario != si {
-			t.Fatalf("overflowing keys: term %d in class %d led by scenario %d", i, c.of[i], c.cls[c.of[i]].scenario)
+	for i, s := range schedules {
+		dag := newDAG(s)
+		dag.classes()
+		ns := s.A.NumScenarios()
+		for half, sets := range [][]forkSet{reachForks(s, true), reachForks(s, false)} {
+			rows := []*classRows{&dag.up, &dag.down}[half]
+			for v, set := range sets {
+				task := ctg.TaskID(v)
+				if set.empty() != (rows.row[v] < 0) {
+					t.Fatalf("schedule %d half %d task %d: fork set %v, row %d", i, half, v, set, rows.row[v])
+				}
+				used := make([]bool, rows.count(task))
+				for si := 0; si < ns; si++ {
+					used[rows.at(task, si)] = true
+					for sj := 0; sj < si; sj++ {
+						agree := ancestorKey(s.A.Scenario(si).Assign, set) == ancestorKey(s.A.Scenario(sj).Assign, set)
+						if same := rows.at(task, si) == rows.at(task, sj); same != agree {
+							t.Fatalf("schedule %d half %d task %d: scenarios %d and %d share a class %v, agree on %v %v",
+								i, half, v, si, sj, same, set, agree)
+						}
+					}
+				}
+				if slices.Contains(used, false) {
+					t.Fatalf("schedule %d half %d task %d: class ids %v not dense", i, half, v, used)
+				}
+			}
 		}
 	}
 }

@@ -2,9 +2,6 @@ package stretch
 
 import (
 	"fmt"
-	"math"
-	"strconv"
-	"strings"
 
 	"ctgdvfs/internal/ctg"
 	"ctgdvfs/internal/par"
@@ -85,88 +82,52 @@ func PerScenario(s *sched.Schedule, d platform.DVFS, guard float64, cancel Cance
 		}
 	}
 
-	// Step 2: causality folding by ancestor-fork signature. Tasks are
-	// independent (each writes one speed-table column), so this fans out
-	// per task.
+	// Step 2: causality folding. The scenarios that agree on a task's
+	// ancestor-fork outcomes are its up class (see classRows).
+	base.up.build(a, n, base.forksAbove)
 	out := &ScenarioSpeeds{Speeds: make([][]float64, a.NumScenarios())}
 	for si := range out.Speeds {
-		out.Speeds[si] = append([]float64(nil), ideal[si]...)
+		out.Speeds[si] = make([]float64, n)
 	}
-	radix := forkRadix(s.G, nil)
-	par.ForEach(n, func(t int) {
-		foldTaskSpeeds(a, base.forksAbove(ctg.TaskID(t)), radix, ideal, out.Speeds, t)
-	})
+	var fastest []float64
+	for t := 0; t < n; t++ {
+		fastest = foldTaskSpeeds(&base.up, ctg.TaskID(t), ideal, out.Speeds, fastest)
+	}
 	return out, nil
 }
 
-// foldTaskSpeeds groups the scenarios by their assignment restricted to the
-// task's ancestor forks and assigns every group member the group's fastest
-// ideal speed. Groups are keyed by an exact mixed-radix integer encoding of
-// the restricted assignment — no string building on the hot path — falling
-// back to the string key only if the radix product overflows uint64 (a graph
-// that degenerate cannot be enumerated anyway).
-func foldTaskSpeeds(a *ctg.Analysis, forks forkSet, radix []uint64, ideal, speeds [][]float64, t int) {
-	prod := uint64(1)
-	overflow := false
-	forks.forEach(func(fi int) {
-		if prod > math.MaxUint64/radix[fi] {
-			overflow = true
-			return
-		}
-		prod *= radix[fi]
-	})
-	var groups [][]int
-	if overflow {
-		byStr := make(map[string][]int)
-		for si := 0; si < a.NumScenarios(); si++ {
-			key := ancestorKey(a.Scenario(si).Assign, forks)
-			byStr[key] = append(byStr[key], si)
-		}
-		for _, sis := range byStr {
-			groups = append(groups, sis)
-		}
-	} else {
-		byInt := make(map[uint64][]int)
-		for si := 0; si < a.NumScenarios(); si++ {
-			assign := a.Scenario(si).Assign
-			var key uint64
-			forks.forEach(func(fi int) {
-				key = key*radix[fi] + uint64(assign[fi]+1)
-			})
-			byInt[key] = append(byInt[key], si)
-		}
-		for _, sis := range byInt {
-			groups = append(groups, sis)
+// foldTaskSpeeds assigns every scenario the fastest ideal speed of t among
+// the scenarios of its up class, using fastest as scratch, and returns the
+// scratch.
+func foldTaskSpeeds(rows *classRows, t ctg.TaskID, ideal, speeds [][]float64, fastest []float64) []float64 {
+	fastest = grow(fastest[:0], rows.count(t))
+	clear(fastest)
+	for si := range ideal {
+		if c := rows.at(t, si); ideal[si][t] > fastest[c] {
+			fastest[c] = ideal[si][t]
 		}
 	}
-	for _, sis := range groups {
-		fastest := 0.0
-		for _, si := range sis {
-			if ideal[si][t] > fastest {
-				fastest = ideal[si][t]
-			}
-		}
-		for _, si := range sis {
-			speeds[si][t] = fastest
-		}
+	for si := range speeds {
+		speeds[si][t] = fastest[rows.at(t, si)]
 	}
+	return fastest
 }
 
 // scenarioScratch is the per-worker reusable state of the PerScenario
 // stretching loop: a mutable view of the base DAG (cost vectors only; the
-// topology is shared read-only), the carried DP decomposition with its
-// repair flags, and the lock vector.
+// topology is shared read-only), the pass over the scenario's graph with
+// its decomposition, and the lock vector.
 type scenarioScratch struct {
 	base   *dagModel
 	view   dagModel
 	dp     *dpResult
-	dirty  []bool
+	p      pass
 	locked []bool
 }
 
 func newScenarioScratch(base *dagModel) *scenarioScratch {
 	n := len(base.exec)
-	scr := &scenarioScratch{base: base, view: *base, dp: newDPResult(n), dirty: make([]bool, n), locked: make([]bool, n)}
+	scr := &scenarioScratch{base: base, view: *base, dp: newDPResult(n), locked: make([]bool, n)}
 	scr.view.exec = make([]float64, n)
 	scr.view.comm = make([]float64, len(base.comm))
 	return scr
@@ -190,7 +151,6 @@ func (scr *scenarioScratch) load(active ctg.Bitset) {
 		}
 	}
 	clear(scr.locked)
-	clear(scr.dirty)
 }
 
 // scenarioStretch stretches one scenario's subgraph: only active tasks carry
@@ -208,11 +168,12 @@ func scenarioStretch(s *sched.Schedule, d platform.DVFS, si int, scr *scenarioSc
 		speeds[t] = 1
 	}
 	locked := scr.locked
-	// One decomposition of the scenario's graph, repaired after every speed
-	// change.
-	r := dag.runInto(scr.dp, sc.Assign)
+	r, p := scr.dp, &scr.p
+	p.reset(dag, r, sc.Assign)
 	for _, t := range s.Order {
 		if sc.Active.Get(int(t)) {
+			p.up(t, -1)
+			p.down(t, -1)
 			delay := dag.throughAny(r, t)
 			if slack := deadline - delay; slack > 0 {
 				denom := r.criticalDenominator(dag, t, 'A', locked)
@@ -226,7 +187,7 @@ func scenarioStretch(s *sched.Schedule, d platform.DVFS, si int, scr *scenarioSc
 					if speed < 1 {
 						speeds[t] = speed
 						dag.exec[t] = wcet / speed
-						dag.propagate(r, t, sc.Assign, scr.dirty)
+						p.stretched(t)
 					}
 				}
 			}
@@ -234,19 +195,6 @@ func scenarioStretch(s *sched.Schedule, d platform.DVFS, si int, scr *scenarioSc
 		locked[t] = true
 	}
 	return speeds
-}
-
-// ancestorKey renders a scenario assignment restricted to the given fork
-// set.
-func ancestorKey(assign []int, forks forkSet) string {
-	var sb strings.Builder
-	forks.forEach(func(fi int) {
-		sb.WriteString(strconv.Itoa(fi))
-		sb.WriteByte('=')
-		sb.WriteString(strconv.Itoa(assign[fi]))
-		sb.WriteByte(';')
-	})
-	return sb.String()
 }
 
 // ExpectedEnergyWithScenarioSpeeds evaluates the expected energy of a

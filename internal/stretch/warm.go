@@ -12,12 +12,11 @@ import (
 // Heuristic pass with Options.Affected set. The unaffected tasks keep their
 // incumbent speeds and are treated as locked from the outset — exactly the
 // state the full heuristic reaches after processing them — so the partial
-// pass builds the carried decomposition once and then pays, per affected
-// task, its scenario-class passes over its forked tasks and the repair
-// after its stretch, instead of the same per task of the whole order. An
-// all-true mask reproduces the full pass bit for bit, which is how the
-// breaker's guard-level changes re-stretch without paying for a new
-// mapping.
+// pass computes the values its affected tasks read, at most once each, and
+// the rest of the decomposition once at its end for Result.WorstDelay,
+// instead of a slack computation per task of the whole order. An all-true
+// mask reproduces the full pass bit for bit, which is how the breaker's
+// guard-level changes re-stretch without paying for a new mapping.
 //
 // Deadline safety is unconditional: the incumbent kept every chain within
 // the deadline, resetting the affected tasks to full speed only shortens
@@ -29,12 +28,14 @@ import (
 // the warm-equivalence property test.
 
 // Workspace holds the reusable buffers of repeated stretching passes over
-// one mapping: the combined-DAG model with its per-task fork sets, the lock
-// vector and the slack DP scratch (the one carried decomposition with its
-// repair flags, one task's forked tasks with their saved slots, and
-// per-class chain arenas sized by Γ(τ); nothing per scenario). Rebind it
-// after every full reschedule (new mapping), then each masked Heuristic pass
-// on that mapping allocates nothing. Not safe for concurrent use.
+// one mapping: the combined-DAG model with its per-task fork sets and its
+// scenario class rows (built once per mapping), the lock vector and the
+// state of a pass (see pass): each task's own slots, the class slots a
+// pass reads (grown to the most any pass read), their stamps and the
+// interned chains. A new pass invalidates them all by one epoch bump.
+// Rebind it after every full reschedule (new mapping), then each masked
+// Heuristic pass on that mapping allocates nothing once the buffers have
+// grown. Not safe for concurrent use.
 type Workspace struct {
 	dag     *dagModel
 	locked  []bool
@@ -50,15 +51,11 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // different mapping was adopted).
 func (w *Workspace) Rebind(s *sched.Schedule) {
 	w.dag = newDAG(s)
-	n := s.G.NumTasks()
-	if cap(w.locked) < n {
+	w.dag.classes()
+	if n := s.G.NumTasks(); w.scratch == nil || len(w.locked) != n {
 		w.locked = make([]bool, n)
-	}
-	w.locked = w.locked[:n]
-	if w.scratch == nil || len(w.scratch.dp.up) != n {
 		w.scratch = newSlackScratch(n)
 	}
-	w.scratch.radix = forkRadix(s.G, w.scratch.radix)
 }
 
 // retarget points the bound DAG at another schedule sharing the same mapping

@@ -23,10 +23,12 @@ func WorstCase(s *sched.Schedule, d platform.DVFS) (*Result, error) {
 	dag := newDAG(s)
 	deadline := s.G.Deadline()
 	res := &Result{}
-	// One decomposition, repaired after every speed change.
-	r := dag.run(nil)
-	dirty := make([]bool, len(dag.exec))
+	r := newDPResult(len(dag.exec))
+	var p pass
+	p.reset(dag, r, nil)
 	for _, t := range s.Order {
+		p.up(t, -1)
+		p.down(t, -1)
 		delay := dag.throughAny(r, t)
 		slack := deadline - delay
 		if slack <= 0 {
@@ -41,11 +43,11 @@ func WorstCase(s *sched.Schedule, d platform.DVFS) (*Result, error) {
 		if speed < 1 {
 			s.Speed[t] = speed
 			dag.refreshExec(t)
-			dag.propagate(r, t, nil, dirty)
+			p.stretched(t)
 			res.Stretched++
 		}
 	}
 	res.ExpectedEnergy = s.ExpectedEnergy()
-	res.WorstDelay = dag.longest(r)
+	res.WorstDelay = dag.longest(p.finish())
 	return res, nil
 }

@@ -4,7 +4,8 @@
 #   full test suite, tests again under the race detector in short mode (the
 #   heavy exp replays honor -short; the race pass is about concurrency bugs,
 #   not numerics), per-package coverage floors (the adaptive manager, the
-#   fault, telemetry and health layers, and the scheduling daemon), a
+#   fault, telemetry and health layers, the scheduling daemon, and the
+#   stretch, replay and DLS hot path), a
 #   one-iteration smoke run of the micro-benchmarks in bench_test.go (catches
 #   bit-rot in them without paying for real measurement; the paper's tables
 #   and figures are pinned by internal/exp's golden files in the test suite,
@@ -71,7 +72,7 @@ echo "== benchmark module (perfbench: vet + test) =="
 echo "== go test -race -short =="
 go test -race -short -timeout 30m ./...
 
-echo "== coverage floors (core, faults, telemetry, health, serve) =="
+echo "== coverage floors (core, faults, telemetry, health, serve, stretch, sim, sched) =="
 sh scripts/cover.sh
 
 # Every benchmark lives in the root package's bench_test.go.
