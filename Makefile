@@ -74,11 +74,15 @@ explain-smoke:
 
 # End-to-end monitoring pipeline: run the fault campaign with alert rules and
 # series capture, walk an alert's cause chain, and render the stores in the
-# watch view.
+# watch view; then arm the default health rules, which alert on the manager's
+# gauges, on a 3x-overrun campaign and report their firings.
 watch-smoke:
 	go run ./cmd/experiments -exp faults -rules examples/watch/rules.json -series-out /tmp/ctgdvfs_series -events-out /tmp/ctgdvfs_mon >/dev/null
 	go run ./cmd/ctgsched explain -kind alert_firing /tmp/ctgdvfs_mon-mpeg.jsonl
 	go run ./cmd/ctgsched watch -dump /tmp/ctgdvfs_series-mpeg.json
+	printf '{"perturb": {"seed": 42, "overrun_prob": 0.2, "overrun_factor": 3}}\n' >/tmp/ctgdvfs_overrun.json
+	go run ./cmd/experiments -exp faults -faults-spec /tmp/ctgdvfs_overrun.json -rules examples/watch/health.json -events-out /tmp/ctgdvfs_hl >/dev/null
+	go run ./cmd/ctgsched analyze /tmp/ctgdvfs_hl-mpeg.jsonl | grep -E '^health report: .*, [1-9][0-9]* alerts$$'
 
 # The benchmark harness is a Go module of its own (perfbench/go.mod), so the
 # root `go build ./...` never compiles it: vet and test it separately.

@@ -260,23 +260,19 @@ func RenderSeriesWatch(d SeriesDump, opts SeriesWatchOptions) string {
 	return series.RenderWatch(d, opts)
 }
 
-// Health monitoring (package internal/health): streaming analyzers over the
-// telemetry event stream — estimator drift, SLO tracking, hotspot
-// attribution. The analyzers publish adaptive.health.* gauges that series
-// rules alert on (examples/watch/health.json). Fan a HealthAnalyzer into
-// AdaptiveOptions.Recorder (alone or via MultiRecorder) and read Health() at
-// any time; the analyzer observes only, the run's outputs stay bit-for-bit
-// identical.
+// Health analysis (package internal/health): the offline reader of a
+// recorded event stream — estimator drift, SLO tracking, hotspot
+// attribution. The live health quantities are the manager's own
+// adaptive.health.* gauges, which series rules alert on
+// (examples/watch/health.json); AnalyzeTelemetry replays a capture with the
+// same arithmetic and reports what those rules fired.
 type (
-	// HealthAnalyzer is the fan-in recorder hosting the drift, SLO and
-	// hotspot analyzers.
-	HealthAnalyzer = health.AnalyzerRecorder
-	// HealthOptions configures the analyzers; the zero value works.
+	// HealthOptions configures the analysis; the zero value works.
 	HealthOptions = health.Options
 	// HealthSLO is the service-level objective a run is scored against.
 	HealthSLO = health.SLO
-	// HealthSnapshot is the full analyzer state (Report renders it as the
-	// diagnosis text `ctgsched analyze` prints).
+	// HealthSnapshot is the analysis of one stream (Report renders it as
+	// the diagnosis text `ctgsched analyze` prints).
 	HealthSnapshot = health.Snapshot
 	// ExplainQuery selects the decision `ctgsched explain` reconstructs: an
 	// exact seq id, or kind/instance/tenant filters (last match wins).
@@ -289,11 +285,8 @@ type (
 	ExplainEffect = health.ExplainEffect
 )
 
-// NewHealthAnalyzer builds a streaming health monitor.
-func NewHealthAnalyzer(opts HealthOptions) *HealthAnalyzer { return health.New(opts) }
-
-// AnalyzeTelemetry replays a recorded event stream through a fresh analyzer
-// and returns the snapshot — the offline path behind `ctgsched analyze`.
+// AnalyzeTelemetry replays a recorded event stream through fresh analyzers
+// and returns the snapshot — the path behind `ctgsched analyze`.
 func AnalyzeTelemetry(events []TelemetryEvent, opts HealthOptions) HealthSnapshot {
 	return health.Analyze(events, opts)
 }

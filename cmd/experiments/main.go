@@ -27,9 +27,9 @@
 // -events-out PREFIX writes each stream as PREFIX-<name>.jsonl with full
 // provenance (seq/cause ids) for `ctgsched analyze` and `ctgsched explain`;
 // -series-out PREFIX writes each sampled series store for `ctgsched watch
-// -dump`; -rules FILE arms alert rules on those stores. -health attaches the
-// streaming health monitor to the fault campaign and prints one diagnosis
-// report per stream after the tables. The batch harness serves nothing over
+// -dump`; -rules FILE arms alert rules on those stores (refusing a rule on a
+// metric the managers never register). -health prints one diagnosis report
+// per recorded stream after the tables (health.Analyze over the stream). The batch harness serves nothing over
 // HTTP: live metrics come from the daemon (`ctgschedd`, GET /v1/metrics).
 package main
 
@@ -43,7 +43,9 @@ import (
 	"sort"
 	"time"
 
+	"ctgdvfs/internal/core"
 	"ctgdvfs/internal/exp"
+	"ctgdvfs/internal/health"
 	"ctgdvfs/internal/par"
 	"ctgdvfs/internal/series"
 	"ctgdvfs/internal/telemetry"
@@ -82,7 +84,7 @@ var (
 	eventsOut = flag.String("events-out", "",
 		"write each traced stream as PREFIX-<name>.jsonl — the format `ctgsched analyze` and `ctgsched explain` ingest (traced: "+tracedExperiments+")")
 	healthFlag = flag.Bool("health", false,
-		"attach the streaming health monitor to a traced experiment ("+tracedExperiments+") and print per-stream diagnosis reports")
+		"record a traced experiment ("+tracedExperiments+") and print a diagnosis report per stream")
 	seriesOut = flag.String("series-out", "",
 		"sample per-stream time series during a traced experiment and write each store as PREFIX-<name>.json — the format `ctgsched watch -dump` renders")
 	rulesFile = flag.String("rules", "",
@@ -96,17 +98,21 @@ var (
 )
 
 // observedMode reports whether any telemetry flag asks the traced campaign
-// to run in observed mode (recorders + analyzers attached).
+// to run in observed mode (recorders and series stores attached).
 func observedMode() bool {
 	return *traceOut != "" || *eventsOut != "" || *healthFlag || *seriesOut != "" || *rulesFile != ""
 }
 
 // newObserve builds the traced campaign's observed-mode configuration: the
-// -rules alert rules.
+// -rules alert rules, refused when one watches a metric the campaign's
+// managers never register (it could never fire).
 func newObserve() (*exp.Observe, error) {
 	obs := &exp.Observe{}
 	if *rulesFile != "" {
 		rs, err := series.LoadRules(*rulesFile)
+		if err == nil {
+			err = core.CheckRules(rs.Rules)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("-rules: %w", err)
 		}
@@ -260,8 +266,9 @@ func main() {
 	}
 
 	if *healthFlag {
-		for _, name := range sortedNames(tel.Health) {
-			fmt.Printf("=== health: %s ===\n%s\n", name, tel.Health[name].Health().Report())
+		for _, name := range sortedNames(tel.Recorders) {
+			report := health.Analyze(tel.Recorders[name].Events(), health.Options{}).Report()
+			fmt.Printf("=== health: %s ===\n%s\n", name, report)
 		}
 	}
 

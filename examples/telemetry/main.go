@@ -36,18 +36,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// One recorder buffers events for the trace export; the registry
-	// mirrors the runtime's counters live; the health analyzer runs the
-	// drift/SLO/hotspot monitors over the same stream. All are optional and
-	// independent — a nil Recorder keeps the runtime allocation-free and
-	// bit-for-bit identical to an uninstrumented run, and the analyzer only
-	// observes.
+	// One recorder buffers events for the trace export and the health
+	// report; the registry mirrors the runtime's counters and health gauges
+	// live. Both are optional and independent — a nil Recorder keeps the
+	// runtime allocation-free and bit-for-bit identical to an uninstrumented
+	// run.
 	rec := ctgdvfs.NewMemoryRecorder()
 	reg := ctgdvfs.NewMetricsRegistry()
-	mon := ctgdvfs.NewHealthAnalyzer(ctgdvfs.HealthOptions{Metrics: reg})
 	m, err := ctgdvfs.NewAdaptive(g, p, ctgdvfs.AdaptiveOptions{
 		Window: 20, Threshold: 0.1,
-		Recorder: ctgdvfs.MultiRecorder{rec, mon},
+		Recorder: rec,
 		Metrics:  reg,
 	})
 	if err != nil {
@@ -79,10 +77,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The streaming health monitor's diagnosis — the same report `ctgsched
-	// analyze` produces offline from the JSONL or trace file written below.
-	fmt.Println("\nhealth monitor:")
-	fmt.Print(mon.Health().Report())
+	// The health diagnosis of the recorded stream — the same report
+	// `ctgsched analyze` prints for the JSONL file written below.
+	fmt.Println("\nhealth report:")
+	fmt.Print(ctgdvfs.AnalyzeTelemetry(rec.Events(), ctgdvfs.HealthOptions{}).Report())
 
 	// Chrome trace export.
 	ct := ctgdvfs.NewChromeTrace()

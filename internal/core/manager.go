@@ -182,6 +182,10 @@ type Manager struct {
 	base *platform.Platform
 
 	profiler *Profiler
+	// drift tracks, per fork, how far the windowed estimate trails the
+	// realized outcomes (adaptive.health.drift_err); adopt updates it right
+	// after shifting the staged decisions into the windows.
+	drift []stats.Drift
 	// cache memoizes (mapping, order, speeds) by exact probability state;
 	// nil when disabled.
 	cache *scheduleCache
@@ -227,6 +231,9 @@ type state struct {
 	// adaptive.miss_rate gauge (the registry's miss counter may aggregate
 	// several managers and cannot be read back).
 	missesTotal int
+	// missStreak counts the consecutive missed instances up to the last one
+	// (after fallback, where enabled); maxMissStreak is its high-water mark.
+	missStreak, maxMissStreak int
 
 	// Warm-start bookkeeping (see warmstart.go): whether warm.schedProbs
 	// and schedGuard describe the schedule, and the path's counters.
@@ -267,6 +274,8 @@ type managerMetrics struct {
 	guardLevel, maxGuardLevel     *telemetry.Gauge
 	drift                         *telemetry.Gauge
 	missRate, missRateWindow      *telemetry.Gauge
+	driftErr, pesDown             *telemetry.Gauge
+	missStreak, maxMissStreak     *telemetry.Gauge
 	lateness, makespan            *telemetry.HistogramMetric
 	pipeDiff, pipeDLS             *telemetry.HistogramMetric
 	pipeStretch, pipeValidate     *telemetry.HistogramMetric
@@ -277,18 +286,18 @@ type managerMetrics struct {
 // exact max still records them).
 const spanHiUS = 50_000
 
-// resolveMetrics binds the manager's metric handles in reg under the
-// "adaptive." prefix. Histogram ranges are deadline-relative: lateness can
-// only fall in [0, deadline]-ish territory (clamping catches pathological
-// overshoots) and makespans beyond twice the deadline carry no extra
-// information.
-func (m *Manager) resolveMetrics(reg *telemetry.Registry) {
-	hi := m.g.Deadline()
+// newManagerMetrics binds a manager's metric handles in reg under the
+// "adaptive." prefix. The names never depend on the graph or the options
+// (CheckRules relies on it). Histogram ranges are deadline-relative:
+// lateness can only fall in [0, deadline]-ish territory (clamping catches
+// pathological overshoots) and makespans beyond twice the deadline carry no
+// extra information.
+func newManagerMetrics(reg *telemetry.Registry, deadline float64) managerMetrics {
+	hi := deadline
 	if !(hi > 0) {
 		hi = 1
 	}
-	m.metrics = reg
-	m.mm = managerMetrics{
+	return managerMetrics{
 		instances:      reg.Counter("adaptive.instances"),
 		misses:         reg.Counter("adaptive.misses"),
 		overruns:       reg.Counter("adaptive.overruns"),
@@ -304,6 +313,10 @@ func (m *Manager) resolveMetrics(reg *telemetry.Registry) {
 		drift:          reg.Gauge("adaptive.drift"),
 		missRate:       reg.Gauge("adaptive.miss_rate"),
 		missRateWindow: reg.Gauge("adaptive.miss_rate_window"),
+		driftErr:       reg.Gauge("adaptive.health.drift_err"),
+		pesDown:        reg.Gauge("adaptive.health.pes_down"),
+		missStreak:     reg.Gauge("adaptive.health.miss_streak"),
+		maxMissStreak:  reg.Gauge("adaptive.health.max_miss_streak"),
 		lateness:       reg.Histogram("adaptive.lateness", 0, hi, 64),
 		makespan:       reg.Histogram("adaptive.makespan", 0, 2*hi, 64),
 		pipeDiff:       reg.Histogram("adaptive.pipeline_diff_us", 0, spanHiUS, 64),
@@ -311,6 +324,16 @@ func (m *Manager) resolveMetrics(reg *telemetry.Registry) {
 		pipeStretch:    reg.Histogram("adaptive.pipeline_stretch_us", 0, spanHiUS, 64),
 		pipeValidate:   reg.Histogram("adaptive.pipeline_validate_us", 0, spanHiUS, 64),
 	}
+}
+
+// CheckRules refuses the rules a manager's series store could never fire:
+// threshold and rate rules over a metric no manager registers (see
+// series.CheckMetrics). A manager registers the same names whatever its
+// graph and options, so the check needs no manager.
+func CheckRules(rules []series.Rule) error {
+	reg := telemetry.NewRegistry()
+	newManagerMetrics(reg, 1)
+	return series.CheckMetrics(reg, rules)
 }
 
 // StepResult reports one processed CTG instance.
@@ -485,11 +508,11 @@ func New(g *ctg.Graph, p *platform.Platform, opts Options) (*Manager, error) {
 			m.seq = telemetry.NewSequencer()
 		}
 	}
-	reg := opts.Metrics
-	if reg == nil {
-		reg = telemetry.NewRegistry()
+	m.metrics = opts.Metrics
+	if m.metrics == nil {
+		m.metrics = telemetry.NewRegistry()
 	}
-	m.resolveMetrics(reg)
+	m.mm = newManagerMetrics(m.metrics, m.g.Deadline())
 	a, err := ctg.Analyze(m.g)
 	if err != nil {
 		return nil, err
@@ -498,6 +521,10 @@ func New(g *ctg.Graph, p *platform.Platform, opts Options) (*Manager, error) {
 	m.profiler, err = NewProfiler(m.g, opts.Window)
 	if err != nil {
 		return nil, err
+	}
+	m.drift = make([]stats.Drift, m.g.NumForks())
+	for fi := range m.drift {
+		m.drift[fi].Realized = make([]float64, 0, m.profiler.NumOutcomes(fi))
 	}
 	m.initWarm()
 	if opts.Recovery {

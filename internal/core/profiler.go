@@ -141,14 +141,9 @@ func (p *Profiler) estimate(fi, o int) []float64 {
 // fork index).
 func (p *Profiler) NumOutcomes(forkIdx int) int { return len(p.counts[forkIdx]) }
 
-// EstimateAt returns one outcome's windowed probability estimate without
-// materialising the whole vector — the allocation-free counterpart of
-// Estimate for hot-path drift checks.
-func (p *Profiler) EstimateAt(forkIdx, outcome int) float64 {
-	return p.estimateAt(forkIdx, outcome, -1)
-}
-
-// estimateAt is EstimateAt with outcome o staged (see count).
+// estimateAt is one outcome's windowed probability estimate, with outcome o
+// staged (see count): the allocation-free counterpart of estimate for the
+// step's drift checks.
 func (p *Profiler) estimateAt(fi, k, o int) float64 {
 	return float64(p.count(fi, k, o)) / float64(p.window)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"path/filepath"
 	"testing"
 
 	"ctgdvfs/internal/series"
@@ -49,5 +50,34 @@ func TestManagerSeriesBitForBit(t *testing.T) {
 	// The instance counter must have been sampled too (registry-wide sweep).
 	if s := st.Series("adaptive.instances"); s == nil || s.Len() != sampled.Instances {
 		t.Fatal("counter metrics not sampled")
+	}
+}
+
+// TestShippedRulesWatchManagerMetrics checks every rule of the shipped rule
+// files names a metric a manager registers: CheckRules accepts both files,
+// and each rule's metric is a series a manager's store really samples.
+func TestShippedRulesWatchManagerMetrics(t *testing.T) {
+	g, p := telemetryWorkload(t, 21)
+	st := series.NewStore(series.StoreOptions{Registry: telemetry.NewRegistry()})
+	m, err := New(g, p, Options{Metrics: st.Registry(), Series: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Step(make([]int, g.NumForks())); err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range []string{"rules.json", "health.json"} {
+		rs, err := series.LoadRules(filepath.Join("..", "..", "examples", "watch", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckRules(rs.Rules); err != nil {
+			t.Errorf("%s: %v", file, err)
+		}
+		for _, r := range rs.Rules {
+			if st.Series(r.Metric) == nil {
+				t.Errorf("%s: rule %q watches %q, which the manager's store never sampled", file, r.Name, r.Metric)
+			}
+		}
 	}
 }

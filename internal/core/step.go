@@ -424,8 +424,12 @@ func (t *txn) decide() error {
 			t.s.topoMisses++
 		}
 	}
-	if !inst.DeadlineMet {
+	if inst.DeadlineMet {
+		t.s.missStreak = 0
+	} else {
 		t.s.missesTotal++
+		t.s.missStreak++
+		t.s.maxMissStreak = max(t.s.maxMissStreak, t.s.missStreak)
 	}
 	if m.rec != nil {
 		t.finSeq = t.emit(telemetry.Event{
@@ -465,6 +469,8 @@ func (m *Manager) commit(t *txn) StepResult {
 	mm.makespan.Observe(res.Instance.Makespan)
 	mm.drift.Set(res.Drift)
 	mm.missRate.Set(float64(m.st.missesTotal) / float64(m.st.instances))
+	mm.missStreak.Set(float64(m.st.missStreak))
+	mm.maxMissStreak.SetMax(float64(m.st.maxMissStreak))
 	if m.opts.Series != nil {
 		m.opts.Series.Tick(prev.instances, m.rec, m.seq, t.finSeq)
 	}
@@ -472,7 +478,8 @@ func (m *Manager) commit(t *txn) StepResult {
 }
 
 // adopt is the part of commit New shares: it shifts the staged decisions
-// into the estimator windows, applies the staged cache accesses, adopts the
+// into the estimator windows and folds each shifted fork's new estimate
+// into its drift tracker, applies the staged cache accesses, adopts the
 // staged state and slices, mirrors the state's changes into the registry
 // and records the staged events in order.
 func (m *Manager) adopt(t *txn) {
@@ -482,9 +489,18 @@ func (m *Manager) adopt(t *txn) {
 	for fi, o := range t.obs {
 		if o >= 0 {
 			m.profiler.shift(fi, o)
+			t.probsBuf = m.profiler.EstimateInto(fi, t.probsBuf[:0])
+			m.drift[fi].Observe(t.probsBuf, o)
 		}
 	}
 	mm := &m.mm
+	worst := 0.0
+	for i := range m.drift {
+		worst = max(worst, m.drift[i].ErrEWMA)
+	}
+	mm.driftErr.Set(worst)
+	n := m.base.NumPEs()
+	mm.pesDown.Set(float64(n - m.st.mask.NumAlive(n)))
 	for _, op := range t.cacheOps {
 		m.cache.apply(op)
 		switch {

@@ -285,44 +285,3 @@ func (t *txn) adoptWarm(reason string, guard float64) {
 func (m *Manager) WarmStats() (starts, fallbacks int) {
 	return m.st.warmStarts, m.st.warmFallbacks
 }
-
-// AffectedByDrift computes, from first principles, the warm-start affected
-// mask for a drift confined to the given forks (dense indices): each changed
-// fork itself plus every task whose activation set is split across that
-// fork's outcomes. This is the reference implementation of the manager's
-// (buffer-reusing) incremental rule, exported for tests and benchmarks.
-func AffectedByDrift(a *ctg.Analysis, changed []int) []bool {
-	g := a.Graph()
-	forks := g.Forks()
-	affected := make([]bool, g.NumTasks())
-	for _, fi := range changed {
-		fork := forks[fi]
-		outcomes := g.Outcomes(fork)
-		sets := make([]ctg.Bitset, outcomes)
-		for o := range sets {
-			sets[o] = ctg.NewBitset(a.NumScenarios())
-		}
-		for si := 0; si < a.NumScenarios(); si++ {
-			if o := a.Scenario(si).Assign[fi]; o >= 0 {
-				sets[o].Set(si)
-			}
-		}
-		affected[fork] = true
-		for t := 0; t < g.NumTasks(); t++ {
-			if affected[t] {
-				continue
-			}
-			gamma := a.ActivationSet(ctg.TaskID(t))
-			hits := 0
-			for _, so := range sets {
-				if gamma.Intersects(so) {
-					hits++
-				}
-			}
-			if hits >= 1 && hits < outcomes {
-				affected[t] = true
-			}
-		}
-	}
-	return affected
-}

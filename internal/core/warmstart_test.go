@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"ctgdvfs/internal/ctg"
 	"ctgdvfs/internal/tgff"
 	"ctgdvfs/internal/trace"
 )
@@ -138,7 +139,7 @@ func TestMarkAffectedMatchesReference(t *testing.T) {
 	}
 	for _, changed := range cases {
 		count := m.tx.markAffected(changed)
-		want := AffectedByDrift(m.a, changed)
+		want := affectedByDrift(m.a, changed)
 		got := m.tx.affected
 		wantCount := 0
 		for t2 := range want {
@@ -215,9 +216,50 @@ func TestProfilerEstimateIntoEquivalence(t *testing.T) {
 			if buf[k] != est[k] {
 				t.Fatalf("fork %d outcome %d: EstimateInto %v != Estimate %v", fi, k, buf[k], est[k])
 			}
-			if got := p.EstimateAt(fi, k); got != est[k] {
-				t.Fatalf("fork %d outcome %d: EstimateAt %v != Estimate %v", fi, k, got, est[k])
+			if got := p.estimateAt(fi, k, -1); got != est[k] {
+				t.Fatalf("fork %d outcome %d: estimateAt %v != Estimate %v", fi, k, got, est[k])
 			}
 		}
 	}
+}
+
+// affectedByDrift computes, from first principles, the warm-start affected
+// mask for a drift confined to the given forks (dense indices): each changed
+// fork itself plus every task whose activation set is split across that
+// fork's outcomes. It is the reference rule markAffected (buffer-reusing,
+// incremental) is compared against.
+func affectedByDrift(a *ctg.Analysis, changed []int) []bool {
+	g := a.Graph()
+	forks := g.Forks()
+	affected := make([]bool, g.NumTasks())
+	for _, fi := range changed {
+		fork := forks[fi]
+		outcomes := g.Outcomes(fork)
+		sets := make([]ctg.Bitset, outcomes)
+		for o := range sets {
+			sets[o] = ctg.NewBitset(a.NumScenarios())
+		}
+		for si := 0; si < a.NumScenarios(); si++ {
+			if o := a.Scenario(si).Assign[fi]; o >= 0 {
+				sets[o].Set(si)
+			}
+		}
+		affected[fork] = true
+		for t := 0; t < g.NumTasks(); t++ {
+			if affected[t] {
+				continue
+			}
+			gamma := a.ActivationSet(ctg.TaskID(t))
+			hits := 0
+			for _, so := range sets {
+				if gamma.Intersects(so) {
+					hits++
+				}
+			}
+			if hits >= 1 && hits < outcomes {
+				affected[t] = true
+			}
+		}
+	}
+	return affected
 }

@@ -8,7 +8,6 @@ import (
 	"ctgdvfs/internal/core"
 	"ctgdvfs/internal/ctg"
 	"ctgdvfs/internal/faults"
-	"ctgdvfs/internal/health"
 	"ctgdvfs/internal/par"
 	"ctgdvfs/internal/platform"
 	"ctgdvfs/internal/series"
@@ -131,8 +130,8 @@ func campaignWorkloads() ([]campaignWorkload, error) {
 // A non-nil obs instruments the guarded runtime of every workload — the
 // runtime whose behavior (fallback re-runs, breaker trips, guard levels) the
 // trace is for; the baselines would only double every slice. Each workload
-// gets its own stream (recorder, health analyzer and series store, keyed by
-// workload name) in the returned telemetry, which is nil when obs is nil.
+// gets its own stream (recorder and series store, keyed by workload name) in
+// the returned telemetry, which is nil when obs is nil.
 func FaultCampaign(spec faults.Spec, guard float64, obs *Observe) (*FaultCampaignResult, *CampaignTelemetry, error) {
 	return faultCampaignN(spec, guard, 0, obs)
 }
@@ -160,17 +159,12 @@ func faultCampaignN(spec faults.Spec, guard float64, maxVec int, obs *Observe) (
 	if tel != nil {
 		for _, w := range workloads {
 			// Each stream's series store samples a private mirror of the
-			// shared registry and evaluates the alert rules. The analyzer
-			// publishes into the same mirror, so rules see its
-			// adaptive.health.* gauges and the shared registry still
-			// aggregates them.
+			// shared registry and evaluates the alert rules.
 			tel.Recorders[w.name] = telemetry.NewMemoryRecorder()
-			st := series.NewStore(series.StoreOptions{
+			tel.Series[w.name] = series.NewStore(series.StoreOptions{
 				Registry: telemetry.NewMirrorRegistry(tel.Metrics),
 				Rules:    obs.Rules,
 			})
-			tel.Series[w.name] = st
-			tel.Health[w.name] = health.New(health.Options{Metrics: st.Registry()})
 		}
 	}
 	// The workloads are independent end-to-end runs, so they fan out over
@@ -201,7 +195,7 @@ func faultCampaignN(spec faults.Spec, guard float64, maxVec int, obs *Observe) (
 			// The manager publishes into the workload's mirror registry
 			// (which forwards to the shared one) and ticks its store.
 			st := tel.Series[w.name]
-			gopts.Recorder = telemetry.MultiRecorder{tel.Recorders[w.name], tel.Health[w.name]}
+			gopts.Recorder = tel.Recorders[w.name]
 			gopts.Metrics = st.Registry()
 			gopts.Series = st
 		}

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"ctgdvfs/internal/health"
 	"ctgdvfs/internal/par"
 	"ctgdvfs/internal/series"
 	"ctgdvfs/internal/telemetry"
@@ -82,13 +83,12 @@ func TestFaultCampaignAcceptance(t *testing.T) {
 	}
 }
 
-// TestFaultCampaignObservedHealth checks the observed campaign carries one
-// live health analyzer per workload, fanned into the same stream as the
-// recorder, and that attaching it changes no campaign number. It runs once
-// without alert rules and once with examples/watch/rules.json armed, and
-// pins the campaign's behaviour contract: the rendered table and one SHA-256
-// per event stream of each case must match testdata/faultcampaign.golden (go
-// test -update rewrites it).
+// TestFaultCampaignObservedHealth checks that observing the campaign changes
+// no campaign number and that health.Analyze of each recorded stream agrees
+// with the campaign's row. It runs once without alert rules and once with
+// examples/watch/rules.json armed, and pins the campaign's behaviour
+// contract: the rendered table and one SHA-256 per event stream of each case
+// must match testdata/faultcampaign.golden (go test -update rewrites it).
 func TestFaultCampaignObservedHealth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault campaign replays hundreds of faulty instances per runtime")
@@ -118,11 +118,11 @@ func TestFaultCampaignObservedHealth(t *testing.T) {
 			t.Fatalf("%sobservation changed campaign rows:\n%+v\n%+v", c.label, plain.Rows, observed.Rows)
 		}
 		for _, row := range observed.Rows {
-			h := tel.Health[row.Workload]
-			if h == nil {
-				t.Fatalf("%s: no health analyzer", row.Workload)
+			rec := tel.Recorders[row.Workload]
+			if rec == nil {
+				t.Fatalf("%s: no recorder", row.Workload)
 			}
-			s := h.Health()
+			s := health.Analyze(rec.Events(), health.Options{})
 			if s.Instances != row.Vectors {
 				t.Errorf("%s: analyzer saw %d instances, want %d", row.Workload, s.Instances, row.Vectors)
 			}
@@ -145,7 +145,7 @@ func TestFaultCampaignObservedHealth(t *testing.T) {
 			if s.SeriesAlerts != nil {
 				firings = s.SeriesAlerts.Firings
 			}
-			if n := tel.Recorders[row.Workload].CountByKind()[telemetry.KindAlertFiring]; n != firings {
+			if n := rec.CountByKind()[telemetry.KindAlertFiring]; n != firings {
 				t.Errorf("%s%s: %d alert_firing events vs %d reported firings", c.label, row.Workload, n, firings)
 			}
 		}

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"ctgdvfs/internal/health"
 	"ctgdvfs/internal/series"
 	"ctgdvfs/internal/telemetry"
 )
@@ -19,13 +18,10 @@ type Observe struct {
 // their streams) and one registry every observed runtime publishes into
 // (counters aggregate campaign-wide).
 type CampaignTelemetry struct {
-	Metrics   *telemetry.Registry
-	Recorders map[string]*telemetry.MemoryRecorder // keyed by stream name
-	// Health holds one streaming analyzer per workload, fanned into the same
-	// event stream as its recorder: drift detection, SLO tracking and
-	// hotspot attribution run live alongside the campaign, and the snapshots
-	// feed the harness's health summary.
-	Health map[string]*health.AnalyzerRecorder
+	Metrics *telemetry.Registry
+	// Recorders holds the event streams, keyed by stream name; health.Analyze
+	// over one gives its diagnosis report.
+	Recorders map[string]*telemetry.MemoryRecorder
 	// Series holds one time-series store per workload. Each store samples a
 	// private mirror of Metrics (telemetry.NewMirrorRegistry), so sampling is
 	// deterministic even though the runs are parallel: every write still
@@ -43,7 +39,6 @@ func (o *Observe) newTelemetry() *CampaignTelemetry {
 	return &CampaignTelemetry{
 		Metrics:   telemetry.NewRegistry(),
 		Recorders: make(map[string]*telemetry.MemoryRecorder),
-		Health:    make(map[string]*health.AnalyzerRecorder),
 		Series:    make(map[string]*series.Store),
 	}
 }

@@ -9,9 +9,8 @@ import (
 
 // availState tracks hardware availability from the pe_down/pe_up/link_down/
 // link_up/remap event kinds the adaptive manager emits at instance
-// boundaries, and publishes the number of PEs currently down as the
-// adaptive.health.pes_down gauge (the PE-loss rule of
-// examples/watch/health.json alerts on it).
+// boundaries. The PEs it reports down are the ones the manager's mask hides,
+// which the manager publishes live as the adaptive.health.pes_down gauge.
 type availState struct {
 	seen      bool
 	peDown    map[int]bool // currently-down PEs
@@ -47,7 +46,7 @@ type AvailabilityStatus struct {
 	Restores int `json:"restores"`
 }
 
-func (av *availState) observe(a *AnalyzerRecorder, e telemetry.Event) {
+func (av *availState) observe(a *analyzer, e telemetry.Event) {
 	if av.peDown == nil {
 		av.peDown = map[int]bool{}
 		av.peOutages = map[int]int{}
@@ -84,7 +83,6 @@ func (av *availState) observe(a *AnalyzerRecorder, e telemetry.Event) {
 		}
 		a.note(e.Instance, "remap", fmt.Sprintf("%s, scheduling onto %d PEs", e.Reason, e.Alive))
 	}
-	a.hm.pesDown.Set(float64(av.down))
 }
 
 func (av *availState) snapshot() *AvailabilityStatus {

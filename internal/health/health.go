@@ -1,17 +1,16 @@
-// Package health is the streaming monitoring layer of the adaptive
-// framework: a set of online analyzers that subscribe to the
-// internal/telemetry event stream and continuously answer the questions the
-// raw stream only records — is the branch-probability estimator drifting
-// away from reality, are the run's service-level objectives (deadline
-// misses, lateness, energy) still inside budget, and which tasks, PEs and
-// links dominate critical-path delay and energy.
+// Package health is the offline reader of a telemetry capture: it replays a
+// recorded event stream (internal/telemetry, usually read back with
+// telemetry.ReadJSONL) and answers the questions the raw stream only records
+// — did the branch-probability estimator drift away from reality, did the
+// run's service-level objectives (deadline misses, lateness, energy) stay
+// inside budget, and which tasks, PEs and links dominated critical-path delay
+// and energy.
 //
-// The entry point is the AnalyzerRecorder, a fan-in telemetry.Recorder that
-// feeds every event to three analyzers:
+// Analyze is the one entry point. It feeds every event to three analyzers:
 //
 //   - the estimator drift detector (drift.go) compares each fork's windowed
 //     probability estimate against an EWMA of the realized branch outcomes
-//     and tracks the EWMA of the absolute error;
+//     and tracks the EWMA of the absolute error (stats.Drift);
 //   - the SLO tracker (slo.go) maintains rolling lateness/makespan/energy
 //     quantiles (reusing internal/stats.Histogram), a deadline-miss budget
 //     burn rate, the current miss streak, and the circuit-breaker/fallback
@@ -19,24 +18,19 @@
 //   - the hotspot attributor (hotspot.go) ranks tasks, PEs and links by
 //     their contribution to critical-path delay and energy across instances.
 //
-// Attach an AnalyzerRecorder anywhere a telemetry.Recorder goes (directly,
-// or fanned in next to other sinks via telemetry.MultiRecorder); it observes
-// only — the runtime's outputs are bit-for-bit identical with or without it.
-// Health() snapshots the full state at any time and Snapshot.Report renders
-// the deterministic diagnosis text the `ctgsched analyze` subcommand prints.
+// Snapshot.Report renders the deterministic diagnosis text the `ctgsched
+// analyze` subcommand prints.
 //
-// The analyzer raises no alerts itself. It publishes the quantities worth
-// alerting on as "adaptive.health.*" gauges (drift_err, miss_streak,
-// budget_burn, pes_down); internal/series rules over those gauges
-// (examples/watch/health.json) are the one alert engine, and the report
-// lists the alert_firing/alert_resolved events those rules emitted.
+// The package raises no alerts and publishes no metrics. The adaptive
+// manager publishes the live health quantities itself, as the
+// "adaptive.health.*" gauges (drift_err, miss_streak, max_miss_streak,
+// pes_down), computed with the same arithmetic this package replays;
+// internal/series rules over those gauges (examples/watch/health.json) are
+// the one alert engine, and the report lists the alert_firing/alert_resolved
+// events those rules emitted.
 package health
 
-import (
-	"sync"
-
-	"ctgdvfs/internal/telemetry"
-)
+import "ctgdvfs/internal/telemetry"
 
 // Defaults for the analyzer knobs; see Options.
 const (
@@ -46,9 +40,6 @@ const (
 
 // Fixed analyzer constants.
 const (
-	// driftAlpha is the EWMA decay used both for the realized-outcome
-	// frequency tracker and for the per-fork absolute-error average.
-	driftAlpha = 0.1
 	// sloWarmup is the instance count below which SLO verdicts stay
 	// "pending" (a single early miss should not instantly trip a miss-rate
 	// objective).
@@ -80,18 +71,13 @@ type SLO struct {
 	MaxAvgEnergy float64
 }
 
-// Options configures an AnalyzerRecorder. The zero value is a working
-// configuration: every knob falls back to its Default* constant.
+// Options configures Analyze. The zero value is a working configuration:
+// every knob falls back to its Default* constant.
 type Options struct {
 	// SLO is the objective the tracker scores the run against.
 	SLO SLO
 	// Hotspots is the top-N cutoff of the snapshot's rankings.
 	Hotspots int
-	// Metrics, when non-nil, is the registry the analyzer publishes its
-	// "adaptive.health.*" gauges to — point it at the registry a series
-	// store samples so rules can alert on them; nil gives the analyzer a
-	// private registry.
-	Metrics *telemetry.Registry
 }
 
 func (o *Options) applyDefaults() {
@@ -111,21 +97,10 @@ type TimelineEntry struct {
 	Detail   string `json:"detail"`
 }
 
-// healthMetrics holds the analyzer's resolved registry handles.
-type healthMetrics struct {
-	driftErr      *telemetry.Gauge
-	missStreak    *telemetry.Gauge
-	maxMissStreak *telemetry.Gauge
-	budgetBurn    *telemetry.Gauge
-	pesDown       *telemetry.Gauge
-}
-
-// AnalyzerRecorder is the fan-in sink of the health layer: it implements
-// telemetry.Recorder, routes every event to the drift, SLO and hotspot
-// analyzers, and maintains the bounded decision timeline. All methods are
-// safe for concurrent use.
-type AnalyzerRecorder struct {
-	mu   sync.Mutex
+// analyzer routes every event of a stream to the drift, SLO, hotspot,
+// availability, pipeline and rule-alert trackers, and maintains the bounded
+// decision timeline.
+type analyzer struct {
 	opts Options
 
 	events  int
@@ -138,41 +113,17 @@ type AnalyzerRecorder struct {
 
 	timeline        []TimelineEntry
 	timelineDropped int
-
-	hm healthMetrics
 }
 
-// New builds an AnalyzerRecorder; zero-value Options select the defaults.
-func New(opts Options) *AnalyzerRecorder {
-	opts.applyDefaults()
-	a := &AnalyzerRecorder{opts: opts}
-	a.slo.init()
-	a.hot.init()
-	reg := opts.Metrics
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	a.hm = healthMetrics{
-		driftErr:      reg.Gauge("adaptive.health.drift_err"),
-		missStreak:    reg.Gauge("adaptive.health.miss_streak"),
-		maxMissStreak: reg.Gauge("adaptive.health.max_miss_streak"),
-		budgetBurn:    reg.Gauge("adaptive.health.budget_burn"),
-		pesDown:       reg.Gauge("adaptive.health.pes_down"),
-	}
-	return a
-}
-
-// Record consumes one telemetry event.
-func (a *AnalyzerRecorder) Record(e telemetry.Event) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+// record consumes one telemetry event.
+func (a *analyzer) record(e telemetry.Event) {
 	a.events++
 	switch e.Kind {
 	case telemetry.KindEstimate:
-		a.drift.observe(a, e)
+		a.drift.observe(e)
 	case telemetry.KindInstanceFinish:
 		a.hot.commit(e.Instance)
-		a.slo.observeFinish(a, e)
+		a.slo.observeFinish(e)
 	case telemetry.KindTaskSlice:
 		a.hot.observeTask(e)
 	case telemetry.KindCommSlice:
@@ -215,7 +166,7 @@ func (a *AnalyzerRecorder) Record(e telemetry.Event) {
 }
 
 // note appends one timeline entry, evicting the oldest past capacity.
-func (a *AnalyzerRecorder) note(instance int, kind, detail string) {
+func (a *analyzer) note(instance int, kind, detail string) {
 	e := TimelineEntry{Instance: instance, Kind: kind, Detail: detail}
 	if len(a.timeline) == timelineSize {
 		copy(a.timeline, a.timeline[1:])
@@ -226,10 +177,8 @@ func (a *AnalyzerRecorder) note(instance int, kind, detail string) {
 	a.timeline = append(a.timeline, e)
 }
 
-// Health snapshots the analyzer state.
-func (a *AnalyzerRecorder) Health() Snapshot {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+// snapshot summarizes the analyzer state.
+func (a *analyzer) snapshot() Snapshot {
 	s := Snapshot{
 		Events:          a.events,
 		Instances:       a.slo.instances,
@@ -239,7 +188,7 @@ func (a *AnalyzerRecorder) Health() Snapshot {
 		Availability:    a.avail.snapshot(),
 		Pipeline:        a.pipe.snapshot(),
 		SeriesAlerts:    a.salerts.snapshot(),
-		Timeline:        append([]TimelineEntry(nil), a.timeline...),
+		Timeline:        a.timeline,
 		TimelineDropped: a.timelineDropped,
 	}
 	if s.Instances == 0 {
@@ -251,13 +200,16 @@ func (a *AnalyzerRecorder) Health() Snapshot {
 	return s
 }
 
-// Analyze runs a recorded event stream through a fresh AnalyzerRecorder and
-// returns the resulting snapshot — the offline entry point behind
-// `ctgsched analyze`.
+// Analyze runs a recorded event stream through fresh analyzers and returns
+// the resulting snapshot — the entry point behind `ctgsched analyze`.
+// Zero-value Options select the defaults.
 func Analyze(events []telemetry.Event, opts Options) Snapshot {
-	a := New(opts)
+	opts.applyDefaults()
+	a := &analyzer{opts: opts}
+	a.slo.init()
+	a.hot.init()
 	for _, e := range events {
-		a.Record(e)
+		a.record(e)
 	}
-	return a.Health()
+	return a.snapshot()
 }

@@ -8,6 +8,7 @@ import (
 
 	"ctgdvfs/internal/core"
 	"ctgdvfs/internal/ctg"
+	"ctgdvfs/internal/faults"
 	"ctgdvfs/internal/health"
 	"ctgdvfs/internal/platform"
 	"ctgdvfs/internal/series"
@@ -26,54 +27,26 @@ func testWorkload(t *testing.T, seed int64) (*ctg.Graph, *platform.Platform) {
 	return g, p
 }
 
-// TestAnalyzerPassivity pins the health layer's headline guarantee: fanning
-// an AnalyzerRecorder into the event stream changes neither the RunStats nor
-// the recorded events — bit for bit.
+// TestAnalyzerPassivity pins that analysis only reads its capture: Analyze
+// leaves the recorded stream exactly as it was (the drift trackers copy the
+// estimates they are seeded from), and two analyses of one stream agree.
 func TestAnalyzerPassivity(t *testing.T) {
-	run := func(attach bool) (core.RunStats, []telemetry.Event) {
-		g, p := testWorkload(t, 12)
-		mem := telemetry.NewMemoryRecorder()
-		var rec telemetry.Recorder = mem
-		if attach {
-			rec = telemetry.MultiRecorder{mem, health.New(health.Options{})}
-		}
-		m, err := core.New(g, p, core.Options{Window: 10, Threshold: 0.1, Recorder: rec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := m.Run(trace.Fluctuating(g, 3, 60, 0.45))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st, mem.Events()
+	g, p := testWorkload(t, 12)
+	mem := telemetry.NewMemoryRecorder()
+	m, err := core.New(g, p, core.Options{Window: 10, Threshold: 0.1, Recorder: mem})
+	if err != nil {
+		t.Fatal(err)
 	}
-	plainStats, plainEvents := run(false)
-	monitoredStats, monitoredEvents := run(true)
-	if plainStats != monitoredStats {
-		t.Fatalf("health monitor changed RunStats:\nplain     %+v\nmonitored %+v",
-			plainStats, monitoredStats)
+	if _, err := m.Run(trace.Fluctuating(g, 3, 60, 0.45)); err != nil {
+		t.Fatal(err)
 	}
-	// pipeline_span values are wall-clock durations — nondeterministic even
-	// between two identical runs. The passivity property covers everything
-	// else about the stream (kinds, order, seq/cause ids, payloads).
-	for _, evs := range [][]telemetry.Event{plainEvents, monitoredEvents} {
-		for i := range evs {
-			if evs[i].Kind == telemetry.KindSpan {
-				evs[i].Value = 0
-			}
-		}
+	events := mem.Events()
+	first := health.Analyze(events, health.Options{})
+	if !reflect.DeepEqual(events, mem.Events()) {
+		t.Fatal("Analyze changed the stream it read")
 	}
-	if !reflect.DeepEqual(plainEvents, monitoredEvents) {
-		t.Fatalf("health monitor changed the event stream: %d vs %d events",
-			len(plainEvents), len(monitoredEvents))
-	}
-}
-
-// estimateEvent builds one KindEstimate event as the manager emits it.
-func estimateEvent(instance, fork int, probs []float64, outcome int) telemetry.Event {
-	return telemetry.Event{
-		Kind: telemetry.KindEstimate, Instance: instance, Fork: fork,
-		Probs: probs, Outcome: outcome,
+	if second := health.Analyze(events, health.Options{}); !reflect.DeepEqual(first, second) {
+		t.Fatal("two analyses of one stream disagree")
 	}
 }
 
@@ -85,29 +58,30 @@ type alertAt struct {
 }
 
 // TestHealthRules runs the default alert rules, examples/watch/health.json,
-// on a series store fed by the analyzer's adaptive.health.* gauges; the
-// store ticks after every event at that event's instance. Drift fires once,
-// when the error EWMA (decay 0.1) reaches 0.2, and resolves below 0.1; the
-// miss streak fires once, on the third consecutive miss; PE loss is one
-// alert while any PE is down; the miss budget fires on its first breach,
-// with no warm-up.
+// over managers: each run arms them on a series store that samples the
+// manager's own registry, so the rules see the adaptive.health.* gauges the
+// manager publishes, exactly as in the daemon. Each run is built to trip one
+// rule; the offline report of the recorded stream lists the same firings.
 func TestHealthRules(t *testing.T) {
 	rs, err := series.LoadRules(filepath.Join("..", "..", "examples", "watch", "health.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(slo health.SLO, events []telemetry.Event) (health.Snapshot, []alertAt, []alertAt) {
-		reg := telemetry.NewRegistry()
-		a := health.New(health.Options{SLO: slo, Metrics: reg})
-		st := series.NewStore(series.StoreOptions{Registry: reg, Rules: rs.Rules})
+	run := func(t *testing.T, g *ctg.Graph, p *platform.Platform, opts core.Options, vectors [][]int) (health.Snapshot, []alertAt, []alertAt) {
+		t.Helper()
 		mem := telemetry.NewMemoryRecorder()
-		for _, e := range events {
-			a.Record(e)
-			st.Tick(e.Instance, mem, nil, 0)
+		opts.Recorder = mem
+		opts.Series = series.NewStore(series.StoreOptions{Registry: telemetry.NewRegistry(), Rules: rs.Rules})
+		opts.Metrics = opts.Series.Registry()
+		m, err := core.New(g, p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(vectors); err != nil {
+			t.Fatal(err)
 		}
 		var fired, resolved []alertAt
 		for _, e := range mem.Events() {
-			a.Record(e) // the report counts the firings
 			switch e.Kind {
 			case telemetry.KindAlertFiring:
 				fired = append(fired, alertAt{e.Name, e.Instance})
@@ -115,7 +89,15 @@ func TestHealthRules(t *testing.T) {
 				resolved = append(resolved, alertAt{e.Name, e.Instance})
 			}
 		}
-		return a.Health(), fired, resolved
+		s := health.Analyze(mem.Events(), health.Options{})
+		firings := 0
+		if s.SeriesAlerts != nil {
+			firings = s.SeriesAlerts.Firings
+		}
+		if firings != len(fired) {
+			t.Fatalf("report counts %d firings, stream holds %d", firings, len(fired))
+		}
+		return s, fired, resolved
 	}
 	check := func(t *testing.T, kind string, got, want []alertAt) {
 		t.Helper()
@@ -123,72 +105,89 @@ func TestHealthRules(t *testing.T) {
 			t.Fatalf("%s = %v, want %v", kind, got, want)
 		}
 	}
-	noBudget := health.SLO{MaxMissRate: -1}
+	// constant repeats one decision vector: every fork takes outcome 0.
+	constant := func(g *ctg.Graph, n int) [][]int {
+		vs := make([][]int, n)
+		for i := range vs {
+			vs[i] = make([]int, g.NumForks())
+		}
+		return vs
+	}
+	// missing is a workload whose deadline is half its full-speed makespan:
+	// every instance misses.
+	missing := func(t *testing.T) (*ctg.Graph, *platform.Platform) {
+		g0, p := testWorkload(t, 5)
+		g, err := core.TightenDeadline(g0, p, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, p
+	}
 
 	t.Run("drift", func(t *testing.T) {
-		// Estimator insists on [0.5 0.5] while reality always takes branch
-		// 0, then catches up with the all-branch-0 reality.
-		var evs []telemetry.Event
-		for i := 0; i < 120; i++ { // drift from instance 11, recovered by 54
-			probs := []float64{0.5, 0.5}
-			if i >= 40 {
-				probs = []float64{1, 0}
-			}
-			evs = append(evs, estimateEvent(i, 0, probs, 0))
+		// Every fork always takes outcome 0, but a 200-deep window seeded at
+		// the profile barely moves and a threshold of 1 never adopts it: the
+		// realized frequencies leave the estimates behind.
+		g, p := testWorkload(t, 12)
+		opts := core.Options{Window: 200}
+		opts.SetThreshold(1)
+		s, fired, _ := run(t, g, p, opts, constant(g, 60))
+		if len(fired) == 0 || fired[0].Rule != "drift" {
+			t.Fatalf("firings = %v, want drift first", fired)
 		}
-		peak, _, _ := run(noBudget, evs[:40])
-		if f := peak.Drift[0]; f.ErrEWMA < 0.2 {
-			t.Fatalf("err EWMA %.3f below the drift bound after divergence", f.ErrEWMA)
+		worst := 0.0
+		for _, f := range s.Drift {
+			worst = max(worst, f.ErrEWMA)
 		}
-		s, fired, resolved := run(noBudget, evs)
-		check(t, "firings", fired, []alertAt{{"drift", 11}})
-		check(t, "resolutions", resolved, []alertAt{{"drift", 54}})
-		if f := s.Drift[0]; f.ErrEWMA >= 0.1 {
-			t.Fatalf("err EWMA %.3f did not decay below the clear bound", f.ErrEWMA)
+		if worst < 0.2 {
+			t.Fatalf("worst err EWMA %.3f below the drift bound", worst)
 		}
 	})
 
 	t.Run("miss_streak", func(t *testing.T) {
-		s, fired, resolved := run(noBudget, []telemetry.Event{
-			finishEvent(0, true, 0, 10, 5),
-			finishEvent(1, false, 1, 11, 5),
-			finishEvent(2, false, 1, 11, 5),
-			finishEvent(3, false, 1, 11, 5),
-			finishEvent(4, false, 1, 11, 5), // streak 4: no second alert
-			finishEvent(5, true, 0, 10, 5),
-		})
-		check(t, "firings", fired, []alertAt{{"miss-streak", 3}})
-		check(t, "resolutions", resolved, []alertAt{{"miss-streak", 5}})
-		if s.SLO.CurStreak != 0 || s.SLO.MaxStreak != 4 {
+		g, p := missing(t)
+		s, fired, resolved := run(t, g, p, core.Options{Window: 20}, constant(g, 8))
+		check(t, "firings", fired, []alertAt{{"miss-budget", 0}, {"miss-streak", 2}})
+		check(t, "resolutions", resolved, nil)
+		if s.SLO.CurStreak != 8 || s.SLO.MaxStreak != 8 {
 			t.Fatalf("streak tracking wrong: %+v", s.SLO)
 		}
 	})
 
 	t.Run("pe_loss", func(t *testing.T) {
-		down := func(inst, pe, alive int, reason string) telemetry.Event {
-			return telemetry.Event{Kind: telemetry.KindPEDown, Instance: inst, PE: pe, Alive: alive, Reason: reason}
+		// PE 1 is out for instances 3..5, back, then dies for good at 9; PE
+		// 0 is out at 11..12 while PE 1 is still dead (no new alert).
+		g, p := testWorkload(t, 12)
+		tl, err := faults.NewTimeline(faults.FailureSpec{Events: []faults.FailureEvent{
+			{Kind: faults.EventPE, PE: 1, Instance: 3, Duration: 3},
+			{Kind: faults.EventPE, PE: 1, Instance: 9},
+			{Kind: faults.EventPE, PE: 0, Instance: 11, Duration: 2},
+		}}, p.NumPEs())
+		if err != nil {
+			t.Fatal(err)
 		}
-		s, fired, resolved := run(noBudget, []telemetry.Event{
-			down(3, 1, 2, "transient"),
-			down(4, 1, 2, "transient"), // still down: no second alert
-			{Kind: telemetry.KindPEUp, Instance: 6, PE: 1, Alive: 3},
-			down(9, 1, 2, "transient"),  // every PE was back: alerts again
-			down(12, 0, 1, "permanent"), // another PE while one is down: no new alert
-		})
-		check(t, "firings", fired, []alertAt{{"pe-loss", 3}, {"pe-loss", 9}})
+		s, fired, resolved := run(t, g, p, core.Options{Window: 10, Recovery: true, Failures: tl},
+			trace.Fluctuating(g, 3, 16, 0.45))
+		var peFired []alertAt
+		for _, a := range fired {
+			if a.Rule == "pe-loss" {
+				peFired = append(peFired, a)
+			}
+		}
+		check(t, "pe-loss firings", peFired, []alertAt{{"pe-loss", 3}, {"pe-loss", 9}})
 		check(t, "resolutions", resolved, []alertAt{{"pe-loss", 6}})
 		if s.Availability == nil || len(s.Availability.PEs) != 2 {
 			t.Fatalf("availability = %+v, want 2 PE records", s.Availability)
 		}
 		pe0, pe1 := s.Availability.PEs[0], s.Availability.PEs[1]
-		if pe0.PE != 0 || !pe0.Permanent || !pe0.Down || pe0.Outages != 1 {
+		if pe0.PE != 0 || pe0.Permanent || pe0.Down || pe0.Outages != 1 {
 			t.Fatalf("PE 0 record = %+v", pe0)
 		}
-		if pe1.PE != 1 || pe1.Permanent || !pe1.Down || pe1.Outages != 3 {
+		if pe1.PE != 1 || !pe1.Permanent || !pe1.Down || pe1.Outages != 2 {
 			t.Fatalf("PE 1 record = %+v", pe1)
 		}
 		report := s.Report()
-		for _, want := range []string{"hardware availability", "DEAD (permanent)", "2 alerts"} {
+		for _, want := range []string{"hardware availability", "DEAD (permanent)"} {
 			if !strings.Contains(report, want) {
 				t.Fatalf("report missing %q:\n%s", want, report)
 			}
@@ -196,12 +195,14 @@ func TestHealthRules(t *testing.T) {
 	})
 
 	t.Run("miss_budget", func(t *testing.T) {
-		_, fired, _ := run(health.SLO{MaxMissRate: 0.25}, []telemetry.Event{
-			finishEvent(0, true, 0, 10, 5),
-			finishEvent(1, true, 0, 10, 5),
-			finishEvent(2, false, 1, 11, 5), // 1/3 > 0.25: budget burn 1.33
-		})
-		check(t, "firings", fired, []alertAt{{"miss-budget", 2}})
+		// The budget rule reads adaptive.miss_rate, so it fires on the first
+		// miss, with no warm-up; the report's burn rate agrees.
+		g, p := missing(t)
+		s, fired, _ := run(t, g, p, core.Options{Window: 20}, constant(g, 2))
+		check(t, "firings", fired, []alertAt{{"miss-budget", 0}})
+		if want := 1 / health.DefaultMaxMissRate; s.SLO.BudgetBurn != want {
+			t.Fatalf("budget burn = %v, want %v", s.SLO.BudgetBurn, want)
+		}
 	})
 }
 
@@ -215,11 +216,9 @@ func finishEvent(instance int, met bool, lateness, makespan, energy float64) tel
 // TestSLOVerdictsAndBudgetBurn checks verdict scoring, the warm-up pending
 // flag, and the budget-burn rate.
 func TestSLOVerdictsAndBudgetBurn(t *testing.T) {
-	a := health.New(health.Options{
-		SLO: health.SLO{MaxMissRate: 0.25, MaxAvgEnergy: 100},
-	})
-	a.Record(finishEvent(0, true, 0, 10, 50))
-	s := a.Health()
+	opts := health.Options{SLO: health.SLO{MaxMissRate: 0.25, MaxAvgEnergy: 100}}
+	events := []telemetry.Event{finishEvent(0, true, 0, 10, 50)}
+	s := health.Analyze(events, opts)
 	if len(s.SLO.Verdicts) != 2 {
 		t.Fatalf("want 2 verdicts (miss_rate, avg_energy), got %+v", s.SLO.Verdicts)
 	}
@@ -230,9 +229,9 @@ func TestSLOVerdictsAndBudgetBurn(t *testing.T) {
 	}
 	// Ten instances (the warm-up), five of them missed.
 	for i := 1; i < 10; i++ {
-		a.Record(finishEvent(i, i%2 == 0, 2, 12, 50))
+		events = append(events, finishEvent(i, i%2 == 0, 2, 12, 50))
 	}
-	s = a.Health()
+	s = health.Analyze(events, opts)
 	// miss rate 5/10 = 0.5 > 0.25: FAIL, past the warm-up.
 	var miss *health.Verdict
 	for i := range s.SLO.Verdicts {
@@ -251,32 +250,31 @@ func TestSLOVerdictsAndBudgetBurn(t *testing.T) {
 	}
 }
 
-// TestHotspotAttribution drives two instances of synthetic slices and checks
-// ranking order and critical-path attribution, including the
+// TestHotspotAttribution analyzes two instances of synthetic slices and
+// checks ranking order and critical-path attribution, including the
 // fallback-supersedes-primary rule.
 func TestHotspotAttribution(t *testing.T) {
-	a := health.New(health.Options{})
 	slice := func(inst, task int, name string, pe int, start, end, energy float64, phase string) telemetry.Event {
 		return telemetry.Event{
 			Kind: telemetry.KindTaskSlice, Instance: inst, Task: task, Name: name,
 			PE: pe, Start: start, End: end, Energy: energy, Phase: phase,
 		}
 	}
-	// Instance 0: task 1 ends last on the primary timeline.
-	a.Record(slice(0, 0, "src", 0, 0, 4, 2, ""))
-	a.Record(slice(0, 1, "dec", 1, 4, 10, 3, ""))
-	a.Record(telemetry.Event{
-		Kind: telemetry.KindCommSlice, Instance: 0, Edge: 0, Task: 0, Task2: 1,
-		PE: 0, PE2: 1, Start: 4, End: 5, Energy: 1,
-	})
-	a.Record(finishEvent(0, true, 0, 10, 5))
-	// Instance 1: primary ends with task 1, but a fallback replay ran and its
-	// terminal is task 0 — the fallback wins the critical credit.
-	a.Record(slice(1, 1, "dec", 1, 0, 9, 3, ""))
-	a.Record(slice(1, 0, "src", 0, 0, 6, 2, telemetry.PhaseFallback))
-	a.Record(finishEvent(1, false, 1, 11, 5))
-
-	s := a.Health()
+	s := health.Analyze([]telemetry.Event{
+		// Instance 0: task 1 ends last on the primary timeline.
+		slice(0, 0, "src", 0, 0, 4, 2, ""),
+		slice(0, 1, "dec", 1, 4, 10, 3, ""),
+		{
+			Kind: telemetry.KindCommSlice, Instance: 0, Edge: 0, Task: 0, Task2: 1,
+			PE: 0, PE2: 1, Start: 4, End: 5, Energy: 1,
+		},
+		finishEvent(0, true, 0, 10, 5),
+		// Instance 1: primary ends with task 1, but a fallback replay ran and
+		// its terminal is task 0 — the fallback wins the critical credit.
+		slice(1, 1, "dec", 1, 0, 9, 3, ""),
+		slice(1, 0, "src", 0, 0, 6, 2, telemetry.PhaseFallback),
+		finishEvent(1, false, 1, 11, 5),
+	}, health.Options{})
 	if s.Instances != 2 {
 		t.Fatalf("instances = %d, want 2", s.Instances)
 	}
@@ -299,19 +297,21 @@ func TestHotspotAttribution(t *testing.T) {
 // TestTimelineAndAlertSink checks decision-timeline capture, bounded
 // eviction, and that a rule firing lands in the timeline once.
 func TestTimelineAndAlertSink(t *testing.T) {
-	a := health.New(health.Options{SLO: health.SLO{MaxMissRate: -1}})
-	a.Record(telemetry.Event{Kind: telemetry.KindReschedule, Instance: 0, Reason: "initial"})
-	a.Record(telemetry.Event{Kind: telemetry.KindReschedule, Instance: 3, Reason: "drift", CacheHit: true})
+	events := []telemetry.Event{
+		{Kind: telemetry.KindReschedule, Instance: 0, Reason: "initial"},
+		{Kind: telemetry.KindReschedule, Instance: 3, Reason: "drift", CacheHit: true},
+	}
 	// Fill the 64-entry timeline so the firing below is entry 65.
 	for i := 0; i < 60; i++ {
-		a.Record(telemetry.Event{Kind: telemetry.KindReschedule, Instance: 4, Reason: "drift"})
+		events = append(events, telemetry.Event{Kind: telemetry.KindReschedule, Instance: 4, Reason: "drift"})
 	}
-	a.Record(telemetry.Event{Kind: telemetry.KindGuardLevel, Instance: 4, Level: 2, Level2: 1})
-	a.Record(telemetry.Event{Kind: telemetry.KindFallback, Instance: 5, Met: true})
-	a.Record(finishEvent(5, false, 1, 11, 5))
-	a.Record(telemetry.Event{Kind: telemetry.KindAlertFiring, Instance: 6, Name: "miss-streak",
-		Reason: "adaptive.health.miss_streak", Value: 3, Threshold: 3})
-	s := a.Health()
+	events = append(events,
+		telemetry.Event{Kind: telemetry.KindGuardLevel, Instance: 4, Level: 2, Level2: 1},
+		telemetry.Event{Kind: telemetry.KindFallback, Instance: 5, Met: true},
+		finishEvent(5, false, 1, 11, 5),
+		telemetry.Event{Kind: telemetry.KindAlertFiring, Instance: 6, Name: "miss-streak",
+			Reason: "adaptive.health.miss_streak", Value: 3, Threshold: 3})
+	s := health.Analyze(events, health.Options{SLO: health.SLO{MaxMissRate: -1}})
 	if len(s.Timeline) != 64 || s.TimelineDropped != 1 {
 		t.Fatalf("timeline bound broken: %d entries, %d dropped", len(s.Timeline), s.TimelineDropped)
 	}

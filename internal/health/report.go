@@ -5,8 +5,8 @@ import (
 	"strings"
 )
 
-// Snapshot is the full state of an AnalyzerRecorder at one point in time —
-// what /health serves as JSON and what Report renders as text.
+// Snapshot is the analysis of one event stream — what `ctgsched analyze
+// -json` prints and what Report renders as text.
 type Snapshot struct {
 	Events    int `json:"events"`
 	Instances int `json:"instances"`

@@ -55,7 +55,7 @@ type SeriesAlertsStatus struct {
 	Rules []RuleAlertStatus `json:"rules,omitempty"`
 }
 
-func (ss *seriesAlertState) observe(a *AnalyzerRecorder, e telemetry.Event) {
+func (ss *seriesAlertState) observe(a *analyzer, e telemetry.Event) {
 	if ss.rules == nil {
 		ss.rules = map[string]*ruleAlertState{}
 	}

@@ -8,9 +8,11 @@ import (
 // sloState is the SLO tracker: per KindInstanceFinish it folds lateness,
 // makespan and energy into rolling windows (quantiles are read back through
 // stats.SamplePercentiles, i.e. the same fixed-bucket stats.Histogram the
-// metrics registry uses), publishes the deadline-miss budget burn rate and
-// the current miss streak as gauges, and mirrors the recovery layer's circuit-breaker
-// and fallback activity from the decision events.
+// metrics registry uses), counts the deadline misses behind the budget burn
+// rate and the miss streak (the streaks the manager publishes live as the
+// adaptive.health.miss_streak and max_miss_streak gauges), and mirrors the
+// recovery layer's circuit-breaker and fallback activity from the decision
+// events.
 type sloState struct {
 	instances int
 	misses    int
@@ -85,7 +87,7 @@ func (p *rollPairs) push(instance int, v float64) {
 	p.val = append(p.val, v)
 }
 
-func (s *sloState) observeFinish(a *AnalyzerRecorder, e telemetry.Event) {
+func (s *sloState) observeFinish(e telemetry.Event) {
 	s.instances++
 	s.totalEnergy += e.Energy
 	s.totalLateness += e.Lateness
@@ -102,9 +104,6 @@ func (s *sloState) observeFinish(a *AnalyzerRecorder, e telemetry.Event) {
 			s.maxStreak = s.curStreak
 		}
 	}
-	a.hm.missStreak.Set(float64(s.curStreak))
-	a.hm.maxMissStreak.SetMax(float64(s.maxStreak))
-	a.hm.budgetBurn.Set(s.budgetBurn(&a.opts))
 }
 
 func (s *sloState) observeReschedule(e telemetry.Event) {

@@ -147,6 +147,22 @@ func LoadRules(path string) (RuleSet, error) {
 	return ParseRules(f)
 }
 
+// CheckMetrics refuses the threshold and rate rules whose metric reg does not
+// hold, matching names as a Store samples them (a histogram counts as its
+// five suffixed series, .count through .p99). Such a rule never sees a
+// sample, so it could never fire. Absence rules are exempt: a missing series
+// is their signal. Run it once the producers have registered their metrics.
+func CheckMetrics(reg *telemetry.Registry, rules []Rule) error {
+	st := NewStore(StoreOptions{Registry: reg, Capacity: 1})
+	st.discover(reg.Sizes())
+	for _, r := range rules {
+		if r.Kind != RuleAbsence && st.byName[r.Metric] == nil {
+			return fmt.Errorf("rule %q watches %q, which is never registered: it could never fire", r.Name, r.Metric)
+		}
+	}
+	return nil
+}
+
 // ruleState is the per-rule evaluation state machine: a hold counter climbs
 // on breaching samples, the rule fires at hold ≥ For, and a firing rule
 // resolves when the clear-side condition holds.

@@ -177,3 +177,29 @@ func TestNewStorePanicsOnBadInput(t *testing.T) {
 		NewStore(StoreOptions{Registry: telemetry.NewRegistry(), Rules: []Rule{r, r}})
 	})
 }
+
+// TestCheckMetrics checks the dead-rule refusal matches names as the store
+// samples them: counters and gauges by name, histograms only through their
+// suffixed sub-series, and absence rules never refused.
+func TestCheckMetrics(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	reg.Counter("c")
+	reg.Gauge("g")
+	reg.Histogram("h", 0, 1, 4)
+	for _, c := range []struct {
+		rule Rule
+		ok   bool
+	}{
+		{Rule{Name: "r", Metric: "c"}, true},
+		{Rule{Name: "r", Metric: "g", Kind: RuleRate}, true},
+		{Rule{Name: "r", Metric: "h" + SuffixP95}, true},
+		{Rule{Name: "r", Metric: "h"}, false},
+		{Rule{Name: "r", Metric: "missing"}, false},
+		{Rule{Name: "r", Metric: "missing", Kind: RuleRate}, false},
+		{Rule{Name: "r", Metric: "missing", Kind: RuleAbsence}, true},
+	} {
+		if err := CheckMetrics(reg, []Rule{c.rule}); (err == nil) != c.ok {
+			t.Errorf("%+v: err %v, want ok=%v", c.rule, err, c.ok)
+		}
+	}
+}

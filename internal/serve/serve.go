@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ctgdvfs/internal/core"
 	"ctgdvfs/internal/series"
 	"ctgdvfs/internal/telemetry"
 )
@@ -84,7 +85,8 @@ type Options struct {
 
 	// ShedRules, when non-empty, gives every tenant's manager its own
 	// series store (over a private registry) that evaluates these rules
-	// after each step. While any rule fires, the tenant sheds new work
+	// after each step. New refuses a threshold or rate rule on a metric the
+	// manager never registers (core.CheckRules): it could never fire. While any rule fires, the tenant sheds new work
 	// (503 slo_shed) but admits one probe step per BaseBackoff, so the
 	// rules see fresh samples and can resolve. Firings land in the
 	// tenant's event stream.
@@ -198,6 +200,9 @@ type Server struct {
 func New(opts Options) (*Server, error) {
 	opts.applyDefaults()
 	if err := (series.RuleSet{Rules: opts.ShedRules}).Validate(); err != nil {
+		return nil, fmt.Errorf("serve: shed rules: %w", err)
+	}
+	if err := core.CheckRules(opts.ShedRules); err != nil {
 		return nil, fmt.Errorf("serve: shed rules: %w", err)
 	}
 	reg := opts.Metrics

@@ -998,6 +998,90 @@ func TestShedRulesSurviveRestore(t *testing.T) {
 	}
 }
 
+// TestHealthRulesShedTenant arms the shipped health alerts,
+// examples/watch/health.json, as shed rules on an MPEG tenant whose deadline
+// is half its full-speed makespan, so every instance misses. The rules read
+// the manager's own gauges: the miss budget fires on the first step and the
+// miss streak on the third, and while they fire every step but one probe per
+// BaseBackoff is shed. A restore from the checkpoints resumes shedding.
+func TestHealthRulesShedTenant(t *testing.T) {
+	rs, err := series.LoadRules(filepath.Join("..", "..", "examples", "watch", "health.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(1000, 0)
+	const base = 100 * time.Millisecond
+	opts := Options{CheckpointDir: t.TempDir(), CheckpointEvery: 1, BaseBackoff: base,
+		Now: func() time.Time { return now }, ShedRules: rs.Rules}
+	s1 := mustServer(t, opts)
+	mustCreate(t, s1, TenantSpec{Name: "a", Workload: "mpeg", DeadlineFactor: 0.5})
+	vecs := testVectors(t, 10)
+	ctx := context.Background()
+	shed := 0
+	for i, v := range vecs {
+		if i == 2 || i == 3 {
+			now = now.Add(base) // the probes carrying instances 1 and 2
+		}
+		_, err := s1.Step(ctx, "a", v, ChaosSpec{})
+		var rej *RejectionError
+		switch {
+		case err == nil:
+		case errors.As(err, &rej) && rej.Code == "slo_shed" && rej.Status == 503:
+			shed++
+		default:
+			t.Fatalf("attempt %d: %v", i, err)
+		}
+	}
+	st := s1.Tenants()[0]
+	if st.Instances != 3 || shed != 7 || st.RejectedShed != 7 {
+		t.Fatalf("%d instances, %d shed (status %+v), want 3 and 7", st.Instances, shed, st)
+	}
+	var buf bytes.Buffer
+	if err := s1.DumpEvents("a", &buf); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := telemetry.ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var firings []string
+	for _, e := range evs {
+		if e.Kind == telemetry.KindAlertFiring {
+			firings = append(firings, fmt.Sprintf("%s@%d", e.Name, e.Instance))
+		}
+	}
+	if want := []string{"miss-budget@0", "miss-streak@2"}; !reflect.DeepEqual(firings, want) {
+		t.Fatalf("firings %v, want %v", firings, want)
+	}
+
+	s1.Abandon()
+	s2 := mustServer(t, opts)
+	if sts := s2.Tenants(); len(sts) != 1 || !sts[0].Restored || sts[0].Instances != 3 {
+		t.Fatalf("tenant not restored: %+v", sts)
+	}
+	if !s2.tenants["a"].shedding.Load() {
+		t.Fatal("restored tenant stopped shedding")
+	}
+	if _, err := s2.Step(ctx, "a", vecs[3], ChaosSpec{}); err != nil {
+		t.Fatalf("restored tenant's first probe: %v", err)
+	}
+	var rej *RejectionError
+	if _, err := s2.Step(ctx, "a", vecs[4], ChaosSpec{}); !errors.As(err, &rej) || rej.Code != "slo_shed" {
+		t.Fatalf("restored tenant admitted a step between probes: %v", err)
+	}
+}
+
+// TestShedRulesRefuseDeadMetrics checks New refuses a threshold rule on a
+// metric no manager registers (adaptive.health.budget_burn) but
+// accepts an absence rule on one, whose signal is the missing series.
+func TestShedRulesRefuseDeadMetrics(t *testing.T) {
+	_, err := New(Options{ShedRules: []series.Rule{{Name: "burn", Metric: "adaptive.health.budget_burn", Value: 1}}})
+	if err == nil || !strings.Contains(err.Error(), "adaptive.health.budget_burn") {
+		t.Fatalf("rule on an unregistered metric: err %v, want a refusal naming it", err)
+	}
+	mustServer(t, Options{ShedRules: []series.Rule{{Name: "gone", Metric: "no.such.metric", Kind: series.RuleAbsence}}})
+}
+
 // readStream reads a tenant's events file through the one event reader.
 func readStream(t *testing.T, path string) []telemetry.Event {
 	t.Helper()

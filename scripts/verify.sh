@@ -17,7 +17,8 @@
 #   end-to-end provenance pass (captured campaign streams replayed through
 #   `ctgsched explain`), an end-to-end monitoring pass (alert rules + series
 #   capture replayed through `ctgsched explain` and `ctgsched watch`, and
-#   the default health rules' stream through `ctgsched analyze`), the daemon
+#   the default health rules, which must fire on a 3x-overrun campaign,
+#   through `ctgsched analyze`), the daemon
 #   chaos campaign (panic isolation, request floods, kill-restart recovery
 #   on an in-process daemon pair), and a daemon smoke run that builds the
 #   real ctgschedd binary, SIGKILLs it mid-run, and verifies the restart
@@ -124,11 +125,17 @@ go run ./cmd/experiments -exp faults -rules examples/watch/rules.json \
 # back through the triggering instance_finish.
 go run ./cmd/ctgsched explain -kind alert_firing "$mon_dir/ev-mpeg.jsonl" >/dev/null
 go run ./cmd/ctgsched watch -dump "$mon_dir/se-mpeg.json" >/dev/null
-# The default health rules alert on the analyzer's gauges; analyze reports
-# the firings the live rules recorded.
-go run ./cmd/experiments -exp faults -rules examples/watch/health.json \
-	-events-out "$mon_dir/hl" >/dev/null
-go run ./cmd/ctgsched analyze "$mon_dir/hl-mpeg.jsonl" >/dev/null
+# The default health rules alert on the manager's gauges; analyze reports
+# the firings the live rules recorded. Overruns of 3x sink even the
+# full-speed fallback on mpeg, so the miss rules must fire.
+printf '{"perturb": {"seed": 42, "overrun_prob": 0.2, "overrun_factor": 3}}\n' >"$mon_dir/overrun.json"
+go run ./cmd/experiments -exp faults -faults-spec "$mon_dir/overrun.json" \
+	-rules examples/watch/health.json -events-out "$mon_dir/hl" >/dev/null
+if ! go run ./cmd/ctgsched analyze "$mon_dir/hl-mpeg.jsonl" 2>/dev/null |
+	grep -Eq '^health report: .*, [1-9][0-9]* alerts$'; then
+	echo "verify: no health rule fired on the 3x-overrun campaign" >&2
+	exit 1
+fi
 rm -rf "$mon_dir"
 
 echo "verify: OK"
