@@ -210,14 +210,6 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 // stream.
 func NewSequencer() *Sequencer { return telemetry.NewSequencer() }
 
-// NewMirrorRegistry returns a registry whose handles forward every write to
-// the same-named handles of parent. Sample a private mirror per runtime (via
-// SeriesStoreOptions.Registry) while a shared parent keeps aggregating for
-// live exposition.
-func NewMirrorRegistry(parent *MetricsRegistry) *MetricsRegistry {
-	return telemetry.NewMirrorRegistry(parent)
-}
-
 // Time-series monitoring (package internal/series): a ring-buffer store that
 // samples a metrics registry on deterministic sim-time boundaries (the
 // instance index, never wall clock), evaluates threshold/rate/absence

@@ -140,7 +140,7 @@ func BenchmarkFlightRecorderDisabled(b *testing.B) {
 
 // BenchmarkAdaptiveStepFailover steps through a 2%-outage timeline with
 // 10-instance repairs: most boundaries only compare masks, a few percent
-// pay a degraded re-map or a cached restore.
+// pay a degraded re-map or a restore.
 func BenchmarkAdaptiveStepFailover(b *testing.B) {
 	_, p, err := ctgdvfs.BuildMPEG()
 	if err != nil {
@@ -161,7 +161,7 @@ func BenchmarkAdaptiveStepFailover(b *testing.B) {
 func benchSeriesRegistry() *ctgdvfs.MetricsRegistry {
 	reg := ctgdvfs.NewMetricsRegistry()
 	for _, n := range []string{"adaptive.instances", "adaptive.misses", "adaptive.calls",
-		"adaptive.cache_hits", "adaptive.overruns"} {
+		"adaptive.warm_starts", "adaptive.overruns"} {
 		reg.Counter(n).Add(17)
 	}
 	for _, n := range []string{"adaptive.miss_rate", "adaptive.miss_rate_window",

@@ -71,8 +71,6 @@ type managerImage struct {
 	Calls      int
 	Instances  int
 	Level      int
-	Cache      CacheStats
-	CacheKeys  []string
 	Window     [][]int
 	Pos        []int
 	Counts     [][]int
@@ -91,7 +89,6 @@ func captureImage(t *testing.T, m *Manager, rec *telemetry.MemoryRecorder) manag
 		Calls:      m.Calls(),
 		Instances:  m.Instances(),
 		Level:      m.GuardLevel(),
-		Cache:      m.CacheStats(),
 		Pos:        append([]int(nil), m.profiler.pos...),
 		Ring:       append([]bool(nil), m.missRing...),
 		SchedProbs: append([]float64(nil), m.warm.schedProbs...),
@@ -99,11 +96,6 @@ func captureImage(t *testing.T, m *Manager, rec *telemetry.MemoryRecorder) manag
 	}
 	for fi := 0; m.Probs(fi) != nil; fi++ {
 		img.Probs = append(img.Probs, m.Probs(fi))
-	}
-	if m.cache != nil {
-		for el := m.cache.ll.Front(); el != nil; el = el.Next() {
-			img.CacheKeys = append(img.CacheKeys, el.Value.(*cacheEntry).key)
-		}
 	}
 	for fi := range m.profiler.buf {
 		img.Window = append(img.Window, append([]int(nil), m.profiler.buf[fi]...))
@@ -225,7 +217,7 @@ func abortSetups() []abortSetup {
 			if err != nil {
 				t.Fatal(err)
 			}
-			o := Options{Recovery: true, Faults: plan, GuardBand: 0.15, CacheSize: -1}
+			o := Options{Recovery: true, Faults: plan, GuardBand: 0.15}
 			always(&o)
 			return g, p, o, trace.Fluctuating(g, 4, 80, 0.45)
 		}, pick: func(_ int, r StepResult) bool { return r.FallbackUsed }},
@@ -256,7 +248,7 @@ func abortSetups() []abortSetup {
 // setup it picks a random step and, at every context poll k of that step,
 // aborts it once by cancellation and once by a panic. After each abort the
 // manager must be exactly as before the step (state, schedule contents,
-// estimator windows, cache, registry, series store) and no event may have
+// estimator windows, registry, series store) and no event may have
 // been recorded. The manager then finishes the run and must match an
 // undisturbed twin in every StepResult, its final state and its event
 // stream (compared by order: aborted steps leave Seq gaps). Under -short
@@ -267,7 +259,7 @@ func TestAbortedStepLeavesNoTrace(t *testing.T) {
 		t.Run(su.name, func(t *testing.T) {
 			g, p, opts, vecs := su.build(t)
 			// The chosen step: drawn among the candidates of a reference run
-			// that poll their context (a cache hit runs no pipeline).
+			// that poll their context more than once.
 			ref := newAbortManager(t, g, p, opts, su.rules, 0)
 			var cands, polls []int
 			for i, v := range vecs {

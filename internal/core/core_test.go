@@ -37,7 +37,7 @@ func TestProfilerSeedingMatchesInitialProbs(t *testing.T) {
 			t.Fatalf("fork %d seeded estimate %v, want ≈[0.3 0.7]", fi, est)
 		}
 	}
-	if d := p.MaxDrift(); d > 0.05 {
+	if d := p.maxDrift(nil); d > 0.05 {
 		t.Fatalf("fresh profiler drift %v, want ≈0", d)
 	}
 }
@@ -58,7 +58,7 @@ func TestProfilerObserveShiftsWindow(t *testing.T) {
 	if est[0] != 1 || est[1] != 0 {
 		t.Fatalf("estimate after flooding = %v, want [1 0]", est)
 	}
-	if d := p.MaxDrift(); d < 0.4 {
+	if d := p.maxDrift(nil); d < 0.4 {
 		t.Fatalf("drift %v too small after flooding", d)
 	}
 	// Window semantics: 10 more outcome-1 decisions fully displace.
@@ -276,6 +276,12 @@ func TestManagerValidation(t *testing.T) {
 	if _, err := New(g, p, Options{Threshold: 2}); err == nil {
 		t.Fatal("want error for threshold > 1")
 	}
+	if _, err := New(g, p, Options{CacheSize: 64}); err == nil {
+		t.Fatal("want error for a positive CacheSize: there is no schedule cache")
+	}
+	if _, err := New(g, p, Options{CacheSize: -1}); err != nil {
+		t.Fatalf("a negative CacheSize means nothing, got %v", err)
+	}
 	m, err := New(g, p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -288,6 +294,63 @@ func TestManagerValidation(t *testing.T) {
 	}
 	if len(m.Probs(0)) == 0 {
 		t.Fatal("Probs accessor broken")
+	}
+}
+
+func TestThresholdZeroExplicit(t *testing.T) {
+	g, cfg := testWorkload(t, 14)
+	_, p, err := tgff.Generate(*cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opts Options
+	opts.SetThreshold(0)
+	opts.Window = 20
+	m, err := New(g, p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.opts.Threshold != 0 {
+		t.Fatalf("explicit T=0 replaced by %v", m.opts.Threshold)
+	}
+	vec := trace.Fluctuating(g, 5, 50, 0.45)
+	st, err := m.Run(vec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// At T = 0 any drift crosses the threshold, so every instance triggers
+	// one rescheduling.
+	if st.Calls != len(vec) {
+		t.Fatalf("T=0 made %d calls over %d instances, want one per instance", st.Calls, len(vec))
+	}
+}
+
+func TestZeroValuesStillDefault(t *testing.T) {
+	g, cfg := testWorkload(t, 15)
+	_, p, err := tgff.Generate(*cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(g, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.opts.Threshold != DefaultThreshold || m.opts.Window != DefaultWindow {
+		t.Fatalf("zero-valued options resolved to (W=%d, T=%v), want defaults (%d, %v)",
+			m.opts.Window, m.opts.Threshold, DefaultWindow, DefaultThreshold)
+	}
+}
+
+func TestWindowZeroExplicitRejected(t *testing.T) {
+	g, cfg := testWorkload(t, 16)
+	_, p, err := tgff.Generate(*cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opts Options
+	opts.SetWindow(0)
+	if _, err := New(g, p, opts); err == nil {
+		t.Fatal("explicit window 0 must be rejected, not defaulted")
 	}
 }
 
@@ -326,7 +389,7 @@ func TestSmoothedEstimateNeverDegenerate(t *testing.T) {
 		}
 	}
 	raw := p.Estimate(0)
-	smooth := p.SmoothedEstimateInto(0, nil)
+	smooth := p.smoothedInto(0, -1, nil)
 	if raw[1] != 0 {
 		t.Fatalf("raw estimate %v should be degenerate after flooding", raw)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"ctgdvfs/internal/apps/mpeg"
@@ -134,16 +135,17 @@ func TestPermanentPEFailureRemapsAndCompletes(t *testing.T) {
 	}
 }
 
-// TestTransientOutageRestoresFromCache pins the recovery economics: when a
-// transient outage heals, the healthy mask keys back to the pre-failure
-// cache entries, so the restore reschedule is a cache hit, and the runtime
-// reports one degraded and one restored remap.
-func TestTransientOutageRestoresFromCache(t *testing.T) {
+// TestTransientOutageRestoresHealthySchedule pins the restore path: when a
+// transient outage heals, the restore reschedule recomputes the healthy
+// schedule from the same probabilities on the same platform, so the mapping,
+// start times and speeds in force before the failure come back bit for bit,
+// and the runtime reports one degraded and one restored remap.
+func TestTransientOutageRestoresHealthySchedule(t *testing.T) {
 	g, p := telemetryWorkload(t, 7)
-	const failAt, repair = 5, 4
+	const failAt, repair, deadPE = 5, 4, 0
 	tl, err := faults.NewTimeline(faults.FailureSpec{
 		Events: []faults.FailureEvent{
-			{Kind: faults.EventPE, PE: 0, Instance: failAt, Duration: repair},
+			{Kind: faults.EventPE, PE: deadPE, Instance: failAt, Duration: repair},
 		},
 	}, p.NumPEs())
 	if err != nil {
@@ -154,23 +156,41 @@ func TestTransientOutageRestoresFromCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	type image struct {
+		PE           []int
+		Start, Speed []float64
+	}
+	capture := func() image {
+		s := m.Schedule()
+		return image{
+			PE:    append([]int(nil), s.PE...),
+			Start: append([]float64(nil), s.Start...),
+			Speed: append([]float64(nil), s.Speed...),
+		}
+	}
 	// Constant vectors: no drift, so every reschedule is topology-driven.
 	vectors := trace.Fluctuating(g, 1, 20, 0)
-	st, err := m.Run(vectors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Remaps != 2 {
-		t.Fatalf("Remaps = %d, want 2 (degrade + restore)", st.Remaps)
-	}
-	if st.DegradedInstances != repair {
-		t.Fatalf("DegradedInstances = %d, want %d", st.DegradedInstances, repair)
+	var healthy image
+	for i, v := range vectors {
+		if i == failAt {
+			healthy = capture()
+			if !slices.Contains(healthy.PE, deadPE) {
+				t.Fatalf("healthy schedule places nothing on PE %d: the outage would change nothing", deadPE)
+			}
+		}
+		r, err := m.Step(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Degraded && slices.Contains(m.Schedule().PE, deadPE) {
+			t.Fatalf("instance %d: degraded schedule still maps onto dead PE %d", i, deadPE)
+		}
 	}
 	if m.Degraded() {
 		t.Fatal("manager still degraded after repair")
 	}
-	if cs := m.CacheStats(); cs.Hits < 1 {
-		t.Fatalf("restore reschedule missed the cache: %+v", cs)
+	if got := capture(); !reflect.DeepEqual(got, healthy) {
+		t.Fatalf("restored schedule differs from the pre-failure one:\n got  %+v\n want %+v", got, healthy)
 	}
 	var reasons []string
 	for _, ev := range rec.Events() {
@@ -181,8 +201,12 @@ func TestTransientOutageRestoresFromCache(t *testing.T) {
 	if !reflect.DeepEqual(reasons, []string{"degraded", "restored"}) {
 		t.Fatalf("remap reasons = %v, want [degraded restored]", reasons)
 	}
-	if byKind := rec.CountByKind(); byKind[telemetry.KindPEUp] != 1 {
+	byKind := rec.CountByKind()
+	if byKind[telemetry.KindPEUp] != 1 {
 		t.Fatalf("pe_up events = %d, want 1", byKind[telemetry.KindPEUp])
+	}
+	if byKind[telemetry.KindReschedule] != 3 {
+		t.Fatalf("reschedule events = %d, want 3 (initial, degrade, restore)", byKind[telemetry.KindReschedule])
 	}
 }
 

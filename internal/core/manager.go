@@ -46,11 +46,10 @@ type Options struct {
 	// class. Strictly more energy-efficient at the cost of a
 	// scenarios × tasks table per schedule.
 	PerScenario bool
-	// CacheSize bounds the memoized schedule cache (in schedules). The
-	// zero value selects DefaultCacheSize; negative disables caching.
-	// Cached schedules are exact: a hit returns bit-for-bit what
-	// re-running DLS + stretching would produce, so caching never changes
-	// energies or call counts — only the per-decision overhead.
+	// CacheSize is an inert stand-in: the manager keeps no schedule cache.
+	// Its one reader is perfbench, which sets it to -1; the perfbench-only
+	// change of ROADMAP item 1 retires it. New refuses a positive value;
+	// zero and negative values mean nothing.
 	CacheSize int
 
 	// WarmStart enables incremental rescheduling: when a drift-triggered
@@ -81,9 +80,9 @@ type Options struct {
 	// manager compares the timeline's mask against the one in force, and on
 	// any change re-maps the workload onto the survivor set (restricting
 	// the platform, rebuilding the full-speed fallback, and re-running the
-	// online algorithm under a mask-qualified cache key). When a transient
-	// outage heals, the healthy mask keys back to the pre-failure cache
-	// entries, so restoration is a cache hit. Failures requires Recovery: a
+	// online algorithm). When a transient outage heals, the same re-mapping
+	// recomputes the healthy schedule, which is bit for bit the one in
+	// force before the failure. Failures requires Recovery: a
 	// degraded schedule that cannot meet the deadline escalates to the
 	// full-speed fallback built for the same survivor set.
 	Failures *faults.Timeline
@@ -99,7 +98,7 @@ type Options struct {
 	// Recorder, when non-nil, receives the runtime's structured telemetry
 	// stream: instance start/finish, per-task and per-transfer slices (via
 	// the simulator), per-fork window estimates, re-scheduling decisions
-	// with cache outcome, stretch-pass summaries, fault overruns, fallback
+	// and pipeline spans, stretch-pass summaries, fault overruns, fallback
 	// activations and circuit-breaker level changes. Nil (the default)
 	// disables the stream entirely: every emission site is nil-guarded
 	// before any event is built, so the disabled path adds one branch and
@@ -124,10 +123,9 @@ type Options struct {
 	// fixed-capacity time series (internal/series) on the deterministic
 	// sim-time axis (the instance index). The tick's cause is the
 	// instance_finish seq, so alert firings chain back to the instance that
-	// tripped them. Point the store at the same registry as Metrics — or, in
-	// parallel campaigns, at a mirror of the shared registry
-	// (telemetry.NewMirrorRegistry) so sampling stays deterministic. Nil
-	// (the default) disables sampling at the cost of one branch.
+	// tripped them. Point the store at the same registry as Metrics, one
+	// registry per manager, so sampling stays deterministic. Nil (the
+	// default) disables sampling at the cost of one branch.
 	Series *series.Store
 
 	// thresholdSet / windowSet record explicit SetThreshold / SetWindow
@@ -159,9 +157,6 @@ func (o *Options) applyDefaults() {
 	if o.Threshold == 0 && !o.thresholdSet {
 		o.Threshold = DefaultThreshold
 	}
-	if o.CacheSize == 0 {
-		o.CacheSize = DefaultCacheSize
-	}
 }
 
 // Manager is the runtime of the adaptive framework: it owns the current
@@ -186,9 +181,6 @@ type Manager struct {
 	// realized outcomes (adaptive.health.drift_err); adopt updates it right
 	// after shifting the staged decisions into the windows.
 	drift []stats.Drift
-	// cache memoizes (mapping, order, speeds) by exact probability state;
-	// nil when disabled.
-	cache *scheduleCache
 
 	// st is the committed state. missRing (the breaker's last
 	// DefaultMissWindow primary-schedule outcomes) and warm.schedProbs are
@@ -213,16 +205,16 @@ type Manager struct {
 }
 
 // state is the part of the manager a step changes besides the estimator
-// windows, the schedule cache and the two committed slices: a step works on
-// a copy, and commit adopts it whole.
+// windows and the two committed slices: a step works on a copy, and commit
+// adopts it whole.
 type state struct {
 	schedule *sched.Schedule
 	// speeds is the scenario-conditioned table when opts.PerScenario is
 	// set; nil otherwise.
 	speeds *stretch.ScenarioSpeeds
 	// mapGen identifies the schedule's mapping: a fresh value whenever the
-	// adopted schedule may carry a different mapping (full recomputes and
-	// cache hits), so the warm path knows when to rebind its workspace.
+	// adopted schedule may carry a different mapping (full recomputes), so
+	// the warm path knows when to rebind its workspace.
 	mapGen int
 
 	calls     int // re-scheduling invocations (the paper's "# of calls")
@@ -267,18 +259,18 @@ type state struct {
 // managerMetrics holds the manager's resolved registry handles so the hot
 // path never touches the registry's name maps.
 type managerMetrics struct {
-	instances, misses, overruns   *telemetry.Counter
-	calls, cacheHits, cacheMisses *telemetry.Counter
-	fallbacks, missesAvoided      *telemetry.Counter
-	warmStarts, warmFallbacks     *telemetry.Counter
-	guardLevel, maxGuardLevel     *telemetry.Gauge
-	drift                         *telemetry.Gauge
-	missRate, missRateWindow      *telemetry.Gauge
-	driftErr, pesDown             *telemetry.Gauge
-	missStreak, maxMissStreak     *telemetry.Gauge
-	lateness, makespan            *telemetry.HistogramMetric
-	pipeDiff, pipeDLS             *telemetry.HistogramMetric
-	pipeStretch, pipeValidate     *telemetry.HistogramMetric
+	instances, misses, overruns *telemetry.Counter
+	calls                       *telemetry.Counter
+	fallbacks, missesAvoided    *telemetry.Counter
+	warmStarts, warmFallbacks   *telemetry.Counter
+	guardLevel, maxGuardLevel   *telemetry.Gauge
+	drift                       *telemetry.Gauge
+	missRate, missRateWindow    *telemetry.Gauge
+	driftErr, pesDown           *telemetry.Gauge
+	missStreak, maxMissStreak   *telemetry.Gauge
+	lateness, makespan          *telemetry.HistogramMetric
+	pipeDiff, pipeDLS           *telemetry.HistogramMetric
+	pipeStretch, pipeValidate   *telemetry.HistogramMetric
 }
 
 // spanHiUS is the upper bound of the pipeline-span histograms in
@@ -302,8 +294,6 @@ func newManagerMetrics(reg *telemetry.Registry, deadline float64) managerMetrics
 		misses:         reg.Counter("adaptive.misses"),
 		overruns:       reg.Counter("adaptive.overruns"),
 		calls:          reg.Counter("adaptive.calls"),
-		cacheHits:      reg.Counter("adaptive.cache_hits"),
-		cacheMisses:    reg.Counter("adaptive.cache_misses"),
 		fallbacks:      reg.Counter("adaptive.fallback_activations"),
 		missesAvoided:  reg.Counter("adaptive.misses_avoided"),
 		warmStarts:     reg.Counter("adaptive.warm_starts"),
@@ -372,10 +362,6 @@ type RunStats struct {
 	Misses      int
 	// Calls counts online re-scheduling invocations (adaptive runs only).
 	Calls int
-	// CacheHits/CacheMisses report how many of those invocations (plus the
-	// initial schedule) were served from the memoized schedule cache
-	// versus computed fresh. Zero when caching is disabled.
-	CacheHits, CacheMisses int
 	// WarmStarts counts reschedules served incrementally from the incumbent
 	// schedule (Options.WarmStart); WarmFallbacks counts eligible warm
 	// attempts that fell back to a full recompute (diff too large, or the
@@ -459,6 +445,9 @@ func New(g *ctg.Graph, p *platform.Platform, opts Options) (*Manager, error) {
 	if opts.Threshold < 0 || opts.Threshold > 1 {
 		return nil, fmt.Errorf("core: threshold must be in [0,1], got %v", opts.Threshold)
 	}
+	if opts.CacheSize > 0 {
+		return nil, fmt.Errorf("core: CacheSize %d: the manager keeps no schedule cache", opts.CacheSize)
+	}
 	if math.IsNaN(opts.GuardBand) || opts.GuardBand < 0 || opts.GuardBand > 1 {
 		return nil, fmt.Errorf("core: guard band must be in [0,1], got %v", opts.GuardBand)
 	}
@@ -498,9 +487,6 @@ func New(g *ctg.Graph, p *platform.Platform, opts Options) (*Manager, error) {
 			m.st.degraded = true
 		}
 	}
-	if opts.CacheSize > 0 {
-		m.cache = newScheduleCache(opts.CacheSize)
-	}
 	m.rec = opts.Recorder
 	if m.rec != nil {
 		m.seq = opts.Sequencer
@@ -529,10 +515,8 @@ func New(g *ctg.Graph, p *platform.Platform, opts Options) (*Manager, error) {
 	m.initWarm()
 	if opts.Recovery {
 		// The worst-case fallback: plain full-speed DLS, never stretched,
-		// built once and bypassing the probability-keyed cache entirely (it
-		// is probability-independent by construction — every task runs at
-		// speed 1 — so caching it under a probability key would be both
-		// wrong and polluting).
+		// probability-independent by construction (every task runs at
+		// speed 1), so only a topology change rebuilds it.
 		fb, err := sched.DLS(m.a, m.st.p, sched.Modified())
 		if err != nil {
 			return nil, err
@@ -566,11 +550,6 @@ func (m *Manager) GuardLevel() int { return m.st.guardLevel }
 // Degraded reports whether part of the topology is currently masked out.
 func (m *Manager) Degraded() bool { return m.st.degraded }
 
-// AvailabilityMask returns the availability mask currently in force (the
-// zero mask — everything available — unless Failures is configured and the
-// timeline has degraded the topology).
-func (m *Manager) AvailabilityMask() platform.Mask { return m.st.mask }
-
 // Fallback returns the precomputed worst-case fallback schedule (nil unless
 // Recovery is enabled).
 func (m *Manager) Fallback() *sched.Schedule { return m.st.fallback }
@@ -592,14 +571,17 @@ func (m *Manager) ScenarioSpeeds() *stretch.ScenarioSpeeds { return m.st.speeds 
 // Calls returns the number of adaptive re-scheduling invocations so far.
 func (m *Manager) Calls() int { return m.st.calls }
 
-// CacheStats returns the schedule cache counters (zero-valued when caching
-// is disabled). The initial schedule counts as the first miss.
-func (m *Manager) CacheStats() CacheStats {
-	if m.cache == nil {
-		return CacheStats{}
-	}
-	return m.cache.snapshot()
+// CacheStats is an inert stand-in for the counters of the deleted schedule
+// cache. Its one reader is perfbench; the perfbench-only change of ROADMAP
+// item 1 retires it.
+type CacheStats struct {
+	Hits, Misses int
 }
+
+// CacheStats always returns zero counters: the manager keeps no schedule
+// cache. Its one reader is perfbench; the perfbench-only change of ROADMAP
+// item 1 retires it.
+func (m *Manager) CacheStats() CacheStats { return CacheStats{} }
 
 // Probs returns the current probability estimate for the fork with the
 // given dense index, or nil when the index is out of range. The returned
@@ -624,8 +606,6 @@ func (m *Manager) Run(vectors [][]int) (RunStats, error) {
 	}
 	st := agg.finish()
 	st.Calls = m.st.calls
-	cs := m.CacheStats()
-	st.CacheHits, st.CacheMisses = cs.Hits, cs.Misses
 	st.WarmStarts, st.WarmFallbacks = m.st.warmStarts, m.st.warmFallbacks
 	st.FallbackActivations = m.st.activations
 	st.MissesAvoided = m.st.missesAvoided

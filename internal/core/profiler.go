@@ -158,18 +158,13 @@ func (p *Profiler) EstimateInto(forkIdx int, out []float64) []float64 {
 	return out
 }
 
-// SmoothedEstimateInto appends the Laplace-smoothed (add-one) windowed
-// estimate of the fork, (count+1)/(window+outcomes), to out and returns the
-// extended slice; pass out[:0] of a retained buffer to avoid allocations. A
-// raw window easily reports an outcome probability of exactly 0 or 1, and a
-// scheduler fed certainty allocates *no* slack to the "impossible" branch —
-// which then runs at full speed whenever it does occur. Smoothing keeps every
-// outcome minimally provisioned.
-func (p *Profiler) SmoothedEstimateInto(forkIdx int, out []float64) []float64 {
-	return p.smoothedInto(forkIdx, -1, out)
-}
-
-// smoothedInto is SmoothedEstimateInto with outcome o staged (see count).
+// smoothedInto appends the Laplace-smoothed (add-one) windowed estimate of
+// fork fi, (count+1)/(window+outcomes), to out and returns the extended
+// slice, with outcome o staged (see count; -1 stages nothing). A raw window
+// easily reports an outcome probability of exactly 0 or 1, and a scheduler
+// fed certainty allocates *no* slack to the "impossible" branch — which then
+// runs at full speed whenever it does occur. Smoothing keeps every outcome
+// minimally provisioned.
 func (p *Profiler) smoothedInto(fi, o int, out []float64) []float64 {
 	k := len(p.counts[fi])
 	for j := 0; j < k; j++ {
@@ -178,13 +173,10 @@ func (p *Profiler) smoothedInto(fi, o int, out []float64) []float64 {
 	return out
 }
 
-// MaxDrift returns the largest absolute difference between the windowed
+// maxDrift returns the largest absolute difference between the windowed
 // estimates and the graph's current (schedule-time) branch probabilities,
-// over all forks and outcomes.
-func (p *Profiler) MaxDrift() float64 { return p.maxDrift(nil) }
-
-// maxDrift is MaxDrift with staged[fi] staged for every fork (nil: nothing
-// staged; see count).
+// over all forks and outcomes, with staged[fi] staged for every fork (nil:
+// nothing staged; see count).
 func (p *Profiler) maxDrift(staged []int) float64 {
 	maxD := 0.0
 	for fi, fork := range p.g.Forks() {

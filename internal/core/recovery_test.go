@@ -144,7 +144,11 @@ func TestNewValidatesRecoveryOptions(t *testing.T) {
 	}
 }
 
-func TestFallbackNeverPollutesCache(t *testing.T) {
+// TestFallbackStaysFullSpeed pins that fallback replays never touch the
+// schedules they fall back from: after a run with activations, the
+// fallback is still the full-speed worst-case schedule and no reschedule
+// ever adopted it as the incumbent.
+func TestFallbackStaysFullSpeed(t *testing.T) {
 	g, cfg := recoveryWorkload(t, 64, 1.25)
 	_, p, err := tgff.Generate(*cfg)
 	if err != nil {
@@ -155,28 +159,27 @@ func TestFallbackNeverPollutesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vec := trace.Fluctuating(g, 5, 400, 0.45)
-	st, err := m.Run(vec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.FallbackActivations == 0 {
-		t.Fatal("test needs fallback activations to be meaningful")
-	}
-	if m.st.fallback == nil {
+	fb := m.Fallback()
+	if fb == nil {
 		t.Fatal("recovery manager has no fallback schedule")
 	}
-	for _, el := range m.cache.byKey {
-		e := el.Value.(*cacheEntry)
-		if e.schedule == m.st.fallback {
-			t.Fatal("fallback schedule found in the probability-keyed cache")
+	vec := trace.Fluctuating(g, 5, 400, 0.45)
+	for i, v := range vec {
+		r, err := m.Step(v)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, sp := range e.schedule.Speed {
-			_ = sp
+		if r.Rescheduled && m.Schedule() == fb {
+			t.Fatalf("instance %d: the reschedule adopted the fallback as the incumbent", i)
 		}
 	}
-	// The fallback is full speed by construction.
-	for tk, sp := range m.st.fallback.Speed {
+	if m.st.activations == 0 {
+		t.Fatal("test needs fallback activations to be meaningful")
+	}
+	if m.Fallback() != fb {
+		t.Fatal("the fallback schedule was rebuilt without a topology change")
+	}
+	for tk, sp := range fb.Speed {
 		if sp != 1 {
 			t.Fatalf("fallback task %d at speed %v, want 1", tk, sp)
 		}

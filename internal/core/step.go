@@ -22,18 +22,17 @@ import (
 //     re-run it on the full-speed fallback when it missed;
 //  3. decide: the window estimates, the circuit breaker and the drift
 //     check, then the reschedule they trigger;
-//  4. commit: the only code that assigns Manager fields, touches the
-//     schedule cache, writes registry handles, records events or ticks the
-//     series store.
+//  4. commit: the only code that assigns Manager fields, writes registry
+//     handles, records events or ticks the series store.
 //
 // The first three stages write only the txn: a copy of the committed state,
 // staged copies of the breaker window and the warm-start probability
-// snapshot, the staged cache accesses, span timings and events. The one
-// exception is the graph's branch probabilities, which DLS and stretching
-// read during decide: decide keeps every vector it replaces, and abort puts
-// them back verbatim and re-weights the analysis. Any error, cancellation
-// or panic before commit therefore leaves the manager exactly as the last
-// committed step left it, on the event stream included. The sequencer is
+// snapshot, span timings and events. The one exception is the graph's
+// branch probabilities, which DLS and stretching read during decide: decide
+// keeps every vector it replaces, and abort puts them back verbatim and
+// re-weights the analysis. Any error, cancellation or panic before commit
+// therefore leaves the manager exactly as the last committed step left it,
+// on the event stream included. The sequencer is
 // the one thing an aborted step advances, so the stream may skip Seq values.
 //
 // Replay precedes decide because the instance runs on the incumbent: the
@@ -67,7 +66,6 @@ type txn struct {
 	schedProbs    []float64 // the staged warm.schedProbs
 	windowRate    float64   // adaptive.miss_rate_window, when windowRateSet
 	windowRateSet bool
-	cacheOps      []cacheOp
 	spans         []spanSample
 	events        eventBuf
 
@@ -150,7 +148,6 @@ func (m *Manager) begin(cancel func() error) *txn {
 	copy(t.ring, m.missRing)
 	copy(t.schedProbs, m.warm.schedProbs)
 	t.windowRateSet = false
-	t.cacheOps = t.cacheOps[:0]
 	t.spans = t.spans[:0]
 	t.events = t.events[:0]
 	return t
@@ -479,9 +476,8 @@ func (m *Manager) commit(t *txn) StepResult {
 
 // adopt is the part of commit New shares: it shifts the staged decisions
 // into the estimator windows and folds each shifted fork's new estimate
-// into its drift tracker, applies the staged cache accesses, adopts the
-// staged state and slices, mirrors the state's changes into the registry
-// and records the staged events in order.
+// into its drift tracker, adopts the staged state and slices, mirrors the
+// state's changes into the registry and records the staged events in order.
 func (m *Manager) adopt(t *txn) {
 	t.replaced = t.replaced[:0]
 	prev := m.st
@@ -501,16 +497,6 @@ func (m *Manager) adopt(t *txn) {
 	mm.driftErr.Set(worst)
 	n := m.base.NumPEs()
 	mm.pesDown.Set(float64(n - m.st.mask.NumAlive(n)))
-	for _, op := range t.cacheOps {
-		m.cache.apply(op)
-		switch {
-		case op.put != nil:
-		case op.hit:
-			mm.cacheHits.Inc()
-		default:
-			mm.cacheMisses.Inc()
-		}
-	}
 	m.missRing, t.ring = t.ring, m.missRing
 	m.warm.schedProbs, t.schedProbs = t.schedProbs, m.warm.schedProbs
 	addDelta(mm.calls, m.st.calls-prev.calls)
@@ -642,8 +628,8 @@ func (t *txn) emitMaskDiff(old, cur platform.Mask, instance int) uint64 {
 // applyTopology re-maps the runtime onto a changed survivor set: restrict
 // the platform to the new mask, rebuild the full-speed fallback for the same
 // survivors (reusing the preserved healthy fallback when the full topology
-// returns), and re-run the online algorithm under the mask-qualified cache
-// key. An infeasible mask (or an unroutable degraded topology, surfaced as
+// returns), and re-run the online algorithm on the survivors. An
+// infeasible mask (or an unroutable degraded topology, surfaced as
 // sched.InfeasibleError) propagates as an error: the workload cannot run on
 // what remains.
 func (t *txn) applyTopology(cur platform.Mask, instance int) error {
@@ -693,49 +679,11 @@ func (t *txn) applyTopology(cur platform.Mask, instance int) error {
 }
 
 // reschedule runs the online algorithm (DLS + stretching) with the graph's
-// current probability estimates, consulting the schedule cache first: if the
-// exact probability state was scheduled for before, the memoized (mapping,
-// order, speeds) is reused. Hits and misses both count as a call — the cache
-// changes the cost of an invocation, never the invocation count or its
-// result. The cache is read through the step's staged accesses; commit
-// applies them.
+// current probability estimates, trying the warm-start path first when it
+// is enabled.
 func (t *txn) reschedule(reason string) error {
 	m := t.m
 	guard := t.effectiveGuard()
-	var key string
-	if m.cache != nil {
-		key = m.probKey()
-		if guard > 0 {
-			// Guarded schedules live under distinct keys: the same
-			// probability state stretched at different guard levels
-			// produces different speeds, and a guard-0 entry must stay
-			// bit-for-bit what the paper's runtime would reuse.
-			key += guardKey(guard)
-		}
-		if t.s.degraded {
-			// Degraded schedules are keyed by the availability mask too:
-			// the same probabilities on fewer PEs are a different schedule.
-			// A healthy mask keys to "" (Mask.Key's contract), so once a
-			// transient outage heals, lookups return to the pre-failure
-			// cache entries verbatim.
-			key += t.s.mask.Key(m.base.NumPEs())
-		}
-		e, hit := m.cache.lookup(key, t.cacheOps)
-		t.cacheOps = append(t.cacheOps, cacheOp{key: key, hit: hit})
-		if hit {
-			t.s.schedule, t.s.speeds = e.schedule, e.speeds
-			// The cached mapping may differ from the incumbent's: a new
-			// generation makes the warm path rebind its DAG model before
-			// the next partial stretch.
-			t.newMapping()
-			t.s.calls++
-			t.noteScheduleState(guard)
-			t.emitReschedule(reason, key, true, false)
-			return nil
-		}
-	}
-	// Cache miss (or caching off): try the incremental path before paying
-	// for a full DLS + stretch pipeline.
 	if ok, err := t.tryWarmStart(reason, guard); err != nil {
 		return err
 	} else if ok {
@@ -766,13 +714,10 @@ func (t *txn) reschedule(reason string) error {
 		t.emitStretch(sr, s)
 	}
 	t.s.schedule = s
-	if m.cache != nil {
-		t.cacheOps = append(t.cacheOps, cacheOp{key: key, put: &cacheEntry{key: key, schedule: s, speeds: t.s.speeds}})
-	}
 	t.newMapping()
 	t.s.calls++
 	t.noteScheduleState(guard)
-	t.emitReschedule(reason, key, false, false)
+	t.emitReschedule(reason, false)
 	return nil
 }
 
@@ -804,9 +749,8 @@ func (t *txn) emitStretch(sr stretch.Result, s *sched.Schedule) {
 // emitReschedule stages the re-scheduling decision event and consumes the
 // pipeline's trigger seq (every reschedule path ends here, so the cause never
 // leaks into an unrelated later decision). Drift-triggered decisions carry
-// the threshold that tripped them. The hex rendering of the cache key (raw
-// probability bits) is only materialized when a recorder is listening.
-func (t *txn) emitReschedule(reason, key string, hit, warm bool) {
+// the threshold that tripped them.
+func (t *txn) emitReschedule(reason string, warm bool) {
 	cause := t.causeSeq
 	t.causeSeq = 0
 	if t.m.rec == nil {
@@ -816,16 +760,12 @@ func (t *txn) emitReschedule(reason, key string, hit, warm bool) {
 		Kind:     telemetry.KindReschedule,
 		Instance: t.s.instances,
 		Reason:   reason,
-		CacheHit: hit,
 		Warm:     warm,
 		Calls:    t.s.calls,
 		Cause:    cause,
 	}
 	if reason == "drift" || reason == "drift+breaker" {
 		ev.Threshold = t.m.opts.Threshold
-	}
-	if key != "" {
-		ev.Key = fmt.Sprintf("%x", key)
 	}
 	t.emit(ev)
 }

@@ -110,12 +110,10 @@ func TestMetricsMirrorMatchesRunStats(t *testing.T) {
 	}
 	snap := reg.Snapshot()
 	for name, want := range map[string]int64{
-		"adaptive.instances":    int64(st.Instances),
-		"adaptive.misses":       int64(st.Misses),
-		"adaptive.calls":        int64(st.Calls),
-		"adaptive.cache_hits":   int64(st.CacheHits),
-		"adaptive.cache_misses": int64(st.CacheMisses),
-		"adaptive.overruns":     int64(st.Overruns),
+		"adaptive.instances": int64(st.Instances),
+		"adaptive.misses":    int64(st.Misses),
+		"adaptive.calls":     int64(st.Calls),
+		"adaptive.overruns":  int64(st.Overruns),
 	} {
 		if got := snap.Counters[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)

@@ -33,9 +33,6 @@ import (
 // (initial/topology reschedules), too many forks changed
 // (> DefaultWarmMaxForks), the affected set is too large a fraction of the
 // graph (> DefaultWarmMaxAffected), or the warm result fails validation.
-// Warm results are never cached: the cache's contract is that a hit is
-// bit-for-bit what a fresh recompute would produce, which warm results
-// approximate but do not guarantee.
 
 // DefaultWarmMaxForks bounds how many forks may drift in one reschedule for
 // the warm path to engage.
@@ -272,12 +269,12 @@ func (t *txn) warmFailed(err error) (bool, error) {
 
 // adoptWarm finalizes a warm-started (or verbatim-reused) reschedule: the
 // call counts exactly like a full one, the snapshot moves to the new state,
-// and the decision event is tagged warm. Warm results are never cached.
+// and the decision event is tagged warm.
 func (t *txn) adoptWarm(reason string, guard float64) {
 	t.s.warmStarts++
 	t.s.calls++
 	t.noteScheduleState(guard)
-	t.emitReschedule(reason, "", false, true)
+	t.emitReschedule(reason, true)
 }
 
 // WarmStats returns the warm-start counters: incremental reschedules

@@ -31,7 +31,7 @@ func TestWarmEquivalenceProperty(t *testing.T) {
 		vec := trace.Fluctuating(g, seed+100, 400, 0.45)
 
 		run := func(warm bool) (RunStats, *Manager) {
-			opts := Options{Window: 20, CacheSize: -1, WarmStart: warm}
+			opts := Options{Window: 20, WarmStart: warm}
 			opts.SetThreshold(0.1)
 			m, err := New(g, p, opts)
 			if err != nil {
@@ -87,7 +87,7 @@ func TestWarmEquivalencePerScenario(t *testing.T) {
 	vec := trace.Fluctuating(g, 123, 300, 0.45)
 
 	run := func(warm bool) RunStats {
-		opts := Options{Window: 20, CacheSize: -1, PerScenario: true, WarmStart: warm}
+		opts := Options{Window: 20, PerScenario: true, WarmStart: warm}
 		opts.SetThreshold(0.1)
 		m, err := New(g, p, opts)
 		if err != nil {
@@ -168,7 +168,7 @@ func TestWarmPureReuseWhenStateUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(g, p, Options{Window: 20, CacheSize: -1, WarmStart: true})
+	m, err := New(g, p, Options{Window: 20, WarmStart: true})
 	if err != nil {
 		t.Fatal(err)
 	}

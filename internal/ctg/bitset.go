@@ -59,16 +59,6 @@ func (b Bitset) Count() int {
 	return c
 }
 
-// Empty reports whether no bit is set.
-func (b Bitset) Empty() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns an independent copy of b.
 func (b Bitset) Clone() Bitset {
 	w := make([]uint64, len(b.words))

@@ -11,7 +11,7 @@ func TestBitsetBasics(t *testing.T) {
 	if b.Len() != 130 {
 		t.Fatalf("Len = %d, want 130", b.Len())
 	}
-	if !b.Empty() {
+	if b.Count() != 0 {
 		t.Fatal("new bitset should be empty")
 	}
 	for _, i := range []int{0, 1, 63, 64, 65, 129} {

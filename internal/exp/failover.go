@@ -95,7 +95,7 @@ func failoverWorkloads() ([]campaignWorkload, error) {
 // the mpeg/wlan/cruise workloads. Every cell replays the identical seeded
 // availability timeline under two runtimes: the adaptive manager, which
 // re-schedules onto the survivor set at the instance boundary where a PE
-// drops (and restores the cached healthy schedule when it returns), and the
+// drops (and recomputes the healthy schedule when it returns), and the
 // manager's own pre-outage DVFS schedule replayed statically, which
 // deadlocks on every instance that activates a task on dead hardware. Nil
 // probs/repairs run the default sweep.

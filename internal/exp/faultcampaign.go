@@ -158,11 +158,11 @@ func faultCampaignN(spec faults.Spec, guard float64, maxVec int, obs *Observe) (
 	tel := obs.newTelemetry()
 	if tel != nil {
 		for _, w := range workloads {
-			// Each stream's series store samples a private mirror of the
-			// shared registry and evaluates the alert rules.
+			// Each stream's series store samples the workload's own registry
+			// and evaluates the alert rules.
 			tel.Recorders[w.name] = telemetry.NewMemoryRecorder()
 			tel.Series[w.name] = series.NewStore(series.StoreOptions{
-				Registry: telemetry.NewMirrorRegistry(tel.Metrics),
+				Registry: telemetry.NewRegistry(),
 				Rules:    obs.Rules,
 			})
 		}
@@ -192,8 +192,8 @@ func faultCampaignN(spec faults.Spec, guard float64, maxVec int, obs *Observe) (
 			GuardBand: guard, Recovery: true,
 		}
 		if tel != nil {
-			// The manager publishes into the workload's mirror registry
-			// (which forwards to the shared one) and ticks its store.
+			// The manager publishes into the workload's registry and ticks
+			// its store.
 			st := tel.Series[w.name]
 			gopts.Recorder = tel.Recorders[w.name]
 			gopts.Metrics = st.Registry()

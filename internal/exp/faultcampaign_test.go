@@ -148,9 +148,9 @@ func TestFaultCampaignObservedHealth(t *testing.T) {
 			if n := rec.CountByKind()[telemetry.KindAlertFiring]; n != firings {
 				t.Errorf("%s%s: %d alert_firing events vs %d reported firings", c.label, row.Workload, n, firings)
 			}
-		}
-		if tel.Metrics.Snapshot().Counters["adaptive.instances"] == 0 {
-			t.Error("campaign registry saw no instances")
+			if n := tel.Series[row.Workload].Registry().Snapshot().Counters["adaptive.instances"]; n != int64(row.Vectors) {
+				t.Errorf("%s: workload registry counted %d instances, want %d", row.Workload, n, row.Vectors)
+			}
 		}
 		golden += streamDigests(t, tel, c.label)
 	}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strconv"
 
 	"ctgdvfs/internal/apps/mpeg"
 	"ctgdvfs/internal/core"
@@ -81,10 +82,6 @@ type MovieRow struct {
 	Online, AdaptiveT05, AdaptiveT01 float64
 	// Calls are the re-scheduling invocation counts (Table 2).
 	CallsT05, CallsT01 int
-	// HitsT05/HitsT01 count the calls served from the memoized schedule
-	// cache (recurring probability regimes reuse a prior DLS + stretch
-	// result; energies and call counts are unaffected).
-	HitsT05, HitsT01 int
 }
 
 // MPEGResult reproduces Figure 5 (energy) and Table 2 (call counts)
@@ -150,9 +147,9 @@ func MPEG() (*MPEGResult, error) {
 			}
 			norm := 100 * st.AvgEnergy / stOnline.AvgEnergy
 			if th == 0.5 {
-				row.AdaptiveT05, row.CallsT05, row.HitsT05 = norm, st.Calls, st.CacheHits
+				row.AdaptiveT05, row.CallsT05 = norm, st.Calls
 			} else {
-				row.AdaptiveT01, row.CallsT01, row.HitsT01 = norm, st.Calls, st.CacheHits
+				row.AdaptiveT01, row.CallsT01 = norm, st.Calls
 			}
 		}
 		return row, nil
@@ -181,8 +178,7 @@ func (r *MPEGResult) Render() string {
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
 			row.Movie, f1(row.Online), f1(row.AdaptiveT05), f1(row.AdaptiveT01),
-			fmt.Sprintf("%d (%d hit)", row.CallsT05, row.HitsT05),
-			fmt.Sprintf("%d (%d hit)", row.CallsT01, row.HitsT01),
+			strconv.Itoa(row.CallsT05), strconv.Itoa(row.CallsT01),
 		})
 	}
 	s := "Figure 5 + Table 2: MPEG energy (normalized, online = 100) and call counts\n"

@@ -220,8 +220,8 @@ type ScaleResult struct {
 // ScaleCampaign measures, for each configuration, the cost of full
 // rescheduling versus warm-started rescheduling under a small-drift
 // workload: two adaptive managers (warm off / warm on, threshold 0 so every
-// estimate movement triggers a reschedule, cache disabled so every trigger
-// pays the pipeline) replay the same fork-0 drift vectors.
+// estimate movement triggers a reschedule) replay the same fork-0 drift
+// vectors.
 func ScaleCampaign(cfgs []ScaleConfig, instances int) (*ScaleResult, error) {
 	res := &ScaleResult{}
 	for _, cfg := range cfgs {
@@ -245,7 +245,6 @@ func ScaleCampaign(cfgs []ScaleConfig, instances int) (*ScaleResult, error) {
 		run := func(warm bool) (core.RunStats, float64, float64, error) {
 			var opts core.Options
 			opts.SetThreshold(0)
-			opts.CacheSize = -1
 			opts.WarmStart = warm
 			m, err := core.New(g, p, opts)
 			if err != nil {
@@ -316,7 +315,7 @@ func (r *ScaleResult) Timing() string {
 		))
 	}
 	s := "\n" + table([]string{"tasks", "PEs", "forks", "full-resched ms", "step-full ms", "step-warm ms", "speedup"}, rows)
-	s += "\nstep-full: mean adaptive step, every drift paying a full DLS+stretch (T=0, cache off)\n"
+	s += "\nstep-full: mean adaptive step, every drift paying a full DLS+stretch (T=0)\n"
 	s += "step-warm: same workload with incremental warm-start rescheduling enabled\n"
 	return s
 }

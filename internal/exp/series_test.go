@@ -86,10 +86,10 @@ func TestFaultCampaignMonitoredAlerts(t *testing.T) {
 		t.Fatal("miss-rate rule never fired during the fault campaign")
 	}
 
-	// Mirror forwarding: the shared parent registry aggregated the same
-	// instance count the private stores sampled.
-	snap := tel.Metrics.Snapshot()
-	if got := snap.Counters["adaptive.instances"]; got == 0 {
-		t.Fatal("shared registry saw no forwarded writes")
+	// Each store samples the registry its manager publishes into.
+	for name, st := range tel.Series {
+		if got := st.Registry().Snapshot().Counters["adaptive.instances"]; got != campaignTestVectors {
+			t.Errorf("%s: store registry counted %d instances, want %d", name, got, campaignTestVectors)
+		}
 	}
 }

@@ -118,11 +118,6 @@ func (s *FailureSpec) Validate() error {
 	return nil
 }
 
-// Enabled reports whether the spec can produce any failure at all.
-func (s *FailureSpec) Enabled() bool {
-	return s.PEDeathProb > 0 || s.PEFailProb > 0 || s.LinkFailProb > 0 || len(s.Events) > 0
-}
-
 // Timeline is a validated, seeded hardware-availability history for a
 // platform with a fixed PE count. All methods are safe for concurrent use
 // (the timeline is immutable after NewTimeline).

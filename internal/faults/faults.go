@@ -147,9 +147,6 @@ func New(spec Spec, numTasks, numPEs int) (*Plan, error) {
 // Spec returns the validated spec (with defaulted factors filled in).
 func (p *Plan) Spec() Spec { return p.spec }
 
-// Hot returns the sorted IDs of the plan's hot tasks.
-func (p *Plan) Hot() []int { return append([]int(nil), p.hot...) }
-
 // pickHotTasks selects HotTasks distinct tasks by ranking every task on an
 // independent hash score — deterministic in the seed, uniform over tasks.
 func (p *Plan) pickHotTasks() {

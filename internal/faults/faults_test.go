@@ -120,7 +120,7 @@ func TestHotTasksBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot := p.Hot()
+	hot := p.hot
 	if len(hot) != 2 || hot[0] == hot[1] {
 		t.Fatalf("hot tasks %v, want 2 distinct", hot)
 	}

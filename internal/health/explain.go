@@ -241,10 +241,7 @@ func describeEvent(e telemetry.Event) string {
 			e.Fork, probsString(e.Probs), e.Outcome, e.Drift)
 	case telemetry.KindReschedule:
 		how := "computed fresh"
-		switch {
-		case e.CacheHit:
-			how = "served from cache"
-		case e.Warm:
+		if e.Warm {
 			how = "warm-started from the incumbent"
 		}
 		s := fmt.Sprintf("reschedule (%s): %s, call %d", e.Reason, how, e.Calls)

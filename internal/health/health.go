@@ -131,12 +131,8 @@ func (a *analyzer) record(e telemetry.Event) {
 	case telemetry.KindOverrun:
 		a.slo.overruns++
 	case telemetry.KindReschedule:
-		a.slo.observeReschedule(e)
-		detail := e.Reason
-		if e.CacheHit {
-			detail += " (cache hit)"
-		}
-		a.note(e.Instance, "reschedule", detail)
+		a.slo.reschedules++
+		a.note(e.Instance, "reschedule", e.Reason)
 	case telemetry.KindFallback:
 		a.slo.observeFallback(e)
 		detail := "missed again"

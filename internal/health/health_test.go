@@ -299,7 +299,7 @@ func TestHotspotAttribution(t *testing.T) {
 func TestTimelineAndAlertSink(t *testing.T) {
 	events := []telemetry.Event{
 		{Kind: telemetry.KindReschedule, Instance: 0, Reason: "initial"},
-		{Kind: telemetry.KindReschedule, Instance: 3, Reason: "drift", CacheHit: true},
+		{Kind: telemetry.KindReschedule, Instance: 3, Reason: "breaker"},
 	}
 	// Fill the 64-entry timeline so the firing below is entry 65.
 	for i := 0; i < 60; i++ {
@@ -316,7 +316,7 @@ func TestTimelineAndAlertSink(t *testing.T) {
 		t.Fatalf("timeline bound broken: %d entries, %d dropped", len(s.Timeline), s.TimelineDropped)
 	}
 	// Oldest entry ("initial" reschedule) evicted; newest is the alert.
-	if s.Timeline[0].Kind != "reschedule" || !strings.Contains(s.Timeline[0].Detail, "cache hit") {
+	if s.Timeline[0].Kind != "reschedule" || s.Timeline[0].Instance != 3 || s.Timeline[0].Detail != "breaker" {
 		t.Fatalf("unexpected oldest entry: %+v", s.Timeline[0])
 	}
 	if last := s.Timeline[63]; last.Kind != "alert_firing" || !strings.Contains(last.Detail, "miss-streak") {

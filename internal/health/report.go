@@ -70,8 +70,8 @@ func (s Snapshot) Report() string {
 	fmt.Fprintf(&b, "  instances %d  misses %d (rate %.3f)  overruns %d  miss streak %d (max %d)\n",
 		s.SLO.Instances, s.SLO.Misses, s.SLO.MissRate, s.SLO.Overruns,
 		s.SLO.CurStreak, s.SLO.MaxStreak)
-	fmt.Fprintf(&b, "  reschedules %d (%d cache hits)  fallbacks %d (%d saved)  guard level %d (max %d)\n",
-		s.SLO.Reschedules, s.SLO.CacheHits, s.SLO.Fallbacks, s.SLO.FallbacksSaved,
+	fmt.Fprintf(&b, "  reschedules %d  fallbacks %d (%d saved)  guard level %d (max %d)\n",
+		s.SLO.Reschedules, s.SLO.Fallbacks, s.SLO.FallbacksSaved,
 		s.SLO.GuardLevel, s.SLO.MaxGuardLevel)
 	fmt.Fprintf(&b, "  lateness p50/p95/p99/max %.3f/%.3f/%.3f/%.3f  makespan p95 %.3f  avg energy %.3f\n",
 		s.SLO.Lateness.P50, s.SLO.Lateness.P95, s.SLO.Lateness.P99, s.SLO.Lateness.Max,

@@ -22,7 +22,7 @@ type sloState struct {
 
 	fallbacks, fallbacksSaved int
 	guardLevel, maxGuardLevel int
-	reschedules, cacheHits    int
+	reschedules               int
 
 	totalEnergy   float64
 	totalLateness float64
@@ -103,13 +103,6 @@ func (s *sloState) observeFinish(e telemetry.Event) {
 		if s.curStreak > s.maxStreak {
 			s.maxStreak = s.curStreak
 		}
-	}
-}
-
-func (s *sloState) observeReschedule(e telemetry.Event) {
-	s.reschedules++
-	if e.CacheHit {
-		s.cacheHits++
 	}
 }
 
@@ -234,7 +227,6 @@ type SLOStatus struct {
 	GuardLevel     int `json:"guard_level"`
 	MaxGuardLevel  int `json:"max_guard_level"`
 	Reschedules    int `json:"reschedules"`
-	CacheHits      int `json:"cache_hits"`
 
 	AvgEnergy     float64 `json:"avg_energy"`
 	TotalLateness float64 `json:"total_lateness"`
@@ -266,7 +258,6 @@ func (s *sloState) snapshot(opts *Options) SLOStatus {
 		GuardLevel:     s.guardLevel,
 		MaxGuardLevel:  s.maxGuardLevel,
 		Reschedules:    s.reschedules,
-		CacheHits:      s.cacheHits,
 
 		TotalLateness: s.totalLateness,
 

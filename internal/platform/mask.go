@@ -112,37 +112,6 @@ func (m Mask) Equal(o Mask, numPEs int) bool {
 	return true
 }
 
-// Key renders the mask as a compact byte string for use in schedule-cache
-// keys: one 'M' marker byte, one availability byte per PE, then one byte per
-// down link (pair-encoded) — only emitted when something is actually masked,
-// so healthy masks key to "" and reuse pre-failure cache entries verbatim.
-// The 'M' marker cannot collide with the IEEE-754 guard-band suffix: 0x4D as
-// a leading exponent byte would encode a float around 1e64, far outside the
-// guard's [0,1] range.
-func (m Mask) Key(numPEs int) string {
-	if m.IsFull() {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('M')
-	for pe := 0; pe < numPEs; pe++ {
-		if m.PEAlive(pe) {
-			b.WriteByte(1)
-		} else {
-			b.WriteByte(0)
-		}
-	}
-	for i := 0; i < numPEs; i++ {
-		for j := 0; j < numPEs; j++ {
-			if i != j && m.PEAlive(i) && m.PEAlive(j) && !m.LinkUp(i, j) {
-				b.WriteByte(byte(i))
-				b.WriteByte(byte(j))
-			}
-		}
-	}
-	return b.String()
-}
-
 // String renders the mask for error messages and logs.
 func (m Mask) String() string {
 	var dead, down []string

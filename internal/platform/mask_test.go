@@ -115,11 +115,8 @@ func TestRestrictRejectsWrongSize(t *testing.T) {
 	}
 }
 
-func TestMaskKeyAndEqual(t *testing.T) {
+func TestMaskEqual(t *testing.T) {
 	full := FullMask(3)
-	if full.Key(3) != "" {
-		t.Fatal("full mask must key to the empty string (pre-failure cache compatibility)")
-	}
 	if !(Mask{}).Equal(full, 3) {
 		t.Fatal("zero mask and explicit full mask must compare equal")
 	}
@@ -127,19 +124,13 @@ func TestMaskKeyAndEqual(t *testing.T) {
 	dead.PEs[2] = false
 	link := FullMask(3)
 	link.Links[1][0] = false
-	keys := map[string]bool{full.Key(3): true}
 	for _, m := range []Mask{dead, link} {
-		k := m.Key(3)
-		if k == "" || keys[k] {
-			t.Fatalf("mask %v key %q not distinct", m, k)
-		}
-		keys[k] = true
-		if m.Equal(full, 3) {
+		if m.Equal(full, 3) || full.Equal(m, 3) {
 			t.Fatalf("degraded mask %v compares equal to full", m)
 		}
 	}
-	if dead.Key(3)[0] != 'M' {
-		t.Fatal("mask keys must carry the 'M' marker byte")
+	if dead.Equal(link, 3) {
+		t.Fatal("a dead PE and a down link compare equal")
 	}
 }
 

@@ -153,7 +153,7 @@ func DLS(a *ctg.Analysis, p *platform.Platform, opts Options) (*Schedule, error)
 }
 
 // DLSInto is DLS reusing a Workspace across calls; the returned Schedule is
-// still freshly allocated (callers retain schedules — caches, fallbacks — so
+// still freshly allocated (callers retain schedules — incumbents, fallbacks — so
 // only the transient scheduling state is pooled). A nil workspace allocates
 // a private one, making DLSInto(a, p, opts, nil) exactly DLS.
 func DLSInto(a *ctg.Analysis, p *platform.Platform, opts Options, ws *Workspace) (*Schedule, error) {

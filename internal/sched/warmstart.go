@@ -15,8 +15,7 @@ import (
 // resource orders alone). Branch probabilities only influence which mapping
 // DLS *selects* and how the stretching stage weights slack. The warm path
 // therefore reuses the incumbent schedule skeleton wholesale — copied into a
-// reusable buffer so the incumbent (possibly shared with the schedule cache)
-// is never mutated — and leaves only the speed assignment to be recomputed
+// reusable buffer so the incumbent is never mutated — and leaves only the speed assignment to be recomputed
 // by a masked stretch.Heuristic pass (stretch.Options.Affected).
 
 // CopyInto deep-copies s into dst, reusing dst's backing storage where the
@@ -51,8 +50,8 @@ func (s *Schedule) CopyInto(dst *Schedule) *Schedule {
 // WarmState double-buffers the schedule copies of the warm-start path. Start
 // always copies the incumbent into a buffer the incumbent does *not*
 // occupy, so a warm-started schedule handed to the runtime stays immutable
-// while the next warm start builds its successor — the same
-// never-mutate-a-published-schedule discipline the schedule cache relies on.
+// while the next warm start builds its successor: a published schedule is
+// never mutated.
 type WarmState struct {
 	bufs [2]*Schedule
 }

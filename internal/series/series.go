@@ -141,8 +141,8 @@ type histHandle struct {
 // demand (Tick) and evaluates alert rules against each sample. It is not
 // internally locked: one producer owns one store and ticks it from its own
 // step loop (the manager's instance boundary). Give concurrent producers
-// their own stores over mirror registries (telemetry.NewMirrorRegistry) —
-// that is what keeps sampling deterministic under parallel campaigns.
+// their own stores over their own registries — that is what keeps sampling
+// deterministic under parallel campaigns.
 type Store struct {
 	reg      *telemetry.Registry
 	capacity int

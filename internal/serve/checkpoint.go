@@ -32,7 +32,7 @@ import (
 // tenant spec (CTG, platform, manager knobs) plus the full decision-vector
 // log. Restore rebuilds the manager and replays the log; because the engine
 // is deterministic, that reproduces the estimator window, the incumbent
-// schedule, the guard level and the cache state bit-for-bit. The snapshot's
+// schedule and the guard level bit-for-bit. The snapshot's
 // Instances/Calls/GuardLevel/Digest fields are *verification* values: after
 // replay they are compared against the rebuilt state, and any mismatch is
 // reported as a corrupt snapshot rather than silently served.

@@ -40,7 +40,6 @@ type TenantSpec struct {
 	PerScenario bool    `json:"per_scenario,omitempty"`
 	WarmStart   bool    `json:"warm_start,omitempty"`
 	Recovery    bool    `json:"recovery,omitempty"`
-	CacheSize   int     `json:"cache_size,omitempty"`
 }
 
 // validate checks the spec's invariants that do not require building it.
@@ -113,7 +112,6 @@ func (sp *TenantSpec) coreOptions() core.Options {
 		PerScenario: sp.PerScenario,
 		WarmStart:   sp.WarmStart,
 		Recovery:    sp.Recovery,
-		CacheSize:   sp.CacheSize,
 	}
 }
 

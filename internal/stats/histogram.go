@@ -86,9 +86,6 @@ func (h *Histogram) Observe(x float64) {
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() uint64 { return h.n }
 
-// Sum returns the exact sum of all observations.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // Mean returns the exact sample mean (0 for an empty histogram).
 func (h *Histogram) Mean() float64 {
 	if h.n == 0 {

@@ -15,9 +15,8 @@ func TestHistogramSingleSample(t *testing.T) {
 			t.Errorf("Quantile(%v) = %v, want 42", q, got)
 		}
 	}
-	if h.Sum() != 42 || h.Mean() != 42 || h.Min() != 42 || h.Max() != 42 {
-		t.Fatalf("moments wrong: sum %v mean %v min %v max %v",
-			h.Sum(), h.Mean(), h.Min(), h.Max())
+	if h.Mean() != 42 || h.Min() != 42 || h.Max() != 42 {
+		t.Fatalf("moments wrong: mean %v min %v max %v", h.Mean(), h.Min(), h.Max())
 	}
 	if p := SamplePercentiles([]float64{42}); p.P50 != 42 || p.P95 != 42 || p.P99 != 42 {
 		t.Fatalf("single-sample percentiles: %+v", p)

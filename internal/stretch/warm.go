@@ -47,8 +47,7 @@ type Workspace struct {
 func NewWorkspace() *Workspace { return &Workspace{} }
 
 // Rebind rebuilds the workspace's DAG topology from a schedule — required
-// whenever the mapping changed (a full DLS ran or a cached schedule with a
-// different mapping was adopted).
+// whenever the mapping changed (a full DLS ran).
 func (w *Workspace) Rebind(s *sched.Schedule) {
 	w.dag = newDAG(s)
 	w.dag.classes()

@@ -56,7 +56,6 @@ type chromeArgs struct {
 	Lateness float64  `json:"lateness,omitempty"`
 	Met      *bool    `json:"met,omitempty"`
 	Reason   string   `json:"reason,omitempty"`
-	CacheHit *bool    `json:"cache_hit,omitempty"`
 	Calls    int      `json:"calls,omitempty"`
 	Level    *int     `json:"level,omitempty"`
 	Drift    *float64 `json:"drift,omitempty"`
@@ -217,7 +216,7 @@ func (ct *ChromeTrace) AddRun(name string, pid int, evs []Event) {
 				ct.events = append(ct.events, chromeEvent{
 					Name: "reschedule (" + e.Reason + ")", Cat: "decision",
 					Ph: "i", Scope: "p", Ts: instEnd, Pid: pid, Tid: 0,
-					Args: &chromeArgs{Reason: e.Reason, CacheHit: bptr(e.CacheHit), Calls: e.Calls},
+					Args: &chromeArgs{Reason: e.Reason, Calls: e.Calls},
 				})
 			case KindFallback:
 				ct.events = append(ct.events, chromeEvent{

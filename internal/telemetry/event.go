@@ -4,8 +4,8 @@
 // branch-decision workloads.)
 //
 // The event stream answers *why* the runtime did what it did on a given CTG
-// instance — which fork estimate drifted, whether the re-schedule was a cache
-// hit, how much slack the stretcher found, which task overran, when the
+// instance — which fork estimate drifted, whether the re-schedule was
+// warm-started, how much slack the stretcher found, which task overran, when the
 // fallback or the circuit breaker fired — where the end-of-run aggregates
 // (core.RunStats) only say how often. Producers (core.Manager, internal/sim,
 // internal/stretch) accept a Recorder through their options and emit nothing
@@ -37,13 +37,13 @@ const (
 	// instance's decisions were observed: Instance, Fork, Probs, Drift.
 	KindEstimate Kind = "window_estimate"
 	// KindReschedule is one re-scheduling decision: Instance, Reason
-	// ("drift", "breaker", "initial"), CacheHit, Warm (served incrementally
-	// from the incumbent schedule), Key (hex cache key), Calls so far.
+	// ("drift", "breaker", "initial"), Warm (served incrementally from the
+	// incumbent schedule), Calls so far.
 	KindReschedule Kind = "reschedule"
 	// KindStretch summarizes one stretching pass: Instance, Stretched
 	// task count (Tasks), SlackFound, SlackUsed, Energy (expected,
-	// post-stretch). Emitted only when a schedule is computed fresh (a
-	// cache hit reuses the recorded-at-miss stretch verbatim).
+	// post-stretch). Emitted by every single-speed pass, full or warm; the
+	// per-scenario table has no single summary.
 	KindStretch Kind = "stretch_summary"
 	// KindOverrun is one fault-plan perturbed task execution: Instance,
 	// Task, PE, Factor.
@@ -159,7 +159,10 @@ type Event struct {
 	Value     float64 `json:"value,omitempty"`
 	Threshold float64 `json:"threshold,omitempty"`
 
-	Reason      string `json:"reason,omitempty"`
+	Reason string `json:"reason,omitempty"`
+	// CacheHit is an inert stand-in: nothing sets it, since the manager
+	// keeps no schedule cache. Its one reader is perfbench; the
+	// perfbench-only change of ROADMAP item 1 retires it.
 	CacheHit    bool   `json:"cache_hit,omitempty"`
 	Warm        bool   `json:"warm,omitempty"`
 	Key         string `json:"key,omitempty"`

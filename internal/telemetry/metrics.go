@@ -13,53 +13,30 @@ import (
 )
 
 // Counter is a monotonically adjustable integer metric. All methods are
-// lock-free and safe for concurrent use. A counter created in a mirror
-// registry (NewMirrorRegistry) forwards every write to the same-named counter
-// of the parent, so local and aggregate views stay in sync from one call.
+// lock-free and safe for concurrent use.
 type Counter struct {
-	v      atomic.Int64
-	mirror *Counter
+	v atomic.Int64
 }
 
 // Inc adds one.
-func (c *Counter) Inc() {
-	c.v.Add(1)
-	if c.mirror != nil {
-		c.mirror.Inc()
-	}
-}
+func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n (n may be negative — used to net out warm-up increments).
-func (c *Counter) Add(n int64) {
-	c.v.Add(n)
-	if c.mirror != nil {
-		c.mirror.Add(n)
-	}
-}
+func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is an instantaneous float64 metric. Mirror-registry gauges forward
-// writes like Counter does.
+// Gauge is an instantaneous float64 metric.
 type Gauge struct {
-	bits   atomic.Uint64
-	mirror *Gauge
+	bits atomic.Uint64
 }
 
 // Set stores the value.
-func (g *Gauge) Set(v float64) {
-	g.bits.Store(floatBits(v))
-	if g.mirror != nil {
-		g.mirror.Set(v)
-	}
-}
+func (g *Gauge) Set(v float64) { g.bits.Store(floatBits(v)) }
 
 // SetMax stores the value only if it exceeds the current one.
 func (g *Gauge) SetMax(v float64) {
-	if g.mirror != nil {
-		g.mirror.SetMax(v)
-	}
 	for {
 		old := g.bits.Load()
 		if v <= floatOf(old) {
@@ -79,12 +56,9 @@ func floatOf(b uint64) float64   { return math.Float64frombits(b) }
 
 // HistogramMetric is a mutex-guarded fixed-bucket histogram metric (the
 // distribution counterpart of Counter/Gauge), backed by stats.Histogram.
-// Mirror-registry histograms forward observations like Counter does (outside
-// the local lock — the two histograms never nest their mutexes).
 type HistogramMetric struct {
-	mu     sync.Mutex
-	h      *stats.Histogram
-	mirror *HistogramMetric
+	mu sync.Mutex
+	h  *stats.Histogram
 }
 
 // Observe records one value.
@@ -92,9 +66,6 @@ func (m *HistogramMetric) Observe(x float64) {
 	m.mu.Lock()
 	m.h.Observe(x)
 	m.mu.Unlock()
-	if m.mirror != nil {
-		m.mirror.Observe(x)
-	}
 }
 
 // Snapshot summarizes the distribution.
@@ -124,17 +95,15 @@ type HistogramSnapshot struct {
 }
 
 // Registry is a process-local metrics registry: named counters, gauges and
-// fixed-bucket histograms with a JSON snapshot and HTTP exposition. Metric handles are created on first use and cached; producers
-// resolve their handles once (outside the hot path) and then operate
-// lock-free (counters/gauges) or under a short mutex (histograms).
+// fixed-bucket histograms with a JSON snapshot and HTTP exposition. Metric
+// handles are created on first use and kept; producers resolve their
+// handles once (outside the hot path) and then operate lock-free
+// (counters/gauges) or under a short mutex (histograms).
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*HistogramMetric
-	// parent, when non-nil, makes this a mirror registry: every handle
-	// created here forwards its writes to the same-named handle in parent.
-	parent *Registry
 }
 
 // NewRegistry returns an empty registry.
@@ -144,18 +113,6 @@ func NewRegistry() *Registry {
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*HistogramMetric),
 	}
-}
-
-// NewMirrorRegistry returns a registry whose metric handles forward every
-// write to the same-named handle of parent. It gives one producer a private,
-// deterministic view (e.g. for the series sampler) while the shared parent
-// keeps aggregating across producers: reads from the mirror see only this
-// producer's writes, reads from the parent see everyone's. A nil parent is
-// equivalent to NewRegistry.
-func NewMirrorRegistry(parent *Registry) *Registry {
-	r := NewRegistry()
-	r.parent = parent
-	return r
 }
 
 // Counter returns the named counter, creating it on first use.
@@ -172,9 +129,6 @@ func (r *Registry) Counter(name string) *Counter {
 		return c
 	}
 	c = &Counter{}
-	if r.parent != nil {
-		c.mirror = r.parent.Counter(name)
-	}
 	r.counters[name] = c
 	return c
 }
@@ -193,9 +147,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		return g
 	}
 	g = &Gauge{}
-	if r.parent != nil {
-		g.mirror = r.parent.Gauge(name)
-	}
 	r.gauges[name] = g
 	return g
 }
@@ -216,9 +167,6 @@ func (r *Registry) Histogram(name string, lo, hi float64, buckets int) *Histogra
 		return h
 	}
 	h = &HistogramMetric{h: stats.MustHistogram(lo, hi, buckets)}
-	if r.parent != nil {
-		h.mirror = r.parent.Histogram(name, lo, hi, buckets)
-	}
 	r.hists[name] = h
 	return h
 }

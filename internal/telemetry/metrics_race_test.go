@@ -69,36 +69,3 @@ func TestHistogramSnapshotDuringObserve(t *testing.T) {
 		}
 	}
 }
-
-// TestMirrorForwardingConcurrent checks mirror forwarding is safe when two
-// mirrors of one parent write concurrently — the campaign topology.
-func TestMirrorForwardingConcurrent(t *testing.T) {
-	parent := NewRegistry()
-	const workers, perWorker = 4, 2000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		m := NewMirrorRegistry(parent)
-		c := m.Counter("c")
-		g := m.Gauge("g")
-		h := m.Histogram("h", 0, 100, 10)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				c.Inc()
-				g.SetMax(float64(i))
-				h.Observe(float64(i % 100))
-			}
-		}()
-	}
-	wg.Wait()
-	if got := parent.Counter("c").Value(); got != workers*perWorker {
-		t.Fatalf("parent counter %d, want %d", got, workers*perWorker)
-	}
-	if got := parent.Gauge("g").Value(); got != perWorker-1 {
-		t.Fatalf("parent max gauge %g, want %d", got, perWorker-1)
-	}
-	if got := parent.Histogram("h", 0, 100, 10).Snapshot().Count; got != workers*perWorker {
-		t.Fatalf("parent histogram count %d, want %d", got, workers*perWorker)
-	}
-}

@@ -51,13 +51,6 @@ func (r *MemoryRecorder) Len() int {
 	return len(r.events)
 }
 
-// Reset discards all recorded events.
-func (r *MemoryRecorder) Reset() {
-	r.mu.Lock()
-	r.events = r.events[:0]
-	r.mu.Unlock()
-}
-
 // CountByKind tallies the recorded events per kind.
 func (r *MemoryRecorder) CountByKind() map[Kind]int {
 	r.mu.Lock()

@@ -29,10 +29,6 @@ func TestMemoryRecorder(t *testing.T) {
 	if r.Events()[0].Kind != KindInstanceStart {
 		t.Fatal("Events() exposed internal storage")
 	}
-	r.Reset()
-	if r.Len() != 0 {
-		t.Fatal("reset failed")
-	}
 }
 
 func TestMemoryRecorderConcurrent(t *testing.T) {
@@ -59,7 +55,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 	in := []Event{
 		{Kind: KindInstanceStart, Instance: 7, Scenario: 2},
 		{Kind: KindTaskSlice, Instance: 7, Task: 1, Name: "idct", PE: 2, Start: 0.5, End: 1.25, Speed: 0.8},
-		{Kind: KindReschedule, Instance: 7, Reason: "drift", CacheHit: true, Key: "ab12", Calls: 3},
+		{Kind: KindReschedule, Instance: 7, Reason: "drift", Warm: true, Calls: 3},
+		{Kind: KindCheckpoint, Instance: 7, Name: "mpeg", Calls: 3, Key: "ab12"},
 		{Kind: KindFallback, Instance: 7, Met: true, Makespan: 90, Makespan2: 120, Phase: PhaseFallback},
 	}
 	for _, e := range in {
@@ -263,5 +260,42 @@ func TestExpositionDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(aJSON.Bytes(), bJSON.Bytes()) {
 		t.Fatalf("WriteJSON depends on registration order:\n%s\nvs\n%s", aJSON.String(), bJSON.String())
+	}
+}
+
+// TestRegistrySizesAndVisit covers the sweep API the series sampler is built
+// on: Sizes as the cheap change check, Visit* as the handle enumeration.
+func TestRegistrySizesAndVisit(t *testing.T) {
+	r := NewRegistry()
+	if c, g, h := r.Sizes(); c != 0 || g != 0 || h != 0 {
+		t.Fatalf("empty registry sizes = %d/%d/%d", c, g, h)
+	}
+	r.Counter("a").Add(1)
+	r.Counter("b").Add(2)
+	r.Gauge("g").Set(3)
+	r.Histogram("h", 0, 10, 5).Observe(4)
+	if c, g, h := r.Sizes(); c != 2 || g != 1 || h != 1 {
+		t.Fatalf("sizes = %d/%d/%d, want 2/1/1", c, g, h)
+	}
+	// Re-fetching a handle must not grow the registry.
+	r.Counter("a").Add(1)
+	if c, _, _ := r.Sizes(); c != 2 {
+		t.Fatalf("counter count grew to %d on re-fetch", c)
+	}
+
+	counters := map[string]int64{}
+	r.VisitCounters(func(name string, c *Counter) { counters[name] = c.Value() })
+	if len(counters) != 2 || counters["a"] != 2 || counters["b"] != 2 {
+		t.Fatalf("VisitCounters saw %v", counters)
+	}
+	gauges := map[string]float64{}
+	r.VisitGauges(func(name string, g *Gauge) { gauges[name] = g.Value() })
+	if len(gauges) != 1 || gauges["g"] != 3 {
+		t.Fatalf("VisitGauges saw %v", gauges)
+	}
+	hists := map[string]uint64{}
+	r.VisitHistograms(func(name string, h *HistogramMetric) { hists[name] = h.Snapshot().Count })
+	if len(hists) != 1 || hists["h"] != 1 {
+		t.Fatalf("VisitHistograms saw %v", hists)
 	}
 }

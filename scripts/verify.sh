@@ -10,7 +10,7 @@
 #   bit-rot in them without paying for real measurement; the paper's tables
 #   and figures are pinned by internal/exp's golden files in the test suite,
 #   not by benchmarks), short fuzzing sessions of
-#   the workload parser and the alert-rules parser, a fault-campaign and a failover-campaign run of the
+#   the workload parser, the alert-rules parser and the daemon's step body, a fault-campaign and a failover-campaign run of the
 #   fault-tolerance layer, a bounded run of the large-scale warm-start tier
 #   (one 10^3-task cell), an
 #   end-to-end health-analyzer pass over a captured event stream, an
@@ -80,9 +80,10 @@ sh scripts/cover.sh
 echo "== bench smoke (1 iteration each) =="
 go test -run '^$' -bench . -benchtime 1x . >/dev/null
 
-echo "== fuzz smoke (workload parser, rules parser, 5s each) =="
+echo "== fuzz smoke (workload parser, rules parser, step body, 5s each) =="
 go test -run '^$' -fuzz FuzzRead -fuzztime 5s ./internal/ctgio >/dev/null
 go test -run '^$' -fuzz FuzzParseRules -fuzztime 5s ./internal/series >/dev/null
+go test -run '^$' -fuzz FuzzStepBody -fuzztime 5s ./internal/serve >/dev/null
 
 echo "== fault-campaign + telemetry smoke =="
 trace_tmp="$(mktemp)"
