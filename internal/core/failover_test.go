@@ -171,6 +171,7 @@ func TestTransientOutageRestoresHealthySchedule(t *testing.T) {
 	// Constant vectors: no drift, so every reschedule is topology-driven.
 	vectors := trace.Fluctuating(g, 1, 20, 0)
 	var healthy image
+	degraded := 0
 	for i, v := range vectors {
 		if i == failAt {
 			healthy = capture()
@@ -182,12 +183,23 @@ func TestTransientOutageRestoresHealthySchedule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Degraded && slices.Contains(m.Schedule().PE, deadPE) {
-			t.Fatalf("instance %d: degraded schedule still maps onto dead PE %d", i, deadPE)
+		if r.Degraded {
+			degraded++
+			if slices.Contains(m.Schedule().PE, deadPE) {
+				t.Fatalf("instance %d: degraded schedule still maps onto dead PE %d", i, deadPE)
+			}
 		}
 	}
 	if m.Degraded() {
 		t.Fatal("manager still degraded after repair")
+	}
+	// Degraded accounting stops once the PE is repaired: exactly the
+	// outage's instances count, in the step results and in the run totals.
+	if degraded != repair || m.st.degradedInsts != repair {
+		t.Fatalf("degraded instances: %d step results, %d counted, want %d", degraded, m.st.degradedInsts, repair)
+	}
+	if m.st.remaps != 2 {
+		t.Fatalf("remaps = %d, want 2 (degrade + restore)", m.st.remaps)
 	}
 	if got := capture(); !reflect.DeepEqual(got, healthy) {
 		t.Fatalf("restored schedule differs from the pre-failure one:\n got  %+v\n want %+v", got, healthy)

@@ -559,6 +559,61 @@ func TestRestoreFallsBackOnTornSnapshot(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesReplayDivergence pins what happens to a checkpoint whose
+// recorded schedule digest the current code no longer reproduces (say, one
+// written by a build whose warm-start tenants scheduled differently): with
+// both generations intact but divergent, New fails with a typed
+// SnapshotError naming the divergence instead of serving a tenant in a state
+// the snapshot never held.
+func TestRestoreRefusesReplayDivergence(t *testing.T) {
+	dir := t.TempDir()
+	vecs := testVectors(t, 12)
+	ctx := context.Background()
+	spec := mpegSpec("a")
+	spec.WarmStart = true
+
+	s1 := mustServer(t, Options{CheckpointDir: dir, CheckpointEvery: 4})
+	mustCreate(t, s1, spec)
+	for i, v := range vecs {
+		if _, err := s1.Step(ctx, "a", v, ChaosSpec{}); err != nil {
+			t.Fatalf("s1 step %d: %v", i, err)
+		}
+	}
+	s1.Abandon()
+
+	// Rewrite both generations with a digest the replay cannot reach. Each
+	// file keeps a valid checksum, so only the replay check can catch it;
+	// writing the older payload first lets the second write rotate it back
+	// to .prev.
+	p := snapshotPath(dir, "a")
+	var pays []*snapshotPayload
+	for _, path := range []string{p + ".prev", p} {
+		pay, err := loadSnapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+		pay.Digest = "0123456789abcdef"
+		pays = append(pays, pay)
+	}
+	for _, pay := range pays {
+		if err := writeSnapshot(p, pay); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_, err := New(Options{CheckpointDir: dir})
+	var se *SnapshotError
+	if !errors.As(err, &se) {
+		t.Fatalf("want SnapshotError for a divergent snapshot, got %v", err)
+	}
+	if !strings.Contains(se.Reason, "replay divergence: schedule digest") {
+		t.Fatalf("want a schedule-digest divergence, got %q", se.Reason)
+	}
+}
+
 func TestSnapshotRoundTripAndChecksum(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "x.ckpt")
