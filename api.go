@@ -2,7 +2,6 @@ package ctgdvfs
 
 import (
 	"io"
-	"math/rand"
 
 	"ctgdvfs/internal/apps/cruise"
 	"ctgdvfs/internal/apps/mpeg"
@@ -12,12 +11,9 @@ import (
 	"ctgdvfs/internal/ctgio"
 	"ctgdvfs/internal/faults"
 	"ctgdvfs/internal/health"
-	"ctgdvfs/internal/par"
 	"ctgdvfs/internal/platform"
 	"ctgdvfs/internal/sched"
-	"ctgdvfs/internal/series"
 	"ctgdvfs/internal/sim"
-	"ctgdvfs/internal/stats"
 	"ctgdvfs/internal/stretch"
 	"ctgdvfs/internal/telemetry"
 	"ctgdvfs/internal/tgff"
@@ -33,19 +29,8 @@ type (
 	GraphBuilder = ctg.Builder
 	// TaskID identifies a task in a Graph.
 	TaskID = ctg.TaskID
-	// Task is a vertex of the CTG.
-	Task = ctg.Task
-	// Edge is a (possibly conditional) dependency between tasks.
-	Edge = ctg.Edge
-	// Cond is the branch-outcome guard of an edge.
-	Cond = ctg.Cond
-	// Kind distinguishes and-nodes from or-nodes.
-	Kind = ctg.Kind
 	// Analysis is the scenario (leaf-minterm) decomposition of a Graph.
 	Analysis = ctg.Analysis
-	// Scenario is one leaf minterm: outcome assignment, probability and
-	// active task set.
-	Scenario = ctg.Scenario
 )
 
 // Node kinds.
@@ -78,9 +63,6 @@ type (
 	StretchResult = stretch.Result
 	// NLPOptions tunes the NLP reference stretcher.
 	NLPOptions = stretch.NLPOptions
-	// ScenarioSpeeds is a scenario-conditioned DVFS table (an extension
-	// beyond the paper's single speed per task).
-	ScenarioSpeeds = stretch.ScenarioSpeeds
 )
 
 // Simulation (package internal/sim).
@@ -102,17 +84,11 @@ type (
 	Adaptive = core.Manager
 	// AdaptiveOptions configures window, threshold, DVFS and the runtime layers.
 	AdaptiveOptions = core.Options
-	// StepResult reports one processed CTG instance.
-	StepResult = core.StepResult
 	// RunStats aggregates a replayed vector sequence.
 	RunStats = core.RunStats
-	// Profiler is the sliding-window branch-probability estimator.
-	Profiler = core.Profiler
-	// SeriesPoint is one instant of a filtered-probability series.
-	SeriesPoint = core.SeriesPoint
 )
 
-// Telemetry (packages internal/telemetry, internal/stats): the runtime's
+// Telemetry (package internal/telemetry): the runtime's
 // structured event stream, metrics registry and Chrome-trace export. Attach
 // a recorder via AdaptiveOptions.Recorder or SimConfig.Recorder; a nil
 // recorder keeps every instrumented path allocation-free and bit-for-bit
@@ -123,40 +99,20 @@ type (
 	TelemetryEvent = telemetry.Event
 	// TelemetryKind discriminates TelemetryEvent payloads.
 	TelemetryKind = telemetry.Kind
-	// TelemetryRecorder is the event sink interface; nil disables the
-	// stream.
-	TelemetryRecorder = telemetry.Recorder
 	// MemoryRecorder buffers events in memory (feed to ChromeTrace).
 	MemoryRecorder = telemetry.MemoryRecorder
 	// JSONLRecorder streams events as JSON lines to a writer.
 	JSONLRecorder = telemetry.JSONLRecorder
-	// MultiRecorder fans one event stream out to several sinks.
-	MultiRecorder = telemetry.MultiRecorder
 	// MetricsRegistry is the named counter/gauge/histogram registry with
 	// JSON and HTTP exposition.
 	MetricsRegistry = telemetry.Registry
-	// MetricsSnapshot is a point-in-time copy of a registry.
-	MetricsSnapshot = telemetry.Snapshot
 	// ChromeTrace exports recorded runs as Chrome trace-event JSON
 	// (chrome://tracing, Perfetto).
 	ChromeTrace = telemetry.ChromeTrace
-	// FlightRecorder is the fixed-capacity ring-buffer recorder — the
-	// runtime's black box. Steady-state recording allocates nothing; DumpTo
-	// writes the current window as JSONL.
-	FlightRecorder = telemetry.FlightRecorder
 	// TruncatedTailError reports a JSONL capture whose final line is torn (a
 	// recorder killed mid-write); ReadTelemetryJSONL returns it alongside
 	// the intact prefix — treat it as a warning, not a failure.
 	TruncatedTailError = telemetry.TruncatedTailError
-	// Sequencer hands out the monotonic per-stream sequence ids behind event
-	// provenance (Event.Seq / Event.Cause). Standalone runtimes make their
-	// own; share one across runtimes only when they share a recorder.
-	Sequencer = telemetry.Sequencer
-	// Histogram is the fixed-bucket distribution summary behind the
-	// registry and the RunStats percentiles.
-	Histogram = stats.Histogram
-	// Percentiles is a P50/P95/P99 summary.
-	Percentiles = stats.Percentiles
 )
 
 // Telemetry event kinds.
@@ -199,59 +155,6 @@ func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
 // NewChromeTrace returns an empty Chrome trace-event exporter.
 func NewChromeTrace() *ChromeTrace { return telemetry.NewChromeTrace() }
 
-// NewFlightRecorder builds a flight recorder keeping the most recent
-// capacity events (capacity ≤ 0 selects 256).
-func NewFlightRecorder(capacity int) *FlightRecorder {
-	return telemetry.NewFlightRecorder(capacity)
-}
-
-// NewSequencer returns a sequencer whose first id is 1. Install it via
-// AdaptiveOptions.Sequencer to stamp Seq/Cause provenance ids on the event
-// stream.
-func NewSequencer() *Sequencer { return telemetry.NewSequencer() }
-
-// Time-series monitoring (package internal/series): a ring-buffer store that
-// samples a metrics registry on deterministic sim-time boundaries (the
-// instance index, never wall clock), evaluates threshold/rate/absence
-// alerting rules against the sampled rings, and renders sparkline watch
-// views. Attach a store via AdaptiveOptions.Series (the runtime ticks it once
-// per instance); a nil store keeps the run bit-for-bit identical.
-type (
-	// SeriesStore is the sampling ring-buffer store; Tick is allocation-free
-	// at steady state.
-	SeriesStore = series.Store
-	// SeriesStoreOptions configures a store (registry, ring capacity,
-	// alerting rules).
-	SeriesStoreOptions = series.StoreOptions
-	// SeriesRule is one declarative alerting rule (threshold, rate or
-	// absence, with for-holds and hysteresis).
-	SeriesRule = series.Rule
-	// SeriesRuleSet is the JSON rules-file payload.
-	SeriesRuleSet = series.RuleSet
-	// SeriesAlertStatus is one rule's live firing state.
-	SeriesAlertStatus = series.AlertStatus
-	// SeriesDump is the serialized store state `ctgsched watch -dump` renders.
-	SeriesDump = series.Dump
-	// SeriesWatchOptions configures the watch rendering (sparkline width).
-	SeriesWatchOptions = series.WatchOptions
-)
-
-// NewSeriesStore builds a sampling store; opts.Registry is required.
-func NewSeriesStore(opts SeriesStoreOptions) *SeriesStore { return series.NewStore(opts) }
-
-// LoadSeriesRules reads a JSON alerting-rules file and validates every rule.
-func LoadSeriesRules(path string) (SeriesRuleSet, error) { return series.LoadRules(path) }
-
-// LoadSeriesDump reads a series dump written by SeriesStore.WriteJSON (the
-// `experiments -series-out` format).
-func LoadSeriesDump(path string) (SeriesDump, error) { return series.LoadDump(path) }
-
-// RenderSeriesWatch renders a dump as the sparkline terminal view behind
-// `ctgsched watch`.
-func RenderSeriesWatch(d SeriesDump, opts SeriesWatchOptions) string {
-	return series.RenderWatch(d, opts)
-}
-
 // Health analysis (package internal/health): the offline reader of a
 // recorded event stream — estimator drift, SLO tracking, hotspot
 // attribution. The live health quantities are the manager's own
@@ -272,9 +175,6 @@ type (
 	// Explanation is one reconstructed causal chain: the decision, its
 	// trigger chain root-first, and its recorded downstream effects.
 	Explanation = health.Explanation
-	// ExplainEffect is one downstream event of an explained decision, with
-	// its depth in the cause tree.
-	ExplainEffect = health.ExplainEffect
 )
 
 // AnalyzeTelemetry replays a recorded event stream through fresh analyzers
@@ -300,14 +200,6 @@ func TelemetryDecisions(events []TelemetryEvent) []TelemetryEvent {
 // explain output uses.
 func DescribeTelemetryEvent(e TelemetryEvent) string { return health.Describe(e) }
 
-// NewHistogram builds a fixed-bucket histogram over [lo, hi].
-func NewHistogram(lo, hi float64, buckets int) (*Histogram, error) {
-	return stats.NewHistogram(lo, hi, buckets)
-}
-
-// SamplePercentiles summarizes a sample's P50/P95/P99.
-func SamplePercentiles(xs []float64) Percentiles { return stats.SamplePercentiles(xs) }
-
 // Fault injection (package internal/faults).
 type (
 	// FaultSpec parameterizes a deterministic execution-time fault plan:
@@ -317,39 +209,15 @@ type (
 	// FaultPlan is a validated, stateless fault plan; pass it via
 	// SimConfig.Faults or AdaptiveOptions.Faults.
 	FaultPlan = faults.Plan
-	// FailureSpec parameterizes a deterministic hardware-availability
-	// timeline: stochastic permanent PE deaths, transient PE outages with
-	// repair times, link outages, and scripted events.
-	FailureSpec = faults.FailureSpec
-	// FailureEvent is one scripted availability change inside a
-	// FailureSpec (kind "pe" or "link"; Duration 0 means permanent).
-	FailureEvent = faults.FailureEvent
 	// FailureTimeline is a validated availability timeline; pass it via
 	// AdaptiveOptions.Failures to enable degraded-mode re-mapping.
 	FailureTimeline = faults.Timeline
-	// FaultSpecFile bundles a perturbation spec and a failure spec in one
-	// JSON document (cmd/experiments -faults-spec).
-	FaultSpecFile = faults.SpecFile
-	// AvailabilityMask marks which PEs and links are in service at one
-	// instance boundary.
-	AvailabilityMask = platform.Mask
-)
-
-// Scripted availability-event kinds.
-const (
-	// FailureEventPE marks a FailureEvent that takes a PE out of service.
-	FailureEventPE = faults.EventPE
-	// FailureEventLink marks a FailureEvent that takes one directed link
-	// out of service.
-	FailureEventLink = faults.EventLink
 )
 
 // Workloads (packages internal/tgff, internal/apps/*, internal/trace).
 type (
 	// RandomConfig parameterizes the TGFF-style random CTG generator.
 	RandomConfig = tgff.Config
-	// RandomCategory selects fork-join (1) or flat (2) structure.
-	RandomCategory = tgff.Category
 	// Movie is a synthetic MPEG clip decision source.
 	Movie = trace.Movie
 	// Vectors is a sequence of branch decision vectors.
@@ -373,17 +241,8 @@ func NewPlatform(numTasks, numPEs int) *PlatformBuilder {
 	return platform.NewBuilder(numTasks, numPEs)
 }
 
-// Uncond returns the unconditional edge guard.
-func Uncond() Cond { return ctg.Uncond() }
-
-// When returns the guard "fork selected the given outcome".
-func When(fork TaskID, outcome int) Cond { return ctg.When(fork, outcome) }
-
 // ContinuousDVFS is the paper's scaling model: any speed in (0, 1].
 func ContinuousDVFS() DVFS { return platform.Continuous() }
-
-// DiscreteDVFS restricts speeds to the given levels (must include 1).
-func DiscreteDVFS(levels ...float64) DVFS { return platform.Discrete(levels...) }
 
 // Analyze computes the scenario decomposition of a graph: leaf minterms,
 // activation sets and probabilities, and the mutual-exclusion relation.
@@ -404,18 +263,6 @@ func Schedule(a *Analysis, p *Platform, opts SchedOptions) (*PlanResult, error) 
 	return sched.DLS(a, p, opts)
 }
 
-// Stretch runs the paper's online task-stretching heuristic on a schedule,
-// assigning one DVFS speed per task in scheduling order. The fraction
-// guard ∈ [0,1] of every task's slack is reserved as execution-time overrun
-// margin instead of being spent on DVFS; guard 0 is the paper's stretching.
-func Stretch(s *PlanResult, d DVFS, guard float64) (*StretchResult, error) {
-	r, err := stretch.Heuristic(s, d, stretch.Options{Guard: guard})
-	if err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
 // StretchWorstCase runs the probability-blind critical-path stretcher
 // (reference algorithm 1's DVFS stage).
 func StretchWorstCase(s *PlanResult, d DVFS) (*StretchResult, error) {
@@ -426,14 +273,6 @@ func StretchWorstCase(s *PlanResult, d DVFS) (*StretchResult, error) {
 // DVFS stage).
 func StretchNLP(s *PlanResult, d DVFS, opts NLPOptions) (*StretchResult, error) {
 	return stretch.NLP(s, d, opts)
-}
-
-// StretchPerScenario computes scenario-conditioned speeds for an
-// unstretched schedule: each task's speed may depend on the outcomes of the
-// branch forks that precede it (see stretch.PerScenario). Replay with
-// SimConfig.ScenarioSpeeds. guard reserves slack as in Stretch.
-func StretchPerScenario(s *PlanResult, d DVFS, guard float64) (*ScenarioSpeeds, error) {
-	return stretch.PerScenario(s, d, guard, nil)
 }
 
 // Plan is the one-call online algorithm: modified DLS followed by the
@@ -456,12 +295,6 @@ func Replay(s *PlanResult, scenario int, cfg SimConfig) (Instance, error) {
 	return sim.Replay(s, scenario, cfg)
 }
 
-// ReplayDecisions resolves a full branch decision vector and replays the
-// matching scenario.
-func ReplayDecisions(s *PlanResult, decisions []int) (Instance, error) {
-	return sim.ReplayDecisions(s, decisions)
-}
-
 // Exhaustive replays every leaf scenario under cfg and aggregates by
 // probability.
 func Exhaustive(s *PlanResult, cfg SimConfig) (SimSummary, error) { return sim.Exhaustive(s, cfg) }
@@ -469,13 +302,6 @@ func Exhaustive(s *PlanResult, cfg SimConfig) (SimSummary, error) { return sim.E
 // AnalyzeBreakdown attributes a schedule's expected energy and load to its
 // PEs and the interconnect.
 func AnalyzeBreakdown(s *PlanResult) Breakdown { return sim.AnalyzeBreakdown(s) }
-
-// Sample estimates expected energy/makespan by Monte-Carlo replay of n
-// instances drawn from the graph's branch probabilities — for workloads
-// whose scenario count makes Exhaustive expensive.
-func Sample(s *PlanResult, rng *rand.Rand, n int, cfg SimConfig) (SimSummary, error) {
-	return sim.Sample(s, rng, n, cfg)
-}
 
 // NewAdaptive builds the adaptive runtime: it schedules with the graph's
 // current branch probabilities and re-runs the online algorithm whenever the
@@ -495,49 +321,12 @@ func RunStatic(s *PlanResult, vectors Vectors, cfg SimConfig, tl *FailureTimelin
 	return core.RunStatic(s, vectors, cfg, tl)
 }
 
-// NewFailureTimeline validates a failure spec and derives the deterministic
-// availability timeline for a platform with numPEs processors. The timeline
-// is stateless: the mask at instance i is a pure function of (spec, i), so
-// adaptive and static runtimes face the identical outage sequence, and it
-// never takes the last surviving PE out of service.
-func NewFailureTimeline(spec FailureSpec, numPEs int) (*FailureTimeline, error) {
-	return faults.NewTimeline(spec, numPEs)
-}
-
-// LoadFaultSpecFile reads and validates a JSON fault-spec file bundling an
-// execution-time perturbation spec and/or an availability failure spec.
-func LoadFaultSpecFile(path string) (*FaultSpecFile, error) {
-	return faults.LoadSpecFile(path)
-}
-
-// RestrictPlatform returns a view of the platform with the masked-out PEs
-// and links removed from service, rejecting masks that leave no PE alive
-// with *platform.InfeasibleMaskError. Schedulers called with the view place
-// tasks only on surviving hardware.
-func RestrictPlatform(p *Platform, m AvailabilityMask) (*Platform, error) {
-	return p.Restrict(m)
-}
-
-// FullAvailability is the all-alive mask for a platform with numPEs
-// processors.
-func FullAvailability(numPEs int) AvailabilityMask { return platform.FullMask(numPEs) }
-
 // NewFaultPlan validates and builds a deterministic fault plan for a
 // workload of the given size. The plan is stateless: the factor applied to
 // task t of instance i is a pure hash of (seed, i, t), so results never
 // depend on replay order or the worker bound.
 func NewFaultPlan(spec FaultSpec, numTasks, numPEs int) (*FaultPlan, error) {
 	return faults.New(spec, numTasks, numPEs)
-}
-
-// NewProfiler builds a standalone sliding-window branch profiler seeded
-// with the graph's current probabilities.
-func NewProfiler(g *Graph, window int) (*Profiler, error) { return core.NewProfiler(g, window) }
-
-// FilteredSeries reproduces the paper's Figure 4 mechanics for one
-// two-outcome branch selection stream.
-func FilteredSeries(selections []int, initProb float64, window int, threshold float64) []SeriesPoint {
-	return core.FilteredSeries(selections, initProb, window, threshold)
 }
 
 // GenerateRandom builds a TGFF-style random CTG and a matching platform.
@@ -570,13 +359,6 @@ func MovieClips() []Movie { return trace.MovieClips() }
 // sequence of road segments.
 func RoadSequence(g *Graph, seed int64, n int) Vectors { return trace.RoadSequence(g, seed, n) }
 
-// FluctuatingVectors generates decision vectors with equal long-run branch
-// averages but large scene-level fluctuation (the paper's Tables 4/5
-// workload).
-func FluctuatingVectors(g *Graph, seed int64, n int, amplitude float64) Vectors {
-	return trace.Fluctuating(g, seed, n, amplitude)
-}
-
 // AverageProbs measures the empirical per-fork outcome frequencies of a
 // vector sequence.
 func AverageProbs(g *Graph, v Vectors) [][]float64 { return trace.AverageProbs(g, v) }
@@ -593,20 +375,3 @@ func SaveWorkload(path string, g *Graph, p *Platform) error {
 // LoadWorkload reads a workload file; the platform is nil when the file has
 // no platform section.
 func LoadWorkload(path string) (*Graph, *Platform, error) { return ctgio.ReadFile(path) }
-
-// WriteWorkload renders a workload to an io.Writer.
-func WriteWorkload(w io.Writer, g *Graph, p *Platform) error { return ctgio.Write(w, g, p) }
-
-// ReadWorkload parses a workload from an io.Reader.
-func ReadWorkload(r io.Reader) (*Graph, *Platform, error) { return ctgio.Read(r) }
-
-// Parallelism returns the worker bound of the scenario engine (package
-// internal/par): the maximum number of goroutines any one parallel stage —
-// per-scenario stretching, exhaustive replay, experiment fan-out — uses.
-func Parallelism() int { return par.Limit() }
-
-// SetParallelism bounds the scenario engine's workers and returns the
-// previous bound. n = 1 forces fully serial execution (useful for
-// deterministic profiling baselines); n <= 0 restores the default
-// (GOMAXPROCS). Results are bit-for-bit identical at every setting.
-func SetParallelism(n int) int { return par.SetLimit(n) }

@@ -1,7 +1,6 @@
 package ctgdvfs_test
 
 import (
-	"bytes"
 	"path/filepath"
 	"testing"
 
@@ -38,18 +37,6 @@ func TestFacadeWorkloadIO(t *testing.T) {
 	if s1.ExpectedEnergy() != s2.ExpectedEnergy() {
 		t.Fatalf("energies diverge after round trip: %v vs %v",
 			s1.ExpectedEnergy(), s2.ExpectedEnergy())
-	}
-
-	var buf bytes.Buffer
-	if err := ctgdvfs.WriteWorkload(&buf, g, nil); err != nil {
-		t.Fatal(err)
-	}
-	g3, p3, err := ctgdvfs.ReadWorkload(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3 != nil || g3.NumTasks() != g.NumTasks() {
-		t.Fatal("graph-only stream round trip failed")
 	}
 }
 

@@ -1,7 +1,6 @@
 package ctgdvfs_test
 
 import (
-	"math"
 	"testing"
 
 	"ctgdvfs"
@@ -61,14 +60,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if sum.Misses != 0 {
 		t.Fatalf("%d deadline misses", sum.Misses)
-	}
-
-	inst, err := ctgdvfs.ReplayDecisions(s, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inst.Executed != 3 {
-		t.Fatalf("executed %d tasks, want 3 (fork, fast, join)", inst.Executed)
 	}
 
 	// Separate stretchers on fresh plans.
@@ -166,30 +157,5 @@ func TestFacadeWorkloads(t *testing.T) {
 	road := ctgdvfs.RoadSequence(cg, 7, 100)
 	if len(road) != 100 {
 		t.Fatal("road vector count wrong")
-	}
-	fl := ctgdvfs.FluctuatingVectors(g, 3, 100, 0.4)
-	if len(fl) != 100 {
-		t.Fatal("fluctuating vector count wrong")
-	}
-}
-
-func TestFacadeHelpers(t *testing.T) {
-	if ctgdvfs.Uncond().IsConditional() {
-		t.Fatal("Uncond must be unconditional")
-	}
-	c := ctgdvfs.When(3, 1)
-	if !c.IsConditional() || c.Branch() != 3 || c.Outcome() != 1 {
-		t.Fatal("When accessor mismatch")
-	}
-	d := ctgdvfs.DiscreteDVFS(0.5, 1)
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Clamp(0.3); got != 0.5 {
-		t.Fatalf("Clamp = %v", got)
-	}
-	pts := ctgdvfs.FilteredSeries([]int{1, 1, 1, 1}, 0, 2, 0.4)
-	if len(pts) != 4 || math.Abs(pts[3].WindowProb-1) > 1e-12 {
-		t.Fatal("FilteredSeries behavior wrong")
 	}
 }

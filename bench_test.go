@@ -15,7 +15,11 @@ import (
 
 	"ctgdvfs"
 	"ctgdvfs/internal/apps/mpeg"
+	"ctgdvfs/internal/faults"
+	"ctgdvfs/internal/par"
+	"ctgdvfs/internal/series"
 	"ctgdvfs/internal/serve"
+	"ctgdvfs/internal/telemetry"
 	"ctgdvfs/internal/trace"
 )
 
@@ -61,7 +65,7 @@ func BenchmarkAdaptiveStepMPEG(b *testing.B) {
 // --- Parallel scenario engine: serial vs parallel ---
 //
 // The two Exhaustive benchmarks measure all-scenario replay with the worker
-// pool forced serial (SetParallelism(1)) and at the default bound; their
+// pool forced serial (par.SetLimit(1)) and at the default bound; their
 // ratio is the engine's speedup (not measurable on a single-core host).
 // Results are bit-for-bit identical at every setting, so the comparison is
 // pure engine overhead/speedup.
@@ -81,8 +85,8 @@ func benchExhaustive(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prev := ctgdvfs.SetParallelism(workers)
-	defer ctgdvfs.SetParallelism(prev)
+	prev := par.SetLimit(workers)
+	defer par.SetLimit(prev)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ctgdvfs.Exhaustive(s, ctgdvfs.SimConfig{}); err != nil {
@@ -119,7 +123,7 @@ var flightBenchEvent = ctgdvfs.TelemetryEvent{
 // ring write. Zero allocs/op is the design invariant that makes the black
 // box safe to leave always on.
 func BenchmarkFlightRecorderRecord(b *testing.B) {
-	fr := ctgdvfs.NewFlightRecorder(0)
+	fr := telemetry.NewFlightRecorder(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -130,7 +134,7 @@ func BenchmarkFlightRecorderRecord(b *testing.B) {
 // BenchmarkFlightRecorderDisabled measures the nil-receiver path — "flight
 // recorder not installed" must cost one branch and zero allocations.
 func BenchmarkFlightRecorderDisabled(b *testing.B) {
-	var fr *ctgdvfs.FlightRecorder
+	var fr *telemetry.FlightRecorder
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -146,7 +150,7 @@ func BenchmarkAdaptiveStepFailover(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tl, err := ctgdvfs.NewFailureTimeline(ctgdvfs.FailureSpec{Seed: 42, PEFailProb: 0.02, PERepair: 10}, p.NumPEs())
+	tl, err := faults.NewTimeline(faults.FailureSpec{Seed: 42, PEFailProb: 0.02, PERepair: 10}, p.NumPEs())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -183,7 +187,7 @@ func benchSeriesRegistry() *ctgdvfs.MetricsRegistry {
 // on.
 func BenchmarkSeriesTick(b *testing.B) {
 	reg := benchSeriesRegistry()
-	st := ctgdvfs.NewSeriesStore(ctgdvfs.SeriesStoreOptions{Registry: reg})
+	st := series.NewStore(series.StoreOptions{Registry: reg})
 	st.Tick(0, nil, nil, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -197,14 +201,14 @@ func BenchmarkSeriesTick(b *testing.B) {
 // steady state, which must stay allocation-free too.
 func BenchmarkSeriesTickRules(b *testing.B) {
 	reg := benchSeriesRegistry()
-	st := ctgdvfs.NewSeriesStore(ctgdvfs.SeriesStoreOptions{Registry: reg, Rules: []ctgdvfs.SeriesRule{
+	st := series.NewStore(series.StoreOptions{Registry: reg, Rules: []series.Rule{
 		{Name: "miss", Metric: "adaptive.miss_rate_window", Value: 10},
 		{Name: "guard", Metric: "adaptive.guard_level", Op: ">=", Value: 10},
 		{Name: "climb", Metric: "adaptive.miss_rate", Kind: "rate", Value: 10},
 		{Name: "late", Metric: "adaptive.lateness.p95", Value: 1e9},
 	}})
 	rec := ctgdvfs.NewMemoryRecorder()
-	seq := ctgdvfs.NewSequencer()
+	seq := telemetry.NewSequencer()
 	st.Tick(0, rec, seq, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -217,7 +221,7 @@ func BenchmarkSeriesTickRules(b *testing.B) {
 // sampling the manager's own registry on every instance boundary: the cost
 // of always-on sampling.
 func BenchmarkAdaptiveStepSeries(b *testing.B) {
-	st := ctgdvfs.NewSeriesStore(ctgdvfs.SeriesStoreOptions{Registry: ctgdvfs.NewMetricsRegistry()})
+	st := series.NewStore(series.StoreOptions{Registry: ctgdvfs.NewMetricsRegistry()})
 	benchMPEGStep(b, ctgdvfs.AdaptiveOptions{Metrics: st.Registry(), Series: st})
 }
 

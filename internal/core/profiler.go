@@ -83,23 +83,8 @@ func seedWindow(probs []float64, window int) []int {
 	return buf
 }
 
-// Window returns the configured window length.
-func (p *Profiler) Window() int { return p.window }
-
-// Observe shifts a new decision for the given fork (dense fork index) into
-// its window, evicting the oldest.
-func (p *Profiler) Observe(forkIdx, outcome int) error {
-	if forkIdx < 0 || forkIdx >= len(p.buf) {
-		return fmt.Errorf("core: fork index %d out of range", forkIdx)
-	}
-	if outcome < 0 || outcome >= len(p.counts[forkIdx]) {
-		return fmt.Errorf("core: outcome %d out of range for fork index %d", outcome, forkIdx)
-	}
-	p.shift(forkIdx, outcome)
-	return nil
-}
-
-// shift is Observe without the range checks.
+// shift moves outcome into the window of fork fi (dense fork index),
+// evicting the oldest decision. The caller has range-checked both.
 func (p *Profiler) shift(fi, outcome int) {
 	old := p.buf[fi][p.pos[fi]]
 	p.counts[fi][old]--
@@ -124,11 +109,9 @@ func (p *Profiler) count(fi, k, o int) int {
 	return c
 }
 
-// Estimate returns the windowed probability estimate of the fork (dense
-// fork index): the raw outcome frequencies within the window.
-func (p *Profiler) Estimate(forkIdx int) []float64 { return p.estimate(forkIdx, -1) }
-
-// estimate is Estimate with outcome o staged (see count).
+// estimate returns the windowed probability estimate of fork fi (dense fork
+// index), the raw outcome frequencies within the window, with outcome o
+// staged (see count; -1 stages nothing).
 func (p *Profiler) estimate(fi, o int) []float64 {
 	out := make([]float64, len(p.counts[fi]))
 	for k := range out {

@@ -127,11 +127,6 @@ func TestNewValidatesRecoveryOptions(t *testing.T) {
 			t.Errorf("options %d (%+v) accepted", i, o)
 		}
 	}
-	var o Options
-	o.SetWindow(0)
-	if _, err := New(g, p, o); err == nil {
-		t.Error("explicit zero window accepted")
-	}
 	// SetThreshold(0) is the legitimate always-reschedule edge.
 	var o2 Options
 	o2.SetThreshold(0)

@@ -200,14 +200,12 @@ func TestProfilerEstimateIntoEquivalence(t *testing.T) {
 	}
 	for i := 0; i < 25; i++ {
 		for fi := 0; fi < g.NumForks(); fi++ {
-			if err := p.Observe(fi, i%p.NumOutcomes(fi)); err != nil {
-				t.Fatal(err)
-			}
+			p.shift(fi, i%p.NumOutcomes(fi))
 		}
 	}
 	var buf []float64
 	for fi := 0; fi < g.NumForks(); fi++ {
-		est := p.Estimate(fi)
+		est := p.estimate(fi, -1)
 		buf = p.EstimateInto(fi, buf[:0])
 		if len(buf) != len(est) {
 			t.Fatalf("fork %d: EstimateInto len %d, Estimate len %d", fi, len(buf), len(est))

@@ -38,12 +38,6 @@ func (b Bitset) Set(i int) {
 	b.words[i/64] |= 1 << uint(i%64)
 }
 
-// Clear unmarks bit i.
-func (b Bitset) Clear(i int) {
-	b.check(i)
-	b.words[i/64] &^= 1 << uint(i%64)
-}
-
 // Get reports whether bit i is set.
 func (b Bitset) Get(i int) bool {
 	b.check(i)
@@ -111,19 +105,6 @@ func (b Bitset) IntersectWith(o Bitset) {
 	for i, w := range o.words {
 		b.words[i] &= w
 	}
-}
-
-// Equal reports whether b and o contain exactly the same bits.
-func (b Bitset) Equal(o Bitset) bool {
-	if b.n != o.n {
-		return false
-	}
-	for i := range b.words {
-		if b.words[i] != o.words[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ForEach calls fn for every set bit in increasing order.

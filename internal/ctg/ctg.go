@@ -12,10 +12,10 @@
 //     volumes, a common deadline, and per-fork branch probabilities),
 //   - scenario analysis: enumeration of the leaf minterms of the graph with
 //     their probabilities, per-task activation sets X(τ), activation
-//     probabilities prob(τ), and the mutual-exclusion relation, and
-//   - path analysis: enumeration of maximal source→sink paths (optionally
-//     through schedule-induced pseudo edges) with their edge conditions,
-//     which drives the slack-distribution DVFS heuristics.
+//     probabilities prob(τ), and the mutual-exclusion relation.
+//
+// The per-minterm critical paths the DVFS heuristics read are computed by
+// internal/stretch with a longest-path DP; no maximal-path set is built.
 package ctg
 
 import (

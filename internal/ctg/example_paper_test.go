@@ -182,96 +182,6 @@ func TestPaperExampleDecisions(t *testing.T) {
 	}
 }
 
-func TestPaperExamplePaths(t *testing.T) {
-	g := paperFigure1(t, []float64{0.4, 0.6}, []float64{0.5, 0.5})
-	paths, err := EnumeratePaths(g, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Maximal paths: 1-2-8, 1-3-4-8, 1-3-5-6, 1-3-5-7.
-	want := map[string]bool{
-		"t0->t1->t7":     true,
-		"t0->t2->t3->t7": true,
-		"t0->t2->t4->t5": true,
-		"t0->t2->t4->t6": true,
-	}
-	if len(paths) != len(want) {
-		t.Fatalf("got %d paths: %v", len(paths), paths)
-	}
-	for _, p := range paths {
-		if !want[p.String()] {
-			t.Fatalf("unexpected path %s", p.String())
-		}
-	}
-	// prob(τ1-τ3-τ5-τ6, τ5) = prob(b1) = 0.5 (paper's worked example).
-	for i := range paths {
-		p := &paths[i]
-		if p.String() == "t0->t2->t4->t5" {
-			pos, ok := p.Spans(4)
-			if !ok {
-				t.Fatal("path must span tau5")
-			}
-			if got := p.ProbAfter(g, pos); math.Abs(got-0.5) > 1e-12 {
-				t.Fatalf("prob(p, tau5) = %v, want 0.5", got)
-			}
-			// From the first node, prob covers every condition on the path.
-			if got := p.ProbAfter(g, 0); math.Abs(got-0.6*0.5) > 1e-12 {
-				t.Fatalf("prob(p, tau1) = %v, want 0.3", got)
-			}
-			if p.Unconditional() {
-				t.Fatal("path is conditional")
-			}
-		}
-		// prob(τ1-τ3-τ4-τ8, τ8) = 1 (paper's second worked example).
-		if p.String() == "t0->t2->t3->t7" {
-			pos, _ := p.Spans(7)
-			if got := p.ProbAfter(g, pos); got != 1 {
-				t.Fatalf("prob(p, tau8) = %v, want 1", got)
-			}
-		}
-	}
-}
-
-func TestPaperExamplePathMintermMembership(t *testing.T) {
-	g := paperFigure1(t, []float64{0.4, 0.6}, []float64{0.5, 0.5})
-	a, err := Analyze(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths, err := EnumeratePaths(g, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The unconditional path τ1-τ2-τ8 is consistent with every scenario;
-	// the a1 path only with the a1 leaf.
-	for i := range paths {
-		p := &paths[i]
-		n := 0
-		for si := 0; si < a.NumScenarios(); si++ {
-			if p.ConsistentWith(g, a.Scenario(si).Assign) {
-				n++
-			}
-		}
-		switch p.String() {
-		case "t0->t1->t7":
-			if n != 3 {
-				t.Fatalf("unconditional path consistent with %d scenarios, want 3", n)
-			}
-			if !p.Unconditional() {
-				t.Fatal("path τ1-τ2-τ8 should be unconditional")
-			}
-		case "t0->t2->t3->t7":
-			if n != 1 {
-				t.Fatalf("a1 path consistent with %d scenarios, want 1", n)
-			}
-		default:
-			if n != 1 {
-				t.Fatalf("path %s consistent with %d scenarios, want 1", p, n)
-			}
-		}
-	}
-}
-
 func TestReweightTracksProbChanges(t *testing.T) {
 	g := paperFigure1(t, []float64{0.4, 0.6}, []float64{0.5, 0.5})
 	a, err := Analyze(g)

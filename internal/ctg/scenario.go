@@ -240,10 +240,6 @@ func (a *Analysis) NumScenarios() int { return len(a.scenarios) }
 // Scenario returns the i-th leaf minterm.
 func (a *Analysis) Scenario(i int) Scenario { return a.scenarios[i] }
 
-// Scenarios returns all leaf minterms. The returned slice must not be
-// modified.
-func (a *Analysis) Scenarios() []Scenario { return a.scenarios }
-
 // ScenarioLabel renders scenario i as a condition product like "b3=0·b5=1".
 func (a *Analysis) ScenarioLabel(i int) string { return a.scenarios[i].label(a.g) }
 

@@ -157,100 +157,11 @@ func TestDecisionResolutionMatchesActivation(t *testing.T) {
 			if need != NoBranch {
 				t.Fatalf("seed %d: full assignment still needs fork %d", seed, need)
 			}
-			if !active.Equal(a.Scenario(si).Active) {
+			want := a.Scenario(si).Active
+			if !active.ContainsAll(want) || !want.ContainsAll(active) {
 				t.Fatalf("seed %d dec %v: active set mismatch\n got %v\nwant %v",
 					seed, dec, a.Scenario(si).Active, active)
 			}
 		}
-	}
-}
-
-func TestPathsCoverEveryTask(t *testing.T) {
-	// Every task lies on at least one maximal path.
-	for seed := int64(0); seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(200 + seed))
-		g := randomCTG(t, rng, 15, 2)
-		paths, err := EnumeratePaths(g, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		covered := make([]bool, g.NumTasks())
-		for i := range paths {
-			for _, n := range paths[i].Nodes {
-				covered[n] = true
-			}
-		}
-		for ti, c := range covered {
-			if !c {
-				t.Fatalf("seed %d: task %d on no path", seed, ti)
-			}
-		}
-	}
-}
-
-func TestEnumeratePathsRespectsCap(t *testing.T) {
-	// A wide diamond ladder has exponentially many paths; the cap must trip.
-	b := NewBuilder()
-	prev := b.AddTask("", AndNode)
-	for i := 0; i < 12; i++ {
-		l := b.AddTask("", AndNode)
-		r := b.AddTask("", AndNode)
-		join := b.AddTask("", AndNode)
-		b.AddEdge(prev, l, 0)
-		b.AddEdge(prev, r, 0)
-		b.AddEdge(l, join, 0)
-		b.AddEdge(r, join, 0)
-		prev = join
-	}
-	g, err := b.Build(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := EnumeratePaths(g, nil, 100); err == nil {
-		t.Fatal("want error when path cap exceeded")
-	}
-	if paths, err := EnumeratePaths(g, nil, 1<<13); err != nil || len(paths) != 4096 {
-		t.Fatalf("got %d paths, err %v; want 4096", len(paths), err)
-	}
-}
-
-func TestEnumeratePathsExtraEdges(t *testing.T) {
-	// Pseudo edges extend the path set: serialize two parallel tasks.
-	b := NewBuilder()
-	src := b.AddTask("", AndNode)
-	x := b.AddTask("", AndNode)
-	y := b.AddTask("", AndNode)
-	b.AddEdge(src, x, 0)
-	b.AddEdge(src, y, 0)
-	g, err := b.Build(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths, err := EnumeratePaths(g, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) != 2 {
-		t.Fatalf("got %d paths before pseudo edge", len(paths))
-	}
-	paths, err = EnumeratePaths(g, []Edge{{From: x, To: y, Pseudo: true}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// y is now the only sink; maximal paths are src->x->y and src->y.
-	if len(paths) != 2 {
-		t.Fatalf("got %d paths after pseudo edge: %v", len(paths), paths)
-	}
-	found := false
-	for i := range paths {
-		if paths[i].String() == "t0->t1->t2" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("pseudo-edge path src->x->y missing")
-	}
-	if _, err := EnumeratePaths(g, []Edge{{From: x, To: TaskID(9)}}, 0); err == nil {
-		t.Fatal("want error for dangling extra edge")
 	}
 }

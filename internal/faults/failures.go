@@ -186,9 +186,6 @@ func NewTimeline(spec FailureSpec, numPEs int) (*Timeline, error) {
 	return tl, nil
 }
 
-// Spec returns the validated spec (with defaulted repair times filled in).
-func (t *Timeline) Spec() FailureSpec { return t.spec }
-
 // NumPEs returns the PE count the timeline was built for.
 func (t *Timeline) NumPEs() int { return t.pes }
 

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -236,7 +237,7 @@ func TestSpecFileRoundTrip(t *testing.T) {
 			Events: []FailureEvent{{Kind: EventPE, PE: 1, Instance: 50, Duration: 10}},
 		},
 	}
-	data, err := f.Encode()
+	data, err := json.Marshal(f)
 	if err != nil {
 		t.Fatal(err)
 	}

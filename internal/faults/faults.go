@@ -144,9 +144,6 @@ func New(spec Spec, numTasks, numPEs int) (*Plan, error) {
 	return p, nil
 }
 
-// Spec returns the validated spec (with defaulted factors filled in).
-func (p *Plan) Spec() Spec { return p.spec }
-
 // pickHotTasks selects HotTasks distinct tasks by ranking every task on an
 // independent hash score — deterministic in the seed, uniform over tasks.
 func (p *Plan) pickHotTasks() {

@@ -188,10 +188,10 @@ func TestDefaultedFactors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Spec().HotFactor != 1.3 {
-		t.Fatalf("HotFactor should default to OverrunFactor, got %v", p.Spec().HotFactor)
+	if p.spec.HotFactor != 1.3 {
+		t.Fatalf("HotFactor should default to OverrunFactor, got %v", p.spec.HotFactor)
 	}
-	if p.Spec().PESlowFactor != 1 {
-		t.Fatalf("PESlowFactor should default to 1, got %v", p.Spec().PESlowFactor)
+	if p.spec.PESlowFactor != 1 {
+		t.Fatalf("PESlowFactor should default to 1, got %v", p.spec.PESlowFactor)
 	}
 }

@@ -65,16 +65,3 @@ func LoadSpecFile(path string) (*SpecFile, error) {
 	}
 	return DecodeSpecFile(data)
 }
-
-// Encode renders the file as indented JSON, validating first so a bad spec
-// cannot round-trip into a checked-in artifact.
-func (f *SpecFile) Encode() ([]byte, error) {
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("faults: encode spec file: %w", err)
-	}
-	return append(data, '\n'), nil
-}

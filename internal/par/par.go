@@ -119,11 +119,6 @@ func run(n, workers int, body func(worker, i int)) {
 	}
 }
 
-// ForEach runs fn(i) for every i in [0, n) on the pool.
-func ForEach(n int, fn func(i int)) {
-	run(n, workersFor(n), func(_, i int) { fn(i) })
-}
-
 // MapErr computes out[i], errs[i] = fn(i) for every i in [0, n) on the pool.
 // All indices run (no short-circuit, so the result slice is fully
 // populated); if any invocation fails, the error with the lowest index is

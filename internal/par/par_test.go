@@ -27,7 +27,7 @@ func TestMapOrdersResultsByIndex(t *testing.T) {
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	const n = 500
 	var counts [n]atomic.Int64
-	ForEach(n, func(i int) { counts[i].Add(1) })
+	run(n, workersFor(n), func(_, i int) { counts[i].Add(1) })
 	for i := range counts {
 		if c := counts[i].Load(); c != 1 {
 			t.Fatalf("index %d ran %d times", i, c)
@@ -79,7 +79,7 @@ func TestMapErrStillPopulatesResults(t *testing.T) {
 func TestSetLimitBoundsConcurrency(t *testing.T) {
 	defer SetLimit(SetLimit(3))
 	var cur, peak atomic.Int64
-	ForEach(64, func(int) {
+	run(64, workersFor(64), func(_, _ int) {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -98,7 +98,7 @@ func TestSerialFallbackRunsInline(t *testing.T) {
 	defer SetLimit(SetLimit(1))
 	order := make([]int, 0, 10)
 	// With limit 1 the loop must run in index order on this goroutine.
-	ForEach(10, func(i int) { order = append(order, i) })
+	run(10, workersFor(10), func(_, i int) { order = append(order, i) })
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("serial fallback out of order: %v", order)
@@ -143,7 +143,7 @@ func TestPanicInWorkerPropagatesAtEveryBound(t *testing.T) {
 			}()
 			// Two panicking indices: the lower one must win at every bound,
 			// matching what a serial loop would raise first.
-			ForEach(n, func(i int) {
+			run(n, workersFor(n), func(_, i int) {
 				if i == 7 || i == 40 {
 					panic(fmt.Sprintf("boom %d", i))
 				}
@@ -165,7 +165,7 @@ func TestPanicDoesNotStarveSiblingIndices(t *testing.T) {
 				t.Fatal("panic swallowed")
 			}
 		}()
-		ForEach(n, func(i int) {
+		run(n, workersFor(n), func(_, i int) {
 			ran[i].Add(1)
 			if i == 13 {
 				panic(errors.New("unlucky"))

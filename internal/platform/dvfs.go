@@ -84,14 +84,6 @@ func (d DVFS) Clamp(s float64) float64 {
 	return d.Levels[i]
 }
 
-// ExecTime returns the execution time of a task with the given full-speed
-// WCET when run at speed s.
-func (d DVFS) ExecTime(wcet, s float64) float64 { return wcet / s }
-
-// ExecEnergy returns the energy of a task with the given nominal energy
-// when run at speed s.
-func (d DVFS) ExecEnergy(nominal, s float64) float64 { return nominal * s * s }
-
 // SpeedForTime returns the (clamped) speed required to finish a task with
 // the given full-speed WCET within the given time budget.
 func (d DVFS) SpeedForTime(wcet, budget float64) float64 {

@@ -3,7 +3,6 @@ package platform
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func buildSmall(t *testing.T) *Platform {
@@ -115,12 +114,6 @@ func TestDVFSContinuous(t *testing.T) {
 	if got := d.Clamp(math.NaN()); got != 1 {
 		t.Fatalf("Clamp(NaN) = %v, want 1", got)
 	}
-	if got := d.ExecTime(10, 0.5); got != 20 {
-		t.Fatalf("ExecTime = %v, want 20", got)
-	}
-	if got := d.ExecEnergy(8, 0.5); got != 2 {
-		t.Fatalf("ExecEnergy = %v, want 2", got)
-	}
 	if got := d.SpeedForTime(10, 40); got != 0.25 {
 		t.Fatalf("SpeedForTime = %v, want 0.25", got)
 	}
@@ -161,28 +154,5 @@ func TestDVFSValidation(t *testing.T) {
 		if err := d.Validate(); err == nil {
 			t.Fatalf("case %d: want validation error", i)
 		}
-	}
-}
-
-// Property: for any clamped speed, energy decreases and time increases
-// monotonically as the speed drops, and energy·time ≥ wcet·E·s (sanity of
-// the quadratic model).
-func TestDVFSMonotonicityProperty(t *testing.T) {
-	d := Continuous()
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	f := func(a, b float64) bool {
-		sa := d.Clamp(math.Abs(a))
-		sb := d.Clamp(math.Abs(b))
-		if sa > sb {
-			sa, sb = sb, sa
-		}
-		const wcet, e = 10, 4
-		return d.ExecTime(wcet, sa) >= d.ExecTime(wcet, sb) &&
-			d.ExecEnergy(e, sa) <= d.ExecEnergy(e, sb)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

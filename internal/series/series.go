@@ -34,24 +34,19 @@ const (
 
 var histSuffixes = [5]string{SuffixCount, SuffixMean, SuffixP50, SuffixP95, SuffixP99}
 
-// Series is one named ring of (tick, value) samples, oldest overwritten
-// first. Ticks are the producer's sim-time index (the instance), not
-// timestamps.
+// Series is one ring of (tick, value) samples, oldest overwritten first;
+// its store keys it by name. Ticks are the producer's sim-time index (the
+// instance), not timestamps.
 type Series struct {
-	name string
 	t    []int
 	v    []float64
 	head int // next write slot
 	n    int // live samples (≤ cap)
 }
 
-func newSeries(name string, capacity int) *Series {
-	return &Series{name: name, t: make([]int, capacity), v: make([]float64, capacity)}
+func newSeries(capacity int) *Series {
+	return &Series{t: make([]int, capacity), v: make([]float64, capacity)}
 }
-
-// Name returns the series name (the registry metric name, plus a histogram
-// suffix for expanded histogram series).
-func (s *Series) Name() string { return s.name }
 
 // Len returns the number of live samples (≤ capacity).
 func (s *Series) Len() int { return s.n }
@@ -287,12 +282,12 @@ func (st *Store) discover(nc, ng, nh int) {
 	sort.Strings(newGauges)
 	sort.Strings(newHists)
 	for _, name := range newCounters {
-		s := newSeries(name, st.capacity)
+		s := newSeries(st.capacity)
 		st.byName[name] = s
 		st.counters = append(st.counters, counterHandle{c: st.reg.Counter(name), s: s})
 	}
 	for _, name := range newGauges {
-		s := newSeries(name, st.capacity)
+		s := newSeries(st.capacity)
 		st.byName[name] = s
 		st.gauges = append(st.gauges, gaugeHandle{g: st.reg.Gauge(name), s: s})
 	}
@@ -301,7 +296,7 @@ func (st *Store) discover(nc, ng, nh int) {
 		// zero layout resolves the already-created handle.
 		h := histHandle{h: st.reg.Histogram(name, 0, 1, 1)}
 		for i, suf := range histSuffixes {
-			s := newSeries(name+suf, st.capacity)
+			s := newSeries(st.capacity)
 			st.byName[name+suf] = s
 			h.s[i] = s
 		}
@@ -333,7 +328,7 @@ func NewCollector(capacity int) *Collector {
 func (c *Collector) Observe(name string, t int, v float64) {
 	s, ok := c.byName[name]
 	if !ok {
-		s = newSeries(name, c.capacity)
+		s = newSeries(c.capacity)
 		c.byName[name] = s
 	}
 	s.push(t, v)

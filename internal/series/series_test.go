@@ -9,7 +9,7 @@ import (
 )
 
 func TestRingWrap(t *testing.T) {
-	s := newSeries("x", 4)
+	s := newSeries(4)
 	for i := 0; i < 10; i++ {
 		s.push(i, float64(i)*2)
 	}
@@ -28,7 +28,7 @@ func TestRingWrap(t *testing.T) {
 }
 
 func TestSeriesAggregates(t *testing.T) {
-	s := newSeries("x", 8)
+	s := newSeries(8)
 	if _, v := s.Last(); !math.IsNaN(v) {
 		t.Fatalf("empty Last value = %g, want NaN", v)
 	}

@@ -233,13 +233,6 @@ func (c *Client) Status(ctx context.Context, tenant string) (TenantStatus, error
 	return st, err
 }
 
-// Checkpoint forces a snapshot of one tenant.
-func (c *Client) Checkpoint(ctx context.Context, tenant string) (TenantStatus, error) {
-	var st TenantStatus
-	err := c.do(ctx, http.MethodPost, "/v1/tenants/"+tenant+"/checkpoint", nil, &st)
-	return st, err
-}
-
 // Health fetches the daemon health report.
 func (c *Client) Health(ctx context.Context) (DaemonHealth, error) {
 	var h DaemonHealth

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -377,7 +378,8 @@ func (s *Server) CreateTenant(spec TenantSpec) (TenantStatus, error) {
 }
 
 // RemoveTenant stops and forgets a tenant, deleting its snapshots so it does
-// not resurrect at the next daemon start.
+// not resurrect at the next daemon start. The tenant is gone even when the
+// returned error reports that its event stream failed to write.
 func (s *Server) RemoveTenant(name string) error {
 	s.mu.Lock()
 	t, ok := s.tenants[name]
@@ -390,13 +392,13 @@ func (s *Server) RemoveTenant(name string) error {
 		return ErrUnknownTenant
 	}
 	t.halt()
-	t.closeSinks()
+	err := t.closeSinks()
 	if dir := s.opts.CheckpointDir; dir != "" {
 		p := snapshotPath(dir, name)
 		os.Remove(p)
 		os.Remove(p + ".prev")
 	}
-	return nil
+	return err
 }
 
 // tenant looks one tenant up.
@@ -590,7 +592,8 @@ func (s *Server) Health() DaemonHealth {
 }
 
 // Close shuts the daemon down gracefully: no new admissions, workers drained
-// and stopped, a final checkpoint per tenant, telemetry flushed.
+// and stopped, a final checkpoint per tenant, telemetry flushed. It returns
+// the first checkpoint or event-stream error.
 func (s *Server) Close() error {
 	if s.closed.Swap(true) {
 		return nil
@@ -609,7 +612,9 @@ func (s *Server) Close() error {
 			first = err
 		}
 		t.stMu.Unlock()
-		t.closeSinks()
+		if err := t.closeSinks(); err != nil && first == nil {
+			first = err
+		}
 	}
 	return first
 }
@@ -739,13 +744,25 @@ const (
 	maxSubmitBody = 64 << 20
 )
 
-// decodeBody decodes a JSON request body of at most limit bytes. A body over
-// the limit returns the *http.MaxBytesError itself (413 body_too_large); any
-// other decode failure is a client error (400).
+// decodeBody decodes a JSON request body of at most limit bytes. The body
+// must be exactly one JSON value whose fields v declares: an unknown (say,
+// misspelt) field or data after the value is a client error (400), like any
+// other decode failure. A body over the limit returns the
+// *http.MaxBytesError itself (413 body_too_large).
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) error {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
 	var tooLarge *http.MaxBytesError
-	if err == nil || errors.As(err, &tooLarge) {
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
+		}
+		if !errors.As(err, &tooLarge) {
+			err = errors.New("unexpected data after the JSON value")
+		}
+	}
+	if errors.As(err, &tooLarge) {
 		return err
 	}
 	return clientErrorf("decode %s: %v", what, err)

@@ -237,11 +237,18 @@ func (t *tenant) halt() {
 	}
 }
 
-// closeSinks flushes and closes the tenant's owned sinks (the JSONL stream).
-func (t *tenant) closeSinks() {
-	if t.events != nil {
-		t.events.Close()
+// closeSinks flushes and closes the tenant's owned sinks (the JSONL stream)
+// and returns the stream's first write error, so a full disk that truncated
+// <name>.events.jsonl is reported, not lost. Callers that are already
+// failing with an error of their own drop it.
+func (t *tenant) closeSinks() error {
+	if t.events == nil {
+		return nil
 	}
+	if err := t.events.Close(); err != nil {
+		return fmt.Errorf("serve: events stream for %s: %w", t.name, err)
+	}
+	return nil
 }
 
 func (t *tenant) worker() {
@@ -286,9 +293,10 @@ func (t *tenant) handle(req *stepReq) {
 	// Drain the event stream's write buffer after every request so a later
 	// kill -9 loses at most the in-flight step's events — in particular,
 	// tenant_panic records are durable the moment the caller sees the
-	// outcome. JSONLRecorder.Flush is self-locking.
+	// outcome. JSONLRecorder.Flush is self-locking. Its error is sticky:
+	// closeSinks returns it when the tenant is removed or the daemon closes.
 	if t.events != nil {
-		t.events.Flush()
+		_ = t.events.Flush()
 	}
 	req.done <- d
 }

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 
 	"ctgdvfs/internal/ctg"
@@ -170,24 +168,5 @@ func TestMaxFactorBoundsSlip(t *testing.T) {
 					si, instIdx, inst.Makespan, inst.NominalMakespan, bound)
 			}
 		}
-	}
-}
-
-func TestSampleWithFaults(t *testing.T) {
-	s := faultWorkload(t, 15)
-	plan := faultPlan(t, s, faults.Spec{Seed: 5, OverrunProb: 0.3, OverrunFactor: 1.25})
-	est, err := Sample(s, rand.New(rand.NewSource(9)), 500, Config{Faults: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.ExpectedEnergy <= est.NominalExpectedEnergy {
-		t.Fatalf("sampled perturbed energy %v not above nominal %v",
-			est.ExpectedEnergy, est.NominalExpectedEnergy)
-	}
-	if est.Overruns == 0 {
-		t.Fatal("sampling recorded no overruns under a 30% plan")
-	}
-	if math.IsNaN(est.ExpectedLateness) || est.ExpectedLateness < 0 {
-		t.Fatalf("bad expected lateness %v", est.ExpectedLateness)
 	}
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"ctgdvfs/internal/ctg"
@@ -251,46 +250,5 @@ func TestStretchedSchedulesMeetDeadlineInEveryScenario(t *testing.T) {
 					seed, name, sum.Misses, sum.WorstMakespan, g2.Deadline())
 			}
 		}
-	}
-}
-
-func TestSampleConvergesToExhaustive(t *testing.T) {
-	g, p, err := tgff.Generate(tgff.Config{Seed: 31, Nodes: 18, PEs: 3, Branches: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := ctg.Analyze(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := sched.DLS(a, p, sched.Modified())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := stretch.Heuristic(s, platform.Continuous(), stretch.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	exact, err := Exhaustive(s, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := Sample(s, rand.New(rand.NewSource(1)), 4000, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if relErr := math.Abs(est.ExpectedEnergy-exact.ExpectedEnergy) / exact.ExpectedEnergy; relErr > 0.05 {
-		t.Fatalf("sampled energy %v vs exact %v (rel err %v)", est.ExpectedEnergy, exact.ExpectedEnergy, relErr)
-	}
-	if relErr := math.Abs(est.ExpectedMakespan-exact.ExpectedMakespan) / exact.ExpectedMakespan; relErr > 0.05 {
-		t.Fatalf("sampled makespan %v vs exact %v", est.ExpectedMakespan, exact.ExpectedMakespan)
-	}
-	if est.WorstMakespan > exact.WorstMakespan+1e-9 {
-		t.Fatal("sampled worst makespan exceeds the exhaustive worst case")
-	}
-	if est.Misses != 0 {
-		t.Fatalf("sampling found %d misses on a feasible schedule", est.Misses)
-	}
-	if _, err := Sample(s, rand.New(rand.NewSource(1)), 0, Config{}); err == nil {
-		t.Fatal("want error for non-positive sample size")
 	}
 }

@@ -147,17 +147,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.max
 }
 
-// Reset clears all observations, keeping the bucket layout.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.n = 0
-	h.sum = 0
-	h.min = math.Inf(1)
-	h.max = math.Inf(-1)
-}
-
 // Percentiles is the fixed P50/P95/P99 summary the runtime statistics report.
 type Percentiles struct {
 	P50, P95, P99 float64

@@ -67,17 +67,6 @@ func TestHistogramClampsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestHistogramReset(t *testing.T) {
-	a := MustHistogram(0, 10, 10)
-	for i := 0; i < 5; i++ {
-		a.Observe(float64(i))
-	}
-	a.Reset()
-	if a.Count() != 0 || a.Quantile(0.5) != 0 {
-		t.Fatal("reset did not clear")
-	}
-}
-
 func TestHistogramInvalid(t *testing.T) {
 	if _, err := NewHistogram(0, 10, 0); err == nil {
 		t.Fatal("0 buckets must fail")

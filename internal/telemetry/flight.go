@@ -18,11 +18,10 @@ import (
 // Events alias their Probs slices (like MemoryRecorder); producers emit
 // fresh slices, so the window stays immutable once captured.
 type FlightRecorder struct {
-	mu    sync.Mutex
-	buf   []Event
-	head  int    // next write slot
-	n     int    // live events (≤ len(buf))
-	total uint64 // events ever recorded
+	mu   sync.Mutex
+	buf  []Event
+	head int // next write slot
+	n    int // live events (≤ len(buf))
 }
 
 // NewFlightRecorder returns a recorder that keeps the most recent capacity
@@ -50,7 +49,6 @@ func (r *FlightRecorder) Record(e Event) {
 	if r.n < len(r.buf) {
 		r.n++
 	}
-	r.total++
 	r.mu.Unlock()
 }
 
@@ -79,24 +77,4 @@ func (r *FlightRecorder) Snapshot() []Event {
 		out[i] = r.buf[(start+i)%len(r.buf)]
 	}
 	return out
-}
-
-// Len returns the number of events currently held (≤ capacity).
-func (r *FlightRecorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
-// Total returns the number of events ever recorded.
-func (r *FlightRecorder) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
 }

@@ -7,16 +7,10 @@ import (
 
 func TestSequencerMonotonic(t *testing.T) {
 	s := NewSequencer()
-	if got := s.Last(); got != 0 {
-		t.Fatalf("fresh Last = %d, want 0", got)
-	}
 	for want := uint64(1); want <= 5; want++ {
 		if got := s.Next(); got != want {
 			t.Fatalf("Next = %d, want %d", got, want)
 		}
-	}
-	if got := s.Last(); got != 5 {
-		t.Fatalf("Last = %d, want 5", got)
 	}
 }
 
@@ -25,13 +19,10 @@ func TestFlightRecorderWindow(t *testing.T) {
 	for i := 1; i <= 6; i++ {
 		r.Record(Event{Kind: KindTaskSlice, Instance: i})
 	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
-	}
-	if r.Total() != 6 {
-		t.Fatalf("Total = %d, want 6", r.Total())
-	}
 	snap := r.Snapshot()
+	if len(snap) != 4 {
+		t.Fatalf("window holds %d events, want 4", len(snap))
+	}
 	for i, e := range snap {
 		if want := i + 3; e.Instance != want {
 			t.Fatalf("snapshot[%d].Instance = %d, want %d (oldest-first window)", i, e.Instance, want)
@@ -53,9 +44,6 @@ func TestFlightRecorderWindow(t *testing.T) {
 func TestFlightRecorderNilDisabled(t *testing.T) {
 	var r *FlightRecorder
 	r.Record(Event{Kind: KindFallback}) // must not panic
-	if r.Len() != 0 || r.Total() != 0 {
-		t.Fatal("nil recorder reported state")
-	}
 }
 
 func TestFlightRecorderZeroAllocSteadyState(t *testing.T) {

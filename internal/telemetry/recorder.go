@@ -44,13 +44,6 @@ func (r *MemoryRecorder) Events() []Event {
 	return append([]Event(nil), r.events...)
 }
 
-// Len returns the number of recorded events.
-func (r *MemoryRecorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
-}
-
 // CountByKind tallies the recorded events per kind.
 func (r *MemoryRecorder) CountByKind() map[Kind]int {
 	r.mu.Lock()
@@ -95,8 +88,8 @@ func NewJSONLRecorder(w io.Writer) *JSONLRecorder {
 }
 
 // Record encodes the event as one JSONL line. After the first encode/write
-// error the stream stops (the error is sticky; read it with Err); after Close
-// events are dropped and ErrRecordAfterClose recorded.
+// error the stream stops (the error is sticky; Flush and Close return it);
+// after Close events are dropped and ErrRecordAfterClose recorded.
 func (r *JSONLRecorder) Record(e Event) {
 	r.mu.Lock()
 	switch {
@@ -108,14 +101,6 @@ func (r *JSONLRecorder) Record(e Event) {
 		r.err = r.enc.Encode(e) // Encode appends the newline
 	}
 	r.mu.Unlock()
-}
-
-// Err returns the first encode/write error seen so far (nil while the stream
-// is healthy). Check it after a run — Record itself never reports failures.
-func (r *JSONLRecorder) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
 }
 
 // Flush drains the write buffer and returns the first error seen so far.

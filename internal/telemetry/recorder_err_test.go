@@ -29,7 +29,7 @@ func (w *failWriter) Close() error {
 }
 
 // TestJSONLRecorderSurfacesWriteErrors pins the no-silent-loss guarantee: the
-// first write failure is sticky and visible through Err, Flush and Close —
+// first write failure is sticky and visible through Flush and Close —
 // Record never panics or blocks, but the stream's failure cannot go unseen.
 func TestJSONLRecorderSurfacesWriteErrors(t *testing.T) {
 	w := &failWriter{okWrites: 0}
@@ -39,8 +39,8 @@ func TestJSONLRecorderSurfacesWriteErrors(t *testing.T) {
 	if err := r.Flush(); !errors.Is(err, errDiskFull) {
 		t.Fatalf("Flush = %v, want errDiskFull", err)
 	}
-	if err := r.Err(); !errors.Is(err, errDiskFull) {
-		t.Fatalf("Err = %v, want errDiskFull", err)
+	if err := r.Flush(); !errors.Is(err, errDiskFull) {
+		t.Fatalf("second Flush = %v, want errDiskFull", err)
 	}
 	// Later records are dropped without clearing the sticky error.
 	r.Record(Event{Kind: KindInstanceFinish})
@@ -59,7 +59,7 @@ func TestJSONLRecorderEncodeErrorSticky(t *testing.T) {
 	var buf bytes.Buffer
 	r := NewJSONLRecorder(&buf)
 	r.Record(Event{Kind: KindInstanceStart, Instance: 1})
-	if err := r.Err(); err != nil {
+	if err := r.Flush(); err != nil {
 		t.Fatalf("healthy stream reports %v", err)
 	}
 	if err := r.Close(); err != nil {
@@ -86,8 +86,8 @@ func TestJSONLRecorderClosedSinkGuard(t *testing.T) {
 	if buf.Len() != n {
 		t.Fatal("event written after Close")
 	}
-	if err := r.Err(); !errors.Is(err, ErrRecordAfterClose) {
-		t.Fatalf("Err = %v, want ErrRecordAfterClose", err)
+	if err := r.Flush(); !errors.Is(err, ErrRecordAfterClose) {
+		t.Fatalf("Flush = %v, want ErrRecordAfterClose", err)
 	}
 	// Idempotent: the second Close reports the sticky error, no new writes.
 	if err := r.Close(); !errors.Is(err, ErrRecordAfterClose) {
@@ -99,7 +99,7 @@ func TestJSONLRecorderClosedSinkGuard(t *testing.T) {
 	r2.Record(Event{Kind: KindInstanceStart})
 	r2.Close()
 	r2.Record(Event{Kind: KindInstanceFinish})
-	if err := r2.Err(); !errors.Is(err, errDiskFull) {
-		t.Fatalf("Err = %v, want first error (errDiskFull) kept", err)
+	if err := r2.Flush(); !errors.Is(err, errDiskFull) {
+		t.Fatalf("Flush = %v, want first error (errDiskFull) kept", err)
 	}
 }

@@ -19,6 +19,3 @@ func NewSequencer() *Sequencer { return &Sequencer{} }
 
 // Next returns the next sequence id (1, 2, 3, ...).
 func (s *Sequencer) Next() uint64 { return s.n.Add(1) }
-
-// Last returns the most recently issued id (0 if none yet).
-func (s *Sequencer) Last() uint64 { return s.n.Load() }

@@ -17,8 +17,8 @@ func TestMemoryRecorder(t *testing.T) {
 	r.Record(Event{Kind: KindInstanceStart, Instance: 0})
 	r.Record(Event{Kind: KindTaskSlice, Instance: 0, Task: 3, PE: 1, Start: 1, End: 2})
 	r.Record(Event{Kind: KindInstanceFinish, Instance: 0, Energy: 12.5, Met: true})
-	if r.Len() != 3 {
-		t.Fatalf("len = %d, want 3", r.Len())
+	if len(r.Events()) != 3 {
+		t.Fatalf("len = %d, want 3", len(r.Events()))
 	}
 	byKind := r.CountByKind()
 	if byKind[KindTaskSlice] != 1 || byKind[KindInstanceStart] != 1 {
@@ -44,8 +44,8 @@ func TestMemoryRecorderConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if r.Len() != 800 {
-		t.Fatalf("len = %d, want 800", r.Len())
+	if len(r.Events()) != 800 {
+		t.Fatalf("len = %d, want 800", len(r.Events()))
 	}
 }
 
@@ -136,7 +136,7 @@ func TestMultiRecorder(t *testing.T) {
 	multi.Record(Event{Kind: KindTaskSlice})
 	multi.Record(Event{Kind: KindReschedule, Reason: "drift"})
 	for name, r := range map[string]*MemoryRecorder{"a": a, "b": b} {
-		if r.Len() != 2 || r.Events()[1].Kind != KindReschedule {
+		if len(r.Events()) != 2 || r.Events()[1].Kind != KindReschedule {
 			t.Fatalf("multi sink %s got %v", name, r.Events())
 		}
 	}

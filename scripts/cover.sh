@@ -10,8 +10,11 @@
 # DLS scheduler — is rewritten by performance work more often than anything
 # else; it measured 97.8% / 98.4% / 94.4% when its floors were added, and
 # internal/stretch 98.8% once its passes computed each value where it is
-# read. The floors sit a few points under so routine refactors don't trip
-# them, while a change that lands a meaningful untested branch does.
+# read. After the unused exports were deleted they measured core 91.6%,
+# faults 93.5%, telemetry 88.2%, health 88.6%, serve 82.3%, stretch 98.8%,
+# sim 99.1% and sched 94.4%. The floors sit a few points under so routine
+# refactors don't trip them, while a change that lands a meaningful
+# untested branch does.
 set -eu
 
 cd "$(dirname "$0")/.."
