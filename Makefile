@@ -23,13 +23,14 @@ cover:
 bench:
 	go test -run '^$$' -bench . -benchmem .
 
-# Short fuzzing sessions for the workload parser, the alert-rules parser and
-# the daemon's step body (the seed corpora alone run as part of `make test`;
-# this explores beyond them).
+# Short fuzzing sessions for the workload parser, the alert-rules parser,
+# the daemon's step body and the stretch class-row builder (the seed
+# corpora alone run as part of `make test`; this explores beyond them).
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzRead -fuzztime 5s ./internal/ctgio
 	go test -run '^$$' -fuzz FuzzParseRules -fuzztime 5s ./internal/series
 	go test -run '^$$' -fuzz FuzzStepBody -fuzztime 5s ./internal/serve
+	go test -run '^$$' -fuzz FuzzClassRows -fuzztime 5s ./internal/stretch
 
 # Fault-injection campaign on the MPEG + cruise workloads.
 fault-smoke:

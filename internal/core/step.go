@@ -86,7 +86,7 @@ type txn struct {
 	wsGen    int
 	dlsWS    *sched.Workspace
 	bufs     *sched.WarmState   // double-buffered warm-start schedule copies
-	ws       *stretch.Workspace // partial-stretch scratch
+	ws       *stretch.Workspace // every stretch pass's scratch, see workspace
 	changed  []int              // dense indices of drifted forks
 	affected []bool             // per-task affected mask
 	probsBuf []float64          // the smoothed estimate of a crossing fork
@@ -571,6 +571,19 @@ func (t *txn) newMapping() {
 	t.s.mapGen = t.gen
 }
 
+// workspace returns the stretch workspace bound to the staged mapping,
+// first rebinding it to s, a schedule with that mapping, when it is bound
+// to another: once per mapping, which every later pass on it reuses.
+func (t *txn) workspace(s *sched.Schedule) *stretch.Workspace {
+	if t.wsGen != t.s.mapGen {
+		// Bound to no generation until Rebind returns.
+		t.wsGen = -1
+		t.ws.Rebind(s)
+		t.wsGen = t.s.mapGen
+	}
+	return t.ws
+}
+
 // emitMaskDiff stages the PE and link transitions between two availability
 // masks, returning the last event's seq (0 when no recorder or no
 // transition) so the remap/reschedule that follows can chain to it. The
@@ -697,15 +710,16 @@ func (t *txn) reschedule(reason string) error {
 	}
 	t.span("dls", m.mm.pipeDLS, dlsStart)
 	stretchStart := time.Now()
+	t.newMapping()
 	if m.opts.PerScenario {
-		sp, err := stretch.PerScenario(s, m.opts.DVFS, guard, t.cancel)
+		sp, err := stretch.PerScenario(s, m.opts.DVFS, guard, t.cancel, t.workspace(s))
 		if err != nil {
 			return err
 		}
 		t.s.speeds = sp
 		t.span("stretch", m.mm.pipeStretch, stretchStart)
 	} else {
-		sr, err := stretch.Heuristic(s, m.opts.DVFS, stretch.Options{Guard: guard, Cancel: t.cancel})
+		sr, err := stretch.Heuristic(s, m.opts.DVFS, stretch.Options{Guard: guard, Cancel: t.cancel, Workspace: t.workspace(s)})
 		if err != nil {
 			return err
 		}
@@ -714,7 +728,6 @@ func (t *txn) reschedule(reason string) error {
 		t.emitStretch(sr, s)
 	}
 	t.s.schedule = s
-	t.newMapping()
 	t.s.calls++
 	t.noteScheduleState(guard)
 	t.emitReschedule(reason, false)

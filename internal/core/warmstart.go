@@ -191,7 +191,7 @@ func (t *txn) tryWarmStart(reason string, guard float64) (bool, error) {
 		t.span("diff", m.mm.pipeDiff, diffStart)
 		if guardChanged {
 			stretchStart := time.Now()
-			sp, err := stretch.PerScenario(t.s.schedule, m.opts.DVFS, guard, t.cancel)
+			sp, err := stretch.PerScenario(t.s.schedule, m.opts.DVFS, guard, t.cancel, t.workspace(t.s.schedule))
 			if err != nil {
 				return t.warmFailed(err)
 			}
@@ -220,13 +220,10 @@ func (t *txn) tryWarmStart(reason string, guard float64) (bool, error) {
 	// The committed schedule stays published until commit, even when this
 	// step already staged another.
 	target := t.bufs.Start(t.s.schedule, m.st.schedule)
-	if t.wsGen != t.s.mapGen {
-		t.ws.Rebind(target)
-		t.wsGen = t.s.mapGen
-	}
+	ws := t.workspace(target)
 	stretchStart := time.Now()
 	sr, err := stretch.Heuristic(target, m.opts.DVFS, stretch.Options{
-		Guard: guard, Cancel: t.cancel, Affected: t.affected, Workspace: t.ws,
+		Guard: guard, Cancel: t.cancel, Affected: t.affected, Workspace: ws,
 	})
 	if err != nil {
 		return t.warmFailed(err)

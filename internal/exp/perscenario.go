@@ -58,7 +58,7 @@ func PerScenarioDVFS() (*PerScenarioResult, error) {
 		if err != nil {
 			return PerScenarioRow{}, err
 		}
-		sp, err := stretch.PerScenario(sMulti, platform.Continuous(), 0, nil)
+		sp, err := stretch.PerScenario(sMulti, platform.Continuous(), 0, nil, nil)
 		if err != nil {
 			return PerScenarioRow{}, err
 		}

@@ -146,9 +146,24 @@ func failEvents(t *testing.T, s *Server, name string) {
 	tn.sinks[len(tn.sinks)-1] = tn.events
 }
 
+// healthz returns the status /v1/healthz reports.
+func healthz(t *testing.T, h http.Handler) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/healthz", nil))
+	var health DaemonHealth
+	if err := json.NewDecoder(rec.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	return health.Status
+}
+
 // TestEventStreamWriteErrorsAreReturned pins that a tenant whose event
 // stream cannot be written (a full disk truncating <name>.events.jsonl)
-// makes RemoveTenant and Close fail with that error instead of dropping it.
+// keeps the first write error: it stays degraded, later successful steps
+// included, reports the error in its status and turns /v1/healthz
+// degraded; and RemoveTenant and Close fail with that error instead of
+// dropping it.
 func TestEventStreamWriteErrorsAreReturned(t *testing.T) {
 	s, err := New(Options{EventsDir: t.TempDir()})
 	if err != nil {
@@ -161,10 +176,25 @@ func TestEventStreamWriteErrorsAreReturned(t *testing.T) {
 	}
 	failEvents(t, s, "a")
 	failEvents(t, s, "b")
-	for _, name := range []string{"a", "b", "c"} {
+	for _, name := range []string{"c", "a", "b", "a"} {
 		if _, err := s.Step(ctx, name, v, ChaosSpec{}); err != nil {
 			t.Fatalf("step %s: %v", name, err)
 		}
+		if name == "c" && healthz(t, s.Handler()) != "ok" {
+			t.Fatal("healthz not ok before any stream failed")
+		}
+	}
+	for _, st := range s.Tenants() {
+		failing := st.Name != "c"
+		if got := st.Status == "degraded"; got != failing {
+			t.Fatalf("tenant %s: status %q with a failing stream %v", st.Name, st.Status, failing)
+		}
+		if got := st.EventsError != ""; got != failing || failing && st.EventsError != errDiskFull.Error() {
+			t.Fatalf("tenant %s: events_error %q with a failing stream %v", st.Name, st.EventsError, failing)
+		}
+	}
+	if got := healthz(t, s.Handler()); got != "degraded" {
+		t.Fatalf("healthz %q with two failing streams, want degraded", got)
 	}
 
 	if err := s.RemoveTenant("c"); err != nil {

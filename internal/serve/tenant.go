@@ -131,6 +131,7 @@ type tenant struct {
 	sinks        telemetry.MultiRecorder // post-gate sinks; serve events bypass the gate
 	flight       *telemetry.FlightRecorder
 	events       *telemetry.JSONLRecorder // nil unless Options.EventsDir
+	eventsErr    error                    // the event stream's first write error
 	status       string                   // "ok", "degraded"
 	consecPanics int
 	steps        int
@@ -294,9 +295,17 @@ func (t *tenant) handle(req *stepReq) {
 	// kill -9 loses at most the in-flight step's events — in particular,
 	// tenant_panic records are durable the moment the caller sees the
 	// outcome. JSONLRecorder.Flush is self-locking. Its error is sticky:
-	// closeSinks returns it when the tenant is removed or the daemon closes.
+	// the tenant keeps it and stays degraded from then on, and closeSinks
+	// returns it when the tenant is removed or the daemon closes.
 	if t.events != nil {
-		_ = t.events.Flush()
+		if err := t.events.Flush(); err != nil {
+			t.stMu.Lock()
+			if t.eventsErr == nil {
+				t.eventsErr = err
+			}
+			t.status = "degraded"
+			t.stMu.Unlock()
+		}
 	}
 	req.done <- d
 }
@@ -333,7 +342,9 @@ func (t *tenant) step(req *stepReq) (StepReply, error) {
 	t.log = append(t.log, append([]int(nil), req.decisions...))
 	t.publishShedLocked()
 	t.steps++
-	t.status = "ok"
+	if t.eventsErr == nil {
+		t.status = "ok"
+	}
 	t.consecPanics = 0
 	t.srv.metrics.steps.Inc()
 	rep := StepReply{
@@ -509,8 +520,11 @@ type TenantStatus struct {
 	Checkpoints  int    `json:"checkpoints"`
 	Restored     bool   `json:"restored,omitempty"`
 	RestoredFrom string `json:"restored_from,omitempty"`
-	QueueDepth   int    `json:"queue_depth"`
-	QueueLen     int    `json:"queue_len"`
+	// EventsError is the first write error of the tenant's event stream; a
+	// tenant with one stays "degraded".
+	EventsError string `json:"events_error,omitempty"`
+	QueueDepth  int    `json:"queue_depth"`
+	QueueLen    int    `json:"queue_len"`
 
 	RejectedRate    int `json:"rejected_rate,omitempty"`
 	RejectedQueue   int `json:"rejected_queue,omitempty"`
@@ -537,6 +551,9 @@ func (t *tenant) statusSnapshot() TenantStatus {
 		QueueDepth:   cap(t.queue),
 		QueueLen:     len(t.queue),
 		Digest:       digestHex(scheduleDigest(t.mgr)),
+	}
+	if t.eventsErr != nil {
+		st.EventsError = t.eventsErr.Error()
 	}
 	t.stMu.Unlock()
 	t.admMu.Lock()

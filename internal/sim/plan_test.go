@@ -194,7 +194,7 @@ func oracleWorkload(t *testing.T, cat tgff.Category, seed int64) (*sched.Schedul
 	if s, err = sched.DLS(a2, p, sched.Modified()); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := stretch.PerScenario(s, platform.Continuous(), 0, nil)
+	sp, err := stretch.PerScenario(s, platform.Continuous(), 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

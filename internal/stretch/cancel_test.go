@@ -71,7 +71,7 @@ func TestPerScenarioCancelAbortsBeforeFold(t *testing.T) {
 	s := prepare(t, 44, 1.6)
 	nsc := s.A.NumScenarios()
 	cc := &countingCancel{fuse: 0}
-	sp, err := PerScenario(s, platform.Continuous(), 0, cc.fn())
+	sp, err := PerScenario(s, platform.Continuous(), 0, cc.fn(), nil)
 	if !errors.Is(err, errCancelled) {
 		t.Fatalf("want errCancelled, got %v (speeds %v)", err, sp)
 	}
@@ -87,13 +87,13 @@ func TestPerScenarioCancelAbortsBeforeFold(t *testing.T) {
 
 func TestPerScenarioCancelCompletedRunIdentical(t *testing.T) {
 	want := prepare(t, 45, 1.6)
-	wsp, err := PerScenario(want, platform.Continuous(), 0.1, nil)
+	wsp, err := PerScenario(want, platform.Continuous(), 0.1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := prepare(t, 45, 1.6)
 	cc := &countingCancel{fuse: 1 << 30}
-	gsp, err := PerScenario(got, platform.Continuous(), 0.1, cc.fn())
+	gsp, err := PerScenario(got, platform.Continuous(), 0.1, cc.fn(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,7 @@ package stretch
 
 import (
 	"cmp"
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"slices"
@@ -76,6 +77,18 @@ func newDAG(s *sched.Schedule) *dagModel {
 	d.edges = append(d.edges, g.Edges()...)
 	d.edges = append(d.edges, s.Pseudo...)
 	d.comm = make([]float64, len(d.edges))
+	// Each task's edge lists are cut from two shared arrays, one per
+	// direction, sized by a first count.
+	deg := make([]int, 2*n)
+	for _, e := range d.edges {
+		deg[e.From]++
+		deg[n+int(e.To)]++
+	}
+	lists := make([]int, 2*len(d.edges))
+	for t, off := 0, 0; t < n; t++ {
+		d.outE[t], off = lists[off:off:off+deg[t]], off+deg[t]
+		d.inE[t], off = lists[off:off:off+deg[n+t]], off+deg[n+t]
+	}
 	for ei, e := range d.edges {
 		d.comm[ei] = s.P.CommTime(e.CommKB, s.PE[e.From], s.PE[e.To])
 		d.outE[e.From] = append(d.outE[e.From], ei)
@@ -217,69 +230,94 @@ func (c *classRows) count(t ctg.TaskID) int { return max(1, int(c.n[t])) }
 
 // classes builds the model's class rows.
 func (d *dagModel) classes() {
-	d.up.build(d.s.A, len(d.exec), d.forksAbove)
-	d.down.build(d.s.A, len(d.exec), d.forksBelow)
-}
-
-// build fills c for the fork sets set returns. The tasks with a fork are
-// sorted by their sets, and each run of equal sets gets one row: the
-// scenarios sorted by their outcomes on the set, each run of equal
-// outcomes one class. Ids stay below ctg.MaxScenarios, so they fit in 16
-// bits.
-func (c *classRows) build(a *ctg.Analysis, n int, set func(ctg.TaskID) forkSet) {
-	ns := a.NumScenarios()
-	assign := make([][]int, ns)
+	a := d.s.A
+	assign := make([][]int, a.NumScenarios())
 	for si := range assign {
 		assign[si] = a.Scenario(si).Assign
 	}
+	d.up.build(assign, len(d.exec), d.forksAbove)
+	d.down.build(assign, len(d.exec), d.forksBelow)
+}
+
+// build fills c for the fork sets set returns, assign holding each
+// scenario's fork outcomes (at least one scenario). Tasks with equal sets
+// share one row, rows in the order of their first task. A row's class ids
+// rank the scenarios' outcome tuples on the set in lexicographic order,
+// lowest fork index first. They are refined fork by fork: the pairs (id so
+// far, outcome at the fork) are renumbered densely in that order by a
+// counting pass, until every scenario has its own id. So a row costs
+// O(scenarios × forks in the set), and nothing is sorted. Ids stay below
+// ctg.MaxScenarios, so they fit in 16 bits.
+func (c *classRows) build(assign [][]int, n int, set func(ctg.TaskID) forkSet) {
+	ns := len(assign)
 	c.row, c.n = make([]int32, n), make([]int32, n)
-	var tasks []ctg.TaskID
+	// owner holds each row's first task; first maps a fork set, its words
+	// as bytes, to its row.
+	var owner []ctg.TaskID
+	first := make(map[string]int32)
+	var key []byte
 	for t := range c.row {
 		c.row[t] = -1
-		if !set(ctg.TaskID(t)).empty() {
-			tasks = append(tasks, ctg.TaskID(t))
-		}
-	}
-	bySet := func(x, y ctg.TaskID) int { return slices.Compare(set(x), set(y)) }
-	slices.SortFunc(tasks, bySet)
-	rows := 0
-	for i, t := range tasks {
-		if i == 0 || bySet(tasks[i-1], t) != 0 {
-			rows++
-		}
-	}
-	c.cls = make([]uint16, 0, rows*ns)
-	var forks []int
-	idx := make([]int, ns)
-	byOutcomes := func(x, y int) int {
-		for _, fi := range forks {
-			if c := cmp.Compare(assign[x][fi], assign[y][fi]); c != 0 {
-				return c
-			}
-		}
-		return 0
-	}
-	for i, t := range tasks {
-		if i > 0 && bySet(tasks[i-1], t) == 0 {
-			c.row[t], c.n[t] = c.row[tasks[i-1]], c.n[tasks[i-1]]
+		f := set(ctg.TaskID(t))
+		if f.empty() {
 			continue
 		}
-		forks = forks[:0]
-		set(t).forEach(func(fi int) { forks = append(forks, fi) })
-		for si := range idx {
-			idx[si] = si
+		key = key[:0]
+		for _, w := range f {
+			key = binary.LittleEndian.AppendUint64(key, w)
 		}
-		slices.SortFunc(idx, byOutcomes)
-		off := len(c.cls)
-		c.cls = c.cls[:off+ns]
-		id := -1
-		for k, si := range idx {
-			if k == 0 || byOutcomes(idx[k-1], si) != 0 {
-				id++
+		r, ok := first[string(key)]
+		if !ok {
+			r = int32(len(owner))
+			first[string(key)] = r
+			owner = append(owner, ctg.TaskID(t))
+		}
+		c.row[t] = r * int32(ns)
+	}
+	// lo and width bound each fork's outcomes, OutcomeUnassigned included.
+	lo, width := make([]int, len(assign[0])), make([]int, len(assign[0]))
+	for fi := range lo {
+		lo[fi] = assign[0][fi]
+		hi := lo[fi]
+		for _, a := range assign {
+			lo[fi], hi = min(lo[fi], a[fi]), max(hi, a[fi])
+		}
+		width[fi] = hi - lo[fi] + 1
+	}
+	c.cls = make([]uint16, len(owner)*ns)
+	var rank []int32
+	for r, t := range owner {
+		ids := c.cls[r*ns : (r+1)*ns]
+		count := 1
+		set(t).forEach(func(fi int) {
+			if count == ns {
+				// Every scenario apart: pairs with distinct ids keep their
+				// order.
+				return
 			}
-			c.cls[off+si] = uint16(id)
+			// rank marks the pairs present, then holds their dense ranks.
+			rank = grow(rank[:0], count*width[fi])
+			clear(rank)
+			for si, a := range assign {
+				rank[int(ids[si])*width[fi]+a[fi]-lo[fi]] = 1
+			}
+			count = 0
+			for k, m := range rank {
+				if m != 0 {
+					rank[k] = int32(count)
+					count++
+				}
+			}
+			for si, a := range assign {
+				ids[si] = uint16(rank[int(ids[si])*width[fi]+a[fi]-lo[fi]])
+			}
+		})
+		c.n[t] = int32(count)
+	}
+	for t, off := range c.row {
+		if off >= 0 {
+			c.n[t] = c.n[owner[off/int32(ns)]]
 		}
-		c.row[t], c.n[t] = int32(off), int32(id+1)
 	}
 }
 

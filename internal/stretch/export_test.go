@@ -47,3 +47,29 @@ func OracleWorstCase(s *sched.Schedule, d platform.DVFS) Result { return oracleW
 // BackwardEdges counts the real and pseudo edges of s that point backward
 // in s.Order.
 func BackwardEdges(s *sched.Schedule) int { return backwardEdges(newDAG(s)) }
+
+// ClassRowsVsOracle reports the first difference between the class rows of
+// s's model, both halves, and the sort-based oracle's.
+func ClassRowsVsOracle(s *sched.Schedule) error { return classRowsVsOracle(newDAG(s)) }
+
+// Footprint returns, for every per-slot array of w's latest pass, the
+// class slots it holds (its length past the task slots) and the class slots
+// its capacity keeps; then the same for the pass's chain arena, stale list
+// and queue: what the pass used of each and what its capacity keeps.
+func Footprint(w *Workspace) (used, kept []int) {
+	p, n := &w.scratch.p, len(w.dag.exec)
+	r := p.r
+	for _, lc := range [][2]int{
+		{len(p.upDone), cap(p.upDone)}, {len(p.upChain), cap(p.upChain)},
+		{len(r.up), cap(r.up)}, {len(r.ubp), cap(r.ubp)},
+		{len(p.downDone), cap(p.downDone)},
+		{len(p.downChainU), cap(p.downChainU)}, {len(p.downChainC), cap(p.downChainC)},
+		{len(r.downU), cap(r.downU)}, {len(r.downC), cap(r.downC)}, {len(r.probC), cap(r.probC)},
+		{len(r.dbpU), cap(r.dbpU)}, {len(r.dbpC), cap(r.dbpC)}, {len(r.classA), cap(r.classA)},
+	} {
+		used, kept = append(used, lc[0]-n), append(kept, lc[1]-n)
+	}
+	used = append(used, len(p.chains.ent), len(p.stale), p.queueHigh)
+	kept = append(kept, cap(p.chains.ent), cap(p.stale), cap(p.queue))
+	return used, kept
+}

@@ -81,7 +81,7 @@ func TestHeuristicGuardedValidatesAndBounds(t *testing.T) {
 			t.Fatalf("guard %v: want error", bad)
 		}
 	}
-	if _, err := PerScenario(s.Clone(), platform.Continuous(), math.Inf(1), nil); err == nil {
+	if _, err := PerScenario(s.Clone(), platform.Continuous(), math.Inf(1), nil, nil); err == nil {
 		t.Fatal("infinite guard: want error")
 	}
 }
@@ -114,11 +114,11 @@ func TestGuardTradesEnergyForMargin(t *testing.T) {
 
 func TestPerScenarioGuardedMatchesAndTightens(t *testing.T) {
 	_, s := guardWorkload(t, 50)
-	plain, err := PerScenario(s, platform.Continuous(), 0, nil)
+	plain, err := PerScenario(s, platform.Continuous(), 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := PerScenario(s, platform.Continuous(), 0, nil)
+	zero, err := PerScenario(s, platform.Continuous(), 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestPerScenarioGuardedMatchesAndTightens(t *testing.T) {
 			}
 		}
 	}
-	guarded, err := PerScenario(s, platform.Continuous(), 0.4, nil)
+	guarded, err := PerScenario(s, platform.Continuous(), 0.4, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestPerScenarioGuardedMatchesAndTightens(t *testing.T) {
 	if ge <= pe {
 		t.Fatalf("guarded expected energy %v not above plain %v", ge, pe)
 	}
-	full, err := PerScenario(s, platform.Continuous(), 1, nil)
+	full, err := PerScenario(s, platform.Continuous(), 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

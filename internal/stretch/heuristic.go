@@ -54,11 +54,12 @@ type Options struct {
 	// incumbent speed and counts as locked from the outset. Nil stretches
 	// every task from its current speed. See warm.go.
 	Affected []bool
-	// Workspace, when non-nil, supplies the pass's reusable buffers. An
-	// unbound workspace is bound to the schedule being stretched; a bound
-	// one must have been Rebind-ed to a schedule with the same mapping. A
-	// bound workspace makes a masked pass allocation-free. Nil allocates a
-	// fresh one.
+	// Workspace, when non-nil, supplies the pass's DAG model, class rows
+	// and reusable buffers. An unbound workspace is bound to the schedule
+	// being stretched; a bound one must have been Rebind-ed to a schedule
+	// with the same mapping, so a full pass after the Rebind and every
+	// masked pass on that mapping share one model. A bound workspace makes
+	// a masked pass allocation-free. Nil builds a fresh one.
 	Workspace *Workspace
 }
 
@@ -109,14 +110,7 @@ func Heuristic(s *sched.Schedule, d platform.DVFS, o Options) (Result, error) {
 	if o.Affected != nil && len(o.Affected) != n {
 		return Result{}, fmt.Errorf("stretch: affected mask sized %d, want %d", len(o.Affected), n)
 	}
-	w := o.Workspace
-	if w == nil {
-		w = NewWorkspace()
-	}
-	if w.dag == nil {
-		w.Rebind(s)
-	}
-	w.retarget(s)
+	w := bind(o.Workspace, s)
 	dag := w.dag
 	for t := 0; t < n; t++ {
 		switch {
@@ -165,6 +159,7 @@ func Heuristic(s *sched.Schedule, d platform.DVFS, o Options) (Result, error) {
 		res.ExpectedEnergy = s.ExpectedEnergy()
 	}
 	res.WorstDelay = dag.longest(sc.p.finish())
+	sc.p.trim()
 	return res, nil
 }
 

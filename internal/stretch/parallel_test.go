@@ -16,7 +16,7 @@ func TestPerScenarioParallelMatchesSerial(t *testing.T) {
 		s := prepare(t, 900+seed, 1.6)
 
 		prev := par.SetLimit(1)
-		serial, err := PerScenario(s, platform.Continuous(), 0, nil)
+		serial, err := PerScenario(s, platform.Continuous(), 0, nil, nil)
 		if err != nil {
 			par.SetLimit(prev)
 			t.Fatal(err)
@@ -24,7 +24,7 @@ func TestPerScenarioParallelMatchesSerial(t *testing.T) {
 		// Force more workers than the container may have cores, so the
 		// concurrent path runs even on a single-CPU host.
 		par.SetLimit(4)
-		parallel, err := PerScenario(s, platform.Continuous(), 0, nil)
+		parallel, err := PerScenario(s, platform.Continuous(), 0, nil, nil)
 		par.SetLimit(prev)
 		if err != nil {
 			t.Fatal(err)

@@ -54,7 +54,9 @@ type pass struct {
 	stale []ctg.TaskID
 	stack []walkFrame
 	queue []ctg.TaskID
-	walk  []int32
+	// queueHigh is the longest queue of the pass, for trim.
+	queueHigh int
+	walk      []int32
 }
 
 // chainIDs interns the argmax chains a pass reads as node sequences, so
@@ -94,7 +96,7 @@ func (p *pass) reset(d *dagModel, r *dpResult, assign []int) {
 	}
 	p.upDone, p.downDone = p.upDone[:n], p.downDone[:n]
 	p.upChain, p.downChainU, p.downChainC = p.upChain[:n], p.downChainU[:n], p.downChainC[:n]
-	p.chains.ent, p.stale = p.chains.ent[:0], p.stale[:0]
+	p.chains.ent, p.stale, p.queueHigh = p.chains.ent[:0], p.stale[:0], 0
 	p.upLow, p.downHigh = 0, int32(n-1)
 	r.up, r.ubp = r.up[:n], r.ubp[:n]
 	r.downU, r.downC, r.probC = r.downU[:n], r.downC[:n], r.probC[:n]
@@ -122,6 +124,38 @@ func growSlots[T any](s []T, k, n int) []T {
 		s = append(make([]T, 0, n+2*(len(s)+k-n)), s...)
 	}
 	return s[:len(s)+k]
+}
+
+// trim releases the capacity the pass came nowhere near using, so that a
+// workspace keeps no more than a few times what its latest pass used: a
+// full pass reads every class slot (about 1 MB at a thousand tasks) and
+// interns and repairs along every chain, a warm pass on the same mapping
+// touches a few.
+func (p *pass) trim() {
+	// The arrays of one half hold the same slots.
+	n, r := len(p.d.exec), p.r
+	k := len(p.upDone) - n
+	p.upDone, p.upChain = trimmed(p.upDone, n, k), trimmed(p.upChain, n, k)
+	r.up, r.ubp = trimmed(r.up, n, k), trimmed(r.ubp, n, k)
+	k = len(p.downDone) - n
+	p.downDone = trimmed(p.downDone, n, k)
+	p.downChainU, p.downChainC = trimmed(p.downChainU, n, k), trimmed(p.downChainC, n, k)
+	r.downU, r.downC, r.probC = trimmed(r.downU, n, k), trimmed(r.downC, n, k), trimmed(r.probC, n, k)
+	r.dbpU, r.dbpC, r.classA = trimmed(r.dbpU, n, k), trimmed(r.dbpC, n, k), trimmed(r.classA, n, k)
+	p.chains.ent = trimmed(p.chains.ent, 0, len(p.chains.ent))
+	p.stale = trimmed(p.stale, 0, len(p.stale))
+	p.queue = trimmed(p.queue, 0, p.queueHigh)
+}
+
+// trimmed returns s, or a copy of it with room for n+2k elements, as
+// growSlots leaves a per-slot array, when its capacity exceeds n+4k: s
+// holds n task slots (none for a pass's arenas) and k more that the pass
+// used.
+func trimmed[T any](s []T, n, k int) []T {
+	if cap(s) > n+4*k {
+		return append(make([]T, 0, n+2*k), s...)
+	}
+	return s
 }
 
 // upSlot returns v's up slot under scenario si (si < 0: v's own slot),
@@ -321,6 +355,7 @@ func (p *pass) stretched(t ctg.TaskID) {
 		q = append(q, d.edges[ei].To)
 	}
 	for len(q) > 0 {
+		p.queueHigh = max(p.queueHigh, len(q))
 		w := q[len(q)-1]
 		q = q[:len(q)-1]
 		if p.drop(w, p.upDone, p.upBase, p.upBaseAt, &d.up) {
@@ -335,6 +370,7 @@ func (p *pass) stretched(t ctg.TaskID) {
 		q = append(q, d.edges[ei].From)
 	}
 	for len(q) > 0 {
+		p.queueHigh = max(p.queueHigh, len(q))
 		u := q[len(q)-1]
 		q = q[:len(q)-1]
 		switch {
@@ -361,6 +397,7 @@ func (p *pass) finish() *dpResult {
 	d := p.d
 	q := append(p.queue[:0], p.stale...)
 	for len(q) > 0 {
+		p.queueHigh = max(p.queueHigh, len(q))
 		u := q[len(q)-1]
 		q = q[:len(q)-1]
 		if p.downDone[u] != p.epoch {

@@ -39,11 +39,16 @@ type ScenarioSpeeds struct {
 // construction. cancel, when non-nil, is polled once per scenario (see
 // CancelFunc).
 //
+// w, when non-nil, supplies the DAG model and its class rows: an unbound
+// workspace is bound to s, a bound one must have been Rebind-ed to a
+// schedule with the same mapping, so repeated calls on one mapping build
+// the model once. Nil builds a fresh one.
+//
 // The input schedule must be unstretched (all speeds 1); the schedule is
 // not modified. Expected energy strictly improves over the single-speed
 // heuristic whenever minterm workloads differ, at the cost of a speed
 // table of size scenarios × tasks.
-func PerScenario(s *sched.Schedule, d platform.DVFS, guard float64, cancel CancelFunc) (*ScenarioSpeeds, error) {
+func PerScenario(s *sched.Schedule, d platform.DVFS, guard float64, cancel CancelFunc, w *Workspace) (*ScenarioSpeeds, error) {
 	if err := validGuard(guard); err != nil {
 		return nil, err
 	}
@@ -57,7 +62,7 @@ func PerScenario(s *sched.Schedule, d platform.DVFS, guard float64, cancel Cance
 	}
 	a := s.A
 	n := s.G.NumTasks()
-	base := newDAG(s)
+	base := bind(w, s).dag
 
 	// Step 1: ideal speeds per scenario. Each leaf minterm stretches an
 	// independent subgraph, so the loop fans out over the worker pool with
@@ -84,7 +89,6 @@ func PerScenario(s *sched.Schedule, d platform.DVFS, guard float64, cancel Cance
 
 	// Step 2: causality folding. The scenarios that agree on a task's
 	// ancestor-fork outcomes are its up class (see classRows).
-	base.up.build(a, n, base.forksAbove)
 	out := &ScenarioSpeeds{Speeds: make([][]float64, a.NumScenarios())}
 	for si := range out.Speeds {
 		out.Speeds[si] = make([]float64, n)

@@ -15,7 +15,7 @@ func TestPerScenarioNeedsUnstretchedSchedule(t *testing.T) {
 	if _, err := Heuristic(s, platform.Continuous(), Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PerScenario(s, platform.Continuous(), 0, nil); err == nil {
+	if _, err := PerScenario(s, platform.Continuous(), 0, nil, nil); err == nil {
 		t.Fatal("want error on an already-stretched schedule")
 	}
 }
@@ -25,7 +25,7 @@ func TestPerScenarioCausality(t *testing.T) {
 	// same speed.
 	for seed := int64(0); seed < 10; seed++ {
 		s := prepare(t, 600+seed, 1.6)
-		sp, err := PerScenario(s, platform.Continuous(), 0, nil)
+		sp, err := PerScenario(s, platform.Continuous(), 0, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestPerScenarioBeatsSingleSpeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		sMulti := prepare(t, 700+seed, 1.6)
-		sp, err := PerScenario(sMulti, platform.Continuous(), 0, nil)
+		sp, err := PerScenario(sMulti, platform.Continuous(), 0, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestPerScenarioMeetsDeadlinesInReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, err := PerScenario(s, platform.Continuous(), 0, nil)
+		sp, err := PerScenario(s, platform.Continuous(), 0, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestPerScenarioMeetsDeadlinesInReplay(t *testing.T) {
 
 func TestPerScenarioSpeedsInRange(t *testing.T) {
 	s := prepare(t, 55, 1.8)
-	sp, err := PerScenario(s, platform.Continuous(), 0, nil)
+	sp, err := PerScenario(s, platform.Continuous(), 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

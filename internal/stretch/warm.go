@@ -31,11 +31,16 @@ import (
 // one mapping: the combined-DAG model with its per-task fork sets and its
 // scenario class rows (built once per mapping), the lock vector and the
 // state of a pass (see pass): each task's own slots, the class slots a
-// pass reads (grown to the most any pass read), their stamps and the
-// interned chains. A new pass invalidates them all by one epoch bump.
-// Rebind it after every full reschedule (new mapping), then each masked
-// Heuristic pass on that mapping allocates nothing once the buffers have
-// grown. Not safe for concurrent use.
+// pass reads, their stamps and the interned chains. A new pass invalidates
+// them all by one epoch bump. The class-slot arrays and the pass's arenas
+// grow to what a pass uses and are cut back at its end when they hold more
+// than four times that, so a full pass, which reads every class slot,
+// leaves no full-size store behind the warm passes that follow it.
+//
+// Rebind it once per mapping, before the full pass on a new DLS schedule,
+// and pass it to every Heuristic and PerScenario call on that mapping: the
+// model is then built once, and each masked Heuristic pass allocates
+// nothing once the buffers have grown. Not safe for concurrent use.
 type Workspace struct {
 	dag     *dagModel
 	locked  []bool
@@ -46,8 +51,8 @@ type Workspace struct {
 // that uses it binds it to that pass's schedule.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// Rebind rebuilds the workspace's DAG topology from a schedule — required
-// whenever the mapping changed (a full DLS ran).
+// Rebind builds the workspace's DAG model and class rows from a schedule —
+// required whenever the mapping changed (a full DLS ran).
 func (w *Workspace) Rebind(s *sched.Schedule) {
 	w.dag = newDAG(s)
 	w.dag.classes()
@@ -55,6 +60,19 @@ func (w *Workspace) Rebind(s *sched.Schedule) {
 		w.locked = make([]bool, n)
 		w.scratch = newSlackScratch(n)
 	}
+}
+
+// bind returns w, or a new workspace if w is nil, bound to s if it is
+// unbound and retargeted to s.
+func bind(w *Workspace, s *sched.Schedule) *Workspace {
+	if w == nil {
+		w = NewWorkspace()
+	}
+	if w.dag == nil {
+		w.Rebind(s)
+	}
+	w.retarget(s)
+	return w
 }
 
 // retarget points the bound DAG at another schedule sharing the same mapping

@@ -10,7 +10,8 @@
 #   bit-rot in them without paying for real measurement; the paper's tables
 #   and figures are pinned by internal/exp's golden files in the test suite,
 #   not by benchmarks), short fuzzing sessions of
-#   the workload parser, the alert-rules parser and the daemon's step body, a fault-campaign and a failover-campaign run of the
+#   the workload parser, the alert-rules parser, the daemon's step body and
+#   the stretch class-row builder, a fault-campaign and a failover-campaign run of the
 #   fault-tolerance layer, a bounded run of the large-scale warm-start tier
 #   (one 10^3-task cell), an
 #   end-to-end health-analyzer pass over a captured event stream, an
@@ -30,7 +31,8 @@
 # is the one performance ledger, and the allocation contracts are ordinary
 # tests in the suite (TestFlightRecorderZeroAllocSteadyState,
 # TestStoreTickAllocsZero, TestPartialBoundWorkspaceAllocatesNothing,
-# TestReplayAllocsBounded, TestServeStepAllocsBounded).
+# TestReplayAllocsBounded, TestServeStepAllocsBounded,
+# TestFullRescheduleAllocsBounded).
 # Run from anywhere; operates on the repo root.
 set -eu
 
@@ -80,10 +82,11 @@ sh scripts/cover.sh
 echo "== bench smoke (1 iteration each) =="
 go test -run '^$' -bench . -benchtime 1x . >/dev/null
 
-echo "== fuzz smoke (workload parser, rules parser, step body, 5s each) =="
+echo "== fuzz smoke (workload parser, rules parser, step body, class rows, 5s each) =="
 go test -run '^$' -fuzz FuzzRead -fuzztime 5s ./internal/ctgio >/dev/null
 go test -run '^$' -fuzz FuzzParseRules -fuzztime 5s ./internal/series >/dev/null
 go test -run '^$' -fuzz FuzzStepBody -fuzztime 5s ./internal/serve >/dev/null
+go test -run '^$' -fuzz FuzzClassRows -fuzztime 5s ./internal/stretch >/dev/null
 
 echo "== fault-campaign + telemetry smoke =="
 trace_tmp="$(mktemp)"
