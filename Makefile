@@ -17,20 +17,22 @@ cover:
 	sh scripts/cover.sh
 
 # The root micro-benchmarks (adaptive step, flight recorder, series tick,
-# all-scenario replay, daemon serve loop). Paper results come from
+# all-scenario replay, daemon serve loop) and DLS on the scale graph. Paper results come from
 # cmd/experiments, pinned by internal/exp's golden files; end-to-end timing
 # comes from perfbench/.
 bench:
-	go test -run '^$$' -bench . -benchmem .
+	go test -run '^$$' -bench . -benchmem . ./internal/sched
 
 # Short fuzzing sessions for the workload parser, the alert-rules parser,
-# the daemon's step body and the stretch class-row builder (the seed
+# the daemon's step body, the stretch class-row builder and the DLS resource
+# timeline (the seed
 # corpora alone run as part of `make test`; this explores beyond them).
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzRead -fuzztime 5s ./internal/ctgio
 	go test -run '^$$' -fuzz FuzzParseRules -fuzztime 5s ./internal/series
 	go test -run '^$$' -fuzz FuzzStepBody -fuzztime 5s ./internal/serve
 	go test -run '^$$' -fuzz FuzzClassRows -fuzztime 5s ./internal/stretch
+	go test -run '^$$' -fuzz FuzzTimeline -fuzztime 5s ./internal/sched
 
 # Fault-injection campaign on the MPEG + cruise workloads.
 fault-smoke:

@@ -504,9 +504,12 @@ func New(g *ctg.Graph, p *platform.Platform, opts Options) (*Manager, error) {
 	}
 	m.initWarm()
 	if opts.Recovery {
-		// The worst-case fallback: plain full-speed DLS, never stretched,
-		// probability-independent by construction (every task runs at
-		// speed 1), so only a topology change rebuilds it.
+		// The worst-case fallback: full-speed DLS, never stretched, so its
+		// speeds are probability-independent (every task runs at speed 1)
+		// and only a topology change rebuilds it. Its mapping is not: the
+		// modified DLS weights fork static levels by the branch
+		// probabilities the graph holds when it is built (drift rewrites
+		// them), so a rebuild after drift may map differently.
 		fb, err := sched.DLS(m.a, m.st.p, sched.Modified())
 		if err != nil {
 			return nil, err

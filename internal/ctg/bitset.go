@@ -85,6 +85,9 @@ func (b Bitset) ContainsAll(o Bitset) bool {
 	return true
 }
 
+// Clear unsets every bit.
+func (b Bitset) Clear() { clear(b.words) }
+
 // UnionWith sets in b every bit set in o. The two bitsets must have the same
 // capacity.
 func (b Bitset) UnionWith(o Bitset) {

@@ -68,6 +68,10 @@ func TestBitsetSetOps(t *testing.T) {
 	if d.Count() != 1 || !d.Get(70) {
 		t.Fatalf("intersection = %v", d)
 	}
+	c.Clear()
+	if c.Count() != 0 || c.Len() != 100 || c.Intersects(a) {
+		t.Fatalf("cleared = %v (len %d)", c, c.Len())
+	}
 }
 
 func TestBitsetCloneIndependence(t *testing.T) {

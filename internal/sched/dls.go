@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ctgdvfs/internal/ctg"
 	"ctgdvfs/internal/platform"
@@ -42,11 +43,11 @@ func Modified() Options { return Options{Probabilistic: true, MEOverlap: true, C
 func Plain() Options { return Options{} }
 
 // commPlan is one planned link transfer of a candidate placement: the edge,
-// the directed link, the scheduled transfer window and the scenario set it
-// occupies.
+// the source PE of the link (it runs to the candidate's PE), the scheduled
+// transfer window and the scenario set it occupies.
 type commPlan struct {
 	edge  int
-	link  [2]int
+	from  int
 	start float64
 	dur   float64
 	scen  ctg.Bitset
@@ -55,9 +56,11 @@ type commPlan struct {
 // Workspace holds the reusable buffers of repeated DLS invocations — the
 // adaptive manager re-runs DLS at every full reschedule, and without buffer
 // reuse each run pays O(tasks) slice allocations plus one activation-set
-// clone per (candidate task, PE, incoming edge) evaluation. The workspace is
-// not safe for concurrent use; one per manager (or per worker) is the
-// intended pattern.
+// clone per (candidate task, PE, incoming edge) evaluation. Once warm, a run
+// allocates only the schedule it returns. Nothing in it carries from one run
+// to the next but capacity and the per-analysis edge scenario sets. The
+// workspace is not safe for concurrent use; one per manager (or per worker)
+// is the intended pattern.
 type Workspace struct {
 	// Cancel, when non-nil, is polled once per placement round (each round
 	// commits one task, the unit of work between checkpoints); a non-nil
@@ -74,8 +77,13 @@ type Workspace struct {
 	ready        []ctg.TaskID
 	avgEnergy    []float64
 
+	// dl runs parallel to ready: row i holds, per PE, the dynamic level of
+	// placing ready[i] there as of the last commit that could change it,
+	// or -Inf where the placement is ruled out (dead PE, down link).
+	dl []float64
+
 	peTL   []timeline
-	linkTL map[[2]int]*timeline
+	linkTL []timeline // link from→to at from*NumPEs+to
 
 	// fullSet and edgeScen are probability-independent per analysis:
 	// fullSet is the all-scenarios set, edgeScen caches per real edge the
@@ -86,10 +94,8 @@ type Workspace struct {
 	edgeScen []ctg.Bitset
 	scenFor  *ctg.Analysis
 
-	// plans/bestPlans are the double-buffered candidate transfer plans of
-	// the selection loop: evaluate fills plans, a new best swaps the
-	// buffers so the winner survives while the loser becomes scratch.
-	plans, bestPlans []commPlan
+	// plans holds the transfer plans of the last evaluated placement.
+	plans []commPlan
 }
 
 // NewWorkspace returns an empty DLS workspace.
@@ -109,19 +115,9 @@ func (ws *Workspace) prep(a *ctg.Analysis, p *platform.Platform, n int) {
 		ws.scheduled[t] = false
 	}
 	ws.ready = ws.ready[:0]
-	if cap(ws.peTL) < p.NumPEs() {
-		ws.peTL = make([]timeline, p.NumPEs())
-	}
-	ws.peTL = ws.peTL[:p.NumPEs()]
-	for pe := range ws.peTL {
-		ws.peTL[pe].reset()
-	}
-	if ws.linkTL == nil {
-		ws.linkTL = make(map[[2]int]*timeline)
-	}
-	for _, tl := range ws.linkTL {
-		tl.reset()
-	}
+	ws.dl = ws.dl[:0]
+	ws.peTL = resetTimelines(ws.peTL, p.NumPEs())
+	ws.linkTL = resetTimelines(ws.linkTL, p.NumPEs()*p.NumPEs())
 	if ws.scenFor != a {
 		ws.scenFor = a
 		ws.fullSet = ctg.NewBitset(a.NumScenarios())
@@ -130,6 +126,19 @@ func (ws *Workspace) prep(a *ctg.Analysis, p *platform.Platform, n int) {
 		}
 		ws.edgeScen = make([]ctg.Bitset, a.Graph().NumEdges())
 	}
+}
+
+// resetTimelines returns tls resized to n empty timelines, keeping the
+// capacity of every one it already had.
+func resetTimelines(tls []timeline, n int) []timeline {
+	if cap(tls) < n {
+		tls = append(tls[:cap(tls)], make([]timeline, n-cap(tls))...)
+	}
+	tls = tls[:n]
+	for i := range tls {
+		tls[i].reset()
+	}
+	return tls
 }
 
 // edgeScenOf returns (lazily computing) the scenario set in which real edge
@@ -156,6 +165,13 @@ func DLS(a *ctg.Analysis, p *platform.Platform, opts Options) (*Schedule, error)
 // still freshly allocated (callers retain schedules — incumbents, fallbacks — so
 // only the transient scheduling state is pooled). A nil workspace allocates
 // a private one, making DLSInto(a, p, opts, nil) exactly DLS.
+//
+// The run is incremental: a commit changes only the chosen PE's timeline
+// and the links into that PE, so each round re-scores one PE's column of
+// the ready tasks' dynamic levels, plus every PE for the tasks the commit
+// made ready. The selection scan reads the kept levels in ready-list and PE
+// order with the same tie rule as a full re-scoring, so the schedule is the
+// one re-scoring every (ready task, PE) pair per round would build.
 func DLSInto(a *ctg.Analysis, p *platform.Platform, opts Options, ws *Workspace) (*Schedule, error) {
 	g := a.Graph()
 	n := g.NumTasks()
@@ -166,6 +182,7 @@ func DLSInto(a *ctg.Analysis, p *platform.Platform, opts Options, ws *Workspace)
 		ws = NewWorkspace()
 	}
 	ws.prep(a, p, n)
+	np := p.NumPEs()
 
 	sl := staticLevelsInto(g, p, opts.Probabilistic, ws.sl)
 
@@ -176,6 +193,7 @@ func DLSInto(a *ctg.Analysis, p *platform.Platform, opts Options, ws *Workspace)
 		PE:        make([]int, n),
 		Start:     make([]float64, n),
 		Speed:     make([]float64, n),
+		Order:     make([]ctg.TaskID, 0, n),
 		CommStart: make([]float64, g.NumEdges()),
 	}
 	for t := range s.Speed {
@@ -186,16 +204,7 @@ func DLSInto(a *ctg.Analysis, p *platform.Platform, opts Options, ws *Workspace)
 		s.CommStart[ei] = LocalComm
 	}
 
-	peTL := ws.peTL
-	tlFor := func(i, j int) *timeline {
-		key := [2]int{i, j}
-		tl, ok := ws.linkTL[key]
-		if !ok {
-			tl = &timeline{}
-			ws.linkTL[key] = tl
-		}
-		return tl
-	}
+	peTL, linkTL := ws.peTL, ws.linkTL
 
 	scenOf := func(t ctg.TaskID) ctg.Bitset {
 		if opts.MEOverlap {
@@ -209,16 +218,12 @@ func DLSInto(a *ctg.Analysis, p *platform.Platform, opts Options, ws *Workspace)
 	for t := 0; t < n; t++ {
 		unschedPreds[t] = len(g.Pred(ctg.TaskID(t)))
 	}
-	ready := ws.ready
-	for t := 0; t < n; t++ {
-		if unschedPreds[t] == 0 {
-			ready = append(ready, ctg.TaskID(t))
-		}
-	}
 
-	// placement evaluates AT(τ, pe): transfer start per incoming cross-PE
-	// edge, data-ready time, and the earliest PE fit. The transfer plans
-	// land in ws.plans (overwritten per candidate).
+	// evaluate computes AT(τ, pe): transfer start per incoming cross-PE
+	// edge, data-ready time, and the earliest PE fit. It reads the
+	// timelines of pe and of the links into pe, and nothing else that a
+	// commit changes. The transfer plans land in ws.plans (overwritten per
+	// candidate).
 	evaluate := func(t ctg.TaskID, pe int) (at float64, ok bool) {
 		ws.plans = ws.plans[:0]
 		dataReady := 0.0
@@ -238,16 +243,15 @@ func DLSInto(a *ctg.Analysis, p *platform.Platform, opts Options, ws *Workspace)
 			if !p.LinkUp(s.PE[from], pe) {
 				return 0, false
 			}
-			link := [2]int{s.PE[from], pe}
 			scen := ws.edgeScenOf(a, ei)
 			if !opts.MEOverlap {
 				scen = ws.fullSet
 			}
 			cs := finish
 			if opts.CommAware {
-				cs = tlFor(link[0], link[1]).earliestFit(finish, ct, scen)
+				cs = linkTL[s.PE[from]*np+pe].earliestFit(finish, ct, scen)
 			}
-			ws.plans = append(ws.plans, commPlan{edge: ei, link: link, start: cs, dur: ct, scen: scen})
+			ws.plans = append(ws.plans, commPlan{edge: ei, from: s.PE[from], start: cs, dur: ct, scen: scen})
 			if arr := cs + ct; arr > dataReady {
 				dataReady = arr
 			}
@@ -265,45 +269,61 @@ func DLSInto(a *ctg.Analysis, p *platform.Platform, opts Options, ws *Workspace)
 		avgEnergy = ws.avgEnergy[:n]
 		for t := 0; t < n; t++ {
 			sum := 0.0
-			for pe := 0; pe < p.NumPEs(); pe++ {
+			for pe := 0; pe < np; pe++ {
 				sum += p.Energy(t, pe)
 			}
-			avgEnergy[t] = sum / float64(p.NumPEs())
+			avgEnergy[t] = sum / float64(np)
 		}
 	}
+
+	// level returns the dynamic level of placing t on pe, -Inf where the
+	// placement is ruled out.
+	level := func(t ctg.TaskID, pe int) float64 {
+		if !p.PEAlive(pe) {
+			return math.Inf(-1)
+		}
+		at, feasible := evaluate(t, pe)
+		if !feasible {
+			return math.Inf(-1)
+		}
+		delta := p.AvgWCET(int(t)) - p.WCET(int(t), pe)
+		v := sl[t] - at + delta
+		if opts.EnergyWeight != 0 {
+			v += opts.EnergyWeight * a.ActivationProb(t) *
+				(avgEnergy[t] - p.Energy(int(t), pe))
+		}
+		return v
+	}
+
+	// Ready tasks and their rows of levels are appended and removed
+	// together.
+	ready, dl := ws.ready, ws.dl
+	push := func(t ctg.TaskID) {
+		ready = append(ready, t)
+		for pe := 0; pe < np; pe++ {
+			dl = append(dl, level(t, pe))
+		}
+	}
+	for t := 0; t < n; t++ {
+		if unschedPreds[t] == 0 {
+			push(ctg.TaskID(t))
+		}
+	}
+	defer func() { ws.ready, ws.dl = ready[:0], dl[:0] }() // hand the grown buffers back
 
 	for len(ready) > 0 {
 		if ws.Cancel != nil {
 			if err := ws.Cancel(); err != nil {
-				ws.ready = ready[:0]
 				return nil, err
 			}
 		}
 		bestDL := math.Inf(-1)
-		bestAT := 0.0
-		ws.bestPlans = ws.bestPlans[:0]
 		bestIdx, bestPE := -1, -1
-		for ri, t := range ready {
-			for pe := 0; pe < p.NumPEs(); pe++ {
-				if !p.PEAlive(pe) {
-					continue
-				}
-				at, feasible := evaluate(t, pe)
-				if !feasible {
-					continue
-				}
-				delta := p.AvgWCET(int(t)) - p.WCET(int(t), pe)
-				dl := sl[t] - at + delta
-				if opts.EnergyWeight != 0 {
-					dl += opts.EnergyWeight * a.ActivationProb(t) *
-						(avgEnergy[t] - p.Energy(int(t), pe))
-				}
-				if dl > bestDL+1e-12 {
-					bestDL, bestAT = dl, at
+		for ri := range ready {
+			for pe, v := range dl[ri*np : ri*np+np] {
+				if v > bestDL+1e-12 {
+					bestDL = v
 					bestIdx, bestPE = ri, pe
-					// Keep the winning plans; the displaced buffer becomes
-					// the next candidate's scratch.
-					ws.plans, ws.bestPlans = ws.bestPlans, ws.plans
 				}
 			}
 		}
@@ -315,29 +335,35 @@ func DLSInto(a *ctg.Analysis, p *platform.Platform, opts Options, ws *Workspace)
 		}
 		t := ready[bestIdx]
 
-		// Commit the placement.
+		// Commit the placement. Nothing changed since the winner was
+		// scored, so re-evaluating it yields its AT and transfer plans.
+		bestAT, _ := evaluate(t, bestPE)
 		s.PE[t] = bestPE
 		s.Start[t] = bestAT
 		peTL[bestPE].add(bestAT, p.WCET(int(t), bestPE), scenOf(t))
-		for _, cp := range ws.bestPlans {
+		for _, cp := range ws.plans {
 			s.CommStart[cp.edge] = cp.start
-			tlFor(cp.link[0], cp.link[1]).add(cp.start, cp.dur, cp.scen)
+			linkTL[cp.from*np+bestPE].add(cp.start, cp.dur, cp.scen)
 		}
 		s.Order = append(s.Order, t)
 		scheduled[t] = true
 
-		// Update the ready list.
-		ready = append(ready[:bestIdx], ready[bestIdx+1:]...)
+		// Update the ready list: re-score bestPE, the only PE whose
+		// placements the commit changed, then add the tasks it released.
+		ready = slices.Delete(ready, bestIdx, bestIdx+1)
+		dl = slices.Delete(dl, bestIdx*np, bestIdx*np+np)
+		for ri, u := range ready {
+			dl[ri*np+bestPE] = level(u, bestPE)
+		}
 		for _, ei := range g.Succ(t) {
 			to := g.Edge(ei).To
 			unschedPreds[to]--
 			if unschedPreds[to] == 0 {
-				ready = append(ready, to)
+				push(to)
 			}
 		}
 	}
 
-	ws.ready = ready[:0] // hand the (possibly grown) buffer back for reuse
 	for t := 0; t < n; t++ {
 		if !scheduled[t] {
 			return nil, fmt.Errorf("sched: task %d never became ready (graph inconsistency)", t)

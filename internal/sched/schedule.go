@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"ctgdvfs/internal/ctg"
 	"ctgdvfs/internal/platform"
@@ -265,19 +264,31 @@ func (s *Schedule) buildPlan() {
 	s.Plan = plan
 }
 
-// sortPEOrder rebuilds PEOrder from Start (stable by start, then ID).
+// sortPEOrder rebuilds PEOrder from Start: per PE, by start, then ID. The
+// rows share one backing array, each capped at its own length.
 func (s *Schedule) sortPEOrder() {
-	s.PEOrder = make([][]ctg.TaskID, s.P.NumPEs())
-	for t := 0; t < s.G.NumTasks(); t++ {
-		s.PEOrder[s.PE[t]] = append(s.PEOrder[s.PE[t]], ctg.TaskID(t))
+	np := s.P.NumPEs()
+	end := make([]int, np+1) // end[pe+1]: PE pe's row size, then its end in tasks
+	for _, pe := range s.PE {
+		end[pe+1]++
 	}
+	for pe := 0; pe < np; pe++ {
+		end[pe+1] += end[pe]
+	}
+	tasks := make([]ctg.TaskID, len(s.PE))
+	s.PEOrder = make([][]ctg.TaskID, np)
 	for pe := range s.PEOrder {
-		order := s.PEOrder[pe]
-		sort.Slice(order, func(i, j int) bool {
-			if s.Start[order[i]] != s.Start[order[j]] {
-				return s.Start[order[i]] < s.Start[order[j]]
+		s.PEOrder[pe] = tasks[end[pe]:end[pe]:end[pe+1]]
+	}
+	for t, pe := range s.PE {
+		s.PEOrder[pe] = append(s.PEOrder[pe], ctg.TaskID(t))
+	}
+	for _, order := range s.PEOrder {
+		slices.SortFunc(order, func(a, b ctg.TaskID) int {
+			if c := cmp.Compare(s.Start[a], s.Start[b]); c != 0 {
+				return c
 			}
-			return order[i] < order[j]
+			return cmp.Compare(a, b)
 		})
 	}
 }
@@ -291,12 +302,13 @@ func (s *Schedule) sortPEOrder() {
 // chain the dispatcher enforces.
 func (s *Schedule) InjectPseudoEdges() {
 	s.Pseudo = s.Pseudo[:0]
+	cover := ctg.NewBitset(s.A.NumScenarios())
 	for pe := range s.PEOrder {
 		tasks := s.PEOrder[pe]
 		for i := 1; i < len(tasks); i++ {
 			t := tasks[i]
 			need := s.A.ActivationSet(t)
-			cover := ctg.NewBitset(need.Len())
+			cover.Clear()
 			for j := i - 1; j >= 0; j-- {
 				u := tasks[j]
 				if s.A.MutuallyExclusive(u, t) {

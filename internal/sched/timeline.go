@@ -1,7 +1,7 @@
 package sched
 
 import (
-	"sort"
+	"slices"
 
 	"ctgdvfs/internal/ctg"
 )
@@ -17,22 +17,47 @@ type interval struct {
 }
 
 // timeline tracks the reservations of one resource, kept sorted by start
-// time. Sizes here are tiny (tens of tasks), so linear scans are both simple
-// and fast.
+// time. A PE's timeline grows to one interval per task it runs (about 60 per
+// PE on the 16-PE scale graph at 10³ tasks, 250 at 4·10³), and DLS queries
+// it near its end, so queries do not scan it from the front: maxEnd[i] is
+// the largest end among ivals[:i+1], non-decreasing, and a binary search
+// over it skips every interval that ends before the queried window. Every
+// query's result is independent of the order of intervals with equal
+// starts, and the index uses comparisons only, so the answers are exactly
+// those of a linear scan.
 type timeline struct {
-	ivals []interval
+	ivals  []interval
+	maxEnd []float64
 }
 
 // reset empties the timeline, retaining capacity for reuse across DLS calls
 // (see Workspace).
-func (tl *timeline) reset() { tl.ivals = tl.ivals[:0] }
+func (tl *timeline) reset() {
+	tl.ivals = tl.ivals[:0]
+	tl.maxEnd = tl.maxEnd[:0]
+}
+
+// endingAfter returns the index of the first interval whose prefix-maximum
+// end exceeds t: every interval before it ends at or before t.
+func (tl *timeline) endingAfter(t float64) int {
+	lo, hi := 0, len(tl.maxEnd)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if tl.maxEnd[mid] > t {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
 
 // conflictsAt reports whether placing an activity over [t, t+dur) with the
 // given scenario set would overlap a reservation active in a shared
 // scenario.
 func (tl *timeline) conflictsAt(t, dur float64, scen ctg.Bitset) bool {
 	end := t + dur
-	for _, iv := range tl.ivals {
+	for _, iv := range tl.ivals[tl.endingAfter(t):] {
 		if iv.start >= end {
 			break // sorted: nothing later can overlap
 		}
@@ -45,44 +70,62 @@ func (tl *timeline) conflictsAt(t, dur float64, scen ctg.Bitset) bool {
 
 // earliestFit returns the earliest start ≥ ready at which an activity of the
 // given duration and scenario set fits. Candidate starts are the ready time
-// and the end of each conflicting reservation.
+// and the end of each conflicting reservation. An end equal to ready is no
+// candidate once ready conflicts, so the scan starts at the first interval
+// ending after ready, and it stops at the first interval starting at or
+// after the best fit so far, whose end (like every later one) cannot beat
+// it.
 func (tl *timeline) earliestFit(ready, dur float64, scen ctg.Bitset) float64 {
 	if !tl.conflictsAt(ready, dur, scen) {
 		return ready
 	}
 	best := -1.0
-	for _, iv := range tl.ivals {
+	for _, iv := range tl.ivals[tl.endingAfter(ready):] {
+		if best >= 0 && iv.start >= best {
+			break
+		}
 		t := iv.end
 		if t < ready {
 			continue
 		}
-		if !tl.conflictsAt(t, dur, scen) && (best < 0 || t < best) {
+		if (best < 0 || t < best) && !tl.conflictsAt(t, dur, scen) {
 			best = t
 		}
 	}
 	if best < 0 {
 		// Unreachable for finite timelines (the end of the last interval
 		// always fits), but keep a safe fallback.
-		last := 0.0
-		for _, iv := range tl.ivals {
-			if iv.end > last {
-				last = iv.end
-			}
-		}
-		if last < ready {
-			last = ready
-		}
-		return last
+		return max(tl.maxEnd[len(tl.maxEnd)-1], ready)
 	}
 	return best
 }
 
 // add reserves [start, start+dur) for an activity with the given scenario
-// set. Zero-duration activities reserve nothing.
+// set, inserting it after every interval that starts no later. Zero-duration
+// activities reserve nothing.
 func (tl *timeline) add(start, dur float64, scen ctg.Bitset) {
 	if dur <= 0 {
 		return
 	}
-	tl.ivals = append(tl.ivals, interval{start: start, end: start + dur, scen: scen})
-	sort.Slice(tl.ivals, func(i, j int) bool { return tl.ivals[i].start < tl.ivals[j].start })
+	end := start + dur
+	lo, hi := 0, len(tl.ivals)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if tl.ivals[mid].start <= start {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	tl.ivals = slices.Insert(tl.ivals, lo, interval{start: start, end: end, scen: scen})
+	m := end
+	if lo > 0 {
+		m = max(m, tl.maxEnd[lo-1])
+	}
+	tl.maxEnd = slices.Insert(tl.maxEnd, lo, m)
+	// Later prefixes now include end; they are non-decreasing, so the
+	// first one already at or past it ends the update.
+	for j := lo + 1; j < len(tl.maxEnd) && tl.maxEnd[j] < end; j++ {
+		tl.maxEnd[j] = end
+	}
 }

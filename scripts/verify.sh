@@ -10,8 +10,8 @@
 #   bit-rot in them without paying for real measurement; the paper's tables
 #   and figures are pinned by internal/exp's golden files in the test suite,
 #   not by benchmarks), short fuzzing sessions of
-#   the workload parser, the alert-rules parser, the daemon's step body and
-#   the stretch class-row builder, a fault-campaign and a failover-campaign run of the
+#   the workload parser, the alert-rules parser, the daemon's step body,
+#   the stretch class-row builder and the DLS resource timeline, a fault-campaign and a failover-campaign run of the
 #   fault-tolerance layer, a bounded run of the large-scale warm-start tier
 #   (one 10^3-task cell), an
 #   end-to-end health-analyzer pass over a captured event stream, an
@@ -32,7 +32,7 @@
 # tests in the suite (TestFlightRecorderZeroAllocSteadyState,
 # TestStoreTickAllocsZero, TestPartialBoundWorkspaceAllocatesNothing,
 # TestReplayAllocsBounded, TestServeStepAllocsBounded,
-# TestFullRescheduleAllocsBounded).
+# TestFullRescheduleAllocsBounded, TestDLSIntoAllocsBounded).
 # Run from anywhere; operates on the repo root.
 set -eu
 
@@ -78,15 +78,18 @@ go test -race -short -timeout 30m ./...
 echo "== coverage floors (core, faults, telemetry, health, serve, stretch, sim, sched) =="
 sh scripts/cover.sh
 
-# Every benchmark lives in the root package's bench_test.go.
+# The benchmarks live in the root package's bench_test.go, except
+# BenchmarkDLSScale in internal/sched (the facade does not reach the scale
+# graph).
 echo "== bench smoke (1 iteration each) =="
-go test -run '^$' -bench . -benchtime 1x . >/dev/null
+go test -run '^$' -bench . -benchtime 1x . ./internal/sched >/dev/null
 
-echo "== fuzz smoke (workload parser, rules parser, step body, class rows, 5s each) =="
+echo "== fuzz smoke (workload parser, rules parser, step body, class rows, timeline, 5s each) =="
 go test -run '^$' -fuzz FuzzRead -fuzztime 5s ./internal/ctgio >/dev/null
 go test -run '^$' -fuzz FuzzParseRules -fuzztime 5s ./internal/series >/dev/null
 go test -run '^$' -fuzz FuzzStepBody -fuzztime 5s ./internal/serve >/dev/null
 go test -run '^$' -fuzz FuzzClassRows -fuzztime 5s ./internal/stretch >/dev/null
+go test -run '^$' -fuzz FuzzTimeline -fuzztime 5s ./internal/sched >/dev/null
 
 echo "== fault-campaign + telemetry smoke =="
 trace_tmp="$(mktemp)"
